@@ -8,7 +8,7 @@
 //! | A1 | every `unsafe` site is preceded by a `// SAFETY:` comment (or a `# Safety` doc section) |
 //! | A2 | every crate containing `unsafe` declares `#![deny(unsafe_op_in_unsafe_fn)]` in its root |
 //! | A3 | no `partial_cmp(..).unwrap()/.expect(..)` outside `core::order` |
-//! | A4 | no `unwrap()/expect()` in `serve/src` or `core::exec` hot paths |
+//! | A4 | no `unwrap()/expect()` and no `panic!`-family macro in `serve/src` or `core::exec` hot paths |
 //! | A5 | raw-pointer ops confined to the audited kernel/storage files |
 //! | A6 | `Mutex` fields in `serve` and the representation/segment stores carry `// LOCK-ORDER: n` ranks, and locks are acquired in ascending rank |
 //! | A7 | fault-injection sites (`tahoma_faults` uses) confined to the allowlisted failure-surface modules, each marked with a `// FAULT:` comment |
@@ -326,25 +326,36 @@ fn a4_in_scope(rel: &str) -> bool {
     rel.starts_with("crates/serve/src/") || rel == "crates/core/src/exec.rs"
 }
 
-/// A4: no `.unwrap()` / `.expect(..)` in hot-path modules (test code is
-/// exempt; intentional panics go through the allowlist with a reason).
+/// A4: no `.unwrap()` / `.expect(..)` and no `panic!` / `unreachable!` /
+/// `todo!` / `unimplemented!` in hot-path modules — which also covers
+/// `unwrap_or_else(|| panic!(..))`. Test code is exempt, `assert!`-family
+/// invariant checks are deliberately outside the lint, and intentional
+/// panics go through the allowlist with a reason.
 fn a4_hot_path_unwraps(ctx: &FileCtx, out: &mut Vec<Violation>) {
     if !a4_in_scope(&ctx.rel) {
         return;
     }
     let lx = &ctx.lx;
     for i in 0..lx.toks.len() {
-        if !lx.punct(i, '.') || !lx.punct(i + 2, '(') {
+        if ctx.in_test(i) {
             continue;
         }
-        let Some(m) = lx.ident(i + 1) else { continue };
-        if (m == "unwrap" || m == "expect") && !ctx.in_test(i) {
+        let found = if lx.punct(i, '.') && lx.punct(i + 2, '(') {
+            lx.ident(i + 1)
+                .filter(|m| matches!(*m, "unwrap" | "expect"))
+                .map(|m| (i + 1, format!("`.{m}(..)`")))
+        } else if lx.punct(i + 1, '!') && lx.punct(i + 2, '(') {
+            lx.ident(i)
+                .filter(|m| matches!(*m, "panic" | "unreachable" | "todo" | "unimplemented"))
+                .map(|m| (i, format!("`{m}!(..)`")))
+        } else {
+            None
+        };
+        if let Some((at, what)) = found {
             out.push(ctx.violation(
                 "A4",
-                lx.toks[i + 1].line,
-                format!(
-                    "`.{m}(..)` in a hot-path module — return an error or allowlist with a reason"
-                ),
+                lx.toks[at].line,
+                format!("{what} in a hot-path module — return an error or allowlist with a reason"),
             ));
         }
     }

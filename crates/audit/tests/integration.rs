@@ -132,6 +132,50 @@ fn a4_unwrap_in_serve_scope_is_caught() {
 }
 
 #[test]
+fn a4_panic_family_macros_are_caught_in_scope() {
+    for (needle, body) in [
+        ("panic!", "panic!(\"boom\")"),
+        ("unreachable!", "unreachable!(\"never\")"),
+        ("todo!", "todo!()"),
+        ("unimplemented!", "unimplemented!()"),
+        // The shape the scorers used to carry: no `.unwrap()` to see, only
+        // the macro inside the closure.
+        (
+            "panic!",
+            "None::<u32>.unwrap_or_else(|| panic!(\"model m{} is not registered\", 3))",
+        ),
+    ] {
+        let src = format!("pub fn f() -> u32 {{ {body} }}\n");
+        for scope in ["crates/serve/src/broker.rs", "crates/core/src/exec.rs"] {
+            let report = audit(&[(scope, src.as_str())]);
+            assert_eq!(
+                lints_of(&report),
+                ["A4"],
+                "{needle} in {scope}: {}",
+                report.human()
+            );
+            assert!(
+                report.violations[0].message.contains(needle),
+                "{}",
+                report.human()
+            );
+        }
+        // Out of scope, and in test code inside the scope, the macro is fine.
+        let elsewhere = audit(&[("crates/core/src/materialized.rs", src.as_str())]);
+        assert!(elsewhere.clean(), "{}", elsewhere.human());
+        let in_test = format!("pub fn ok() {{}}\n#[cfg(test)]\nmod tests {{\n    {src}}}\n");
+        let test_ok = audit(&[("crates/serve/src/server.rs", in_test.as_str())]);
+        assert!(test_ok.clean(), "{}", test_ok.human());
+    }
+    // `assert!`-family invariants, `std::panic::` paths and a `!=` after an
+    // identifier named like a macro are not panics-by-macro.
+    let benign = "use std::panic::catch_unwind;\npub fn g(panic: u32, n: usize) -> bool {\n    \
+                  assert!(n > 0, \"non-empty\");\n    debug_assert_eq!(n, n);\n    panic != 3\n}\n";
+    let ok = audit(&[("crates/serve/src/service.rs", benign)]);
+    assert!(ok.clean(), "{}", ok.human());
+}
+
+#[test]
 fn a5_raw_pointer_ops_confined_to_kernel_files() {
     let raw = "#![deny(unsafe_op_in_unsafe_fn)]\npub fn f(p: *const f32) -> f32 {\n    // SAFETY: fixture.\n    unsafe { *p.add(1) }\n}\n";
     let report = audit(&[

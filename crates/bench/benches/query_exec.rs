@@ -20,7 +20,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use tahoma_core::evaluator::CostContext;
-use tahoma_core::exec::{BatchScorer, NnBatchScorer, SurrogateBatchScorer};
+use tahoma_core::exec::{
+    BatchScorer, NnSessionScratch, SharedModelZoo, SharedNnScorer, SurrogateBatchScorer,
+};
 use tahoma_core::query::{Corpus, CorpusItem, QueryProcessor, SurrogateItemScorer};
 use tahoma_core::thresholds::{calibrate_all, DecisionThresholds, ThresholdTable};
 use tahoma_core::{Cascade, VectorizedExecutor, PAPER_PRECISION_SETTINGS};
@@ -166,7 +168,7 @@ fn bench_surrogate_exec(c: &mut Criterion) {
 /// full materialization.
 fn bench_short_circuit(c: &mut Criterion) {
     let fx = surrogate_fixture();
-    let processor = QueryProcessor::new(&fx.repo, &fx.thresholds, &fx.cost);
+    let executor = VectorizedExecutor::new(&fx.repo, &fx.thresholds, &fx.cost);
     let terminal = (fx.repo.len() - 1) as u16;
     let query = tahoma_core::query::Query::parse(
         "SELECT * FROM f WHERE contains_object(fence) AND contains_object(wallet)",
@@ -183,8 +185,8 @@ fn bench_short_circuit(c: &mut Criterion) {
         group.bench_function(tag, |b| {
             b.iter(|| {
                 black_box(
-                    processor
-                        .execute_batched(&query, &fx.corpus, &cascades, &mut scorer, &opts)
+                    executor
+                        .execute(&query, &fx.corpus, &cascades, &mut scorer, &opts)
                         .unwrap(),
                 )
             })
@@ -276,17 +278,20 @@ fn bench_nn_exec(c: &mut Criterion) {
     for item in &corpus.items {
         store.ingest(item.id, &frame(item.id, 120)).unwrap();
     }
-    let mut scorer = NnBatchScorer::new(&store);
-    scorer.register(ModelId(0), rep0, build_model(arch0, rep0, 11));
-    scorer.register(ModelId(1), rep1, build_model(arch1, rep1, 12));
+    let mut zoo = SharedModelZoo::new();
+    zoo.register(ModelId(0), rep0, build_model(arch0, rep0, 11));
+    zoo.register(ModelId(1), rep1, build_model(arch1, rep1, 12));
+    let mut scratch = NnSessionScratch::new();
 
     // Calibrate level-0 cuts from the live score distribution.
     let mut level0_scores = Vec::new();
-    scorer.score_batch(
-        ModelId(0),
-        tahoma_core::exec::ScorePack::standalone(&items),
-        &mut level0_scores,
-    );
+    SharedNnScorer::new(&store, &zoo, &mut scratch)
+        .score_batch(
+            ModelId(0),
+            tahoma_core::exec::ScorePack::standalone(&items),
+            &mut level0_scores,
+        )
+        .unwrap();
     let thresholds = quantile_thresholds(&mut level0_scores, repo.len());
     let executor = VectorizedExecutor::new(&repo, &thresholds, &cost);
     let cascade = Cascade::new(&[(0, 0), (1, 0)]);
@@ -294,6 +299,7 @@ fn bench_nn_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_exec/nn");
     group.bench_function(format!("end_to_end_direct_{NN_N}"), |b| {
         b.iter(|| {
+            let mut scorer = SharedNnScorer::new(&store, &zoo, &mut scratch);
             black_box(
                 executor
                     .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut scorer)
@@ -302,11 +308,16 @@ fn bench_nn_exec(c: &mut Criterion) {
         })
     });
     // One accounted run for the per-stage table.
-    scorer.reset_stats();
+    scratch.reset_stats();
     let rel = executor
-        .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut scorer)
+        .run_cascade_batched(
+            ObjectKind::Fence,
+            cascade,
+            &items,
+            &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
+        )
         .unwrap();
-    let stats = scorer.stats();
+    let stats = scratch.stats();
     eprintln!(
         "query_exec/nn end-to-end (direct, {} items, {} early-decided): \
          fetch+decode {:.3} ms, transcode {:.3} ms, standardize {:.3} ms, infer {:.3} ms",
@@ -317,7 +328,6 @@ fn bench_nn_exec(c: &mut Criterion) {
         stats.standardize_s * 1e3,
         stats.infer_s * 1e3,
     );
-    drop(scorer);
 
     // Transcode fallback: only the full 120px frame is stored; every level
     // input is derived through the engine at query time.
@@ -325,11 +335,10 @@ fn bench_nn_exec(c: &mut Criterion) {
     for item in &corpus.items {
         source_store.ingest(item.id, &frame(item.id, 120)).unwrap();
     }
-    let mut fallback = NnBatchScorer::new(&source_store).with_source(source);
-    fallback.register(ModelId(0), rep0, build_model(arch0, rep0, 11));
-    fallback.register(ModelId(1), rep1, build_model(arch1, rep1, 12));
+    let zoo = zoo.with_source(source);
     group.bench_function(format!("end_to_end_transcode_{NN_N}"), |b| {
         b.iter(|| {
+            let mut fallback = SharedNnScorer::new(&source_store, &zoo, &mut scratch);
             black_box(
                 executor
                     .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut fallback)
@@ -337,11 +346,16 @@ fn bench_nn_exec(c: &mut Criterion) {
             )
         })
     });
-    fallback.reset_stats();
+    scratch.reset_stats();
     executor
-        .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut fallback)
+        .run_cascade_batched(
+            ObjectKind::Fence,
+            cascade,
+            &items,
+            &mut SharedNnScorer::new(&source_store, &zoo, &mut scratch),
+        )
         .unwrap();
-    let stats = fallback.stats();
+    let stats = scratch.stats();
     eprintln!(
         "query_exec/nn end-to-end (transcode fallback, {} items): \
          fetch+decode {:.3} ms, transcode {:.3} ms, standardize {:.3} ms, infer {:.3} ms",

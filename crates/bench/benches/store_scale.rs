@@ -29,7 +29,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
-use tahoma_core::exec::{BatchScorer, NnBatchScorer, ScorePack};
+use tahoma_core::exec::{BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer};
 use tahoma_core::query::{Corpus, CorpusItem};
 use tahoma_costmodel::io::stored_record_bytes;
 use tahoma_costmodel::{plan_materialization, IoProfile, TransformCostModel};
@@ -88,7 +88,7 @@ fn build_model(arch: ArchSpec, rep: Representation, seed: u64) -> Sequential {
     arch.cnn_spec(rep).build(seed).expect("valid spec")
 }
 
-fn scorer_for(store: &RepresentationStore) -> NnBatchScorer<'_> {
+fn depth2_zoo() -> SharedModelZoo {
     let arch0 = ArchSpec {
         conv_layers: 1,
         conv_nodes: 16,
@@ -99,10 +99,10 @@ fn scorer_for(store: &RepresentationStore) -> NnBatchScorer<'_> {
         conv_nodes: 16,
         dense_nodes: 32,
     };
-    let mut scorer = NnBatchScorer::new(store);
-    scorer.register(ModelId(0), REP0, build_model(arch0, REP0, 11));
-    scorer.register(ModelId(1), REP1, build_model(arch1, REP1, 12));
-    scorer
+    let mut zoo = SharedModelZoo::new();
+    zoo.register(ModelId(0), REP0, build_model(arch0, REP0, 11));
+    zoo.register(ModelId(1), REP1, build_model(arch1, REP1, 12));
+    zoo
 }
 
 /// Worst-case depth-2 sweep: every item scored at both levels (no early
@@ -110,12 +110,15 @@ fn scorer_for(store: &RepresentationStore) -> NnBatchScorer<'_> {
 /// Corpora larger than one pack are scored in pack-sized chunks, the way
 /// the executor batches at scale (one giant `infer_batch` would thrash
 /// the activation working set and measure the allocator, not the store).
-fn depth2_sweep(scorer: &mut NnBatchScorer<'_>, items: &[&CorpusItem], out: &mut Vec<f32>) -> f32 {
+fn depth2_sweep(scorer: &mut SharedNnScorer<'_>, items: &[&CorpusItem], out: &mut Vec<f32>) -> f32 {
     let mut acc = 0.0;
     for chunk in items.chunks(1_024) {
         out.clear();
-        scorer.score_batch(ModelId(0), ScorePack::standalone(chunk), out);
-        scorer.score_batch(ModelId(1), ScorePack::standalone(chunk), out);
+        for model in [ModelId(0), ModelId(1)] {
+            scorer
+                .score_batch(model, ScorePack::standalone(chunk), out)
+                .expect("both representations are stored");
+        }
         acc += out.iter().sum::<f32>();
     }
     acc
@@ -206,11 +209,13 @@ fn bench_store_scale(c: &mut Criterion) {
     let items: Vec<&CorpusItem> = pack.items.iter().collect();
     let mut out = Vec::new();
     let mut group = c.benchmark_group("store_scale/query_depth2");
-    let mut scorer_ram = scorer_for(&ram);
+    let zoo = depth2_zoo();
+    let (mut scratch_ram, mut scratch_mmap) = (NnSessionScratch::new(), NnSessionScratch::new());
+    let mut scorer_ram = SharedNnScorer::new(&ram, &zoo, &mut scratch_ram);
     group.bench_function("ram", |b| {
         b.iter(|| black_box(depth2_sweep(&mut scorer_ram, &items, &mut out)))
     });
-    let mut scorer_mmap = scorer_for(&mmap);
+    let mut scorer_mmap = SharedNnScorer::new(&mmap, &zoo, &mut scratch_mmap);
     group.bench_function("mmap", |b| {
         b.iter(|| black_box(depth2_sweep(&mut scorer_mmap, &items, &mut out)))
     });
@@ -256,8 +261,6 @@ fn bench_store_scale(c: &mut Criterion) {
             t.elapsed().as_secs_f64()
         );
     }
-    drop(scorer_ram);
-    drop(scorer_mmap);
 
     // Cold: a fresh process-equivalent reopen (recovery scan + CRC
     // accounting rebuild), then first-vs-second depth-2 sweep through a
@@ -268,7 +271,8 @@ fn bench_store_scale(c: &mut Criterion) {
         RepresentationStore::open_with_mode(&mmap_dir, AccessMode::Mmap).expect("reopen");
     let open_s = t.elapsed().as_secs_f64();
     assert_eq!(cold.frames(), n as u64, "reopen lost frames");
-    let mut scorer_cold = scorer_for(&cold);
+    let mut scratch_cold = NnSessionScratch::new();
+    let mut scorer_cold = SharedNnScorer::new(&cold, &zoo, &mut scratch_cold);
     let t = Instant::now();
     black_box(depth2_sweep(&mut scorer_cold, &items, &mut out));
     let first_s = t.elapsed().as_secs_f64();
@@ -283,7 +287,6 @@ fn bench_store_scale(c: &mut Criterion) {
         first_s * 1e3,
         second_s * 1e3,
     );
-    drop(scorer_cold);
     drop(cold);
     drop(pread);
     let _ = std::fs::remove_dir_all(&mmap_dir);

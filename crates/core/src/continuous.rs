@@ -40,20 +40,21 @@
 //! items for the deltas to be meaningful (streams satisfy this by
 //! construction: one id per frame).
 //!
-//! The executor is generic over *how* a cascade pack is scored — the same
-//! seam as [`BatchScorer`]: [`ContinuousExecutor::tick`] takes a closure
-//! so a serving layer can route each kind to its own backend (surrogate
-//! tables, shared NN zoo, coalescing broker), while
-//! [`ContinuousExecutor::tick_batched`] is the single-backend convenience
-//! used by tests and benches. [`ContinuousExecutor::rescan`] re-evaluates
-//! the current window from scratch through the same seam; the equivalence
-//! `rescan() == matched()` after every tick is this module's correctness
-//! bar, enforced by `tests/continuous_proptests.rs` against the reference
-//! (item-at-a-time) executor.
+//! This module owns the *window* — which items enter, which expire, which
+//! decisions carry over — and nothing else. Deciding a set of items is
+//! [`crate::exec::run_conjunction`], the walk an ad-hoc query runs over the
+//! corpus: [`ContinuousExecutor::tick`] hands it the tick's entrants and
+//! [`ContinuousExecutor::rescan`] the whole window, with the registered
+//! steps in query order and the caller's evaluation closure — so a serving
+//! layer routes each kind to its own backend and threads its own error
+//! type through ([`ContinuousExecutor::tick_batched`] is the single-backend
+//! convenience of tests and benches). `rescan() == matched()` after every
+//! tick is this module's correctness bar, enforced by
+//! `tests/continuous_proptests.rs` against the item-at-a-time executor.
 
 use crate::cascade::Cascade;
 use crate::error::CoreError;
-use crate::exec::{BatchScorer, VectorizedExecutor};
+use crate::exec::{run_conjunction, BatchScorer, VectorizedExecutor};
 use crate::query::{CorpusItem, Query};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -130,7 +131,9 @@ struct WindowEntry {
 #[derive(Debug)]
 pub struct ContinuousExecutor {
     query: Query,
-    cascades: BTreeMap<ObjectKind, Cascade>,
+    /// The registered plan: one `(kind, cascade)` step per content
+    /// predicate, in query order.
+    steps: Vec<(ObjectKind, Cascade)>,
     window: WindowSpec,
     /// Arrivals not yet consumed by a tick, FIFO; front position is
     /// `next_pos - pending.len()`.
@@ -154,17 +157,20 @@ impl ContinuousExecutor {
         cascades: BTreeMap<ObjectKind, Cascade>,
         window: WindowSpec,
     ) -> Result<ContinuousExecutor, CoreError> {
-        for kind in &query.content {
-            if !cascades.contains_key(kind) {
-                return Err(CoreError::Window(format!(
+        let steps = query
+            .content
+            .iter()
+            .map(|kind| match cascades.get(kind) {
+                Some(&cascade) => Ok((*kind, cascade)),
+                None => Err(CoreError::Window(format!(
                     "no cascade registered for content predicate '{}'",
                     kind.name()
-                )));
-            }
-        }
+                ))),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ContinuousExecutor {
             query,
-            cascades,
+            steps,
             window,
             pending: VecDeque::new(),
             next_pos: 0,
@@ -231,16 +237,16 @@ impl ContinuousExecutor {
     /// identical tick can be retried (the serve layer's degraded-stream
     /// recovery depends on this; see RELIABILITY.md).
     ///
-    /// `eval` receives the predicate kind, its registered cascade, and the
-    /// pack of surviving items, and returns one pass/fail per pack item —
-    /// it must be deterministic per (kind, item) for the incremental ≡
-    /// rescan guarantee to hold (every scorer in this workspace is; see
-    /// the module docs for the one NN batch-shape caveat and the pinned
-    /// accumulation path that removes it).
-    pub fn tick<E>(&mut self, mut eval: E) -> Result<TickDeltas, CoreError>
-    where
-        E: FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, CoreError>,
-    {
+    /// `eval` is [`run_conjunction`]'s evaluation seam: it receives the
+    /// predicate kind, its registered cascade, and the pack of surviving
+    /// items, and returns one pass/fail per pack item — it must be
+    /// deterministic per (kind, item) for the incremental ≡ rescan
+    /// guarantee to hold (every scorer in this workspace is). Its error
+    /// type is the caller's; the executor's own failures convert into it.
+    pub fn tick<E: From<CoreError>>(
+        &mut self,
+        eval: impl FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, E>,
+    ) -> Result<TickDeltas, E> {
         let end = self.end + self.window.step;
         if self.next_pos < end {
             return Err(CoreError::Window(format!(
@@ -248,7 +254,8 @@ impl ContinuousExecutor {
                 self.ticks + 1,
                 end,
                 self.next_pos
-            )));
+            ))
+            .into());
         }
         let start = end.saturating_sub(self.window.range);
 
@@ -269,15 +276,13 @@ impl ContinuousExecutor {
         let entrant_pos = front_pos + n_gap as u64;
         let n_entrants = (end.saturating_sub(entrant_pos) as usize).min(self.pending.len() - n_gap);
 
-        // Score the entrants in place: metadata filter, then each content
-        // cascade over the shrinking survivor pack (short-circuit
-        // conjunction; decisions are order-independent so this matches
-        // materialize-all semantics item for item). A failure here — the
-        // `?` — leaves the executor bit-for-bit untouched, so the serve
-        // layer can retry the same tick idempotently (RELIABILITY.md).
+        // Decide the entrants in place. A failure here — the `?` — leaves
+        // the executor bit-for-bit untouched, so the serve layer can retry
+        // the same tick idempotently (RELIABILITY.md).
         let items: Vec<&CorpusItem> = self.pending.iter().skip(n_gap).take(n_entrants).collect();
-        let (passes, scored) = evaluate(&self.query, &self.cascades, &items, &mut eval)?;
+        let walk = run_conjunction(&self.query.metadata, &self.steps, &items, eval)?;
         drop(items);
+        let (passes, scored) = (walk.passes, walk.scored);
 
         // Eval succeeded: commit the slide.
         self.entries.drain(..n_expired);
@@ -320,8 +325,9 @@ impl ContinuousExecutor {
         scorer: &mut dyn BatchScorer,
     ) -> Result<TickDeltas, CoreError> {
         self.tick(|kind, cascade, pack| {
-            let rel = exec.run_cascade_batched(kind, cascade, pack, scorer)?;
-            Ok(rel.rows.iter().map(|r| r.value).collect())
+            Ok(exec
+                .run_cascade_batched(kind, cascade, pack, scorer)?
+                .passes())
         })
     }
 
@@ -330,18 +336,12 @@ impl ContinuousExecutor {
     /// decisions. Returns matched ids in arrival order. This is the
     /// RANGE-sized cost the incremental path avoids — and the equivalence
     /// oracle: `rescan() == matched()` always.
-    pub fn rescan<E>(&self, mut eval: E) -> Result<Vec<u64>, CoreError>
-    where
-        E: FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, CoreError>,
-    {
+    pub fn rescan<E: From<CoreError>>(
+        &self,
+        eval: impl FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, E>,
+    ) -> Result<Vec<u64>, E> {
         let items: Vec<&CorpusItem> = self.entries.iter().map(|e| &e.item).collect();
-        let (passes, _) = evaluate(&self.query, &self.cascades, &items, &mut eval)?;
-        Ok(items
-            .iter()
-            .zip(&passes)
-            .filter(|(_, &p)| p)
-            .map(|(i, _)| i.id)
-            .collect())
+        Ok(run_conjunction(&self.query.metadata, &self.steps, &items, eval)?.matched_ids(&items))
     }
 
     /// [`ContinuousExecutor::rescan`] through one executor + scorer.
@@ -351,57 +351,11 @@ impl ContinuousExecutor {
         scorer: &mut dyn BatchScorer,
     ) -> Result<Vec<u64>, CoreError> {
         self.rescan(|kind, cascade, pack| {
-            let rel = exec.run_cascade_batched(kind, cascade, pack, scorer)?;
-            Ok(rel.rows.iter().map(|r| r.value).collect())
+            Ok(exec
+                .run_cascade_batched(kind, cascade, pack, scorer)?
+                .passes())
         })
     }
-}
-
-/// Evaluate `items` against the query: metadata filter, then each content
-/// cascade over the surviving pack. Returns one pass flag per input item
-/// plus the number of cascade rows scored.
-fn evaluate<E>(
-    query: &Query,
-    cascades: &BTreeMap<ObjectKind, Cascade>,
-    items: &[&CorpusItem],
-    eval: &mut E,
-) -> Result<(Vec<bool>, usize), CoreError>
-where
-    E: FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, CoreError>,
-{
-    let mut survivors: Vec<usize> = (0..items.len())
-        .filter(|&i| query.metadata.iter().all(|p| p.holds(items[i])))
-        .collect();
-    let mut scored = 0usize;
-    for &kind in &query.content {
-        if survivors.is_empty() {
-            break;
-        }
-        let cascade = *cascades
-            .get(&kind)
-            .ok_or_else(|| CoreError::Window(format!("no cascade for '{}'", kind.name())))?;
-        let pack: Vec<&CorpusItem> = survivors.iter().map(|&i| items[i]).collect();
-        let passes = eval(kind, cascade, &pack)?;
-        if passes.len() != pack.len() {
-            return Err(CoreError::Window(format!(
-                "eval returned {} decisions for a pack of {}",
-                passes.len(),
-                pack.len()
-            )));
-        }
-        scored += pack.len();
-        survivors = survivors
-            .into_iter()
-            .zip(&passes)
-            .filter(|(_, &p)| p)
-            .map(|(i, _)| i)
-            .collect();
-    }
-    let mut flags = vec![false; items.len()];
-    for i in survivors {
-        flags[i] = true;
-    }
-    Ok((flags, scored))
 }
 
 #[cfg(test)]
@@ -546,8 +500,9 @@ mod tests {
                 items: window_items,
             };
             let qp = QueryProcessor::new(&repo, &thresholds, &cost);
+            let cascades: BTreeMap<ObjectKind, Cascade> = cx.steps.iter().copied().collect();
             let reference = qp
-                .execute(cx.query(), &window_corpus, &cx.cascades, &scorer)
+                .execute(cx.query(), &window_corpus, &cascades, &scorer)
                 .expect("reference executes");
             assert_eq!(reference.matched_ids, matched, "tick {tick} vs reference");
             prev = matched;
@@ -604,7 +559,7 @@ mod tests {
         let d = cx
             .tick(|_, _, pack| {
                 assert!(pack.iter().all(|i| i.camera == 1));
-                Ok(vec![true; pack.len()])
+                Ok::<_, CoreError>(vec![true; pack.len()])
             })
             .expect("ticks");
         assert_eq!(d.added, expected_meta);

@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors surfaced by cascade construction, selection and query processing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// A cascade referenced a model id outside the repository.
+    /// A cascade referenced a model id outside the repository, or one the
+    /// scoring backend's zoo never registered.
     UnknownModel(u32),
     /// The cascade set or frontier was empty where a choice was required.
     EmptySet(&'static str),
@@ -20,6 +21,11 @@ pub enum CoreError {
     /// A continuous-query window was mis-specified or ticked ahead of its
     /// arrivals (see [`crate::continuous`]).
     Window(String),
+    /// A scoring backend could not produce a pack's scores: an item's
+    /// input representation is neither stored nor derivable from a
+    /// configured source, or an evaluation seam broke its one-decision-
+    /// per-item contract (see [`crate::exec`]).
+    Scoring(String),
 }
 
 impl fmt::Display for CoreError {
@@ -34,6 +40,7 @@ impl fmt::Display for CoreError {
             CoreError::UnknownCategory(c) => write!(f, "unknown object category '{c}'"),
             CoreError::UnknownField(field) => write!(f, "unknown metadata field '{field}'"),
             CoreError::Window(message) => write!(f, "continuous window: {message}"),
+            CoreError::Scoring(message) => write!(f, "scoring: {message}"),
         }
     }
 }

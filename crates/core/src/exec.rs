@@ -1,54 +1,46 @@
-//! Vectorized cascade execution: batch-at-a-time query processing with
-//! planner-ordered short-circuiting.
+//! Query execution: the one conjunction walk, the level-major cascade
+//! driver under it, and the batch scoring backends.
 //!
-//! The reference executor ([`crate::query::QueryProcessor::run_cascade_reference`])
-//! walks *item-at-a-time*: for each metadata survivor it climbs the cascade
-//! through a per-(item, level) virtual scoring call, and every content
-//! predicate re-scans the full survivor set in query-text order. This
-//! module replaces that loop with the column-engine execution shape:
+//! §IV's cost model prices one thing — an item climbing a cascade's level
+//! prefix, predicates evaluated cheapest-first over a shrinking survivor
+//! set — and this module holds the one implementation of each half:
 //!
+//! * **The conjunction walk** ([`run_conjunction`]): metadata filter, then
+//!   each `(kind, cascade)` step in the caller's order over the shrinking
+//!   survivor pack, through a caller-supplied evaluation seam. Its callers
+//!   are every product path: [`VectorizedExecutor::execute`] (planner rank
+//!   order), [`crate::continuous::ContinuousExecutor`] (query order, over a
+//!   tick's entrants or a whole window) and the serving layer's ad-hoc
+//!   `QUERY` (plan order over the corpus, the seam threading deadline,
+//!   broker interest and per-kind backends). Scores are deterministic per
+//!   (model, item), so the match set is invariant under step order
+//!   (pinned against brute force in `tests/exec_proptests.rs`).
 //! * **Level-major execution with survivor compaction**
-//!   ([`run_level_major`]): each cascade level scores the still-undecided
-//!   items as one contiguous pack through a single [`BatchScorer`] call,
-//!   thresholds are applied over the whole score vector, and the survivor
-//!   pack is compacted in place. This is exactly the shape §IV's cost
-//!   model accounts in: an item that stops at level *k* pays the level
-//!   prefix cost `fixed + Σ infer(0..=k) + Σ marginal(distinct reps in
-//!   0..=k)` — the executor prices decisions from that same prefix table,
-//!   so the batched walk is decision-for-decision *and* cost-for-cost
-//!   identical to the reference (property-tested in
-//!   `tests/exec_proptests.rs`).
-//! * **Planner-ordered short-circuiting** ([`VectorizedExecutor::execute`]):
-//!   content predicates run in [`crate::planner::order_predicates`] rank
-//!   order (ascending cost/rejection) over the *shrinking* conjunction
-//!   survivor set, instead of query order over everything. Because scores
-//!   are deterministic per (model, item), pruned items can never re-enter
-//!   a later predicate's pass set, so `matched_ids` is invariant under the
-//!   reordering (regression-tested). The opt-in
-//!   [`ExecOptions::materialize_all`] keeps the full-relation semantics
-//!   the figure-reproduction experiments read (every predicate over every
-//!   survivor, query order).
+//!   ([`run_level_major`] under [`VectorizedExecutor::run_cascade_batched`]):
+//!   each cascade level scores the still-undecided items as one pack
+//!   through a single [`BatchScorer`] call, thresholds apply over the whole
+//!   score vector, and the pack is compacted in place. An item stopping at
+//!   level *k* pays `fixed + Σ infer(0..=k) + Σ marginal(distinct reps in
+//!   0..=k)`, so the walk is decision-for-decision *and* cost-for-cost
+//!   identical to the item-at-a-time oracle
+//!   ([`crate::query::QueryProcessor::run_cascade_reference`]).
 //! * **Batch scoring backends**: [`SurrogateBatchScorer`] hoists the
-//!   per-(model, split) variant separation and noise-stream derivation out
-//!   of the item loop (one [`tahoma_zoo::surrogate::VariantStream`] per
-//!   cascade level, not per (item, level) — the same hoist
-//!   `SurrogateScorer::score_population` does for repository building),
-//!   and [`NnBatchScorer`] serves *real* CNN inference: encoded frames are
-//!   fetched from a [`RepresentationStore`] and decoded into pooled
-//!   buffers, each level's input representation is transcoded through a
-//!   shared [`TranscodeEngine`], and the pack is scored in one
-//!   `Sequential::infer_batch` GEMM pass. A representation shared by
-//!   several cascade levels is materialized **once per item**, not once
-//!   per (item, level) — the physical-representation reuse §V-B's lattice
-//!   plans and the cost model already prices via `rep_marginal_s`, applied
-//!   to live pixels instead of simulated seconds.
+//!   per-(model, split) stream derivation out of the item loop;
+//!   [`SharedNnScorer`] serves real CNN inference over a shared
+//!   [`RepresentationStore`] and model zoo.
+//!
+//! Scoring is fallible: a backend that cannot produce a pack's scores
+//! returns a [`CoreError`], which every caller above propagates as a value.
+//! [`ExecOptions::materialize_all`] (every predicate over every metadata
+//! survivor, query order) stays as the full-relation oracle the
+//! figure-reproduction experiments and the property suites read.
 
 use crate::cascade::{Cascade, MAX_LEVELS};
 use crate::error::CoreError;
-use crate::evaluator::{CostContext, Outcome};
+use crate::evaluator::{simulate_one_naive_stats, CostContext};
 use crate::planner::{order_indices, PlannedPredicate};
 use crate::query::{
-    Corpus, CorpusItem, ItemScorer, PredicateRelation, Query, QueryResult, RelationRow,
+    Corpus, CorpusItem, ItemScorer, MetaPredicate, PredicateRelation, Query, QueryResult,
     CORPUS_SCORE_SALT,
 };
 use crate::thresholds::ThresholdTable;
@@ -91,7 +83,8 @@ impl<'a> ScorePack<'a> {
 /// vectorized counterpart of [`ItemScorer`]. Implementations append exactly
 /// `pack.items.len()` scores to `out` (the executor clears it first), in
 /// pack order, and may keep mutable state (stream caches, column arrays,
-/// decode pools, model activations) across calls.
+/// decode pools, model activations) across calls. A backend that cannot
+/// score the pack returns the reason; `out` is then unspecified.
 pub trait BatchScorer {
     /// Called once before each cascade run with the cascade about to
     /// execute and the full item slice it will run over, so backends can
@@ -103,7 +96,12 @@ pub trait BatchScorer {
     }
 
     /// Append `model`'s score for every item of the pack to `out`.
-    fn score_batch(&mut self, model: ModelId, pack: ScorePack<'_>, out: &mut Vec<f32>);
+    fn score_batch(
+        &mut self,
+        model: ModelId,
+        pack: ScorePack<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), CoreError>;
 }
 
 /// Adapts any [`ItemScorer`] to the batch interface by looping it — the
@@ -113,8 +111,14 @@ pub trait BatchScorer {
 pub struct ItemScorerBatchAdapter<'a>(pub &'a dyn ItemScorer);
 
 impl BatchScorer for ItemScorerBatchAdapter<'_> {
-    fn score_batch(&mut self, model: ModelId, pack: ScorePack<'_>, out: &mut Vec<f32>) {
+    fn score_batch(
+        &mut self,
+        model: ModelId,
+        pack: ScorePack<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), CoreError> {
         out.extend(pack.items.iter().map(|item| self.0.score(model, item)));
+        Ok(())
     }
 }
 
@@ -164,6 +168,16 @@ impl<'a> SurrogateBatchScorer<'a> {
     }
 }
 
+/// The (salted id, ground-truth label, difficulty) row a surrogate stream
+/// scores an item from.
+fn surrogate_row(item: &CorpusItem, kind: ObjectKind) -> (u64, bool, f32) {
+    (
+        item.id ^ CORPUS_SCORE_SALT,
+        item.contains(kind),
+        item.difficulty,
+    )
+}
+
 impl BatchScorer for SurrogateBatchScorer<'_> {
     fn begin_cascade(&mut self, cascade: &Cascade, items: &[&CorpusItem]) {
         self.streams.clear();
@@ -176,17 +190,17 @@ impl BatchScorer for SurrogateBatchScorer<'_> {
         // once, straight off the item refs.
         if cascade.depth() > 1 {
             let kind = self.scorer.pred.kind;
-            self.cols.extend(items.iter().map(|item| {
-                (
-                    item.id ^ CORPUS_SCORE_SALT,
-                    item.contains(kind),
-                    item.difficulty,
-                )
-            }));
+            self.cols
+                .extend(items.iter().map(|item| surrogate_row(item, kind)));
         }
     }
 
-    fn score_batch(&mut self, model: ModelId, pack: ScorePack<'_>, out: &mut Vec<f32>) {
+    fn score_batch(
+        &mut self,
+        model: ModelId,
+        pack: ScorePack<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), CoreError> {
         let stream = self.stream_for(model);
         match pack.indices {
             // Executor pack: gather the dense column rows by survivor index.
@@ -196,18 +210,10 @@ impl BatchScorer for SurrogateBatchScorer<'_> {
             // Standalone pack (or no begin_cascade yet): extract inline.
             _ => {
                 let kind = self.scorer.pred.kind;
-                stream.score_into(
-                    pack.items.iter().map(|item| {
-                        (
-                            item.id ^ CORPUS_SCORE_SALT,
-                            item.contains(kind),
-                            item.difficulty,
-                        )
-                    }),
-                    out,
-                );
+                stream.score_into(pack.items.iter().map(|item| surrogate_row(item, kind)), out);
             }
         }
+        Ok(())
     }
 }
 
@@ -247,237 +253,17 @@ struct NnModel {
     model: Sequential,
 }
 
-/// Real-CNN batch scorer: store fetch → pooled decode → transcode →
-/// standardize → `infer_batch`.
-///
-/// Per pack item the backend obtains the model's input representation
-/// either directly from the [`RepresentationStore`] (the ONGOING layout:
-/// the representation was materialized at ingest) or by fetching a stored
-/// *source* representation and transcoding through the engine (the
-/// fallback when only the full frame is stored — the source representation
-/// must be RGB). Inputs are standardized per image, matching the training
-/// path's input discipline, then the whole pack runs through one batched
-/// GEMM inference pass.
-///
-/// Representations used by more than one level of the current cascade are
-/// cached per item for the duration of the cascade run, so the §V-B
-/// sharing discount (`rep_marginal_s` charged once per distinct
-/// representation) holds for the live pixel work too. Decode and
-/// standardize buffers recycle through the scorer's own engine pool (the
-/// store is borrowed shared and never touched mutably); steady-state
-/// scoring performs no large allocations outside the cache inserts for
-/// shared representations.
-///
-/// Scores depend on the GEMM batch shape only in final-ulp rounding (the
-/// batch-1 dense path uses the matvec kernel's fold tree); decisions are
-/// deterministic for a fixed pack sequence, which the executor's
-/// level-major walk fixes.
-///
-/// # Panics
-///
-/// `score_batch` panics when a cascade level's model was never
-/// [`NnBatchScorer::register`]ed, or when an item's representation is
-/// absent (or quarantined) from the store and no usable source
-/// representation was configured — deployment-configuration errors, not
-/// data-dependent conditions. A corrupt or persistently unreadable stored
-/// blob does *not* panic: the store quarantines it and the scorer degrades
-/// to the transcode-from-source path (see RELIABILITY.md).
-pub struct NnBatchScorer<'a> {
-    store: &'a RepresentationStore,
-    models: HashMap<u32, NnModel>,
-    engine: TranscodeEngine,
-    source_rep: Option<Representation>,
-    shared: Vec<Representation>,
-    cache: HashMap<(u64, Representation), Vec<f32>>,
-    input: Vec<f32>,
-    stats: NnStageStats,
-}
-
-impl<'a> NnBatchScorer<'a> {
-    /// Create a scorer over a store (borrowed shared: every store read
-    /// goes through the caller-engine fetch path, so scorers can share a
-    /// store). Register models before executing.
-    pub fn new(store: &'a RepresentationStore) -> NnBatchScorer<'a> {
-        NnBatchScorer {
-            store,
-            models: HashMap::new(),
-            engine: TranscodeEngine::new(),
-            source_rep: None,
-            shared: Vec::new(),
-            cache: HashMap::new(),
-            input: Vec::new(),
-            stats: NnStageStats::default(),
-        }
-    }
-
-    /// Configure the stored source representation to transcode from when a
-    /// model's exact input representation is not in the store. Must be RGB
-    /// (transcoding derives color planes from it).
-    pub fn with_source(mut self, rep: Representation) -> NnBatchScorer<'a> {
-        self.source_rep = Some(rep);
-        self
-    }
-
-    /// Register the network serving `id`, consuming `rep` as its input.
-    pub fn register(&mut self, id: ModelId, rep: Representation, model: Sequential) {
-        self.models.insert(id.0, NnModel { rep, model });
-    }
-
-    /// Register a whole repository's networks, aligned with `repo.entries`
-    /// (the shape `build_real_repository_keeping_models` returns).
-    pub fn register_repository(&mut self, repo: &ModelRepository, models: Vec<Sequential>) {
-        assert_eq!(repo.len(), models.len(), "one network per repository entry");
-        for (entry, model) in repo.entries.iter().zip(models) {
-            self.register(entry.variant.id, entry.variant.input, model);
-        }
-    }
-
-    /// Per-stage timings accumulated since construction (or the last
-    /// [`NnBatchScorer::reset_stats`]).
-    pub fn stats(&self) -> NnStageStats {
-        self.stats
-    }
-
-    /// Zero the stage accounting.
-    pub fn reset_stats(&mut self) {
-        self.stats = NnStageStats::default();
-    }
-
-    /// Standardized input pixels for one (item, representation): direct
-    /// pooled fetch when the store holds the representation, otherwise
-    /// fetch-source + transcode.
-    fn materialize_input(
-        &mut self,
-        item: &CorpusItem,
-        rep: Representation,
-    ) -> tahoma_imagery::Image {
-        let t0 = Instant::now();
-        let direct = self.store.fetch_classified(item.id, rep, &mut self.engine);
-        self.stats.fetch_decode_s += t0.elapsed().as_secs_f64();
-        // Every buffer — decoded fetches and transcode outputs alike —
-        // comes from and returns to the scorer's own engine pool; the
-        // store itself is only borrowed shared.
-        let img = match direct {
-            Fetched::Hit(img) => img,
-            Fetched::Absent | Fetched::Quarantined => {
-                // Quarantined records degrade to the same source-transcode
-                // fallback as never-materialized ones — same source pixels,
-                // same transcode, bitwise the same input — but are counted
-                // so the serve layer can surface the degradation.
-                if matches!(direct, Fetched::Quarantined) {
-                    self.stats.degraded_fetches += 1;
-                }
-                let src_rep = self.source_rep.unwrap_or_else(|| {
-                    panic!(
-                        "item {} has no stored {rep} and no source representation is configured",
-                        item.id
-                    )
-                });
-                let t1 = Instant::now();
-                // The pinned path retries harder and never quarantines:
-                // losing the source would make the degradation permanent.
-                let src = self
-                    .store
-                    .fetch_pinned(item.id, src_rep, &mut self.engine)
-                    .unwrap_or_else(|| panic!("item {} has no stored source {src_rep}", item.id))
-                    .unwrap_or_else(|e| panic!("item {} source {src_rep}: {e}", item.id));
-                self.stats.fetch_decode_s += t1.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                // Replay the ingest-time lattice plan, not a direct
-                // transcode: multi-hop plans make the two differ, and the
-                // degraded input must be bitwise what was stored.
-                let out = self
-                    .store
-                    .rederive(&src, rep)
-                    .unwrap_or_else(|e| panic!("item {} transcode to {rep}: {e}", item.id));
-                self.stats.transcode_s += t2.elapsed().as_secs_f64();
-                self.engine.recycle([src]);
-                out
-            }
-        };
-        let t3 = Instant::now();
-        let standardized = self.engine.standardize(&img);
-        self.stats.standardize_s += t3.elapsed().as_secs_f64();
-        self.engine.recycle([img]);
-        standardized
-    }
-}
-
-impl BatchScorer for NnBatchScorer<'_> {
-    fn begin_cascade(&mut self, cascade: &Cascade, _items: &[&CorpusItem]) {
-        // The shared-representation cache is scoped to one cascade run:
-        // its hits are exactly the level pairs the cost model discounts.
-        // Its standardized buffers came out of the engine pool; hand them
-        // back so repeated cascade runs stay allocation-free.
-        for (_, data) in self.cache.drain() {
-            self.engine.recycle_buffer(data);
-        }
-        self.shared.clear();
-        let mut reps: Vec<Representation> = Vec::with_capacity(cascade.depth());
-        for l in 0..cascade.depth() {
-            if let Some(m) = self.models.get(&(cascade.model_at(l) as u32)) {
-                reps.push(m.rep);
-            }
-        }
-        for (i, &rep) in reps.iter().enumerate() {
-            if reps[..i].contains(&rep) && !self.shared.contains(&rep) {
-                self.shared.push(rep);
-            }
-        }
-    }
-
-    fn score_batch(&mut self, model: ModelId, pack: ScorePack<'_>, out: &mut Vec<f32>) {
-        let items = pack.items;
-        let rep = self
-            .models
-            .get(&model.0)
-            .unwrap_or_else(|| panic!("model m{} is not registered", model.0))
-            .rep;
-        let share = self.shared.contains(&rep);
-        self.input.clear();
-        self.input.reserve(items.len() * rep.value_count());
-        let mut input = std::mem::take(&mut self.input);
-        for item in items {
-            if share {
-                if let Some(cached) = self.cache.get(&(item.id, rep)) {
-                    self.stats.cache_hits += 1;
-                    input.extend_from_slice(cached);
-                    continue;
-                }
-            }
-            let standardized = self.materialize_input(item, rep);
-            input.extend_from_slice(standardized.data());
-            if share {
-                self.cache.insert((item.id, rep), standardized.into_data());
-            } else {
-                self.engine.recycle([standardized]);
-            }
-        }
-        // Second lookup because `materialize_input` needed `&mut self` in
-        // between; the map itself is never mutated after registration.
-        let entry = self
-            .models
-            .get_mut(&model.0)
-            .unwrap_or_else(|| panic!("model m{} is not registered", model.0));
-        let t = Instant::now();
-        out.extend(entry.model.predict_proba_batch(&input, items.len()));
-        self.stats.infer_s += t.elapsed().as_secs_f64();
-        self.stats.batches += 1;
-        self.stats.items_scored += items.len() as u64;
-        self.input = input;
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Shared (concurrent) real-NN scoring
+// Real-NN scoring
 // ---------------------------------------------------------------------------
 
-/// Immutable model zoo for concurrent serving: the same (model id →
-/// network, input representation) table [`NnBatchScorer`] keeps, but built
-/// once and then only ever borrowed shared. Every inference goes through
+/// Immutable model zoo: the (model id → network, input representation)
+/// table, built once and then only ever borrowed shared. Every inference
+/// goes through
 /// `Sequential::predict_proba_shared`, so any number of query sessions can
 /// score against one zoo simultaneously, each bringing its own
 /// [`tahoma_nn::InferScratch`].
+#[derive(Default)]
 pub struct SharedModelZoo {
     models: HashMap<u32, NnModel>,
     source_rep: Option<Representation>,
@@ -486,10 +272,7 @@ pub struct SharedModelZoo {
 impl SharedModelZoo {
     /// Empty zoo; register models before serving.
     pub fn new() -> SharedModelZoo {
-        SharedModelZoo {
-            models: HashMap::new(),
-            source_rep: None,
-        }
+        SharedModelZoo::default()
     }
 
     /// Configure the stored source representation to transcode from when a
@@ -525,7 +308,10 @@ impl SharedModelZoo {
     ///
     /// # Panics
     ///
-    /// Panics when `model` was never registered.
+    /// Panics when `model` was never registered — a caller bug, not a
+    /// data-dependent condition: [`SharedNnScorer`] resolves the model's
+    /// input representation (and fails with a typed error) before it ever
+    /// builds rows to dispatch, and that is the only way rows get here.
     pub fn infer(
         &self,
         model: ModelId,
@@ -538,12 +324,6 @@ impl SharedModelZoo {
             .get(&model.0)
             .unwrap_or_else(|| panic!("model m{} is not registered", model.0));
         entry.model.predict_proba_shared(rows, n, scratch)
-    }
-}
-
-impl Default for SharedModelZoo {
-    fn default() -> SharedModelZoo {
-        SharedModelZoo::new()
     }
 }
 
@@ -562,9 +342,9 @@ pub trait InferDispatch: Sync {
     fn infer(&self, model: ModelId, rows: &[f32], n: usize) -> Vec<f32>;
 }
 
-/// Per-query mutable state for [`SharedNnScorer`] — everything that was a
-/// field of [`NnBatchScorer`] but is written during scoring lives here, so
-/// the store/zoo stay shared. Sessions are cheap to create and profitable
+/// Per-query mutable state for [`SharedNnScorer`] — everything written
+/// during scoring lives here, so the store and zoo stay shared. Sessions
+/// are cheap to create and profitable
 /// to reuse (the engine's buffer pool and the GEMM scratch warm up), which
 /// is why the serving layer checks them out of a pool per query.
 #[derive(Default)]
@@ -601,23 +381,38 @@ impl NnSessionScratch {
     }
 }
 
-/// Concurrent counterpart of [`NnBatchScorer`]: same fetch → decode →
-/// transcode → standardize → batched-GEMM pipeline, same per-cascade
-/// shared-representation cache, but the store and model zoo are borrowed
-/// *shared* — every mutation happens in the query's own
-/// [`NnSessionScratch`]. Optionally routes inference through an
-/// [`InferDispatch`] so the serving layer can coalesce packs from
-/// concurrent queries into one GEMM call.
+/// Real-CNN batch scorer: store fetch → pooled decode → transcode →
+/// standardize → batched GEMM inference.
 ///
+/// Per pack item the backend obtains the model's input representation
+/// either directly from the [`RepresentationStore`] (the ONGOING layout:
+/// the representation was materialized at ingest) or by fetching the zoo's
+/// configured *source* representation and replaying the store's transcode
+/// plan (the fallback when only the full frame is stored, and the
+/// degradation path for quarantined records — RELIABILITY.md). Inputs are
+/// standardized per image, matching the training path's input discipline,
+/// then the whole pack is scored in one call: locally, or through an
+/// [`InferDispatch`] so a serving layer can coalesce packs from concurrent
+/// queries.
+///
+/// Representations used by more than one level of the current cascade are
+/// cached per item for the duration of the cascade run, so the §V-B
+/// sharing discount (`rep_marginal_s` charged once per distinct
+/// representation) holds for the live pixel work too.
+///
+/// The store and zoo are borrowed *shared*; every mutation happens in the
+/// caller's [`NnSessionScratch`] (decode and standardize buffers recycle
+/// through its engine pool), so any number of scorers run concurrently.
 /// Scoring is bitwise identical to a serial run regardless of concurrency
 /// or coalescing: inputs are standardized per item (shape-independent),
 /// and the forced-GEMM inference path is batch-shape invariant.
 ///
-/// # Panics
-///
-/// Same configuration panics as [`NnBatchScorer`]: unregistered cascade
-/// model, or item missing/quarantined with no usable source
-/// representation. Corrupt blobs quarantine and degrade instead.
+/// `score_batch` fails with [`CoreError::UnknownModel`] for a cascade
+/// level whose model was never registered in the zoo, and with
+/// [`CoreError::Scoring`] when an item's representation is absent (or
+/// quarantined) and cannot be re-derived — no source configured, source
+/// missing or unreadable, transcode failed. A corrupt stored blob is not
+/// an error: the store quarantines it and the scorer degrades.
 pub struct SharedNnScorer<'a> {
     store: &'a RepresentationStore,
     zoo: &'a SharedModelZoo,
@@ -647,14 +442,16 @@ impl<'a> SharedNnScorer<'a> {
         self
     }
 
-    /// Standardized input pixels for one (item, representation) — the
-    /// shared-borrow version of [`NnBatchScorer::materialize_input`], with
-    /// every buffer drawn from and recycled to the session's own engine.
+    /// Standardized input pixels for one (item, representation): direct
+    /// pooled fetch when the store holds the representation, otherwise
+    /// fetch-source + transcode. Every buffer is drawn from and recycled to
+    /// the session's own engine.
     fn materialize_input(
         &mut self,
         item: &CorpusItem,
         rep: Representation,
-    ) -> tahoma_imagery::Image {
+    ) -> Result<tahoma_imagery::Image, CoreError> {
+        let failed = |what: String| CoreError::Scoring(format!("item {}: {what}", item.id));
         let sc = &mut *self.scratch;
         let t0 = Instant::now();
         let direct = self.store.fetch_classified(item.id, rep, &mut sc.engine);
@@ -667,20 +464,19 @@ impl<'a> SharedNnScorer<'a> {
                 if matches!(direct, Fetched::Quarantined) {
                     sc.stats.degraded_fetches += 1;
                 }
-                let src_rep = self.zoo.source_rep.unwrap_or_else(|| {
-                    panic!(
-                        "item {} has no stored {rep} and no source representation is configured",
-                        item.id
-                    )
-                });
+                let src_rep = self.zoo.source_rep.ok_or_else(|| {
+                    failed(format!(
+                        "no stored {rep} and no source representation is configured"
+                    ))
+                })?;
                 let t1 = Instant::now();
                 // Pinned: the source must not be quarantined by a fault
                 // burst, or the degradation would become permanent.
                 let src = self
                     .store
                     .fetch_pinned(item.id, src_rep, &mut sc.engine)
-                    .unwrap_or_else(|| panic!("item {} has no stored source {src_rep}", item.id))
-                    .unwrap_or_else(|e| panic!("item {} source {src_rep}: {e}", item.id));
+                    .ok_or_else(|| failed(format!("no stored source {src_rep}")))?
+                    .map_err(|e| failed(format!("source {src_rep}: {e}")))?;
                 sc.stats.fetch_decode_s += t1.elapsed().as_secs_f64();
                 let t2 = Instant::now();
                 // Lattice-plan replay, not direct transcode: the degraded
@@ -688,7 +484,7 @@ impl<'a> SharedNnScorer<'a> {
                 let out = self
                     .store
                     .rederive(&src, rep)
-                    .unwrap_or_else(|e| panic!("item {} transcode to {rep}: {e}", item.id));
+                    .map_err(|e| failed(format!("transcode to {rep}: {e}")))?;
                 sc.stats.transcode_s += t2.elapsed().as_secs_f64();
                 sc.engine.recycle([src]);
                 out
@@ -698,7 +494,7 @@ impl<'a> SharedNnScorer<'a> {
         let standardized = sc.engine.standardize(&img);
         sc.stats.standardize_s += t3.elapsed().as_secs_f64();
         sc.engine.recycle([img]);
-        standardized
+        Ok(standardized)
     }
 }
 
@@ -722,12 +518,17 @@ impl BatchScorer for SharedNnScorer<'_> {
         }
     }
 
-    fn score_batch(&mut self, model: ModelId, pack: ScorePack<'_>, out: &mut Vec<f32>) {
+    fn score_batch(
+        &mut self,
+        model: ModelId,
+        pack: ScorePack<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), CoreError> {
         let items = pack.items;
         let rep = self
             .zoo
             .input_rep(model)
-            .unwrap_or_else(|| panic!("model m{} is not registered", model.0));
+            .ok_or(CoreError::UnknownModel(model.0))?;
         let share = self.scratch.shared.contains(&rep);
         self.scratch.input.clear();
         self.scratch.input.reserve(items.len() * rep.value_count());
@@ -740,7 +541,7 @@ impl BatchScorer for SharedNnScorer<'_> {
                     continue;
                 }
             }
-            let standardized = self.materialize_input(item, rep);
+            let standardized = self.materialize_input(item, rep)?;
             input.extend_from_slice(standardized.data());
             if share {
                 self.scratch
@@ -762,6 +563,7 @@ impl BatchScorer for SharedNnScorer<'_> {
         self.scratch.stats.batches += 1;
         self.scratch.stats.items_scored += items.len() as u64;
         self.scratch.input = input;
+        Ok(())
     }
 }
 
@@ -789,16 +591,17 @@ pub struct LevelDecision {
 /// terminal, exactly the item-at-a-time rules) and the pack is compacted
 /// in place. Decisions are identical to the item-major walk for any
 /// deterministic scorer because score visitation order never affects a
-/// per-(model, item) score.
+/// per-(model, item) score. A level that fails to score aborts the walk
+/// with the level closure's error.
 ///
 /// Generic over what an "item" is — the query executor drives it with
 /// corpus items, TAHOMA+DD with video frames.
-pub fn run_level_major(
+pub fn run_level_major<E>(
     cascade: &Cascade,
     thresholds: &ThresholdTable,
     n_items: usize,
-    mut score_level: impl FnMut(usize, ModelId, &[usize], &mut Vec<f32>),
-) -> Vec<LevelDecision> {
+    mut score_level: impl FnMut(usize, ModelId, &[usize], &mut Vec<f32>) -> Result<(), E>,
+) -> Result<Vec<LevelDecision>, E> {
     let depth = cascade.depth();
     let mut decided = vec![
         LevelDecision {
@@ -816,7 +619,7 @@ pub fn run_level_major(
         }
         let m = cascade.model_at(l);
         scores.clear();
-        score_level(l, ModelId(m as u32), &undecided, &mut scores);
+        score_level(l, ModelId(m as u32), &undecided, &mut scores)?;
         assert_eq!(
             scores.len(),
             undecided.len(),
@@ -851,7 +654,7 @@ pub fn run_level_major(
         undecided.truncate(w);
     }
     debug_assert!(undecided.is_empty(), "terminal level always decides");
-    decided
+    Ok(decided)
 }
 
 /// The §IV level prefix costs of a cascade: an item stopping at level `l`
@@ -877,20 +680,6 @@ fn level_prefix_costs(cascade: &Cascade, cost: &CostContext) -> [f64; MAX_LEVELS
     prefix
 }
 
-/// Planner statistics of one cascade measured on the repository's eval
-/// split: the scenario-independent [`Outcome`] (accuracy, stop-level
-/// histogram) plus the cascade's positive rate — the selectivity estimate
-/// [`PlannedPredicate`] wants for conjunctive ordering. One walk through
-/// [`crate::evaluator::simulate_one_naive_stats`], so the planner's
-/// statistics share the evaluator's decision rules by construction.
-pub fn predicate_stats(
-    repo: &ModelRepository,
-    thresholds: &ThresholdTable,
-    cascade: &Cascade,
-) -> (Outcome, f64) {
-    crate::evaluator::simulate_one_naive_stats(repo, thresholds, cascade)
-}
-
 // ---------------------------------------------------------------------------
 // Query execution
 // ---------------------------------------------------------------------------
@@ -908,8 +697,20 @@ pub struct ExecOptions {
     pub materialize_all: bool,
 }
 
+/// Every model id a cascade names must exist in the repository.
+pub(crate) fn validate_cascade(repo: &ModelRepository, cascade: &Cascade) -> Result<(), CoreError> {
+    match cascade
+        .levels()
+        .iter()
+        .find(|&&(m, _)| m as usize >= repo.len())
+    {
+        Some(&(m, _)) => Err(CoreError::UnknownModel(m as u32)),
+        None => Ok(()),
+    }
+}
+
 /// The vectorized query executor — the product query path. Binds the same
-/// triple as [`crate::query::QueryProcessor`] (which wraps it).
+/// triple as [`crate::query::QueryProcessor`] (whose `execute` calls it).
 pub struct VectorizedExecutor<'a> {
     repo: &'a ModelRepository,
     thresholds: &'a ThresholdTable,
@@ -930,16 +731,6 @@ impl<'a> VectorizedExecutor<'a> {
         }
     }
 
-    fn validate_cascade(&self, cascade: &Cascade) -> Result<(), CoreError> {
-        for l in 0..cascade.depth() {
-            let m = cascade.model_at(l) as usize;
-            if m >= self.repo.len() {
-                return Err(CoreError::UnknownModel(m as u32));
-            }
-        }
-        Ok(())
-    }
-
     /// Run one cascade level-major over the given items, producing its
     /// relation. Decision-for-decision identical to
     /// [`crate::query::QueryProcessor::run_cascade_reference`] for any
@@ -953,7 +744,7 @@ impl<'a> VectorizedExecutor<'a> {
         items: &[&CorpusItem],
         scorer: &mut dyn BatchScorer,
     ) -> Result<PredicateRelation, CoreError> {
-        self.validate_cascade(&cascade)?;
+        validate_cascade(self.repo, &cascade)?;
         scorer.begin_cascade(&cascade, items);
         let mut pack: Vec<&CorpusItem> = Vec::new();
         let decisions = run_level_major(
@@ -970,55 +761,27 @@ impl<'a> VectorizedExecutor<'a> {
                         indices: Some(idxs),
                     },
                     out,
-                );
+                )
             },
-        );
+        )?;
         let prefix = level_prefix_costs(&cascade, self.cost);
-        let mut rows = Vec::with_capacity(items.len());
-        let mut total_time = 0.0f64;
-        let mut level_histogram = [0u64; MAX_LEVELS];
-        let mut correct = 0usize;
-        for (item, d) in items.iter().zip(&decisions) {
-            level_histogram[d.level as usize] += 1;
-            if d.value == item.contains(kind) {
-                correct += 1;
-            }
-            total_time += prefix[d.level as usize];
-            rows.push(RelationRow {
-                id: item.id,
-                value: d.value,
-                score: d.score,
-                decided_at: d.level,
-            });
-        }
-        let n = items.len().max(1) as f64;
-        Ok(PredicateRelation {
-            kind,
-            rows,
-            simulated_time_s: total_time,
-            throughput_fps: if total_time > 0.0 {
-                n / total_time
-            } else {
-                0.0
-            },
-            level_histogram,
-            accuracy: correct as f64 / n,
-        })
+        let priced = decisions.into_iter().map(|d| (d, prefix[d.level as usize]));
+        Ok(PredicateRelation::collect(kind, items, priced))
     }
 
     /// Execute a parsed query: metadata filter, then the content
     /// predicates through the level-major cascade driver.
     ///
-    /// By default predicates run in planner rank order
+    /// By default this is [`run_conjunction`] with the predicates in
+    /// planner rank order
     /// ([`order_predicates`](crate::planner::order_predicates), statistics
-    /// measured on the eval split via [`predicate_stats`]) over the
-    /// shrinking survivor set; [`ExecOptions::materialize_all`] restores
-    /// the reference full-relation semantics. Relations are always
-    /// returned in query-text order regardless of execution order.
-    ///
-    /// The conjunction intersection is a sorted merge over survivor
-    /// indices (both sides are subsequences of the metadata-survivor
-    /// order), replacing the reference's per-predicate `HashSet` build.
+    /// measured on the eval split by [`simulate_one_naive_stats`]), each
+    /// relation covering only the items still undecided when it ran.
+    /// [`ExecOptions::materialize_all`] is the full-relation oracle instead:
+    /// every predicate over every metadata survivor in query-text order,
+    /// intersected by a sorted merge over survivor indices. Relations are
+    /// always returned in query-text order, and `matched_ids` is identical
+    /// either way.
     pub fn execute(
         &self,
         query: &Query,
@@ -1027,12 +790,6 @@ impl<'a> VectorizedExecutor<'a> {
         scorer: &mut dyn BatchScorer,
         opts: &ExecOptions,
     ) -> Result<QueryResult, CoreError> {
-        let surviving: Vec<&CorpusItem> = corpus
-            .items
-            .iter()
-            .filter(|item| query.metadata.iter().all(|p| p.holds(item)))
-            .collect();
-
         let by_pos: Vec<Cascade> = query
             .content
             .iter()
@@ -1044,11 +801,41 @@ impl<'a> VectorizedExecutor<'a> {
             })
             .collect::<Result<_, _>>()?;
         for cascade in &by_pos {
-            self.validate_cascade(cascade)?;
+            validate_cascade(self.repo, cascade)?;
+        }
+        let n_preds = query.content.len();
+
+        if opts.materialize_all {
+            let surviving: Vec<&CorpusItem> = corpus
+                .items
+                .iter()
+                .filter(|item| query.metadata.iter().all(|p| p.holds(item)))
+                .collect();
+            // Conjunction survivors as indices into `surviving` — strictly
+            // increasing, as are each full relation's passing rows (row k
+            // is survivor k), so every intersection is a linear merge.
+            let mut passing: Vec<usize> = (0..surviving.len()).collect();
+            let mut relations = Vec::with_capacity(n_preds);
+            for (&kind, &cascade) in query.content.iter().zip(&by_pos) {
+                let rel = self.run_cascade_batched(kind, cascade, &surviving, scorer)?;
+                intersect_sorted(
+                    &mut passing,
+                    rel.rows
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, r)| r.value)
+                        .map(|(k, _)| k),
+                );
+                relations.push(rel);
+            }
+            return Ok(QueryResult {
+                matched_ids: passing.iter().map(|&i| surviving[i].id).collect(),
+                metadata_survivors: surviving.len(),
+                relations,
+            });
         }
 
-        let n_preds = query.content.len();
-        let order: Vec<usize> = if opts.materialize_all || n_preds <= 1 {
+        let order: Vec<usize> = if n_preds <= 1 {
             (0..n_preds).collect()
         } else {
             let planned: Vec<PlannedPredicate> = query
@@ -1057,7 +844,7 @@ impl<'a> VectorizedExecutor<'a> {
                 .zip(&by_pos)
                 .map(|(&kind, &cascade)| {
                     let (outcome, selectivity) =
-                        predicate_stats(self.repo, self.thresholds, &cascade);
+                        simulate_one_naive_stats(self.repo, self.thresholds, &cascade);
                     PlannedPredicate::new(
                         kind,
                         cascade,
@@ -1070,63 +857,103 @@ impl<'a> VectorizedExecutor<'a> {
                 .collect();
             order_indices(&planned)
         };
-
-        let mut relations: Vec<Option<PredicateRelation>> = (0..n_preds).map(|_| None).collect();
-        // Conjunction survivors as indices into `surviving` — strictly
-        // increasing, so every intersection below is a linear merge.
-        let mut passing: Vec<usize> = (0..surviving.len()).collect();
-        let mut pack_items: Vec<&CorpusItem> = Vec::new();
-        for &pi in &order {
-            let kind = query.content[pi];
-            let cascade = by_pos[pi];
-            let relation = if opts.materialize_all {
-                // Full relation: row k corresponds to survivor k; merge the
-                // passing rows (ascending survivor indices) into the
-                // current conjunction set.
-                let rel = self.run_cascade_batched(kind, cascade, &surviving, scorer)?;
-                intersect_sorted(
-                    &mut passing,
-                    rel.rows
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.value)
-                        .map(|(k, _)| k),
-                );
-                rel
-            } else {
-                // Short-circuit: only the current conjunction survivors are
-                // scored; row k corresponds to passing[k], so compaction is
-                // the intersection.
-                pack_items.clear();
-                pack_items.extend(passing.iter().map(|&i| surviving[i]));
-                let rel = self.run_cascade_batched(kind, cascade, &pack_items, scorer)?;
-                let mut w = 0usize;
-                for (k, r) in rel.rows.iter().enumerate() {
-                    if r.value {
-                        passing[w] = passing[k];
-                        w += 1;
-                    }
-                }
-                passing.truncate(w);
-                rel
-            };
-            relations[pi] = Some(relation);
-        }
+        let steps: Vec<(ObjectKind, Cascade)> = order
+            .iter()
+            .map(|&pi| (query.content[pi], by_pos[pi]))
+            .collect();
+        let items: Vec<&CorpusItem> = corpus.items.iter().collect();
+        let mut executed: Vec<PredicateRelation> = Vec::with_capacity(n_preds);
+        let walk = run_conjunction(&query.metadata, &steps, &items, |kind, cascade, pack| {
+            let rel = self.run_cascade_batched(kind, cascade, pack, scorer)?;
+            let passes = rel.passes();
+            executed.push(rel);
+            Ok::<_, CoreError>(passes)
+        })?;
+        // The walk ran every step, in `order`; report in query-text order.
+        let mut by_query_pos: Vec<(usize, PredicateRelation)> =
+            order.into_iter().zip(executed).collect();
+        by_query_pos.sort_by_key(|&(pi, _)| pi);
         Ok(QueryResult {
-            matched_ids: passing.iter().map(|&i| surviving[i].id).collect(),
-            metadata_survivors: surviving.len(),
-            relations: relations
-                .into_iter()
-                // The loop above assigns `Some` at every index.
-                .map(|r| r.unwrap_or_else(|| unreachable!("every content predicate executed")))
-                .collect(),
+            matched_ids: walk.matched_ids(&items),
+            metadata_survivors: walk.metadata_survivors,
+            relations: by_query_pos.into_iter().map(|(_, rel)| rel).collect(),
         })
     }
 }
 
+/// What [`run_conjunction`] decided for an item slice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Conjunction {
+    /// One flag per input item: it satisfies the metadata predicates and
+    /// every step.
+    pub passes: Vec<bool>,
+    /// Items that survived the metadata filter (the first step's pack).
+    pub metadata_survivors: usize,
+    /// Cascade rows evaluated: the sum of the pack sizes handed to `eval`.
+    pub scored: usize,
+}
+
+impl Conjunction {
+    /// Ids of the passing items of the slice the walk ran over, in order.
+    pub fn matched_ids(&self, items: &[&CorpusItem]) -> Vec<u64> {
+        let passing = items.iter().zip(&self.passes).filter(|(_, &pass)| pass);
+        passing.map(|(item, _)| item.id).collect()
+    }
+}
+
+/// The conjunction walk — the only one in the workspace (module docs list
+/// the callers). Filter `items` by the `metadata` predicates, then hand each
+/// `(kind, cascade)` step, in the given order, the pack of items that passed
+/// everything so far (in `items` order); `eval` returns one pass flag per
+/// pack item and only the passing items reach the next step. Every step
+/// runs, even over an empty pack, so `eval` sees each step exactly once.
+/// `eval` must be deterministic per (kind, item) for the result to be
+/// independent of step order — every scorer in this workspace is.
+///
+/// Generic over the caller's error type, so a serving layer threads its own
+/// errors (timeouts, unserved kinds) through untouched; the walk itself
+/// fails only when `eval` breaks the one-flag-per-item contract.
+pub fn run_conjunction<E: From<CoreError>>(
+    metadata: &[MetaPredicate],
+    steps: &[(ObjectKind, Cascade)],
+    items: &[&CorpusItem],
+    mut eval: impl FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, E>,
+) -> Result<Conjunction, E> {
+    let mut survivors: Vec<usize> = (0..items.len())
+        .filter(|&i| metadata.iter().all(|p| p.holds(items[i])))
+        .collect();
+    let metadata_survivors = survivors.len();
+    let mut scored = 0usize;
+    let mut pack: Vec<&CorpusItem> = Vec::new();
+    for &(kind, cascade) in steps {
+        pack.clear();
+        pack.extend(survivors.iter().map(|&i| items[i]));
+        let flags = eval(kind, cascade, &pack)?;
+        if flags.len() != pack.len() {
+            return Err(CoreError::Scoring(format!(
+                "eval returned {} decisions for a pack of {}",
+                flags.len(),
+                pack.len()
+            ))
+            .into());
+        }
+        scored += pack.len();
+        let mut flag = flags.iter();
+        survivors.retain(|_| flag.next().is_some_and(|&pass| pass));
+    }
+    let mut passes = vec![false; items.len()];
+    for i in survivors {
+        passes[i] = true;
+    }
+    Ok(Conjunction {
+        passes,
+        metadata_survivors,
+        scored,
+    })
+}
+
 /// Retain only the elements of `passing` present in `pass` — both strictly
-/// increasing index sequences — by a single forward merge (the reference
-/// path built a fresh `HashSet` per predicate for this).
+/// increasing index sequences — by a single forward merge.
 fn intersect_sorted(passing: &mut Vec<usize>, pass: impl IntoIterator<Item = usize>) {
     let mut pass = pass.into_iter();
     let mut next = pass.next();
@@ -1181,7 +1008,7 @@ mod tests {
         };
         let cascade = Cascade::new(&[(0, 0), (1, 0)]);
         let mut packs: Vec<Vec<usize>> = Vec::new();
-        let decisions = run_level_major(&cascade, &thresholds, 6, |l, _, pack, out| {
+        let walk = run_level_major(&cascade, &thresholds, 6, |l, _, pack, out| {
             packs.push(pack.to_vec());
             out.extend(pack.iter().map(|&i| match (l, i % 2) {
                 (0, 0) => 0.9,
@@ -1194,7 +1021,9 @@ mod tests {
                     }
                 }
             }));
+            Ok::<(), CoreError>(())
         });
+        let decisions = walk.expect("infallible level closure");
         assert_eq!(packs[0], vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(packs[1], vec![1, 3, 5], "survivors compacted in order");
         for (i, d) in decisions.iter().enumerate() {
@@ -1221,7 +1050,9 @@ mod tests {
         let cascade = Cascade::new(&[(0, 0), (1, 0)]);
         let decisions = run_level_major(&cascade, &thresholds, 2, |_, _, pack, out| {
             out.extend(pack.iter().map(|_| f32::NAN));
-        });
+            Ok::<(), CoreError>(())
+        })
+        .expect("infallible level closure");
         for d in &decisions {
             assert_eq!(d.level, 1, "NaN must stay uncertain at level 0");
             assert!(!d.value, "NaN >= 0.5 is false at the terminal");

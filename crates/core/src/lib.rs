@@ -22,20 +22,22 @@
 //! 5. **Cascade selection** ([`selector`]): the user's accuracy/throughput
 //!    constraints (`U_acc`, `U_thru`), ResNet-matching selection, and the
 //!    scenario-oblivious-vs-aware comparison behind Table III.
-//! 6. **Query processing** ([`query`], §IV): a SQL-subset parser that
-//!    decomposes queries into metadata predicates plus binary
-//!    `contains_object` predicates, and an executor that runs the selected
-//!    cascade over a corpus, producing the binary-predicate relation.
-//! 7. **Vectorized execution** ([`exec`]): the batch-at-a-time product
-//!    query path — level-major cascade execution with survivor
-//!    compaction, planner-ordered short-circuiting between content
-//!    predicates, and batch scoring backends (hoisted surrogate streams;
-//!    real CNN inference over the representation store).
+//! 6. **Query vocabulary** ([`query`], §IV): the corpus, a SQL-subset
+//!    parser that decomposes queries into metadata predicates plus binary
+//!    `contains_object` predicates, the binary-predicate relation types,
+//!    and the item-at-a-time cascade walk kept as the execution oracle.
+//! 7. **Execution** ([`exec`]): the one conjunction walk
+//!    ([`exec::run_conjunction`] — metadata filter, then each predicate's
+//!    cascade over the shrinking survivor pack) that every query path
+//!    calls, the level-major cascade driver with survivor compaction under
+//!    it, and the fallible batch scoring backends (hoisted surrogate
+//!    streams; real CNN inference over the representation store).
 //! 8. **Continuous queries** ([`continuous`]): standing queries over live
-//!    streams — sliding count windows (RANGE/STEP), tick-driven, with
-//!    incremental scoring of only the newly-arrived items and per-tick
-//!    result deltas; exactly equal to from-scratch window re-evaluation
-//!    because cascade decisions are deterministic per (model, item).
+//!    streams — sliding count windows (RANGE/STEP), tick-driven; the
+//!    window decides which items enter and expire, the conjunction walk
+//!    scores only the entrants, and per-tick result deltas are exactly
+//!    equal to from-scratch window re-evaluation because cascade
+//!    decisions are deterministic per (model, item).
 //!
 //! [`pipeline::TahomaSystem`] ties the stages together behind the
 //! architecture in the paper's Fig. 2.
@@ -63,8 +65,8 @@ pub use continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 pub use error::CoreError;
 pub use evaluator::{simulate_all, CascadeOutcomes, CostContext};
 pub use exec::{
-    BatchScorer, ExecOptions, InferDispatch, NnBatchScorer, NnSessionScratch, SharedModelZoo,
-    SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
+    run_conjunction, BatchScorer, Conjunction, ExecOptions, InferDispatch, NnSessionScratch,
+    SharedModelZoo, SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
 };
 pub use order::{nan_last, nan_lowest};
 pub use pareto::{pareto_frontier, ParetoPoint};

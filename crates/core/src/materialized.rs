@@ -14,11 +14,12 @@
 
 use crate::cascade::Cascade;
 use crate::evaluator::CostContext;
-use crate::query::{CorpusItem, ItemScorer};
+use crate::exec::validate_cascade;
+use crate::query::{walk_cascade_item, CorpusItem, ItemScorer};
 use crate::thresholds::ThresholdTable;
 use std::collections::HashMap;
 use tahoma_imagery::ObjectKind;
-use tahoma_zoo::{ModelId, ModelRepository};
+use tahoma_zoo::ModelRepository;
 
 /// One cached classification result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,8 +86,10 @@ impl MaterializedStore {
     }
 }
 
-/// Classify one item with a cascade, returning the row and simulated cost.
-/// Shared by the trigger (eager path) and the query-time miss path.
+/// Classify one item with a cascade, returning the row and simulated cost
+/// ([`walk_cascade_item`], the same item-at-a-time walk the reference
+/// executor loops). Shared by the trigger (eager path) and the query-time
+/// miss path.
 pub fn classify_item(
     repo: &ModelRepository,
     thresholds: &ThresholdTable,
@@ -95,42 +98,16 @@ pub fn classify_item(
     scorer: &dyn ItemScorer,
     item: &CorpusItem,
 ) -> (MaterializedRow, f64) {
-    let depth = cascade.depth();
-    let mut time = cost.fixed_s;
-    let mut seen_reps = [u32::MAX; crate::cascade::MAX_LEVELS];
-    for l in 0..depth {
-        let m = cascade.model_at(l) as usize;
-        debug_assert!(m < repo.len());
-        time += cost.infer_s[m];
-        let key = cost.rep_key[m];
-        if !seen_reps[..l].contains(&key) {
-            time += cost.rep_marginal_s[m];
-        }
-        seen_reps[l] = key;
-        let score = scorer.score(ModelId(m as u32), item);
-        if l + 1 == depth {
-            return (
-                MaterializedRow {
-                    value: score >= 0.5,
-                    score,
-                    decided_at: l as u8,
-                },
-                time,
-            );
-        }
-        let thr = thresholds.get(m, cascade.setting_at(l) as usize);
-        if let Some(value) = thr.decide(score) {
-            return (
-                MaterializedRow {
-                    value,
-                    score,
-                    decided_at: l as u8,
-                },
-                time,
-            );
-        }
-    }
-    unreachable!("terminal level always decides")
+    debug_assert!(validate_cascade(repo, cascade).is_ok());
+    let (d, time) = walk_cascade_item(thresholds, cost, cascade, scorer, item);
+    (
+        MaterializedRow {
+            value: d.value,
+            score: d.score,
+            decided_at: d.level,
+        },
+        time,
+    )
 }
 
 /// Trigger that classifies newly ingested items into the store, §V-A style:

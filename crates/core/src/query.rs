@@ -13,24 +13,28 @@
 //! relation and accounting simulated data-handling + inference cost per
 //! image.
 //!
-//! Two execution paths share these types:
+//! This module owns the vocabulary — corpus, query AST and parser, the
+//! relation types — and the item-at-a-time oracle. Execution lives in
+//! [`crate::exec`]: one conjunction walk over one level-major cascade
+//! driver, which every product path calls. What remains here is simple on
+//! purpose:
 //!
-//! * **Product path** — the vectorized, level-major executor in
-//!   [`crate::exec`] (batch scoring, survivor compaction, planner-ordered
-//!   short-circuiting). [`QueryProcessor::execute`] is a thin wrapper over
-//!   it, pinned to the full-relation `materialize_all` semantics so
-//!   existing consumers see unchanged results.
-//! * **Reference path** —
-//!   [`QueryProcessor::run_cascade_reference`]: the original
-//!   item-at-a-time cascade walk, kept simple on purpose as the
-//!   decision-identity oracle the executor is property-tested against
-//!   (`tests/exec_proptests.rs`) and as the baseline side of the
-//!   `query_exec` bench.
+//! * [`walk_cascade_item`] — one item climbing one cascade with §IV prefix
+//!   costing, the single copy of that walk.
+//!   [`QueryProcessor::run_cascade_reference`] loops it (the oracle the
+//!   executor is property-tested against in `tests/exec_proptests.rs`, and
+//!   the baseline side of the `query_exec` bench);
+//!   [`crate::materialized::classify_item`] wraps it.
+//! * [`QueryProcessor::execute`] — the [`ItemScorer`]-typed entry point of
+//!   the figure-reproduction experiments: the vectorized executor in its
+//!   full-relation `materialize_all` mode.
 
 use crate::cascade::{Cascade, MAX_LEVELS};
 use crate::error::CoreError;
 use crate::evaluator::CostContext;
-use crate::exec::{BatchScorer, ExecOptions, ItemScorerBatchAdapter, VectorizedExecutor};
+use crate::exec::{
+    validate_cascade, ExecOptions, ItemScorerBatchAdapter, LevelDecision, VectorizedExecutor,
+};
 use crate::thresholds::ThresholdTable;
 use std::collections::BTreeMap;
 use tahoma_imagery::ObjectKind;
@@ -481,6 +485,103 @@ pub struct PredicateRelation {
     pub accuracy: f64,
 }
 
+impl PredicateRelation {
+    /// Aggregate per-item `(decision, simulated seconds)` pairs, aligned
+    /// with `items`, into the relation and its statistics. Both executors
+    /// build their relation here, so their totals accumulate in the same
+    /// order (bitwise-equal simulated time).
+    pub(crate) fn collect(
+        kind: ObjectKind,
+        items: &[&CorpusItem],
+        decided: impl Iterator<Item = (LevelDecision, f64)>,
+    ) -> PredicateRelation {
+        let mut rows = Vec::with_capacity(items.len());
+        let mut total_time = 0.0f64;
+        let mut level_histogram = [0u64; MAX_LEVELS];
+        let mut correct = 0usize;
+        for (item, (d, time)) in items.iter().zip(decided) {
+            level_histogram[d.level as usize] += 1;
+            if d.value == item.contains(kind) {
+                correct += 1;
+            }
+            total_time += time;
+            rows.push(RelationRow {
+                id: item.id,
+                value: d.value,
+                score: d.score,
+                decided_at: d.level,
+            });
+        }
+        let n = items.len().max(1) as f64;
+        PredicateRelation {
+            kind,
+            rows,
+            simulated_time_s: total_time,
+            throughput_fps: if total_time > 0.0 {
+                n / total_time
+            } else {
+                0.0
+            },
+            level_histogram,
+            accuracy: correct as f64 / n,
+        }
+    }
+
+    /// The predicate's value per evaluated item, in row order — the shape
+    /// [`crate::exec::run_conjunction`]'s evaluation seam returns.
+    pub fn passes(&self) -> Vec<bool> {
+        self.rows.iter().map(|r| r.value).collect()
+    }
+}
+
+/// Walk one item up one cascade, item-at-a-time: each level is priced
+/// (`fixed + Σ infer + Σ marginal` over distinct representations, §IV),
+/// scored through one virtual call, and decided against its thresholds;
+/// the terminal level always decides at 0.5. Returns the decision and the
+/// simulated seconds the item paid. The cascade's model ids must be valid
+/// for `cost` and `thresholds` (callers validate against the repository).
+pub fn walk_cascade_item(
+    thresholds: &ThresholdTable,
+    cost: &CostContext,
+    cascade: &Cascade,
+    scorer: &dyn ItemScorer,
+    item: &CorpusItem,
+) -> (LevelDecision, f64) {
+    let depth = cascade.depth();
+    let mut time = cost.fixed_s;
+    let mut seen_reps = [u32::MAX; MAX_LEVELS];
+    let mut l = 0usize;
+    loop {
+        let m = cascade.model_at(l) as usize;
+        time += cost.infer_s[m];
+        let key = cost.rep_key[m];
+        if !seen_reps[..l].contains(&key) {
+            time += cost.rep_marginal_s[m];
+        }
+        seen_reps[l] = key;
+        let score = scorer.score(ModelId(m as u32), item);
+        let decision = if l + 1 == depth {
+            Some(score >= 0.5)
+        } else {
+            thresholds
+                .get(m, cascade.setting_at(l) as usize)
+                .decide(score)
+        };
+        if let Some(value) = decision {
+            let level = l as u8;
+            return (
+                LevelDecision {
+                    value,
+                    score,
+                    level,
+                },
+                time,
+            );
+        }
+        l += 1;
+    }
+}
+
 /// Executes queries: metadata filter first, then one cascade per content
 /// predicate.
 pub struct QueryProcessor<'a> {
@@ -508,14 +609,12 @@ impl<'a> QueryProcessor<'a> {
     /// `cascades` maps each content predicate in the query to the cascade
     /// implementing it; a missing entry is an error.
     ///
-    /// A thin wrapper over the vectorized executor ([`crate::exec`]) in
+    /// Runs the vectorized executor ([`VectorizedExecutor::execute`]) in
     /// `materialize_all` mode: every content predicate evaluates over the
-    /// full metadata-survivor set in query order, preserving the original
-    /// full-relation semantics (and, with a deterministic scorer, the
-    /// original results bit for bit — property-tested against
-    /// [`QueryProcessor::run_cascade_reference`]). Batch-native callers
-    /// that want planner-ordered short-circuiting use
-    /// [`QueryProcessor::execute_batched`] directly.
+    /// full metadata-survivor set in query order, the full-relation
+    /// semantics the figure-reproduction experiments read. Batch-native
+    /// callers that want planner-ordered short-circuiting construct the
+    /// [`VectorizedExecutor`] themselves.
     pub fn execute(
         &self,
         query: &Query,
@@ -523,37 +622,21 @@ impl<'a> QueryProcessor<'a> {
         cascades: &BTreeMap<ObjectKind, Cascade>,
         scorer: &dyn ItemScorer,
     ) -> Result<QueryResult, CoreError> {
-        let mut adapter = ItemScorerBatchAdapter(scorer);
-        self.execute_batched(
+        VectorizedExecutor::new(self.repo, self.thresholds, self.cost).execute(
             query,
             corpus,
             cascades,
-            &mut adapter,
+            &mut ItemScorerBatchAdapter(scorer),
             &ExecOptions {
                 materialize_all: true,
             },
         )
     }
 
-    /// Execute through the vectorized level-major executor with a batch
-    /// scoring backend — the product query path. See
-    /// [`VectorizedExecutor::execute`] for the semantics of `opts`.
-    pub fn execute_batched(
-        &self,
-        query: &Query,
-        corpus: &Corpus,
-        cascades: &BTreeMap<ObjectKind, Cascade>,
-        scorer: &mut dyn BatchScorer,
-        opts: &ExecOptions,
-    ) -> Result<QueryResult, CoreError> {
-        VectorizedExecutor::new(self.repo, self.thresholds, self.cost)
-            .execute(query, corpus, cascades, scorer, opts)
-    }
-
-    /// Run one cascade over the filtered items item-at-a-time, producing
-    /// its relation — the reference implementation the vectorized path is
-    /// property-tested against. Not used by [`QueryProcessor::execute`]
-    /// anymore; kept deliberately simple.
+    /// Run one cascade over the filtered items item-at-a-time
+    /// ([`walk_cascade_item`] per item), producing its relation — the
+    /// reference implementation the vectorized path is property-tested
+    /// against. Kept deliberately simple.
     pub fn run_cascade_reference(
         &self,
         kind: ObjectKind,
@@ -561,66 +644,11 @@ impl<'a> QueryProcessor<'a> {
         items: &[&CorpusItem],
         scorer: &dyn ItemScorer,
     ) -> Result<PredicateRelation, CoreError> {
-        let depth = cascade.depth();
-        for l in 0..depth {
-            let m = cascade.model_at(l) as usize;
-            if m >= self.repo.len() {
-                return Err(CoreError::UnknownModel(m as u32));
-            }
-        }
-        let mut rows = Vec::with_capacity(items.len());
-        let mut total_time = 0.0f64;
-        let mut level_histogram = [0u64; MAX_LEVELS];
-        let mut correct = 0usize;
-        for item in items {
-            let mut time = self.cost.fixed_s;
-            let mut seen_reps: [u32; MAX_LEVELS] = [u32::MAX; MAX_LEVELS];
-            let mut decided: Option<(bool, f32, u8)> = None;
-            for l in 0..depth {
-                let m = cascade.model_at(l) as usize;
-                time += self.cost.infer_s[m];
-                let key = self.cost.rep_key[m];
-                if !seen_reps[..l].contains(&key) {
-                    time += self.cost.rep_marginal_s[m];
-                }
-                seen_reps[l] = key;
-                let score = scorer.score(ModelId(m as u32), item);
-                if l + 1 == depth {
-                    decided = Some((score >= 0.5, score, l as u8));
-                    break;
-                }
-                let thr = self.thresholds.get(m, cascade.setting_at(l) as usize);
-                if let Some(label) = thr.decide(score) {
-                    decided = Some((label, score, l as u8));
-                    break;
-                }
-            }
-            let (value, score, level) = decided.expect("terminal level always decides");
-            level_histogram[level as usize] += 1;
-            if value == item.contains(kind) {
-                correct += 1;
-            }
-            total_time += time;
-            rows.push(RelationRow {
-                id: item.id,
-                value,
-                score,
-                decided_at: level,
-            });
-        }
-        let n = items.len().max(1) as f64;
-        Ok(PredicateRelation {
-            kind,
-            rows,
-            simulated_time_s: total_time,
-            throughput_fps: if total_time > 0.0 {
-                n / total_time
-            } else {
-                0.0
-            },
-            level_histogram,
-            accuracy: correct as f64 / n,
-        })
+        validate_cascade(self.repo, &cascade)?;
+        let walked = items
+            .iter()
+            .map(|item| walk_cascade_item(self.thresholds, self.cost, &cascade, scorer, item));
+        Ok(PredicateRelation::collect(kind, items, walked))
     }
 }
 

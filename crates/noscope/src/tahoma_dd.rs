@@ -133,7 +133,8 @@ impl FrameClassifier for TahomaDdSystem {
                     .variant_stream(&self.system.repo.entries[m].variant, Split::Eval)
             })
             .collect();
-        let decisions = tahoma_core::exec::run_level_major(
+        // Surrogate streams cannot fail to score.
+        let Ok(decisions) = tahoma_core::exec::run_level_major(
             &self.cascade,
             &self.system.thresholds,
             frames.len(),
@@ -145,6 +146,7 @@ impl FrameClassifier for TahomaDdSystem {
                     }),
                     out,
                 );
+                Ok::<(), std::convert::Infallible>(())
             },
         );
         let mut prefix = [0.0f64; tahoma_core::MAX_LEVELS];

@@ -15,8 +15,7 @@
 //!   surrogate config split's calibration would never decide anything).
 //!   This is the fixture coalescing is measured on.
 //!
-//! Both build every served kind over ONE shared corpus so metadata
-//! predicates and cross-kind conjunctions are consistent, and both are
+//! Both serve every kind over the service's one corpus, and both are
 //! deterministic in `seed` — two services built with the same arguments
 //! answer every query identically, which the concurrency tests lean on.
 
@@ -43,8 +42,8 @@ pub const ACCURACY_LOSS: f64 = 0.02;
 /// corpus of `corpus_n` items.
 pub fn surrogate_service(kinds: &[ObjectKind], corpus_n: usize, seed: u64) -> QueryService {
     let profiler = AnalyticProfiler::paper_testbed(Scenario::Ongoing);
-    let mut service = QueryService::new(profiler, ACCURACY_LOSS);
     let corpus = Arc::new(Corpus::synthetic(corpus_n, 0.3, seed));
+    let mut service = QueryService::new(profiler, ACCURACY_LOSS, corpus);
     for &kind in kinds {
         let pred = PredicateSpec::for_kind(kind);
         let cfg = SurrogateBuildConfig {
@@ -61,7 +60,7 @@ pub fn surrogate_service(kinds: &[ObjectKind], corpus_n: usize, seed: u64) -> Qu
         };
         let repo = build_surrogate_repository(pred, &cfg, &DeviceProfile::k80());
         let system = TahomaSystem::initialize_paper_main(repo);
-        service.add_surrogate_kind(kind, system, scorer, Arc::clone(&corpus));
+        service.add_surrogate_kind(kind, system, scorer);
     }
     service
 }
@@ -162,8 +161,8 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
         dense_nodes: 320,
     };
     let profiler = AnalyticProfiler::paper_testbed(Scenario::Ongoing);
-    let mut service = QueryService::new(profiler.clone(), ACCURACY_LOSS);
     let corpus = Arc::new(Corpus::synthetic(cfg.corpus_n, cfg.prevalence, cfg.seed));
+    let mut service = QueryService::new(profiler, ACCURACY_LOSS, Arc::clone(&corpus));
 
     // One store serves every kind: frames are per item, not per predicate.
     // With `store_dir` set the reps live on the persistent segment tier; a
@@ -265,11 +264,13 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
                     continue;
                 }
                 let mut scores = Vec::new();
-                scorer.score_batch(
-                    ModelId(id as u32),
-                    ScorePack::standalone(&items),
-                    &mut scores,
-                );
+                scorer
+                    .score_batch(
+                        ModelId(id as u32),
+                        ScorePack::standalone(&items),
+                        &mut scores,
+                    )
+                    .expect("the fixture store holds every model's input representation");
                 per_model.push(quantile_cuts(&mut scores));
             }
         }
@@ -284,7 +285,6 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
             Some(exec_thresholds),
             Arc::clone(&store),
             zoo,
-            Arc::clone(&corpus),
             cfg.window,
             cfg.max_rows,
         );

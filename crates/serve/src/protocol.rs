@@ -36,7 +36,7 @@
 //! OK queries=... plan_hits=... plan_misses=... broker_calls=... \
 //!    broker_merged=... broker_rows=... shed=... retries=... \
 //!    timeouts=... degraded_fetches=... quarantined=... \
-//!    broker_failovers=...                             (STATS)
+//!    broker_failovers=... panics_caught=...           (STATS)
 //! PONG
 //! BYE
 //! BUSY                 shed at admission (queue full); retry later
@@ -279,7 +279,7 @@ pub fn encode_stats(stats: &ServiceStats, shed: u64) -> String {
     format!(
         "OK queries={} plan_hits={} plan_misses={} broker_calls={} broker_merged={} \
          broker_rows={} shed={} retries={} timeouts={} degraded_fetches={} quarantined={} \
-         broker_failovers={}",
+         broker_failovers={} panics_caught={}",
         stats.queries,
         stats.plan_hits,
         stats.plan_misses,
@@ -292,6 +292,7 @@ pub fn encode_stats(stats: &ServiceStats, shed: u64) -> String {
         stats.store.degraded_fetches,
         stats.store.quarantined,
         stats.broker.failovers,
+        stats.panics_caught,
     )
 }
 

@@ -393,19 +393,19 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 range,
                 step,
                 sql,
-            }) => guarded(|| {
+            }) => guarded(shared, || {
                 shared
                     .streams
                     .register(&shared.service, &stream, range, step, &sql)
                     .map(|r| encode_register(&r))
             }),
-            Ok(Request::Tick(qid)) => guarded(|| {
+            Ok(Request::Tick(qid)) => guarded(shared, || {
                 shared
                     .streams
                     .tick(&shared.service, qid)
                     .map(|t| encode_tick(&t))
             }),
-            Ok(Request::Deltas(qid)) => guarded(|| {
+            Ok(Request::Deltas(qid)) => guarded(shared, || {
                 shared
                     .streams
                     .status(&shared.service, qid)
@@ -419,7 +419,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
 }
 
 fn run_query(shared: &Shared, sql: &str, policy: ExecPolicy) -> String {
-    guarded(|| {
+    guarded(shared, || {
         shared
             .service
             .execute_with(sql, policy)
@@ -427,19 +427,24 @@ fn run_query(shared: &Shared, sql: &str, policy: ExecPolicy) -> String {
     })
 }
 
-/// Run one request handler, turning typed errors — and panics, which must
-/// not take the worker thread down (a scoring panic is a deployment
-/// misconfiguration, not a serving failure) — into single response lines.
-/// [`ServeError::Timeout`] gets its own `TIMEOUT` verb via
-/// [`encode_serve_error`]; everything else collapses to `ERR`.
-fn guarded<F>(f: F) -> String
+/// Run one request handler, turning typed errors into single response
+/// lines: [`ServeError::Timeout`] gets its own `TIMEOUT` verb via
+/// [`encode_serve_error`]; everything else collapses to `ERR`. Failures on
+/// the query path are values, so the `catch_unwind` is a backstop only — a
+/// panic must still not take the worker thread down — and every one it
+/// catches is counted (`STATS panics_caught`, asserted zero by the chaos
+/// campaign).
+fn guarded<F>(shared: &Shared, f: F) -> String
 where
     F: FnOnce() -> Result<String, ServeError>,
 {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(Ok(line)) => line,
         Ok(Err(e)) => encode_serve_error(&e),
-        Err(_) => "ERR internal: request execution panicked".to_string(),
+        Err(_) => {
+            shared.service.note_panic_caught();
+            "ERR internal: request execution panicked".to_string()
+        }
     }
 }
 
@@ -517,5 +522,108 @@ mod tests {
             ReadLine::Line(s) => assert_eq!(s, "a\r"),
             _ => panic!("expected a line"),
         }
+    }
+
+    /// An NN-backed service whose store lacks the model's input
+    /// representation and whose zoo names no source to re-derive it from:
+    /// every content query hits a pack the backend cannot score.
+    fn unscorable_service() -> crate::QueryService {
+        use tahoma_core::exec::SharedModelZoo;
+        use tahoma_core::pipeline::TahomaSystem;
+        use tahoma_core::query::Corpus;
+        use tahoma_core::BuilderConfig;
+        use tahoma_costmodel::{AnalyticProfiler, DeviceProfile, Scenario};
+        use tahoma_imagery::{ColorMode, ObjectKind, Representation, RepresentationStore};
+        use tahoma_zoo::repository::{build_surrogate_repository, SurrogateBuildConfig};
+        use tahoma_zoo::variant::cross_variants;
+        use tahoma_zoo::{ArchSpec, ModelId, PredicateSpec};
+
+        let rep = Representation::new(24, ColorMode::Gray);
+        let arch = ArchSpec {
+            conv_layers: 1,
+            conv_nodes: 4,
+            dense_nodes: 8,
+        };
+        let corpus = std::sync::Arc::new(Corpus::synthetic(8, 0.5, 1));
+        let store = RepresentationStore::new(vec![Representation::new(32, ColorMode::Rgb)]);
+        for item in &corpus.items {
+            store
+                .ingest(item.id, &crate::fixture::frame(item.id, 64))
+                .unwrap();
+        }
+        let mut variants = cross_variants(&[arch], &[rep]);
+        for (i, v) in variants.iter_mut().enumerate() {
+            v.id = ModelId(i as u32);
+        }
+        let repo = build_surrogate_repository(
+            PredicateSpec::for_kind(ObjectKind::Fence),
+            &SurrogateBuildConfig {
+                n_config: 50,
+                n_eval: 50,
+                seed: 1,
+                variants: Some(variants),
+                ..Default::default()
+            },
+            &DeviceProfile::k80(),
+        );
+        let builder = BuilderConfig {
+            pool: repo.specialized_ids(),
+            reference: None,
+            n_settings: 1,
+            max_pool_depth: 1,
+            with_reference_terminal: false,
+        };
+        let system = TahomaSystem::initialize(repo, &[0.95], &builder);
+        let mut zoo = SharedModelZoo::new();
+        zoo.register(ModelId(0), rep, arch.cnn_spec(rep).build(1).unwrap());
+        let profiler = AnalyticProfiler::paper_testbed(Scenario::Ongoing);
+        let mut service = crate::QueryService::new(profiler, crate::fixture::ACCURACY_LOSS, corpus);
+        service.add_nn_kind(
+            ObjectKind::Fence,
+            system,
+            None,
+            std::sync::Arc::new(store),
+            zoo,
+            crate::Broker::DEFAULT_WINDOW,
+            crate::Broker::DEFAULT_MAX_ROWS,
+        );
+        service
+    }
+
+    #[test]
+    fn unscorable_pack_is_a_typed_error_on_the_wire_not_a_caught_panic() {
+        use std::io::{BufRead, Write};
+        let service = std::sync::Arc::new(unscorable_service());
+        let handle = super::serve(
+            std::sync::Arc::clone(&service),
+            super::ServerConfig::default(),
+        )
+        .unwrap();
+        let mut conn = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+        let mut ask = |line: &str| {
+            conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap();
+            resp.trim_end().to_string()
+        };
+        for verb in ["QUERY", "QUERYU"] {
+            let resp = ask(&format!(
+                "{verb} SELECT * FROM frames WHERE contains_object(fence)"
+            ));
+            assert!(
+                resp.starts_with("ERR execution: scoring: item 0: no stored"),
+                "{verb}: {resp}"
+            );
+        }
+        // Metadata-only queries never touch the backend and still answer.
+        assert!(ask("QUERY SELECT * FROM frames WHERE camera < 4").starts_with("OK n="));
+        assert!(ask("STATS").ends_with(" panics_caught=0"));
+        assert_eq!(service.stats().panics_caught, 0);
+        // Workers drain their current connection before exiting: close ours.
+        drop(reader);
+        drop(conn);
+        handle.shutdown();
+        handle.join();
     }
 }

@@ -1,41 +1,51 @@
-//! The shared-executor front door: one [`QueryService`] owns the corpus,
-//! the representation store, and a model zoo per served predicate, and
+//! The shared-executor front door: one [`QueryService`] owns the corpus
+//! and, per served predicate, a scoring backend (surrogate tables, or a
+//! shared representation store + model zoo + coalescing broker), and
 //! executes SQL queries with `&self` from any number of threads.
 //!
-//! Per query, execution is the planning prefix (cascade selection per
-//! content predicate — served from the [`PlanCache`] on repeat queries)
-//! followed by per-predicate cascade execution through the vectorized
-//! executor. Content predicates run cheapest-first over a progressively
-//! narrowing survivor set: because every scoring backend is deterministic
-//! per (model, item) — the NN path by batch-shape-invariant forced-GEMM
-//! inference — an item pruned by one predicate can never re-enter another,
-//! so narrowing changes cost, never results (the cross-predicate analogue
-//! of the executor's planner-ordered short-circuiting).
+//! The service does not walk predicates itself. A query is the planning
+//! prefix (cascade selection per content predicate, cheapest first —
+//! served from the [`PlanCache`] on repeat queries) followed by one call to
+//! the core conjunction walk ([`tahoma_core::exec::run_conjunction`]) over
+//! the corpus with the plan's steps. The service contributes the walk's
+//! evaluation seam, `QueryService::eval_kind_pack` — one pack through
+//! `kind`'s backend with its thresholds, scratch pool and broker — which an
+//! ad-hoc `QUERY` wraps with its deadline check, broker-interest release
+//! and degraded-slot count, and which a standing query's `TICK`/`DELTAS`
+//! ([`crate::stream`]) hand to the continuous executor unchanged. Every
+//! backend is deterministic per (model, item) — the NN path by
+//! batch-shape-invariant forced-GEMM inference — so step order changes
+//! cost, never results.
 //!
 //! All mutable per-query state lives in scratch checked out of per-kind
-//! pools; the store, zoos, thresholds, and cost tables are only ever
-//! borrowed shared. Concurrent queries therefore return bitwise-identical
-//! results to a serial run — with or without broker coalescing — which
-//! `tests/concurrency.rs` asserts under load.
+//! pools; everything else is only ever borrowed shared. Concurrent queries
+//! therefore return bitwise-identical results to a serial run — with or
+//! without broker coalescing — which `tests/concurrency.rs` asserts under
+//! load. Failures are values: a pack a backend cannot score is a
+//! [`tahoma_core::CoreError`] that reaches the wire as `ERR execution: …`;
+//! the request-level `catch_unwind`s are a backstop counted in
+//! [`ServiceStats::panics_caught`].
 
 use crate::broker::{Broker, BrokerStats};
 use crate::plan_cache::{CachedPlan, PlanCache};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tahoma_core::evaluator::CostContext;
 use tahoma_core::exec::{
-    ExecOptions, NnSessionScratch, SharedModelZoo, SharedNnScorer, VectorizedExecutor,
+    run_conjunction, NnSessionScratch, SharedModelZoo, SharedNnScorer, VectorizedExecutor,
 };
 use tahoma_core::pipeline::TahomaSystem;
-use tahoma_core::query::{Corpus, CorpusItem, Query, QueryProcessor};
+use tahoma_core::query::{Corpus, CorpusItem, Query};
 use tahoma_core::thresholds::ThresholdTable;
-use tahoma_core::{Cascade, Constraints, SurrogateBatchScorer};
+use tahoma_core::{Cascade, Constraints, CoreError, SurrogateBatchScorer};
 use tahoma_costmodel::AnalyticProfiler;
 use tahoma_imagery::{ObjectKind, RepresentationStore};
 use tahoma_zoo::SurrogateScorer;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Poison-tolerant lock (SAFETY.md): a panicked holder never wedges later
+/// queries with a secondary panic.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -144,6 +154,15 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// Every executor and scorer failure is an execution error on the wire
+/// (`ERR execution: …`); parse and window-spec errors are classified
+/// `Query` where they are raised instead.
+impl From<CoreError> for ServeError {
+    fn from(e: CoreError) -> ServeError {
+        ServeError::Exec(e.to_string())
+    }
+}
+
 /// Aggregated service counters (the `STATS` protocol verb).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
@@ -160,6 +179,10 @@ pub struct ServiceStats {
     pub store: tahoma_imagery::ReliabilityStats,
     /// Queries stopped by an expired [`Deadline`].
     pub timeouts: u64,
+    /// Panics the request-level backstops caught (`server`'s request
+    /// guard, the standing-query tick guard). Every failure on the query
+    /// path is a typed error, so anything but zero is a bug.
+    pub panics_caught: u64,
 }
 
 enum KindBackend {
@@ -190,7 +213,6 @@ struct KindState {
     /// decision cuts from live score distributions rather than the
     /// surrogate config split); planning always uses the system's table.
     exec_thresholds: Option<ThresholdTable>,
-    corpus: Arc<Corpus>,
     backend: KindBackend,
 }
 
@@ -199,10 +221,14 @@ struct KindState {
 pub struct QueryService {
     profiler: AnalyticProfiler,
     accuracy_loss: f64,
+    /// The one corpus every served kind scores: a query hands the same
+    /// item slice to several kinds' backends, so there is exactly one.
+    corpus: Arc<Corpus>,
     kinds: BTreeMap<ObjectKind, KindState>,
     plan_cache: PlanCache,
     queries: AtomicU64,
     timeouts: AtomicU64,
+    panics_caught: AtomicU64,
 }
 
 /// Per-kind in-flight registrations held by one executing query.
@@ -231,16 +257,23 @@ impl Drop for InterestGuard {
 }
 
 impl QueryService {
-    /// A service pricing costs with `profiler` and planning every query at
-    /// `accuracy_loss` maximum accuracy loss (the paper's `U_acc`).
-    pub fn new(profiler: AnalyticProfiler, accuracy_loss: f64) -> QueryService {
+    /// A service over `corpus`, pricing costs with `profiler` and planning
+    /// every query at `accuracy_loss` maximum accuracy loss (the paper's
+    /// `U_acc`).
+    pub fn new(
+        profiler: AnalyticProfiler,
+        accuracy_loss: f64,
+        corpus: Arc<Corpus>,
+    ) -> QueryService {
         QueryService {
             profiler,
             accuracy_loss,
+            corpus,
             kinds: BTreeMap::new(),
             plan_cache: PlanCache::new(),
             queries: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
+            panics_caught: AtomicU64::new(0),
         }
     }
 
@@ -250,7 +283,6 @@ impl QueryService {
         kind: ObjectKind,
         system: TahomaSystem,
         scorer: SurrogateScorer,
-        corpus: Arc<Corpus>,
     ) {
         let cost = CostContext::build(&system.repo, &self.profiler);
         self.kinds.insert(
@@ -259,7 +291,6 @@ impl QueryService {
                 system,
                 cost,
                 exec_thresholds: None,
-                corpus,
                 backend: KindBackend::Surrogate(scorer),
             },
         );
@@ -277,7 +308,6 @@ impl QueryService {
         exec_thresholds: Option<ThresholdTable>,
         store: Arc<RepresentationStore>,
         zoo: SharedModelZoo,
-        corpus: Arc<Corpus>,
         window: std::time::Duration,
         max_rows: usize,
     ) {
@@ -293,7 +323,6 @@ impl QueryService {
                 system,
                 cost,
                 exec_thresholds,
-                corpus,
                 backend: KindBackend::Nn(NnBackend {
                     store,
                     zoo,
@@ -310,12 +339,14 @@ impl QueryService {
         self.kinds.keys().copied().collect()
     }
 
-    /// Items in the (first registered kind's) corpus.
+    /// Items in the corpus.
     pub fn corpus_len(&self) -> usize {
-        self.kinds
-            .values()
-            .next()
-            .map_or(0, |st| st.corpus.items.len())
+        self.corpus.len()
+    }
+
+    /// Record a panic caught by a request-level backstop.
+    pub(crate) fn note_panic_caught(&self) {
+        self.panics_caught.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Aggregated counters.
@@ -350,6 +381,7 @@ impl QueryService {
             broker,
             store,
             timeouts: self.timeouts.load(Ordering::Relaxed),
+            panics_caught: self.panics_caught.load(Ordering::Relaxed),
         }
     }
 
@@ -422,7 +454,8 @@ impl QueryService {
         self.execute_with(sql, ExecPolicy::default())
     }
 
-    /// Execute a SQL query with explicit policy switches.
+    /// Execute a SQL query with explicit policy switches: plan, then run
+    /// the corpus through the conjunction walk (module docs).
     pub fn execute_with(&self, sql: &str, policy: ExecPolicy) -> Result<ServeOutcome, ServeError> {
         let query = Query::parse(sql).map_err(|e| ServeError::Query(e.to_string()))?;
         for &kind in &query.content {
@@ -433,113 +466,35 @@ impl QueryService {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let mut interest = self.register_interest(&query.content, policy.coalesce);
 
-        if query.content.is_empty() {
-            // Metadata-only query: filter any kind's corpus (metadata is
-            // shared across kinds by construction).
-            let corpus = self
-                .kinds
-                .values()
-                .next()
-                .map(|st| Arc::clone(&st.corpus))
-                .unwrap_or_default();
-            let matched: Vec<u64> = corpus
-                .items
-                .iter()
-                .filter(|it| query.metadata.iter().all(|p| p.holds(it)))
-                .map(|it| it.id)
-                .collect();
-            return Ok(ServeOutcome {
-                metadata_survivors: matched.len(),
-                matched_ids: matched,
-                plan_hit: false,
-                degraded: 0,
-            });
-        }
-
-        self.check_deadline(&policy)?;
-        let (plan, plan_hit) = self.plan_for(&query.content, policy.use_plan_cache)?;
-        let mut matched: Option<Vec<u64>> = None;
-        let mut survivors = 0usize;
-        let mut degraded = 0u64;
-        for (i, (kind, selected)) in plan.entries.iter().enumerate() {
-            // Predicate boundary: the cheapest place to stop a query whose
-            // budget ran out (each entry is one whole cascade execution).
+        // A metadata-only query plans nothing and scores nothing: no step
+        // ever runs, so no deadline is consulted either.
+        let (steps, plan_hit) = if query.content.is_empty() {
+            (Vec::new(), false)
+        } else {
             self.check_deadline(&policy)?;
-            // Plans only name kinds that were registered, but a cache
-            // shared across reconfiguration could outlive that invariant —
-            // surface a typed error instead of panicking the worker.
-            let st = self
-                .kinds
-                .get(kind)
-                .ok_or_else(|| ServeError::Exec(format!("planned kind {kind:?} is not served")))?;
-            // Progressive narrowing: after the first predicate, only the
-            // current conjunction survivors are classified.
-            let narrowed;
-            let corpus: &Corpus = match &matched {
-                None => &st.corpus,
-                Some(ids) => {
-                    let keep: HashSet<u64> = ids.iter().copied().collect();
-                    narrowed = Corpus {
-                        items: st
-                            .corpus
-                            .items
-                            .iter()
-                            .filter(|it| keep.contains(&it.id))
-                            .cloned()
-                            .collect(),
-                    };
-                    &narrowed
-                }
-            };
-            let single = Query {
-                table: query.table.clone(),
-                metadata: query.metadata.clone(),
-                content: vec![*kind],
-            };
-            let mut cascades: BTreeMap<ObjectKind, Cascade> = BTreeMap::new();
-            cascades.insert(*kind, selected.cascade);
-            let thresholds = st.exec_thresholds.as_ref().unwrap_or(&st.system.thresholds);
-            let processor = QueryProcessor::new(&st.system.repo, thresholds, &st.cost);
-            let opts = ExecOptions {
-                materialize_all: false,
-            };
-            let result = match &st.backend {
-                KindBackend::Surrogate(sc) => {
-                    let mut scorer = SurrogateBatchScorer::new(sc, &st.system.repo);
-                    processor.execute_batched(&single, corpus, &cascades, &mut scorer, &opts)
-                }
-                KindBackend::Nn(nn) => {
-                    let mut scratch = lock(&nn.sessions)
-                        .pop()
-                        .unwrap_or_else(NnSessionScratch::new);
-                    // Scratch pools are shared across queries: the delta
-                    // around this execution is this query's own degraded
-                    // slot count.
-                    let degraded_before = scratch.stats().degraded_fetches;
-                    let result = {
-                        let mut scorer = SharedNnScorer::new(&nn.store, &nn.zoo, &mut scratch);
-                        if policy.coalesce {
-                            scorer = scorer.with_dispatch(&nn.broker);
-                        }
-                        processor.execute_batched(&single, corpus, &cascades, &mut scorer, &opts)
-                    };
-                    degraded += scratch.stats().degraded_fetches - degraded_before;
-                    lock(&nn.sessions).push(scratch);
-                    result
-                }
-            }
-            .map_err(|e| ServeError::Exec(e.to_string()))?;
-            interest.release(*kind);
-            if i == 0 {
-                survivors = result.metadata_survivors;
-            }
-            // The narrowed corpus already restricts to prior survivors, so
-            // this predicate's matches ARE the running intersection.
-            matched = Some(result.matched_ids);
-        }
+            let (plan, hit) = self.plan_for(&query.content, policy.use_plan_cache)?;
+            let steps: Vec<(ObjectKind, Cascade)> = plan
+                .entries
+                .iter()
+                .map(|(kind, selected)| (*kind, selected.cascade))
+                .collect();
+            (steps, hit)
+        };
+        let items: Vec<&CorpusItem> = self.corpus.items.iter().collect();
+        let mut degraded = 0u64;
+        let walk = run_conjunction(&query.metadata, &steps, &items, |kind, cascade, pack| {
+            // Predicate boundary: the cheapest place to stop a query whose
+            // budget ran out (each step is one whole cascade execution).
+            self.check_deadline(&policy)?;
+            let (passes, degraded_slots) =
+                self.eval_kind_pack(kind, cascade, pack, policy.coalesce)?;
+            degraded += degraded_slots;
+            interest.release(kind);
+            Ok::<_, ServeError>(passes)
+        })?;
         Ok(ServeOutcome {
-            matched_ids: matched.unwrap_or_default(),
-            metadata_survivors: survivors,
+            matched_ids: walk.matched_ids(&items),
+            metadata_survivors: walk.metadata_survivors,
             plan_hit,
             degraded,
         })
@@ -578,35 +533,42 @@ impl QueryService {
         interest
     }
 
-    /// Score one pack through `kind`'s backend and return one pass flag
-    /// per pack item. This is the continuous executor's evaluation seam:
-    /// a standing query's tick routes each content predicate here, so
-    /// entrant packs run through exactly the machinery ad-hoc queries use
-    /// — same thresholds, same scratch pool, same coalescing broker —
-    /// which is what makes incremental window results comparable to a
-    /// `QUERY` over the same items.
+    /// Score one pack through `kind`'s backend: one pass flag per pack
+    /// item, plus the pack slots served through the quarantine degradation
+    /// path. The evaluation seam of every conjunction walk the service runs
+    /// — an ad-hoc query's steps, a standing query's tick and rescan — so
+    /// they all share thresholds, scratch pool and coalescing broker, which
+    /// is what makes a window's results comparable to a `QUERY` over the
+    /// same items. A plan naming an unserved kind (a cache outliving
+    /// reconfiguration) is a typed error.
     pub(crate) fn eval_kind_pack(
         &self,
         kind: ObjectKind,
         cascade: Cascade,
         pack: &[&CorpusItem],
         coalesce: bool,
-    ) -> Result<Vec<bool>, ServeError> {
+    ) -> Result<(Vec<bool>, u64), ServeError> {
         let st = self
             .kinds
             .get(&kind)
             .ok_or(ServeError::UnservedKind(kind))?;
         let thresholds = st.exec_thresholds.as_ref().unwrap_or(&st.system.thresholds);
         let exec = VectorizedExecutor::new(&st.system.repo, thresholds, &st.cost);
-        let rel = match &st.backend {
+        let (rel, degraded) = match &st.backend {
             KindBackend::Surrogate(sc) => {
                 let mut scorer = SurrogateBatchScorer::new(sc, &st.system.repo);
-                exec.run_cascade_batched(kind, cascade, pack, &mut scorer)
+                (
+                    exec.run_cascade_batched(kind, cascade, pack, &mut scorer),
+                    0,
+                )
             }
             KindBackend::Nn(nn) => {
                 let mut scratch = lock(&nn.sessions)
                     .pop()
                     .unwrap_or_else(NnSessionScratch::new);
+                // Scratch pools are shared across queries: the delta around
+                // this run is this pack's own degraded slot count.
+                let degraded_before = scratch.stats().degraded_fetches;
                 let rel = {
                     let mut scorer = SharedNnScorer::new(&nn.store, &nn.zoo, &mut scratch);
                     if coalesce {
@@ -614,12 +576,12 @@ impl QueryService {
                     }
                     exec.run_cascade_batched(kind, cascade, pack, &mut scorer)
                 };
+                let degraded = scratch.stats().degraded_fetches - degraded_before;
                 lock(&nn.sessions).push(scratch);
-                rel
+                (rel, degraded)
             }
-        }
-        .map_err(|e| ServeError::Exec(e.to_string()))?;
-        Ok(rel.rows.iter().map(|r| r.value).collect())
+        };
+        Ok((rel?.passes(), degraded))
     }
 
     /// The shared representation store behind `kind`'s NN backend, if any

@@ -12,12 +12,13 @@
 //!    (§V ingest-time materialization) — the same store ad-hoc `QUERY`
 //!    traffic reads, so a standing query's NN cascades score the stored
 //!    representations, not the raw frames;
-//! 3. the window slides one `STEP` and only the entrants are scored,
-//!    routed through `QueryService::eval_kind_pack` — the identical
-//!    backend path ad-hoc queries use (per-kind thresholds, scratch
-//!    pool, coalescing broker), so entrant packs from a tick can merge
-//!    with concurrent ad-hoc packs into one batched GEMM call (§IV's
-//!    batch pricing, across query classes).
+//! 3. the window slides one `STEP` and only the entrants are scored: the
+//!    continuous executor runs them through the same conjunction walk an
+//!    ad-hoc `QUERY` runs over the corpus, with the same evaluation seam
+//!    (`QueryService::eval_kind_pack`: per-kind thresholds, scratch pool,
+//!    coalescing broker), so entrant packs from a tick can merge with
+//!    concurrent ad-hoc packs into one batched GEMM call (§IV's batch
+//!    pricing, across query classes).
 //!
 //! `DELTAS` reports the standing query's cumulative state and runs a
 //! from-scratch window rescan through the same path; `agree=yes` on the
@@ -33,23 +34,15 @@
 //! `REGISTER` lines.
 
 use crate::protocol::fnv1a64;
-use crate::service::{QueryService, ServeError};
+use crate::service::{lock, QueryService, ServeError};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use tahoma_core::continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 use tahoma_core::query::{CorpusItem, Query};
-use tahoma_core::CoreError;
 use tahoma_imagery::{ObjectKind, RepresentationStore, TranscodeEngine};
 use tahoma_video::{IngestFrame, StreamConfig, StreamIngest};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Square raster side for rendered stream frames — matches the NN
 /// fixture's corpus frames so stream and corpus ingest share the store's
@@ -320,17 +313,19 @@ impl StreamRegistry {
                     // failure-atomic tick makes the in-place retry replay
                     // the identical slide.
                     if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::STREAM_TICK) {
-                        return Err(CoreError::Window(format!("injected tick fault: {e}")));
+                        return Err(ServeError::Exec(format!("injected tick fault: {e}")));
                     }
-                    service
-                        .eval_kind_pack(kind, cascade, pack, true)
-                        .map_err(|e| CoreError::Window(e.to_string()))
+                    let (passes, _) = service.eval_kind_pack(kind, cascade, pack, true)?;
+                    Ok(passes)
                 })
             }));
             let failure = match attempt {
                 Ok(Ok(d)) => break d,
                 Ok(Err(e)) => e.to_string(),
-                Err(_) => "window evaluation panicked".to_string(),
+                Err(_) => {
+                    service.note_panic_caught();
+                    "window evaluation panicked".to_string()
+                }
             };
             if !retried {
                 retried = true;
@@ -365,14 +360,10 @@ impl StreamRegistry {
         let (rescan_sum, agree) = if st.degraded.is_some() {
             (0, false)
         } else {
-            let rescan = st
-                .cx
-                .rescan(|kind, cascade, pack| {
-                    service
-                        .eval_kind_pack(kind, cascade, pack, true)
-                        .map_err(|e| CoreError::Window(e.to_string()))
-                })
-                .map_err(|e| ServeError::Exec(e.to_string()))?;
+            let rescan = st.cx.rescan(|kind, cascade, pack| {
+                let (passes, _) = service.eval_kind_pack(kind, cascade, pack, true)?;
+                Ok::<_, ServeError>(passes)
+            })?;
             (fnv1a64(&rescan), matched == rescan)
         };
         let ticks = st.cx.ticks();

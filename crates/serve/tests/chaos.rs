@@ -5,7 +5,9 @@
 //! Invariants asserted for every schedule (the tentpole proof,
 //! RELIABILITY.md):
 //!
-//! * no panic escapes a request boundary;
+//! * no panic escapes a request boundary — and none is even *caught* at
+//!   one: failures on the query path are typed values, so the backstop
+//!   counter (`panics_caught`) ends every campaign at zero;
 //! * every response is correct-or-explicit-error — an `Ok` carries results
 //!   and an `Err` renders a non-empty, classified message;
 //! * results after transient-fault retries are bitwise identical to the
@@ -245,6 +247,10 @@ fn campaign(service: &QueryService, seeds: std::ops::Range<u64>, tag: &str) {
         stats.store.retries + stats.store.degraded_fetches > 0,
         "{tag}: no store-level fault handling observed"
     );
+    assert_eq!(
+        stats.panics_caught, 0,
+        "{tag}: a request-level backstop caught a panic — some failure is not a typed error"
+    );
     println!(
         "{tag}: injected={injected} client_retries={retries} degraded_streams={degraded} \
          store_retries={} degraded_fetches={} quarantined={} failovers={}",
@@ -391,6 +397,11 @@ fn chaos_tcp_64_schedules() {
         drop(armed);
     }
     println!("tcp: dropped={dropped} timeouts={timeouts}");
+    assert_eq!(
+        service.stats().panics_caught,
+        0,
+        "tcp: the request guard caught a panic"
+    );
     handle.shutdown();
     handle.join();
 }

@@ -298,3 +298,44 @@ mod plan_cache_props {
         }
     }
 }
+
+/// The conjunction seam, end to end: a two-predicate + metadata `QUERY`
+/// answers exactly the intersection of the two single-predicate `QUERY`s
+/// and the metadata-only `QUERY` — on both backends, whatever order the
+/// plan ran the predicates in.
+#[test]
+fn conjunction_query_equals_intersection_of_its_parts() {
+    use std::collections::HashSet;
+    let surrogate = surrogate_service(&[ObjectKind::Fence, ObjectKind::Wallet], 256, 0x1517);
+    for (tag, service) in [("surrogate", &surrogate), ("nn", &*nn_fixture())] {
+        let ids = |sql: &str| service.execute(sql).expect(sql).matched_ids;
+        let whole = service
+            .execute(
+                "SELECT * FROM frames WHERE contains_object(fence) AND camera < 5 \
+                 AND contains_object(wallet)",
+            )
+            .expect("conjunction query");
+        let meta = ids("SELECT * FROM frames WHERE camera < 5");
+        let fence: HashSet<u64> = ids("SELECT * FROM frames WHERE contains_object(fence)")
+            .into_iter()
+            .collect();
+        let wallet: HashSet<u64> = ids("SELECT * FROM frames WHERE contains_object(wallet)")
+            .into_iter()
+            .collect();
+        // Corpus order is preserved, so the intersection is a filter over
+        // the metadata-only answer.
+        let expected: Vec<u64> = meta
+            .iter()
+            .copied()
+            .filter(|id| fence.contains(id) && wallet.contains(id))
+            .collect();
+        assert_eq!(whole.matched_ids, expected, "{tag}");
+        assert_eq!(whole.metadata_survivors, meta.len(), "{tag}");
+        assert!(
+            !expected.is_empty() && expected.len() < meta.len(),
+            "{tag}: fixture should make the conjunction selective, got {} of {}",
+            expected.len(),
+            meta.len()
+        );
+    }
+}

@@ -6,18 +6,21 @@
 //! never decide at a thresholded level, lose the `>= 0.5` comparison at
 //! the terminal), and arbitrary metadata-survivor subsets — plus the
 //! planner-ordering regression: short-circuit execution never changes
-//! `matched_ids`.
+//! `matched_ids`, and the shared conjunction walk pinned against brute
+//! force (every predicate over every item, `HashSet` intersection).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::OnceLock;
 use tahoma::core::evaluator::CostContext;
-use tahoma::core::exec::{ExecOptions, ItemScorerBatchAdapter, SurrogateBatchScorer};
+use tahoma::core::exec::{
+    run_conjunction, ExecOptions, ItemScorerBatchAdapter, SurrogateBatchScorer,
+};
 use tahoma::core::query::{
-    CorpusItem, ItemScorer, MetaPredicate, QueryResult, SurrogateItemScorer,
+    CmpOp, CorpusItem, ItemScorer, MetaPredicate, QueryResult, SurrogateItemScorer,
 };
 use tahoma::core::thresholds::{DecisionThresholds, ThresholdTable};
-use tahoma::core::{Cascade, VectorizedExecutor};
+use tahoma::core::{Cascade, CoreError, VectorizedExecutor};
 use tahoma::mathx::DetRng;
 use tahoma::prelude::*;
 use tahoma::zoo::ModelId;
@@ -298,16 +301,16 @@ proptest! {
             cascades.insert(kind, random_cascade(&mut rng, depth, fx.repo.len(), 5));
         }
         let scorer = HashScorer { seed: thr_seed ^ !cascade_seed, nan_pct };
-        let processor = QueryProcessor::new(&fx.repo, &thresholds, &fx.cost);
+        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
 
         let mut a1 = ItemScorerBatchAdapter(&scorer);
-        let full = processor
-            .execute_batched(&query, &fx.corpus, &cascades, &mut a1,
+        let full = executor
+            .execute(&query, &fx.corpus, &cascades, &mut a1,
                 &ExecOptions { materialize_all: true })
             .expect("materialize-all executes");
         let mut a2 = ItemScorerBatchAdapter(&scorer);
-        let shortcut = processor
-            .execute_batched(&query, &fx.corpus, &cascades, &mut a2,
+        let shortcut = executor
+            .execute(&query, &fx.corpus, &cascades, &mut a2,
                 &ExecOptions { materialize_all: false })
             .expect("short-circuit executes");
 
@@ -328,4 +331,108 @@ proptest! {
             }
         }
     }
+
+    /// The one conjunction walk against brute force: random metadata
+    /// predicates and 0–3 content predicates in random order. Brute force
+    /// evaluates every predicate over *every* item with the item-at-a-time
+    /// reference walk and intersects `HashSet`s; the walk must flag exactly
+    /// those items, hand each step only the survivors of everything before
+    /// it, and with no content predicate flag exactly the metadata
+    /// survivors.
+    #[test]
+    fn conjunction_walk_matches_brute_force(
+        thr_seed in 0u64..1_000_000,
+        cascade_seed in 0u64..1_000_000,
+        order_seed in 0u64..1_000_000,
+        camera_cut in 0u64..9,
+        n_meta in 0usize..3,
+        n_preds in 0usize..4,
+        nan_pct in 0u8..20,
+    ) {
+        let fx = fixture();
+        let thresholds = random_thresholds(thr_seed, fx.repo.len(), 5);
+        let mut rng = DetRng::new(cascade_seed ^ order_seed.rotate_left(17));
+        let metadata: Vec<MetaPredicate> = [
+            MetaPredicate::Camera(CmpOp::Lt, camera_cut),
+            MetaPredicate::Location(CmpOp::Ne, "Flint".into()),
+        ][..n_meta]
+            .to_vec();
+        // Random order: a shuffled prefix of the kinds, one cascade each.
+        let mut kinds = [ObjectKind::Fence, ObjectKind::Wallet, ObjectKind::Acorn];
+        for i in (1..kinds.len()).rev() {
+            kinds.swap(i, rng.index(i + 1));
+        }
+        let steps: Vec<(ObjectKind, Cascade)> = kinds[..n_preds]
+            .iter()
+            .map(|&kind| {
+                let depth = 1 + rng.index(4);
+                (kind, random_cascade(&mut rng, depth, fx.repo.len(), 5))
+            })
+            .collect();
+        let scorer = HashScorer { seed: thr_seed ^ order_seed, nan_pct };
+        let items: Vec<&CorpusItem> = fx.corpus.items.iter().collect();
+
+        // Brute force: no shrinking pack, no ordering, sets only.
+        let processor = QueryProcessor::new(&fx.repo, &thresholds, &fx.cost);
+        let mut expected: HashSet<u64> = items
+            .iter()
+            .filter(|item| metadata.iter().all(|p| p.holds(item)))
+            .map(|item| item.id)
+            .collect();
+        let metadata_survivors = expected.len();
+        for &(kind, cascade) in &steps {
+            let relation = processor
+                .run_cascade_reference(kind, cascade, &items, &scorer)
+                .expect("reference runs");
+            let pass: HashSet<u64> =
+                relation.rows.iter().filter(|r| r.value).map(|r| r.id).collect();
+            expected = expected.intersection(&pass).copied().collect();
+        }
+
+        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
+        let mut adapter = ItemScorerBatchAdapter(&scorer);
+        let mut pack_sizes = Vec::new();
+        let walk = run_conjunction(&metadata, &steps, &items, |kind, cascade, pack| {
+            pack_sizes.push(pack.len());
+            Ok::<_, CoreError>(
+                executor
+                    .run_cascade_batched(kind, cascade, pack, &mut adapter)?
+                    .passes(),
+            )
+        })
+        .expect("walk runs");
+
+        let flagged: HashSet<u64> = items
+            .iter()
+            .zip(&walk.passes)
+            .filter(|(_, &pass)| pass)
+            .map(|(item, _)| item.id)
+            .collect();
+        assert_eq!(walk.passes.len(), items.len());
+        assert_eq!(flagged, expected);
+        assert_eq!(walk.metadata_survivors, metadata_survivors);
+        // Every step ran once, over a pack no larger than the one before.
+        assert_eq!(pack_sizes.len(), steps.len());
+        assert_eq!(walk.scored, pack_sizes.iter().sum::<usize>());
+        if let Some(&first) = pack_sizes.first() {
+            assert_eq!(first, metadata_survivors);
+        }
+        assert!(pack_sizes.windows(2).all(|w| w[1] <= w[0]), "{pack_sizes:?}");
+        if steps.is_empty() {
+            assert_eq!(flagged.len(), metadata_survivors);
+        }
+    }
+}
+
+/// The walk's only own failure: an evaluation seam that does not return one
+/// flag per pack item is a typed error, not a silent misalignment.
+#[test]
+fn conjunction_rejects_an_eval_that_miscounts() {
+    let fx = fixture();
+    let items: Vec<&CorpusItem> = fx.corpus.items.iter().take(4).collect();
+    let steps = [(ObjectKind::Fence, Cascade::single(0))];
+    let walk = run_conjunction(&[], &steps, &items, |_, _, pack| {
+        Ok::<_, CoreError>(vec![true; pack.len() - 1])
+    });
+    assert!(matches!(walk, Err(CoreError::Scoring(_))), "{walk:?}");
 }

@@ -141,7 +141,7 @@ fn planner_short_circuit_strictly_reduces_scored_items() {
     // short-circuit mode the later predicate evaluates only the earlier
     // one's survivors, so the total scored-item count strictly drops while
     // `matched_ids` stays exactly the same.
-    use tahoma::core::exec::{ExecOptions, SurrogateBatchScorer};
+    use tahoma::core::exec::{ExecOptions, SurrogateBatchScorer, VectorizedExecutor};
 
     let fx = fixture(ObjectKind::Fence);
     let query =
@@ -159,15 +159,15 @@ fn planner_short_circuit_strictly_reduces_scored_items() {
         )
         .expect("feasible");
     let cost = CostContext::build(&fx.system.repo, &profiler);
-    let processor = QueryProcessor::new(&fx.system.repo, &fx.system.thresholds, &cost);
+    let executor = VectorizedExecutor::new(&fx.system.repo, &fx.system.thresholds, &cost);
     let mut cascades = BTreeMap::new();
     for &kind in &query.content {
         cascades.insert(kind, chosen.cascade);
     }
 
     let mut full_scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
-    let full = processor
-        .execute_batched(
+    let full = executor
+        .execute(
             &query,
             &fx.corpus,
             &cascades,
@@ -178,8 +178,8 @@ fn planner_short_circuit_strictly_reduces_scored_items() {
         )
         .expect("materialize-all executes");
     let mut sc_scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
-    let shortcut = processor
-        .execute_batched(
+    let shortcut = executor
+        .execute(
             &query,
             &fx.corpus,
             &cascades,

@@ -135,7 +135,9 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     // not stored) → standardize → `infer_batch` → thresholds.
     use std::collections::BTreeMap;
     use tahoma::core::evaluator::CostContext;
-    use tahoma::core::exec::{BatchScorer, ExecOptions, NnBatchScorer};
+    use tahoma::core::exec::{
+        BatchScorer, ExecOptions, NnSessionScratch, SharedModelZoo, SharedNnScorer,
+    };
     use tahoma::core::thresholds::{DecisionThresholds, ThresholdTable};
     use tahoma::core::VectorizedExecutor;
     use tahoma::imagery::RepresentationStore;
@@ -218,15 +220,18 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     }
     let expected = models[gray_model as usize].predict_proba_batch(&input, corpus.items.len());
 
-    let mut scorer = NnBatchScorer::new(&store).with_source(source_rep);
-    scorer.register_repository(&repo, models);
+    let mut zoo = SharedModelZoo::new().with_source(source_rep);
+    zoo.register_repository(&repo, models);
+    let mut scratch = NnSessionScratch::new();
     let items: Vec<&tahoma::core::query::CorpusItem> = corpus.items.iter().collect();
     let mut got = Vec::new();
-    scorer.score_batch(
-        ModelId(gray_model as u32),
-        tahoma::core::exec::ScorePack::standalone(&items),
-        &mut got,
-    );
+    SharedNnScorer::new(&store, &zoo, &mut scratch)
+        .score_batch(
+            ModelId(gray_model as u32),
+            tahoma::core::exec::ScorePack::standalone(&items),
+            &mut got,
+        )
+        .unwrap();
     assert_eq!(got, expected, "batched NN scores mismatch manual packing");
 
     // End-to-end query: gray level via direct fetch, RGB terminal via the
@@ -234,18 +239,17 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     // property-tested with batch-size-invariant scorers in
     // exec_proptests.rs; NN scores can differ in final-ulp rounding across
     // GEMM batch shapes, so here we assert the end-to-end semantics.)
-    scorer.reset_stats();
+    scratch.reset_stats();
     let cascade = Cascade::new(&[(gray_model, 0), (rgb_model, 0)]);
     let mut cascades = BTreeMap::new();
     cascades.insert(kind, cascade);
     let query = Query::parse("SELECT * FROM t WHERE contains_object(komondor)").unwrap();
-    let processor = QueryProcessor::new(&repo, &thresholds, &cost);
-    let result = processor
-        .execute_batched(
+    let result = VectorizedExecutor::new(&repo, &thresholds, &cost)
+        .execute(
             &query,
             &corpus,
             &cascades,
-            &mut scorer,
+            &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
             &ExecOptions::default(),
         )
         .unwrap();
@@ -260,7 +264,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         "real-NN relation accuracy {} at chance",
         rel.accuracy
     );
-    let stats = scorer.stats();
+    let stats = scratch.stats();
     assert!(stats.fetch_decode_s > 0.0 && stats.infer_s > 0.0 && stats.standardize_s > 0.0);
     assert!(
         stats.items_scored >= corpus.items.len() as u64,
@@ -281,13 +285,18 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         per_model: vec![vec![DecisionThresholds::never_decide()]; repo.len()],
     };
     let executor = VectorizedExecutor::new(&repo, &never, &cost);
-    scorer.reset_stats();
+    scratch.reset_stats();
     let shared = Cascade::new(&[(gray_model, 0), (gray_model, 0)]);
     let rel2 = executor
-        .run_cascade_batched(kind, shared, &items, &mut scorer)
+        .run_cascade_batched(
+            kind,
+            shared,
+            &items,
+            &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
+        )
         .unwrap();
     assert_eq!(rel2.rows.len(), items.len());
-    let stats2 = scorer.stats();
+    let stats2 = scratch.stats();
     assert_eq!(
         stats2.cache_hits,
         items.len() as u64,
@@ -337,4 +346,62 @@ fn trained_weights_roundtrip_through_serialization() {
             reloaded.forward_logit(&ex.input)
         );
     }
+}
+
+#[test]
+fn nn_scorer_reports_unscorable_packs_as_typed_errors() {
+    // Scoring failures are values from the scorer up: an item whose input
+    // representation is neither stored nor derivable, and a cascade level
+    // the zoo never registered, are `CoreError`s — never panics.
+    use tahoma::core::exec::{
+        run_level_major, BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer,
+    };
+    use tahoma::core::thresholds::{DecisionThresholds, ThresholdTable};
+    use tahoma::core::CoreError;
+    use tahoma::imagery::{Image, RepresentationStore};
+    use tahoma::nn::{CnnSpec, Shape};
+
+    let model_rep = Representation::new(8, ColorMode::Gray);
+    // The store holds a representation the model does not consume, and the
+    // zoo names no source to re-derive the model's input from.
+    let store = RepresentationStore::new(vec![Representation::new(12, ColorMode::Rgb)]);
+    let frame = Image::from_fn(16, 16, ColorMode::Rgb, |c, y, x| (c + y + x) as f32 / 48.0)
+        .expect("valid dims");
+    store.ingest(7, &frame).expect("ingests");
+    let mut zoo = SharedModelZoo::new();
+    let net = CnnSpec {
+        input: Shape::new(1, 8, 8),
+        conv_channels: vec![2],
+        kernel: 3,
+        dense_units: 4,
+    }
+    .build(1)
+    .expect("valid spec");
+    zoo.register(ModelId(0), model_rep, net);
+    let corpus = Corpus::synthetic(8, 0.5, 3);
+    let items = [&corpus.items[7]];
+    let mut scratch = NnSessionScratch::new();
+    let mut scorer = SharedNnScorer::new(&store, &zoo, &mut scratch);
+    let mut out = Vec::new();
+
+    let err = scorer
+        .score_batch(ModelId(0), ScorePack::standalone(&items), &mut out)
+        .expect_err("no stored input and no source");
+    assert!(
+        matches!(&err, CoreError::Scoring(m) if m.contains("item 7") && m.contains("no source")),
+        "{err}"
+    );
+    assert_eq!(
+        scorer.score_batch(ModelId(9), ScorePack::standalone(&items), &mut out),
+        Err(CoreError::UnknownModel(9))
+    );
+    // The same failure is a value all the way up the cascade driver.
+    let thresholds = ThresholdTable {
+        settings: vec![0.95],
+        per_model: vec![vec![DecisionThresholds::never_decide()]],
+    };
+    let walk = run_level_major(&Cascade::single(0), &thresholds, 1, |_, model, _, out| {
+        scorer.score_batch(model, ScorePack::standalone(&items), out)
+    });
+    assert!(matches!(walk, Err(CoreError::Scoring(_))));
 }
