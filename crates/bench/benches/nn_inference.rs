@@ -1,6 +1,7 @@
 //! Criterion bench: real CNN inference across the architecture axis.
 //!
-//! Five views of the hot path:
+//! Views of the hot path (the non-GEMM layer sweeps are measured per tier
+//! in `benches/kernel_policy.rs`):
 //! * `conv_forward`: a single convolution layer, scalar reference loop vs
 //!   the im2col+GEMM path at batch 1 — the kernel-level speedup;
 //! * `conv_forward_batch`: the GEMM conv across batch sizes (per-image
@@ -11,9 +12,6 @@
 //!   the portable auto-vectorized kernel in the default (non-native)
 //!   build, and `conv_dispatch` includes the small-k first-layer shape the
 //!   AVX-512 wide tile targets;
-//! * `layer_dispatch`: the non-GEMM layer kernels (batch-1 dense matvec,
-//!   ReLU, max-pool) per tier — the sweeps the measured kernel policy
-//!   chooses between, which compiled to baseline SSE2 before they existed;
 //! * `gemm_threads` / `conv_batch_threads`: forced worker counts over a
 //!   large GEMM and a batched conv (on a single-core runner these show the
 //!   spawn overhead; on multi-core runners, the speedup);
@@ -23,7 +21,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use tahoma_imagery::{ColorMode, Representation};
-use tahoma_nn::gemm::{self, GemmScratch, Kernel, Trans};
+use tahoma_mathx::SimdTier;
+use tahoma_nn::gemm::{self, GemmScratch, Trans};
 use tahoma_nn::{Conv2d, Layer, Shape};
 use tahoma_zoo::ArchSpec;
 
@@ -76,12 +75,19 @@ fn bench_conv_batch_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Kernel tiers to sweep: every supported explicit tier plus `Auto` (what
+/// Kernel tiers to sweep, as `(label, single-threaded scratch)`: every
+/// runnable GEMM tier pinned, plus the unpinned default `auto` (what
 /// production callers run).
-fn kernel_cases() -> Vec<Kernel> {
-    let mut ks = Kernel::available();
-    ks.push(Kernel::Auto);
-    ks
+fn kernel_cases() -> Vec<(&'static str, GemmScratch)> {
+    let mut cases: Vec<_> = SimdTier::runnable(gemm::TIERS)
+        .into_iter()
+        .map(|tier| (tier.name(), GemmScratch::with_kernel(tier)))
+        .collect();
+    cases.push(("auto", GemmScratch::default()));
+    for (_, scratch) in &mut cases {
+        scratch.threads = Some(1);
+    }
+    cases
 }
 
 fn bench_gemm_dispatch(c: &mut Criterion) {
@@ -101,10 +107,8 @@ fn bench_gemm_dispatch(c: &mut Criterion) {
             .collect();
         let mut cbuf = vec![0.0f32; m * n];
         group.throughput(Throughput::Elements((2 * m * n * k) as u64));
-        for kernel in kernel_cases() {
-            let mut scratch = GemmScratch::with_kernel(kernel);
-            scratch.threads = Some(1);
-            group.bench_with_input(BenchmarkId::new(kernel.name(), name), &name, |bch, _| {
+        for (tier, mut scratch) in kernel_cases() {
+            group.bench_with_input(BenchmarkId::new(tier, name), &name, |bch, _| {
                 bch.iter(|| {
                     cbuf.fill(0.0);
                     gemm::gemm(
@@ -149,10 +153,8 @@ fn bench_conv_dispatch(c: &mut Criterion) {
         group.throughput(Throughput::Elements(
             (2 * out_c * k_total * shape.h * shape.w) as u64,
         ));
-        for kernel in kernel_cases() {
-            let mut scratch = GemmScratch::with_kernel(kernel);
-            scratch.threads = Some(1);
-            group.bench_with_input(BenchmarkId::new(kernel.name(), name), &name, |bch, _| {
+        for (tier, mut scratch) in kernel_cases() {
+            group.bench_with_input(BenchmarkId::new(tier, name), &name, |bch, _| {
                 bch.iter(|| {
                     gemm::conv2d_forward(
                         &mut scratch,
@@ -232,89 +234,6 @@ fn bench_conv_batch_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// The non-GEMM layer sweeps across kernel tiers: batch-1 dense matvec,
-/// the ReLU inference select, and the 2x2 max-pool sweep. In the default
-/// (portable, non-native) build these used to compile to baseline SSE2;
-/// the explicit tiers are what the measured policy chooses between.
-fn bench_layer_dispatch(c: &mut Criterion) {
-    let mut rng = tahoma_mathx::DetRng::new(0xD5);
-    let mut group = c.benchmark_group("layer_dispatch");
-
-    // Dense batch-1: the post-pool 16x3600 matvec of the 30px family.
-    let (n_out, n_in) = (16usize, 3600usize);
-    let weights: Vec<f32> = (0..n_out * n_in)
-        .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-        .collect();
-    let bias: Vec<f32> = (0..n_out)
-        .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-        .collect();
-    let x: Vec<f32> = (0..n_in)
-        .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-        .collect();
-    let mut out = vec![0.0f32; n_out];
-    for kernel in kernel_cases() {
-        group.bench_with_input(
-            BenchmarkId::new(kernel.name(), "dense-16x3600"),
-            &kernel,
-            |b, &kernel| {
-                b.iter(|| {
-                    tahoma_nn::kernels::matvec(
-                        kernel,
-                        black_box(&weights),
-                        &bias,
-                        black_box(&x),
-                        &mut out,
-                    );
-                    black_box(out[0])
-                })
-            },
-        );
-    }
-
-    // ReLU over a 16ch 30x30 activation block.
-    let act: Vec<f32> = (0..16 * 30 * 30)
-        .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-        .collect();
-    let mut relu_out = vec![0.0f32; act.len()];
-    for kernel in kernel_cases() {
-        group.bench_with_input(
-            BenchmarkId::new(kernel.name(), "relu-16x30x30"),
-            &kernel,
-            |b, &kernel| {
-                b.iter(|| {
-                    tahoma_nn::kernels::relu(kernel, black_box(&act), &mut relu_out);
-                    black_box(relu_out[0])
-                })
-            },
-        );
-    }
-
-    // Max-pool over the same block.
-    let (h, w) = (30usize, 30usize);
-    let mut pool_out = vec![0.0f32; (h / 2) * (w / 2)];
-    for kernel in kernel_cases() {
-        group.bench_with_input(
-            BenchmarkId::new(kernel.name(), "pool-16x30x30"),
-            &kernel,
-            |b, &kernel| {
-                b.iter(|| {
-                    for ch in 0..16 {
-                        tahoma_nn::kernels::maxpool2_plane(
-                            kernel,
-                            black_box(&act[ch * h * w..(ch + 1) * h * w]),
-                            h,
-                            w,
-                            &mut pool_out,
-                        );
-                    }
-                    black_box(pool_out[0])
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_model_inference(c: &mut Criterion) {
     let cases = [
         (
@@ -379,7 +298,6 @@ criterion_group!(
     bench_conv_batch_sweep,
     bench_gemm_dispatch,
     bench_conv_dispatch,
-    bench_layer_dispatch,
     bench_gemm_threads,
     bench_conv_batch_threads,
     bench_model_inference

@@ -9,10 +9,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tahoma_imagery::engine::{Kernel, TranscodeCosts, TranscodeEngine, TranscodePlan};
+use tahoma_imagery::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan, TIERS};
 use tahoma_imagery::repr::apply_reference;
 use tahoma_imagery::transform::{resize_bilinear_reference, standardize};
 use tahoma_imagery::{ColorMode, Image, Representation};
+use tahoma_mathx::SimdTier;
 
 fn frame(size: usize) -> Image {
     Image::from_fn(size, size, ColorMode::Rgb, |c, y, x| {
@@ -32,16 +33,14 @@ fn bench_resize_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar_ref", out), &out, |b, &out| {
             b.iter(|| black_box(resize_bilinear_reference(&gray, out, out).unwrap()))
         });
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             group.bench_with_input(BenchmarkId::new(kernel.name(), out), &out, |b, &out| {
                 b.iter(|| black_box(e.resize_bilinear(&gray, out, out).unwrap()))
             });
         }
-        // `Auto` under the per-op-class policy: the heuristic default pins
-        // the gathered horizontal pass to AVX2, so this line must track
-        // the avx2 tier above, not the avx512 one (the ROADMAP gather
-        // regression, fixed by policy).
+        // The unpinned engine: the widest implemented tier, so this line
+        // must track the avx2 line above wherever AVX2 exists.
         let mut e = TranscodeEngine::new();
         group.bench_with_input(BenchmarkId::new("auto_policy", out), &out, |b, &out| {
             b.iter(|| black_box(e.resize_bilinear(&gray, out, out).unwrap()))
@@ -50,7 +49,7 @@ fn bench_resize_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-kernel-tier luma reduction and standardize on a 224px frame.
+/// The luma reduction, and per-kernel-tier standardize, on a 224px frame.
 fn bench_sweep_kernels(c: &mut Criterion) {
     let src = frame(224);
     let gray_rep = Representation::new(224, ColorMode::Gray);
@@ -62,13 +61,12 @@ fn bench_sweep_kernels(c: &mut Criterion) {
             )
         })
     });
-    for kernel in Kernel::available() {
-        let mut e = TranscodeEngine::with_kernel(kernel);
-        group.bench_function(format!("luma/{}", kernel.name()), |b| {
-            b.iter(|| black_box(e.apply(&src, gray_rep).unwrap()))
-        });
-    }
-    for kernel in Kernel::available() {
+    // Luma has one (portable) implementation; the engine adds pooling.
+    let mut e = TranscodeEngine::new();
+    group.bench_function("luma/portable", |b| {
+        b.iter(|| black_box(e.apply(&src, gray_rep).unwrap()))
+    });
+    for kernel in SimdTier::runnable(TIERS) {
         let mut e = TranscodeEngine::with_kernel(kernel);
         group.bench_function(format!("standardize/{}", kernel.name()), |b| {
             b.iter(|| black_box(e.standardize(&src)))
@@ -93,7 +91,7 @@ fn bench_paper_set(c: &mut Criterion) {
                 }
             })
         });
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             let plan = TranscodePlan::new(src_size, src_size, &reps, &TranscodeCosts::default());
             group.bench_with_input(

@@ -1,13 +1,19 @@
 //! CPU facts for CI logs and conditional bench steps.
 //!
 //! ```text
-//! cpu_info            # human-readable: parallelism + detected SIMD tiers
+//! cpu_info            # human-readable: parallelism + kernel tier ceiling
 //! cpu_info cores      # just the available_parallelism number (for shell)
 //! ```
 //!
-//! The forced-tier CI matrix logs this on every run; the moment a
-//! multi-core runner appears, the `cores` form gates the `gemm_threads`
-//! scaling bench on it (the top ROADMAP measurement item).
+//! The forced-tier CI matrix runs this *before* its tests and asserts the
+//! printed ceiling is the tier it asked for: the runtime only warns about
+//! an unrecognised `TAHOMA_KERNEL_POLICY` (no panic on a hot path), so
+//! this is where a typo fails — exit status 2 — instead of the job going
+//! green having tested the default tier. The moment a multi-core runner
+//! appears, the `cores` form gates the `gemm_threads` scaling bench on it
+//! (the top ROADMAP measurement item).
+
+use tahoma_mathx::simd_policy::{SimdTier, TIER_ENV};
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
@@ -16,23 +22,15 @@ fn main() {
         return;
     }
     println!("available_parallelism: {cores}");
-    let nn_tiers: Vec<&str> = tahoma_nn::gemm::Kernel::available()
-        .into_iter()
-        .map(|k| k.name())
-        .collect();
-    let img_tiers: Vec<&str> = tahoma_imagery::engine::Kernel::available()
-        .into_iter()
-        .map(|k| k.name())
-        .collect();
-    println!("nn kernel tiers: {}", nn_tiers.join(", "));
-    println!("imagery kernel tiers: {}", img_tiers.join(", "));
+    let env = std::env::var(TIER_ENV).ok();
+    if let Err(e) = SimdTier::parse_ceiling(env.as_deref()) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     println!(
-        "kernel policy (global): {}",
-        tahoma_mathx::simd_policy::global_policy()
-            .serialize()
-            .lines()
-            .filter(|l| !l.starts_with('#'))
-            .collect::<Vec<_>>()
-            .join(" ")
+        "kernel tier ceiling: {} (detected {}, env {})",
+        SimdTier::ceiling().name(),
+        SimdTier::detected().name(),
+        env.as_deref().unwrap_or("unset")
     );
 }

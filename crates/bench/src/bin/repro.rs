@@ -6,8 +6,7 @@
 //! ```
 //!
 //! `--quick` runs a reduced model space (same shapes, seconds instead of
-//! minutes). Output is plain text; `repro all` is what EXPERIMENTS.md
-//! records.
+//! minutes). Output is plain text.
 
 use std::time::Instant;
 use tahoma_bench::context::{ExperimentContext, Scale};

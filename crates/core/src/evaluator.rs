@@ -273,9 +273,8 @@ impl CostContext {
 
 /// Naive reference evaluator: re-derives every decision from raw scores and
 /// thresholds per cascade, per image — no precomputed tables. This is what
-/// evaluation looks like *without* the paper's §V-D design; the
-/// `cascade_eval` bench and an equivalence test pit it against
-/// [`simulate_one`]. Kept simple on purpose.
+/// evaluation looks like *without* the paper's §V-D design; an equivalence
+/// test pits it against [`simulate_one`]. Kept simple on purpose.
 pub fn simulate_one_naive(
     repo: &ModelRepository,
     thresholds: &ThresholdTable,

@@ -6,8 +6,7 @@
 //! virtual keeps bytes down but charges each query a source fetch plus a
 //! transcode. Pricing that trade requires knowing what a persistent-store
 //! read *actually* costs on the running machine — which, per the §IV
-//! discipline this repo already applies to SIMD kernels
-//! ([`crate::kernels`]), is measured rather than guessed:
+//! discipline, is measured rather than guessed:
 //! [`IoProfile::measure`] ingests a scratch corpus into a real
 //! [`RepresentationStore`] persistent tier, times the full
 //! fetch-and-decode path for two payload size classes with

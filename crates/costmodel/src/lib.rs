@@ -25,11 +25,6 @@
 //! * [`profiler`] — the cost profiler from Fig. 2: analytic (calibrated to
 //!   the paper's GPU testbed) and measured (times this machine's real codec,
 //!   transform and `tahoma-nn` inference);
-//! * [`kernels`] — the same measured-profiling discipline applied one layer
-//!   down: microbenchmark every SIMD kernel tier per op class on the
-//!   running CPU and install the winners as the process-global
-//!   `Kernel::Auto` policy, so both the serving hot paths and the costs the
-//!   measured profiler reports to the planner reflect the tuned kernels;
 //! * [`io`] — the measured-profiling discipline applied to the persistent
 //!   representation store: calibrate the real fetch+decode path
 //!   ([`io::IoProfile::measure`]) and spend a §V storage budget on the
@@ -45,7 +40,6 @@
 pub mod calibration;
 pub mod device;
 pub mod io;
-pub mod kernels;
 pub mod profiler;
 pub mod reliability;
 pub mod scenario;
@@ -54,7 +48,6 @@ pub mod transform;
 
 pub use device::DeviceProfile;
 pub use io::{plan_materialization, IoProfile, MaterializationPlan};
-pub use kernels::{calibrate_and_install, KernelCalibration, TierSample};
 pub use profiler::{AnalyticProfiler, CostBreakdown, CostProfiler, MeasuredProfiler};
 pub use reliability::{ErrorClass, RetryPolicy};
 pub use scenario::{Scenario, ScenarioCosts};

@@ -6,7 +6,7 @@
 //! errors are permanent or whose retries are exhausted, degrading those
 //! fetches to a transcode-from-source. Both halves of that policy are
 //! priceable with the same discipline the rest of this crate applies to
-//! kernels and I/O: classification says *which* branch an error takes,
+//! transforms and I/O: classification says *which* branch an error takes,
 //! and [`RetryPolicy`] prices what the branch costs in expectation —
 //! extra attempts and backoff sleeps for transients, the source fetch +
 //! transcode surcharge for degraded records. The serve layer's deadline

@@ -29,14 +29,17 @@
 //!
 //! # Kernel tiers
 //!
-//! [`Kernel`] mirrors `tahoma_nn::gemm::Kernel`: `Auto` resolves through
-//! `is_x86_feature_detected!` to AVX-512, AVX2, or the portable fallback.
-//! The three per-frame sweeps are vectorized: the horizontal resize pass
-//! (gathered loads through the span tables), the vertical pass + RGB→gray
-//! luma reduction (contiguous), and `standardize`'s mean/variance/normalize
-//! sweeps. The standardize reductions accumulate into **eight f64 lanes**
-//! (element `i` into lane `i % 8`, fixed pairwise tree to finish) in every
-//! tier, so SIMD and portable agree bitwise there too.
+//! The vectorized per-frame sweeps — the horizontal resize pass (gathered
+//! loads through the span tables), the vertical pass (contiguous), and
+//! `standardize`'s mean/variance/normalize sweeps — each carry a portable
+//! loop and one explicit AVX2 kernel ([`TIERS`]); an unpinned engine runs
+//! the widest of the two that [`SimdTier::ceiling`] allows. Their AVX-512
+//! kernels lost to AVX2 on every measured shape (the 16-lane gather by
+//! ~10%, the f64 reductions by ~40%) and are gone; the RGB→gray luma sweep
+//! is the portable loop alone, which ties both explicit tiers (DESIGN.md,
+//! "Deletion ledger"). The standardize reductions accumulate into **eight
+//! f64 lanes** (element `i` into lane `i % 8`, fixed pairwise tree to
+//! finish) in every tier, so SIMD and portable agree bitwise there too.
 //!
 //! # The representation lattice
 //!
@@ -81,126 +84,14 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use tahoma_mathx::checked;
-use tahoma_mathx::simd_policy::{self, OpClass, SimdTier};
+use tahoma_mathx::SimdTier;
 
-/// Kernel-tier selection. `Auto` (the default) resolves **per op class**
-/// through the global [`tahoma_mathx::simd_policy`] table — each dispatcher
-/// below looks up its own class (`resize-h-gather`, `resize-v`, `luma`,
-/// `standardize`), falling back to `is_x86_feature_detected!` for untuned
-/// `SimdTier::Auto` entries. The heuristic default pins the gathered
-/// horizontal-resize pass to AVX2 (measurably ~25% faster than the AVX-512
-/// gather on the parts profiled so far) while the contiguous sweeps keep
-/// detection; a measured calibration (`tahoma_costmodel::kernels`) or the
-/// `TAHOMA_KERNEL_POLICY` env override replaces those choices wholesale.
-/// The explicit variants exist so the benches and property tests can pin a
-/// tier. Forcing (or policy-selecting) a tier the running CPU does not
-/// support resolves to detection instead (never to an illegal
-/// instruction) — and since every tier is bitwise identical, any
-/// resolution is equally correct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Detect the best supported tier at call time.
-    #[default]
-    Auto,
-    /// Plain scalar loops (any CPU) — the bitwise reference.
-    Portable,
-    /// Explicit AVX2 intrinsics (x86-64 with `avx2`).
-    Avx2,
-    /// Explicit AVX-512 intrinsics (x86-64 with `avx512f`).
-    Avx512,
-}
-
-impl Kernel {
-    /// The best tier the running CPU supports.
-    pub fn detect() -> Kernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Kernel::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Kernel::Avx2;
-            }
-        }
-        Kernel::Portable
-    }
-
-    /// Every tier the running CPU can execute, portable first (benches and
-    /// property tests iterate this to compare tiers).
-    pub fn available() -> Vec<Kernel> {
-        let mut out = vec![Kernel::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                out.push(Kernel::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                out.push(Kernel::Avx512);
-            }
-        }
-        out
-    }
-
-    /// Whether the running CPU can execute this tier (`Auto` trivially).
-    fn supported(self) -> bool {
-        match self {
-            Kernel::Auto | Kernel::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-
-    /// Resolve `Auto` for one op class: look the class up in the global
-    /// [`tahoma_mathx::simd_policy`] table, falling back to feature
-    /// detection when the policy says `Auto` or names a tier this CPU
-    /// cannot run. Explicitly requested tiers bypass the policy (demoted
-    /// to detection only when unsupported).
-    pub fn resolve_class(self, class: OpClass) -> Kernel {
-        let requested = match self {
-            Kernel::Auto => Kernel::from_tier(simd_policy::global_tier(class)),
-            k => k,
-        };
-        match requested {
-            Kernel::Auto => Kernel::detect(),
-            k if k.supported() => k,
-            _ => Kernel::detect(),
-        }
-    }
-
-    /// The crate-local kernel for a policy tier.
-    pub fn from_tier(tier: SimdTier) -> Kernel {
-        match tier {
-            SimdTier::Auto => Kernel::Auto,
-            SimdTier::Portable => Kernel::Portable,
-            SimdTier::Avx2 => Kernel::Avx2,
-            SimdTier::Avx512 => Kernel::Avx512,
-        }
-    }
-
-    /// This kernel's policy-tier name (inverse of [`Kernel::from_tier`]).
-    pub fn tier(self) -> SimdTier {
-        match self {
-            Kernel::Auto => SimdTier::Auto,
-            Kernel::Portable => SimdTier::Portable,
-            Kernel::Avx2 => SimdTier::Avx2,
-            Kernel::Avx512 => SimdTier::Avx512,
-        }
-    }
-
-    /// Short stable name for bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Auto => "auto",
-            Kernel::Portable => "portable",
-            Kernel::Avx2 => "avx2",
-            Kernel::Avx512 => "avx512",
-        }
-    }
-}
+/// The tiers every vectorized sweep in this module implements (see the
+/// module docs for why none goes wider). Pinning a wider tier clamps down
+/// to the widest of these the CPU runs — never to an illegal instruction —
+/// and since every tier is bitwise identical, any resolution is equally
+/// correct.
+pub const TIERS: &[SimdTier] = &[SimdTier::Portable, SimdTier::Avx2];
 
 /// One axis of a bilinear resize: per output coordinate, the two source
 /// indices and their lerp weights, computed exactly as the scalar reference
@@ -311,10 +202,9 @@ fn axis_rows_touched(y: &AxisPlan) -> usize {
 // all tiers are bitwise identical (property-tested in `tests/proptests.rs`).
 // ---------------------------------------------------------------------------
 
-/// Horizontal resize pass: `dst[o] = src[i0[o]]*w0[o] + src[i1[o]]*w1[o]`.
-/// Gathered loads — its own policy class (`resize-h-gather`), the one
-/// where AVX-512 measured slower than AVX2.
-fn hlerp(kernel: Kernel, src: &[f32], x: &AxisPlan, dst: &mut [f32]) {
+/// Horizontal resize pass: `dst[o] = src[i0[o]]*w0[o] + src[i1[o]]*w1[o]`
+/// (gathered loads).
+fn hlerp(kernel: Option<SimdTier>, src: &[f32], x: &AxisPlan, dst: &mut [f32]) {
     assert_eq!(dst.len(), x.i0.len());
     assert!(x.max_index < src.len(), "axis plan exceeds source row");
     // Audit mode verifies what the asserts above only imply: the three
@@ -327,15 +217,11 @@ fn hlerp(kernel: Kernel, src: &[f32], x: &AxisPlan, dst: &mut [f32]) {
         checked::gather(&x.i0, src.len(), "hlerp i0");
         checked::gather(&x.i1, src.len(), "hlerp i1");
     }
-    match kernel.resolve_class(OpClass::ResizeHGather) {
+    match SimdTier::resolve(kernel, TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `kernel` was resolved through `Kernel::supported`, so the
-        // required CPU features are present; slice preconditions asserted
-        // above.
-        Kernel::Avx2 => unsafe { x86::hlerp_avx2(src, &x.i0, &x.i1, &x.w0, &x.w1, dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, avx512f runtime-detected.
-        Kernel::Avx512 => unsafe { x86::hlerp_avx512(src, &x.i0, &x.i1, &x.w0, &x.w1, dst) },
+        // SAFETY: `resolve` never exceeds the detected tier, so avx2 is
+        // present; slice preconditions asserted above.
+        SimdTier::Avx2 => unsafe { x86::hlerp_avx2(src, &x.i0, &x.i1, &x.w0, &x.w1, dst) },
         _ => {
             for o in 0..dst.len() {
                 dst[o] = src[x.i0[o] as usize] * x.w0[o] + src[x.i1[o] as usize] * x.w1[o];
@@ -344,19 +230,24 @@ fn hlerp(kernel: Kernel, src: &[f32], x: &AxisPlan, dst: &mut [f32]) {
     }
 }
 
-/// Vertical resize pass: `dst[i] = top[i]*w0 + bot[i]*w1` (contiguous;
-/// policy class `resize-v`).
-fn vlerp(kernel: Kernel, top: &[f32], bot: &[f32], w0: f32, w1: f32, dst: &mut [f32]) {
+/// Vertical resize pass: `dst[i] = top[i]*w0 + bot[i]*w1` (contiguous).
+/// Public for `benches/kernel_policy.rs`.
+pub fn vlerp_rows(
+    kernel: Option<SimdTier>,
+    top: &[f32],
+    bot: &[f32],
+    w0: f32,
+    w1: f32,
+    dst: &mut [f32],
+) {
     assert!(top.len() >= dst.len() && bot.len() >= dst.len());
     checked::span(top.len(), 0, dst.len(), "vlerp top row");
     checked::span(bot.len(), 0, dst.len(), "vlerp bottom row");
-    match kernel.resolve_class(OpClass::ResizeV) {
+    match SimdTier::resolve(kernel, TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: features runtime-detected; lengths asserted above.
-        Kernel::Avx2 => unsafe { x86::vlerp_avx2(top, bot, w0, w1, dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::vlerp_avx512(top, bot, w0, w1, dst) },
+        // SAFETY: avx2 runtime-detected (see `hlerp`); lengths asserted
+        // above.
+        SimdTier::Avx2 => unsafe { x86::vlerp_avx2(top, bot, w0, w1, dst) },
         _ => {
             for i in 0..dst.len() {
                 dst[i] = top[i] * w0 + bot[i] * w1;
@@ -366,35 +257,21 @@ fn vlerp(kernel: Kernel, top: &[f32], bot: &[f32], w0: f32, w1: f32, dst: &mut [
 }
 
 /// RGB→gray luma sweep: `dst[i] = (wr*r[i] + wg*g[i]) + wb*b[i]`, the exact
-/// evaluation order of the scalar `convert_mode` (policy class `luma`).
-fn luma(kernel: Kernel, r: &[f32], g: &[f32], b: &[f32], dst: &mut [f32]) {
+/// evaluation order of the scalar `convert_mode`. One portable loop: no
+/// explicit tier beats what the compiler makes of it. Public for
+/// `benches/kernel_policy.rs`.
+pub fn luma_sweep(r: &[f32], g: &[f32], b: &[f32], dst: &mut [f32]) {
     let n = dst.len();
     assert!(r.len() >= n && g.len() >= n && b.len() >= n);
-    if checked::active() {
-        checked::span(r.len(), 0, n, "luma red plane");
-        checked::span(g.len(), 0, n, "luma green plane");
-        checked::span(b.len(), 0, n, "luma blue plane");
-    }
     let [wr, wg, wb] = LUMA_WEIGHTS;
-    match kernel.resolve_class(OpClass::Luma) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: features runtime-detected; lengths asserted above.
-        Kernel::Avx2 => unsafe { x86::luma_avx2(r, g, b, dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::luma_avx512(r, g, b, dst) },
-        _ => {
-            for i in 0..n {
-                dst[i] = wr * r[i] + wg * g[i] + wb * b[i];
-            }
-        }
+    for i in 0..n {
+        dst[i] = wr * r[i] + wg * g[i] + wb * b[i];
     }
 }
 
 /// Number of f64 accumulator lanes in the standardize reductions. Fixed
-/// across tiers (AVX-512 holds all 8 in one register, AVX2 in two, the
-/// portable loop in an array) so every tier produces bitwise-identical
-/// sums.
+/// across tiers (AVX2 holds the 8 in two registers, the portable loop in
+/// an array) so every tier produces bitwise-identical sums.
 const RED_LANES: usize = 8;
 
 /// Fixed pairwise reduction tree over the 8 lanes — identical in every
@@ -403,20 +280,16 @@ fn fold_lanes(acc: [f64; RED_LANES]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-/// Lane-strided sum: element `i` accumulates into lane `i % 8` in f64
-/// (policy class `standardize`, with the other two standardize sweeps).
-fn sum_lanes(kernel: Kernel, data: &[f32]) -> [f64; RED_LANES] {
+/// Lane-strided sum: element `i` accumulates into lane `i % 8` in f64.
+fn sum_lanes(kernel: Option<SimdTier>, data: &[f32]) -> [f64; RED_LANES] {
     checked::aligned(data.as_ptr(), "standardize sum input");
     let mut acc = [0.0f64; RED_LANES];
     let chunks = data.chunks_exact(RED_LANES);
     let tail = chunks.remainder();
-    match kernel.resolve_class(OpClass::Standardize) {
+    match SimdTier::resolve(kernel, TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: features runtime-detected.
-        Kernel::Avx2 => unsafe { x86::sum_lanes_avx2(data, &mut acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::sum_lanes_avx512(data, &mut acc) },
+        // SAFETY: avx2 runtime-detected (see `hlerp`).
+        SimdTier::Avx2 => unsafe { x86::sum_lanes_avx2(data, &mut acc) },
         _ => {
             for c in chunks {
                 for j in 0..RED_LANES {
@@ -432,18 +305,15 @@ fn sum_lanes(kernel: Kernel, data: &[f32]) -> [f64; RED_LANES] {
 }
 
 /// Lane-strided sum of squared deviations from `mean`, f64.
-fn sq_dev_lanes(kernel: Kernel, data: &[f32], mean: f64) -> [f64; RED_LANES] {
+fn sq_dev_lanes(kernel: Option<SimdTier>, data: &[f32], mean: f64) -> [f64; RED_LANES] {
     checked::aligned(data.as_ptr(), "standardize sq-dev input");
     let mut acc = [0.0f64; RED_LANES];
     let chunks = data.chunks_exact(RED_LANES);
     let tail = chunks.remainder();
-    match kernel.resolve_class(OpClass::Standardize) {
+    match SimdTier::resolve(kernel, TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: features runtime-detected.
-        Kernel::Avx2 => unsafe { x86::sq_dev_lanes_avx2(data, mean, &mut acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::sq_dev_lanes_avx512(data, mean, &mut acc) },
+        // SAFETY: avx2 runtime-detected (see `hlerp`).
+        SimdTier::Avx2 => unsafe { x86::sq_dev_lanes_avx2(data, mean, &mut acc) },
         _ => {
             for c in chunks {
                 for j in 0..RED_LANES {
@@ -460,18 +330,15 @@ fn sq_dev_lanes(kernel: Kernel, data: &[f32], mean: f64) -> [f64; RED_LANES] {
     acc
 }
 
-/// Normalize sweep: `dst[i] = (src[i] - mean) * inv` in f32 (policy class
-/// `standardize`).
-fn scale_shift(kernel: Kernel, src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
+/// Normalize sweep: `dst[i] = (src[i] - mean) * inv` in f32.
+fn scale_shift(kernel: Option<SimdTier>, src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
     assert!(src.len() >= dst.len());
     checked::span(src.len(), 0, dst.len(), "scale-shift source");
-    match kernel.resolve_class(OpClass::Standardize) {
+    match SimdTier::resolve(kernel, TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: features runtime-detected; length asserted above.
-        Kernel::Avx2 => unsafe { x86::scale_shift_avx2(src, mean, inv, dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::scale_shift_avx512(src, mean, inv, dst) },
+        // SAFETY: avx2 runtime-detected (see `hlerp`); length asserted
+        // above.
+        SimdTier::Avx2 => unsafe { x86::scale_shift_avx2(src, mean, inv, dst) },
         _ => {
             for i in 0..dst.len() {
                 dst[i] = (src[i] - mean) * inv;
@@ -488,7 +355,7 @@ fn scale_shift(kernel: Kernel, src: &[f32], mean: f32, inv: f32, dst: &mut [f32]
 /// elements; tails run the identical scalar expression.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{LUMA_WEIGHTS, RED_LANES};
+    use super::RED_LANES;
     use core::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -525,39 +392,6 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn hlerp_avx512(
-        src: &[f32],
-        i0: &[i32],
-        i1: &[i32],
-        w0: &[f32],
-        w1: &[f32],
-        dst: &mut [f32],
-    ) {
-        let n = dst.len();
-        let main = n - n % 16;
-        let sp = src.as_ptr();
-        let mut o = 0;
-        while o < main {
-            // SAFETY: o + 16 <= n == table lengths (asserted by the
-            // dispatcher); gathered indices bounded by max_index.
-            unsafe {
-                let idx0 = _mm512_loadu_epi32(i0.as_ptr().add(o));
-                let idx1 = _mm512_loadu_epi32(i1.as_ptr().add(o));
-                let g0 = _mm512_i32gather_ps::<4>(idx0, sp);
-                let g1 = _mm512_i32gather_ps::<4>(idx1, sp);
-                let vw0 = _mm512_loadu_ps(w0.as_ptr().add(o));
-                let vw1 = _mm512_loadu_ps(w1.as_ptr().add(o));
-                let v = _mm512_add_ps(_mm512_mul_ps(g0, vw0), _mm512_mul_ps(g1, vw1));
-                _mm512_storeu_ps(dst.as_mut_ptr().add(o), v);
-            }
-            o += 16;
-        }
-        for j in main..n {
-            dst[j] = src[i0[j] as usize] * w0[j] + src[i1[j] as usize] * w1[j];
-        }
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) fn vlerp_avx2(top: &[f32], bot: &[f32], w0: f32, w1: f32, dst: &mut [f32]) {
         let n = dst.len();
@@ -577,76 +411,6 @@ mod x86 {
         }
         for j in main..n {
             dst[j] = top[j] * w0 + bot[j] * w1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn vlerp_avx512(top: &[f32], bot: &[f32], w0: f32, w1: f32, dst: &mut [f32]) {
-        let n = dst.len();
-        let main = n - n % 16;
-        let (vw0, vw1) = (_mm512_set1_ps(w0), _mm512_set1_ps(w1));
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 16 <= n <= top.len(), bot.len() (asserted by the
-            // dispatcher).
-            unsafe {
-                let t = _mm512_loadu_ps(top.as_ptr().add(i));
-                let b = _mm512_loadu_ps(bot.as_ptr().add(i));
-                let v = _mm512_add_ps(_mm512_mul_ps(t, vw0), _mm512_mul_ps(b, vw1));
-                _mm512_storeu_ps(dst.as_mut_ptr().add(i), v);
-            }
-            i += 16;
-        }
-        for j in main..n {
-            dst[j] = top[j] * w0 + bot[j] * w1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn luma_avx2(r: &[f32], g: &[f32], b: &[f32], dst: &mut [f32]) {
-        let n = dst.len();
-        let main = n - n % 8;
-        let [wr, wg, wb] = LUMA_WEIGHTS;
-        let (vr, vg, vb) = (_mm256_set1_ps(wr), _mm256_set1_ps(wg), _mm256_set1_ps(wb));
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 8 <= n <= r/g/b.len() (asserted by the
-            // dispatcher).
-            unsafe {
-                let pr = _mm256_mul_ps(vr, _mm256_loadu_ps(r.as_ptr().add(i)));
-                let pg = _mm256_mul_ps(vg, _mm256_loadu_ps(g.as_ptr().add(i)));
-                let pb = _mm256_mul_ps(vb, _mm256_loadu_ps(b.as_ptr().add(i)));
-                let v = _mm256_add_ps(_mm256_add_ps(pr, pg), pb);
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
-            }
-            i += 8;
-        }
-        for j in main..n {
-            dst[j] = wr * r[j] + wg * g[j] + wb * b[j];
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn luma_avx512(r: &[f32], g: &[f32], b: &[f32], dst: &mut [f32]) {
-        let n = dst.len();
-        let main = n - n % 16;
-        let [wr, wg, wb] = LUMA_WEIGHTS;
-        let (vr, vg, vb) = (_mm512_set1_ps(wr), _mm512_set1_ps(wg), _mm512_set1_ps(wb));
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 16 <= n <= r/g/b.len() (asserted by the
-            // dispatcher).
-            unsafe {
-                let pr = _mm512_mul_ps(vr, _mm512_loadu_ps(r.as_ptr().add(i)));
-                let pg = _mm512_mul_ps(vg, _mm512_loadu_ps(g.as_ptr().add(i)));
-                let pb = _mm512_mul_ps(vb, _mm512_loadu_ps(b.as_ptr().add(i)));
-                let v = _mm512_add_ps(_mm512_add_ps(pr, pg), pb);
-                _mm512_storeu_ps(dst.as_mut_ptr().add(i), v);
-            }
-            i += 16;
-        }
-        for j in main..n {
-            dst[j] = wr * r[j] + wg * g[j] + wb * b[j];
         }
     }
 
@@ -673,26 +437,6 @@ mod x86 {
             _mm256_storeu_pd(lanes.as_mut_ptr(), lo);
             _mm256_storeu_pd(lanes.as_mut_ptr().add(4), hi);
         }
-        for (a, l) in acc.iter_mut().zip(lanes) {
-            *a += l;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn sum_lanes_avx512(data: &[f32], acc: &mut [f64; RED_LANES]) {
-        let main = data.len() - data.len() % RED_LANES;
-        let mut v = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 8 <= main <= data.len().
-            unsafe {
-                v = _mm512_add_pd(v, _mm512_cvtps_pd(_mm256_loadu_ps(data.as_ptr().add(i))));
-            }
-            i += RED_LANES;
-        }
-        let mut lanes = [0.0f64; RED_LANES];
-        // SAFETY: `lanes` holds 8 f64.
-        unsafe { _mm512_storeu_pd(lanes.as_mut_ptr(), v) };
         for (a, l) in acc.iter_mut().zip(lanes) {
             *a += l;
         }
@@ -727,28 +471,6 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn sq_dev_lanes_avx512(data: &[f32], mean: f64, acc: &mut [f64; RED_LANES]) {
-        let main = data.len() - data.len() % RED_LANES;
-        let m = _mm512_set1_pd(mean);
-        let mut v = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 8 <= main <= data.len().
-            unsafe {
-                let d = _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(data.as_ptr().add(i))), m);
-                v = _mm512_add_pd(v, _mm512_mul_pd(d, d));
-            }
-            i += RED_LANES;
-        }
-        let mut lanes = [0.0f64; RED_LANES];
-        // SAFETY: `lanes` holds 8 f64.
-        unsafe { _mm512_storeu_pd(lanes.as_mut_ptr(), v) };
-        for (a, l) in acc.iter_mut().zip(lanes) {
-            *a += l;
-        }
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) fn scale_shift_avx2(src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
         let n = dst.len();
@@ -763,27 +485,6 @@ mod x86 {
                 _mm256_storeu_ps(dst.as_mut_ptr().add(i), out);
             }
             i += 8;
-        }
-        for j in main..n {
-            dst[j] = (src[j] - mean) * inv;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn scale_shift_avx512(src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
-        let n = dst.len();
-        let main = n - n % 16;
-        let (vm, vi) = (_mm512_set1_ps(mean), _mm512_set1_ps(inv));
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 16 <= n <= src.len() (asserted by the
-            // dispatcher).
-            unsafe {
-                let v = _mm512_loadu_ps(src.as_ptr().add(i));
-                let out = _mm512_mul_ps(_mm512_sub_ps(v, vm), vi);
-                _mm512_storeu_ps(dst.as_mut_ptr().add(i), out);
-            }
-            i += 16;
         }
         for j in main..n {
             dst[j] = (src[j] - mean) * inv;
@@ -1021,7 +722,7 @@ const POOL_CAP: usize = 64;
 /// so plans, scratch, and buffers amortize across frames and batches.
 #[derive(Debug)]
 pub struct TranscodeEngine {
-    kernel: Kernel,
+    kernel: Option<SimdTier>,
     plans: HashMap<(usize, usize, usize, usize), ResizePlan>,
     rows: RowCache,
     luma_plane: Vec<f32>,
@@ -1045,13 +746,17 @@ impl Default for TranscodeEngine {
 }
 
 impl TranscodeEngine {
-    /// Engine with runtime kernel detection.
+    /// Engine running the widest tier of [`TIERS`] the ceiling allows.
     pub fn new() -> TranscodeEngine {
-        TranscodeEngine::with_kernel(Kernel::Auto)
+        TranscodeEngine::pinned(None)
     }
 
     /// Engine pinned to one kernel tier (benches, property tests).
-    pub fn with_kernel(kernel: Kernel) -> TranscodeEngine {
+    pub fn with_kernel(tier: SimdTier) -> TranscodeEngine {
+        TranscodeEngine::pinned(Some(tier))
+    }
+
+    fn pinned(kernel: Option<SimdTier>) -> TranscodeEngine {
         TranscodeEngine {
             kernel,
             plans: HashMap::new(),
@@ -1061,11 +766,6 @@ impl TranscodeEngine {
             pooled: 0,
             io_buf: Vec::new(),
         }
-    }
-
-    /// The configured kernel tier (possibly `Auto`).
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Hand back materialized images whose pixels are no longer needed so
@@ -1130,7 +830,7 @@ impl TranscodeEngine {
     /// Resize one plane through the cached plan for this shape.
     #[allow(clippy::too_many_arguments)]
     fn resize_plane(
-        kernel: Kernel,
+        kernel: Option<SimdTier>,
         plans: &mut HashMap<(usize, usize, usize, usize), ResizePlan>,
         rows: &mut RowCache,
         src: &[f32],
@@ -1183,7 +883,7 @@ impl TranscodeEngine {
             let dst_row = &mut dst[oy * out_w..(oy + 1) * out_w];
             let (w0, w1) = (plan.y.w0[oy], plan.y.w1[oy]);
             let bot = if y1 == y0 { &rows.top } else { &rows.bot };
-            vlerp(kernel, &rows.top, bot, w0, w1, dst_row);
+            vlerp_rows(kernel, &rows.top, bot, w0, w1, dst_row);
         }
     }
 
@@ -1227,8 +927,7 @@ impl TranscodeEngine {
     fn fill_luma(&mut self, src: &Image) -> usize {
         let n = src.width() * src.height();
         self.luma_plane.resize(n, 0.0);
-        luma(
-            self.kernel,
+        luma_sweep(
             src.plane(0),
             src.plane(1),
             src.plane(2),
@@ -1257,13 +956,7 @@ impl TranscodeEngine {
                     return Ok(Cow::Owned(Image::from_planar(w, h, t, buf)?));
                 }
                 let mut buf = Self::out_buf(&mut self.pool, &mut self.pooled, w * h);
-                luma(
-                    self.kernel,
-                    src.plane(0),
-                    src.plane(1),
-                    src.plane(2),
-                    &mut buf,
-                );
+                luma_sweep(src.plane(0), src.plane(1), src.plane(2), &mut buf);
                 Ok(Cow::Owned(Image::from_planar(w, h, ColorMode::Gray, buf)?))
             }
             (from, ColorMode::Gray) if from.channels() == 1 => {
@@ -1366,13 +1059,7 @@ impl TranscodeEngine {
                     // Luma straight into the output buffer — no scratch
                     // plane, no copy.
                     let mut buf = Self::out_buf(&mut self.pool, &mut self.pooled, n);
-                    luma(
-                        kernel,
-                        full.plane(0),
-                        full.plane(1),
-                        full.plane(2),
-                        &mut buf,
-                    );
+                    luma_sweep(full.plane(0), full.plane(1), full.plane(2), &mut buf);
                     return Image::from_planar(rep.size, rep.size, ColorMode::Gray, buf);
                 }
                 self.fill_luma(full);
@@ -1451,13 +1138,7 @@ impl TranscodeEngine {
             match owner {
                 Some(i) => {
                     let mut buf = Self::out_buf(&mut self.pool, &mut self.pooled, w * h);
-                    luma(
-                        kernel,
-                        full.plane(0),
-                        full.plane(1),
-                        full.plane(2),
-                        &mut buf,
-                    );
+                    luma_sweep(full.plane(0), full.plane(1), full.plane(2), &mut buf);
                     gray_owner = Some((i, Image::from_planar(w, h, ColorMode::Gray, buf)?));
                 }
                 None => {
@@ -1597,31 +1278,14 @@ pub fn with_local_engine<R>(f: impl FnOnce(&mut TranscodeEngine) -> R) -> R {
     LOCAL_ENGINE.with(|e| f(&mut e.borrow_mut()))
 }
 
-// ---------------------------------------------------------------------------
-// Calibration entry points. `tahoma_costmodel::kernels` microbenchmarks each
-// op class per tier through these (and `TranscodeEngine::standardize` for
-// the standardize class); they run exactly one sweep of the named class so
-// the measured medians isolate that class's kernel. Not intended for
-// production transcoding — use the engine methods.
-// ---------------------------------------------------------------------------
-
-/// One horizontal gather pass (`resize-h-gather` class): resample `src`
-/// (one source row of the plan's input width) through the plan's x-axis
-/// span tables into `dst` (the plan's output width).
-pub fn hlerp_span(kernel: Kernel, src: &[f32], plan: &ResizePlan, dst: &mut [f32]) {
+/// One horizontal gather pass, for `benches/kernel_policy.rs` (the axis
+/// tables are private): resample `src` (one source row of the plan's input
+/// width) through the plan's x-axis span tables into `dst` (the plan's
+/// output width).
+pub fn hlerp_span(kernel: Option<SimdTier>, src: &[f32], plan: &ResizePlan, dst: &mut [f32]) {
     assert_eq!(src.len(), plan.in_w, "source row width");
     assert_eq!(dst.len(), plan.out_w, "destination row width");
     hlerp(kernel, src, &plan.x, dst);
-}
-
-/// One vertical lerp pass (`resize-v` class) over a pair of resampled rows.
-pub fn vlerp_rows(kernel: Kernel, top: &[f32], bot: &[f32], w0: f32, w1: f32, dst: &mut [f32]) {
-    vlerp(kernel, top, bot, w0, w1, dst);
-}
-
-/// One RGB→gray luma sweep (`luma` class) over three equal-length planes.
-pub fn luma_sweep(kernel: Kernel, r: &[f32], g: &[f32], b: &[f32], dst: &mut [f32]) {
-    luma(kernel, r, g, b, dst);
 }
 
 #[cfg(test)]
@@ -1638,51 +1302,39 @@ mod tests {
 
     #[test]
     fn kernel_detection_is_consistent() {
-        let tiers = Kernel::available();
-        assert_eq!(tiers[0], Kernel::Portable);
-        assert!(tiers.contains(&Kernel::detect()));
-        // A class whose policy entry is untuned resolves by detection
-        // (skip when an env override or calibration pinned it).
-        if simd_policy::global_policy().tier(OpClass::Luma) == SimdTier::Auto {
-            assert_eq!(Kernel::Auto.resolve_class(OpClass::Luma), Kernel::detect());
-        }
+        let tiers = SimdTier::runnable(TIERS);
+        assert_eq!(tiers[0], SimdTier::Portable);
+        assert!(tiers.contains(&SimdTier::resolve(None, TIERS)));
     }
 
-    /// The ROADMAP AVX-512-gather regression, pinned heuristically: with
-    /// no calibration installed (the heuristic default policy), `Auto` on
-    /// both resize passes must resolve to the AVX2 tier on any machine
-    /// that has it — never to the slower AVX-512 gather, and never to a
-    /// mixed-license h/v pair (the two passes interleave row by row, so an
-    /// AVX-512 vertical pass would drag the AVX2 gathers into the reduced
-    /// 512-bit frequency license).
+    /// The AVX-512-gather regression, pinned structurally: no sweep here
+    /// has an AVX-512 kernel, so an unpinned resize runs AVX2 wherever the
+    /// ceiling admits AVX2 — never the slower 16-lane gather, never a
+    /// mixed-license h/v pair — and pinning AVX-512 clamps *down* to it.
     #[test]
     fn auto_resize_tiers_default_to_avx2() {
-        let policy = simd_policy::global_policy();
-        for class in [OpClass::ResizeHGather, OpClass::ResizeV] {
-            // Only meaningful when nothing (calibration, env) overrode the
-            // heuristic for this class.
-            if policy.tier(class) != SimdTier::Avx2 {
-                continue;
-            }
-            let resolved = Kernel::Auto.resolve_class(class);
-            if Kernel::Avx2.supported() {
-                assert_eq!(
-                    resolved,
-                    Kernel::Avx2,
-                    "{:?} must not prefer AVX-512",
-                    class
-                );
-            } else {
-                assert_eq!(resolved, Kernel::detect());
-            }
-        }
+        assert!(!TIERS.contains(&SimdTier::Avx512));
+        assert_eq!(
+            SimdTier::resolve(None, TIERS),
+            SimdTier::ceiling().min(SimdTier::Avx2)
+        );
+        assert_eq!(
+            SimdTier::resolve(Some(SimdTier::Avx512), TIERS),
+            SimdTier::detected().min(SimdTier::Avx2)
+        );
+        let img = frame(37, 23);
+        let want = crate::transform::resize_bilinear_reference(&img, 11, 17).unwrap();
+        let got = TranscodeEngine::with_kernel(SimdTier::Avx512)
+            .resize_bilinear(&img, 11, 17)
+            .unwrap();
+        assert_eq!(got.data(), want.data());
     }
 
     #[test]
     fn engine_resize_matches_reference_bitwise_on_all_tiers() {
         let img = frame(37, 23);
         let reference = crate::transform::resize_bilinear_reference(&img, 11, 17).unwrap();
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             let got = e.resize_bilinear(&img, 11, 17).unwrap();
             assert_eq!(got.data(), reference.data(), "tier {}", kernel.name());
@@ -1692,7 +1344,7 @@ mod tests {
     #[test]
     fn engine_apply_matches_reference_bitwise() {
         let img = frame(60, 60);
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             for &size in &PAPER_SIZES {
                 for &mode in &ColorMode::ALL {
@@ -1716,7 +1368,7 @@ mod tests {
     fn planned_set_matches_per_rep_apply_bitwise() {
         let img = frame(120, 120);
         let reps = Representation::paper_set();
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             let set = e.apply_set(&img, &reps).unwrap();
             assert_eq!(set.len(), reps.len());
@@ -1773,13 +1425,19 @@ mod tests {
 
     #[test]
     fn standardize_tiers_agree_bitwise() {
-        for n in [1usize, 7, 8, 9, 64, 113] {
-            let img = Image::from_fn(n, 3, ColorMode::Gray, |_, y, x| {
-                ((y * 131 + x * 17) % 29) as f32 / 29.0 - 0.3
+        // Ragged lengths around the 8-lane body, then the serving shapes:
+        // 24 px gray (576 elements) and 32 px RGB (3072).
+        let shapes = [1usize, 7, 8, 9, 64, 113]
+            .map(|n| (n, 3, ColorMode::Gray))
+            .into_iter()
+            .chain([(24, 24, ColorMode::Gray), (32, 32, ColorMode::Rgb)]);
+        for (w, h, mode) in shapes {
+            let img = Image::from_fn(w, h, mode, |c, y, x| {
+                ((c * 53 + y * 131 + x * 17) % 29) as f32 / 29.0 - 0.3
             })
             .unwrap();
             let mut base: Option<Image> = None;
-            for kernel in Kernel::available() {
+            for kernel in SimdTier::runnable(TIERS) {
                 let mut e = TranscodeEngine::with_kernel(kernel);
                 let s = e.standardize(&img);
                 match &base {

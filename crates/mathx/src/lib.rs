@@ -7,11 +7,11 @@
 //! include `rand_distr`) and the handful of descriptive statistics the
 //! evaluation needs.
 //!
-//! As the lowest crate in the workspace it additionally hosts
-//! [`simd_policy`]: the per-op-class kernel-tier policy that the SIMD
-//! dispatchers in `tahoma-nn` and `tahoma-imagery` consult when resolving
-//! `Kernel::Auto`, and that `tahoma-costmodel`'s measured calibration
-//! tunes; and [`pool`]: the persistent scoped worker pool every
+//! As the lowest crate in the workspace it additionally hosts [`simd_policy`]:
+//! the one ordered kernel-tier enum ([`SimdTier`]), its cached feature
+//! detection and the `TAHOMA_KERNEL_POLICY` ceiling that the SIMD
+//! dispatchers in `tahoma-nn` and `tahoma-imagery` resolve unpinned
+//! requests through; and [`pool`]: the persistent scoped worker pool every
 //! data-parallel loop in the workspace (threaded GEMM, batched
 //! convolution, the query service) spawns onto instead of creating OS
 //! threads per call.
@@ -32,7 +32,7 @@ pub mod simd_policy;
 pub mod stats;
 
 pub use rng::{hash64, split_seed, DetRng};
-pub use simd_policy::{KernelPolicy, OpClass, SimdTier};
+pub use simd_policy::SimdTier;
 pub use stats::{logistic, mean, normal_cdf, normal_quantile, percentile, std_dev, Summary};
 
 #[cfg(test)]

@@ -1,77 +1,53 @@
-//! Per-op-class SIMD kernel-tier policy shared by every dispatching crate.
+//! The SIMD kernel-tier policy shared by every dispatching crate: one
+//! ordered tier enum and one rule.
 //!
-//! `tahoma_nn::gemm` and `tahoma_imagery::engine` both carry explicit
-//! AVX-512 / AVX2 / portable kernel tiers behind runtime feature detection.
-//! Until now each crate resolved `Auto` with one static heuristic — "take
-//! the widest ISA the CPU advertises" — which is measurably wrong for some
-//! op classes (AVX-512 *gathers* trail the AVX2 gather tier by ~25% on the
-//! resize horizontal pass of the Xeon this repo is tuned on, while the
-//! contiguous AVX-512 sweeps win). The fix mirrors the paper's stance on
-//! physical representations: don't guess, *measure* the alternatives and
-//! look the winner up in a table.
+//! `tahoma_nn::{gemm, kernels}` and `tahoma_imagery::engine` carry explicit
+//! `std::arch` kernels behind runtime feature detection. This module owns
+//! everything they share: the ordered tier enum, the single cached
+//! detection predicate, the single environment ceiling, and the rule that
+//! turns a request into the tier that runs.
 //!
-//! This module owns that table. It is deliberately dependency-free (both
-//! dispatching crates sit below `tahoma-costmodel`, which runs the actual
-//! microbenchmarks in `costmodel::kernels`):
-//!
-//! * [`OpClass`] — the dispatchable operation classes;
-//! * [`SimdTier`] — the tier vocabulary (`Auto` = "detect the widest");
-//! * [`KernelPolicy`] — the class→tier table, with a serialized text form
-//!   (`class=tier` lines) so a calibrated policy survives a process;
-//! * a process-global policy ([`install_policy`] / [`global_tier`]) that
-//!   the dispatchers consult when asked to resolve `Auto`;
-//! * the [`POLICY_ENV`] (`TAHOMA_KERNEL_POLICY`) override, so CI can force
-//!   the portable or AVX2 paths on runners that advertise more.
-//!
-//! A policy never *grants* a tier: dispatchers still verify the chosen tier
-//! against `is_x86_feature_detected!` and demote to detection when the CPU
-//! cannot run it, so a policy file copied from another machine degrades
-//! gracefully instead of faulting.
+//! The rule ([`SimdTier::resolve`]): every dispatcher states which tiers it
+//! implements; an unpinned request (`None`, "auto") runs the **widest
+//! implemented tier no wider than `min(detected, env ceiling)`**. There is
+//! no per-op table to consult because a kernel exists only where it wins:
+//! a (op, tier) pair that does not beat the next-narrower surviving tier on
+//! measured hardware is deleted, not de-prioritised (DESIGN.md, "Deletion
+//! ledger"). Every tier of every op is property-tested bitwise identical to
+//! portable, so any resolution is equally correct — only speed differs.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Environment variable overriding the kernel policy. Accepted forms:
-///
-/// * a tier name (`portable`, `avx2`, `avx512`, `auto`) — force every op
-///   class to that tier (CI's forced-tier matrix);
-/// * `class=tier` pairs separated by commas (e.g.
-///   `resize-h-gather=avx2,gemm=avx512`) — override specific classes on
-///   top of the defaults;
-/// * `@/path/to/policy` — load a policy file serialized by
-///   [`KernelPolicy::serialize`].
-pub const POLICY_ENV: &str = "TAHOMA_KERNEL_POLICY";
+/// Environment variable capping the tier unpinned dispatch may use:
+/// `portable`, `avx2`, `avx512`, or `auto` (same as unset). CI's
+/// `forced-tier` matrix sets it so the narrower paths run on runners that
+/// advertise more. It never *grants* a tier — the ceiling is further capped
+/// by detection — and it does not affect explicitly pinned requests.
+pub const TIER_ENV: &str = "TAHOMA_KERNEL_POLICY";
 
-/// A SIMD kernel tier, the common vocabulary of the per-crate `Kernel`
-/// enums. `Auto` inside a policy means "resolve by feature detection" —
-/// the pre-policy behavior, kept as the default for classes nobody has
-/// measured yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A SIMD kernel tier, ordered narrowest to widest. A CPU that can run a
+/// tier can run every narrower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdTier {
-    /// Detect the widest supported tier at dispatch time.
-    #[default]
-    Auto,
-    /// The scalar / auto-vectorized fallback kernel.
+    /// Plain scalar / auto-vectorized loops (any CPU) — the bitwise
+    /// reference every other tier is tested against.
     Portable,
-    /// Explicit AVX2-generation intrinsics.
+    /// Explicit AVX2-generation intrinsics (x86-64 with `avx2` **and**
+    /// `fma`).
     Avx2,
-    /// Explicit AVX-512 intrinsics.
+    /// Explicit AVX-512 intrinsics (x86-64 with `avx512f` on top of the
+    /// AVX2 tier's features).
     Avx512,
 }
 
 impl SimdTier {
-    /// Every tier, in the order used for stable (de)serialization.
-    pub const ALL: [SimdTier; 4] = [
-        SimdTier::Auto,
-        SimdTier::Portable,
-        SimdTier::Avx2,
-        SimdTier::Avx512,
-    ];
+    /// Every tier, narrowest first.
+    pub const ALL: [SimdTier; 3] = [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512];
 
-    /// Stable lowercase name (`auto`, `portable`, `avx2`, `avx512`).
+    /// Stable lowercase name (`portable`, `avx2`, `avx512`) — bench ids and
+    /// the [`TIER_ENV`] values.
     pub fn name(self) -> &'static str {
         match self {
-            SimdTier::Auto => "auto",
             SimdTier::Portable => "portable",
             SimdTier::Avx2 => "avx2",
             SimdTier::Avx512 => "avx512",
@@ -83,390 +59,162 @@ impl SimdTier {
         SimdTier::ALL.into_iter().find(|t| t.name() == name)
     }
 
-    fn to_u8(self) -> u8 {
-        match self {
-            SimdTier::Auto => 0,
-            SimdTier::Portable => 1,
-            SimdTier::Avx2 => 2,
-            SimdTier::Avx512 => 3,
+    /// The workspace's one definition of what each tier requires.
+    fn for_features(avx2: bool, fma: bool, avx512f: bool) -> SimdTier {
+        match (avx2 && fma, avx512f) {
+            (false, _) => SimdTier::Portable,
+            (true, false) => SimdTier::Avx2,
+            (true, true) => SimdTier::Avx512,
         }
     }
 
-    fn from_u8(v: u8) -> SimdTier {
-        match v {
-            1 => SimdTier::Portable,
-            2 => SimdTier::Avx2,
-            3 => SimdTier::Avx512,
-            _ => SimdTier::Auto,
-        }
+    /// The widest tier the running CPU can execute (detected once).
+    pub fn detected() -> SimdTier {
+        static DETECTED: OnceLock<SimdTier> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                SimdTier::for_features(
+                    std::arch::is_x86_feature_detected!("avx2"),
+                    std::arch::is_x86_feature_detected!("fma"),
+                    std::arch::is_x86_feature_detected!("avx512f"),
+                )
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdTier::Portable
+        })
     }
-}
 
-/// The operation classes whose kernel tier is chosen independently. One
-/// class per dispatch site whose best tier can plausibly differ from its
-/// neighbors' (gathered vs. contiguous memory access, long vs. short FMA
-/// chains, reduction vs. streaming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpClass {
-    /// The blocked/packed GEMM macro-kernel (`tahoma_nn::gemm`).
-    Gemm,
-    /// Short-accumulation GEMM (`k <= 32`): the first-layer convolutions,
-    /// where the AVX-512 wide tile competes with AVX2.
-    GemmWideK,
-    /// Batch-1 dense layers: matrix–vector product with fused accumulate.
-    Matvec,
-    /// ReLU inference sweep (`max(x, 0)` select).
-    Relu,
-    /// 2x2/stride-2 max-pool inference sweep.
-    Pool,
-    /// Horizontal resize pass: *gathered* loads through the span tables —
-    /// the class where AVX-512 measured slower than AVX2.
-    ResizeHGather,
-    /// Vertical resize pass: contiguous two-row lerp.
-    ResizeV,
-    /// RGB→gray luma reduction (contiguous three-plane sweep).
-    Luma,
-    /// Standardize: eight-lane f64 mean/variance reductions + normalize.
-    Standardize,
-}
-
-/// Number of op classes (the policy table's fixed width).
-pub const OP_CLASS_COUNT: usize = 9;
-
-impl OpClass {
-    /// Every class, in stable serialization order.
-    pub const ALL: [OpClass; OP_CLASS_COUNT] = [
-        OpClass::Gemm,
-        OpClass::GemmWideK,
-        OpClass::Matvec,
-        OpClass::Relu,
-        OpClass::Pool,
-        OpClass::ResizeHGather,
-        OpClass::ResizeV,
-        OpClass::Luma,
-        OpClass::Standardize,
-    ];
-
-    /// Stable kebab-case name used in policy files and bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Gemm => "gemm",
-            OpClass::GemmWideK => "gemm-wide-k",
-            OpClass::Matvec => "matvec",
-            OpClass::Relu => "relu",
-            OpClass::Pool => "pool",
-            OpClass::ResizeHGather => "resize-h-gather",
-            OpClass::ResizeV => "resize-v",
-            OpClass::Luma => "luma",
-            OpClass::Standardize => "standardize",
+    /// Parse a [`TIER_ENV`] value: `Ok(None)` for unset / empty / `auto`,
+    /// `Ok(Some(tier))` for a tier name, `Err` for anything else.
+    pub fn parse_ceiling(value: Option<&str>) -> Result<Option<SimdTier>, String> {
+        match value.map(str::trim) {
+            None | Some("") | Some("auto") => Ok(None),
+            Some(name) => SimdTier::from_name(name).map(Some).ok_or_else(|| {
+                format!("unrecognised {TIER_ENV}={name:?} (expected portable|avx2|avx512|auto)")
+            }),
         }
     }
 
-    /// Inverse of [`OpClass::name`].
-    pub fn from_name(name: &str) -> Option<OpClass> {
-        OpClass::ALL.into_iter().find(|c| c.name() == name)
+    /// The tier unpinned dispatch may not exceed: `min(detected, env)`,
+    /// read once per process. An unrecognised [`TIER_ENV`] value is warned
+    /// about on stderr and ignored rather than panicking inside whatever
+    /// hot path first dispatched; `cpu_info` is the strict check CI runs.
+    pub fn ceiling() -> SimdTier {
+        static CEILING: OnceLock<SimdTier> = OnceLock::new();
+        *CEILING.get_or_init(|| {
+            let env = std::env::var(TIER_ENV).ok();
+            let cap = SimdTier::parse_ceiling(env.as_deref()).unwrap_or_else(|e| {
+                eprintln!("warning: {e}; ignoring it");
+                None
+            });
+            SimdTier::detected().min(cap.unwrap_or(SimdTier::Avx512))
+        })
     }
 
-    fn index(self) -> usize {
-        OpClass::ALL
+    /// The tier that runs for `request` on an op implementing
+    /// `implemented`: the widest implemented tier no wider than the cap —
+    /// [`SimdTier::ceiling`] for an unpinned request, `min(pin, detected)`
+    /// for a pinned one. A pin the op lacks therefore clamps *down*, never
+    /// up and never to an instruction the CPU cannot execute. Every op
+    /// implements `Portable`, which is also the answer for an empty list.
+    pub fn resolve(request: Option<SimdTier>, implemented: &[SimdTier]) -> SimdTier {
+        let cap = match request {
+            Some(pin) => pin.min(SimdTier::detected()),
+            None => SimdTier::ceiling(),
+        };
+        widest_at_most(cap, implemented)
+    }
+
+    /// The tiers of `implemented` this CPU can execute — what tests and
+    /// benches iterate to cover an op on exactly the tiers that exist.
+    pub fn runnable(implemented: &[SimdTier]) -> Vec<SimdTier> {
+        implemented
             .iter()
-            .position(|c| *c == self)
-            .expect("ALL is exhaustive")
+            .copied()
+            .filter(|t| *t <= SimdTier::detected())
+            .collect()
     }
 }
 
-/// The class→tier table. Plain value type: build one (from the heuristic
-/// defaults, a file, or `costmodel::kernels::calibrate`), then
-/// [`install_policy`] it for the dispatchers to consult.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelPolicy {
-    tiers: [SimdTier; OP_CLASS_COUNT],
-}
-
-impl Default for KernelPolicy {
-    fn default() -> Self {
-        KernelPolicy::heuristic()
-    }
-}
-
-impl KernelPolicy {
-    /// The measurement-free default: every class resolves by detection,
-    /// except the two resize passes, which are pinned to AVX2. On every
-    /// AVX-512 part measured so far the 16-lane `_mm512_i32gather_ps`
-    /// kernel trails the 8-lane AVX2 gather by ~25% (ROADMAP, PR 3), so
-    /// detection's "widest wins" rule is exactly wrong for the horizontal
-    /// pass — and because the two passes interleave row by row, they share
-    /// one frequency-license domain: an AVX-512 vertical pass would keep
-    /// the core in the reduced 512-bit license while the AVX2 gathers run,
-    /// making the *mixed* resize slower than either pure tier (measured:
-    /// mixed ~22 µs vs pure-AVX2 ~15 µs for 224→120 gray). A machine
-    /// without AVX2 demotes both to detection at dispatch.
-    pub fn heuristic() -> KernelPolicy {
-        let mut p = KernelPolicy::uniform(SimdTier::Auto);
-        p.set(OpClass::ResizeHGather, SimdTier::Avx2);
-        p.set(OpClass::ResizeV, SimdTier::Avx2);
-        p
-    }
-
-    /// Every class forced to one tier (the CI forced-tier matrix).
-    pub fn uniform(tier: SimdTier) -> KernelPolicy {
-        KernelPolicy {
-            tiers: [tier; OP_CLASS_COUNT],
-        }
-    }
-
-    /// The tier chosen for `class`.
-    pub fn tier(&self, class: OpClass) -> SimdTier {
-        self.tiers[class.index()]
-    }
-
-    /// Set the tier for `class`.
-    pub fn set(&mut self, class: OpClass, tier: SimdTier) {
-        self.tiers[class.index()] = tier;
-    }
-
-    /// Serialized text form: one `class=tier` line per class, stable
-    /// order, `#` comments. [`KernelPolicy::parse`] round-trips it.
-    pub fn serialize(&self) -> String {
-        let mut out = String::from("# tahoma kernel policy: op-class=tier\n");
-        for class in OpClass::ALL {
-            out.push_str(class.name());
-            out.push('=');
-            out.push_str(self.tier(class).name());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the [`KernelPolicy::serialize`] form. Unknown classes and
-    /// malformed lines are errors (a policy file is small and
-    /// hand-auditable; silent salvage would hide typos in CI forcing).
-    /// Classes absent from the text keep their heuristic default.
-    pub fn parse(text: &str) -> Result<KernelPolicy, String> {
-        let mut policy = KernelPolicy::heuristic();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            policy
-                .apply_entry(line)
-                .map_err(|e| format!("policy line {}: {e} (got {line:?})", ln + 1))?;
-        }
-        Ok(policy)
-    }
-
-    /// Apply one `class=tier` entry.
-    fn apply_entry(&mut self, entry: &str) -> Result<(), String> {
-        let (class, tier) = entry
-            .split_once('=')
-            .ok_or_else(|| "expected class=tier".to_string())?;
-        let class = OpClass::from_name(class.trim())
-            .ok_or_else(|| format!("unknown op class {:?}", class.trim()))?;
-        let tier = SimdTier::from_name(tier.trim())
-            .ok_or_else(|| format!("unknown tier {:?}", tier.trim()))?;
-        self.set(class, tier);
-        Ok(())
-    }
-
-    /// Apply one [`POLICY_ENV`]-style override spec on top of this policy
-    /// (see [`POLICY_ENV`] for the accepted forms).
-    pub fn apply_override(&mut self, spec: &str) -> Result<(), String> {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Ok(());
-        }
-        if let Some(path) = spec.strip_prefix('@') {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read policy file {path:?}: {e}"))?;
-            *self = KernelPolicy::parse(&text)?;
-            return Ok(());
-        }
-        if let Some(tier) = SimdTier::from_name(spec) {
-            *self = KernelPolicy::uniform(tier);
-            return Ok(());
-        }
-        // All-or-nothing: build on a scratch copy so a typo halfway
-        // through the list leaves `self` untouched (an "ignored" invalid
-        // override must not half-apply its valid prefix).
-        let mut next = self.clone();
-        for entry in spec.split(',') {
-            next.apply_entry(entry.trim())?;
-        }
-        *self = next;
-        Ok(())
-    }
-
-    /// The heuristic defaults with the [`POLICY_ENV`] value (if any)
-    /// applied. An invalid value is reported on stderr and ignored rather
-    /// than panicking inside whatever hot path first touched the policy.
-    pub fn from_env() -> KernelPolicy {
-        KernelPolicy::from_env_spec(std::env::var(POLICY_ENV).ok().as_deref())
-    }
-
-    /// [`KernelPolicy::from_env`] with the environment value passed in
-    /// (testable without mutating process environment).
-    pub fn from_env_spec(spec: Option<&str>) -> KernelPolicy {
-        let mut policy = KernelPolicy::heuristic();
-        if let Some(spec) = spec {
-            if let Err(e) = policy.apply_override(spec) {
-                eprintln!("warning: ignoring invalid {POLICY_ENV}: {e}");
-            }
-        }
-        policy
-    }
-
-    /// Write the serialized policy to `path`.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.serialize())
-    }
-
-    /// Load a policy serialized by [`KernelPolicy::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<KernelPolicy> {
-        let text = std::fs::read_to_string(path)?;
-        KernelPolicy::parse(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// The process-global policy: one atomic slot per op class, so the hot
-/// dispatchers pay a single relaxed load. Initialized lazily from
-/// [`KernelPolicy::from_env`].
-fn global_slots() -> &'static [AtomicU8; OP_CLASS_COUNT] {
-    static SLOTS: OnceLock<[AtomicU8; OP_CLASS_COUNT]> = OnceLock::new();
-    SLOTS.get_or_init(|| {
-        let policy = KernelPolicy::from_env();
-        std::array::from_fn(|i| AtomicU8::new(policy.tiers[i].to_u8()))
-    })
-}
-
-/// The globally installed tier for `class` — what `Kernel::Auto` resolves
-/// through in the dispatching crates. `SimdTier::Auto` means "fall back to
-/// feature detection".
-pub fn global_tier(class: OpClass) -> SimdTier {
-    SimdTier::from_u8(global_slots()[class.index()].load(Ordering::Relaxed))
-}
-
-/// Install `policy` as the process-global policy. The [`POLICY_ENV`]
-/// override is re-applied on top, so CI forcing beats an in-process
-/// calibration (the forced-tier matrix must actually exercise the tier it
-/// names). Returns the policy that was actually installed.
-pub fn install_policy(policy: &KernelPolicy) -> KernelPolicy {
-    let mut effective = policy.clone();
-    if let Ok(spec) = std::env::var(POLICY_ENV) {
-        if let Err(e) = effective.apply_override(&spec) {
-            eprintln!("warning: ignoring invalid {POLICY_ENV}: {e}");
-        }
-    }
-    let slots = global_slots();
-    for (slot, tier) in slots.iter().zip(effective.tiers) {
-        slot.store(tier.to_u8(), Ordering::Relaxed);
-    }
-    effective
-}
-
-/// Snapshot of the process-global policy.
-pub fn global_policy() -> KernelPolicy {
-    let slots = global_slots();
-    KernelPolicy {
-        tiers: std::array::from_fn(|i| SimdTier::from_u8(slots[i].load(Ordering::Relaxed))),
-    }
+fn widest_at_most(cap: SimdTier, implemented: &[SimdTier]) -> SimdTier {
+    implemented
+        .iter()
+        .copied()
+        .filter(|t| *t <= cap)
+        .max()
+        .unwrap_or(SimdTier::Portable)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use SimdTier::{Avx2, Avx512, Portable};
 
     #[test]
     fn names_round_trip() {
         for tier in SimdTier::ALL {
             assert_eq!(SimdTier::from_name(tier.name()), Some(tier));
         }
-        for class in OpClass::ALL {
-            assert_eq!(OpClass::from_name(class.name()), Some(class));
-        }
         assert_eq!(SimdTier::from_name("sse9"), None);
-        assert_eq!(OpClass::from_name("fft"), None);
+        assert!(Portable < Avx2 && Avx2 < Avx512);
     }
 
     #[test]
-    fn heuristic_pins_resize_to_avx2() {
-        let p = KernelPolicy::heuristic();
-        assert_eq!(p.tier(OpClass::ResizeHGather), SimdTier::Avx2);
-        assert_eq!(p.tier(OpClass::ResizeV), SimdTier::Avx2);
-        assert_eq!(p.tier(OpClass::Gemm), SimdTier::Auto);
-        assert_eq!(p.tier(OpClass::Luma), SimdTier::Auto);
-    }
-
-    #[test]
-    fn serialize_parse_round_trip() {
-        let mut p = KernelPolicy::heuristic();
-        p.set(OpClass::Gemm, SimdTier::Avx512);
-        p.set(OpClass::Relu, SimdTier::Portable);
-        let text = p.serialize();
-        let back = KernelPolicy::parse(&text).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(KernelPolicy::parse("gemm").is_err());
-        assert!(KernelPolicy::parse("gemm=sse9").is_err());
-        assert!(KernelPolicy::parse("fft=avx2").is_err());
-        // Comments and blanks are fine; unknown content is not.
-        assert!(KernelPolicy::parse("# note\n\ngemm=avx2\n").is_ok());
+    fn avx2_tier_requires_fma_too() {
+        // One predicate for every crate: a CPU with avx2 but no fma is a
+        // portable CPU (the GEMM and matvec AVX2 kernels issue FMAs).
+        assert_eq!(SimdTier::for_features(true, false, false), Portable);
+        assert_eq!(SimdTier::for_features(true, false, true), Portable);
+        assert_eq!(SimdTier::for_features(false, true, true), Portable);
+        assert_eq!(SimdTier::for_features(true, true, false), Avx2);
+        assert_eq!(SimdTier::for_features(true, true, true), Avx512);
     }
 
     #[test]
     fn env_spec_forms() {
-        // Tier name forces every class.
-        let p = KernelPolicy::from_env_spec(Some("portable"));
-        assert_eq!(p, KernelPolicy::uniform(SimdTier::Portable));
-        // class=tier list overrides on top of the heuristic.
-        let p = KernelPolicy::from_env_spec(Some("gemm=avx512, luma=portable"));
-        assert_eq!(p.tier(OpClass::Gemm), SimdTier::Avx512);
-        assert_eq!(p.tier(OpClass::Luma), SimdTier::Portable);
-        assert_eq!(p.tier(OpClass::ResizeHGather), SimdTier::Avx2);
-        // Invalid spec falls back to the heuristic (with a warning).
-        let p = KernelPolicy::from_env_spec(Some("?!"));
-        assert_eq!(p, KernelPolicy::heuristic());
-        // A partially-invalid list is all-or-nothing: the valid prefix
-        // must not half-apply.
-        let p = KernelPolicy::from_env_spec(Some("gemm=avx512,relu=protable"));
-        assert_eq!(p, KernelPolicy::heuristic());
-        // Absent spec is the heuristic.
-        assert_eq!(KernelPolicy::from_env_spec(None), KernelPolicy::heuristic());
-    }
-
-    #[test]
-    fn file_round_trip_and_at_override() {
-        let dir = std::env::temp_dir().join(format!("tahoma-policy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kernels.policy");
-        let mut p = KernelPolicy::heuristic();
-        p.set(OpClass::Pool, SimdTier::Avx512);
-        p.save(&path).unwrap();
-        assert_eq!(KernelPolicy::load(&path).unwrap(), p);
-        let from_at = KernelPolicy::from_env_spec(Some(&format!("@{}", path.display())));
-        assert_eq!(from_at, p);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn install_and_snapshot_global() {
-        // Restore whatever was installed so concurrently running tests that
-        // dispatch through `Auto` are perturbed as briefly as possible (any
-        // tier they land on is bitwise-identical anyway).
-        let before = global_policy();
-        let mut p = KernelPolicy::heuristic();
-        p.set(OpClass::Standardize, SimdTier::Portable);
-        let effective = install_policy(&p);
-        // Without an env override, the installed policy is the requested one.
-        if std::env::var(POLICY_ENV).is_err() {
-            assert_eq!(effective, p);
-            assert_eq!(global_tier(OpClass::Standardize), SimdTier::Portable);
-            assert_eq!(global_policy(), p);
+        assert_eq!(SimdTier::parse_ceiling(None), Ok(None));
+        assert_eq!(SimdTier::parse_ceiling(Some("")), Ok(None));
+        assert_eq!(SimdTier::parse_ceiling(Some("auto")), Ok(None));
+        assert_eq!(SimdTier::parse_ceiling(Some(" avx2 ")), Ok(Some(Avx2)));
+        assert_eq!(
+            SimdTier::parse_ceiling(Some("portable")),
+            Ok(Some(Portable))
+        );
+        // Typos and the retired list / file forms are errors, not defaults.
+        for bad in ["protable", "AVX2", "gemm=avx2", "@/tmp/policy"] {
+            assert!(SimdTier::parse_ceiling(Some(bad)).is_err(), "{bad}");
         }
-        install_policy(&before);
+    }
+
+    #[test]
+    fn widest_implemented_tier_under_the_cap_wins() {
+        let two = [Portable, Avx2];
+        assert_eq!(widest_at_most(Avx512, &SimdTier::ALL), Avx512);
+        assert_eq!(widest_at_most(Avx512, &two), Avx2);
+        assert_eq!(widest_at_most(Avx2, &SimdTier::ALL), Avx2);
+        assert_eq!(widest_at_most(Portable, &two), Portable);
+        // A gap in the list clamps down across it, never up.
+        assert_eq!(widest_at_most(Avx2, &[Portable, Avx512]), Portable);
+        assert_eq!(widest_at_most(Avx512, &[]), Portable);
+    }
+
+    #[test]
+    fn resolution_never_exceeds_detection_or_the_op() {
+        let detected = SimdTier::detected();
+        assert!(SimdTier::ceiling() <= detected);
+        for implemented in [&SimdTier::ALL[..], &[Portable, Avx2], &[Portable]] {
+            let runnable = SimdTier::runnable(implemented);
+            assert_eq!(runnable[0], Portable);
+            for request in [None, Some(Portable), Some(Avx2), Some(Avx512)] {
+                let got = SimdTier::resolve(request, implemented);
+                assert!(runnable.contains(&got), "{request:?} -> {got:?}");
+                assert!(request.is_none_or(|pin| got <= pin));
+            }
+            // A pin is honoured exactly wherever it can be.
+            for &tier in &runnable {
+                assert_eq!(SimdTier::resolve(Some(tier), implemented), tier);
+            }
+        }
     }
 }

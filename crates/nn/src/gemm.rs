@@ -17,7 +17,7 @@
 //!   operand at `b[offsets[p] + j0..]`, so one kernel family serves all
 //!   three addressing modes;
 //! * an `MR x NR` register-tile micro-kernel does the FLOPs, selected at
-//!   runtime from three tiers (see [`Kernel`]):
+//!   runtime from three tiers ([`TIERS`]):
 //!
 //!   | tier | requires | shape |
 //!   |------|----------|-------|
@@ -29,12 +29,12 @@
 //!   the same `k` order, so their results are **bitwise identical** to each
 //!   other (property-tested in `tests/proptests.rs`); only accumulation
 //!   *across* tiles (vs. the scalar reference path) differs by a few ULPs.
-//!   `Auto` resolves through the per-op-class policy
-//!   ([`tahoma_mathx::simd_policy`]): regular products under the `gemm`
-//!   class, short-accumulation products (`k <=` [`SMALL_K_MAX`] — the
-//!   first-layer convs) under `gemm-wide-k`, so a measured calibration
-//!   (`tahoma_costmodel::kernels`) or `TAHOMA_KERNEL_POLICY` can steer each
-//!   independently of the static widest-ISA heuristic.
+//!   An unpinned [`GemmScratch`] runs the widest tier under
+//!   [`SimdTier::ceiling`] (`min(detected, TAHOMA_KERNEL_POLICY)`); on the
+//!   AVX-512 tier, short-accumulation conv products (`k <=`
+//!   [`SMALL_K_MAX`] — the first-layer convs) additionally swap in the wide
+//!   tile. GEMM is the one op where all three tiers earn their keep
+//!   (DESIGN.md, "Deletion ledger").
 //!
 //! * the macro-kernel threads across `NR`-aligned column ranges of C via
 //!   the persistent `tahoma_mathx::pool` workers when the problem is big
@@ -52,7 +52,7 @@
 //! documented in `SAFETY.md` at the repository root.
 
 use tahoma_mathx::checked;
-use tahoma_mathx::simd_policy::{self, OpClass, SimdTier};
+use tahoma_mathx::SimdTier;
 
 /// Micro-kernel tile rows (register blocking in M).
 pub const MR: usize = 6;
@@ -99,129 +99,11 @@ pub enum Trans {
     T,
 }
 
-/// Micro-kernel selection. `Auto` (the default) resolves per call through
-/// the per-op-class [`tahoma_mathx::simd_policy`] table — an entry of
-/// `SimdTier::Auto` (the untuned default) falls back to
-/// `is_x86_feature_detected!` — so a calibrated or env-forced policy
-/// (`TAHOMA_KERNEL_POLICY`) steers every `Auto` call site without touching
-/// it. The explicit variants exist so benches and property tests can pin a
-/// tier. Forcing (or policy-selecting) a tier the running CPU does not
-/// support silently resolves to detection instead (never to an illegal
-/// instruction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Detect the best supported tier at call time.
-    #[default]
-    Auto,
-    /// The dependency-free `f32::mul_add` kernel (any CPU).
-    Portable,
-    /// Explicit AVX2+FMA intrinsics (x86-64 with `avx2` and `fma`).
-    Avx2,
-    /// Explicit AVX-512 intrinsics (x86-64 with `avx512f`), including the
-    /// wide small-`k` conv tile.
-    Avx512,
-}
-
-impl Kernel {
-    /// The best tier the running CPU supports.
-    pub fn detect() -> Kernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Kernel::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Kernel::Avx2;
-            }
-        }
-        Kernel::Portable
-    }
-
-    /// Every tier the running CPU can execute, portable first. Benches and
-    /// property tests iterate this to compare tiers.
-    pub fn available() -> Vec<Kernel> {
-        let mut out = vec![Kernel::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                out.push(Kernel::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                out.push(Kernel::Avx512);
-            }
-        }
-        out
-    }
-
-    /// Whether the running CPU can execute this tier (`Auto` trivially).
-    fn supported(self) -> bool {
-        match self {
-            Kernel::Auto | Kernel::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-
-    /// Resolve `Auto` for one op class: look the class up in the global
-    /// [`tahoma_mathx::simd_policy`] table, falling back to feature
-    /// detection when the policy says `Auto` or names a tier this CPU
-    /// cannot run. Explicitly requested tiers bypass the policy (demoted
-    /// to detection only when unsupported). Policy lookup is one relaxed
-    /// atomic load and feature detection is cached by the standard
-    /// library, so this is branch-cheap per call.
-    pub fn resolve_class(self, class: OpClass) -> Kernel {
-        let requested = match self {
-            Kernel::Auto => Kernel::from_tier(simd_policy::global_tier(class)),
-            k => k,
-        };
-        match requested {
-            Kernel::Auto => Kernel::detect(),
-            k if k.supported() => k,
-            _ => Kernel::detect(),
-        }
-    }
-
-    /// The crate-local kernel for a policy tier.
-    pub fn from_tier(tier: SimdTier) -> Kernel {
-        match tier {
-            SimdTier::Auto => Kernel::Auto,
-            SimdTier::Portable => Kernel::Portable,
-            SimdTier::Avx2 => Kernel::Avx2,
-            SimdTier::Avx512 => Kernel::Avx512,
-        }
-    }
-
-    /// This kernel's policy-tier name (inverse of [`Kernel::from_tier`]).
-    pub fn tier(self) -> SimdTier {
-        match self {
-            Kernel::Auto => SimdTier::Auto,
-            Kernel::Portable => SimdTier::Portable,
-            Kernel::Avx2 => SimdTier::Avx2,
-            Kernel::Avx512 => SimdTier::Avx512,
-        }
-    }
-
-    /// Short stable name for bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Auto => "auto",
-            Kernel::Portable => "portable",
-            Kernel::Avx2 => "avx2",
-            Kernel::Avx512 => "avx512",
-        }
-    }
-}
+/// The tiers the GEMM micro-kernel implements — all three: AVX-512 beats
+/// AVX2 by 1.27x on the deep-layer product and 1.37x on the short-`k` conv
+/// (DESIGN.md, "Deletion ledger"), and AVX2 beats portable by two orders of
+/// magnitude in the default build.
+pub const TIERS: &[SimdTier] = &SimdTier::ALL;
 
 /// Reusable packing buffers plus the per-call-site execution knobs; keep
 /// one per call site to avoid per-call allocation on hot paths. The
@@ -241,8 +123,9 @@ pub struct GemmScratch {
     off_panel: Vec<usize>,
     /// Worker scratches for threaded runs (see [`GemmScratch::worker_pool`]).
     pool: Vec<GemmScratch>,
-    /// Micro-kernel tier; `Kernel::Auto` detects per call.
-    pub kernel: Kernel,
+    /// Micro-kernel tier pin; `None` (the default) runs the widest tier
+    /// of [`TIERS`] under [`SimdTier::ceiling`], resolved per call.
+    pub kernel: Option<SimdTier>,
     /// Worker-thread override: `None` sizes automatically from the problem
     /// (staying single-threaded below [`PAR_MIN_FLOPS`] per worker);
     /// `Some(t)` forces up to `t` workers regardless of size (used by tests
@@ -253,9 +136,9 @@ pub struct GemmScratch {
 
 impl GemmScratch {
     /// Scratch pinned to one micro-kernel tier (benches, property tests).
-    pub fn with_kernel(kernel: Kernel) -> GemmScratch {
+    pub fn with_kernel(tier: SimdTier) -> GemmScratch {
         GemmScratch {
-            kernel,
+            kernel: Some(tier),
             ..GemmScratch::default()
         }
     }
@@ -408,7 +291,7 @@ pub fn gemm(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let kernel = scratch.kernel.resolve_class(OpClass::Gemm);
+    let kernel = SimdTier::resolve(scratch.kernel, TIERS);
     if ta == Trans::N && tb == Trans::N && k <= DIRECT_K_MAX {
         return gemm_direct_nn(scratch, kernel, m, n, k, a, b, c, None);
     }
@@ -434,7 +317,7 @@ pub fn gemm(
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked_cols(
     scratch: &mut GemmScratch,
-    kernel: Kernel,
+    kernel: SimdTier,
     m: usize,
     n: usize,
     k: usize,
@@ -499,7 +382,7 @@ fn gemm_blocked_cols(
 #[allow(clippy::too_many_arguments)]
 fn gemm_direct_nn(
     scratch: &mut GemmScratch,
-    kernel: Kernel,
+    kernel: SimdTier,
     m: usize,
     n: usize,
     k: usize,
@@ -564,7 +447,7 @@ fn gemm_direct_nn(
 /// L2 exactly once per block regardless of m.
 #[allow(clippy::too_many_arguments)]
 fn direct_nn_cols(
-    kernel: Kernel,
+    kernel: SimdTier,
     packed_a: &[f32],
     off_main: &[usize],
     m: usize,
@@ -673,7 +556,7 @@ pub fn gemm_nn_bias(
         }
         return gemm(scratch, m, n, k, a, Trans::N, b, Trans::N, c);
     }
-    let kernel = scratch.kernel.resolve_class(OpClass::Gemm);
+    let kernel = SimdTier::resolve(scratch.kernel, TIERS);
     gemm_direct_nn(scratch, kernel, m, n, k, a, b, c, Some(bias))
 }
 
@@ -723,15 +606,7 @@ pub fn conv2d_forward(
     if hw == 0 || out_c == 0 {
         return;
     }
-    // Short accumulation depths are their own policy class: the AVX-512
-    // wide tile and the AVX2 tier trade places depending on the part, so
-    // the measured policy can pick per machine.
-    let class = if k_total <= SMALL_K_MAX {
-        OpClass::GemmWideK
-    } else {
-        OpClass::Gemm
-    };
-    let kernel = scratch.kernel.resolve_class(class);
+    let kernel = SimdTier::resolve(scratch.kernel, TIERS);
 
     // 1. Frame every plane in zero slack wide enough for any (ky, kx)
     //    offset, plus a wide-tile guard at the very end for the last strip.
@@ -917,7 +792,7 @@ pub fn conv2d_forward(
 /// adjacent strips run through the wide tile.
 #[allow(clippy::too_many_arguments)]
 fn conv_sweep(
-    kernel: Kernel,
+    kernel: SimdTier,
     packed_a: &[f32],
     padded: &[f32],
     offsets: &[usize],
@@ -930,7 +805,7 @@ fn conv_sweep(
     s1: usize,
 ) {
     let m_panels = out_c.div_ceil(MR);
-    let wide = kernel == Kernel::Avx512 && k_total <= SMALL_K_MAX;
+    let wide = kernel == SimdTier::Avx512 && k_total <= SMALL_K_MAX;
     let mut s = s0;
     while s < s1 {
         let j0 = s * NR;
@@ -1013,7 +888,7 @@ pub fn gemm_tn(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn tile(
-    kernel: Kernel,
+    kernel: SimdTier,
     kc: usize,
     a: &[f32],
     b: &[f32],
@@ -1024,9 +899,9 @@ fn tile(
 ) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: these variants are only produced by `Kernel::resolve`
-        // after runtime detection of the required CPU features.
-        Kernel::Avx512 => unsafe {
+        // SAFETY: these variants are only produced by `SimdTier::resolve`,
+        // which never exceeds the runtime-detected tier.
+        SimdTier::Avx512 => unsafe {
             match mr {
                 5 | 6 => x86::kernel_avx512::<MR>(kc, a, b, offsets, j0, acc),
                 3 | 4 => x86::kernel_avx512::<4>(kc, a, b, offsets, j0, acc),
@@ -1035,7 +910,7 @@ fn tile(
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — `avx2` and `fma` were detected at runtime.
-        Kernel::Avx2 => unsafe {
+        SimdTier::Avx2 => unsafe {
             match mr {
                 5 | 6 => x86::kernel_avx2::<MR>(kc, a, b, offsets, j0, acc),
                 3 | 4 => x86::kernel_avx2::<4>(kc, a, b, offsets, j0, acc),
@@ -1056,7 +931,7 @@ fn tile(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn wide_tile(
-    kernel: Kernel,
+    kernel: SimdTier,
     kc: usize,
     a: &[f32],
     b: &[f32],
@@ -1066,7 +941,7 @@ fn wide_tile(
     acc: &mut [[f32; NR_WIDE]; MR],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx512 {
+    if kernel == SimdTier::Avx512 {
         // SAFETY: `Avx512` is only produced after runtime detection.
         unsafe {
             match mr {
@@ -1575,7 +1450,7 @@ mod tests {
             let a = random_vec(&mut rng, m * k);
             let b = random_vec(&mut rng, k * n);
             let mut want: Option<Vec<f32>> = None;
-            for kernel in Kernel::available() {
+            for kernel in SimdTier::runnable(TIERS) {
                 let mut scratch = GemmScratch::with_kernel(kernel);
                 let mut c = vec![0.0f32; m * n];
                 gemm(&mut scratch, m, n, k, &a, ta, &b, tb, &mut c);
@@ -1605,7 +1480,7 @@ mod tests {
         ] {
             let a = random_vec(&mut rng, m * k);
             let b = random_vec(&mut rng, k * n);
-            for kernel in Kernel::available() {
+            for kernel in SimdTier::runnable(TIERS) {
                 let mut serial = GemmScratch::with_kernel(kernel);
                 serial.threads = Some(1);
                 let mut c1 = vec![0.0f32; m * n];
@@ -1628,10 +1503,10 @@ mod tests {
 
     #[test]
     fn forced_unsupported_kernel_degrades_to_detection() {
-        // Forcing a tier this CPU lacks must not crash — `resolve` demotes
-        // it. (On a machine that has every tier this still exercises the
-        // pass-through arm.)
-        let mut scratch = GemmScratch::with_kernel(Kernel::Avx512);
+        // Pinning a tier this CPU lacks must not crash — `resolve` clamps
+        // it to detection. (On a machine that has every tier this still
+        // exercises the pass-through arm.)
+        let mut scratch = GemmScratch::with_kernel(SimdTier::Avx512);
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let b = [5.0f32, 6.0, 7.0, 8.0];
         let mut c = [0.0f32; 4];
@@ -1747,7 +1622,7 @@ mod tests {
                 &mut want,
             );
 
-            for kernel in Kernel::available() {
+            for kernel in SimdTier::runnable(TIERS) {
                 let mut scratch = GemmScratch::with_kernel(kernel);
                 let mut got = vec![f32::NAN; out_c * hw];
                 conv2d_forward(
@@ -1781,7 +1656,7 @@ mod tests {
         let input = random_vec(&mut rng, c_in * h * w);
         let weights = random_vec(&mut rng, out_c * c_in * kk * kk);
         let bias = random_vec(&mut rng, out_c);
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(TIERS) {
             let mut serial = GemmScratch::with_kernel(kernel);
             serial.threads = Some(1);
             let mut base = vec![0.0f32; out_c * h * w];

@@ -1,28 +1,26 @@
-//! Explicit SIMD kernels for the non-GEMM layers: batch-1 dense
-//! matrix–vector products, the ReLU inference sweep, and the 2x2 max-pool
-//! inference sweep.
+//! The non-GEMM layer sweeps: batch-1 dense matrix–vector products, the
+//! ReLU inference sweep, and the 2x2 max-pool inference sweep.
 //!
-//! With `-C target-cpu=native` gone from the default build (PR 2), these
-//! sweeps compiled to baseline SSE2 — worth 5–10% of whole-model inference
-//! throughput (ROADMAP). Like `gemm` and the imagery transcode engine, each
-//! operation dispatches at runtime across AVX-512 / AVX2+FMA / portable
-//! tiers that execute the **same IEEE operations in the same order**, so
-//! every tier is bitwise identical to the portable reference
-//! (property-tested in `tests/proptests.rs`); `Kernel::Auto` resolves
-//! through the per-op-class policy ([`tahoma_mathx::simd_policy`]) under
-//! the [`OpClass::Matvec`] / [`OpClass::Relu`] / [`OpClass::Pool`] classes.
+//! A SIMD tier exists here only where it beats the next-narrower one on
+//! measured hardware (DESIGN.md, "Deletion ledger"): **matvec** and
+//! **max-pool** carry an explicit AVX2 kernel ([`MATVEC_TIERS`],
+//! [`POOL_TIERS`]); their AVX-512 kernels lost to it and are gone. **ReLU**
+//! is the portable loop alone — the compiler's baseline vectorization of a
+//! compare-and-select ties the explicit AVX2 kernel and beats the AVX-512
+//! one, so there is nothing to dispatch. Every tier executes the **same
+//! IEEE operations in the same order**, so each is bitwise identical to the
+//! portable reference (property-tested in `tests/proptests.rs`); an
+//! unpinned request resolves through [`SimdTier::resolve`].
 //!
 //! Bitwise-identity recipes:
 //!
 //! * **matvec** accumulates into [`MV_LANES`] = 16 f32 lanes (element `i`
 //!   of the dot product lands in lane `i % 16`) with one fused
 //!   multiply-add chain per lane, finished by a fixed pairwise fold tree —
-//!   one zmm on AVX-512, two ymm on AVX2, a plain `f32::mul_add` array in
-//!   the portable tier;
+//!   two ymm on AVX2, a plain `f32::mul_add` array in the portable tier;
 //! * **relu** is the strict select `if x > 0.0 { x } else { 0.0 }` (the
-//!   exact semantics of the training path's mask), which maps to a
-//!   compare-and-mask in both vector tiers — NaN and `-0.0` inputs map to
-//!   `+0.0` in every tier;
+//!   exact semantics of the training path's mask) — NaN and `-0.0` inputs
+//!   map to `+0.0`;
 //! * **max-pool** replays the scalar reference's strict-`>` running max
 //!   over the four window values in the same order (top-left, top-right,
 //!   bottom-left, bottom-right, starting from `-inf`), as a
@@ -33,9 +31,15 @@
 //! policy and the `checked-kernels` feature that asserts every vector
 //! span here at runtime.
 
-use crate::gemm::Kernel;
 use tahoma_mathx::checked;
-use tahoma_mathx::simd_policy::OpClass;
+use tahoma_mathx::SimdTier;
+
+/// The tiers [`matvec`] implements (AVX2 beats AVX-512 by ~10% at the
+/// post-pool dense shape, so no AVX-512 kernel exists).
+pub const MATVEC_TIERS: &[SimdTier] = &[SimdTier::Portable, SimdTier::Avx2];
+/// The tiers [`maxpool2_plane`] implements (AVX2 beats AVX-512 at every
+/// serving plane width but 32).
+pub const POOL_TIERS: &[SimdTier] = &[SimdTier::Portable, SimdTier::Avx2];
 
 /// f32 accumulator lanes in the matvec reduction: element `i` of a dot
 /// product accumulates into lane `i % MV_LANES`, in every tier.
@@ -60,9 +64,10 @@ fn matvec_tail(row: &[f32], x: &[f32], main: usize, lanes: &mut [f32; MV_LANES])
 }
 
 /// `out[o] = bias[o] + W[o] · x` for a `[n_out][n_in]` row-major weight
-/// matrix — the batch-1 `Dense` forward. `Auto` resolves through the
-/// policy's [`OpClass::Matvec`] entry; all tiers agree bitwise.
-pub fn matvec(kernel: Kernel, weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+/// matrix — the batch-1 `Dense` forward. `kernel` pins a tier of
+/// [`MATVEC_TIERS`] (`None`: the widest the ceiling allows); all tiers
+/// agree bitwise.
+pub fn matvec(kernel: Option<SimdTier>, weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let (n_out, n_in) = (out.len(), x.len());
     assert_eq!(weights.len(), n_out * n_in, "weight matrix shape");
     assert_eq!(bias.len(), n_out, "bias length");
@@ -74,13 +79,11 @@ pub fn matvec(kernel: Kernel, weights: &[f32], bias: &[f32], x: &[f32], out: &mu
             checked::span(weights.len(), o * n_in, n_in, "matvec weight row");
         }
     }
-    match kernel.resolve_class(OpClass::Matvec) {
+    match SimdTier::resolve(kernel, MATVEC_TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier only produced after runtime detection of avx512f.
-        Kernel::Avx512 => unsafe { x86::matvec_avx512(weights, bias, x, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx2 and fma runtime-detected.
-        Kernel::Avx2 => unsafe { x86::matvec_avx2(weights, bias, x, out) },
+        // SAFETY: `resolve` never exceeds the detected tier, so avx2 and
+        // fma were runtime-detected.
+        SimdTier::Avx2 => unsafe { x86::matvec_avx2(weights, bias, x, out) },
         _ => {
             for (o, dst) in out.iter_mut().enumerate() {
                 let row = &weights[o * n_in..(o + 1) * n_in];
@@ -99,33 +102,27 @@ pub fn matvec(kernel: Kernel, weights: &[f32], bias: &[f32], x: &[f32], out: &mu
 }
 
 /// `dst[i] = if src[i] > 0.0 { src[i] } else { 0.0 }` — the ReLU inference
-/// sweep. `Auto` resolves through the policy's [`OpClass::Relu`] entry;
-/// all tiers agree bitwise (NaN and `-0.0` both map to `+0.0`).
-pub fn relu(kernel: Kernel, src: &[f32], dst: &mut [f32]) {
+/// sweep (NaN and `-0.0` both map to `+0.0`). One portable loop: no
+/// explicit tier beats what the compiler makes of it.
+pub fn relu(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "relu buffer length");
-    checked::span(src.len(), 0, dst.len(), "relu sweep");
-    match kernel.resolve_class(OpClass::Relu) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier only produced after runtime detection of avx512f.
-        Kernel::Avx512 => unsafe { x86::relu_avx512(src, dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx2 runtime-detected (fma implied by the
-        // tier but unused here).
-        Kernel::Avx2 => unsafe { x86::relu_avx2(src, dst) },
-        _ => {
-            for (d, &v) in dst.iter_mut().zip(src) {
-                *d = if v > 0.0 { v } else { 0.0 };
-            }
-        }
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = if v > 0.0 { v } else { 0.0 };
     }
 }
 
 /// One channel plane of 2x2/stride-2 max pooling (floor semantics): writes
 /// `(h/2) x (w/2)` outputs. Exactly the scalar reference's strict-`>`
 /// running max starting from `-inf`, so NaN window values never win and
-/// ties keep the earliest element. `Auto` resolves through the policy's
-/// [`OpClass::Pool`] entry; all tiers agree bitwise.
-pub fn maxpool2_plane(kernel: Kernel, plane: &[f32], h: usize, w: usize, out: &mut [f32]) {
+/// ties keep the earliest element. `kernel` pins a tier of [`POOL_TIERS`]
+/// (`None`: the widest the ceiling allows); all tiers agree bitwise.
+pub fn maxpool2_plane(
+    kernel: Option<SimdTier>,
+    plane: &[f32],
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+) {
     let (oh, ow) = (h / 2, w / 2);
     assert!(plane.len() >= h * w, "input plane length");
     assert_eq!(out.len(), oh * ow, "output plane length");
@@ -135,18 +132,16 @@ pub fn maxpool2_plane(kernel: Kernel, plane: &[f32], h: usize, w: usize, out: &m
         checked::span(plane.len(), (2 * oh - 1) * w, 2 * ow, "maxpool bottom row");
     }
     // One dispatch per plane, with the row loop inside the
-    // `#[target_feature]` kernels — per-row dispatch would rebuild the
+    // `#[target_feature]` kernel — per-row dispatch would rebuild the
     // shuffle constants and pay an uninlinable call 15 times per 30x30
     // plane, which costs more than the vectorization saves.
-    match kernel.resolve_class(OpClass::Pool) {
+    match SimdTier::resolve(kernel, POOL_TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier only produced after runtime detection of avx512f;
-        // plane holds h*w samples (asserted above) and every row read
-        // stays inside 2*ow <= w columns of rows 2*oy and 2*oy+1 < h.
-        Kernel::Avx512 => unsafe { x86::pool_plane_avx512(plane, h, w, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx2 runtime-detected.
-        Kernel::Avx2 => unsafe { x86::pool_plane_avx2(plane, h, w, out) },
+        // SAFETY: `resolve` never exceeds the detected tier, so avx2 was
+        // runtime-detected; plane holds h*w samples (asserted above) and
+        // every row read stays inside 2*ow <= w columns of rows 2*oy and
+        // 2*oy+1 < h.
+        SimdTier::Avx2 => unsafe { x86::pool_plane_avx2(plane, h, w, out) },
         _ => {
             for oy in 0..oh {
                 pool_row_portable(
@@ -184,31 +179,6 @@ mod x86 {
     use super::{fold_lanes, matvec_tail, MV_LANES};
     use core::arch::x86_64::*;
 
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn matvec_avx512(weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-        let n_in = x.len();
-        let main = n_in - n_in % MV_LANES;
-        for (o, dst) in out.iter_mut().enumerate() {
-            let row = &weights[o * n_in..(o + 1) * n_in];
-            let mut acc = _mm512_setzero_ps();
-            let mut p = 0;
-            while p < main {
-                // SAFETY: p + 16 <= main <= n_in == row.len() == x.len().
-                unsafe {
-                    let wv = _mm512_loadu_ps(row.as_ptr().add(p));
-                    let xv = _mm512_loadu_ps(x.as_ptr().add(p));
-                    acc = _mm512_fmadd_ps(wv, xv, acc);
-                }
-                p += MV_LANES;
-            }
-            let mut lanes = [0.0f32; MV_LANES];
-            // SAFETY: `lanes` holds 16 consecutive f32.
-            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), acc) };
-            matvec_tail(row, x, main, &mut lanes);
-            *dst = bias[o] + fold_lanes(&lanes);
-        }
-    }
-
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn matvec_avx2(weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
         let n_in = x.len();
@@ -216,7 +186,7 @@ mod x86 {
         for (o, dst) in out.iter_mut().enumerate() {
             let row = &weights[o * n_in..(o + 1) * n_in];
             // Lanes 0..8 and 8..16 in two ymm — the same per-lane fused
-            // chain as one zmm on AVX-512.
+            // chain as the portable 16-lane array.
             let mut lo = _mm256_setzero_ps();
             let mut hi = _mm256_setzero_ps();
             let mut p = 0;
@@ -243,51 +213,8 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn relu_avx512(src: &[f32], dst: &mut [f32]) {
-        let n = dst.len();
-        let main = n - n % 16;
-        let zero = _mm512_setzero_ps();
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 16 <= n == src.len() == dst.len().
-            unsafe {
-                let v = _mm512_loadu_ps(src.as_ptr().add(i));
-                // x > 0 ? x : 0 — NaN compares false, so it zeroes.
-                let keep = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, zero);
-                _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_maskz_mov_ps(keep, v));
-            }
-            i += 16;
-        }
-        for j in main..n {
-            dst[j] = if src[j] > 0.0 { src[j] } else { 0.0 };
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn relu_avx2(src: &[f32], dst: &mut [f32]) {
-        let n = dst.len();
-        let main = n - n % 8;
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 8 <= n == src.len() == dst.len().
-            unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                // The GT mask is all-ones where x > 0 (false on NaN), so
-                // AND passes x's bits through or yields +0.0.
-                let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_and_ps(v, keep));
-            }
-            i += 8;
-        }
-        for j in main..n {
-            dst[j] = if src[j] > 0.0 { src[j] } else { 0.0 };
-        }
-    }
-
-    /// Scalar tail shared by both vector pool kernels (identical to the
-    /// portable reference's per-window chain).
+    /// Scalar tail of the vector pool kernel (identical to the portable
+    /// reference's per-window chain).
     #[inline(always)]
     fn pool_tail(r0: &[f32], r1: &[f32], dst: &mut [f32], main: usize) {
         for (j, d) in dst[main..].iter_mut().enumerate() {
@@ -299,49 +226,6 @@ mod x86 {
                 }
             }
             *d = best;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn pool_plane_avx512(plane: &[f32], h: usize, w: usize, out: &mut [f32]) {
-        let (oh, ow) = (h / 2, w / 2);
-        let main = ow - ow % 16;
-        // Even/odd deinterleave indices over a concatenated 32-float pair;
-        // built once per plane (per-row rebuild costs more than the
-        // vectorization saves at 30px widths).
-        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
-        let ninf = _mm512_set1_ps(f32::NEG_INFINITY);
-        for oy in 0..oh {
-            let r0 = &plane[(2 * oy) * w..(2 * oy) * w + w];
-            let r1 = &plane[(2 * oy + 1) * w..(2 * oy + 1) * w + w];
-            let dst = &mut out[oy * ow..(oy + 1) * ow];
-            let mut ox = 0;
-            while ox < main {
-                // SAFETY: 2*ox + 32 <= 2*main <= 2*ow <= w == r0.len() ==
-                // r1.len(); dst holds ow.
-                unsafe {
-                    let ta = _mm512_loadu_ps(r0.as_ptr().add(2 * ox));
-                    let tb = _mm512_loadu_ps(r0.as_ptr().add(2 * ox + 16));
-                    let ba = _mm512_loadu_ps(r1.as_ptr().add(2 * ox));
-                    let bb = _mm512_loadu_ps(r1.as_ptr().add(2 * ox + 16));
-                    let candidates = [
-                        _mm512_permutex2var_ps(ta, even, tb),
-                        _mm512_permutex2var_ps(ta, odd, tb),
-                        _mm512_permutex2var_ps(ba, even, bb),
-                        _mm512_permutex2var_ps(ba, odd, bb),
-                    ];
-                    // The scalar reference's strict-> chain, window order.
-                    let mut best = ninf;
-                    for v in candidates {
-                        let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, best);
-                        best = _mm512_mask_mov_ps(best, gt, v);
-                    }
-                    _mm512_storeu_ps(dst.as_mut_ptr().add(ox), best);
-                }
-                ox += 16;
-            }
-            pool_tail(r0, r1, dst, main);
         }
     }
 
@@ -402,10 +286,15 @@ mod tests {
         (0..n).map(|_| rng.uniform_in(-1.0, 1.0) as f32).collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn matvec_matches_f64_reference_and_tiers_agree() {
         let mut rng = DetRng::new(0xA1);
-        for (n_out, n_in) in [(1, 1), (3, 17), (8, 16), (5, 100), (16, 451)] {
+        // Ragged lengths around the 16-lane body, plus the serving shape.
+        for (n_out, n_in) in [(1, 1), (3, 17), (8, 16), (5, 100), (16, 451), (16, 3600)] {
             let w = rand_vec(&mut rng, n_out * n_in);
             let bias = rand_vec(&mut rng, n_out);
             let x = rand_vec(&mut rng, n_in);
@@ -418,16 +307,16 @@ mod tests {
                 want[o] = acc as f32;
             }
             let mut base: Option<Vec<f32>> = None;
-            for kernel in Kernel::available() {
+            for tier in SimdTier::runnable(MATVEC_TIERS) {
                 let mut out = vec![f32::NAN; n_out];
-                matvec(kernel, &w, &bias, &x, &mut out);
+                matvec(Some(tier), &w, &bias, &x, &mut out);
                 for (o, (&g, &e)) in out.iter().zip(&want).enumerate() {
                     let tol = 1e-5 * (1.0 + e.abs()) * (n_in as f32).sqrt();
                     assert!((g - e).abs() <= tol, "{n_out}x{n_in} out {o}: {g} vs {e}");
                 }
                 match &base {
                     None => base = Some(out),
-                    Some(b) => assert_eq!(b, &out, "tier {} diverges", kernel.name()),
+                    Some(b) => assert_eq!(b, &out, "tier {} diverges", tier.name()),
                 }
             }
         }
@@ -435,32 +324,33 @@ mod tests {
 
     #[test]
     fn relu_tiers_agree_and_handle_specials() {
+        // One tier left, so "agree" is agreement with the defining select.
         let mut src: Vec<f32> = (-40..40).map(|i| i as f32 / 7.0).collect();
         src.extend([f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY]);
-        let mut base: Option<Vec<f32>> = None;
-        for kernel in Kernel::available() {
-            let mut dst = vec![f32::NAN; src.len()];
-            relu(kernel, &src, &mut dst);
-            for (&s, &d) in src.iter().zip(&dst) {
-                let want = if s > 0.0 { s } else { 0.0 };
-                assert_eq!(d.to_bits(), want.to_bits(), "relu({s})");
-            }
-            match &base {
-                None => base = Some(dst),
-                Some(b) => assert_eq!(
-                    b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    dst.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "tier {} diverges",
-                    kernel.name()
-                ),
-            }
+        let mut dst = vec![f32::NAN; src.len()];
+        relu(&src, &mut dst);
+        for (&s, &d) in src.iter().zip(&dst) {
+            let want = if s > 0.0 { s } else { 0.0 };
+            assert_eq!(d.to_bits(), want.to_bits(), "relu({s})");
         }
     }
 
     #[test]
     fn maxpool_tiers_match_scalar_reference_bitwise() {
         let mut rng = DetRng::new(0xA2);
-        for (h, w) in [(2, 2), (4, 6), (5, 7), (30, 30), (17, 66), (2, 40)] {
+        // Ragged widths around the 8-lane body, plus the serving planes
+        // (24- and 32-wide first pools, 16-wide second pool).
+        for (h, w) in [
+            (2, 2),
+            (4, 6),
+            (5, 7),
+            (30, 30),
+            (17, 66),
+            (2, 40),
+            (24, 24),
+            (32, 32),
+            (16, 16),
+        ] {
             let mut plane = rand_vec(&mut rng, h * w);
             if plane.len() > 4 {
                 plane[1] = f32::NAN;
@@ -469,17 +359,44 @@ mod tests {
             let (oh, ow) = (h / 2, w / 2);
             let mut want = vec![0.0f32; oh * ow];
             pool_row_reference(&plane, h, w, &mut want);
-            for kernel in Kernel::available() {
+            for tier in SimdTier::runnable(POOL_TIERS) {
                 let mut got = vec![f32::NAN; oh * ow];
-                maxpool2_plane(kernel, &plane, h, w, &mut got);
+                maxpool2_plane(Some(tier), &plane, h, w, &mut got);
                 assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    bits(&want),
+                    bits(&got),
                     "{h}x{w} tier {} diverges",
-                    kernel.name()
+                    tier.name()
                 );
             }
         }
+    }
+
+    #[test]
+    fn pinning_a_tier_an_op_lacks_clamps_down() {
+        // Neither op has an AVX-512 kernel: the pin must run the AVX2 one
+        // (or portable where AVX2 is absent) — same bits, no illegal
+        // instruction, and never a tier wider than the pin.
+        for tiers in [MATVEC_TIERS, POOL_TIERS] {
+            assert!(!tiers.contains(&SimdTier::Avx512));
+            let widest = *SimdTier::runnable(tiers).last().expect("portable");
+            assert_eq!(SimdTier::resolve(Some(SimdTier::Avx512), tiers), widest);
+        }
+        let mut rng = DetRng::new(0xA3);
+        let (w, bias, x) = (
+            rand_vec(&mut rng, 4 * 50),
+            rand_vec(&mut rng, 4),
+            rand_vec(&mut rng, 50),
+        );
+        let (mut pinned, mut portable) = ([0.0f32; 4], [0.0f32; 4]);
+        matvec(Some(SimdTier::Avx512), &w, &bias, &x, &mut pinned);
+        matvec(Some(SimdTier::Portable), &w, &bias, &x, &mut portable);
+        assert_eq!(bits(&pinned), bits(&portable));
+        let plane = rand_vec(&mut rng, 6 * 34);
+        let (mut pinned, mut portable) = ([0.0f32; 3 * 17], [0.0f32; 3 * 17]);
+        maxpool2_plane(Some(SimdTier::Avx512), &plane, 6, 34, &mut pinned);
+        maxpool2_plane(Some(SimdTier::Portable), &plane, 6, 34, &mut portable);
+        assert_eq!(bits(&pinned), bits(&portable));
     }
 
     /// Free-standing scalar pool over a plane (mirrors `MaxPool2::pool_one`).

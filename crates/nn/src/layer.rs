@@ -573,8 +573,8 @@ impl Layer for MaxPool2 {
         out.resize(batch * out_len, 0.0);
         if !cache {
             // Inference: no argmax bookkeeping — the runtime-dispatched
-            // SIMD max sweep (`pool` policy class), bitwise identical to
-            // `pool_one`'s strict-`>` running max.
+            // SIMD max sweep, bitwise identical to `pool_one`'s strict-`>`
+            // running max.
             let (c, h, w) = (self.input.c, self.input.h, self.input.w);
             let (oh, ow) = (h / 2, w / 2);
             for b in 0..batch {
@@ -582,7 +582,7 @@ impl Layer for MaxPool2 {
                     let plane = &input[b * in_len + ch * h * w..b * in_len + (ch + 1) * h * w];
                     let dst =
                         &mut out[b * out_len + ch * oh * ow..b * out_len + (ch + 1) * oh * ow];
-                    kernels::maxpool2_plane(gemm::Kernel::Auto, plane, h, w, dst);
+                    kernels::maxpool2_plane(None, plane, h, w, dst);
                 }
             }
             return;
@@ -684,11 +684,10 @@ impl Layer for Relu {
 
     fn forward_batch(&mut self, input: &[f32], _batch: usize, out: &mut Vec<f32>, cache: bool) {
         if !cache {
-            // Inference: a pure select sweep, no mask bookkeeping — the
-            // runtime-dispatched SIMD kernel (`relu` policy class), with
+            // Inference: a pure select sweep, no mask bookkeeping, with
             // the exact `v > 0.0` semantics of the masked path below.
             out.resize(input.len(), 0.0);
-            kernels::relu(gemm::Kernel::Auto, input, out);
+            kernels::relu(input, out);
             return;
         }
         out.clear();
@@ -707,10 +706,10 @@ impl Layer for Relu {
         input: &[f32],
         _batch: usize,
         out: &mut Vec<f32>,
-        scratch: &mut InferScratch,
+        _scratch: &mut InferScratch,
     ) {
         out.resize(input.len(), 0.0);
-        kernels::relu(scratch.gemm.kernel, input, out);
+        kernels::relu(input, out);
     }
 
     fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
@@ -830,8 +829,8 @@ impl Layer for Dense {
         out.clear();
         if batch == 1 {
             // A single image is a matrix-vector product; the dedicated
-            // matvec kernel (runtime-dispatched SIMD, `matvec` policy
-            // class) beats the GEMM path's packing overhead.
+            // matvec kernel (runtime-dispatched SIMD) beats the GEMM
+            // path's packing overhead.
             out.resize(self.n_out, 0.0);
             kernels::matvec(self.scratch.kernel, &self.weights, &self.bias, input, out);
             return;

@@ -47,9 +47,8 @@
 //!
 //! * [`tensor::Shape`] — `(channels, height, width)` bookkeeping;
 //! * [`gemm`] — blocked GEMM, im2col/col2im lowering;
-//! * [`kernels`] — explicit SIMD sweeps for the non-GEMM layers (batch-1
-//!   dense matvec, ReLU, max-pool), dispatched per op class through the
-//!   measured kernel policy;
+//! * [`kernels`] — the non-GEMM layer sweeps (batch-1 dense matvec, ReLU,
+//!   max-pool), with an explicit SIMD tier only where one measurably wins;
 //! * [`layer`] — forward/backward implementations of every layer, each with
 //!   exact FLOP accounting (the cost model prices inference from these);
 //! * [`model::Sequential`] and [`model::CnnSpec`] — composition and the

@@ -9,7 +9,7 @@
 //! would diverge from the reference and fail here.
 
 use tahoma_mathx::DetRng;
-use tahoma_nn::gemm::{conv2d_forward, gemm, GemmScratch, Kernel, Trans};
+use tahoma_nn::gemm::{conv2d_forward, gemm, GemmScratch, Trans};
 use tahoma_nn::kernels::{matvec, maxpool2_plane, relu};
 
 fn fill(rng: &mut DetRng, n: usize) -> Vec<f32> {
@@ -115,7 +115,7 @@ fn layer_sweeps_match_reference_under_audit_config() {
     let bias = fill(&mut rng, n_out);
     let x = fill(&mut rng, n_in);
     let mut out = vec![0.0f32; n_out];
-    matvec(Kernel::Auto, &weights, &bias, &x, &mut out);
+    matvec(None, &weights, &bias, &x, &mut out);
     for o in 0..n_out {
         // Reference replays the lane accumulation + fixed fold the
         // dispatcher documents; equality must be exact.
@@ -133,7 +133,7 @@ fn layer_sweeps_match_reference_under_audit_config() {
     // relu
     let src = fill(&mut rng, 100);
     let mut dst = vec![0.0f32; 100];
-    relu(Kernel::Auto, &src, &mut dst);
+    relu(&src, &mut dst);
     for (d, &s) in dst.iter().zip(&src) {
         assert_eq!(*d, if s > 0.0 { s } else { 0.0 });
     }
@@ -141,7 +141,7 @@ fn layer_sweeps_match_reference_under_audit_config() {
     let (h, w) = (10, 14);
     let plane = fill(&mut rng, h * w);
     let mut pooled = vec![0.0f32; (h / 2) * (w / 2)];
-    maxpool2_plane(Kernel::Auto, &plane, h, w, &mut pooled);
+    maxpool2_plane(None, &plane, h, w, &mut pooled);
     for oy in 0..h / 2 {
         for ox in 0..w / 2 {
             let mut best = f32::NEG_INFINITY;

@@ -9,7 +9,7 @@
 #   scripts/audit.sh --json       # machine-readable report (CI artifact)
 #   scripts/audit.sh --checked    # also run the test suite with every
 #                                 # kernel invariant asserted at runtime
-#                                 # (--features checked-kernels)
+#                                 # (--features tahoma-nn/checked-kernels)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,6 @@ done
 cargo run -q -p tahoma-audit -- "${args[@]+"${args[@]}"}"
 
 if [ "$checked" = 1 ]; then
-  echo "== test suite under --features checked-kernels =="
-  cargo test -q --features checked-kernels
+  echo "== test suite under --features tahoma-nn/checked-kernels =="
+  cargo test -q --workspace --features tahoma-nn/checked-kernels
 fi

@@ -7,13 +7,13 @@ use tahoma::core::pareto::{is_pareto_optimal, pareto_frontier};
 use tahoma::core::planner::{order_predicates, PlannedPredicate};
 use tahoma::core::thresholds::{calibrate, negative_precision, positive_precision};
 use tahoma::core::Cascade;
-use tahoma::imagery::engine::{Kernel as TKernel, TranscodeCosts, TranscodeEngine, TranscodePlan};
+use tahoma::imagery::engine::{self, TranscodeCosts, TranscodeEngine, TranscodePlan};
 use tahoma::imagery::repr::apply_reference;
 use tahoma::imagery::{
     transform, BlockCodec, Codec, ColorMode, Image, ObjectKind, RawCodec, Representation,
 };
-use tahoma::mathx::simd_policy::{KernelPolicy, OpClass, SimdTier};
-use tahoma::nn::gemm::{self, GemmScratch, Kernel, Trans};
+use tahoma::mathx::SimdTier;
+use tahoma::nn::gemm::{self, GemmScratch, Trans};
 use tahoma::nn::{kernels, Conv2d, Dense, Layer, MaxPool2, Shape};
 
 /// Fresh scratch directory for store property tests (unique per case so
@@ -74,7 +74,7 @@ proptest! {
         let (weights, bias) = (weights.to_vec(), bias.to_vec());
         let k_total = (c_in * kk * kk) as f32;
         let mut baseline: Option<Vec<f32>> = None;
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(gemm::TIERS) {
             let mut scratch = GemmScratch::with_kernel(kernel);
             scratch.threads = Some(threads);
             let mut got = vec![f32::NAN; out_c * h * w];
@@ -225,7 +225,7 @@ proptest! {
         }
 
         let mut baseline: Option<Vec<f32>> = None;
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(gemm::TIERS) {
             for threads in [1usize, 2, 3] {
                 let mut scratch = GemmScratch::with_kernel(kernel);
                 scratch.threads = Some(threads);
@@ -397,7 +397,7 @@ proptest! {
         let mut rng = tahoma::mathx::DetRng::new(seed);
         let src = Image::from_fn(w, h, mode, |_, _, _| rng.uniform() as f32).unwrap();
         let want = transform::resize_bilinear_reference(&src, ow, oh).unwrap();
-        for kernel in TKernel::available() {
+        for kernel in SimdTier::runnable(engine::TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             let got = e.resize_bilinear(&src, ow, oh).unwrap();
             prop_assert_eq!(got.data(), want.data(), "tier {}", kernel.name());
@@ -428,7 +428,7 @@ proptest! {
             .iter()
             .map(|f| reps.iter().map(|&r| apply_reference(f, r).unwrap()).collect())
             .collect();
-        for kernel in TKernel::available() {
+        for kernel in SimdTier::runnable(engine::TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             // Per-rep apply.
             for (f, refs) in frames.iter().zip(&references) {
@@ -472,7 +472,7 @@ proptest! {
         let mut rng = tahoma::mathx::DetRng::new(seed);
         let src = Image::from_fn(w, h, mode, |_, _, _| rng.uniform() as f32).unwrap();
         let mut base: Option<Image> = None;
-        for kernel in TKernel::available() {
+        for kernel in SimdTier::runnable(engine::TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
             let s = e.standardize(&src);
             match &base {
@@ -543,9 +543,9 @@ proptest! {
             reference[o] = acc as f32;
         }
         let mut baseline: Option<Vec<f32>> = None;
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(kernels::MATVEC_TIERS) {
             let mut out = vec![f32::NAN; n_out];
-            kernels::matvec(kernel, &weights, &bias, &x, &mut out);
+            kernels::matvec(Some(kernel), &weights, &bias, &x, &mut out);
             for (o, (&got, &want)) in out.iter().zip(&reference).enumerate() {
                 let tol = 1e-5 * (1.0 + want.abs()) * (n_in as f32).sqrt();
                 prop_assert!(
@@ -566,9 +566,9 @@ proptest! {
         prop_assert_eq!(&single, baseline.as_ref().unwrap());
     }
 
-    /// Every ReLU tier is bitwise identical to the strict `> 0` select
-    /// across arbitrary inputs including NaN, ±0 and ±∞ — and matches the
-    /// training path's masked semantics.
+    /// The ReLU sweep (one portable tier) is bitwise identical to the
+    /// strict `> 0` select across arbitrary inputs including NaN, ±0 and
+    /// ±∞ — the training path's masked semantics.
     #[test]
     fn relu_tiers_agree_bitwise(
         vals in prop::collection::vec((0u32..8, -1.0f32..1.0), 1..200)
@@ -588,12 +588,10 @@ proptest! {
             .iter()
             .map(|&v| (if v > 0.0 { v } else { 0.0 }).to_bits())
             .collect();
-        for kernel in Kernel::available() {
-            let mut dst = vec![f32::NAN; src.len()];
-            kernels::relu(kernel, &src, &mut dst);
-            let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&got, &want, "relu tier {} diverges", kernel.name());
-        }
+        let mut dst = vec![f32::NAN; src.len()];
+        kernels::relu(&src, &mut dst);
+        let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&got, &want);
     }
 
     /// Every max-pool tier is bitwise identical to the training path's
@@ -618,53 +616,17 @@ proptest! {
         prop_assert_eq!(&want, &got, "inference pool diverges from argmax pool");
         // And each explicit tier matches too.
         let (oh, ow) = (h / 2, w / 2);
-        for kernel in Kernel::available() {
+        for kernel in SimdTier::runnable(kernels::POOL_TIERS) {
             let mut plane_out = vec![f32::NAN; oh * ow];
             for ch in 0..c {
                 kernels::maxpool2_plane(
-                    kernel, &input[ch * h * w..(ch + 1) * h * w], h, w, &mut plane_out,
+                    Some(kernel), &input[ch * h * w..(ch + 1) * h * w], h, w, &mut plane_out,
                 );
                 prop_assert_eq!(
                     &want[ch * oh * ow..(ch + 1) * oh * ow], &plane_out[..],
                     "pool tier {} ch {} diverges", kernel.name(), ch
                 );
             }
-        }
-    }
-
-    /// A kernel policy round-trips through its serialized text form for
-    /// arbitrary tier assignments, and the `class=tier` override spec
-    /// applies entry-wise on top of any base policy.
-    #[test]
-    fn kernel_policy_round_trips(
-        tiers in prop::collection::vec(0usize..4, OpClass::ALL.len()..OpClass::ALL.len() + 1),
-        override_sel in prop::collection::vec(0usize..4, OpClass::ALL.len()..OpClass::ALL.len() + 1),
-        n_overrides in 0usize..9
-    ) {
-        let mut policy = KernelPolicy::heuristic();
-        for (class, &t) in OpClass::ALL.into_iter().zip(&tiers) {
-            policy.set(class, SimdTier::ALL[t]);
-        }
-        let text = policy.serialize();
-        prop_assert_eq!(KernelPolicy::parse(&text).unwrap(), policy.clone());
-
-        // Env-style override: the first n classes forced per the spec,
-        // the rest untouched.
-        let spec: Vec<String> = OpClass::ALL
-            .into_iter()
-            .zip(&override_sel)
-            .take(n_overrides)
-            .map(|(class, &t)| format!("{}={}", class.name(), SimdTier::ALL[t].name()))
-            .collect();
-        let mut overridden = policy.clone();
-        overridden.apply_override(&spec.join(",")).unwrap();
-        for (i, (class, &t)) in OpClass::ALL.into_iter().zip(&override_sel).enumerate() {
-            let want = if i < n_overrides {
-                SimdTier::ALL[t]
-            } else {
-                policy.tier(class)
-            };
-            prop_assert_eq!(overridden.tier(class), want, "class {}", class.name());
         }
     }
 
