@@ -1,9 +1,13 @@
 //! CPU facts for CI logs and conditional bench steps.
 //!
 //! ```text
-//! cpu_info            # human-readable: parallelism + kernel tier ceiling
+//! cpu_info            # human-readable: parallelism, kernel tier ceiling,
+//!                     # morsel fan-out width and MORSEL_ROWS
 //! cpu_info cores      # just the available_parallelism number (for shell)
 //! ```
+//!
+//! The 1-core CI step runs it under `taskset -c 0` so the log shows the
+//! suite tested the inline path (one lane, zero pool workers).
 //!
 //! The forced-tier CI matrix runs this *before* its tests and asserts the
 //! printed ceiling is the tier it asked for: the runtime only warns about
@@ -14,6 +18,7 @@
 //! (the top ROADMAP measurement item).
 
 use tahoma_mathx::simd_policy::{SimdTier, TIER_ENV};
+use tahoma_nn::{InferScratch, MORSEL_ROWS};
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
@@ -32,5 +37,11 @@ fn main() {
         SimdTier::ceiling().name(),
         SimdTier::detected().name(),
         env.as_deref().unwrap_or("unset")
+    );
+    println!(
+        "morsel fan-out: {} lanes ({} pool workers + caller), MORSEL_ROWS {}",
+        InferScratch::coalescing().morsel_lanes(),
+        tahoma_mathx::pool::workers(),
+        MORSEL_ROWS
     );
 }

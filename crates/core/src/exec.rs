@@ -233,10 +233,14 @@ pub struct NnStageStats {
     /// Per-image standardization (zero mean / unit variance), the model
     /// input discipline shared with the training path.
     pub standardize_s: f64,
-    /// Batched CNN inference (`Sequential::infer_batch`).
+    /// Batched CNN inference (`Sequential::infer_batch_shared`).
     pub infer_s: f64,
     /// `score_batch` calls served.
     pub batches: u64,
+    /// Locally scored `score_batch` calls whose pack was big enough to run
+    /// as morsels across the worker pool (broker-dispatched calls count in
+    /// the broker's stats instead).
+    pub morsel_calls: u64,
     /// Items scored (sum of pack sizes).
     pub items_scored: u64,
     /// Pack slots served from the shared-representation cache instead of a
@@ -554,10 +558,12 @@ impl BatchScorer for SharedNnScorer<'_> {
         let t = Instant::now();
         match self.dispatch {
             Some(broker) => out.extend(broker.infer(model, &input, items.len())),
-            None => out.extend(
-                self.zoo
-                    .infer(model, &input, items.len(), &mut self.scratch.infer),
-            ),
+            None => {
+                let sc = &mut *self.scratch;
+                let before = sc.infer.morsel_calls();
+                out.extend(self.zoo.infer(model, &input, items.len(), &mut sc.infer));
+                sc.stats.morsel_calls += sc.infer.morsel_calls() - before;
+            }
         }
         self.scratch.stats.infer_s += t.elapsed().as_secs_f64();
         self.scratch.stats.batches += 1;

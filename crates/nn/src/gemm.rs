@@ -165,6 +165,26 @@ impl GemmScratch {
         }
         &mut self.pool[..n]
     }
+
+    /// Largest capacity, in elements, of any buffer held by this scratch
+    /// or its worker pool.
+    #[cfg(test)]
+    pub(crate) fn max_buffer_capacity(&self) -> usize {
+        let own = [
+            self.packed_a.capacity(),
+            self.packed_b.capacity(),
+            self.conv_padded.capacity(),
+            self.conv_offsets.capacity(),
+            self.conv_edge_col.capacity(),
+            self.conv_edge_out.capacity(),
+            self.off_main.capacity(),
+            self.off_panel.capacity(),
+        ];
+        self.pool
+            .iter()
+            .map(GemmScratch::max_buffer_capacity)
+            .fold(own.into_iter().max().unwrap_or(0), usize::max)
+    }
 }
 
 /// Machine parallelism, detected once (`available_parallelism` performs a

@@ -46,16 +46,27 @@ use tahoma_mathx::DetRng;
 /// never reorder a row's k-loop), while the batch-1 matvec kernel uses a
 /// different fold tree — so with `force_gemm` set, a row's score is
 /// bitwise identical whether it is scored alone or merged into a larger
-/// batch. Cross-query batch coalescing relies on exactly this invariance.
+/// batch. Cross-query batch coalescing relies on exactly this invariance,
+/// and so does morsel-parallel inference: a `force_gemm` call of at least
+/// two [`crate::model::MORSEL_ROWS`]-row morsels is cut into morsels that
+/// run across the `tahoma_mathx::pool` workers, each on one of this
+/// scratch's lane scratches, so activation buffers are bounded by morsel
+/// size x lane count instead of by the call's row count.
 #[derive(Debug, Default)]
 pub struct InferScratch {
     /// GEMM packing buffers + kernel/threading knobs for every layer.
+    /// `threads` also caps the morsel fan-out (see
+    /// [`InferScratch::morsel_lanes`]).
     pub gemm: GemmScratch,
     /// Pin `Dense` to the batch-shape-invariant GEMM path (see above).
     pub force_gemm: bool,
     /// Ping-pong activation buffers for [`crate::model::Sequential`].
     pub(crate) buf_a: Vec<f32>,
     pub(crate) buf_b: Vec<f32>,
+    /// One scratch per morsel lane, grown on first fan-out and reused.
+    pub(crate) lanes: Vec<InferScratch>,
+    /// Calls through this scratch that were scored as morsels.
+    pub(crate) morsel_calls: u64,
 }
 
 impl InferScratch {
@@ -66,6 +77,53 @@ impl InferScratch {
             force_gemm: true,
             ..InferScratch::default()
         }
+    }
+
+    /// How many lanes a morsel-split call fans out over: `gemm.threads`
+    /// when set (`Some(1)` runs the morsels serially on the caller),
+    /// otherwise every pool worker plus the caller — one lane on a 1-core
+    /// machine, where the pool runs every spawn inline.
+    pub fn morsel_lanes(&self) -> usize {
+        self.gemm
+            .threads
+            .unwrap_or_else(|| tahoma_mathx::pool::workers() + 1)
+            .max(1)
+    }
+
+    /// Inference calls through this scratch that were scored as morsels
+    /// (the fan-out path), as opposed to one whole-batch pass.
+    pub fn morsel_calls(&self) -> u64 {
+        self.morsel_calls
+    }
+
+    /// `n` lane scratches inheriting this scratch's kernel and dense path,
+    /// each with its inner GEMMs pinned to one thread: the lanes are the
+    /// parallelism.
+    pub(crate) fn lane_pool(&mut self, n: usize) -> &mut [InferScratch] {
+        if self.lanes.len() < n {
+            self.lanes.resize_with(n, InferScratch::default);
+        }
+        for lane in &mut self.lanes[..n] {
+            lane.force_gemm = self.force_gemm;
+            lane.gemm.kernel = self.gemm.kernel;
+            lane.gemm.threads = Some(1);
+        }
+        &mut self.lanes[..n]
+    }
+
+    /// Largest capacity, in elements, of any buffer held by this scratch
+    /// or its lanes — what the morsel memory bound is stated over.
+    #[cfg(test)]
+    pub(crate) fn max_buffer_capacity(&self) -> usize {
+        let own = self
+            .buf_a
+            .capacity()
+            .max(self.buf_b.capacity())
+            .max(self.gemm.max_buffer_capacity());
+        self.lanes
+            .iter()
+            .map(InferScratch::max_buffer_capacity)
+            .fold(own, usize::max)
     }
 }
 
@@ -348,9 +406,11 @@ impl Layer for Conv2d {
         let out_len = self.out_c * h * w;
         debug_assert_eq!(input.len(), batch * in_len);
         out.resize(batch * out_len, 0.0);
-        // Images run serially through the caller's scratch: each image's
-        // result depends only on its own pixels, so the output is bitwise
-        // identical whatever batch it rides in.
+        // Images run one after another through the given scratch; the
+        // parallelism lives one level up, where `infer_batch_shared` hands
+        // each pool lane whole morsels on a lane scratch of its own. Each
+        // image's result depends only on its own pixels, so the output is
+        // bitwise identical whatever batch or morsel it rides in.
         for b in 0..batch {
             gemm::conv2d_forward(
                 &mut scratch.gemm,

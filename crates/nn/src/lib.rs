@@ -17,8 +17,10 @@
 //!   micro-kernel is selected at runtime (`is_x86_feature_detected!`) from
 //!   explicit AVX-512 / AVX2+FMA `std::arch` kernels plus a portable
 //!   `mul_add` fallback — all bitwise-identical — so a plain portable build
-//!   runs at hardware peak with no `-C target-cpu` flags; large products and
-//!   image batches additionally thread across `std::thread::scope` workers;
+//!   runs at hardware peak with no `-C target-cpu` flags; large products,
+//!   image batches and shared-inference calls of two or more
+//!   [`model::MORSEL_ROWS`]-row morsels additionally thread across the
+//!   persistent `tahoma_mathx::pool` workers;
 //! * [`gemm::im2col`] lowers each image to a patch matrix, turning a
 //!   convolution into one GEMM against the filter matrix, and
 //!   [`gemm::col2im_add`] scatters gradients back for the batched backward
@@ -80,7 +82,7 @@ pub mod train;
 pub use gemm::GemmScratch;
 pub use layer::{Conv2d, Dense, InferScratch, Layer, MaxPool2, Relu};
 pub use loss::{bce_with_logits, bce_with_logits_grad};
-pub use model::{CnnSpec, Sequential};
+pub use model::{CnnSpec, Sequential, MORSEL_ROWS};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::Shape;
 pub use train::{TrainReport, Trainer};

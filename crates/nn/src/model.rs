@@ -9,7 +9,15 @@
 use crate::layer::{Conv2d, Dense, InferScratch, Layer, MaxPool2, Relu};
 use crate::tensor::Shape;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 use tahoma_mathx::{logistic, DetRng};
+
+/// Rows per morsel of a fanned-out [`Sequential::infer_batch_shared`]
+/// call; calls under two morsels run as one pass. Picked by a 32…256 sweep
+/// (DESIGN.md §7): the best `scan` p50 among the sizes whose two-morsel
+/// threshold keeps `lookup`'s 64-row calls on the one-pass path, and the
+/// only one of them that does not raise `standing`'s peak RSS.
+pub const MORSEL_ROWS: usize = 64;
 
 /// A feed-forward stack of layers.
 ///
@@ -126,14 +134,19 @@ impl Sequential {
     /// [`InferScratch::coalescing`]-configured scratch, each image's output
     /// is additionally bitwise independent of the batch it rides in, which
     /// is what lets a scoring broker merge packs from concurrent queries
-    /// into one call.
+    /// into one call — and what lets a coalescing call of at least two
+    /// [`MORSEL_ROWS`]-row morsels run as morsels spread over
+    /// [`InferScratch::morsel_lanes`] lanes of the `tahoma_mathx::pool`,
+    /// with the same bits and activation memory bounded by the morsel.
+    /// Smaller calls, and every call on non-coalescing scratch (whose
+    /// batch-1 matvec would make a 1-row tail morsel differ), run as one
+    /// pass on the caller. Zero rows score to an empty vector.
     pub fn infer_batch_shared(
         &self,
         input: &[f32],
         batch: usize,
         scratch: &mut InferScratch,
     ) -> Vec<f32> {
-        assert!(batch > 0, "infer_batch_shared requires batch >= 1");
         assert_eq!(
             input.len(),
             batch * self.input.len(),
@@ -141,6 +154,23 @@ impl Sequential {
             input.len(),
             self.input.len()
         );
+        if batch == 0 {
+            return Vec::new();
+        }
+        if scratch.force_gemm && batch >= 2 * MORSEL_ROWS {
+            return self.infer_morsels(input, batch, scratch);
+        }
+        self.infer_pass(input, batch, scratch).to_vec()
+    }
+
+    /// One pass of `batch` rows through every layer on `scratch`; the
+    /// result stays in the scratch's activation buffer.
+    fn infer_pass<'s>(
+        &self,
+        input: &[f32],
+        batch: usize,
+        scratch: &'s mut InferScratch,
+    ) -> &'s [f32] {
         let mut buf_a = std::mem::take(&mut scratch.buf_a);
         let mut buf_b = std::mem::take(&mut scratch.buf_b);
         buf_a.clear();
@@ -149,9 +179,38 @@ impl Sequential {
             layer.infer_shared(&buf_a, batch, &mut buf_b, scratch);
             std::mem::swap(&mut buf_a, &mut buf_b);
         }
-        let out = buf_a.clone();
         scratch.buf_a = buf_a;
         scratch.buf_b = buf_b;
+        &scratch.buf_a
+    }
+
+    /// The fan-out path of [`Sequential::infer_batch_shared`]: lanes pull
+    /// the next unscored morsel from a shared cursor (so a lane whose core
+    /// is busy elsewhere simply takes fewer) and write its outputs to that
+    /// morsel's disjoint slice of the result. A lane's panic re-raises
+    /// here once every lane has stopped.
+    #[inline(never)]
+    fn infer_morsels(&self, input: &[f32], batch: usize, scratch: &mut InferScratch) -> Vec<f32> {
+        let (in_len, out_len) = (self.input.len(), self.output_shape().len());
+        let mut out = vec![0.0f32; batch * out_len];
+        let lanes = scratch.morsel_lanes().min(batch.div_ceil(MORSEL_ROWS));
+        let cursor = Mutex::new(
+            input
+                .chunks(MORSEL_ROWS * in_len)
+                .zip(out.chunks_mut(MORSEL_ROWS * out_len)),
+        );
+        let next = || cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+        tahoma_mathx::pool::scope(|s| {
+            for lane in scratch.lane_pool(lanes) {
+                let next = &next;
+                s.spawn(move || {
+                    while let Some((rows, dst)) = next() {
+                        dst.copy_from_slice(self.infer_pass(rows, rows.len() / in_len, lane));
+                    }
+                });
+            }
+        });
+        scratch.morsel_calls += 1;
         out
     }
 
@@ -668,6 +727,76 @@ mod tests {
             merged, ragged,
             "ragged sub-batches diverge under force_gemm"
         );
+    }
+
+    #[test]
+    fn morsel_split_is_bitwise_per_row_at_every_edge_and_width() {
+        // Every call shape around the two-morsel threshold, through every
+        // fan-out width, must reproduce batch-1 scoring bit for bit.
+        let model = tiny_spec().build(24).unwrap();
+        let m = MORSEL_ROWS;
+        let rows = 2048usize;
+        let input: Vec<f32> = (0..rows * 64)
+            .map(|i| ((i * 37) % 101) as f32 / 101.0 - 0.4)
+            .collect();
+        let mut one = InferScratch::coalescing();
+        let per_row: Vec<f32> = input
+            .chunks(64)
+            .flat_map(|row| model.predict_proba_shared(row, 1, &mut one))
+            .collect();
+        for threads in [None, Some(1), Some(2), Some(3)] {
+            let mut scratch = InferScratch::coalescing();
+            scratch.gemm.threads = threads;
+            for batch in [1, m - 1, m, 2 * m - 1, 2 * m, 2 * m + 1, 5 * m + 3, rows] {
+                let before = scratch.morsel_calls();
+                let got = model.predict_proba_shared(&input[..batch * 64], batch, &mut scratch);
+                assert_eq!(got, per_row[..batch], "batch {batch} threads {threads:?}");
+                let split = u64::from(batch >= 2 * m);
+                assert_eq!(scratch.morsel_calls() - before, split, "batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_rows_score_to_an_empty_vector() {
+        let model = tiny_spec().build(25).unwrap();
+        for mut scratch in [InferScratch::default(), InferScratch::coalescing()] {
+            assert!(model.predict_proba_shared(&[], 0, &mut scratch).is_empty());
+        }
+    }
+
+    #[test]
+    fn morsel_activation_memory_is_bounded_by_the_morsel_not_the_call() {
+        // A serving-shaped net (first conv widens each row to 8x24x24):
+        // after a 2048-row call no buffer anywhere in the scratch may hold
+        // more than one morsel of the widest activation.
+        let spec = CnnSpec {
+            input: Shape::new(1, 24, 24),
+            conv_channels: vec![8],
+            kernel: 3,
+            dense_units: 16,
+        };
+        let model = spec.build(26).unwrap();
+        let widest = model
+            .layers()
+            .iter()
+            .map(|l| l.output_shape().len())
+            .fold(spec.input.len(), usize::max);
+        let rows = 2048;
+        let input: Vec<f32> = (0..rows * spec.input.len())
+            .map(|i| ((i * 13) % 29) as f32 / 29.0 - 0.5)
+            .collect();
+        for threads in [None, Some(1), Some(2)] {
+            let mut scratch = InferScratch::coalescing();
+            scratch.gemm.threads = threads;
+            model.predict_proba_shared(&input, rows, &mut scratch);
+            assert_eq!(scratch.morsel_calls(), 1);
+            let cap = scratch.max_buffer_capacity();
+            assert!(
+                cap <= MORSEL_ROWS * widest,
+                "threads {threads:?}: a buffer holds {cap} floats > {MORSEL_ROWS} x {widest}"
+            );
+        }
     }
 
     #[test]

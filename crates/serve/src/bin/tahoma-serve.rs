@@ -48,19 +48,35 @@ fn usage() -> ! {
     exit(2);
 }
 
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            addr: "127.0.0.1:7343".to_string(),
+            backend: "surrogate".to_string(),
+            kinds: vec![ObjectKind::Fence, ObjectKind::Wallet],
+            corpus: 1024,
+            seed: 0x7A40,
+            workers: 4,
+            queue: 32,
+            store_dir: None,
+            verify_on_open: false,
+            deadline_ms: None,
+        }
+    }
+}
+
+/// Flag combinations that parse but cannot boot, as an `ERR`-style line.
+fn check_args(args: &Args) -> Result<(), String> {
+    if args.backend == "nn" && args.corpus == 0 {
+        return Err("ERR usage: --backend nn needs --corpus >= 1 (its decision \
+                    thresholds are calibrated from the corpus's own scores)"
+            .to_string());
+    }
+    Ok(())
+}
+
 fn parse_args() -> Args {
-    let mut args = Args {
-        addr: "127.0.0.1:7343".to_string(),
-        backend: "surrogate".to_string(),
-        kinds: vec![ObjectKind::Fence, ObjectKind::Wallet],
-        corpus: 1024,
-        seed: 0x7A40,
-        workers: 4,
-        queue: 32,
-        store_dir: None,
-        verify_on_open: false,
-        deadline_ms: None,
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
@@ -100,6 +116,10 @@ fn parse_args() -> Args {
     }
     if args.kinds.is_empty() {
         usage();
+    }
+    if let Err(msg) = check_args(&args) {
+        eprintln!("{msg}");
+        exit(2);
     }
     args
 }
@@ -148,4 +168,22 @@ fn main() {
     println!("listening on {}", handle.addr());
     handle.join();
     eprintln!("shutdown complete");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nn_backend_rejects_an_empty_corpus_before_boot() {
+        let nn = |corpus| Args {
+            backend: "nn".to_string(),
+            corpus,
+            ..Args::default()
+        };
+        let err = check_args(&nn(0)).unwrap_err();
+        assert!(err.starts_with("ERR ") && err.contains("--corpus"), "{err}");
+        assert!(check_args(&nn(1)).is_ok());
+        assert!(check_args(&Args::default()).is_ok());
+    }
 }

@@ -6,8 +6,13 @@
 //! over its rows, which is why the executor scores whole survivor packs at
 //! once instead of items one by one. The same argument holds one level up:
 //! when two concurrent queries each bring a half-full pack for the *same
-//! model*, running them as one merged call pays the fixed cost once. The
-//! broker implements this with a leader/follower protocol per model:
+//! model*, running them as one merged call pays the fixed cost once. (What
+//! happens *inside* a call is `tahoma_nn`'s business: a call of two or
+//! more [`tahoma_nn::MORSEL_ROWS`]-row morsels runs as morsels spread over
+//! the worker pool, since per-row cost is flat past a few dozen rows. That
+//! adds no calls — `calls` counts zoo calls, `morsel_calls` how many of
+//! them fanned out.) The broker implements this with a leader/follower
+//! protocol per model:
 //!
 //! 1. A query submitting rows for model `m` joins the open batch for `m`
 //!    (or opens one, becoming its **leader**).
@@ -100,6 +105,8 @@ pub struct BrokerStats {
     /// Failed merged calls whose participants re-executed solo (one count
     /// per recovering participant, not per failed batch).
     pub failovers: u64,
+    /// Zoo calls big enough to run as morsels across the worker pool.
+    pub morsel_calls: u64,
 }
 
 /// Per-model-zoo coalescing broker. One instance serves one
@@ -125,6 +132,7 @@ pub struct Broker {
     merged_calls: AtomicU64,
     rows: AtomicU64,
     failovers: AtomicU64,
+    morsel_calls: AtomicU64,
 }
 
 impl Broker {
@@ -154,6 +162,7 @@ impl Broker {
             merged_calls: AtomicU64::new(0),
             rows: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
+            morsel_calls: AtomicU64::new(0),
         }
     }
 
@@ -178,6 +187,7 @@ impl Broker {
             merged_calls: self.merged_calls.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
+            morsel_calls: self.morsel_calls.load(Ordering::Relaxed),
         }
     }
 
@@ -195,6 +205,7 @@ impl Broker {
         let mut scratch = lock(&self.scratch)
             .pop()
             .unwrap_or_else(InferScratch::coalescing);
+        let morsels_before = scratch.morsel_calls();
         let result = catch_unwind(AssertUnwindSafe(|| {
             // FAULT: the inference call dies — a panic inside the guarded
             // call, indistinguishable from a real zoo death; callers
@@ -204,6 +215,8 @@ impl Broker {
             }
             self.zoo.infer(model, rows, n, &mut scratch)
         }));
+        self.morsel_calls
+            .fetch_add(scratch.morsel_calls() - morsels_before, Ordering::Relaxed);
         lock(&self.scratch).push(scratch);
         self.calls.fetch_add(1, Ordering::Relaxed);
         result

@@ -139,6 +139,9 @@ fn quantile_cuts(scores: &mut [f32]) -> Vec<DecisionThresholds> {
 /// Real-NN service: shared frame store, per-kind zoos with untrained CNNs
 /// at two representation levels, live-calibrated execution thresholds,
 /// coalescing brokers wired to `cfg.window`/`cfg.max_rows`.
+///
+/// Needs `cfg.corpus_n >= 1`: the thresholds are quantiles of the corpus's
+/// own scores (the `tahoma-serve` binary rejects `--corpus 0` up front).
 pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
     let rep0 = Representation::new(24, ColorMode::Gray);
     let rep1 = Representation::new(32, ColorMode::Rgb);

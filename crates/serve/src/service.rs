@@ -174,6 +174,10 @@ pub struct ServiceStats {
     pub plan_misses: u64,
     /// Broker counters summed over every served kind.
     pub broker: BrokerStats,
+    /// Uncoalesced (locally scored) inference calls that ran as morsels
+    /// across the worker pool; brokered ones count in
+    /// `broker.morsel_calls`. Not on the wire.
+    pub morsel_calls: u64,
     /// Store reliability counters (retries, degraded fetches, quarantine
     /// size) summed over the distinct stores behind the served kinds.
     pub store: tahoma_imagery::ReliabilityStats,
@@ -204,6 +208,8 @@ struct NnBackend {
     // LOCK-ORDER: 30 — session-scratch pool; held only to pop/push a
     // buffer, never across scoring (the broker's locks rank above).
     sessions: Mutex<Vec<NnSessionScratch>>,
+    /// Locally scored inference calls that ran as morsels.
+    morsel_calls: AtomicU64,
 }
 
 struct KindState {
@@ -329,6 +335,7 @@ impl QueryService {
                     broker,
                     active,
                     sessions: Mutex::new(Vec::new()),
+                    morsel_calls: AtomicU64::new(0),
                 }),
             },
         );
@@ -352,6 +359,7 @@ impl QueryService {
     /// Aggregated counters.
     pub fn stats(&self) -> ServiceStats {
         let mut broker = BrokerStats::default();
+        let mut morsel_calls = 0;
         let mut store = tahoma_imagery::ReliabilityStats::default();
         // Kinds may share one store (the NN fixture does); sum each
         // distinct store's counters once.
@@ -364,6 +372,8 @@ impl QueryService {
                 broker.merged_calls += b.merged_calls;
                 broker.rows += b.rows;
                 broker.failovers += b.failovers;
+                broker.morsel_calls += b.morsel_calls;
+                morsel_calls += nn.morsel_calls.load(Ordering::Relaxed);
                 let ptr = Arc::as_ptr(&nn.store);
                 if !seen_stores.contains(&ptr) {
                     seen_stores.push(ptr);
@@ -379,6 +389,7 @@ impl QueryService {
             plan_hits: self.plan_cache.hits(),
             plan_misses: self.plan_cache.misses(),
             broker,
+            morsel_calls,
             store,
             timeouts: self.timeouts.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
@@ -568,7 +579,7 @@ impl QueryService {
                     .unwrap_or_else(NnSessionScratch::new);
                 // Scratch pools are shared across queries: the delta around
                 // this run is this pack's own degraded slot count.
-                let degraded_before = scratch.stats().degraded_fetches;
+                let before = scratch.stats();
                 let rel = {
                     let mut scorer = SharedNnScorer::new(&nn.store, &nn.zoo, &mut scratch);
                     if coalesce {
@@ -576,7 +587,10 @@ impl QueryService {
                     }
                     exec.run_cascade_batched(kind, cascade, pack, &mut scorer)
                 };
-                let degraded = scratch.stats().degraded_fetches - degraded_before;
+                let after = scratch.stats();
+                nn.morsel_calls
+                    .fetch_add(after.morsel_calls - before.morsel_calls, Ordering::Relaxed);
+                let degraded = after.degraded_fetches - before.degraded_fetches;
                 lock(&nn.sessions).push(scratch);
                 (rel, degraded)
             }

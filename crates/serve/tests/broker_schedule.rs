@@ -16,14 +16,16 @@
 //! A second test covers the failure path the same way: a leader whose
 //! zoo call panics must propagate the panic to every follower of that
 //! batch — never wedge them on the condvar — and leave the broker
-//! reusable.
+//! reusable. A third makes one morsel of a fanned-out call die
+//! transiently: the broker must recover it through solo failover with
+//! unchanged scores.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tahoma_core::exec::{InferDispatch, SharedModelZoo};
 use tahoma_imagery::{ColorMode, Representation};
-use tahoma_nn::InferScratch;
+use tahoma_nn::{InferScratch, Layer, Shape, MORSEL_ROWS};
 use tahoma_serve::{sched, Broker};
 use tahoma_zoo::{ArchSpec, ModelId};
 
@@ -132,6 +134,117 @@ fn thousand_seeds_bitwise_identical_to_serial() {
         stats.merged_calls > 0,
         "no merged batches across {SEEDS} seeds: {stats:?}"
     );
+}
+
+/// Identity layer whose first inference call after arming panics (and
+/// disarms): a transient death of whichever morsel runs first.
+struct Tripwire {
+    shape: Shape,
+    armed: Arc<AtomicBool>,
+}
+
+impl Layer for Tripwire {
+    fn name(&self) -> &'static str {
+        "tripwire"
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn output_shape(&self) -> Shape {
+        self.shape
+    }
+    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
+        input.to_vec()
+    }
+    fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
+        grad_out.to_vec()
+    }
+    fn forward_batch(&mut self, input: &[f32], _batch: usize, out: &mut Vec<f32>, _cache: bool) {
+        out.clear();
+        out.extend_from_slice(input);
+    }
+    fn backward_batch(&mut self, grad_out: &[f32], _batch: usize, grad_in: &mut Vec<f32>) {
+        grad_in.clear();
+        grad_in.extend_from_slice(grad_out);
+    }
+    fn infer_shared(&self, input: &[f32], _batch: usize, out: &mut Vec<f32>, _: &mut InferScratch) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected morsel death");
+        }
+        out.clear();
+        out.extend_from_slice(input);
+    }
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
+    fn zero_grads(&mut self) {}
+    fn param_count(&self) -> usize {
+        0
+    }
+    fn flops(&self) -> u64 {
+        0
+    }
+}
+
+/// A morsel that panics mid-call is re-raised on the call's owner by the
+/// pool scope, caught by the broker, and the participants re-run their
+/// rows solo — fanning out again — with scores bitwise equal to a clean
+/// network's, on the idle fast path and on a merged batch alike.
+#[test]
+fn panicking_morsel_fails_over_solo_bitwise() {
+    let rep = Representation::new(12, ColorMode::Gray);
+    let spec = ArchSpec {
+        conv_layers: 1,
+        conv_nodes: 4,
+        dense_nodes: 8,
+    }
+    .cnn_spec(rep);
+    let armed = Arc::new(AtomicBool::new(false));
+    let mut flaky = spec.build(41).expect("net");
+    flaky.push(Box::new(Tripwire {
+        shape: flaky.output_shape(),
+        armed: Arc::clone(&armed),
+    }));
+    let mut zoo = SharedModelZoo::new();
+    zoo.register(ModelId(0), rep, flaky);
+    let clean = spec.build(41).expect("net");
+    let active = Arc::new(AtomicUsize::new(1));
+    let broker =
+        Broker::new(Arc::new(zoo), Arc::clone(&active)).with_window(Duration::from_millis(50));
+    let pack = |t: u64, n: usize| {
+        let mut rng = tahoma_mathx::DetRng::new(0xD1E ^ t);
+        let rows: Vec<f32> = (0..n * ROW_LEN)
+            .map(|_| rng.normal(0.0, 1.0) as f32)
+            .collect();
+        let want = clean.predict_proba_shared(&rows, n, &mut InferScratch::coalescing());
+        (rows, n, want)
+    };
+
+    // Idle fast path: one submitter, a pack of several morsels.
+    let (rows, n, want) = pack(0, 5 * MORSEL_ROWS + 3);
+    armed.store(true, Ordering::SeqCst);
+    assert_eq!(broker.infer(ModelId(0), &rows, n), want);
+    assert!(!armed.load(Ordering::SeqCst), "no morsel ran armed");
+    let stats = broker.stats();
+    assert_eq!((stats.calls, stats.failovers), (2, 1), "{stats:?}");
+    assert!(
+        stats.morsel_calls >= 1,
+        "the solo retry fanned out: {stats:?}"
+    );
+
+    // Merged batch: both participants' rows die together, both recover.
+    active.store(2, Ordering::SeqCst);
+    let packs: Vec<_> = (1..3).map(|t| pack(t, 2 * MORSEL_ROWS)).collect();
+    armed.store(true, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        for (rows, n, want) in &packs {
+            let broker = &broker;
+            s.spawn(move || assert_eq!(broker.infer(ModelId(0), rows, *n), *want));
+        }
+    });
+    let stats = broker.stats();
+    assert!(!armed.load(Ordering::SeqCst), "no morsel ran armed");
+    // Two participants recover if the window merged them, else only the
+    // submitter whose own call died.
+    assert_eq!(stats.failovers, 2 + stats.merged_calls, "{stats:?}");
 }
 
 /// A panicking zoo call (here: an unregistered model) must re-raise on the

@@ -279,6 +279,26 @@ fn chaos_persistent_tier_256_schedules() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Schedules over a corpus whose full-corpus packs span several morsels
+/// (`tahoma_nn::MORSEL_ROWS`), so the faulted calls are the fanned-out
+/// ones; the small fixtures above never build a pack that big.
+#[test]
+fn chaos_morsel_packs_128_schedules() {
+    let _campaign = campaign_lock();
+    let service = nn_service(&NnFixtureConfig {
+        kinds: vec![ObjectKind::Fence, ObjectKind::Wallet],
+        corpus_n: 2 * tahoma_nn::MORSEL_ROWS + 40,
+        seed: 0x7A40,
+        ..Default::default()
+    });
+    campaign(&service, 3000..3128, "morsel");
+    let stats = service.stats();
+    assert!(
+        stats.broker.morsel_calls > 0,
+        "morsel: no scoring call fanned out: {stats:?}"
+    );
+}
+
 /// Deadlines: an already-expired budget answers `TIMEOUT` (a clean,
 /// well-formed stop), and a generous one answers identically to the
 /// fault-free run.

@@ -8,6 +8,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tahoma_imagery::ObjectKind;
+use tahoma_nn::MORSEL_ROWS;
 use tahoma_serve::fixture::{nn_service, surrogate_service, NnFixtureConfig};
 use tahoma_serve::{serve, ExecPolicy, QueryService, ServerConfig};
 
@@ -121,6 +122,82 @@ fn concurrent_uncoalesced_results_match_serial() {
             });
         }
     });
+}
+
+/// Packs of several morsels (`tahoma_nn::MORSEL_ROWS`) are scored as
+/// morsels spread across the worker pool — through the broker and through
+/// the local path — and must answer exactly what the same predicates
+/// answer asked one camera at a time, where every pack stays under two
+/// morsels and scores in one pass on the caller.
+#[test]
+fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
+    const PREDICATES: &[&str] = &[
+        "contains_object(fence)",
+        "contains_object(wallet) AND contains_object(fence)",
+    ];
+    let service = Arc::new(nn_service(&NnFixtureConfig {
+        corpus_n: 2 * MORSEL_ROWS + 40,
+        window: Duration::from_millis(2),
+        ..Default::default()
+    }));
+    let sliced: Vec<Vec<u64>> = PREDICATES
+        .iter()
+        .map(|p| {
+            let mut ids: Vec<u64> = (0..8)
+                .flat_map(|cam| {
+                    let sql = format!("SELECT * FROM frames WHERE {p} AND camera = {cam}");
+                    service
+                        .execute_with(&sql, UNCACHED_SERIAL)
+                        .expect("slice")
+                        .matched_ids
+                })
+                .collect();
+            ids.sort_unstable();
+            ids
+        })
+        .collect();
+    let stats = service.stats();
+    assert_eq!(
+        (stats.morsel_calls, stats.broker.morsel_calls),
+        (0, 0),
+        "camera slices must stay on the one-pass path"
+    );
+    let run = |policy: ExecPolicy| {
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                let (service, sliced) = (&service, &sliced);
+                s.spawn(move || {
+                    for (p, want) in PREDICATES.iter().zip(sliced).cycle().skip(t).take(4) {
+                        let sql = format!("SELECT * FROM frames WHERE {p}");
+                        let got = service
+                            .execute_with(&sql, policy)
+                            .expect("whole-corpus query");
+                        assert_eq!(&got.matched_ids, want, "thread {t}: {sql:?}");
+                    }
+                });
+            }
+        })
+    };
+    run(ExecPolicy {
+        use_plan_cache: true,
+        coalesce: false,
+        deadline: None,
+    });
+    let stats = service.stats();
+    assert!(
+        stats.morsel_calls > 0,
+        "local path never fanned out: {stats:?}"
+    );
+    assert_eq!(
+        stats.broker.morsel_calls, 0,
+        "uncoalesced run used the broker"
+    );
+    run(ExecPolicy::default());
+    let stats = service.stats();
+    assert!(
+        stats.broker.morsel_calls > 0,
+        "broker path never fanned out: {stats:?}"
+    );
 }
 
 /// The persistent segment tier must be invisible in answers: a service
