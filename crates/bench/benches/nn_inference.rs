@@ -3,27 +3,31 @@
 //! Views of the hot path (the non-GEMM layer sweeps are measured per tier
 //! in `benches/kernel_policy.rs`):
 //! * `conv_forward`: a single convolution layer, scalar reference loop vs
-//!   the im2col+GEMM path at batch 1 — the kernel-level speedup;
-//! * `conv_forward_batch`: the GEMM conv across batch sizes (per-image
-//!   throughput must not degrade as the batch grows);
+//!   the im2col+GEMM inference forward (`infer_shared`) at batch 1 — the
+//!   kernel-level speedup;
+//! * `conv_forward_batch`: the GEMM conv's inference forward
+//!   (`infer_shared` on default scratch, images one after another) across
+//!   batch sizes (per-image throughput must not degrade as the batch
+//!   grows);
 //! * `gemm_dispatch` / `conv_dispatch`: every runtime-dispatchable kernel
 //!   tier pinned explicitly (portable / avx2 / avx512 / auto) so a tier
 //!   regression shows as its own line — the explicit-SIMD tiers must beat
 //!   the portable auto-vectorized kernel in the default (non-native)
 //!   build, and `conv_dispatch` includes the small-k first-layer shape the
 //!   AVX-512 wide tile targets;
-//! * `gemm_threads` / `conv_batch_threads`: forced worker counts over a
-//!   large GEMM and a batched conv (on a single-core runner these show the
-//!   spawn overhead; on multi-core runners, the speedup);
-//! * `nn_forward`: whole-model inference, per-image `forward_logit` vs
-//!   `predict_proba_batch` over 1/8/32-image minibatches.
+//! * `gemm_threads`: forced worker counts over a large GEMM (on a
+//!   single-core runner these show the spawn overhead; on multi-core
+//!   runners, the speedup);
+//! * `nn_forward`: whole-model inference through `predict_proba_shared` on
+//!   one default scratch, per image (the batch-1 matvec dense path) vs
+//!   8/32-image minibatches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use tahoma_imagery::{ColorMode, Representation};
 use tahoma_mathx::SimdTier;
 use tahoma_nn::gemm::{self, GemmScratch, Trans};
-use tahoma_nn::{Conv2d, Layer, Shape};
+use tahoma_nn::{Conv2d, InferScratch, Layer, Shape};
 use tahoma_zoo::ArchSpec;
 
 /// Conv layers representative of the paper family's hot spots: early layers
@@ -42,13 +46,18 @@ fn bench_conv_scalar_vs_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_forward");
     for (name, shape, out_c) in conv_cases() {
         let mut conv = Conv2d::new(shape, out_c, 3, &mut rng);
+        let mut scratch = InferScratch::default();
+        let mut out = Vec::new();
         let input: Vec<f32> = (0..shape.len()).map(|i| (i % 97) as f32 / 97.0).collect();
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new("scalar", name), &name, |b, _| {
             b.iter(|| black_box(conv.forward_scalar(black_box(&input))))
         });
         group.bench_with_input(BenchmarkId::new("gemm", name), &name, |b, _| {
-            b.iter(|| black_box(conv.forward(black_box(&input))))
+            b.iter(|| {
+                conv.infer_shared(black_box(&input), 1, &mut out, &mut scratch);
+                black_box(out.len())
+            })
         });
     }
     group.finish();
@@ -57,7 +66,8 @@ fn bench_conv_scalar_vs_gemm(c: &mut Criterion) {
 fn bench_conv_batch_sweep(c: &mut Criterion) {
     let mut rng = tahoma_mathx::DetRng::new(0xC1);
     let shape = Shape::new(16, 30, 30);
-    let mut conv = Conv2d::new(shape, 16, 3, &mut rng);
+    let conv = Conv2d::new(shape, 16, 3, &mut rng);
+    let mut scratch = InferScratch::default();
     let mut group = c.benchmark_group("conv_forward_batch/16ch-30px-16f");
     for batch in [1usize, 8, 32] {
         let input: Vec<f32> = (0..batch * shape.len())
@@ -67,7 +77,7 @@ fn bench_conv_batch_sweep(c: &mut Criterion) {
         group.throughput(Throughput::Elements(batch as u64));
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
             b.iter(|| {
-                conv.forward_batch(black_box(&input), batch, &mut out, false);
+                conv.infer_shared(black_box(&input), batch, &mut out, &mut scratch);
                 black_box(out.len())
             })
         });
@@ -211,29 +221,6 @@ fn bench_gemm_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_conv_batch_threads(c: &mut Criterion) {
-    let mut rng = tahoma_mathx::DetRng::new(0xD4);
-    let shape = Shape::new(16, 30, 30);
-    let batch = 32usize;
-    let input: Vec<f32> = (0..batch * shape.len())
-        .map(|i| (i % 89) as f32 / 89.0)
-        .collect();
-    let mut group = c.benchmark_group("conv_batch_threads/16ch-30px-16f-b32");
-    group.throughput(Throughput::Elements(batch as u64));
-    for threads in [1usize, 2, 4] {
-        let mut conv = Conv2d::new(shape, 16, 3, &mut rng);
-        conv.set_threads(Some(threads));
-        let mut out = Vec::new();
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |bch, _| {
-            bch.iter(|| {
-                conv.forward_batch(black_box(&input), batch, &mut out, false);
-                black_box(out.len())
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_model_inference(c: &mut Criterion) {
     let cases = [
         (
@@ -266,11 +253,12 @@ fn bench_model_inference(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("nn_forward");
     for (name, arch, rep) in cases {
-        let mut model = arch.cnn_spec(rep).build(7).unwrap();
+        let model = arch.cnn_spec(rep).build(7).unwrap();
+        let mut scratch = InferScratch::default();
         let input = vec![0.5f32; rep.value_count()];
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new("single", name), &name, |b, _| {
-            b.iter(|| black_box(model.forward_logit(black_box(&input))))
+            b.iter(|| black_box(model.predict_proba_shared(black_box(&input), 1, &mut scratch)))
         });
         for batch in [8usize, 32] {
             let batch_input: Vec<f32> = input
@@ -284,7 +272,13 @@ fn bench_model_inference(c: &mut Criterion) {
                 BenchmarkId::new(format!("batch{batch}"), name),
                 &batch,
                 |b, &batch| {
-                    b.iter(|| black_box(model.predict_proba_batch(black_box(&batch_input), batch)))
+                    b.iter(|| {
+                        black_box(model.predict_proba_shared(
+                            black_box(&batch_input),
+                            batch,
+                            &mut scratch,
+                        ))
+                    })
                 },
             );
         }
@@ -299,7 +293,6 @@ criterion_group!(
     bench_gemm_dispatch,
     bench_conv_dispatch,
     bench_gemm_threads,
-    bench_conv_batch_threads,
     bench_model_inference
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //!   bar is ≥ 2x on the depth-2 cascade.
 //! * `query_exec/nn*` — the real-NN backend end to end on a store of real
 //!   raster frames (fetch → pooled decode → [transcode] → standardize →
-//!   `infer_batch` → thresholds), both in the ONGOING layout (exact
+//!   `infer_batch_shared` → thresholds), both in the ONGOING layout (exact
 //!   representations stored) and through the transcode fallback (only the
 //!   full frame stored), plus isolated per-stage lines so the end-to-end
 //!   number decomposes in `BENCH_baseline.json`. A per-stage wall-clock
@@ -30,7 +30,7 @@ use tahoma_costmodel::{AnalyticProfiler, DeviceProfile, Scenario};
 use tahoma_imagery::codec::Codec;
 use tahoma_imagery::engine::TranscodeEngine;
 use tahoma_imagery::{ColorMode, Image, ObjectKind, RawCodec, Representation, RepresentationStore};
-use tahoma_nn::Sequential;
+use tahoma_nn::{InferScratch, Sequential};
 use tahoma_zoo::repository::{build_surrogate_repository, SurrogateBuildConfig};
 use tahoma_zoo::variant::paper_variants;
 use tahoma_zoo::{ArchSpec, ModelId, ModelRepository, PredicateSpec, SurrogateScorer};
@@ -410,11 +410,12 @@ fn bench_nn_stages(c: &mut Criterion) {
         conv_nodes: 16,
         dense_nodes: 16,
     };
-    let mut model = build_model(arch0, rep0, 11);
+    let model = build_model(arch0, rep0, 11);
+    let mut scratch = InferScratch::default();
     let batch = 64usize;
     let input = vec![0.1f32; batch * rep0.value_count()];
     group.bench_function("infer_batch64_c1x16-d16_30gray", |b| {
-        b.iter(|| black_box(model.predict_proba_batch(&input, batch)))
+        b.iter(|| black_box(model.predict_proba_shared(&input, batch, &mut scratch)))
     });
     let thr = DecisionThresholds {
         p_low: 0.3,

@@ -7,7 +7,7 @@
 //!   the full corpus (10^5 items, 10^4 in `--quick`), prime-stride walk so
 //!   every shard and file region is touched. Baseline-gated.
 //! * `store_scale/query_depth2/{ram,mmap}` — a real depth-2 NN sweep
-//!   (fetch → pooled decode → standardize → `infer_batch`, both levels)
+//!   (fetch → pooled decode → standardize → `infer_batch_shared`, both levels)
 //!   over a pack spread across the corpus, plus an interleaved-medians
 //!   ratio with the acceptance bar: warm persistent-tier query latency
 //!   within 1.2x of in-RAM. Baseline-gated; ratio asserted.
@@ -108,7 +108,7 @@ fn depth2_zoo() -> SharedModelZoo {
 /// Worst-case depth-2 sweep: every item scored at both levels (no early
 /// decisions), i.e. the storage-heaviest query the cascade can issue.
 /// Corpora larger than one pack are scored in pack-sized chunks, the way
-/// the executor batches at scale (one giant `infer_batch` would thrash
+/// the executor batches at scale (one giant `infer_batch_shared` would thrash
 /// the activation working set and measure the allocator, not the store).
 fn depth2_sweep(scorer: &mut SharedNnScorer<'_>, items: &[&CorpusItem], out: &mut Vec<f32>) -> f32 {
     let mut acc = 0.0;

@@ -12,7 +12,7 @@ use crate::device::DeviceProfile;
 use crate::scenario::{Scenario, ScenarioCosts};
 use std::time::Instant;
 use tahoma_imagery::{BlockCodec, Codec, Image, Representation};
-use tahoma_nn::Sequential;
+use tahoma_nn::{InferScratch, Sequential};
 
 /// The three cost terms of `t_classify = t_load + t_transform + t_infer`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -174,17 +174,16 @@ impl MeasuredProfiler {
         })
     }
 
-    /// Measure one real forward pass of a `tahoma-nn` model.
-    pub fn measure_infer(&self, model: &mut Sequential, input: &[f32]) -> f64 {
-        let reps = self.repetitions.max(1);
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let _ = model.forward_logit(input);
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(f64::total_cmp);
-        samples[reps / 2]
+    /// Measure one real inference of a `tahoma-nn` model on one image:
+    /// [`Sequential::predict_proba_shared`], the inference entry point
+    /// serving calls, on one [`InferScratch::default`] reused across the
+    /// repetitions. On that (non-coalescing) scratch a batch of 1 runs
+    /// `Dense`'s matvec path, not the 1-row GEMM a coalescing scratch would.
+    pub fn measure_infer(&self, model: &Sequential, input: &[f32]) -> f64 {
+        let mut scratch = InferScratch::default();
+        self.time_median(|| {
+            let _ = model.predict_proba_shared(input, 1, &mut scratch);
+        })
     }
 }
 
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn measured_infer_scales_with_model_size() {
         let prof = MeasuredProfiler::new(Scenario::InferOnly);
-        let mut small = CnnSpec {
+        let small = CnnSpec {
             input: Shape::new(1, 16, 16),
             conv_channels: vec![4],
             kernel: 3,
@@ -277,7 +276,7 @@ mod tests {
         }
         .build(1)
         .unwrap();
-        let mut large = CnnSpec {
+        let large = CnnSpec {
             input: Shape::new(3, 64, 64),
             conv_channels: vec![16, 16],
             kernel: 3,
@@ -285,8 +284,8 @@ mod tests {
         }
         .build(1)
         .unwrap();
-        let t_small = prof.measure_infer(&mut small, &vec![0.5; 256]);
-        let t_large = prof.measure_infer(&mut large, &vec![0.5; 3 * 64 * 64]);
+        let t_small = prof.measure_infer(&small, &vec![0.5; 256]);
+        let t_large = prof.measure_infer(&large, &vec![0.5; 3 * 64 * 64]);
         assert!(
             t_large > t_small,
             "large model not slower: {t_large} vs {t_small}"

@@ -121,7 +121,7 @@ pub struct GemmScratch {
     off_main: Vec<usize>,
     /// Per-row B offsets for panel-packed (stride `NR`) addressing.
     off_panel: Vec<usize>,
-    /// Worker scratches for threaded runs (see [`GemmScratch::worker_pool`]).
+    /// Worker scratches for threaded runs (see `GemmScratch::worker_pool`).
     pool: Vec<GemmScratch>,
     /// Micro-kernel tier pin; `None` (the default) runs the widest tier
     /// of [`TIERS`] under [`SimdTier::ceiling`], resolved per call.
@@ -129,8 +129,8 @@ pub struct GemmScratch {
     /// Worker-thread override: `None` sizes automatically from the problem
     /// (staying single-threaded below [`PAR_MIN_FLOPS`] per worker);
     /// `Some(t)` forces up to `t` workers regardless of size (used by tests
-    /// to exercise the split on small problems, and by batch loops to pin
-    /// their inner GEMMs to one thread).
+    /// to exercise the split on small problems, and by morsel lanes and
+    /// training scratch to pin their GEMMs to one thread).
     pub threads: Option<usize>,
 }
 
@@ -152,10 +152,9 @@ impl GemmScratch {
     }
 
     /// Split off `n` single-threaded worker scratches inheriting this
-    /// scratch's kernel selection, growing the pool as needed. For callers
-    /// that parallelize an *outer* loop (e.g. a batch of images) and need
-    /// one scratch per worker with nested threading disabled.
-    pub fn worker_pool(&mut self, n: usize) -> &mut [GemmScratch] {
+    /// scratch's kernel selection, growing the pool as needed: one per
+    /// column-range worker of a threaded [`gemm`].
+    fn worker_pool(&mut self, n: usize) -> &mut [GemmScratch] {
         if self.pool.len() < n {
             self.pool.resize_with(n, GemmScratch::default);
         }
@@ -192,23 +191,6 @@ impl GemmScratch {
 fn hw_threads() -> usize {
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
-}
-
-/// Worker-thread count for a loop over `batch` items of `item_flops` each:
-/// the explicit request clamped to the batch, or an automatic size that
-/// stays serial until there is at least [`PAR_MIN_FLOPS`] of work per
-/// worker (and never exceeds the machine's parallelism).
-pub fn batch_threads(requested: Option<usize>, item_flops: u64, batch: usize) -> usize {
-    match requested {
-        Some(t) => t.clamp(1, batch.max(1)),
-        None => {
-            if batch < 2 || hw_threads() <= 1 {
-                return 1;
-            }
-            let by_work = (item_flops as f64 * batch as f64 / PAR_MIN_FLOPS) as usize;
-            by_work.min(hw_threads()).min(batch).max(1)
-        }
-    }
 }
 
 /// Worker count for one GEMM of the given shape (see

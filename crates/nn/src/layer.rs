@@ -7,21 +7,23 @@
 //! convention of counting a multiply-accumulate as two operations (it quotes
 //! YOLOv2 at "8.52 billion operations").
 //!
-//! Every layer carries two execution paths:
+//! Every layer has **one forward body**, [`Layer::infer_shared`]: `&self`,
+//! batch-major, channel-planar (`[image][channel][y][x]`), with all mutable
+//! state in the caller's [`InferScratch`]. `Conv2d` runs
+//! [`crate::gemm::conv2d_forward`] (virtual im2col — the patch matrix is
+//! addressed, not materialized) per image; `Dense` multiplies the whole
+//! minibatch at once (or runs the matvec kernel at batch 1 on non-coalescing
+//! scratch). Training's [`Layer::forward_batch`] records what
+//! [`Layer::backward_batch`] needs and then runs that same body on
+//! layer-owned, single-threaded scratch, so a trained model scores the same
+//! bits in training and in serving; the per-image `forward` is a batch-of-1
+//! wrapper over it. Backward runs the materialized [`crate::gemm::im2col`].
 //!
-//! * the **batched GEMM path** (`forward_batch`/`backward_batch`): inputs are
-//!   batch-major, channel-planar (`[image][channel][y][x]`), carried through
-//!   the whole stack in reused buffers with no per-image allocation. `Conv2d`
-//!   forward runs [`crate::gemm::conv2d_forward`] (virtual im2col — the patch
-//!   matrix is addressed, not materialized) per image and its backward uses
-//!   the materialized [`crate::gemm::im2col`]; `Dense` multiplies the whole
-//!   minibatch at once. The per-image `forward` is a batch-of-1 wrapper over
-//!   this path.
-//! * the **scalar reference path** (`Conv2d::forward_scalar`, plus the
-//!   per-image `backward` implementations), kept verbatim from the original
-//!   implementation. It defines the semantics the GEMM path must reproduce
-//!   (property-tested in `tests/proptests.rs`) and serves as the baseline in
-//!   the `nn_inference` bench.
+//! The **scalar reference path** (`Conv2d::forward_scalar`, plus the
+//! per-image `backward` implementations) is kept verbatim from the original
+//! implementation. It defines the semantics the GEMM path must reproduce
+//! (property-tested in `tests/proptests.rs`) and serves as the baseline in
+//! the `nn_inference` bench.
 
 use crate::gemm::{self, GemmScratch};
 use crate::init::{he_normal, xavier_uniform};
@@ -31,12 +33,11 @@ use tahoma_mathx::DetRng;
 
 /// Per-caller mutable state for the shared (`&self`) inference path.
 ///
-/// A trained model's parameters are immutable at serving time, but every
-/// layer's `forward_batch` also touches scratch (GEMM packing buffers,
-/// im2col staging) owned by the layer — which is what forces `&mut self`
-/// and, transitively, one model instance per thread. [`InferScratch`]
-/// pulls all of that mutable state out: one lives per *query* (checked out
-/// from a pool by the serving layer), so any number of threads can score
+/// A trained model's parameters are immutable at serving time, but a
+/// forward pass also needs scratch (GEMM packing buffers, ping-pong
+/// activations). [`InferScratch`] holds all of that mutable state, so the
+/// model stays `&self`: one scratch lives per *query* (checked out
+/// from a pool by the serving layer), and any number of threads can score
 /// through a single `Sequential` concurrently via
 /// [`crate::model::Sequential::predict_proba_shared`].
 ///
@@ -75,6 +76,17 @@ impl InferScratch {
     pub fn coalescing() -> InferScratch {
         InferScratch {
             force_gemm: true,
+            ..InferScratch::default()
+        }
+    }
+
+    /// Scratch whose GEMMs (and morsels) stay on the calling thread — what
+    /// training runs on, layer-owned inside `Conv2d` and `Dense`: training
+    /// gets its parallelism from training several models at once, not from
+    /// inside one.
+    pub fn single_threaded() -> InferScratch {
+        InferScratch {
+            gemm: GemmScratch::with_threads(1),
             ..InferScratch::default()
         }
     }
@@ -142,28 +154,31 @@ pub trait Layer: Send + Sync {
     fn as_any(&self) -> &dyn std::any::Any;
     /// Output shape for this layer's fixed input shape.
     fn output_shape(&self) -> Shape;
-    /// Run the layer forward, caching activations needed by `backward`.
-    fn forward(&mut self, input: &[f32]) -> Vec<f32>;
+    /// Training forward of one image: a batch-of-1
+    /// [`Layer::forward_batch`].
+    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.forward_batch(input, 1, &mut out);
+        out
+    }
     /// Propagate `grad_out` (dL/d output) to dL/d input, accumulating
     /// parameter gradients. Must be called after `forward`.
     fn backward(&mut self, grad_out: &[f32]) -> Vec<f32>;
-    /// Run a whole minibatch forward into `out` (resized by the callee).
-    /// `input` holds `batch` images back to back in channel-planar order.
-    /// With `cache` set, activations needed by [`Layer::backward_batch`] are
-    /// recorded; inference paths pass `false` and skip that bookkeeping
-    /// (backward after a cache-less forward is a contract violation).
-    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>, cache: bool);
+    /// Training forward of a whole minibatch into `out` (resized by the
+    /// callee); `input` holds `batch` images back to back in
+    /// channel-planar order. Records what [`Layer::backward_batch`] needs,
+    /// then produces exactly [`Layer::infer_shared`]'s bits: `Conv2d`,
+    /// `Dense` and `Relu` run that body on layer-owned single-threaded
+    /// scratch, and `MaxPool2`'s argmax sweep is pinned bitwise to it.
+    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>);
     /// Batched counterpart of [`Layer::backward`]: propagate a whole
     /// minibatch of output gradients into `grad_in`, accumulating parameter
     /// gradients over the batch. Must be called after `forward_batch` with
     /// the same `batch`.
     fn backward_batch(&mut self, grad_out: &[f32], batch: usize, grad_in: &mut Vec<f32>);
-    /// Shared-reference inference forward: identical results to
-    /// `forward_batch(input, batch, out, /*cache=*/false)`, but all
-    /// mutable state lives in the caller's [`InferScratch`], so one layer
-    /// instance serves any number of threads concurrently. Layer-owned
-    /// scratch/threading knobs are ignored; the scratch's
-    /// [`GemmScratch::kernel`]/`threads` apply instead.
+    /// The inference forward: all mutable state lives in the caller's
+    /// [`InferScratch`], so one layer instance serves any number of threads
+    /// concurrently, on the scratch's [`GemmScratch::kernel`]/`threads`.
     fn infer_shared(
         &self,
         input: &[f32],
@@ -173,12 +188,6 @@ pub trait Layer: Send + Sync {
     );
     /// Visit (parameters, gradients) slices for the optimizer.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
-    /// Cap the worker threads this layer's forward path may spawn: `None`
-    /// sizes automatically from the work (the default), `Some(1)` pins the
-    /// layer single-threaded (callers that parallelize an outer loop, e.g.
-    /// one model per core, set this to avoid oversubscription). Layers
-    /// without a threaded path ignore it.
-    fn set_threads(&mut self, _threads: Option<usize>) {}
     /// Reset accumulated gradients to zero.
     fn zero_grads(&mut self);
     /// Number of trainable parameters.
@@ -188,7 +197,7 @@ pub trait Layer: Send + Sync {
 }
 
 /// 2-D convolution, stride 1, "same" zero padding, odd square kernels.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Conv2d {
     input: Shape,
     out_c: usize,
@@ -198,7 +207,7 @@ pub struct Conv2d {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cache_input: Vec<f32>,
-    scratch: GemmScratch,
+    scratch: InferScratch,
     col: Vec<f32>,
     dcol: Vec<f32>,
 }
@@ -221,7 +230,7 @@ impl Conv2d {
             grad_w: vec![0.0; n_w],
             grad_b: vec![0.0; out_c],
             cache_input: Vec::new(),
-            scratch: GemmScratch::default(),
+            scratch: InferScratch::single_threaded(),
             col: Vec::new(),
             dcol: Vec::new(),
         }
@@ -247,7 +256,7 @@ impl Conv2d {
             grad_w: vec![0.0; n_w],
             grad_b: vec![0.0; out_c],
             cache_input: Vec::new(),
-            scratch: GemmScratch::default(),
+            scratch: InferScratch::single_threaded(),
             col: Vec::new(),
             dcol: Vec::new(),
         }
@@ -328,70 +337,12 @@ impl Layer for Conv2d {
         Shape::new(self.out_c, self.input.h, self.input.w)
     }
 
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch(input, 1, &mut out, true);
-        out
-    }
-
-    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>, cache: bool) {
-        let (c_in, h, w) = (self.input.c, self.input.h, self.input.w);
-        let in_len = self.input.len();
-        let out_len = self.out_c * h * w;
-        debug_assert_eq!(input.len(), batch * in_len);
-        if cache {
-            self.cache_input.clear();
-            self.cache_input.extend_from_slice(input);
-        }
-        out.resize(batch * out_len, 0.0);
-        // Thread the batch loop across images when there is enough work:
-        // each worker runs whole images through its own scratch (so packing
-        // buffers never contend), and the per-image GEMM stays pinned
-        // single-threaded inside workers. Results are bitwise identical to
-        // the serial loop — images are independent.
-        let threads = gemm::batch_threads(self.scratch.threads, self.flops(), batch);
-        if threads <= 1 {
-            for b in 0..batch {
-                gemm::conv2d_forward(
-                    &mut self.scratch,
-                    &input[b * in_len..(b + 1) * in_len],
-                    c_in,
-                    h,
-                    w,
-                    self.k,
-                    &self.weights,
-                    &self.bias,
-                    self.out_c,
-                    &mut out[b * out_len..(b + 1) * out_len],
-                );
-            }
-            return;
-        }
-        let Conv2d {
-            scratch,
-            weights,
-            bias,
-            k,
-            out_c,
-            ..
-        } = self;
-        let (kk, out_c) = (*k, *out_c);
-        let per = batch.div_ceil(threads);
-        let pool = scratch.worker_pool(batch.div_ceil(per));
-        tahoma_mathx::pool::scope(|scope| {
-            for ((in_chunk, out_chunk), worker) in input
-                .chunks(per * in_len)
-                .zip(out.chunks_mut(per * out_len))
-                .zip(pool.iter_mut())
-            {
-                let (weights, bias) = (&*weights, &*bias);
-                scope.spawn(move || {
-                    for (img, o) in in_chunk.chunks(in_len).zip(out_chunk.chunks_mut(out_len)) {
-                        gemm::conv2d_forward(worker, img, c_in, h, w, kk, weights, bias, out_c, o);
-                    }
-                });
-            }
-        });
+    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>) {
+        self.cache_input.clear();
+        self.cache_input.extend_from_slice(input);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.infer_shared(input, batch, out, &mut scratch);
+        self.scratch = scratch;
     }
 
     fn infer_shared(
@@ -497,7 +448,7 @@ impl Layer for Conv2d {
                 &mut self.col,
             );
             gemm::gemm_nt(
-                &mut self.scratch,
+                &mut self.scratch.gemm,
                 self.out_c,
                 kk_total,
                 hw,
@@ -509,7 +460,7 @@ impl Layer for Conv2d {
             self.dcol.clear();
             self.dcol.resize(kk_total * hw, 0.0);
             gemm::gemm_tn(
-                &mut self.scratch,
+                &mut self.scratch.gemm,
                 kk_total,
                 hw,
                 self.out_c,
@@ -531,10 +482,6 @@ impl Layer for Conv2d {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.weights, &mut self.grad_w);
         f(&mut self.bias, &mut self.grad_b);
-    }
-
-    fn set_threads(&mut self, threads: Option<usize>) {
-        self.scratch.threads = threads;
     }
 
     fn zero_grads(&mut self) {
@@ -620,33 +567,11 @@ impl Layer for MaxPool2 {
         self.input.pooled2()
     }
 
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch(input, 1, &mut out, true);
-        out
-    }
-
-    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>, cache: bool) {
+    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>) {
         let in_len = self.input.len();
         let out_len = self.output_shape().len();
         debug_assert_eq!(input.len(), batch * in_len);
         out.resize(batch * out_len, 0.0);
-        if !cache {
-            // Inference: no argmax bookkeeping — the runtime-dispatched
-            // SIMD max sweep, bitwise identical to `pool_one`'s strict-`>`
-            // running max.
-            let (c, h, w) = (self.input.c, self.input.h, self.input.w);
-            let (oh, ow) = (h / 2, w / 2);
-            for b in 0..batch {
-                for ch in 0..c {
-                    let plane = &input[b * in_len + ch * h * w..b * in_len + (ch + 1) * h * w];
-                    let dst =
-                        &mut out[b * out_len + ch * oh * ow..b * out_len + (ch + 1) * oh * ow];
-                    kernels::maxpool2_plane(None, plane, h, w, dst);
-                }
-            }
-            return;
-        }
         self.argmax.resize(batch * out_len, 0);
         for b in 0..batch {
             self.pool_one(input, b * in_len, out, b * out_len);
@@ -664,6 +589,8 @@ impl Layer for MaxPool2 {
         let out_len = self.output_shape().len();
         debug_assert_eq!(input.len(), batch * in_len);
         out.resize(batch * out_len, 0.0);
+        // The runtime-dispatched SIMD max sweep, bitwise identical to
+        // `pool_one`'s strict-`>` running max.
         let (c, h, w) = (self.input.c, self.input.h, self.input.w);
         let (oh, ow) = (h / 2, w / 2);
         for b in 0..batch {
@@ -736,29 +663,10 @@ impl Layer for Relu {
         self.shape
     }
 
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch(input, 1, &mut out, true);
-        out
-    }
-
-    fn forward_batch(&mut self, input: &[f32], _batch: usize, out: &mut Vec<f32>, cache: bool) {
-        if !cache {
-            // Inference: a pure select sweep, no mask bookkeeping, with
-            // the exact `v > 0.0` semantics of the masked path below.
-            out.resize(input.len(), 0.0);
-            kernels::relu(input, out);
-            return;
-        }
-        out.clear();
+    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>) {
         self.mask.clear();
-        self.mask.reserve(input.len());
-        out.reserve(input.len());
-        for &v in input {
-            let keep = v > 0.0;
-            self.mask.push(keep);
-            out.push(if keep { v } else { 0.0 });
-        }
+        self.mask.extend(input.iter().map(|&v| v > 0.0));
+        self.infer_shared(input, batch, out, &mut InferScratch::default());
     }
 
     fn infer_shared(
@@ -768,6 +676,7 @@ impl Layer for Relu {
         out: &mut Vec<f32>,
         _scratch: &mut InferScratch,
     ) {
+        // A select sweep with the exact `v > 0.0` semantics of the mask.
         out.resize(input.len(), 0.0);
         kernels::relu(input, out);
     }
@@ -805,7 +714,7 @@ impl Layer for Relu {
 }
 
 /// Fully connected layer. Treats its input as flat.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dense {
     n_in: usize,
     n_out: usize,
@@ -814,7 +723,7 @@ pub struct Dense {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cache_input: Vec<f32>,
-    scratch: GemmScratch,
+    scratch: InferScratch,
 }
 
 impl Dense {
@@ -829,7 +738,7 @@ impl Dense {
             grad_w: vec![0.0; n_in * n_out],
             grad_b: vec![0.0; n_out],
             cache_input: Vec::new(),
-            scratch: GemmScratch::default(),
+            scratch: InferScratch::single_threaded(),
         }
     }
 
@@ -846,7 +755,7 @@ impl Dense {
             grad_w: vec![0.0; n_w],
             grad_b: vec![0.0; n_out],
             cache_input: Vec::new(),
-            scratch: GemmScratch::default(),
+            scratch: InferScratch::single_threaded(),
         }
     }
 
@@ -874,41 +783,12 @@ impl Layer for Dense {
         Shape::flat(self.n_out)
     }
 
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch(input, 1, &mut out, true);
-        out
-    }
-
-    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>, cache: bool) {
-        debug_assert_eq!(input.len(), batch * self.n_in);
-        if cache {
-            self.cache_input.clear();
-            self.cache_input.extend_from_slice(input);
-        }
-        out.clear();
-        if batch == 1 {
-            // A single image is a matrix-vector product; the dedicated
-            // matvec kernel (runtime-dispatched SIMD) beats the GEMM
-            // path's packing overhead.
-            out.resize(self.n_out, 0.0);
-            kernels::matvec(self.scratch.kernel, &self.weights, &self.bias, input, out);
-            return;
-        }
-        out.resize(batch * self.n_out, 0.0);
-        for row in out.chunks_exact_mut(self.n_out) {
-            row.copy_from_slice(&self.bias);
-        }
-        // out[batch x n_out] += X[batch x n_in] · Wᵀ (W stored n_out x n_in).
-        gemm::gemm_nt(
-            &mut self.scratch,
-            batch,
-            self.n_out,
-            self.n_in,
-            input,
-            &self.weights,
-            out,
-        );
+    fn forward_batch(&mut self, input: &[f32], batch: usize, out: &mut Vec<f32>) {
+        self.cache_input.clear();
+        self.cache_input.extend_from_slice(input);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.infer_shared(input, batch, out, &mut scratch);
+        self.scratch = scratch;
     }
 
     fn infer_shared(
@@ -921,6 +801,9 @@ impl Layer for Dense {
         debug_assert_eq!(input.len(), batch * self.n_in);
         out.clear();
         if batch == 1 && !scratch.force_gemm {
+            // A single image is a matrix-vector product; the dedicated
+            // matvec kernel (runtime-dispatched SIMD) beats the GEMM
+            // path's packing overhead.
             out.resize(self.n_out, 0.0);
             kernels::matvec(scratch.gemm.kernel, &self.weights, &self.bias, input, out);
             return;
@@ -929,6 +812,7 @@ impl Layer for Dense {
         for row in out.chunks_exact_mut(self.n_out) {
             row.copy_from_slice(&self.bias);
         }
+        // out[batch x n_out] += X[batch x n_in] · Wᵀ (W stored n_out x n_in).
         gemm::gemm_nt(
             &mut scratch.gemm,
             batch,
@@ -965,7 +849,7 @@ impl Layer for Dense {
         }
         // grad_W[n_out x n_in] += Gᵀ[n_out x batch] · X[batch x n_in].
         gemm::gemm_tn(
-            &mut self.scratch,
+            &mut self.scratch.gemm,
             self.n_out,
             self.n_in,
             batch,
@@ -977,7 +861,7 @@ impl Layer for Dense {
         grad_in.clear();
         grad_in.resize(batch * self.n_in, 0.0);
         gemm::gemm_nn(
-            &mut self.scratch,
+            &mut self.scratch.gemm,
             batch,
             self.n_in,
             self.n_out,
@@ -990,10 +874,6 @@ impl Layer for Dense {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.weights, &mut self.grad_w);
         f(&mut self.bias, &mut self.grad_b);
-    }
-
-    fn set_threads(&mut self, threads: Option<usize>) {
-        self.scratch.threads = threads;
     }
 
     fn zero_grads(&mut self) {
@@ -1040,7 +920,7 @@ mod tests {
     /// grads computed per perturbed batch buffer.
     fn finite_diff_check_batch<L: Layer>(layer: &mut L, input: &[f32], batch: usize, eps: f32) {
         let mut out = Vec::new();
-        layer.forward_batch(input, batch, &mut out, true);
+        layer.forward_batch(input, batch, &mut out);
         let grad_out = vec![1.0f32; out.len()];
         let mut grad_in = Vec::new();
         layer.backward_batch(&grad_out, batch, &mut grad_in);
@@ -1051,9 +931,9 @@ mod tests {
             let mut minus = input.to_vec();
             minus[i] -= eps;
             let mut o = Vec::new();
-            layer.forward_batch(&plus, batch, &mut o, true);
+            layer.forward_batch(&plus, batch, &mut o);
             let f_plus: f32 = o.iter().sum();
-            layer.forward_batch(&minus, batch, &mut o, true);
+            layer.forward_batch(&minus, batch, &mut o);
             let f_minus: f32 = o.iter().sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             assert!(
@@ -1141,7 +1021,7 @@ mod tests {
             .map(|i| ((i * 7) % 13) as f32 / 13.0 - 0.4)
             .collect();
         let mut batched = Vec::new();
-        conv.forward_batch(&input, batch, &mut batched, true);
+        conv.forward_batch(&input, batch, &mut batched);
         let out_len = conv.output_shape().len();
         for b in 0..batch {
             let single = conv.forward(&input[b * shape.len()..(b + 1) * shape.len()]);
@@ -1203,7 +1083,7 @@ mod tests {
         // One batched pass.
         conv.zero_grads();
         let mut out = Vec::new();
-        conv.forward_batch(&input, batch, &mut out, true);
+        conv.forward_batch(&input, batch, &mut out);
         let mut grad_in = Vec::new();
         conv.backward_batch(&vec![1.0; batch * out_len], batch, &mut grad_in);
 
@@ -1273,7 +1153,7 @@ mod tests {
             .map(|i| ((i * 31) % 17) as f32)
             .collect();
         let mut batched = Vec::new();
-        pool.forward_batch(&input, batch, &mut batched, true);
+        pool.forward_batch(&input, batch, &mut batched);
         let out_len = pool.output_shape().len();
         // Batched backward routes each image's gradient inside its own slot.
         let mut grad_in = Vec::new();
@@ -1314,7 +1194,7 @@ mod tests {
         let mut relu = Relu::new(Shape::flat(3));
         let input = [-1.0f32, 2.0, 0.5, 3.0, -0.25, 0.0];
         let mut out = Vec::new();
-        relu.forward_batch(&input, 2, &mut out, true);
+        relu.forward_batch(&input, 2, &mut out);
         assert_eq!(out, vec![0.0, 2.0, 0.5, 3.0, 0.0, 0.0]);
         let mut gin = Vec::new();
         relu.backward_batch(&[1.0; 6], 2, &mut gin);
@@ -1335,7 +1215,7 @@ mod tests {
         let batch = 5;
         let input: Vec<f32> = (0..batch * 10).map(|i| (i as f32 / 25.0) - 1.0).collect();
         let mut batched = Vec::new();
-        dense.forward_batch(&input, batch, &mut batched, true);
+        dense.forward_batch(&input, batch, &mut batched);
         for b in 0..batch {
             let single = dense.forward(&input[b * 10..(b + 1) * 10]);
             for (i, (&x, &y)) in single.iter().zip(&batched[b * 4..(b + 1) * 4]).enumerate() {
@@ -1379,7 +1259,7 @@ mod tests {
 
         dense.zero_grads();
         let mut out = Vec::new();
-        dense.forward_batch(&input, batch, &mut out, true);
+        dense.forward_batch(&input, batch, &mut out);
         let g: Vec<f32> = (0..batch).flat_map(|_| [1.0, -0.5]).collect();
         let mut gin = Vec::new();
         dense.backward_batch(&g, batch, &mut gin);

@@ -17,19 +17,22 @@
 //!   micro-kernel is selected at runtime (`is_x86_feature_detected!`) from
 //!   explicit AVX-512 / AVX2+FMA `std::arch` kernels plus a portable
 //!   `mul_add` fallback — all bitwise-identical — so a plain portable build
-//!   runs at hardware peak with no `-C target-cpu` flags; large products,
-//!   image batches and shared-inference calls of two or more
-//!   [`model::MORSEL_ROWS`]-row morsels additionally thread across the
-//!   persistent `tahoma_mathx::pool` workers;
+//!   runs at hardware peak with no `-C target-cpu` flags; large products
+//!   and shared-inference calls of two or more [`model::MORSEL_ROWS`]-row
+//!   morsels additionally thread across the persistent
+//!   `tahoma_mathx::pool` workers;
 //! * [`gemm::im2col`] lowers each image to a patch matrix, turning a
 //!   convolution into one GEMM against the filter matrix, and
 //!   [`gemm::col2im_add`] scatters gradients back for the batched backward
 //!   pass;
-//! * every [`layer::Layer`] implements `forward_batch`/`backward_batch`, and
-//!   [`model::Sequential::forward_batch`] / `predict_proba_batch` carry whole
-//!   minibatches through the stack in reused ping-pong buffers — no
-//!   per-image allocation anywhere on the path. The per-image API
-//!   (`forward`, `predict_proba`) is a thin batch-of-1 wrapper, and the
+//! * every [`layer::Layer`] has one forward body, the `&self`
+//!   `infer_shared`, whose mutable state lives in a caller-owned
+//!   [`layer::InferScratch`]. [`model::Sequential::infer_batch_shared`] /
+//!   `predict_proba_shared` are the inference entry points; training's
+//!   [`model::Sequential::forward_batch`] has each layer record what
+//!   `backward_batch` needs and then run that same body, so training and
+//!   serving compute the same bits. Whole minibatches move through reused
+//!   ping-pong buffers — no per-image allocation anywhere on the path. The
 //!   original scalar convolution survives as `Conv2d::forward_scalar`: the
 //!   semantic reference the GEMM path is property-tested against and the
 //!   baseline the `nn_inference` bench measures speedups over.

@@ -64,21 +64,9 @@ impl Sequential {
         &self.layers
     }
 
-    /// Cap worker threads across every layer (see [`Layer::set_threads`]):
-    /// `None` sizes automatically per layer from the work, `Some(1)` pins
-    /// the whole model single-threaded. Callers that already parallelize
-    /// across models (the zoo trainers) pin their models to one thread;
-    /// serving paths leave the default so big batches fan out across
-    /// cores.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        for layer in &mut self.layers {
-            layer.set_threads(threads);
-        }
-    }
-
-    /// Run the network forward, returning the raw output vector. A thin
-    /// batch-of-1 wrapper over [`Sequential::forward_batch`], so it runs on
-    /// the same im2col+GEMM path.
+    /// Training forward of one image, returning the raw output vector: a
+    /// batch-of-1 [`Sequential::forward_batch`], so [`Sequential::backward`]
+    /// can follow.
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
         self.forward_batch(input, 1)
     }
@@ -87,21 +75,10 @@ impl Sequential {
     /// [`Sequential::backward_batch`] can follow (the training entry point).
     /// `input` holds `batch` images back to back (batch-major,
     /// channel-planar); the result holds `batch` output vectors back to
-    /// back. Activations move through two reused ping-pong buffers — no
+    /// back, bitwise equal to [`Sequential::infer_batch_shared`] on default
+    /// scratch. Activations move through two reused ping-pong buffers — no
     /// per-image allocation.
     pub fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        self.run_batch(input, batch, true)
-    }
-
-    /// Inference-only batched forward: skips every backward-pass cache
-    /// (input snapshots, ReLU masks), which saves one full copy of each
-    /// activation buffer per layer. `backward`/`backward_batch` must not be
-    /// called after it.
-    pub fn infer_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        self.run_batch(input, batch, false)
-    }
-
-    fn run_batch(&mut self, input: &[f32], batch: usize, cache: bool) -> Vec<f32> {
         assert!(batch > 0, "forward_batch requires batch >= 1");
         assert_eq!(
             input.len(),
@@ -119,17 +96,16 @@ impl Sequential {
         buf_a.clear();
         buf_a.extend_from_slice(input);
         for layer in layers.iter_mut() {
-            layer.forward_batch(buf_a, batch, buf_b, cache);
+            layer.forward_batch(buf_a, batch, buf_b);
             std::mem::swap(buf_a, buf_b);
         }
         buf_a.clone()
     }
 
-    /// Shared-reference batched inference: identical numerics to
-    /// [`Sequential::infer_batch`] for the same batch shape, but `&self` —
+    /// Batched inference, the one inference entry point: `&self`, with
     /// every piece of mutable state (GEMM packing buffers, ping-pong
-    /// activations) lives in the caller's [`InferScratch`], so one trained
-    /// model serves any number of threads concurrently, each with its own
+    /// activations) in the caller's [`InferScratch`], so one trained model
+    /// serves any number of threads concurrently, each with its own
     /// scratch checked out from a pool. With
     /// [`InferScratch::coalescing`]-configured scratch, each image's output
     /// is additionally bitwise independent of the batch it rides in, which
@@ -214,9 +190,9 @@ impl Sequential {
         out
     }
 
-    /// Shared-reference [`Sequential::predict_proba_batch`]: one
-    /// probability per image through [`Sequential::infer_batch_shared`].
-    /// Panics unless the model has a single output.
+    /// One probability (sigmoid of the logit) per image through
+    /// [`Sequential::infer_batch_shared`]. Panics unless the model has a
+    /// single output.
     pub fn predict_proba_shared(
         &self,
         input: &[f32],
@@ -229,53 +205,6 @@ impl Sequential {
             batch,
             "predict_proba_shared requires single-output model"
         );
-        for v in &mut out {
-            *v = logistic(*v as f64) as f32;
-        }
-        out
-    }
-
-    /// Forward pass returning the single output logit. Panics unless the
-    /// final layer produces exactly one value.
-    pub fn forward_logit(&mut self, input: &[f32]) -> f32 {
-        let out = self.forward(input);
-        assert_eq!(out.len(), 1, "forward_logit requires single-output model");
-        out[0]
-    }
-
-    /// Batched [`Sequential::forward_logit`]: one logit per image. Panics
-    /// unless the model has a single output.
-    pub fn forward_logits_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        let out = self.forward_batch(input, batch);
-        assert_eq!(
-            out.len(),
-            batch,
-            "forward_logits_batch requires single-output model"
-        );
-        out
-    }
-
-    /// Probability that the input is a positive example (sigmoid of logit).
-    pub fn predict_proba(&mut self, input: &[f32]) -> f32 {
-        logistic(self.forward_logit(input) as f64) as f32
-    }
-
-    /// Batched inference logits (cache-less): one logit per image. Panics
-    /// unless the model has a single output.
-    pub fn predict_logits_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        let out = self.infer_batch(input, batch);
-        assert_eq!(
-            out.len(),
-            batch,
-            "predict_logits_batch requires single-output model"
-        );
-        out
-    }
-
-    /// Batched [`Sequential::predict_proba`]: one probability per image,
-    /// through the cache-less inference path.
-    pub fn predict_proba_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        let mut out = self.predict_logits_batch(input, batch);
         for v in &mut out {
             *v = logistic(*v as f64) as f32;
         }
@@ -450,10 +379,10 @@ mod tests {
     fn forward_logit_runs() {
         let mut model = tiny_spec().build(2).unwrap();
         let input = vec![0.5; 64];
-        let z = model.forward_logit(&input);
-        assert!(z.is_finite());
-        let p = model.predict_proba(&input);
-        assert!((0.0..=1.0).contains(&p));
+        let z = model.forward(&input);
+        assert!(z.len() == 1 && z[0].is_finite());
+        let p = model.predict_proba_shared(&input, 1, &mut InferScratch::default());
+        assert!((0.0..=1.0).contains(&p[0]));
     }
 
     #[test]
@@ -461,7 +390,7 @@ mod tests {
         let mut a = tiny_spec().build(3).unwrap();
         let mut b = tiny_spec().build(3).unwrap();
         let input: Vec<f32> = (0..64).map(|i| i as f32 / 64.0).collect();
-        assert_eq!(a.forward_logit(&input), b.forward_logit(&input));
+        assert_eq!(a.forward(&input), b.forward(&input));
     }
 
     #[test]
@@ -469,7 +398,7 @@ mod tests {
         let mut a = tiny_spec().build(3).unwrap();
         let mut b = tiny_spec().build(4).unwrap();
         let input: Vec<f32> = (0..64).map(|i| i as f32 / 64.0).collect();
-        assert_ne!(a.forward_logit(&input), b.forward_logit(&input));
+        assert_ne!(a.forward(&input), b.forward(&input));
     }
 
     #[test]
@@ -544,15 +473,15 @@ mod tests {
         neg[7] = 1.0;
         let mut opt = Sgd::new(0.1, 0.9);
         let loss_at = |model: &mut Sequential, pos: &[f32], neg: &[f32]| {
-            bce_with_logits(model.forward_logit(pos), true)
-                + bce_with_logits(model.forward_logit(neg), false)
+            bce_with_logits(model.forward(pos)[0], true)
+                + bce_with_logits(model.forward(neg)[0], false)
         };
         let before = loss_at(&mut model, &pos, &neg);
         for _ in 0..60 {
             model.zero_grads();
-            let zp = model.forward_logit(&pos);
+            let zp = model.forward(&pos)[0];
             model.backward(&[bce_with_logits_grad(zp, true)]);
-            let zn = model.forward_logit(&neg);
+            let zn = model.forward(&neg)[0];
             model.backward(&[bce_with_logits_grad(zn, false)]);
             opt.begin_step();
             model.visit_params(|slot, p, g| opt.update(slot, p, g, 0.5));
@@ -568,10 +497,10 @@ mod tests {
     fn forward_batch_of_one_matches_forward() {
         let mut model = tiny_spec().build(6).unwrap();
         let input: Vec<f32> = (0..64).map(|i| (i as f32 / 32.0) - 1.0).collect();
-        let single = model.forward_logit(&input);
-        let batched = model.forward_logits_batch(&input, 1);
+        let single = model.forward(&input);
+        let batched = model.forward_batch(&input, 1);
         assert_eq!(batched.len(), 1);
-        assert_eq!(single, batched[0]);
+        assert_eq!(single, batched);
     }
 
     #[test]
@@ -581,9 +510,9 @@ mod tests {
         let input: Vec<f32> = (0..batch * 64)
             .map(|i| ((i * 37) % 100) as f32 / 50.0 - 1.0)
             .collect();
-        let batched = model.forward_logits_batch(&input, batch);
+        let batched = model.forward_batch(&input, batch);
         for b in 0..batch {
-            let single = model.forward_logit(&input[b * 64..(b + 1) * 64]);
+            let single = model.forward(&input[b * 64..(b + 1) * 64])[0];
             assert!(
                 (single - batched[b]).abs() < 1e-4,
                 "image {b}: single {single} batched {}",
@@ -593,41 +522,15 @@ mod tests {
     }
 
     #[test]
-    fn forced_thread_counts_reproduce_serial_logits_bitwise() {
-        // Image-level threading must not change a single bit: images are
-        // independent and each worker runs the same kernels in the same
-        // order.
-        let spec = CnnSpec {
-            input: Shape::new(3, 16, 16),
-            conv_channels: vec![8],
-            kernel: 3,
-            dense_units: 8,
-        };
-        let batch = 9;
-        let input: Vec<f32> = (0..batch * spec.input.len())
-            .map(|i| ((i * 31) % 23) as f32 / 23.0 - 0.5)
-            .collect();
-        let mut serial = spec.build(13).unwrap();
-        serial.set_threads(Some(1));
-        let want = serial.predict_logits_batch(&input, batch);
-        for t in [2usize, 4] {
-            let mut model = spec.build(13).unwrap();
-            model.set_threads(Some(t));
-            let got = model.predict_logits_batch(&input, batch);
-            assert_eq!(want, got, "threads {t} diverges");
-        }
-    }
-
-    #[test]
-    fn predict_proba_batch_is_sigmoid_of_logits() {
+    fn predict_proba_shared_is_sigmoid_of_logits() {
         let mut model = tiny_spec().build(8).unwrap();
         let batch = 3;
         let input: Vec<f32> = (0..batch * 64).map(|i| (i % 13) as f32 / 13.0).collect();
-        let probs = model.predict_proba_batch(&input, batch);
+        let probs = model.predict_proba_shared(&input, batch, &mut InferScratch::default());
         assert_eq!(probs.len(), batch);
         for (b, &p) in probs.iter().enumerate() {
             assert!((0.0..=1.0).contains(&p));
-            let single = model.predict_proba(&input[b * 64..(b + 1) * 64]);
+            let single = logistic(model.forward(&input[b * 64..(b + 1) * 64])[0] as f64) as f32;
             assert!((p - single).abs() < 1e-5, "image {b}: {p} vs {single}");
         }
     }
@@ -678,23 +581,25 @@ mod tests {
     }
 
     #[test]
-    fn shared_inference_matches_owned_path_bitwise() {
+    fn training_forward_matches_shared_inference_bitwise() {
+        // Training's forward runs each layer's inference body after
+        // recording its caches: the same bits as serving, at batch 1 (the
+        // matvec dense path on default scratch), at small batches, and
+        // against a coalescing call large enough to split into morsels.
         let mut model = tiny_spec().build(21).unwrap();
-        let mut scratch = InferScratch::default();
-        for batch in [1usize, 3, 7] {
+        let cases = [
+            (1usize, InferScratch::default()),
+            (3, InferScratch::default()),
+            (7, InferScratch::default()),
+            (2 * MORSEL_ROWS + 1, InferScratch::coalescing()),
+        ];
+        for (batch, mut scratch) in cases {
             let input: Vec<f32> = (0..batch * 64)
                 .map(|i| ((i * 29) % 31) as f32 / 31.0 - 0.5)
                 .collect();
-            let owned = model.predict_proba_batch(&input, batch);
-            let shared = {
-                let m: &Sequential = &model;
-                let mut out = m.infer_batch_shared(&input, batch, &mut scratch);
-                for v in &mut out {
-                    *v = logistic(*v as f64) as f32;
-                }
-                out
-            };
-            assert_eq!(owned, shared, "batch {batch} diverges");
+            let shared = model.infer_batch_shared(&input, batch, &mut scratch);
+            let trained = model.forward_batch(&input, batch);
+            assert_eq!(trained, shared, "batch {batch} diverges");
         }
     }
 

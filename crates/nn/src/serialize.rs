@@ -207,7 +207,7 @@ mod tests {
         let bytes = save(&m).unwrap();
         let mut m2 = load(&bytes).unwrap();
         let input: Vec<f32> = (0..64).map(|i| (i % 9) as f32 / 9.0).collect();
-        assert_eq!(m.forward_logit(&input), m2.forward_logit(&input));
+        assert_eq!(m.forward(&input), m2.forward(&input));
         assert_eq!(m.flops(), m2.flops());
         assert_eq!(m.param_count(), m2.param_count());
     }

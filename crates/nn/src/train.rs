@@ -5,6 +5,7 @@
 //! recipe: shuffled minibatches, BCE-with-logits, gradient averaging within
 //! each batch, optional early stopping when training accuracy saturates.
 
+use crate::layer::InferScratch;
 use crate::loss::{bce_with_logits, bce_with_logits_grad};
 use crate::model::Sequential;
 use crate::optim::Optimizer;
@@ -57,8 +58,8 @@ impl Default for Trainer {
 impl Trainer {
     /// Train `model` on `examples` with the given optimizer.
     ///
-    /// Panics if `examples` is empty or an input length mismatches the
-    /// model's input shape.
+    /// Panics if `examples` is empty, the model has more than one output,
+    /// or an input length mismatches the model's input shape.
     pub fn train(
         &self,
         model: &mut Sequential,
@@ -66,6 +67,11 @@ impl Trainer {
         opt: &mut dyn Optimizer,
     ) -> TrainReport {
         assert!(!examples.is_empty(), "cannot train on empty dataset");
+        assert_eq!(
+            model.output_shape().len(),
+            1,
+            "training requires a single-output model"
+        );
         let expected = model.input_shape().len();
         for (i, ex) in examples.iter().enumerate() {
             assert_eq!(
@@ -95,7 +101,7 @@ impl Trainer {
                 for &i in batch {
                     xb.extend_from_slice(&examples[i].input);
                 }
-                let logits = model.forward_logits_batch(&xb, batch.len());
+                let logits = model.forward_batch(&xb, batch.len());
                 gb.clear();
                 for (&i, &z) in batch.iter().zip(&logits) {
                     let label = examples[i].label;
@@ -114,7 +120,7 @@ impl Trainer {
                 break;
             }
         }
-        report.final_accuracy = accuracy(model, examples);
+        report.final_accuracy = accuracy(model, examples, &mut InferScratch::single_threaded());
         report
     }
 }
@@ -124,8 +130,9 @@ impl Trainer {
 pub const SCORE_BATCH: usize = 32;
 
 /// Fraction of examples classified correctly at probability threshold 0.5.
-/// Runs the batched inference path in [`SCORE_BATCH`]-sized chunks.
-pub fn accuracy(model: &mut Sequential, examples: &[Example]) -> f64 {
+/// Runs [`Sequential::infer_batch_shared`] on `scratch` in
+/// [`SCORE_BATCH`]-sized chunks.
+pub fn accuracy(model: &Sequential, examples: &[Example], scratch: &mut InferScratch) -> f64 {
     if examples.is_empty() {
         return 0.0;
     }
@@ -137,7 +144,7 @@ pub fn accuracy(model: &mut Sequential, examples: &[Example]) -> f64 {
         for ex in chunk {
             xb.extend_from_slice(&ex.input);
         }
-        let logits = model.predict_logits_batch(&xb, chunk.len());
+        let logits = model.infer_batch_shared(&xb, chunk.len(), scratch);
         correct += chunk
             .iter()
             .zip(&logits)
@@ -147,9 +154,14 @@ pub fn accuracy(model: &mut Sequential, examples: &[Example]) -> f64 {
     correct as f64 / examples.len() as f64
 }
 
-/// Scores (sigmoid probabilities) for a set of inputs, batched through the
-/// GEMM inference path.
-pub fn predict_scores(model: &mut Sequential, inputs: &[Vec<f32>]) -> Vec<f32> {
+/// Scores (sigmoid probabilities) for a set of inputs, through
+/// [`Sequential::predict_proba_shared`] on `scratch` in
+/// [`SCORE_BATCH`]-sized chunks.
+pub fn predict_scores(
+    model: &Sequential,
+    inputs: &[Vec<f32>],
+    scratch: &mut InferScratch,
+) -> Vec<f32> {
     let in_len = model.input_shape().len();
     let mut xb: Vec<f32> = Vec::with_capacity(SCORE_BATCH * in_len);
     let mut out = Vec::with_capacity(inputs.len());
@@ -158,7 +170,7 @@ pub fn predict_scores(model: &mut Sequential, inputs: &[Vec<f32>]) -> Vec<f32> {
         for x in chunk {
             xb.extend_from_slice(x);
         }
-        out.extend(model.predict_proba_batch(&xb, chunk.len()));
+        out.extend(model.predict_proba_shared(&xb, chunk.len(), scratch));
     }
     out
 }
@@ -243,7 +255,7 @@ mod tests {
             seed: 4,
         };
         trainer.train(&mut model, &train, &mut Adam::new(0.01));
-        let acc = accuracy(&mut model, &held_out);
+        let acc = accuracy(&model, &held_out, &mut InferScratch::default());
         assert!(acc >= 0.8, "held-out accuracy {acc}");
     }
 
@@ -303,10 +315,52 @@ mod tests {
     #[test]
     fn predict_scores_are_probabilities() {
         let data = planted_square_dataset(10, 51);
-        let mut model = tiny_model(9);
+        let model = tiny_model(9);
         let inputs: Vec<Vec<f32>> = data.iter().map(|e| e.input.clone()).collect();
-        for s in predict_scores(&mut model, &inputs) {
+        for s in predict_scores(&model, &inputs, &mut InferScratch::default()) {
             assert!((0.0..=1.0).contains(&s));
         }
+    }
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn trained_weights_and_scores_are_pinned() {
+        // Every bit training and scoring produce, pinned: a refactor of
+        // training or inference that changes one weight or one score fails
+        // here. 49 examples in batches of 8 end every epoch on a 1-row
+        // batch, and 33 held-out rows end on a 1-row scoring chunk, so both
+        // the GEMM and the batch-1 matvec dense paths are covered. The
+        // kernel tiers are bitwise identical, so the hashes hold on every
+        // x86 tier.
+        let train = planted_square_dataset(49, 61);
+        let held_out = planted_square_dataset(33, 62);
+        let mut model = CnnSpec {
+            input: Shape::new(1, 8, 8),
+            conv_channels: vec![4, 6],
+            kernel: 3,
+            dense_units: 8,
+        }
+        .build(63)
+        .unwrap();
+        let trainer = Trainer {
+            epochs: 4,
+            batch_size: 8,
+            early_stop_loss: 0.0,
+            seed: 64,
+        };
+        trainer.train(&mut model, &train, &mut Adam::new(0.01));
+        let weights = crate::serialize::save(&model).unwrap();
+        let inputs: Vec<Vec<f32>> = held_out.iter().map(|e| e.input.clone()).collect();
+        let scores = predict_scores(&model, &inputs, &mut InferScratch::default());
+        assert_eq!(fnv1a(weights.iter().copied()), 0xfa0c_4a26_cca2_eb4f);
+        assert_eq!(
+            fnv1a(scores.iter().flat_map(|s| s.to_le_bytes())),
+            0x9f71_c1ce_867e_1bb1
+        );
     }
 }

@@ -153,13 +153,10 @@ impl Layer for Tripwire {
     fn output_shape(&self) -> Shape {
         self.shape
     }
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        input.to_vec()
-    }
     fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
         grad_out.to_vec()
     }
-    fn forward_batch(&mut self, input: &[f32], _batch: usize, out: &mut Vec<f32>, _cache: bool) {
+    fn forward_batch(&mut self, input: &[f32], _batch: usize, out: &mut Vec<f32>) {
         out.clear();
         out.extend_from_slice(input);
     }

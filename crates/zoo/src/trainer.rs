@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use tahoma_costmodel::DeviceProfile;
 use tahoma_imagery::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan};
 use tahoma_imagery::{Dataset, DatasetBundle, Representation};
-use tahoma_nn::train::{accuracy, Example};
-use tahoma_nn::{Adam, Trainer};
+use tahoma_nn::train::{predict_scores, Example};
+use tahoma_nn::{Adam, InferScratch, Trainer};
 
 /// Training configuration for the real path.
 #[derive(Debug, Clone)]
@@ -190,10 +190,6 @@ pub fn build_real_repository_keeping_models(
                     let mut model = spec
                         .build(cfg.seed ^ ((chunk_idx as u64) << 32) ^ v.id.0 as u64)
                         .map_err(|e| format!("{}: {e}", v.tag()))?;
-                    // One model per worker already saturates the cores;
-                    // don't let each model's batch loop spawn another
-                    // thread fleet on top.
-                    model.set_threads(Some(1));
                     let inputs = &train_cache[&v.input];
                     let examples: Vec<Example> = inputs
                         .iter()
@@ -210,14 +206,15 @@ pub fn build_real_repository_keeping_models(
                         seed: cfg.seed ^ v.id.0 as u64,
                     };
                     let report = trainer.train(&mut model, &examples, &mut Adam::new(cfg.lr));
-                    // Score whole splits through the batched GEMM inference
-                    // path instead of image-at-a-time forward passes.
+                    // Score whole splits through the batched inference
+                    // path. One model per worker already saturates the
+                    // cores, so its GEMMs stay on one thread.
+                    let mut scratch = InferScratch::single_threaded();
                     let mut score_split = |cache: &HashMap<Representation, Vec<Vec<f32>>>| {
-                        tahoma_nn::train::predict_scores(&mut model, &cache[&v.input])
+                        predict_scores(&model, &cache[&v.input], &mut scratch)
                     };
                     let config_scores = score_split(config_cache);
                     let eval_scores = score_split(eval_cache);
-                    let train_accuracy = accuracy(&mut model, &examples);
                     *slot = Some((
                         ModelEntry {
                             variant: *v,
@@ -228,7 +225,7 @@ pub fn build_real_repository_keeping_models(
                         },
                         TrainOutcome {
                             variant: *v,
-                            train_accuracy,
+                            train_accuracy: report.final_accuracy,
                             epochs_run: report.epochs_run,
                         },
                         model,

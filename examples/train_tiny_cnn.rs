@@ -101,7 +101,8 @@ fn main() {
     //    freshly built model, per-image vs. 32-image minibatches.
     let arch = archs[1];
     let rep = reps[2];
-    let mut model = arch.cnn_spec(rep).build(99).expect("bench model builds");
+    let model = arch.cnn_spec(rep).build(99).expect("bench model builds");
+    let mut scratch = tahoma::nn::InferScratch::default();
     let input = vec![0.5f32; rep.value_count()];
     let batch32: Vec<f32> = input
         .iter()
@@ -117,11 +118,9 @@ fn main() {
         }
         t0.elapsed().as_secs_f64() / images as f64
     };
-    let single = time_per_image(&mut || {
-        let _ = model.predict_proba(&input);
-        1
-    });
-    let batched = time_per_image(&mut || model.predict_proba_batch(&batch32, 32).len());
+    let single = time_per_image(&mut || model.predict_proba_shared(&input, 1, &mut scratch).len());
+    let batched =
+        time_per_image(&mut || model.predict_proba_shared(&batch32, 32, &mut scratch).len());
     println!(
         "\ninference on {} @ {}px rgb: {:.0} img/s per-image, {:.0} img/s batch-32",
         arch.tag(),

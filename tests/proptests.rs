@@ -14,7 +14,7 @@ use tahoma::imagery::{
 };
 use tahoma::mathx::SimdTier;
 use tahoma::nn::gemm::{self, GemmScratch, Trans};
-use tahoma::nn::{kernels, Conv2d, Dense, Layer, MaxPool2, Shape};
+use tahoma::nn::{kernels, Conv2d, Dense, InferScratch, Layer, MaxPool2, Shape};
 
 /// Fresh scratch directory for store property tests (unique per case so
 /// shrinking never observes a previous case's files).
@@ -115,7 +115,7 @@ proptest! {
             .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
             .collect();
         let mut batched = Vec::new();
-        conv.forward_batch(&input, batch, &mut batched, true);
+        conv.forward_batch(&input, batch, &mut batched);
         let out_len = conv.output_shape().len();
         prop_assert_eq!(batched.len(), batch * out_len);
         for b in 0..batch {
@@ -594,9 +594,10 @@ proptest! {
         prop_assert_eq!(&got, &want);
     }
 
-    /// Every max-pool tier is bitwise identical to the training path's
-    /// scalar argmax pool across arbitrary shapes (odd dims exercise the
-    /// floor semantics, small dims the all-tail path).
+    /// The inference pool (`infer_shared`) and every max-pool tier are
+    /// bitwise identical to the training path's scalar argmax pool across
+    /// arbitrary shapes (odd dims exercise the floor semantics, small dims
+    /// the all-tail path).
     #[test]
     fn maxpool_tiers_agree_bitwise(
         c in 1usize..4, h in 2usize..40, w in 2usize..40, seed in 0u64..10_000
@@ -607,12 +608,12 @@ proptest! {
             .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
             .collect();
         let mut pool = MaxPool2::new(shape);
-        // cache=true runs the scalar argmax reference; cache=false the
+        // Training's forward is the scalar argmax sweep; `infer_shared` the
         // dispatched SIMD sweep — they must agree bitwise.
         let mut want = Vec::new();
-        pool.forward_batch(&input, 1, &mut want, true);
+        pool.forward_batch(&input, 1, &mut want);
         let mut got = Vec::new();
-        pool.forward_batch(&input, 1, &mut got, false);
+        pool.infer_shared(&input, 1, &mut got, &mut InferScratch::default());
         prop_assert_eq!(&want, &got, "inference pool diverges from argmax pool");
         // And each explicit tier matches too.
         let (oh, ow) = (h / 2, w / 2);

@@ -132,7 +132,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     // ingest real raster frames into a representation store, and serve a
     // content query through the vectorized executor's NN backend — store
     // fetch → pooled decode → (transcode when the exact representation is
-    // not stored) → standardize → `infer_batch` → thresholds.
+    // not stored) → standardize → `infer_batch_shared` → thresholds.
     use std::collections::BTreeMap;
     use tahoma::core::evaluator::CostContext;
     use tahoma::core::exec::{
@@ -168,7 +168,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         early_stop_loss: 0.08,
         seed: 5,
     };
-    let (repo, _outcomes, mut models) =
+    let (repo, _outcomes, models) =
         build_real_repository_keeping_models(&bundle, &variants, &cfg, &DeviceProfile::k80())
             .unwrap();
     let thresholds = tahoma::core::thresholds::calibrate_all(&repo, &[0.93]);
@@ -211,14 +211,18 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         .unwrap() as u16;
 
     // Construction identity: a batch through the scorer equals manual
-    // fetch → standardize → `predict_proba_batch` packing, exactly.
+    // fetch → standardize → `predict_proba_shared` packing, exactly.
     let mut input = Vec::new();
     let mut engine = tahoma::imagery::TranscodeEngine::new();
     for it in &corpus.items {
         let img = store.fetch(it.id, rep_gray, &mut engine).unwrap().unwrap();
         input.extend_from_slice(tahoma::imagery::transform::standardize(&img).data());
     }
-    let expected = models[gray_model as usize].predict_proba_batch(&input, corpus.items.len());
+    let expected = models[gray_model as usize].predict_proba_shared(
+        &input,
+        corpus.items.len(),
+        &mut tahoma::nn::InferScratch::default(),
+    );
 
     let mut zoo = SharedModelZoo::new().with_source(source_rep);
     zoo.register_repository(&repo, models);
@@ -341,10 +345,7 @@ fn trained_weights_roundtrip_through_serialization() {
     let bytes = serialize::save(&model).unwrap();
     let mut reloaded = serialize::load(&bytes).unwrap();
     for ex in examples.iter().take(10) {
-        assert_eq!(
-            model.forward_logit(&ex.input),
-            reloaded.forward_logit(&ex.input)
-        );
+        assert_eq!(model.forward(&ex.input), reloaded.forward(&ex.input));
     }
 }
 
