@@ -20,14 +20,16 @@
 //!   runners, the speedup);
 //! * `nn_forward`: whole-model inference through `predict_proba_shared` on
 //!   one default scratch, per image (the batch-1 matvec dense path) vs
-//!   8/32-image minibatches.
+//!   8/32-image minibatches; plus `morsel64`, one 64-row morsel of each of
+//!   the serving fixture's two models on one-thread coalescing scratch —
+//!   the unit of work a `scan` lane repeats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use tahoma_imagery::{ColorMode, Representation};
 use tahoma_mathx::SimdTier;
 use tahoma_nn::gemm::{self, GemmScratch, Trans};
-use tahoma_nn::{Conv2d, InferScratch, Layer, Shape};
+use tahoma_nn::{Conv2d, InferScratch, Layer, Shape, MORSEL_ROWS};
 use tahoma_zoo::ArchSpec;
 
 /// Conv layers representative of the paper family's hot spots: early layers
@@ -282,6 +284,42 @@ fn bench_model_inference(c: &mut Criterion) {
                 },
             );
         }
+    }
+    // The serving fixture's two architectures at the unit a `scan` lane
+    // runs: one MORSEL_ROWS-row morsel through the coalescing
+    // (batch-shape-invariant) path, pinned to one thread.
+    let serving = [
+        (
+            "c1x8-d256@24gray",
+            ArchSpec {
+                conv_layers: 1,
+                conv_nodes: 8,
+                dense_nodes: 256,
+            },
+            Representation::new(24, ColorMode::Gray),
+        ),
+        (
+            "c2x8-d320@32rgb",
+            ArchSpec {
+                conv_layers: 2,
+                conv_nodes: 8,
+                dense_nodes: 320,
+            },
+            Representation::new(32, ColorMode::Rgb),
+        ),
+    ];
+    for (name, arch, rep) in serving {
+        let model = arch.cnn_spec(rep).build(7).unwrap();
+        let mut scratch = InferScratch::coalescing();
+        scratch.gemm.threads = Some(1);
+        let rows = MORSEL_ROWS;
+        let input: Vec<f32> = (0..rows * rep.value_count())
+            .map(|i| (i % 101) as f32 / 101.0)
+            .collect();
+        group.throughput(Throughput::Elements(rows as u64));
+        group.bench_with_input(BenchmarkId::new("morsel64", name), &name, |b, _| {
+            b.iter(|| black_box(model.predict_proba_shared(black_box(&input), rows, &mut scratch)))
+        });
     }
     group.finish();
 }

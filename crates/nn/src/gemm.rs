@@ -3,19 +3,22 @@
 //!
 //! This is the engine room of the batched inference path: `Conv2d`'s
 //! forward runs [`conv2d_forward`] (a virtual-im2col GEMM that addresses the
-//! patch matrix inside the image instead of materializing it), its backward
-//! lowers through [`im2col`]/[`col2im_add`], and `Dense` multiplies whole
-//! minibatches against its weight matrix. Explicit products run through one
-//! [`gemm`] implementation in the classic BLIS/GotoBLAS structure:
+//! patch matrix inside a row-padded copy of the image instead of
+//! materializing it), its backward lowers through [`im2col`]/[`col2im_add`],
+//! and `Dense` multiplies whole minibatches against its weight matrix.
+//! Explicit products run through one [`gemm`] implementation in the classic
+//! BLIS/GotoBLAS structure:
 //!
 //! * three blocking loops (`NC` columns of B, `KC` of the shared dimension,
 //!   `MC` rows of A) size working sets for the cache hierarchy;
-//! * A-blocks are packed into panel-contiguous, zero-padded buffers, which
-//!   also absorbs the `N`/`T` layout variants; B is either packed the same
-//!   way or addressed in place through a per-row offset table (the direct
-//!   and virtual-im2col paths) — every micro-kernel reads row `p` of its B
-//!   operand at `b[offsets[p] + j0..]`, so one kernel family serves all
-//!   three addressing modes;
+//! * A-blocks are packed into panel-contiguous, zero-padded buffers (the
+//!   conv filter once per layer, [`PackedA`]), which
+//!   also absorbs the `N`/`T` layout variants; B is packed the same way per
+//!   call, read from panels a layer packed once ([`PackedB`], `Dense`'s
+//!   weights), or addressed in place through a per-row offset table (the
+//!   direct and virtual-im2col paths) — every micro-kernel reads row `p` of
+//!   its B operand at `b[offsets[p] + j0..]`, so one kernel family serves
+//!   every addressing mode;
 //! * an `MR x NR` register-tile micro-kernel does the FLOPs, selected at
 //!   runtime from three tiers ([`TIERS`]):
 //!
@@ -108,15 +111,16 @@ pub const TIERS: &[SimdTier] = &SimdTier::ALL;
 /// Reusable packing buffers plus the per-call-site execution knobs; keep
 /// one per call site to avoid per-call allocation on hot paths. The
 /// `conv_*` fields are used only by [`conv2d_forward`]; plain [`gemm`]
-/// calls leave them empty.
+/// calls leave them empty, and products against a [`PackedB`] never grow
+/// `packed_b`.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     packed_a: Vec<f32>,
     packed_b: Vec<f32>,
     conv_padded: Vec<f32>,
+    /// `(c_in, h, w, pad)` whose zero frame `conv_padded` holds.
+    conv_frame: (usize, usize, usize, usize),
     conv_offsets: Vec<usize>,
-    conv_edge_col: Vec<f32>,
-    conv_edge_out: Vec<f32>,
     /// Per-row B offsets for in-place (direct / virtual-im2col) addressing.
     off_main: Vec<usize>,
     /// Per-row B offsets for panel-packed (stride `NR`) addressing.
@@ -174,8 +178,6 @@ impl GemmScratch {
             self.packed_b.capacity(),
             self.conv_padded.capacity(),
             self.conv_offsets.capacity(),
-            self.conv_edge_col.capacity(),
-            self.conv_edge_out.capacity(),
             self.off_main.capacity(),
             self.off_panel.capacity(),
         ];
@@ -184,6 +186,93 @@ impl GemmScratch {
             .map(GemmScratch::max_buffer_capacity)
             .fold(own.into_iter().max().unwrap_or(0), usize::max)
     }
+}
+
+/// A left operand (`m x k`, as stored) packed once into the `MR`-row
+/// panels the micro-kernels read: what `Conv2d` keeps of its filter
+/// matrix, so no image re-packs it.
+#[derive(Debug, Clone, Default)]
+pub struct PackedA {
+    m: usize,
+    k: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedA {
+    /// Pack `a` (`m x k`, row-major).
+    pub fn new(a: &[f32], m: usize, k: usize) -> PackedA {
+        let mut packed = PackedA::default();
+        packed.repack(a, m, k);
+        packed
+    }
+
+    /// Re-pack `a` into this buffer (e.g. after an optimizer step).
+    pub fn repack(&mut self, a: &[f32], m: usize, k: usize) {
+        debug_assert_eq!(a.len(), m * k, "A size mismatch");
+        self.panels.resize(m.div_ceil(MR) * MR * k, 0.0);
+        pack_a(&mut self.panels, a, Trans::N, m, k, 0, m, 0, k);
+        (self.m, self.k) = (m, k);
+    }
+
+    /// Panel `ip` (rows `ip * MR..`), `MR`-interleaved over all `k`.
+    #[inline]
+    fn panel(&self, ip: usize) -> &[f32] {
+        &self.panels[ip * MR * self.k..(ip + 1) * MR * self.k]
+    }
+}
+
+/// A right operand (`k x n`) packed once, in exactly the `NR`-column
+/// panels the blocked path's per-call `pack_b` builds for each `(jc, pc)`
+/// block: k-block `pc` (depth `kc`) holds every panel of its rows, panel
+/// `J` at `pc * n_pad + J * NR * kc`. A block starting at any `NR`-aligned
+/// column `jc` — which every `NC` step and every threaded column chunk is
+/// — is therefore one contiguous slice with `pack_b`'s layout. What `Dense`
+/// keeps of `Wᵀ`, so no call re-packs it.
+#[derive(Debug, Clone, Default)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Pack `b` (`k x n` when `tb` is `N`, stored `n x k` when `T`).
+    pub fn new(b: &[f32], tb: Trans, k: usize, n: usize) -> PackedB {
+        let mut packed = PackedB::default();
+        packed.repack(b, tb, k, n);
+        packed
+    }
+
+    /// Re-pack `b` into this buffer (e.g. after an optimizer step).
+    pub fn repack(&mut self, b: &[f32], tb: Trans, k: usize, n: usize) {
+        debug_assert_eq!(b.len(), k * n, "B size mismatch");
+        let n_pad = n.div_ceil(NR) * NR;
+        self.panels.resize(k * n_pad, 0.0);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let block = &mut self.panels[pc * n_pad..(pc + kc) * n_pad];
+            pack_b(block, b, tb, k, n, pc, kc, 0, n);
+        }
+        (self.k, self.n) = (k, n);
+    }
+
+    /// The panels of k-block `pc` (depth `kc`) from `NR`-aligned column
+    /// `jc` on.
+    #[inline]
+    fn block(&self, pc: usize, kc: usize, jc: usize) -> &[f32] {
+        debug_assert_eq!(jc % NR, 0, "packed block must start on a panel");
+        let n_pad = self.n.div_ceil(NR) * NR;
+        &self.panels[pc * n_pad + jc * kc..(pc + kc) * n_pad]
+    }
+}
+
+/// Where the blocked path's B operand comes from.
+#[derive(Clone, Copy)]
+enum BOperand<'a> {
+    /// Stored matrix, packed per call into the scratch's `packed_b`.
+    Raw(&'a [f32], Trans),
+    /// Panels packed once by the caller.
+    Packed(&'a PackedB),
 }
 
 /// Machine parallelism, detected once (`available_parallelism` performs a
@@ -250,15 +339,24 @@ unsafe fn add_row(dst: *mut f32, src: &[f32]) {
 }
 
 /// `dst[i] = base + src[i]` over a raw row segment (write-only bias-fused
-/// epilogue).
+/// epilogue); with `relu`, each sum then goes through the `Relu` layer's
+/// own select, `if v > 0.0 { v } else { 0.0 }`.
 ///
 /// # Safety
 /// `dst..dst + src.len()` must be writable and not concurrently accessed.
 #[inline(always)]
-unsafe fn set_bias_row(dst: *mut f32, base: f32, src: &[f32]) {
-    for (i, &v) in src.iter().enumerate() {
-        // SAFETY: in-bounds by the caller's contract.
-        unsafe { *dst.add(i) = base + v };
+unsafe fn set_bias_row(dst: *mut f32, base: f32, src: &[f32], relu: bool) {
+    if relu {
+        for (i, &v) in src.iter().enumerate() {
+            let v = base + v;
+            // SAFETY: in-bounds by the caller's contract.
+            unsafe { *dst.add(i) = if v > 0.0 { v } else { 0.0 } };
+        }
+    } else {
+        for (i, &v) in src.iter().enumerate() {
+            // SAFETY: in-bounds by the caller's contract.
+            unsafe { *dst.add(i) = base + v };
+        }
     }
 }
 
@@ -297,10 +395,54 @@ pub fn gemm(
     if ta == Trans::N && tb == Trans::N && k <= DIRECT_K_MAX {
         return gemm_direct_nn(scratch, kernel, m, n, k, a, b, c, None);
     }
+    gemm_blocked(scratch, kernel, m, n, k, a, ta, BOperand::Raw(b, tb), c);
+}
+
+/// `C += A · B` where `A` is `m x k` as stored and `B` was packed once into
+/// `b` (`k x n`). Runs [`gemm`]'s blocked path — the one every transposed
+/// B takes, e.g. [`gemm_nt`] — over the same panels, only without building
+/// them, so it is bitwise equal to that path on the matrix `b` was packed
+/// from. Threads like [`gemm`].
+pub fn gemm_prepacked(scratch: &mut GemmScratch, m: usize, a: &[f32], b: &PackedB, c: &mut [f32]) {
+    let (n, k) = (b.n, b.k);
+    debug_assert_eq!(a.len(), m * k, "A size mismatch");
+    // A hard check: C is written through a raw pointer.
+    assert_eq!(c.len(), m * n, "C size mismatch");
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let kernel = SimdTier::resolve(scratch.kernel, TIERS);
+    gemm_blocked(
+        scratch,
+        kernel,
+        m,
+        n,
+        k,
+        a,
+        Trans::N,
+        BOperand::Packed(b),
+        c,
+    );
+}
+
+/// The fully blocked path, threaded across `NR`-aligned column ranges of C
+/// when the problem is large enough.
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked(
+    scratch: &mut GemmScratch,
+    kernel: SimdTier,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    ta: Trans,
+    b: BOperand<'_>,
+    c: &mut [f32],
+) {
     let t = plan_threads(scratch.threads, m, n, k);
     let c_ptr = CPtr(c.as_mut_ptr());
     if t <= 1 {
-        return gemm_blocked_cols(scratch, kernel, m, n, k, a, ta, b, tb, c_ptr, 0, n);
+        return gemm_blocked_cols(scratch, kernel, m, n, k, a, ta, b, c_ptr, 0, n);
     }
     let chunks = column_chunks(n, t);
     checked::disjoint_chunks(&chunks, n, "gemm column partition");
@@ -308,14 +450,15 @@ pub fn gemm(
     tahoma_mathx::pool::scope(|scope| {
         for (w, &(jlo, jhi)) in pool.iter_mut().zip(&chunks) {
             scope.spawn(move || {
-                gemm_blocked_cols(w, kernel, m, n, k, a, ta, b, tb, c_ptr, jlo, jhi);
+                gemm_blocked_cols(w, kernel, m, n, k, a, ta, b, c_ptr, jlo, jhi);
             });
         }
     });
 }
 
-/// The fully blocked path over columns `[jlo, jhi)` of C: pack B strips and
-/// A blocks, run packed tiles. One invocation per worker thread.
+/// The blocked path over columns `[jlo, jhi)` of C: pack B strips (unless
+/// they come pre-packed) and A blocks, run packed tiles. One invocation
+/// per worker thread.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked_cols(
     scratch: &mut GemmScratch,
@@ -325,8 +468,7 @@ fn gemm_blocked_cols(
     k: usize,
     a: &[f32],
     ta: Trans,
-    b: &[f32],
-    tb: Trans,
+    b: BOperand<'_>,
     c: CPtr,
     jlo: usize,
     jhi: usize,
@@ -338,12 +480,20 @@ fn gemm_blocked_cols(
         ..
     } = scratch;
     packed_a.resize(MC * KC, 0.0);
-    packed_b.resize(KC * NC, 0.0);
+    if let BOperand::Raw(..) = b {
+        packed_b.resize(KC * NC, 0.0);
+    }
     for jc in (jlo..jhi).step_by(NC) {
         let nc = NC.min(jhi - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(packed_b, b, tb, k, n, pc, kc, jc, nc);
+            let b_block: &[f32] = match b {
+                BOperand::Raw(b, tb) => {
+                    pack_b(packed_b, b, tb, k, n, pc, kc, jc, nc);
+                    packed_b
+                }
+                BOperand::Packed(p) => p.block(pc, kc, jc),
+            };
             fill_offsets(off_panel, kc, NR);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
@@ -354,7 +504,7 @@ fn gemm_blocked_cols(
                     let a_panel = &packed_a[ip * MR * kc..(ip * MR + MR) * kc];
                     let mr = MR.min(mc - ip * MR);
                     for jp in 0..nc_panels {
-                        let b_panel = &packed_b[jp * NR * kc..(jp * NR + NR) * kc];
+                        let b_panel = &b_block[jp * NR * kc..(jp * NR + NR) * kc];
                         let nr = NR.min(nc - jp * NR);
                         let mut acc = [[0.0f32; NR]; MR];
                         tile(kernel, kc, a_panel, b_panel, off_panel, 0, mr, &mut acc);
@@ -493,7 +643,7 @@ fn direct_nn_cols(
                         match init {
                             // Fused epilogue: C = bias + A·B, write-only (no
                             // read-modify-write pass over C).
-                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..NR]),
+                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..NR], false),
                             None => add_row(dst, &acc_row[..NR]),
                         }
                     }
@@ -522,7 +672,7 @@ fn direct_nn_cols(
                     unsafe {
                         let dst = c.0.add(row * n + j0);
                         match init {
-                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..tail]),
+                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..tail], false),
                             None => add_row(dst, &acc_row[..tail]),
                         }
                     }
@@ -564,27 +714,9 @@ pub fn gemm_nn_bias(
 
 /// Convolution forward pass without materializing the patch matrix:
 /// `out[out_c x hw] = bias ⊕ W[out_c x (c_in*kk*kk)] · col(input)`, where
-/// `col` is only ever *addressed*, never built.
-///
-/// For stride-1 "same" convolution the patch matrix is almost an affine
-/// re-indexing of the image: row `(i, ky, kx)` at output pixel `q` equals
-/// `plane_i[q + (ky-pad)*w + (kx-pad)]`. Two deviations exist — y-overflow
-/// (must read zero padding) and x-overflow (the linear index wraps to the
-/// adjacent row). Copying each plane once into a zero-slack frame makes
-/// every y-overflow read an actual zero, so the micro-kernel can stream B
-/// straight out of the ~image-sized padded buffer (L1/L2-resident, vs.
-/// `kk*kk` times that for a materialized patch matrix). The x-overflow
-/// positions are exactly the `2*pad` edge columns; those output pixels are
-/// recomputed afterwards with a small correctly-padded patch GEMM
-/// (`2*pad*h` of `h*w` pixels) that overwrites the wrapped garbage.
-///
-/// The pixel sweep threads across `NR`-pixel strips for large images (same
-/// policy as [`gemm`]), and on the AVX-512 tier switches to the
-/// [`NR_WIDE`]-column tile when the accumulation depth is short (the
-/// first-layer shapes; see the module docs).
-///
-/// The backward pass still materializes [`im2col`]; this path is for the
-/// throughput-critical forward direction.
+/// `col` is only ever *addressed*, never built. Packs `weights` into the
+/// scratch first; `Conv2d` keeps its filter packed and calls
+/// [`conv2d_forward_packed`] instead.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward(
     scratch: &mut GemmScratch,
@@ -598,95 +730,129 @@ pub fn conv2d_forward(
     out_c: usize,
     out: &mut [f32],
 ) {
+    let mut filter = PackedA {
+        panels: std::mem::take(&mut scratch.packed_a),
+        ..PackedA::default()
+    };
+    filter.repack(weights, out_c, c_in * kk * kk);
+    conv2d_forward_packed(scratch, input, c_in, h, w, kk, &filter, bias, false, out);
+    scratch.packed_a = filter.panels;
+}
+
+/// [`conv2d_forward`] on a filter matrix packed once, optionally with the
+/// following ReLU folded into the epilogue.
+///
+/// For stride-1 "same" convolution the patch matrix is an affine
+/// re-indexing of a padded image: each plane is copied once into a frame
+/// with `pad` zero rows above and below and `pad` zero columns either side,
+/// so its rows are `gw = w + 2*pad` wide. On the `h x gw` output grid, patch
+/// row `(i, ky, kx)` at grid pixel `g = y*gw + x` is then
+/// `frame_i[g + ky*gw + kx]` — every out-of-image tap reads an actual zero,
+/// so the micro-kernel streams B straight out of the ~image-sized frame
+/// (L1/L2-resident, vs. `kk*kk` times that for a materialized patch
+/// matrix). Grid columns `x >= w` read across into the next frame row; they
+/// are the `2*pad` wrapped columns of each grid row, computed and dropped
+/// by the epilogue, which writes only the `w` live columns. Each output
+/// element runs the same fma chain, in the same `k` order, over the same
+/// values as a product against [`im2col`]'s matrix, with zeros exactly
+/// where that matrix has them — so the result is bitwise equal to
+/// [`im2col`] + [`gemm_nn_bias`].
+///
+/// With `relu`, the epilogue writes `if v > 0.0 { v } else { 0.0 }` of
+/// each `v = bias + acc` — the `Relu` layer's own select, so conv-then-ReLU
+/// keeps its bits while the activation is written once instead of twice.
+///
+/// The grid sweep threads across `NR`-pixel strips for large images (same
+/// policy as [`gemm`]), and on the AVX-512 tier switches to the
+/// [`NR_WIDE`]-column tile when the accumulation depth is short (the
+/// first-layer shapes; see the module docs).
+///
+/// The backward pass still materializes [`im2col`]; this path is for the
+/// throughput-critical forward direction.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_forward_packed(
+    scratch: &mut GemmScratch,
+    input: &[f32],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    kk: usize,
+    filter: &PackedA,
+    bias: &[f32],
+    relu: bool,
+    out: &mut [f32],
+) {
     let pad = kk / 2;
-    let hw = h * w;
-    let k_total = c_in * kk * kk;
-    debug_assert_eq!(input.len(), c_in * hw);
-    debug_assert_eq!(weights.len(), out_c * k_total);
+    let (out_c, k_total) = (filter.m, filter.k);
+    let grid = ConvGrid {
+        hw: h * w,
+        w,
+        gw: w + 2 * pad,
+        len: out.len(),
+        relu,
+    };
+    let n = h * grid.gw;
+    // Hard checks: the kernels read the frame and write `out` through raw
+    // pointers sized by these.
+    assert_eq!(k_total, c_in * kk * kk, "filter depth mismatch");
+    assert_eq!(out.len(), out_c * grid.hw, "output size mismatch");
+    assert_eq!(input.len(), c_in * grid.hw, "input size mismatch");
     debug_assert_eq!(bias.len(), out_c);
-    debug_assert_eq!(out.len(), out_c * hw);
-    if hw == 0 || out_c == 0 {
+    if grid.hw == 0 || out_c == 0 {
         return;
     }
     let kernel = SimdTier::resolve(scratch.kernel, TIERS);
 
-    // 1. Frame every plane in zero slack wide enough for any (ky, kx)
-    //    offset, plus a wide-tile guard at the very end for the last strip.
-    let slack = pad * w + pad + w;
-    let cstride = hw + 2 * slack;
-    let need = c_in * cstride + NR_WIDE;
-    if scratch.conv_padded.len() != need {
+    // 1. Frame every plane: `pad` zero rows above and below, `pad` zero
+    //    columns either side, plus a trailing `2*pad` guard for the last
+    //    plane's wrapped reads. The zeros are laid down once per shape;
+    //    after that only the image rows are copied in.
+    let cstride = (h + 2 * pad) * grid.gw;
+    let frame = (c_in, h, w, pad);
+    if scratch.conv_frame != frame {
         scratch.conv_padded.clear();
-        scratch.conv_padded.resize(need, 0.0);
+        scratch.conv_padded.resize(c_in * cstride + 2 * pad, 0.0);
+        scratch.conv_frame = frame;
     }
-    for i in 0..c_in {
-        scratch.conv_padded[i * cstride + slack..i * cstride + slack + hw]
-            .copy_from_slice(&input[i * hw..(i + 1) * hw]);
+    for (i, plane) in input.chunks_exact(grid.hw).enumerate() {
+        for (y, src) in plane.chunks_exact(w).enumerate() {
+            let dst = i * cstride + (y + pad) * grid.gw + pad;
+            scratch.conv_padded[dst..dst + w].copy_from_slice(src);
+        }
     }
 
-    // 2. Per-patch-row base offsets into the padded buffer.
+    // 2. Per-patch-row base offsets into the frame.
     scratch.conv_offsets.clear();
     scratch.conv_offsets.reserve(k_total);
     for i in 0..c_in {
         for ky in 0..kk {
             for kx in 0..kk {
-                scratch
-                    .conv_offsets
-                    .push(i * cstride + slack + ky * w + kx - (pad * w + pad));
+                scratch.conv_offsets.push(i * cstride + ky * grid.gw + kx);
             }
         }
     }
 
-    // 3. Pack the filter matrix once for the whole image.
-    let m_panels = out_c.div_ceil(MR);
-    scratch.packed_a.resize(m_panels * MR * k_total, 0.0);
-    pack_a(
-        &mut scratch.packed_a,
-        weights,
-        Trans::N,
-        out_c,
-        k_total,
-        0,
-        out_c,
-        0,
-        k_total,
-    );
-
-    // 4. Main sweep over full NR strips: offset-addressed B, bias-fused
-    //    write-only epilogue. Threaded across strip ranges.
-    let full_nr = hw / NR;
-    let tail = hw - full_nr * NR;
+    // 3. Main sweep over full NR strips of the grid: offset-addressed B,
+    //    bias-fused write-only epilogue. Threaded across strip ranges.
+    let full_nr = n / NR;
+    let tail = n - full_nr * NR;
     let out_ptr = CPtr(out.as_mut_ptr());
-    let t = plan_threads(scratch.threads, out_c, hw, k_total).min(full_nr.max(1));
+    let t = plan_threads(scratch.threads, out_c, n, k_total).min(full_nr.max(1));
     if full_nr > 0 {
+        let padded = &scratch.conv_padded;
+        let offsets = &scratch.conv_offsets;
         if t <= 1 {
             conv_sweep(
-                kernel,
-                &scratch.packed_a,
-                &scratch.conv_padded,
-                &scratch.conv_offsets,
-                out_c,
-                hw,
-                k_total,
-                bias,
-                out_ptr,
-                0,
-                full_nr,
+                kernel, filter, padded, offsets, grid, bias, out_ptr, 0, full_nr,
             );
         } else {
-            let packed_a = &scratch.packed_a;
-            let padded = &scratch.conv_padded;
-            let offsets = &scratch.conv_offsets;
             let per = full_nr.div_ceil(t);
             tahoma_mathx::pool::scope(|scope| {
                 let mut s = 0;
                 while s < full_nr {
                     let e = (s + per).min(full_nr);
                     scope.spawn(move || {
-                        conv_sweep(
-                            kernel, packed_a, padded, offsets, out_c, hw, k_total, bias, out_ptr,
-                            s, e,
-                        );
+                        conv_sweep(kernel, filter, padded, offsets, grid, bias, out_ptr, s, e);
                     });
                     s = e;
                 }
@@ -694,7 +860,7 @@ pub fn conv2d_forward(
         }
     }
     if tail > 0 {
-        // Gather the ragged final columns into a packed strip.
+        // Gather the ragged final grid columns into a packed strip.
         let j0 = full_nr * NR;
         scratch.packed_b.resize(k_total * NR, 0.0);
         for (p, &off) in scratch.conv_offsets.iter().enumerate() {
@@ -703,14 +869,14 @@ pub fn conv2d_forward(
             dst[tail..].fill(0.0);
         }
         fill_offsets(&mut scratch.off_panel, k_total, NR);
-        for ip in 0..m_panels {
-            let a_panel = &scratch.packed_a[ip * MR * k_total..(ip * MR + MR) * k_total];
+        let at = grid.at(j0);
+        for ip in 0..out_c.div_ceil(MR) {
             let mr = MR.min(out_c - ip * MR);
             let mut acc = [[0.0f32; NR]; MR];
             tile(
                 kernel,
                 k_total,
-                a_panel,
+                filter.panel(ip),
                 &scratch.packed_b,
                 &scratch.off_panel,
                 0,
@@ -719,125 +885,116 @@ pub fn conv2d_forward(
             );
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
                 let row = ip * MR + i;
-                let dst = &mut out[row * hw + j0..row * hw + j0 + tail];
-                for (d, &v) in dst.iter_mut().zip(acc_row.iter()) {
-                    *d = bias[row] + v;
-                }
+                grid.store(out_ptr, row, at, bias[row], &acc_row[..tail]);
             }
         }
     }
-
-    // 5. Repair the x-edge columns (wrapped reads) with a correctly padded
-    //    patch GEMM over just those pixels.
-    let edge_xs: Vec<usize> = if w > 2 * pad {
-        (0..pad).chain(w - pad..w).collect()
-    } else {
-        (0..w).collect()
-    };
-    let ne = edge_xs.len() * h;
-    if ne == 0 {
-        return;
-    }
-    let mut edge_col = std::mem::take(&mut scratch.conv_edge_col);
-    let mut edge_out = std::mem::take(&mut scratch.conv_edge_out);
-    edge_col.clear();
-    edge_col.resize(k_total * ne, 0.0);
-    for i in 0..c_in {
-        let plane = &input[i * hw..(i + 1) * hw];
-        for ky in 0..kk {
-            for kx in 0..kk {
-                let row = &mut edge_col[((i * kk + ky) * kk + kx) * ne..];
-                let mut ei = 0;
-                for &x in &edge_xs {
-                    let sx = x + kx;
-                    let x_ok = sx >= pad && sx < w + pad;
-                    for y in 0..h {
-                        let sy = y + ky;
-                        row[ei] = if x_ok && sy >= pad && sy < h + pad {
-                            plane[(sy - pad) * w + sx - pad]
-                        } else {
-                            0.0
-                        };
-                        ei += 1;
-                    }
-                }
-            }
-        }
-    }
-    edge_out.clear();
-    edge_out.resize(out_c * ne, 0.0);
-    gemm_nn_bias(
-        scratch,
-        out_c,
-        ne,
-        k_total,
-        weights,
-        &edge_col,
-        bias,
-        &mut edge_out,
-    );
-    for o in 0..out_c {
-        let mut ei = 0;
-        for &x in &edge_xs {
-            for y in 0..h {
-                out[o * hw + y * w + x] = edge_out[o * ne + ei];
-                ei += 1;
-            }
-        }
-    }
-    scratch.conv_edge_col = edge_col;
-    scratch.conv_edge_out = edge_out;
 }
 
-/// Conv main-sweep worker over full strips `[s0, s1)` (strip = `NR`
-/// pixels). On the AVX-512 tier with short accumulation depth, pairs of
-/// adjacent strips run through the wide tile.
+/// The conv sweep's output geometry: grid pixel `g = y*gw + x` of channel
+/// `row` lands at `out[row*hw + y*w + x]` when `x < w`, and nowhere when it
+/// is one of the `gw - w` wrapped columns.
+#[derive(Clone, Copy)]
+struct ConvGrid {
+    hw: usize,
+    w: usize,
+    gw: usize,
+    /// `out_c * hw`, the output's length.
+    len: usize,
+    /// Fold the following ReLU into the epilogue.
+    relu: bool,
+}
+
+impl ConvGrid {
+    /// Grid pixel `g` as `(y, x)`: one division per strip, shared by all of
+    /// its channel rows.
+    #[inline(always)]
+    fn at(&self, g: usize) -> (usize, usize) {
+        (g / self.gw, g % self.gw)
+    }
+
+    /// Write `bias + acc` (through the ReLU select when `relu`) for the grid
+    /// pixels from `at` on of channel `row`, one live row segment at a time.
+    #[inline(always)]
+    fn store(&self, out: CPtr, row: usize, at: (usize, usize), base: f32, acc: &[f32]) {
+        let (mut y, mut x) = at;
+        let mut a = 0;
+        while a < acc.len() {
+            if x < self.w {
+                let seg = (self.w - x).min(acc.len() - a);
+                let dst = row * self.hw + y * self.w + x;
+                checked::span(self.len, dst, seg, "conv out row segment");
+                // SAFETY: x + seg <= w, so dst + seg <= (row + 1) * hw <=
+                // len; grid pixels map to distinct outputs, and this
+                // worker owns its strips exclusively.
+                unsafe { set_bias_row(out.0.add(dst), base, &acc[a..a + seg], self.relu) };
+            }
+            // On to the start of the next grid row.
+            a += self.gw - x;
+            (y, x) = (y + 1, 0);
+        }
+    }
+}
+
+/// Conv main-sweep worker over full grid strips `[s0, s1)` (strip = `NR`
+/// grid pixels). On the AVX-512 tier with short accumulation depth, pairs
+/// of adjacent strips run through the wide tile.
 #[allow(clippy::too_many_arguments)]
 fn conv_sweep(
     kernel: SimdTier,
-    packed_a: &[f32],
+    filter: &PackedA,
     padded: &[f32],
     offsets: &[usize],
-    out_c: usize,
-    hw: usize,
-    k_total: usize,
+    grid: ConvGrid,
     bias: &[f32],
     out: CPtr,
     s0: usize,
     s1: usize,
 ) {
-    let m_panels = out_c.div_ceil(MR);
+    let (out_c, k_total) = (filter.m, filter.k);
     let wide = kernel == SimdTier::Avx512 && k_total <= SMALL_K_MAX;
     let mut s = s0;
     while s < s1 {
         let j0 = s * NR;
+        let at = grid.at(j0);
         if wide && s + 1 < s1 {
-            for ip in 0..m_panels {
-                let a_panel = &packed_a[ip * MR * k_total..(ip * MR + MR) * k_total];
+            for ip in 0..out_c.div_ceil(MR) {
                 let mr = MR.min(out_c - ip * MR);
                 let mut acc = [[0.0f32; NR_WIDE]; MR];
-                wide_tile(kernel, k_total, a_panel, padded, offsets, j0, mr, &mut acc);
+                wide_tile(
+                    kernel,
+                    k_total,
+                    filter.panel(ip),
+                    padded,
+                    offsets,
+                    j0,
+                    mr,
+                    &mut acc,
+                );
                 for (i, acc_row) in acc.iter().enumerate().take(mr) {
                     let row = ip * MR + i;
-                    checked::span(out_c * hw, row * hw + j0, NR_WIDE, "conv out wide strip");
-                    // SAFETY: j0 + NR_WIDE <= s1 * NR <= hw; this worker
-                    // owns strips [s0, s1) exclusively.
-                    unsafe { set_bias_row(out.0.add(row * hw + j0), bias[row], &acc_row[..]) };
+                    grid.store(out, row, at, bias[row], acc_row);
                 }
             }
             s += 2;
             continue;
         }
-        for ip in 0..m_panels {
-            let a_panel = &packed_a[ip * MR * k_total..(ip * MR + MR) * k_total];
+        for ip in 0..out_c.div_ceil(MR) {
             let mr = MR.min(out_c - ip * MR);
             let mut acc = [[0.0f32; NR]; MR];
-            tile(kernel, k_total, a_panel, padded, offsets, j0, mr, &mut acc);
+            tile(
+                kernel,
+                k_total,
+                filter.panel(ip),
+                padded,
+                offsets,
+                j0,
+                mr,
+                &mut acc,
+            );
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
                 let row = ip * MR + i;
-                checked::span(out_c * hw, row * hw + j0, NR, "conv out strip");
-                // SAFETY: j0 + NR <= hw; strips [s0, s1) owned exclusively.
-                unsafe { set_bias_row(out.0.add(row * hw + j0), bias[row], &acc_row[..]) };
+                grid.store(out, row, at, bias[row], acc_row);
             }
         }
         s += 1;
@@ -1281,8 +1438,10 @@ pub fn im2col(input: &[f32], c_in: usize, h: usize, w: usize, kk: usize, col: &m
             for kx in 0..kk {
                 let row_idx = (i * kk + ky) * kk + kx;
                 let row = &mut col[row_idx * hw..(row_idx + 1) * hw];
-                let y_lo = pad.saturating_sub(ky);
-                let y_hi = (h + pad).saturating_sub(ky).min(h);
+                // Valid output rows for this ky, clamped so a kernel taller
+                // than the image yields an empty (all-padding) range.
+                let y_lo = pad.saturating_sub(ky).min(h);
+                let y_hi = (h + pad).saturating_sub(ky).min(h).max(y_lo);
                 // Left/right zero-column widths for this kx.
                 let lz = pad.saturating_sub(kx);
                 let rz = (kx + w).saturating_sub(w + pad).min(w);
@@ -1591,7 +1750,10 @@ mod tests {
 
     #[test]
     fn conv2d_forward_matches_materialized_im2col() {
-        for (c_in, h, w, kk, out_c, seed) in [
+        // Bitwise: every output element is the same fma chain over the same
+        // patch values as a product against the materialized patch matrix,
+        // on every tier and thread count.
+        let shapes = [
             (1, 5, 5, 3, 4, 1u64),
             (3, 8, 6, 3, 16, 2),
             (2, 7, 33, 5, 7, 3),
@@ -1601,49 +1763,174 @@ mod tests {
             (16, 30, 30, 3, 16, 7),
             (1, 30, 30, 3, 16, 8), // small k: wide-tile path on AVX-512
             (3, 20, 40, 3, 11, 9), // small k, ragged rows
-        ] {
-            let mut rng = DetRng::new(seed);
-            let input = random_vec(&mut rng, c_in * h * w);
-            let k_total = c_in * kk * kk;
-            let weights = random_vec(&mut rng, out_c * k_total);
-            let bias = random_vec(&mut rng, out_c);
-            let hw = h * w;
-            let mut scratch = GemmScratch::default();
+            (1, 24, 24, 3, 8, 10), // the serving fixture's first convs
+            (3, 32, 32, 3, 8, 11),
+            (8, 16, 16, 3, 8, 12),
+            (2, 5, 2, 3, 4, 13), // w <= 2*pad
+            (1, 4, 3, 7, 5, 14),
+            (1, 1, 1, 3, 4, 15), // 1x1 images
+            (3, 1, 1, 5, 7, 16),
+            (1, 1, 29, 3, 5, 17), // grids of NR - 1 and NR + 1 pixels
+            (2, 3, 9, 3, 6, 18),
+            (1, 3, 19, 3, 7, 19), // NR_WIDE - 1 and NR_WIDE + 1
+            (1, 5, 11, 3, 6, 20),
+        ];
+        let cases: Vec<_> = shapes
+            .into_iter()
+            .map(|(c_in, h, w, kk, out_c, seed)| {
+                let mut rng = DetRng::new(seed);
+                let input = random_vec(&mut rng, c_in * h * w);
+                let k_total = c_in * kk * kk;
+                let weights = random_vec(&mut rng, out_c * k_total);
+                let bias = random_vec(&mut rng, out_c);
+                let mut col = Vec::new();
+                im2col(&input, c_in, h, w, kk, &mut col);
+                let mut want = vec![0.0f32; out_c * h * w];
+                gemm_nn_bias(
+                    &mut GemmScratch::default(),
+                    out_c,
+                    h * w,
+                    k_total,
+                    &weights,
+                    &col,
+                    &bias,
+                    &mut want,
+                );
+                ((c_in, h, w, kk, out_c), input, weights, bias, want)
+            })
+            .collect();
 
-            let mut col = Vec::new();
-            im2col(&input, c_in, h, w, kk, &mut col);
-            let mut want = vec![0.0f32; out_c * hw];
-            gemm_nn_bias(
-                &mut scratch,
-                out_c,
-                hw,
-                k_total,
-                &weights,
-                &col,
-                &bias,
-                &mut want,
-            );
-
-            for kernel in SimdTier::runnable(TIERS) {
+        for kernel in SimdTier::runnable(TIERS) {
+            for threads in [1usize, 2, 5] {
+                // One scratch for every shape, in both orders: a frame left
+                // by one shape must never leak into the next.
                 let mut scratch = GemmScratch::with_kernel(kernel);
-                let mut got = vec![f32::NAN; out_c * hw];
+                scratch.threads = Some(threads);
+                for (dims, input, weights, bias, want) in cases.iter().chain(cases.iter().rev()) {
+                    let (c_in, h, w, kk, out_c) = *dims;
+                    let mut got = vec![f32::NAN; want.len()];
+                    conv2d_forward(
+                        &mut scratch,
+                        input,
+                        c_in,
+                        h,
+                        w,
+                        kk,
+                        weights,
+                        bias,
+                        out_c,
+                        &mut got,
+                    );
+                    assert_eq!(
+                        &got,
+                        want,
+                        "kernel {} threads {threads} shape c{c_in} {h}x{w} k{kk} out{out_c}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv2d_fused_relu_matches_conv_then_relu_bitwise() {
+        // NaN and ±inf pixels, and a channel whose interior sums are
+        // -0.0 + -0.0 (tiny negative products round to -0.0 under fma):
+        // the folded select must match `kernels::relu` bit for bit.
+        for (c_in, h, w, out_c) in [(2usize, 9usize, 13usize, 7usize), (8, 6, 7, 5)] {
+            let k_total = c_in * 9;
+            let mut rng = DetRng::new(0xF0 + c_in as u64);
+            let mut weights = random_vec(&mut rng, out_c * k_total);
+            weights[..k_total].fill(1e-30);
+            let mut bias = random_vec(&mut rng, out_c);
+            bias[0] = -0.0;
+            let random = random_vec(&mut rng, c_in * h * w);
+            for mut input in [random, vec![-1e-30f32; c_in * h * w]] {
+                input[2 * w + 3] = f32::NAN;
+                input[h * w + 5 * w + 5] = f32::INFINITY;
+                input[(h - 2) * w + 1] = f32::NEG_INFINITY;
+                let filter = PackedA::new(&weights, out_c, k_total);
+                let mut plain = vec![0.0f32; out_c * h * w];
                 conv2d_forward(
-                    &mut scratch,
+                    &mut GemmScratch::default(),
                     &input,
                     c_in,
                     h,
                     w,
-                    kk,
+                    3,
                     &weights,
                     &bias,
                     out_c,
-                    &mut got,
+                    &mut plain,
                 );
-                for (i, (&g, &w0)) in got.iter().zip(&want).enumerate() {
-                    let tol = 1e-5 * (1.0 + w0.abs()) * (k_total as f32).sqrt();
+                let mut want = vec![f32::NAN; plain.len()];
+                crate::kernels::relu(&plain, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for kernel in SimdTier::runnable(TIERS) {
+                    for threads in [1usize, 2, 5] {
+                        let mut scratch = GemmScratch::with_kernel(kernel);
+                        scratch.threads = Some(threads);
+                        let mut got = vec![f32::NAN; plain.len()];
+                        conv2d_forward_packed(
+                            &mut scratch,
+                            &input,
+                            c_in,
+                            h,
+                            w,
+                            3,
+                            &filter,
+                            &bias,
+                            true,
+                            &mut got,
+                        );
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "kernel {} threads {threads} c{c_in}",
+                            kernel.name()
+                        );
+                    }
+                }
+                if input[0] == -1e-30 {
                     assert!(
-                        (g - w0).abs() <= tol,
-                        "kernel {} shape c{c_in} {h}x{w} k{kk} out{out_c} idx {i}: {g} vs {w0}",
+                        plain[..h * w]
+                            .iter()
+                            .any(|v| v.to_bits() == (-0.0f32).to_bits()),
+                        "the -0.0 case was not exercised"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_b_matches_gemm_nt_bitwise() {
+        // Panels packed once must reproduce the per-call packing exactly:
+        // ragged NR panels, ragged KC blocks, an NC block edge, and threaded
+        // column ranges that start mid-NC block.
+        let mut rng = DetRng::new(0xB0);
+        for (m, n, k) in [
+            (5, 70, 300),
+            (1, 33, 513),
+            (13, 1, 259),
+            (64, 257, 1155),
+            (7, NC + 45, 260),
+        ] {
+            let a = random_vec(&mut rng, m * k);
+            let b = random_vec(&mut rng, n * k); // stored n x k
+            let packed = PackedB::new(&b, Trans::T, k, n);
+            for kernel in SimdTier::runnable(TIERS) {
+                for threads in [1usize, 2, 3] {
+                    let mut scratch = GemmScratch::with_kernel(kernel);
+                    scratch.threads = Some(threads);
+                    let mut want = vec![0.5f32; m * n];
+                    gemm_nt(&mut scratch, m, n, k, &a, &b, &mut want);
+                    let mut got = vec![0.5f32; m * n];
+                    gemm_prepacked(&mut scratch, m, &a, &packed, &mut got);
+                    assert_eq!(
+                        got,
+                        want,
+                        "({m}x{n}x{k}) kernel {} threads {threads}",
                         kernel.name()
                     );
                 }

@@ -10,10 +10,17 @@
 //! Every layer has **one forward body**, [`Layer::infer_shared`]: `&self`,
 //! batch-major, channel-planar (`[image][channel][y][x]`), with all mutable
 //! state in the caller's [`InferScratch`]. `Conv2d` runs
-//! [`crate::gemm::conv2d_forward`] (virtual im2col — the patch matrix is
-//! addressed, not materialized) per image; `Dense` multiplies the whole
-//! minibatch at once (or runs the matvec kernel at batch 1 on non-coalescing
-//! scratch). Training's [`Layer::forward_batch`] records what
+//! [`crate::gemm::conv2d_forward_packed`] (virtual im2col over a row-padded
+//! frame — the patch matrix is addressed, not materialized) per image;
+//! `Dense` multiplies the whole minibatch at once (or runs the matvec kernel
+//! at batch 1 on non-coalescing scratch). Both keep their weights packed
+//! once in the layout the GEMM micro-kernels read (`Conv2d`'s filter
+//! panels, `Dense`'s `Wᵀ` panels), built at construction and rebuilt by
+//! [`Layer::visit_params`] — the only way weights change — so no inference
+//! call re-packs them. In inference, a `Conv2d` followed by a `Relu` runs
+//! as one pass with the select folded into the conv epilogue
+//! ([`crate::model::Sequential::infer_batch_shared`]; same bits).
+//! Training's [`Layer::forward_batch`] records what
 //! [`Layer::backward_batch`] needs and then runs that same body on
 //! layer-owned, single-threaded scratch, so a trained model scores the same
 //! bits in training and in serving; the per-image `forward` is a batch-of-1
@@ -25,7 +32,7 @@
 //! (property-tested in `tests/proptests.rs`) and serves as the baseline in
 //! the `nn_inference` bench.
 
-use crate::gemm::{self, GemmScratch};
+use crate::gemm::{self, GemmScratch, PackedA, PackedB, Trans};
 use crate::init::{he_normal, xavier_uniform};
 use crate::kernels;
 use crate::tensor::Shape;
@@ -186,7 +193,9 @@ pub trait Layer: Send + Sync {
         out: &mut Vec<f32>,
         scratch: &mut InferScratch,
     );
-    /// Visit (parameters, gradients) slices for the optimizer.
+    /// Visit (parameters, gradients) slices for the optimizer. Layers that
+    /// keep their weights packed for the GEMM re-pack them after `f`
+    /// returns, so this is the one way weights change.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
     /// Reset accumulated gradients to zero.
     fn zero_grads(&mut self);
@@ -203,7 +212,10 @@ pub struct Conv2d {
     out_c: usize,
     k: usize,
     weights: Vec<f32>, // [out_c][in_c][k][k]
-    bias: Vec<f32>,    // [out_c]
+    /// `weights` packed once into the GEMM's filter panels; rebuilt by
+    /// every `visit_params`, the only way weights change.
+    filter: PackedA,
+    bias: Vec<f32>, // [out_c]
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cache_input: Vec<f32>,
@@ -221,19 +233,13 @@ impl Conv2d {
         assert!(out_c > 0, "Conv2d requires out_c > 0");
         let fan_in = input.c * k * k;
         let n_w = out_c * input.c * k * k;
-        Conv2d {
+        Conv2d::from_parts(
             input,
             out_c,
             k,
-            weights: he_normal(rng, fan_in, n_w),
-            bias: vec![0.0; out_c],
-            grad_w: vec![0.0; n_w],
-            grad_b: vec![0.0; out_c],
-            cache_input: Vec::new(),
-            scratch: InferScratch::single_threaded(),
-            col: Vec::new(),
-            dcol: Vec::new(),
-        }
+            he_normal(rng, fan_in, n_w),
+            vec![0.0; out_c],
+        )
     }
 
     /// Construct from explicit weights (used by deserialization).
@@ -251,6 +257,7 @@ impl Conv2d {
             input,
             out_c,
             k,
+            filter: PackedA::new(&weights, out_c, input.c * k * k),
             weights,
             bias,
             grad_w: vec![0.0; n_w],
@@ -322,6 +329,53 @@ impl Conv2d {
         }
         out
     }
+
+    /// The inference forward with the `Relu` that follows this layer folded
+    /// into the conv epilogue: bitwise equal to [`Layer::infer_shared`]
+    /// followed by that `Relu`'s, with the activation written once.
+    pub(crate) fn infer_relu(
+        &self,
+        input: &[f32],
+        batch: usize,
+        out: &mut Vec<f32>,
+        scratch: &mut InferScratch,
+    ) {
+        self.infer(input, batch, out, scratch, true);
+    }
+
+    fn infer(
+        &self,
+        input: &[f32],
+        batch: usize,
+        out: &mut Vec<f32>,
+        scratch: &mut InferScratch,
+        relu: bool,
+    ) {
+        let (c_in, h, w) = (self.input.c, self.input.h, self.input.w);
+        let in_len = self.input.len();
+        let out_len = self.out_c * h * w;
+        debug_assert_eq!(input.len(), batch * in_len);
+        out.resize(batch * out_len, 0.0);
+        // Images run one after another through the given scratch; the
+        // parallelism lives one level up, where `infer_batch_shared` hands
+        // each pool lane whole morsels on a lane scratch of its own. Each
+        // image's result depends only on its own pixels, so the output is
+        // bitwise identical whatever batch or morsel it rides in.
+        for b in 0..batch {
+            gemm::conv2d_forward_packed(
+                &mut scratch.gemm,
+                &input[b * in_len..(b + 1) * in_len],
+                c_in,
+                h,
+                w,
+                self.k,
+                &self.filter,
+                &self.bias,
+                relu,
+                &mut out[b * out_len..(b + 1) * out_len],
+            );
+        }
+    }
 }
 
 impl Layer for Conv2d {
@@ -352,30 +406,7 @@ impl Layer for Conv2d {
         out: &mut Vec<f32>,
         scratch: &mut InferScratch,
     ) {
-        let (c_in, h, w) = (self.input.c, self.input.h, self.input.w);
-        let in_len = self.input.len();
-        let out_len = self.out_c * h * w;
-        debug_assert_eq!(input.len(), batch * in_len);
-        out.resize(batch * out_len, 0.0);
-        // Images run one after another through the given scratch; the
-        // parallelism lives one level up, where `infer_batch_shared` hands
-        // each pool lane whole morsels on a lane scratch of its own. Each
-        // image's result depends only on its own pixels, so the output is
-        // bitwise identical whatever batch or morsel it rides in.
-        for b in 0..batch {
-            gemm::conv2d_forward(
-                &mut scratch.gemm,
-                &input[b * in_len..(b + 1) * in_len],
-                c_in,
-                h,
-                w,
-                self.k,
-                &self.weights,
-                &self.bias,
-                self.out_c,
-                &mut out[b * out_len..(b + 1) * out_len],
-            );
-        }
+        self.infer(input, batch, out, scratch, false);
     }
 
     fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
@@ -482,6 +513,8 @@ impl Layer for Conv2d {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.weights, &mut self.grad_w);
         f(&mut self.bias, &mut self.grad_b);
+        let k_total = self.input.c * self.k * self.k;
+        self.filter.repack(&self.weights, self.out_c, k_total);
     }
 
     fn zero_grads(&mut self) {
@@ -719,6 +752,9 @@ pub struct Dense {
     n_in: usize,
     n_out: usize,
     weights: Vec<f32>, // [n_out][n_in]
+    /// `Wᵀ` packed once into the blocked GEMM's B panels; rebuilt by every
+    /// `visit_params`, the only way weights change.
+    packed: PackedB,
     bias: Vec<f32>,
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
@@ -730,16 +766,8 @@ impl Dense {
     /// Create a dense layer with Xavier-uniform weights.
     pub fn new(n_in: usize, n_out: usize, rng: &mut DetRng) -> Dense {
         assert!(n_in > 0 && n_out > 0, "Dense dims must be positive");
-        Dense {
-            n_in,
-            n_out,
-            weights: xavier_uniform(rng, n_in, n_out, n_in * n_out),
-            bias: vec![0.0; n_out],
-            grad_w: vec![0.0; n_in * n_out],
-            grad_b: vec![0.0; n_out],
-            cache_input: Vec::new(),
-            scratch: InferScratch::single_threaded(),
-        }
+        let weights = xavier_uniform(rng, n_in, n_out, n_in * n_out);
+        Dense::from_parts(n_in, n_out, weights, vec![0.0; n_out])
     }
 
     /// Construct from explicit weights (used by deserialization).
@@ -750,6 +778,7 @@ impl Dense {
         Dense {
             n_in,
             n_out,
+            packed: PackedB::new(&weights, Trans::T, n_in, n_out),
             weights,
             bias,
             grad_w: vec![0.0; n_w],
@@ -812,16 +841,9 @@ impl Layer for Dense {
         for row in out.chunks_exact_mut(self.n_out) {
             row.copy_from_slice(&self.bias);
         }
-        // out[batch x n_out] += X[batch x n_in] · Wᵀ (W stored n_out x n_in).
-        gemm::gemm_nt(
-            &mut scratch.gemm,
-            batch,
-            self.n_out,
-            self.n_in,
-            input,
-            &self.weights,
-            out,
-        );
+        // out[batch x n_out] += X[batch x n_in] · Wᵀ, on the panels packed
+        // at construction: bitwise `gemm_nt` against `weights`.
+        gemm::gemm_prepacked(&mut scratch.gemm, batch, input, &self.packed, out);
     }
 
     fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
@@ -874,6 +896,8 @@ impl Layer for Dense {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.weights, &mut self.grad_w);
         f(&mut self.bias, &mut self.grad_b);
+        self.packed
+            .repack(&self.weights, Trans::T, self.n_in, self.n_out);
     }
 
     fn zero_grads(&mut self) {
@@ -1115,11 +1139,20 @@ mod tests {
         let orig = w[4];
         let analytic = conv.grad_w[4];
         let eps = 1e-2;
-        conv.weights[4] = orig + eps;
+        // Through `visit_params` (weights are the 9-element slot), which
+        // re-packs the filter the forward reads.
+        let set_w4 = |conv: &mut Conv2d, v: f32| {
+            conv.visit_params(&mut |p, _| {
+                if p.len() == 9 {
+                    p[4] = v;
+                }
+            })
+        };
+        set_w4(&mut conv, orig + eps);
         let f_plus: f32 = conv.forward(&input).iter().sum();
-        conv.weights[4] = orig - eps;
+        set_w4(&mut conv, orig - eps);
         let f_minus: f32 = conv.forward(&input).iter().sum();
-        conv.weights[4] = orig;
+        set_w4(&mut conv, orig);
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         assert!(
             (numeric - analytic).abs() < 1e-2,
@@ -1270,6 +1303,44 @@ mod tests {
         for (i, (&a, &b)) in per_image_gb.iter().zip(&dense.grad_b).enumerate() {
             assert!((a - b).abs() < 1e-5, "grad_b {i}: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn dense_packed_weights_follow_an_optimizer_step() {
+        // The packed panels are rebuilt whenever `visit_params` hands out
+        // the weights: after an Adam step, inference must equal a fresh
+        // layer built from the updated weights, bit for bit (and differ
+        // from the pre-step output, so the step really moved them).
+        use crate::optim::{Adam, Optimizer};
+        let (n_in, n_out, batch) = (300, 45, 5);
+        let mut rng = DetRng::new(91);
+        let mut dense = Dense::new(n_in, n_out, &mut rng);
+        let input: Vec<f32> = (0..batch * n_in)
+            .map(|i| ((i * 13) % 17) as f32 / 17.0 - 0.5)
+            .collect();
+        let mut scratch = InferScratch::coalescing();
+        let mut before = Vec::new();
+        dense.infer_shared(&input, batch, &mut before, &mut scratch);
+
+        let mut out = Vec::new();
+        dense.forward_batch(&input, batch, &mut out);
+        let mut grad_in = Vec::new();
+        dense.backward_batch(&vec![1.0; batch * n_out], batch, &mut grad_in);
+        let mut opt = Adam::new(0.01);
+        opt.begin_step();
+        let mut slot = 0;
+        dense.visit_params(&mut |p, g| {
+            opt.update(slot, p, g, 1.0);
+            slot += 1;
+        });
+
+        let (w, b) = dense.weights_bias();
+        let fresh = Dense::from_parts(n_in, n_out, w.to_vec(), b.to_vec());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        dense.infer_shared(&input, batch, &mut got, &mut scratch);
+        fresh.infer_shared(&input, batch, &mut want, &mut scratch);
+        assert_eq!(got, want);
+        assert_ne!(got, before);
     }
 
     #[test]

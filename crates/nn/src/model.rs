@@ -140,7 +140,10 @@ impl Sequential {
     }
 
     /// One pass of `batch` rows through every layer on `scratch`; the
-    /// result stays in the scratch's activation buffer.
+    /// result stays in the scratch's activation buffer. A `Conv2d` followed
+    /// by a `Relu` runs as one layer, the select folded into the conv's
+    /// epilogue (same bits; training's `forward_batch` stays unfused, since
+    /// `Relu` records its mask there).
     fn infer_pass<'s>(
         &self,
         input: &[f32],
@@ -151,8 +154,14 @@ impl Sequential {
         let mut buf_b = std::mem::take(&mut scratch.buf_b);
         buf_a.clear();
         buf_a.extend_from_slice(input);
-        for layer in &self.layers {
-            layer.infer_shared(&buf_a, batch, &mut buf_b, scratch);
+        let mut layers = self.layers.iter().peekable();
+        while let Some(layer) = layers.next() {
+            match layer.as_any().downcast_ref::<Conv2d>() {
+                Some(conv) if layers.next_if(|l| l.as_any().is::<Relu>()).is_some() => {
+                    conv.infer_relu(&buf_a, batch, &mut buf_b, scratch);
+                }
+                _ => layer.infer_shared(&buf_a, batch, &mut buf_b, scratch),
+            }
             std::mem::swap(&mut buf_a, &mut buf_b);
         }
         scratch.buf_a = buf_a;
