@@ -248,15 +248,28 @@ pub fn stall(site: u32) {
 #[cfg(all(test, feature = "fault-inject"))]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// One test at a time: the plan and its arm flag are process-global, so
+    /// one test's `install` or guard drop would re-arm or disarm another's.
+    fn plan_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        match LOCK.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
 
     #[test]
     fn unarmed_hooks_never_fire() {
+        let _lock = plan_lock();
         assert!(!fire(site::SEG_READ));
         assert!(transient_io(site::SEG_WRITE).is_none());
     }
 
     #[test]
     fn seeded_schedule_replays_exactly() {
+        let _lock = plan_lock();
         let draw = |seed: u64| -> Vec<bool> {
             let _g = install(FaultPlan::new(seed).with_rate(site::SEG_READ, 250));
             (0..64).map(|_| fire(site::SEG_READ)).collect()
@@ -271,6 +284,7 @@ mod tests {
 
     #[test]
     fn rates_bound_behavior_and_counters_track() {
+        let _lock = plan_lock();
         {
             let _g = install(FaultPlan::new(1).with_uniform_rate(1000));
             for _ in 0..10 {
@@ -288,6 +302,7 @@ mod tests {
 
     #[test]
     fn sites_decorrelate() {
+        let _lock = plan_lock();
         let _g = install(FaultPlan::new(3).with_uniform_rate(500));
         let a: Vec<bool> = (0..64).map(|_| fire(site::SEG_READ)).collect();
         let b: Vec<bool> = (0..64).map(|_| fire(site::SEG_WRITE)).collect();

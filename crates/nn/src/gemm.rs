@@ -117,9 +117,10 @@ pub const TIERS: &[SimdTier] = &SimdTier::ALL;
 pub struct GemmScratch {
     packed_a: Vec<f32>,
     packed_b: Vec<f32>,
-    conv_padded: Vec<f32>,
-    /// `(c_in, h, w, pad)` whose zero frame `conv_padded` holds.
-    conv_frame: (usize, usize, usize, usize),
+    /// One row-padded frame per conv shape `(c_in, h, w, pad)` this
+    /// scratch has run — a model's few conv layers — so a depth-first pass
+    /// alternating between them lays each zero frame once, not per image.
+    conv_frames: Vec<(ConvShape, Vec<f32>)>,
     conv_offsets: Vec<usize>,
     /// Per-row B offsets for in-place (direct / virtual-im2col) addressing.
     off_main: Vec<usize>,
@@ -176,17 +177,18 @@ impl GemmScratch {
         let own = [
             self.packed_a.capacity(),
             self.packed_b.capacity(),
-            self.conv_padded.capacity(),
             self.conv_offsets.capacity(),
             self.off_main.capacity(),
             self.off_panel.capacity(),
         ];
-        self.pool
-            .iter()
-            .map(GemmScratch::max_buffer_capacity)
-            .fold(own.into_iter().max().unwrap_or(0), usize::max)
+        let frames = self.conv_frames.iter().map(|(_, f)| f.capacity());
+        let pool = self.pool.iter().map(GemmScratch::max_buffer_capacity);
+        own.into_iter().chain(frames).chain(pool).max().unwrap_or(0)
     }
 }
+
+/// A conv input shape `(c_in, h, w, pad)`, the key of a zero frame.
+type ConvShape = (usize, usize, usize, usize);
 
 /// A left operand (`m x k`, as stored) packed once into the `MR`-row
 /// panels the micro-kernels read: what `Conv2d` keeps of its filter
@@ -805,21 +807,27 @@ pub fn conv2d_forward_packed(
 
     // 1. Frame every plane: `pad` zero rows above and below, `pad` zero
     //    columns either side, plus a trailing `2*pad` guard for the last
-    //    plane's wrapped reads. The zeros are laid down once per shape;
-    //    after that only the image rows are copied in.
+    //    plane's wrapped reads. The zeros are laid down once per shape, in
+    //    that shape's own frame; after that only the image rows are copied
+    //    in, and they land exactly where the previous image's did.
     let cstride = (h + 2 * pad) * grid.gw;
-    let frame = (c_in, h, w, pad);
-    if scratch.conv_frame != frame {
-        scratch.conv_padded.clear();
-        scratch.conv_padded.resize(c_in * cstride + 2 * pad, 0.0);
-        scratch.conv_frame = frame;
-    }
+    let shape = (c_in, h, w, pad);
+    let frames = &mut scratch.conv_frames;
+    let slot = frames
+        .iter()
+        .position(|(s, _)| *s == shape)
+        .unwrap_or_else(|| {
+            frames.push((shape, vec![0.0; c_in * cstride + 2 * pad]));
+            frames.len() - 1
+        });
+    let padded = &mut scratch.conv_frames[slot].1;
     for (i, plane) in input.chunks_exact(grid.hw).enumerate() {
         for (y, src) in plane.chunks_exact(w).enumerate() {
             let dst = i * cstride + (y + pad) * grid.gw + pad;
-            scratch.conv_padded[dst..dst + w].copy_from_slice(src);
+            padded[dst..dst + w].copy_from_slice(src);
         }
     }
+    let padded = &scratch.conv_frames[slot].1;
 
     // 2. Per-patch-row base offsets into the frame.
     scratch.conv_offsets.clear();
@@ -839,7 +847,6 @@ pub fn conv2d_forward_packed(
     let out_ptr = CPtr(out.as_mut_ptr());
     let t = plan_threads(scratch.threads, out_c, n, k_total).min(full_nr.max(1));
     if full_nr > 0 {
-        let padded = &scratch.conv_padded;
         let offsets = &scratch.conv_offsets;
         if t <= 1 {
             conv_sweep(
@@ -865,7 +872,7 @@ pub fn conv2d_forward_packed(
         scratch.packed_b.resize(k_total * NR, 0.0);
         for (p, &off) in scratch.conv_offsets.iter().enumerate() {
             let dst = &mut scratch.packed_b[p * NR..(p + 1) * NR];
-            dst[..tail].copy_from_slice(&scratch.conv_padded[off + j0..off + j0 + tail]);
+            dst[..tail].copy_from_slice(&padded[off + j0..off + j0 + tail]);
             dst[tail..].fill(0.0);
         }
         fill_offsets(&mut scratch.off_panel, k_total, NR);
@@ -1825,6 +1832,52 @@ mod tests {
                         &got,
                         want,
                         "kernel {} threads {threads} shape c{c_in} {h}x{w} k{kk} out{out_c}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_conv_shapes_on_one_scratch_match_fresh_scratches() {
+        // A depth-first pass alternates a model's conv shapes image by
+        // image on one scratch, each shape keeping its own zero frame. The
+        // first two shapes have frames of the same length laid out
+        // differently, and the third differs from the first only in its
+        // padding, so a frame looked up by anything less than the whole
+        // shape would read another shape's pixels as padding.
+        let shapes = [
+            (2, 6, 9, 3, 5),
+            (2, 9, 6, 3, 4),
+            (2, 6, 9, 5, 3),
+            (3, 32, 32, 3, 8), // the serving fixture's second model
+            (8, 16, 16, 3, 8),
+        ];
+        let mut rng = DetRng::new(0xF7);
+        let layers: Vec<_> = shapes
+            .iter()
+            .map(|&(c_in, _, _, kk, out_c)| {
+                let weights = random_vec(&mut rng, out_c * c_in * kk * kk);
+                (weights, random_vec(&mut rng, out_c))
+            })
+            .collect();
+        for kernel in SimdTier::runnable(TIERS) {
+            let mut shared = GemmScratch::with_kernel(kernel);
+            for image in 0..4 {
+                for (&(c_in, h, w, kk, out_c), (weights, bias)) in shapes.iter().zip(&layers) {
+                    let input = random_vec(&mut rng, c_in * h * w);
+                    let run = |scratch: &mut GemmScratch| {
+                        let mut out = vec![f32::NAN; out_c * h * w];
+                        conv2d_forward(
+                            scratch, &input, c_in, h, w, kk, weights, bias, out_c, &mut out,
+                        );
+                        out
+                    };
+                    assert_eq!(
+                        run(&mut shared),
+                        run(&mut GemmScratch::with_kernel(kernel)),
+                        "kernel {} image {image} shape c{c_in} {h}x{w} k{kk}",
                         kernel.name()
                     );
                 }

@@ -58,8 +58,14 @@ use tahoma_mathx::DetRng;
 /// and so does morsel-parallel inference: a `force_gemm` call of at least
 /// two [`crate::model::MORSEL_ROWS`]-row morsels is cut into morsels that
 /// run across the `tahoma_mathx::pool` workers, each on one of this
-/// scratch's lane scratches, so activation buffers are bounded by morsel
-/// size x lane count instead of by the call's row count.
+/// scratch's lane scratches.
+///
+/// Activations live in two pairs of ping-pong buffers: the per-image pair
+/// holds one image of the model's conv / ReLU / pool prefix (which runs
+/// depth-first, image by image, reading the caller's rows in place), and
+/// the head pair holds the call's — or on a lane, one morsel's — rows of
+/// the dense head. So a lane's prefix memory is one image, and its head
+/// memory is one morsel of the head's widest activation.
 #[derive(Debug, Default)]
 pub struct InferScratch {
     /// GEMM packing buffers + kernel/threading knobs for every layer.
@@ -68,9 +74,13 @@ pub struct InferScratch {
     pub gemm: GemmScratch,
     /// Pin `Dense` to the batch-shape-invariant GEMM path (see above).
     pub force_gemm: bool,
-    /// Ping-pong activation buffers for [`crate::model::Sequential`].
+    /// Ping-pong activation buffers for [`crate::model::Sequential`]'s
+    /// head: all of a call's rows at once.
     pub(crate) buf_a: Vec<f32>,
     pub(crate) buf_b: Vec<f32>,
+    /// Ping-pong activation buffers for the per-image prefix: one image.
+    pub(crate) image_a: Vec<f32>,
+    pub(crate) image_b: Vec<f32>,
     /// One scratch per morsel lane, grown on first fan-out and reused.
     pub(crate) lanes: Vec<InferScratch>,
     /// Calls through this scratch that were scored as morsels.
@@ -130,19 +140,23 @@ impl InferScratch {
         &mut self.lanes[..n]
     }
 
-    /// Largest capacity, in elements, of any buffer held by this scratch
-    /// or its lanes — what the morsel memory bound is stated over.
+    /// Largest capacities, in elements, held by this scratch or its lanes:
+    /// of a per-image prefix buffer, and of any other buffer (head
+    /// activations, GEMM scratch) — what the morsel memory bounds are
+    /// stated over.
     #[cfg(test)]
-    pub(crate) fn max_buffer_capacity(&self) -> usize {
-        let own = self
-            .buf_a
-            .capacity()
-            .max(self.buf_b.capacity())
-            .max(self.gemm.max_buffer_capacity());
+    pub(crate) fn max_buffer_capacity(&self) -> (usize, usize) {
+        let own = (
+            self.image_a.capacity().max(self.image_b.capacity()),
+            self.buf_a
+                .capacity()
+                .max(self.buf_b.capacity())
+                .max(self.gemm.max_buffer_capacity()),
+        );
         self.lanes
             .iter()
             .map(InferScratch::max_buffer_capacity)
-            .fold(own, usize::max)
+            .fold(own, |(i, o), (li, lo)| (i.max(li), o.max(lo)))
     }
 }
 

@@ -31,11 +31,15 @@
 //!   `predict_proba_shared` are the inference entry points; training's
 //!   [`model::Sequential::forward_batch`] has each layer record what
 //!   `backward_batch` needs and then run that same body, so training and
-//!   serving compute the same bits. Whole minibatches move through reused
-//!   ping-pong buffers — no per-image allocation anywhere on the path. The
-//!   original scalar convolution survives as `Conv2d::forward_scalar`: the
-//!   semantic reference the GEMM path is property-tested against and the
-//!   baseline the `nn_inference` bench measures speedups over.
+//!   serving compute the same bits. Inference runs a model's conv / ReLU /
+//!   pool prefix depth-first — each image through the whole prefix before
+//!   the next starts, so its activations stay cache-resident — and the
+//!   dense head over all rows at once; training runs layer-major. Both
+//!   move activations through reused ping-pong buffers — no per-image
+//!   allocation anywhere on the path. The original scalar convolution
+//!   survives as `Conv2d::forward_scalar`: the semantic reference the
+//!   GEMM path is property-tested against and the baseline the
+//!   `nn_inference` bench measures speedups over.
 //!
 //! ## Layout contract
 //!

@@ -113,10 +113,12 @@ impl Sequential {
     /// into one call — and what lets a coalescing call of at least two
     /// [`MORSEL_ROWS`]-row morsels run as morsels spread over
     /// [`InferScratch::morsel_lanes`] lanes of the `tahoma_mathx::pool`,
-    /// with the same bits and activation memory bounded by the morsel.
-    /// Smaller calls, and every call on non-coalescing scratch (whose
-    /// batch-1 matvec would make a 1-row tail morsel differ), run as one
-    /// pass on the caller. Zero rows score to an empty vector.
+    /// with the same bits. Smaller calls, and every call on non-coalescing
+    /// scratch (whose batch-1 matvec would make a 1-row tail morsel
+    /// differ), run as one pass on the caller. Within a pass the conv
+    /// prefix runs depth-first, one image at a time, so its activation
+    /// memory is one image; the dense head's is the pass's rows (a morsel,
+    /// on a lane). Zero rows score to an empty vector.
     pub fn infer_batch_shared(
         &self,
         input: &[f32],
@@ -140,32 +142,53 @@ impl Sequential {
     }
 
     /// One pass of `batch` rows through every layer on `scratch`; the
-    /// result stays in the scratch's activation buffer. A `Conv2d` followed
-    /// by a `Relu` runs as one layer, the select folded into the conv's
-    /// epilogue (same bits; training's `forward_batch` stays unfused, since
-    /// `Relu` records its mask there).
+    /// result stays in the scratch's head buffer.
+    ///
+    /// The pass is depth-first over the model's per-image prefix (its
+    /// leading conv / ReLU / pool layers — in a [`CnnSpec`] model,
+    /// everything before the first `Dense`): each image runs the whole
+    /// prefix, reading its row of `input` in place, before the next image
+    /// starts, so the prefix activations of one image stay cache-resident
+    /// and the scratch's prefix buffers never outgrow one image. Each
+    /// image's prefix output becomes its row of the head matrix, and the
+    /// head (`Dense` on) then runs over all rows at once. Every prefix
+    /// layer computes each image from that image's pixels alone, so the
+    /// head sees the same matrix, in the same row order, as a layer-major
+    /// pass (training's `forward_batch`) would build.
     fn infer_pass<'s>(
         &self,
         input: &[f32],
         batch: usize,
         scratch: &'s mut InferScratch,
     ) -> &'s [f32] {
-        let mut buf_a = std::mem::take(&mut scratch.buf_a);
-        let mut buf_b = std::mem::take(&mut scratch.buf_b);
-        buf_a.clear();
-        buf_a.extend_from_slice(input);
-        let mut layers = self.layers.iter().peekable();
-        while let Some(layer) = layers.next() {
-            match layer.as_any().downcast_ref::<Conv2d>() {
-                Some(conv) if layers.next_if(|l| l.as_any().is::<Relu>()).is_some() => {
-                    conv.infer_relu(&buf_a, batch, &mut buf_b, scratch);
-                }
-                _ => layer.infer_shared(&buf_a, batch, &mut buf_b, scratch),
+        let split = self
+            .layers
+            .iter()
+            .position(|l| !is_per_image(l.as_ref()))
+            .unwrap_or(self.layers.len());
+        let (prefix, head) = self.layers.split_at(split);
+        let mut rows = std::mem::take(&mut scratch.buf_a);
+        let mut spare = std::mem::take(&mut scratch.buf_b);
+        if prefix.is_empty() {
+            run_layers(head, Some(input), batch, &mut rows, &mut spare, scratch);
+        } else {
+            let mut img_a = std::mem::take(&mut scratch.image_a);
+            let mut img_b = std::mem::take(&mut scratch.image_b);
+            // The head buffers swap roles from call to call, so grow this
+            // one to the exact row count, not by doubling a smaller one.
+            let features = prefix[prefix.len() - 1].output_shape().len();
+            rows.clear();
+            rows.reserve_exact(batch * features);
+            for pixels in input.chunks_exact(self.input.len()) {
+                run_layers(prefix, Some(pixels), 1, &mut img_a, &mut img_b, scratch);
+                rows.extend_from_slice(&img_a);
             }
-            std::mem::swap(&mut buf_a, &mut buf_b);
+            scratch.image_a = img_a;
+            scratch.image_b = img_b;
+            run_layers(head, None, batch, &mut rows, &mut spare, scratch);
         }
-        scratch.buf_a = buf_a;
-        scratch.buf_b = buf_b;
+        scratch.buf_a = rows;
+        scratch.buf_b = spare;
         &scratch.buf_a
     }
 
@@ -288,6 +311,46 @@ impl Sequential {
     }
 }
 
+/// Whether `layer` computes each image from that image's values alone,
+/// the same whatever batch it rides in — what lets [`Sequential`]'s
+/// inference run it image by image. `Dense` is not: at batch 1 on
+/// non-coalescing scratch it takes the matvec kernel's different fold.
+fn is_per_image(layer: &dyn Layer) -> bool {
+    let any = layer.as_any();
+    any.is::<Conv2d>() || any.is::<Relu>() || any.is::<MaxPool2>()
+}
+
+/// Run `batch` rows through `layers`, leaving the result in `a`: the first
+/// layer reads `src` (or `a` when `src` is `None`), and activations
+/// ping-pong between `a` and `b`. A `Conv2d` followed by a `Relu` runs as
+/// one layer, the select folded into the conv's epilogue (same bits;
+/// training's `forward_batch` stays unfused, since `Relu` records its mask
+/// there). An empty stack copies `src` through.
+fn run_layers(
+    layers: &[Box<dyn Layer>],
+    mut src: Option<&[f32]>,
+    batch: usize,
+    a: &mut Vec<f32>,
+    b: &mut Vec<f32>,
+    scratch: &mut InferScratch,
+) {
+    let mut layers = layers.iter().peekable();
+    while let Some(layer) = layers.next() {
+        let input = src.take().unwrap_or(a);
+        match layer.as_any().downcast_ref::<Conv2d>() {
+            Some(conv) if layers.next_if(|l| l.as_any().is::<Relu>()).is_some() => {
+                conv.infer_relu(input, batch, b, scratch);
+            }
+            _ => layer.infer_shared(input, batch, b, scratch),
+        }
+        std::mem::swap(a, b);
+    }
+    if let Some(src) = src {
+        a.clear();
+        a.extend_from_slice(src);
+    }
+}
+
 impl fmt::Debug for Sequential {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Sequential({})", self.summary())
@@ -364,6 +427,7 @@ impl CnnSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tahoma_mathx::SimdTier;
 
     fn tiny_spec() -> CnnSpec {
         CnnSpec {
@@ -682,8 +746,10 @@ mod tests {
     #[test]
     fn morsel_activation_memory_is_bounded_by_the_morsel_not_the_call() {
         // A serving-shaped net (first conv widens each row to 8x24x24):
-        // after a 2048-row call no buffer anywhere in the scratch may hold
-        // more than one morsel of the widest activation.
+        // after a 2048-row call the per-image prefix buffers of the scratch
+        // and its lanes hold at most one image's widest prefix activation
+        // (the input is read in place, never copied), and no other buffer
+        // anywhere holds more than one morsel of the widest head activation.
         let spec = CnnSpec {
             input: Shape::new(1, 24, 24),
             conv_channels: vec![8],
@@ -691,11 +757,17 @@ mod tests {
             dense_units: 16,
         };
         let model = spec.build(26).unwrap();
-        let widest = model
-            .layers()
-            .iter()
-            .map(|l| l.output_shape().len())
-            .fold(spec.input.len(), usize::max);
+        let split = model.layers().iter().position(|l| l.name() == "dense");
+        let (prefix, head) = model.layers().split_at(split.unwrap());
+        let widest = |layers: &[Box<dyn Layer>], from: usize| {
+            layers
+                .iter()
+                .map(|l| l.output_shape().len())
+                .fold(from, usize::max)
+        };
+        let widest_prefix = widest(prefix, 0);
+        let widest_head = widest(head, prefix[prefix.len() - 1].output_shape().len());
+        assert_eq!((widest_prefix, widest_head), (8 * 24 * 24, 8 * 12 * 12));
         let rows = 2048;
         let input: Vec<f32> = (0..rows * spec.input.len())
             .map(|i| ((i * 13) % 29) as f32 / 29.0 - 0.5)
@@ -705,11 +777,112 @@ mod tests {
             scratch.gemm.threads = threads;
             model.predict_proba_shared(&input, rows, &mut scratch);
             assert_eq!(scratch.morsel_calls(), 1);
-            let cap = scratch.max_buffer_capacity();
+            let (image, other) = scratch.max_buffer_capacity();
             assert!(
-                cap <= MORSEL_ROWS * widest,
-                "threads {threads:?}: a buffer holds {cap} floats > {MORSEL_ROWS} x {widest}"
+                image <= widest_prefix,
+                "threads {threads:?}: a prefix buffer holds {image} floats > {widest_prefix}"
             );
+            assert!(
+                other <= MORSEL_ROWS * widest_head,
+                "threads {threads:?}: a buffer holds {other} floats > {MORSEL_ROWS} x {widest_head}"
+            );
+        }
+    }
+
+    #[test]
+    fn depth_first_prefix_matches_layer_major_bitwise() {
+        // The depth-first pass against training's layer-major forward, on
+        // the serving fixture's two architectures, 1- and 2-block nets, a
+        // conv feeding a conv with no ReLU between (and a ReLU after a
+        // pool), and a Dense-only stack. Default scratch must match
+        // `forward_batch` at the same batch (matvec at batch 1 on both
+        // sides); coalescing scratch must match each row's GEMM score from
+        // a full batch.
+        let fixture_m0 = CnnSpec {
+            input: Shape::new(1, 24, 24),
+            conv_channels: vec![8],
+            kernel: 3,
+            dense_units: 256,
+        };
+        let fixture_m1 = CnnSpec {
+            input: Shape::new(3, 32, 32),
+            conv_channels: vec![8, 8],
+            kernel: 3,
+            dense_units: 320,
+        };
+        let one_block = CnnSpec {
+            input: Shape::new(2, 9, 7),
+            conv_channels: vec![5],
+            kernel: 3,
+            dense_units: 6,
+        };
+        let mut rng = DetRng::new(27);
+        let shape = Shape::new(2, 10, 10);
+        let mut unfused = Sequential::new(shape);
+        unfused.push(Box::new(Conv2d::new(shape, 3, 3, &mut rng)));
+        unfused.push(Box::new(Conv2d::new(Shape::new(3, 10, 10), 4, 5, &mut rng)));
+        unfused.push(Box::new(Relu::new(Shape::new(4, 10, 10))));
+        unfused.push(Box::new(MaxPool2::new(Shape::new(4, 10, 10))));
+        unfused.push(Box::new(Relu::new(Shape::new(4, 5, 5))));
+        unfused.push(Box::new(Dense::new(100, 7, &mut rng)));
+        unfused.push(Box::new(Dense::new(7, 1, &mut rng)));
+        let mut dense_only = Sequential::new(Shape::flat(40));
+        dense_only.push(Box::new(Dense::new(40, 12, &mut rng)));
+        dense_only.push(Box::new(Relu::new(Shape::flat(12))));
+        dense_only.push(Box::new(Dense::new(12, 1, &mut rng)));
+        let models = [
+            fixture_m0.build(28).unwrap(),
+            fixture_m1.build(29).unwrap(),
+            one_block.build(30).unwrap(),
+            tiny_spec().build(31).unwrap(),
+            unfused,
+            dense_only,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let most = 65;
+        for mut model in models {
+            let (in_len, out_len) = (model.input_shape().len(), model.output_shape().len());
+            let input: Vec<f32> = (0..most * in_len)
+                .map(|i| ((i * 41) % 97) as f32 / 97.0 - 0.45)
+                .collect();
+            let all_rows = model.forward_batch(&input, most);
+            let layer_major: Vec<_> = [1, 2, 63, 64, most]
+                .into_iter()
+                .map(|batch| (batch, model.forward_batch(&input[..batch * in_len], batch)))
+                .collect();
+            for kernel in SimdTier::runnable(crate::gemm::TIERS) {
+                for coalescing in [false, true] {
+                    let mut scratch = InferScratch {
+                        force_gemm: coalescing,
+                        ..InferScratch::default()
+                    };
+                    scratch.gemm.kernel = Some(kernel);
+                    for (batch, want) in &layer_major {
+                        // The portable tier's fma is a library call in an
+                        // unoptimized build: give it the edges alone.
+                        if kernel == SimdTier::Portable && (3..most).contains(batch) {
+                            continue;
+                        }
+                        let want = if coalescing {
+                            &all_rows[..batch * out_len]
+                        } else {
+                            &want[..]
+                        };
+                        let got = model.infer_batch_shared(
+                            &input[..batch * in_len],
+                            *batch,
+                            &mut scratch,
+                        );
+                        assert_eq!(
+                            bits(&got),
+                            bits(want),
+                            "{} batch {batch} coalescing {coalescing} tier {}",
+                            model.summary(),
+                            kernel.name()
+                        );
+                    }
+                }
+            }
         }
     }
 
