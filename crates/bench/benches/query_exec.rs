@@ -10,11 +10,14 @@
 //!   bar is ≥ 2x on the depth-2 cascade.
 //! * `query_exec/nn*` — the real-NN backend end to end on a store of real
 //!   raster frames (fetch → pooled decode → [transcode] → standardize →
-//!   `infer_batch_shared` → thresholds), both in the ONGOING layout (exact
-//!   representations stored) and through the transcode fallback (only the
-//!   full frame stored), plus isolated per-stage lines so the end-to-end
-//!   number decomposes in `BENCH_baseline.json`. A per-stage wall-clock
-//!   table from the scorer's own accounting prints after the run.
+//!   `infer_rows` → thresholds, each row produced on the lane that scores
+//!   it), both in the ONGOING layout (exact representations stored) and
+//!   through the transcode fallback (only the full frame stored), plus
+//!   isolated per-stage lines so the end-to-end number decomposes in
+//!   `BENCH_baseline.json`. A per-stage table from the scorer's own
+//!   accounting prints after the run: data-handling stages in
+//!   lane-seconds (summed over lanes, so they can exceed wall time), and
+//!   the inference calls' wall time, which includes them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
@@ -320,7 +323,8 @@ fn bench_nn_exec(c: &mut Criterion) {
     let stats = scratch.stats();
     eprintln!(
         "query_exec/nn end-to-end (direct, {} items, {} early-decided): \
-         fetch+decode {:.3} ms, transcode {:.3} ms, standardize {:.3} ms, infer {:.3} ms",
+         lane-ms fetch+decode {:.3}, transcode {:.3}, standardize {:.3}; \
+         infer wall {:.3} ms (includes the lane-ms)",
         NN_N,
         rel.level_histogram[0],
         stats.fetch_decode_s * 1e3,
@@ -358,7 +362,8 @@ fn bench_nn_exec(c: &mut Criterion) {
     let stats = scratch.stats();
     eprintln!(
         "query_exec/nn end-to-end (transcode fallback, {} items): \
-         fetch+decode {:.3} ms, transcode {:.3} ms, standardize {:.3} ms, infer {:.3} ms",
+         lane-ms fetch+decode {:.3}, transcode {:.3}, standardize {:.3}; \
+         infer wall {:.3} ms (includes the lane-ms)",
         NN_N,
         stats.fetch_decode_s * 1e3,
         stats.transcode_s * 1e3,

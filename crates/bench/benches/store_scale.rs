@@ -7,7 +7,8 @@
 //!   the full corpus (10^5 items, 10^4 in `--quick`), prime-stride walk so
 //!   every shard and file region is touched. Baseline-gated.
 //! * `store_scale/query_depth2/{ram,mmap}` — a real depth-2 NN sweep
-//!   (fetch → pooled decode → standardize → `infer_batch_shared`, both levels)
+//!   (fetch → pooled decode → standardize → `infer_rows`, per row on the
+//!   scoring lane, both levels)
 //!   over a pack spread across the corpus, plus an interleaved-medians
 //!   ratio with the acceptance bar: warm persistent-tier query latency
 //!   within 1.2x of in-RAM. Baseline-gated; ratio asserted.

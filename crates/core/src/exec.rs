@@ -45,10 +45,12 @@ use crate::query::{
 };
 use crate::thresholds::ThresholdTable;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tahoma_imagery::engine::TranscodeEngine;
+use tahoma_imagery::engine::{self, TranscodeEngine};
 use tahoma_imagery::{Fetched, ObjectKind, Representation, RepresentationStore};
-use tahoma_nn::Sequential;
+use tahoma_nn::{RowSource, Sequential};
 use tahoma_zoo::surrogate::{Split, VariantStream};
 use tahoma_zoo::{ModelId, ModelRepository, SurrogateScorer};
 
@@ -217,23 +219,32 @@ impl BatchScorer for SurrogateBatchScorer<'_> {
     }
 }
 
-/// Per-stage wall-clock accounting of the real-NN scoring backend,
-/// accumulated across [`BatchScorer::score_batch`] calls — what the
-/// `query_exec` bench reports so the end-to-end number decomposes into the
-/// paper's cost-model stages (data handling vs inference, §IV).
+/// Per-stage time accounting of the real-NN scoring backend, accumulated
+/// across [`BatchScorer::score_batch`] calls — what the `query_exec` bench
+/// reports so the end-to-end number decomposes into the paper's cost-model
+/// stages (data handling vs inference, §IV).
+///
+/// Data handling runs on the inference lanes: whichever lane scores a row
+/// fetches, decodes and standardizes it first. So the three data-handling
+/// fields are **lane-seconds** — summed over every lane, they can exceed
+/// the wall time of the call they ran in — and [`NnStageStats::infer_s`]
+/// is the call's wall time, data handling included. Each lane sums its
+/// rows' times locally and adds them here once per morsel.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NnStageStats {
-    /// Fetching encoded representations from the store and decoding them
-    /// into pooled pixel buffers.
+    /// Lane-seconds spent fetching encoded representations from the store
+    /// and decoding them into pooled pixel buffers.
     pub fetch_decode_s: f64,
-    /// Transcoding a stored source representation into a level's input
-    /// representation — only paid when the exact representation is not
-    /// stored (the ONGOING layout pays zero here).
+    /// Lane-seconds spent transcoding a stored source representation into
+    /// a level's input representation — only paid when the exact
+    /// representation is not stored (the ONGOING layout pays zero here).
     pub transcode_s: f64,
-    /// Per-image standardization (zero mean / unit variance), the model
-    /// input discipline shared with the training path.
+    /// Lane-seconds of per-image standardization (zero mean / unit
+    /// variance), the model input discipline shared with the training
+    /// path.
     pub standardize_s: f64,
-    /// Batched CNN inference (`Sequential::infer_batch_shared`).
+    /// Wall time of the inference calls (`SharedModelZoo::infer`, local or
+    /// dispatched), which includes the data handling above.
     pub infer_s: f64,
     /// `score_batch` calls served.
     pub batches: u64,
@@ -252,6 +263,17 @@ pub struct NnStageStats {
     pub degraded_fetches: u64,
 }
 
+impl NnStageStats {
+    /// Add a lane's data-handling tally.
+    fn add_handling(&mut self, lane: &NnStageStats) {
+        self.fetch_decode_s += lane.fetch_decode_s;
+        self.transcode_s += lane.transcode_s;
+        self.standardize_s += lane.standardize_s;
+        self.cache_hits += lane.cache_hits;
+        self.degraded_fetches += lane.degraded_fetches;
+    }
+}
+
 struct NnModel {
     rep: Representation,
     model: Sequential,
@@ -261,12 +283,17 @@ struct NnModel {
 // Real-NN scoring
 // ---------------------------------------------------------------------------
 
+/// The rows an inference call scores, as [`InferDispatch`] receives them:
+/// a pack's standardized inputs, produced on demand by whichever lane
+/// scores each row. A row that cannot be produced is a
+/// [`CoreError::Scoring`].
+pub type InputRows<'a> = dyn RowSource<Error = CoreError> + 'a;
+
 /// Immutable model zoo: the (model id → network, input representation)
 /// table, built once and then only ever borrowed shared. Every inference
-/// goes through
-/// `Sequential::predict_proba_shared`, so any number of query sessions can
-/// score against one zoo simultaneously, each bringing its own
-/// [`tahoma_nn::InferScratch`].
+/// goes through `Sequential::predict_proba_rows`, so any number of query
+/// sessions can score against one zoo simultaneously, each bringing its
+/// own [`tahoma_nn::InferScratch`].
 #[derive(Default)]
 pub struct SharedModelZoo {
     models: HashMap<u32, NnModel>,
@@ -305,10 +332,12 @@ impl SharedModelZoo {
         self.models.get(&model.0).map(|m| m.rep)
     }
 
-    /// Score `n` standardized input rows (concatenated, row-major) against
-    /// `model` with caller-owned scratch. This is the zoo's only inference
-    /// entry point — brokers and direct callers alike land here, so their
-    /// scores are bitwise identical by construction.
+    /// Score every row of `rows` against `model` with caller-owned
+    /// scratch, reading each row on the lane that scores it. This is the
+    /// zoo's only inference entry point — brokers and direct callers alike
+    /// land here, so their scores are bitwise identical by construction. A
+    /// row the source cannot produce fails the call with the lowest such
+    /// row's error.
     ///
     /// # Panics
     ///
@@ -316,48 +345,54 @@ impl SharedModelZoo {
     /// data-dependent condition: [`SharedNnScorer`] resolves the model's
     /// input representation (and fails with a typed error) before it ever
     /// builds rows to dispatch, and that is the only way rows get here.
-    pub fn infer(
+    pub fn infer<S: RowSource + ?Sized>(
         &self,
         model: ModelId,
-        rows: &[f32],
-        n: usize,
+        rows: &S,
         scratch: &mut tahoma_nn::InferScratch,
-    ) -> Vec<f32> {
+    ) -> Result<Vec<f32>, S::Error> {
         let entry = self
             .models
             .get(&model.0)
             .unwrap_or_else(|| panic!("model m{} is not registered", model.0));
-        entry.model.predict_proba_shared(rows, n, scratch)
+        entry.model.predict_proba_rows(rows, scratch)
     }
 }
 
-/// Where a [`SharedNnScorer`] sends its materialized input rows for
-/// inference. The serving layer implements this with a cross-query batch
-/// broker (merging survivor packs from concurrent queries into one GEMM
-/// call); `None` in the scorer means "score locally on this thread".
+/// Where a [`SharedNnScorer`] sends its packs for inference. The serving
+/// layer implements this with a cross-query batch broker (merging survivor
+/// packs from concurrent queries into one GEMM call); `None` in the scorer
+/// means "score locally on this thread and the pool's lanes".
 ///
-/// Contract: return exactly `n` probabilities, in row order, numerically
-/// identical to [`SharedModelZoo::infer`] with a
+/// Contract: return exactly one probability per row, in row order,
+/// numerically identical to [`SharedModelZoo::infer`] on a
 /// [`tahoma_nn::InferScratch::coalescing`] scratch — which batch-shape
-/// invariance makes automatic for any implementation that concatenates
-/// rows and calls the zoo.
+/// invariance makes automatic for any implementation that scores the rows
+/// through the zoo — or the error of the lowest row that cannot be
+/// produced.
 pub trait InferDispatch: Sync {
-    /// Score `n` standardized rows against `model`.
-    fn infer(&self, model: ModelId, rows: &[f32], n: usize) -> Vec<f32>;
+    /// Score every row of `rows` against `model`. `scratch` is the
+    /// caller's coalescing inference scratch, for calls the dispatch runs
+    /// on the caller's behalf.
+    fn infer(
+        &self,
+        model: ModelId,
+        rows: &InputRows<'_>,
+        scratch: &mut tahoma_nn::InferScratch,
+    ) -> Result<Vec<f32>, CoreError>;
 }
 
 /// Per-query mutable state for [`SharedNnScorer`] — everything written
 /// during scoring lives here, so the store and zoo stay shared. Sessions
-/// are cheap to create and profitable
-/// to reuse (the engine's buffer pool and the GEMM scratch warm up), which
-/// is why the serving layer checks them out of a pool per query.
+/// are cheap to create and profitable to reuse (the inference scratch and
+/// its lanes warm up), which is why the serving layer checks them out of a
+/// pool per query. Pixels pass through no buffer here: each row is
+/// produced into the scoring lane's one-row input buffer.
 #[derive(Default)]
 pub struct NnSessionScratch {
-    engine: TranscodeEngine,
     infer: tahoma_nn::InferScratch,
     shared: Vec<Representation>,
     cache: HashMap<(u64, Representation), Vec<f32>>,
-    input: Vec<f32>,
     stats: NnStageStats,
 }
 
@@ -373,6 +408,15 @@ impl NnSessionScratch {
         }
     }
 
+    /// Fresh session scratch whose inference fans out over at most
+    /// `threads` lanes (`Some(1)`: on the calling thread alone; `None`:
+    /// every pool worker plus the caller, as [`NnSessionScratch::new`]).
+    pub fn with_threads(threads: Option<usize>) -> NnSessionScratch {
+        let mut scratch = NnSessionScratch::new();
+        scratch.infer.gemm.threads = threads;
+        scratch
+    }
+
     /// Per-stage timings accumulated across queries served with this
     /// scratch (or since [`NnSessionScratch::reset_stats`]).
     pub fn stats(&self) -> NnStageStats {
@@ -386,7 +430,8 @@ impl NnSessionScratch {
 }
 
 /// Real-CNN batch scorer: store fetch → pooled decode → transcode →
-/// standardize → batched GEMM inference.
+/// standardize → batched GEMM inference, per row on the lane that scores
+/// it.
 ///
 /// Per pack item the backend obtains the model's input representation
 /// either directly from the [`RepresentationStore`] (the ONGOING layout:
@@ -394,10 +439,13 @@ impl NnSessionScratch {
 /// configured *source* representation and replaying the store's transcode
 /// plan (the fallback when only the full frame is stored, and the
 /// degradation path for quarantined records — RELIABILITY.md). Inputs are
-/// standardized per image, matching the training path's input discipline,
-/// then the whole pack is scored in one call: locally, or through an
+/// standardized per image, matching the training path's input discipline.
+/// The pack is scored in one call — locally, or through an
 /// [`InferDispatch`] so a serving layer can coalesce packs from concurrent
-/// queries.
+/// queries — whose lanes each fetch, decode and standardize a row straight
+/// into their one-row input buffer (with this thread's
+/// [`engine::with_local_engine`]) just before running it through the
+/// network; no pixel pack is ever assembled.
 ///
 /// Representations used by more than one level of the current cascade are
 /// cached per item for the duration of the cascade run, so the §V-B
@@ -405,18 +453,19 @@ impl NnSessionScratch {
 /// representation) holds for the live pixel work too.
 ///
 /// The store and zoo are borrowed *shared*; every mutation happens in the
-/// caller's [`NnSessionScratch`] (decode and standardize buffers recycle
-/// through its engine pool), so any number of scorers run concurrently.
-/// Scoring is bitwise identical to a serial run regardless of concurrency
-/// or coalescing: inputs are standardized per item (shape-independent),
-/// and the forced-GEMM inference path is batch-shape invariant.
+/// caller's [`NnSessionScratch`] or a lane's thread-local engine, so any
+/// number of scorers run concurrently. Scoring is bitwise identical to a
+/// serial run regardless of concurrency, lane count or coalescing: inputs
+/// are standardized per item (shape-independent), and the forced-GEMM
+/// inference path is batch-shape invariant.
 ///
 /// `score_batch` fails with [`CoreError::UnknownModel`] for a cascade
 /// level whose model was never registered in the zoo, and with
-/// [`CoreError::Scoring`] when an item's representation is absent (or
-/// quarantined) and cannot be re-derived — no source configured, source
-/// missing or unreadable, transcode failed. A corrupt stored blob is not
-/// an error: the store quarantines it and the scorer degrades.
+/// [`CoreError::Scoring`] naming the lowest pack row whose representation
+/// is absent (or quarantined) and cannot be re-derived — no source
+/// configured, source missing or unreadable, transcode failed. A corrupt
+/// stored blob is not an error: the store quarantines it and the scorer
+/// degrades.
 pub struct SharedNnScorer<'a> {
     store: &'a RepresentationStore,
     zoo: &'a SharedModelZoo,
@@ -425,7 +474,8 @@ pub struct SharedNnScorer<'a> {
 }
 
 impl<'a> SharedNnScorer<'a> {
-    /// Score locally: inference runs on the calling thread.
+    /// Score locally: inference runs on the calling thread and the pool's
+    /// lanes.
     pub fn new(
         store: &'a RepresentationStore,
         zoo: &'a SharedModelZoo,
@@ -445,30 +495,49 @@ impl<'a> SharedNnScorer<'a> {
         self.dispatch = Some(dispatch);
         self
     }
+}
 
-    /// Standardized input pixels for one (item, representation): direct
-    /// pooled fetch when the store holds the representation, otherwise
-    /// fetch-source + transcode. Every buffer is drawn from and recycled to
-    /// the session's own engine.
-    fn materialize_input(
-        &mut self,
+/// One pack's input rows for one model, produced on demand: the
+/// [`RowSource`] a [`SharedNnScorer`] hands to inference.
+struct PackRows<'a> {
+    store: &'a RepresentationStore,
+    source_rep: Option<Representation>,
+    items: &'a [&'a CorpusItem],
+    rep: Representation,
+    /// The cascade's cross-level cache, when `rep` is shared across its
+    /// levels: rows are served from it when present, and freshly produced
+    /// rows are collected in `fresh` for the scorer to add after the call.
+    cache: Option<&'a HashMap<(u64, Representation), Vec<f32>>>,
+    fresh: Mutex<Vec<(u64, Vec<f32>)>>,
+    /// Lanes' data-handling tallies, added once per `visit_rows` call.
+    stats: Mutex<NnStageStats>,
+}
+
+impl PackRows<'_> {
+    /// Write `item`'s standardized input into `dst`: direct pooled fetch
+    /// when the store holds the representation, otherwise fetch-source +
+    /// transcode. Pixel buffers are drawn from and recycled to `engine`.
+    fn produce(
+        &self,
         item: &CorpusItem,
-        rep: Representation,
-    ) -> Result<tahoma_imagery::Image, CoreError> {
+        engine: &mut TranscodeEngine,
+        dst: &mut [f32],
+        tally: &mut NnStageStats,
+    ) -> Result<(), CoreError> {
+        let rep = self.rep;
         let failed = |what: String| CoreError::Scoring(format!("item {}: {what}", item.id));
-        let sc = &mut *self.scratch;
         let t0 = Instant::now();
-        let direct = self.store.fetch_classified(item.id, rep, &mut sc.engine);
-        sc.stats.fetch_decode_s += t0.elapsed().as_secs_f64();
+        let direct = self.store.fetch_classified(item.id, rep, engine);
+        tally.fetch_decode_s += t0.elapsed().as_secs_f64();
         let img = match direct {
             Fetched::Hit(img) => img,
             Fetched::Absent | Fetched::Quarantined => {
                 // Quarantined → same source-transcode fallback as absent
                 // (bitwise-identical input), counted for STATS visibility.
                 if matches!(direct, Fetched::Quarantined) {
-                    sc.stats.degraded_fetches += 1;
+                    tally.degraded_fetches += 1;
                 }
-                let src_rep = self.zoo.source_rep.ok_or_else(|| {
+                let src_rep = self.source_rep.ok_or_else(|| {
                     failed(format!(
                         "no stored {rep} and no source representation is configured"
                     ))
@@ -478,10 +547,10 @@ impl<'a> SharedNnScorer<'a> {
                 // burst, or the degradation would become permanent.
                 let src = self
                     .store
-                    .fetch_pinned(item.id, src_rep, &mut sc.engine)
+                    .fetch_pinned(item.id, src_rep, engine)
                     .ok_or_else(|| failed(format!("no stored source {src_rep}")))?
                     .map_err(|e| failed(format!("source {src_rep}: {e}")))?;
-                sc.stats.fetch_decode_s += t1.elapsed().as_secs_f64();
+                tally.fetch_decode_s += t1.elapsed().as_secs_f64();
                 let t2 = Instant::now();
                 // Lattice-plan replay, not direct transcode: the degraded
                 // input must be bitwise what ingest stored.
@@ -489,25 +558,74 @@ impl<'a> SharedNnScorer<'a> {
                     .store
                     .rederive(&src, rep)
                     .map_err(|e| failed(format!("transcode to {rep}: {e}")))?;
-                sc.stats.transcode_s += t2.elapsed().as_secs_f64();
-                sc.engine.recycle([src]);
+                tally.transcode_s += t2.elapsed().as_secs_f64();
+                engine.recycle([src]);
                 out
             }
         };
         let t3 = Instant::now();
-        let standardized = sc.engine.standardize(&img);
-        sc.stats.standardize_s += t3.elapsed().as_secs_f64();
-        sc.engine.recycle([img]);
-        Ok(standardized)
+        engine.standardize_into(&img, dst);
+        tally.standardize_s += t3.elapsed().as_secs_f64();
+        engine.recycle([img]);
+        Ok(())
     }
+}
+
+impl RowSource for PackRows<'_> {
+    type Error = CoreError;
+
+    fn rows(&self) -> usize {
+        self.items.len()
+    }
+
+    fn row_len(&self) -> usize {
+        self.rep.value_count()
+    }
+
+    fn visit_rows(
+        &self,
+        range: Range<usize>,
+        buf: &mut [f32],
+        visit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), CoreError> {
+        let mut tally = NnStageStats::default();
+        let mut fresh = Vec::new();
+        let mut read = Ok(());
+        for item in &self.items[range] {
+            if let Some(row) = self.cache.and_then(|c| c.get(&(item.id, self.rep))) {
+                tally.cache_hits += 1;
+                visit(row);
+                continue;
+            }
+            // The engine is borrowed for the fetch alone: `visit` runs the
+            // network, which may help drain the pool's queue.
+            read = engine::with_local_engine(|e| self.produce(item, e, buf, &mut tally));
+            if read.is_err() {
+                break;
+            }
+            if self.cache.is_some() {
+                fresh.push((item.id, buf.to_vec()));
+            }
+            visit(buf);
+        }
+        lock(&self.stats).add_handling(&tally);
+        if !fresh.is_empty() {
+            lock(&self.fresh).append(&mut fresh);
+        }
+        read
+    }
+}
+
+/// Poison-tolerant lock: a lane that panicked mid-morsel leaves a tally
+/// the call is about to discard anyway (the panic re-raises on the owner).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl BatchScorer for SharedNnScorer<'_> {
     fn begin_cascade(&mut self, cascade: &Cascade, _items: &[&CorpusItem]) {
         let sc = &mut *self.scratch;
-        for (_, data) in sc.cache.drain() {
-            sc.engine.recycle_buffer(data);
-        }
+        sc.cache.clear();
         sc.shared.clear();
         let mut reps: Vec<Representation> = Vec::with_capacity(cascade.depth());
         for l in 0..cascade.depth() {
@@ -528,47 +646,40 @@ impl BatchScorer for SharedNnScorer<'_> {
         pack: ScorePack<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(), CoreError> {
-        let items = pack.items;
         let rep = self
             .zoo
             .input_rep(model)
             .ok_or(CoreError::UnknownModel(model.0))?;
-        let share = self.scratch.shared.contains(&rep);
-        self.scratch.input.clear();
-        self.scratch.input.reserve(items.len() * rep.value_count());
-        let mut input = std::mem::take(&mut self.scratch.input);
-        for item in items {
-            if share {
-                if let Some(cached) = self.scratch.cache.get(&(item.id, rep)) {
-                    self.scratch.stats.cache_hits += 1;
-                    input.extend_from_slice(cached);
-                    continue;
-                }
-            }
-            let standardized = self.materialize_input(item, rep)?;
-            input.extend_from_slice(standardized.data());
-            if share {
-                self.scratch
-                    .cache
-                    .insert((item.id, rep), standardized.into_data());
-            } else {
-                self.scratch.engine.recycle([standardized]);
-            }
-        }
+        let sc = &mut *self.scratch;
+        let rows = PackRows {
+            store: self.store,
+            source_rep: self.zoo.source_rep,
+            items: pack.items,
+            rep,
+            cache: sc.shared.contains(&rep).then_some(&sc.cache),
+            fresh: Mutex::default(),
+            stats: Mutex::default(),
+        };
         let t = Instant::now();
-        match self.dispatch {
-            Some(broker) => out.extend(broker.infer(model, &input, items.len())),
+        let scored = match self.dispatch {
+            Some(broker) => broker.infer(model, &rows, &mut sc.infer),
             None => {
-                let sc = &mut *self.scratch;
                 let before = sc.infer.morsel_calls();
-                out.extend(self.zoo.infer(model, &input, items.len(), &mut sc.infer));
+                let scored = self.zoo.infer(model, &rows, &mut sc.infer);
                 sc.stats.morsel_calls += sc.infer.morsel_calls() - before;
+                scored
             }
-        }
-        self.scratch.stats.infer_s += t.elapsed().as_secs_f64();
-        self.scratch.stats.batches += 1;
-        self.scratch.stats.items_scored += items.len() as u64;
-        self.scratch.input = input;
+        };
+        sc.stats.infer_s += t.elapsed().as_secs_f64();
+        let PackRows { fresh, stats, .. } = rows;
+        sc.stats
+            .add_handling(&stats.into_inner().unwrap_or_else(PoisonError::into_inner));
+        let fresh = fresh.into_inner().unwrap_or_else(PoisonError::into_inner);
+        sc.cache
+            .extend(fresh.into_iter().map(|(id, row)| ((id, rep), row)));
+        out.extend(scored?);
+        sc.stats.batches += 1;
+        sc.stats.items_scored += pack.items.len() as u64;
         Ok(())
     }
 }

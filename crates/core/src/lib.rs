@@ -65,8 +65,8 @@ pub use continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 pub use error::CoreError;
 pub use evaluator::{simulate_all, CascadeOutcomes, CostContext};
 pub use exec::{
-    run_conjunction, BatchScorer, Conjunction, ExecOptions, InferDispatch, NnSessionScratch,
-    SharedModelZoo, SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
+    run_conjunction, BatchScorer, Conjunction, ExecOptions, InferDispatch, InputRows,
+    NnSessionScratch, SharedModelZoo, SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
 };
 pub use order::{nan_last, nan_lowest};
 pub use pareto::{pareto_frontier, ParetoPoint};

@@ -976,18 +976,26 @@ impl TranscodeEngine {
     /// bitwise; results can differ from a naive sequential sum by float
     /// reassociation only.
     pub fn standardize(&mut self, src: &Image) -> Image {
+        let mut out = Self::out_buf(&mut self.pool, &mut self.pooled, src.data().len());
+        self.standardize_into(src, &mut out);
+        Image::from_planar(src.width(), src.height(), src.mode(), out)
+            .expect("same shape as source")
+    }
+
+    /// [`TranscodeEngine::standardize`] written into `dst` — exactly the
+    /// image's length, e.g. an inference lane's one-row input buffer —
+    /// instead of a pooled buffer. The same sweeps, so the same bits.
+    pub fn standardize_into(&self, src: &Image, dst: &mut [f32]) {
         let kernel = self.kernel;
         let data = src.data();
+        assert_eq!(dst.len(), data.len(), "standardize destination length");
         let n = data.len() as f64;
         let mean = fold_lanes(sum_lanes(kernel, data)) / n;
         let var = fold_lanes(sq_dev_lanes(kernel, data, mean)) / n;
         let sd = var.sqrt();
         let inv = if sd > 1e-6 { 1.0 / sd } else { 0.0 };
         let (mean, inv) = (mean as f32, inv as f32);
-        let mut out = Self::out_buf(&mut self.pool, &mut self.pooled, data.len());
-        scale_shift(kernel, data, mean, inv, &mut out);
-        Image::from_planar(src.width(), src.height(), src.mode(), out)
-            .expect("same shape as source")
+        scale_shift(kernel, data, mean, inv, dst);
     }
 
     /// Grayscale thumbnail of any image as a flat `side x side` buffer —
@@ -1443,6 +1451,37 @@ mod tests {
                 match &base {
                     None => base = Some(s),
                     Some(b) => assert_eq!(b.data(), s.data(), "tier {}", kernel.name()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn standardize_into_matches_standardize_bitwise_on_every_tier() {
+        // Into a caller's buffer holding stale values, at ragged lengths,
+        // the serving shapes and a constant image (the zero-variance cut).
+        let shapes = [(1usize, 1, ColorMode::Gray), (9, 3, ColorMode::Gray)]
+            .into_iter()
+            .chain([(24, 24, ColorMode::Gray), (32, 32, ColorMode::Rgb)]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (w, h, mode) in shapes {
+            let img = Image::from_fn(w, h, mode, |c, y, x| {
+                ((c * 71 + y * 113 + x * 29) % 37) as f32 / 37.0 - 0.6
+            })
+            .unwrap();
+            let flat = Image::from_fn(w, h, mode, |_, _, _| 0.25).unwrap();
+            for kernel in SimdTier::runnable(TIERS) {
+                let mut e = TranscodeEngine::with_kernel(kernel);
+                for src in [&img, &flat] {
+                    let want = e.standardize(src);
+                    let mut got = vec![f32::NAN; src.data().len()];
+                    e.standardize_into(src, &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(want.data()),
+                        "{w}x{h} tier {}",
+                        kernel.name()
+                    );
                 }
             }
         }

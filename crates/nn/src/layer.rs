@@ -60,12 +60,13 @@ use tahoma_mathx::DetRng;
 /// run across the `tahoma_mathx::pool` workers, each on one of this
 /// scratch's lane scratches.
 ///
-/// Activations live in two pairs of ping-pong buffers: the per-image pair
-/// holds one image of the model's conv / ReLU / pool prefix (which runs
-/// depth-first, image by image, reading the caller's rows in place), and
+/// Each input row is produced into a one-row buffer (or read in place
+/// from a source that holds it), and activations live in two pairs of
+/// ping-pong buffers: the per-image pair holds one image of the model's
+/// conv / ReLU / pool prefix (which runs depth-first, image by image), and
 /// the head pair holds the call's — or on a lane, one morsel's — rows of
-/// the dense head. So a lane's prefix memory is one image, and its head
-/// memory is one morsel of the head's widest activation.
+/// the dense head. So a lane's input and prefix memory is one image, and
+/// its head memory is one morsel of the head's widest activation.
 #[derive(Debug, Default)]
 pub struct InferScratch {
     /// GEMM packing buffers + kernel/threading knobs for every layer.
@@ -78,6 +79,8 @@ pub struct InferScratch {
     /// head: all of a call's rows at once.
     pub(crate) buf_a: Vec<f32>,
     pub(crate) buf_b: Vec<f32>,
+    /// The input row being scored, as the row source produced it.
+    pub(crate) source_row: Vec<f32>,
     /// Ping-pong activation buffers for the per-image prefix: one image.
     pub(crate) image_a: Vec<f32>,
     pub(crate) image_b: Vec<f32>,
@@ -141,12 +144,13 @@ impl InferScratch {
     }
 
     /// Largest capacities, in elements, held by this scratch or its lanes:
-    /// of a per-image prefix buffer, and of any other buffer (head
-    /// activations, GEMM scratch) — what the morsel memory bounds are
-    /// stated over.
+    /// of the input-row buffer, of a per-image prefix buffer, and of any
+    /// other buffer (head activations, GEMM scratch) — what the morsel
+    /// memory bounds are stated over.
     #[cfg(test)]
-    pub(crate) fn max_buffer_capacity(&self) -> (usize, usize) {
+    pub(crate) fn max_buffer_capacity(&self) -> (usize, usize, usize) {
         let own = (
+            self.source_row.capacity(),
             self.image_a.capacity().max(self.image_b.capacity()),
             self.buf_a
                 .capacity()
@@ -156,7 +160,9 @@ impl InferScratch {
         self.lanes
             .iter()
             .map(InferScratch::max_buffer_capacity)
-            .fold(own, |(i, o), (li, lo)| (i.max(li), o.max(lo)))
+            .fold(own, |(r, i, o), (lr, li, lo)| {
+                (r.max(lr), i.max(li), o.max(lo))
+            })
     }
 }
 

@@ -27,8 +27,11 @@
 //!   pass;
 //! * every [`layer::Layer`] has one forward body, the `&self`
 //!   `infer_shared`, whose mutable state lives in a caller-owned
-//!   [`layer::InferScratch`]. [`model::Sequential::infer_batch_shared`] /
-//!   `predict_proba_shared` are the inference entry points; training's
+//!   [`layer::InferScratch`]. [`model::Sequential::infer_rows`] is the
+//!   inference entry point: it reads its rows from a
+//!   [`model::RowSource`], each on the lane that scores it, so a source
+//!   that fetches and standardizes its images does so on the lanes
+//!   (`infer_batch_shared` / `predict_proba_shared` wrap a slice); training's
 //!   [`model::Sequential::forward_batch`] has each layer record what
 //!   `backward_batch` needs and then run that same body, so training and
 //!   serving compute the same bits. Inference runs a model's conv / ReLU /
@@ -89,7 +92,7 @@ pub mod train;
 pub use gemm::GemmScratch;
 pub use layer::{Conv2d, Dense, InferScratch, Layer, MaxPool2, Relu};
 pub use loss::{bce_with_logits, bce_with_logits_grad};
-pub use model::{CnnSpec, Sequential, MORSEL_ROWS};
+pub use model::{CnnSpec, RowSource, Sequential, SliceRows, MORSEL_ROWS};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::Shape;
 pub use train::{TrainReport, Trainer};

@@ -8,16 +8,98 @@
 
 use crate::layer::{Conv2d, Dense, InferScratch, Layer, MaxPool2, Relu};
 use crate::tensor::Shape;
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 use tahoma_mathx::{logistic, DetRng};
 
-/// Rows per morsel of a fanned-out [`Sequential::infer_batch_shared`]
+/// Rows per morsel of a fanned-out [`Sequential::infer_rows`]
 /// call; calls under two morsels run as one pass. Picked by a 32…256 sweep
 /// (DESIGN.md §7): the best `scan` p50 among the sizes whose two-morsel
 /// threshold keeps `lookup`'s 64-row calls on the one-pass path, and the
 /// only one of them that does not raise `standing`'s peak RSS.
 pub const MORSEL_ROWS: usize = 64;
+
+/// Where [`Sequential::infer_rows`] reads its input rows from: a
+/// materialized slice ([`SliceRows`]), or a source that produces each row
+/// on demand on whichever lane scores it. Rows are channel-planar images
+/// of the model's input shape.
+pub trait RowSource: Sync {
+    /// Why a row could not be produced.
+    type Error: Send;
+
+    /// Rows the source holds.
+    fn rows(&self) -> usize;
+
+    /// Values per row: the input length of the model it feeds.
+    fn row_len(&self) -> usize;
+
+    /// Hand each row of `range` to `visit`, in row order, each before the
+    /// next is produced. A row the source does not already hold in memory
+    /// is written into `buf` (one row long) first and handed over from
+    /// there. Stops at the first row that cannot be produced and returns
+    /// its error: the failing row is `range.start` plus the number of rows
+    /// visited. Called once per pass — per morsel, on the fan-out path —
+    /// so a source can keep per-call tallies locally and publish them
+    /// once.
+    fn visit_rows(
+        &self,
+        range: Range<usize>,
+        buf: &mut [f32],
+        visit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), Self::Error>;
+}
+
+/// Rows held back to back in one slice, read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct SliceRows<'a> {
+    data: &'a [f32],
+    rows: usize,
+    row_len: usize,
+}
+
+impl<'a> SliceRows<'a> {
+    /// `rows` rows of `row_len` values each. Panics unless `data` holds
+    /// exactly that many values.
+    pub fn new(data: &'a [f32], rows: usize, row_len: usize) -> SliceRows<'a> {
+        assert_eq!(
+            data.len(),
+            rows * row_len,
+            "input length {} != batch {rows} x {row_len}",
+            data.len()
+        );
+        SliceRows {
+            data,
+            rows,
+            row_len,
+        }
+    }
+}
+
+impl RowSource for SliceRows<'_> {
+    type Error = Infallible;
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn row_len(&self) -> usize {
+        self.row_len
+    }
+
+    fn visit_rows(
+        &self,
+        range: Range<usize>,
+        _buf: &mut [f32],
+        visit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), Infallible> {
+        for r in range {
+            visit(&self.data[r * self.row_len..(r + 1) * self.row_len]);
+        }
+        Ok(())
+    }
+}
 
 /// A feed-forward stack of layers.
 ///
@@ -103,15 +185,21 @@ impl Sequential {
     }
 
     /// Batched inference, the one inference entry point: `&self`, with
-    /// every piece of mutable state (GEMM packing buffers, ping-pong
-    /// activations) in the caller's [`InferScratch`], so one trained model
-    /// serves any number of threads concurrently, each with its own
-    /// scratch checked out from a pool. With
-    /// [`InferScratch::coalescing`]-configured scratch, each image's output
-    /// is additionally bitwise independent of the batch it rides in, which
-    /// is what lets a scoring broker merge packs from concurrent queries
-    /// into one call — and what lets a coalescing call of at least two
-    /// [`MORSEL_ROWS`]-row morsels run as morsels spread over
+    /// every piece of mutable state (GEMM packing buffers, the input row,
+    /// ping-pong activations) in the caller's [`InferScratch`], so one
+    /// trained model serves any number of threads concurrently, each with
+    /// its own scratch checked out from a pool. The input is read from
+    /// `source`, one row at a time, by whichever lane scores that row — so
+    /// a source that produces its rows on demand (the query executor
+    /// fetches, decodes and standardizes each image) does that work on the
+    /// lanes too, and no buffer ever holds more than one input row per
+    /// lane.
+    ///
+    /// With [`InferScratch::coalescing`]-configured scratch, each image's
+    /// output is additionally bitwise independent of the batch it rides
+    /// in, which is what lets a scoring broker merge packs from concurrent
+    /// queries into one call — and what lets a coalescing call of at least
+    /// two [`MORSEL_ROWS`]-row morsels run as morsels spread over
     /// [`InferScratch::morsel_lanes`] lanes of the `tahoma_mathx::pool`,
     /// with the same bits. Smaller calls, and every call on non-coalescing
     /// scratch (whose batch-1 matvec would make a 1-row tail morsel
@@ -119,128 +207,202 @@ impl Sequential {
     /// prefix runs depth-first, one image at a time, so its activation
     /// memory is one image; the dense head's is the pass's rows (a morsel,
     /// on a lane). Zero rows score to an empty vector.
+    ///
+    /// A row the source cannot produce fails the call with the source's
+    /// error. Once one has failed no further morsel is handed out, and the
+    /// error returned is that of the lowest failing row, whatever the lane
+    /// count or schedule: morsels are handed out in row order, and every
+    /// morsel already handed out is read up to its own first failure.
+    pub fn infer_rows<S: RowSource + ?Sized>(
+        &self,
+        source: &S,
+        scratch: &mut InferScratch,
+    ) -> Result<Vec<f32>, S::Error> {
+        assert_eq!(
+            source.row_len(),
+            self.input.len(),
+            "row length {} != model input {}",
+            source.row_len(),
+            self.input
+        );
+        let batch = source.rows();
+        if batch == 0 {
+            return Ok(Vec::new());
+        }
+        if scratch.force_gemm && batch >= 2 * MORSEL_ROWS {
+            return self.infer_morsels(source, batch, scratch);
+        }
+        self.infer_pass(source, 0..batch, scratch)
+            .map(<[f32]>::to_vec)
+            .map_err(|(_, e)| e)
+    }
+
+    /// [`Sequential::infer_rows`] over `batch` rows held back to back in
+    /// `input`.
     pub fn infer_batch_shared(
         &self,
         input: &[f32],
         batch: usize,
         scratch: &mut InferScratch,
     ) -> Vec<f32> {
-        assert_eq!(
-            input.len(),
-            batch * self.input.len(),
-            "input length {} != batch {batch} x {}",
-            input.len(),
-            self.input.len()
-        );
-        if batch == 0 {
-            return Vec::new();
-        }
-        if scratch.force_gemm && batch >= 2 * MORSEL_ROWS {
-            return self.infer_morsels(input, batch, scratch);
-        }
-        self.infer_pass(input, batch, scratch).to_vec()
+        let rows = SliceRows::new(input, batch, self.input.len());
+        self.infer_rows(&rows, scratch)
+            .unwrap_or_else(|never| match never {})
     }
 
-    /// One pass of `batch` rows through every layer on `scratch`; the
-    /// result stays in the scratch's head buffer.
+    /// One pass of `rows` of `source` through every layer on `scratch`;
+    /// the result stays in the scratch's head buffer. A row the source
+    /// cannot produce ends the pass with that row's index and error.
     ///
     /// The pass is depth-first over the model's per-image prefix (its
     /// leading conv / ReLU / pool layers — in a [`CnnSpec`] model,
-    /// everything before the first `Dense`): each image runs the whole
-    /// prefix, reading its row of `input` in place, before the next image
-    /// starts, so the prefix activations of one image stay cache-resident
-    /// and the scratch's prefix buffers never outgrow one image. Each
-    /// image's prefix output becomes its row of the head matrix, and the
-    /// head (`Dense` on) then runs over all rows at once. Every prefix
-    /// layer computes each image from that image's pixels alone, so the
-    /// head sees the same matrix, in the same row order, as a layer-major
-    /// pass (training's `forward_batch`) would build.
-    fn infer_pass<'s>(
+    /// everything before the first `Dense`): each image is produced into
+    /// the scratch's one-row input buffer (or read in place, from a source
+    /// that holds it) and runs the whole prefix before the next image is
+    /// produced, so the prefix activations of one image stay
+    /// cache-resident and the scratch's input and prefix buffers never
+    /// outgrow one image. Each image's prefix output becomes its row of the
+    /// head matrix, and the head (`Dense` on) then runs over all rows at
+    /// once. Every prefix layer computes each image from that image's
+    /// pixels alone, so the head sees the same matrix, in the same row
+    /// order, as a layer-major pass (training's `forward_batch`) would
+    /// build.
+    fn infer_pass<'s, S: RowSource + ?Sized>(
         &self,
-        input: &[f32],
-        batch: usize,
+        source: &S,
+        rows: Range<usize>,
         scratch: &'s mut InferScratch,
-    ) -> &'s [f32] {
+    ) -> Result<&'s [f32], (usize, S::Error)> {
         let split = self
             .layers
             .iter()
             .position(|l| !is_per_image(l.as_ref()))
             .unwrap_or(self.layers.len());
         let (prefix, head) = self.layers.split_at(split);
-        let mut rows = std::mem::take(&mut scratch.buf_a);
+        let (first, batch) = (rows.start, rows.len());
+        let mut head_rows = std::mem::take(&mut scratch.buf_a);
         let mut spare = std::mem::take(&mut scratch.buf_b);
-        if prefix.is_empty() {
-            run_layers(head, Some(input), batch, &mut rows, &mut spare, scratch);
-        } else {
-            let mut img_a = std::mem::take(&mut scratch.image_a);
-            let mut img_b = std::mem::take(&mut scratch.image_b);
-            // The head buffers swap roles from call to call, so grow this
-            // one to the exact row count, not by doubling a smaller one.
-            let features = prefix[prefix.len() - 1].output_shape().len();
-            rows.clear();
-            rows.reserve_exact(batch * features);
-            for pixels in input.chunks_exact(self.input.len()) {
-                run_layers(prefix, Some(pixels), 1, &mut img_a, &mut img_b, scratch);
-                rows.extend_from_slice(&img_a);
-            }
-            scratch.image_a = img_a;
-            scratch.image_b = img_b;
-            run_layers(head, None, batch, &mut rows, &mut spare, scratch);
+        let mut input = std::mem::take(&mut scratch.source_row);
+        input.resize(self.input.len(), 0.0);
+        // The head buffers swap roles from call to call, so grow this one
+        // to the exact row count, not by doubling a smaller one.
+        head_rows.clear();
+        let features = prefix
+            .last()
+            .map_or(self.input.len(), |l| l.output_shape().len());
+        head_rows.reserve_exact(batch * features);
+        let mut img_a = std::mem::take(&mut scratch.image_a);
+        let mut img_b = std::mem::take(&mut scratch.image_b);
+        let mut visited = 0usize;
+        let read = source.visit_rows(rows, &mut input, &mut |pixels| {
+            run_layers(prefix, Some(pixels), 1, &mut img_a, &mut img_b, scratch);
+            head_rows.extend_from_slice(&img_a);
+            visited += 1;
+        });
+        scratch.image_a = img_a;
+        scratch.image_b = img_b;
+        scratch.source_row = input;
+        let read = read.map_err(|e| (first + visited, e));
+        if read.is_ok() {
+            run_layers(head, None, batch, &mut head_rows, &mut spare, scratch);
         }
-        scratch.buf_a = rows;
+        scratch.buf_a = head_rows;
         scratch.buf_b = spare;
-        &scratch.buf_a
+        read.map(|()| &scratch.buf_a[..])
     }
 
-    /// The fan-out path of [`Sequential::infer_batch_shared`]: lanes pull
-    /// the next unscored morsel from a shared cursor (so a lane whose core
-    /// is busy elsewhere simply takes fewer) and write its outputs to that
-    /// morsel's disjoint slice of the result. A lane's panic re-raises
-    /// here once every lane has stopped.
+    /// The fan-out path of [`Sequential::infer_rows`]: lanes pull the next
+    /// unscored morsel from a shared cursor (so a lane whose core is busy
+    /// elsewhere simply takes fewer), read its rows from the source and
+    /// write its outputs to that morsel's disjoint slice of the result. A
+    /// lane whose morsel hits a failing row records it — the lowest
+    /// recorded wins — and the cursor hands out nothing more. A lane's
+    /// panic re-raises here once every lane has stopped.
     #[inline(never)]
-    fn infer_morsels(&self, input: &[f32], batch: usize, scratch: &mut InferScratch) -> Vec<f32> {
-        let (in_len, out_len) = (self.input.len(), self.output_shape().len());
+    fn infer_morsels<S: RowSource + ?Sized>(
+        &self,
+        source: &S,
+        batch: usize,
+        scratch: &mut InferScratch,
+    ) -> Result<Vec<f32>, S::Error> {
+        struct Cursor<M, E> {
+            morsels: M,
+            failed: Option<(usize, E)>,
+        }
+        let out_len = self.output_shape().len();
         let mut out = vec![0.0f32; batch * out_len];
         let lanes = scratch.morsel_lanes().min(batch.div_ceil(MORSEL_ROWS));
-        let cursor = Mutex::new(
-            input
-                .chunks(MORSEL_ROWS * in_len)
+        let cursor = Mutex::new(Cursor {
+            morsels: (0..batch)
+                .step_by(MORSEL_ROWS)
                 .zip(out.chunks_mut(MORSEL_ROWS * out_len)),
-        );
-        let next = || cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+            failed: None,
+        });
+        let lock = || cursor.lock().unwrap_or_else(PoisonError::into_inner);
         tahoma_mathx::pool::scope(|s| {
             for lane in scratch.lane_pool(lanes) {
-                let next = &next;
-                s.spawn(move || {
-                    while let Some((rows, dst)) = next() {
-                        dst.copy_from_slice(self.infer_pass(rows, rows.len() / in_len, lane));
+                let lock = &lock;
+                s.spawn(move || loop {
+                    let next = {
+                        let mut c = lock();
+                        match c.failed {
+                            Some(_) => None,
+                            None => c.morsels.next(),
+                        }
+                    };
+                    let Some((start, dst)) = next else { break };
+                    let rows = start..start + dst.len() / out_len;
+                    match self.infer_pass(source, rows, lane) {
+                        Ok(scores) => dst.copy_from_slice(scores),
+                        Err((row, e)) => {
+                            let mut c = lock();
+                            if c.failed.as_ref().is_none_or(|&(r, _)| row < r) {
+                                c.failed = Some((row, e));
+                            }
+                        }
                     }
                 });
             }
         });
         scratch.morsel_calls += 1;
-        out
+        let cursor = cursor.into_inner().unwrap_or_else(PoisonError::into_inner);
+        match cursor.failed {
+            Some((_, e)) => Err(e),
+            None => Ok(out),
+        }
     }
 
-    /// One probability (sigmoid of the logit) per image through
-    /// [`Sequential::infer_batch_shared`]. Panics unless the model has a
-    /// single output.
+    /// One probability (sigmoid of the logit) per row of `source` through
+    /// [`Sequential::infer_rows`]. Panics unless the model has a single
+    /// output.
+    pub fn predict_proba_rows<S: RowSource + ?Sized>(
+        &self,
+        source: &S,
+        scratch: &mut InferScratch,
+    ) -> Result<Vec<f32>, S::Error> {
+        let mut out = self.infer_rows(source, scratch)?;
+        assert_eq!(
+            out.len(),
+            source.rows(),
+            "predict_proba_rows requires single-output model"
+        );
+        for v in &mut out {
+            *v = logistic(*v as f64) as f32;
+        }
+        Ok(out)
+    }
+
+    /// [`Sequential::predict_proba_rows`] over `batch` rows held back to
+    /// back in `input`.
     pub fn predict_proba_shared(
         &self,
         input: &[f32],
         batch: usize,
         scratch: &mut InferScratch,
     ) -> Vec<f32> {
-        let mut out = self.infer_batch_shared(input, batch, scratch);
-        assert_eq!(
-            out.len(),
-            batch,
-            "predict_proba_shared requires single-output model"
-        );
-        for v in &mut out {
-            *v = logistic(*v as f64) as f32;
-        }
-        out
+        let rows = SliceRows::new(input, batch, self.input.len());
+        self.predict_proba_rows(&rows, scratch)
+            .unwrap_or_else(|never| match never {})
     }
 
     /// Backpropagate an output gradient through all layers, accumulating
@@ -428,6 +590,52 @@ impl CnnSpec {
 mod tests {
     use super::*;
     use tahoma_mathx::SimdTier;
+
+    /// Rows produced on demand into the lane's input buffer, as a
+    /// fetching source does, failing at the rows in `fail`.
+    struct Produced<'a> {
+        data: &'a [f32],
+        row_len: usize,
+        fail: &'a [usize],
+    }
+
+    impl<'a> Produced<'a> {
+        fn new(data: &'a [f32], row_len: usize) -> Produced<'a> {
+            Produced {
+                data,
+                row_len,
+                fail: &[],
+            }
+        }
+    }
+
+    impl RowSource for Produced<'_> {
+        type Error = usize;
+
+        fn rows(&self) -> usize {
+            self.data.len() / self.row_len
+        }
+
+        fn row_len(&self) -> usize {
+            self.row_len
+        }
+
+        fn visit_rows(
+            &self,
+            range: Range<usize>,
+            buf: &mut [f32],
+            visit: &mut dyn FnMut(&[f32]),
+        ) -> Result<(), usize> {
+            for r in range {
+                if self.fail.contains(&r) {
+                    return Err(r);
+                }
+                buf.copy_from_slice(&self.data[r * self.row_len..(r + 1) * self.row_len]);
+                visit(buf);
+            }
+            Ok(())
+        }
+    }
 
     fn tiny_spec() -> CnnSpec {
         CnnSpec {
@@ -729,8 +937,61 @@ mod tests {
                 let before = scratch.morsel_calls();
                 let got = model.predict_proba_shared(&input[..batch * 64], batch, &mut scratch);
                 assert_eq!(got, per_row[..batch], "batch {batch} threads {threads:?}");
+                // The same rows produced on demand into the lanes' buffers.
+                let produced = Produced::new(&input[..batch * 64], 64);
+                let got = model.predict_proba_rows(&produced, &mut scratch);
+                assert_eq!(
+                    got,
+                    Ok(per_row[..batch].to_vec()),
+                    "produced, batch {batch}"
+                );
                 let split = u64::from(batch >= 2 * m);
-                assert_eq!(scratch.morsel_calls() - before, split, "batch {batch}");
+                assert_eq!(scratch.morsel_calls() - before, 2 * split, "batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn failing_rows_report_the_lowest_whatever_the_schedule() {
+        // Two failing rows in different morsels (and, for the one-pass
+        // calls, in one pass): every width returns the lower one, and the
+        // scratch scores the next call bit for bit as a fresh one would.
+        let model = tiny_spec().build(32).unwrap();
+        let m = MORSEL_ROWS;
+        let rows = 2048usize;
+        let input: Vec<f32> = (0..rows * 64)
+            .map(|i| ((i * 53) % 89) as f32 / 89.0 - 0.5)
+            .collect();
+        let want = model.predict_proba_shared(&input, rows, &mut InferScratch::coalescing());
+        let cases: [(usize, &[usize]); 4] = [
+            (rows, &[11 * m + 5, 2 * m + 7]),
+            (rows, &[rows - 1, 0]),
+            (5 * m + 3, &[5 * m + 2, 3 * m]),
+            (m + 9, &[m + 8, 4]),
+        ];
+        for threads in [None, Some(1), Some(2), Some(3)] {
+            for coalescing in [true, false] {
+                let mut scratch = InferScratch {
+                    force_gemm: coalescing,
+                    ..InferScratch::default()
+                };
+                scratch.gemm.threads = threads;
+                for &(batch, fail) in &cases {
+                    let source = Produced {
+                        fail,
+                        ..Produced::new(&input[..batch * 64], 64)
+                    };
+                    let lowest = *fail.iter().min().unwrap();
+                    assert_eq!(
+                        model.predict_proba_rows(&source, &mut scratch),
+                        Err(lowest),
+                        "batch {batch} threads {threads:?} coalescing {coalescing}"
+                    );
+                }
+                if coalescing {
+                    let got = model.predict_proba_rows(&Produced::new(&input, 64), &mut scratch);
+                    assert_eq!(got, Ok(want.clone()), "threads {threads:?} after failures");
+                }
             }
         }
     }
@@ -746,10 +1007,12 @@ mod tests {
     #[test]
     fn morsel_activation_memory_is_bounded_by_the_morsel_not_the_call() {
         // A serving-shaped net (first conv widens each row to 8x24x24):
-        // after a 2048-row call the per-image prefix buffers of the scratch
-        // and its lanes hold at most one image's widest prefix activation
-        // (the input is read in place, never copied), and no other buffer
-        // anywhere holds more than one morsel of the widest head activation.
+        // after a 2048-row call — read in place from a slice, or produced
+        // row by row on the lanes — the input-row buffers of the scratch
+        // and its lanes hold at most one input row, the per-image prefix
+        // buffers at most one image's widest prefix activation, and no
+        // other buffer anywhere more than one morsel of the widest head
+        // activation.
         let spec = CnnSpec {
             input: Shape::new(1, 24, 24),
             conv_channels: vec![8],
@@ -776,8 +1039,15 @@ mod tests {
             let mut scratch = InferScratch::coalescing();
             scratch.gemm.threads = threads;
             model.predict_proba_shared(&input, rows, &mut scratch);
-            assert_eq!(scratch.morsel_calls(), 1);
-            let (image, other) = scratch.max_buffer_capacity();
+            let produced = Produced::new(&input, spec.input.len());
+            assert!(model.predict_proba_rows(&produced, &mut scratch).is_ok());
+            assert_eq!(scratch.morsel_calls(), 2);
+            let (row, image, other) = scratch.max_buffer_capacity();
+            assert_eq!(
+                row,
+                spec.input.len(),
+                "threads {threads:?}: an input-row buffer holds {row} floats, not one row"
+            );
             assert!(
                 image <= widest_prefix,
                 "threads {threads:?}: a prefix buffer holds {image} floats > {widest_prefix}"
@@ -877,6 +1147,15 @@ mod tests {
                             bits(&got),
                             bits(want),
                             "{} batch {batch} coalescing {coalescing} tier {}",
+                            model.summary(),
+                            kernel.name()
+                        );
+                        let produced = Produced::new(&input[..batch * in_len], in_len);
+                        let got = model.infer_rows(&produced, &mut scratch).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(want),
+                            "produced: {} batch {batch} coalescing {coalescing} tier {}",
                             model.summary(),
                             kernel.name()
                         );

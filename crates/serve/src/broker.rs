@@ -19,10 +19,20 @@
 //! 2. The leader waits a short coalescing window for followers to join —
 //!    skipped entirely when the service has at most one query in flight,
 //!    so an idle server adds zero latency — then seals the batch, runs one
-//!    [`SharedModelZoo::infer`] call over the concatenated rows, and
+//!    [`SharedModelZoo::infer`] call over the participants' rows, and
 //!    publishes the scores.
 //! 3. Followers block until the batch completes and slice out their rows'
 //!    scores. A batch that reaches [`Broker`]'s row cap seals immediately.
+//!
+//! Rows arrive as a source that fetches, decodes and standardizes each
+//! one on demand ([`InputRows`]). On the idle fast path the broker hands
+//! that source straight to the zoo, so the call's lanes produce their own
+//! rows and no pixel pack exists. A merged batch needs every
+//! participant's rows at once: each participant fills its own slot, once,
+//! on its own thread, before it joins (a participant whose rows cannot be
+//! produced returns that error and never joins), and the leader scores
+//! the slots where they lie. Zoo calls run on the submitting query's own
+//! inference scratch — the leader's, for a merged batch.
 //!
 //! Coalescing is invisible in the results: the shared inference path pins
 //! the batched GEMM kernel ([`InferScratch::coalescing`]), whose per-row
@@ -40,12 +50,14 @@
 //! configuration errors still propagate to every participant.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use tahoma_core::exec::{InferDispatch, SharedModelZoo};
-use tahoma_nn::InferScratch;
+use tahoma_core::exec::{InferDispatch, InputRows, SharedModelZoo};
+use tahoma_core::CoreError;
+use tahoma_nn::{InferScratch, RowSource};
 use tahoma_zoo::ModelId;
 
 /// Poison-tolerant lock: broker bookkeeping stays usable after a leader's
@@ -60,7 +72,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 struct BatchState {
-    rows: Vec<f32>,
+    /// Each participant's rows, in join order, filled before it joined.
+    slots: Vec<Vec<f32>>,
     sizes: Vec<usize>,
     sealed: bool,
     done: bool,
@@ -79,7 +92,7 @@ impl Batch {
     fn new() -> Batch {
         Batch {
             state: Mutex::new(BatchState {
-                rows: Vec::new(),
+                slots: Vec::new(),
                 sizes: Vec::new(),
                 sealed: false,
                 done: false,
@@ -88,6 +101,37 @@ impl Batch {
             }),
             cv: Condvar::new(),
         }
+    }
+}
+
+/// Participants' slots read as one row source, slot after slot: a merged
+/// batch scored where its rows lie.
+struct Slots<'a> {
+    slots: &'a [Vec<f32>],
+    rows: usize,
+    row_len: usize,
+}
+
+impl RowSource for Slots<'_> {
+    type Error = std::convert::Infallible;
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn row_len(&self) -> usize {
+        self.row_len
+    }
+
+    fn visit_rows(
+        &self,
+        range: Range<usize>,
+        _buf: &mut [f32],
+        visit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), Self::Error> {
+        let rows = self.slots.iter().flat_map(|s| s.chunks_exact(self.row_len));
+        rows.skip(range.start).take(range.len()).for_each(visit);
+        Ok(())
     }
 }
 
@@ -124,9 +168,6 @@ pub struct Broker {
     /// window when there is nobody to coalesce with and seal early once
     /// every interested query has a pack aboard.
     active: Arc<AtomicUsize>,
-    // LOCK-ORDER: 60 — inference-scratch pool; popped/pushed with no
-    // other broker lock held (zoo calls run outside every lock).
-    scratch: Mutex<Vec<InferScratch>>,
     submits: AtomicU64,
     calls: AtomicU64,
     merged_calls: AtomicU64,
@@ -156,7 +197,6 @@ impl Broker {
             window: Broker::DEFAULT_WINDOW,
             max_rows: Broker::DEFAULT_MAX_ROWS,
             active,
-            scratch: Mutex::new(Vec::new()),
             submits: AtomicU64::new(0),
             calls: AtomicU64::new(0),
             merged_calls: AtomicU64::new(0),
@@ -191,20 +231,18 @@ impl Broker {
         }
     }
 
-    /// One guarded zoo call. `inject` is true on first executions and
-    /// false on failover re-executions: an injected death is transient by
-    /// definition, so the recovery path must not re-draw it (a *real* zoo
-    /// death is deterministic and reproduces on the retry regardless).
-    fn run_zoo(
+    /// One guarded zoo call on `scratch`. `inject` is true on first
+    /// executions and false on failover re-executions: an injected death
+    /// is transient by definition, so the recovery path must not re-draw
+    /// it (a *real* zoo death is deterministic and reproduces on the retry
+    /// regardless).
+    fn run_zoo<S: RowSource + ?Sized>(
         &self,
         model: ModelId,
-        rows: &[f32],
-        n: usize,
+        rows: &S,
+        scratch: &mut InferScratch,
         inject: bool,
-    ) -> std::thread::Result<Vec<f32>> {
-        let mut scratch = lock(&self.scratch)
-            .pop()
-            .unwrap_or_else(InferScratch::coalescing);
+    ) -> std::thread::Result<Result<Vec<f32>, S::Error>> {
         let morsels_before = scratch.morsel_calls();
         let result = catch_unwind(AssertUnwindSafe(|| {
             // FAULT: the inference call dies — a panic inside the guarded
@@ -213,19 +251,34 @@ impl Broker {
             if inject && tahoma_faults::fire(tahoma_faults::site::BROKER_LEAD) {
                 panic!("injected fault: broker inference death (site BROKER_LEAD)");
             }
-            self.zoo.infer(model, rows, n, &mut scratch)
+            self.zoo.infer(model, rows, &mut *scratch)
         }));
         self.morsel_calls
             .fetch_add(scratch.morsel_calls() - morsels_before, Ordering::Relaxed);
-        lock(&self.scratch).push(scratch);
         self.calls.fetch_add(1, Ordering::Relaxed);
         result
     }
 
+    /// The failover rung: one injection-free solo re-execution of a call
+    /// that died; a death that reproduces (a real one) re-raises here.
+    fn rerun_solo<S: RowSource + ?Sized>(
+        &self,
+        model: ModelId,
+        rows: &S,
+        scratch: &mut InferScratch,
+    ) -> Result<Vec<f32>, S::Error> {
+        self.failovers.fetch_add(1, Ordering::Relaxed);
+        match self.run_zoo(model, rows, scratch, false) {
+            Ok(scores) => scores,
+            Err(p) => resume_unwind(p),
+        }
+    }
+
     /// Leader path: give followers `window` to join, then seal the batch
     /// (taking it off the open map so later submissions start fresh), run
-    /// one zoo call over the merged rows, and publish the scores.
-    fn lead(&self, model: ModelId, batch: &Arc<Batch>) {
+    /// one zoo call over the participants' slots on the leader's
+    /// `scratch`, and publish the scores.
+    fn lead(&self, model: ModelId, row_len: usize, batch: &Arc<Batch>, scratch: &mut InferScratch) {
         if self.window > Duration::ZERO && self.active.load(Ordering::Relaxed) > 1 {
             // Poll in short slices: besides sealing and the deadline, stop
             // waiting as soon as every in-flight query has a pack in this
@@ -266,20 +319,27 @@ impl Broker {
                 }
             }
         }
-        let (rows, sizes) = {
+        let (slots, n) = {
             let mut st = lock(&batch.state);
-            (std::mem::take(&mut st.rows), st.sizes.clone())
+            (std::mem::take(&mut st.slots), st.sizes.iter().sum())
         };
-        let n: usize = sizes.iter().sum();
+        let rows = Slots {
+            slots: &slots,
+            rows: n,
+            row_len,
+        };
         self.rows.fetch_add(n as u64, Ordering::Relaxed);
-        if sizes.len() > 1 {
+        if slots.len() > 1 {
             self.merged_calls.fetch_add(1, Ordering::Relaxed);
         }
         crate::sched::point(crate::sched::site::RUN);
-        let result = self.run_zoo(model, &rows, n, true);
+        let result = self.run_zoo(model, &rows, scratch, true);
         let mut st = lock(&batch.state);
+        // Back in place for the failover rung: a participant re-runs its
+        // own slot.
+        st.slots = slots;
         match result {
-            Ok(scores) => st.scores = scores,
+            Ok(scores) => st.scores = scores.unwrap_or_else(|never| match never {}),
             // Publish the failure instead of unwinding: every participant
             // (the leader included) sees `failed` in the common wait path
             // and re-executes its own rows solo — the failover rung. The
@@ -295,27 +355,32 @@ impl Broker {
 }
 
 impl InferDispatch for Broker {
-    fn infer(&self, model: ModelId, rows: &[f32], n: usize) -> Vec<f32> {
+    fn infer(
+        &self,
+        model: ModelId,
+        rows: &InputRows<'_>,
+        scratch: &mut InferScratch,
+    ) -> Result<Vec<f32>, CoreError> {
         self.submits.fetch_add(1, Ordering::Relaxed);
         crate::sched::point(crate::sched::site::SUBMIT);
-        // Idle fast path: nobody to coalesce with — score directly, no
-        // batch machinery, no window.
+        let n = rows.rows();
+        // Idle fast path: nobody to coalesce with — score directly, the
+        // call's lanes producing their own rows; no batch machinery, no
+        // window.
         if self.active.load(Ordering::Relaxed) <= 1 {
             self.rows.fetch_add(n as u64, Ordering::Relaxed);
-            return match self.run_zoo(model, rows, n, true) {
+            return match self.run_zoo(model, rows, scratch, true) {
                 Ok(scores) => scores,
-                // Same failover rung as a dead merged call: one
-                // injection-free solo retry, then a reproducing (real)
-                // panic re-raises to the request guard.
-                Err(_) => {
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    match self.run_zoo(model, rows, n, false) {
-                        Ok(scores) => scores,
-                        Err(p) => resume_unwind(p),
-                    }
-                }
+                // Same failover rung as a dead merged call.
+                Err(_) => self.rerun_solo(model, rows, scratch),
             };
         }
+        // Fill this participant's slot, once, before joining: a pack that
+        // cannot be produced fails here and never holds up a batch.
+        let row_len = rows.row_len();
+        let mut slot = Vec::with_capacity(n * row_len);
+        let mut buf = vec![0.0f32; row_len];
+        rows.visit_rows(0..n, &mut buf, &mut |row| slot.extend_from_slice(row))?;
         // Join (or open) the model's batch.
         crate::sched::point(crate::sched::site::JOIN);
         let (batch, my_index, leader) = {
@@ -325,7 +390,7 @@ impl InferDispatch for Broker {
                     let b = Arc::clone(b);
                     let mut st = lock(&b.state);
                     debug_assert!(!st.sealed, "sealed batches leave the open map");
-                    st.rows.extend_from_slice(rows);
+                    st.slots.push(slot);
                     st.sizes.push(n);
                     let idx = st.sizes.len() - 1;
                     if st.sizes.iter().sum::<usize>() >= self.max_rows {
@@ -342,7 +407,7 @@ impl InferDispatch for Broker {
                     let b = Arc::new(Batch::new());
                     {
                         let mut st = lock(&b.state);
-                        st.rows.extend_from_slice(rows);
+                        st.slots.push(slot);
                         st.sizes.push(n);
                     }
                     open.insert(model.0, Arc::clone(&b));
@@ -351,7 +416,7 @@ impl InferDispatch for Broker {
             }
         };
         if leader {
-            self.lead(model, &batch);
+            self.lead(model, row_len, &batch, scratch);
         } else {
             crate::sched::point(crate::sched::site::APPEND);
         }
@@ -363,21 +428,24 @@ impl InferDispatch for Broker {
             st = batch.cv.wait(st).unwrap_or_else(|p| p.into_inner());
         }
         if st.failed {
-            // Failover: the merged call died; score our own rows solo.
+            // Failover: the merged call died; score our own slot solo.
             // Batch-shape invariance makes the recovered scores bitwise
             // identical to the merged call that failed, so the failover is
             // invisible in results. A panic that reproduces solo (e.g. an
             // unregistered model) re-raises here, reaching every
             // participant of the failed batch.
+            let slot = [std::mem::take(&mut st.slots[my_index])];
             drop(st);
-            self.failovers.fetch_add(1, Ordering::Relaxed);
             self.rows.fetch_add(n as u64, Ordering::Relaxed);
-            return match self.run_zoo(model, rows, n, false) {
-                Ok(scores) => scores,
-                Err(p) => resume_unwind(p),
+            let rows = Slots {
+                slots: &slot,
+                rows: n,
+                row_len,
             };
+            let solo = self.rerun_solo(model, &rows, scratch);
+            return Ok(solo.unwrap_or_else(|never| match never {}));
         }
         let off: usize = st.sizes[..my_index].iter().sum();
-        st.scores[off..off + n].to_vec()
+        Ok(st.scores[off..off + n].to_vec())
     }
 }

@@ -144,7 +144,7 @@ pub struct StandingQuery {
     // One standing query's entire mutable state (window entries, stream
     // cursor, transcode engine); held across a whole tick, strictly below
     // the registry map (25) and above everything the tick reaches through
-    // the service: scratch pools (30), broker (40/50/60), and store
+    // the service: scratch pools (30), broker (40/50), and store
     // ingest/fetch (65/66/70/71).
     // LOCK-ORDER: 27
     window: Mutex<StandingState>,

@@ -20,18 +20,68 @@
 //! transiently: the broker must recover it through solo failover with
 //! unchanged scores.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tahoma_core::exec::{InferDispatch, SharedModelZoo};
+use tahoma_core::CoreError;
 use tahoma_imagery::{ColorMode, Representation};
-use tahoma_nn::{InferScratch, Layer, Shape, MORSEL_ROWS};
+use tahoma_nn::{InferScratch, Layer, RowSource, Shape, SliceRows, MORSEL_ROWS};
 use tahoma_serve::{sched, Broker};
 use tahoma_zoo::{ArchSpec, ModelId};
 
 const THREADS: usize = 3;
 const SEEDS: u64 = 1000;
 const ROW_LEN: usize = 12 * 12; // 12x12 gray input
+
+/// A materialized pack, offered to the broker the way a query's rows
+/// arrive: as a row source (whose rows here never fail).
+struct Pack<'a>(SliceRows<'a>);
+
+impl RowSource for Pack<'_> {
+    type Error = CoreError;
+
+    fn rows(&self) -> usize {
+        self.0.rows()
+    }
+
+    fn row_len(&self) -> usize {
+        self.0.row_len()
+    }
+
+    fn visit_rows(
+        &self,
+        range: Range<usize>,
+        buf: &mut [f32],
+        visit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), CoreError> {
+        self.0
+            .visit_rows(range, buf, visit)
+            .map_err(|never| match never {})
+    }
+}
+
+/// `n` rows of `rows` through the broker, on a fresh query scratch.
+fn brokered(broker: &Broker, model: ModelId, rows: &[f32], n: usize) -> Vec<f32> {
+    let pack = Pack(SliceRows::new(rows, n, ROW_LEN));
+    let mut scratch = InferScratch::coalescing();
+    broker
+        .infer(model, &pack, &mut scratch)
+        .expect("a materialized pack never fails")
+}
+
+/// `n` rows of `rows` straight through the zoo.
+fn serial(
+    zoo: &SharedModelZoo,
+    model: ModelId,
+    rows: &[f32],
+    n: usize,
+    scratch: &mut InferScratch,
+) -> Vec<f32> {
+    zoo.infer(model, &SliceRows::new(rows, n, ROW_LEN), scratch)
+        .unwrap_or_else(|never| match never {})
+}
 
 fn tiny_zoo() -> SharedModelZoo {
     let rep = Representation::new(12, ColorMode::Gray);
@@ -86,8 +136,8 @@ fn thousand_seeds_bitwise_identical_to_serial() {
         .iter()
         .map(|(rows, n)| {
             [
-                zoo.infer(ModelId(0), rows, *n, &mut scratch),
-                zoo.infer(ModelId(1), rows, *n, &mut scratch),
+                serial(&zoo, ModelId(0), rows, *n, &mut scratch),
+                serial(&zoo, ModelId(1), rows, *n, &mut scratch),
             ]
         })
         .collect();
@@ -106,7 +156,7 @@ fn thousand_seeds_bitwise_identical_to_serial() {
                     let _perturb = sched::install(seed.wrapping_mul(31) ^ t as u64);
                     let (rows, n) = &packs[t];
                     let model = model_for(seed, t);
-                    let scores = broker.infer(model, rows, *n);
+                    let scores = brokered(broker, model, rows, *n);
                     assert_eq!(
                         scores.len(),
                         *n,
@@ -218,7 +268,7 @@ fn panicking_morsel_fails_over_solo_bitwise() {
     // Idle fast path: one submitter, a pack of several morsels.
     let (rows, n, want) = pack(0, 5 * MORSEL_ROWS + 3);
     armed.store(true, Ordering::SeqCst);
-    assert_eq!(broker.infer(ModelId(0), &rows, n), want);
+    assert_eq!(brokered(&broker, ModelId(0), &rows, n), want);
     assert!(!armed.load(Ordering::SeqCst), "no morsel ran armed");
     let stats = broker.stats();
     assert_eq!((stats.calls, stats.failovers), (2, 1), "{stats:?}");
@@ -234,7 +284,7 @@ fn panicking_morsel_fails_over_solo_bitwise() {
     std::thread::scope(|s| {
         for (rows, n, want) in &packs {
             let broker = &broker;
-            s.spawn(move || assert_eq!(broker.infer(ModelId(0), rows, *n), *want));
+            s.spawn(move || assert_eq!(brokered(broker, ModelId(0), rows, *n), *want));
         }
     });
     let stats = broker.stats();
@@ -267,7 +317,7 @@ fn leader_panic_reaches_followers_and_broker_survives() {
                         let _perturb = sched::install(seed ^ (t as u64) << 8);
                         let (rows, n) = &packs[t];
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            broker.infer(ModelId(99), rows, *n)
+                            brokered(broker, ModelId(99), rows, *n)
                         }))
                     })
                 })
@@ -290,7 +340,7 @@ fn leader_panic_reaches_followers_and_broker_survives() {
     // query scores correctly and the open map holds no leftover batch.
     active.store(1, Ordering::SeqCst);
     let (rows, n) = &packs[1];
-    let scores = broker.infer(ModelId(1), rows, *n);
+    let scores = brokered(&broker, ModelId(1), rows, *n);
     let mut scratch = InferScratch::coalescing();
-    assert_eq!(scores, zoo.infer(ModelId(1), rows, *n, &mut scratch));
+    assert_eq!(scores, serial(&zoo, ModelId(1), rows, *n, &mut scratch));
 }
