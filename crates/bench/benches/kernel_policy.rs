@@ -10,8 +10,8 @@
 //! end-to-end metric of `benchmark/run.sh`.
 //!
 //! The workload shapes mirror the serving path (first-layer and deep-layer
-//! convs, the post-pool dense matvec, 224px transform sweeps). Each
-//! iteration runs tens of microseconds over pre-built state.
+//! convs, 224px transform sweeps). Each iteration runs tens of
+//! microseconds over pre-built state.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -35,7 +35,6 @@ type Op = (&'static str, &'static [SimdTier], fn(SimdTier) -> Workload);
 const OPS: &[Op] = &[
     ("gemm", gemm::TIERS, gemm_deep),
     ("gemm-wide-k", gemm::TIERS, gemm_wide_k),
-    ("matvec", kernels::MATVEC_TIERS, matvec),
     ("relu", PORTABLE_ONLY, relu),
     ("pool", kernels::POOL_TIERS, pool),
     ("resize-h-gather", engine::TIERS, resize_h),
@@ -60,7 +59,6 @@ fn gemm_deep(tier: SimdTier) -> Workload {
     let b = rand_vec(&mut rng, k * n);
     let mut c = vec![0.0f32; m * n];
     let mut scratch = GemmScratch::with_kernel(tier);
-    scratch.threads = Some(1);
     Box::new(move || {
         c.fill(0.0);
         gemm::gemm_nn(&mut scratch, m, n, k, &a, &b, &mut c);
@@ -78,7 +76,6 @@ fn gemm_wide_k(tier: SimdTier) -> Workload {
     let bias = rand_vec(&mut rng, out_c);
     let mut out = vec![0.0f32; out_c * h * w];
     let mut scratch = GemmScratch::with_kernel(tier);
-    scratch.threads = Some(1);
     Box::new(move || {
         gemm::conv2d_forward(
             &mut scratch,
@@ -93,23 +90,6 @@ fn gemm_wide_k(tier: SimdTier) -> Workload {
             &mut out,
         );
         black_box(out[0]);
-    })
-}
-
-/// The post-pool dense layer of the 30px family, batch 1, repeated to a
-/// measurable duration.
-fn matvec(tier: SimdTier) -> Workload {
-    let mut rng = rng_for(tier);
-    let (n_out, n_in) = (16usize, 3600usize);
-    let weights = rand_vec(&mut rng, n_out * n_in);
-    let bias = rand_vec(&mut rng, n_out);
-    let x = rand_vec(&mut rng, n_in);
-    let mut out = vec![0.0f32; n_out];
-    Box::new(move || {
-        for _ in 0..16 {
-            kernels::matvec(Some(tier), &weights, &bias, &x, &mut out);
-            black_box(out[0]);
-        }
     })
 }
 

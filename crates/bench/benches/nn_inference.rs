@@ -15,14 +15,11 @@
 //!   the portable auto-vectorized kernel in the default (non-native)
 //!   build, and `conv_dispatch` includes the small-k first-layer shape the
 //!   AVX-512 wide tile targets;
-//! * `gemm_threads`: forced worker counts over a large GEMM (on a
-//!   single-core runner these show the spawn overhead; on multi-core
-//!   runners, the speedup);
 //! * `nn_forward`: whole-model inference through `predict_proba_shared` on
-//!   one default scratch, per image (the batch-1 matvec dense path) vs
-//!   8/32-image minibatches; plus `morsel64`, one 64-row morsel of each of
-//!   the serving fixture's two models on one-thread coalescing scratch —
-//!   the unit of work a `scan` lane repeats.
+//!   one default scratch, per image (`Dense` as a 1-row GEMM) vs 8/32-image
+//!   minibatches; plus `morsel64`, one 64-row morsel of each of the serving
+//!   fixture's two models on one-thread scratch — the unit of work a `scan`
+//!   lane repeats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -87,18 +84,14 @@ fn bench_conv_batch_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Kernel tiers to sweep, as `(label, single-threaded scratch)`: every
-/// runnable GEMM tier pinned, plus the unpinned default `auto` (what
-/// production callers run).
+/// Kernel tiers to sweep, as `(label, scratch)`: every runnable GEMM tier
+/// pinned, plus the unpinned default `auto` (what production callers run).
 fn kernel_cases() -> Vec<(&'static str, GemmScratch)> {
     let mut cases: Vec<_> = SimdTier::runnable(gemm::TIERS)
         .into_iter()
         .map(|tier| (tier.name(), GemmScratch::with_kernel(tier)))
         .collect();
     cases.push(("auto", GemmScratch::default()));
-    for (_, scratch) in &mut cases {
-        scratch.threads = Some(1);
-    }
     cases
 }
 
@@ -188,41 +181,6 @@ fn bench_conv_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemm_threads(c: &mut Criterion) {
-    let mut rng = tahoma_mathx::DetRng::new(0xD3);
-    let (m, n, k) = (64usize, 4096usize, 256usize);
-    let a: Vec<f32> = (0..m * k)
-        .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-        .collect();
-    let b: Vec<f32> = (0..k * n)
-        .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-        .collect();
-    let mut cbuf = vec![0.0f32; m * n];
-    let mut group = c.benchmark_group("gemm_threads/64x4096x256");
-    group.throughput(Throughput::Elements((2 * m * n * k) as u64));
-    for threads in [1usize, 2, 4] {
-        let mut scratch = GemmScratch::with_threads(threads);
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |bch, _| {
-            bch.iter(|| {
-                cbuf.fill(0.0);
-                gemm::gemm(
-                    &mut scratch,
-                    m,
-                    n,
-                    k,
-                    black_box(&a),
-                    Trans::N,
-                    black_box(&b),
-                    Trans::N,
-                    &mut cbuf,
-                );
-                black_box(cbuf[0])
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_model_inference(c: &mut Criterion) {
     let cases = [
         (
@@ -286,8 +244,7 @@ fn bench_model_inference(c: &mut Criterion) {
         }
     }
     // The serving fixture's two architectures at the unit a `scan` lane
-    // runs: one MORSEL_ROWS-row morsel through the coalescing
-    // (batch-shape-invariant) path, pinned to one thread.
+    // runs: one MORSEL_ROWS-row morsel, on the calling thread.
     let serving = [
         (
             "c1x8-d256@24gray",
@@ -310,8 +267,7 @@ fn bench_model_inference(c: &mut Criterion) {
     ];
     for (name, arch, rep) in serving {
         let model = arch.cnn_spec(rep).build(7).unwrap();
-        let mut scratch = InferScratch::coalescing();
-        scratch.gemm.threads = Some(1);
+        let mut scratch = InferScratch::single_threaded();
         let rows = MORSEL_ROWS;
         let input: Vec<f32> = (0..rows * rep.value_count())
             .map(|i| (i % 101) as f32 / 101.0)
@@ -330,7 +286,6 @@ criterion_group!(
     bench_conv_batch_sweep,
     bench_gemm_dispatch,
     bench_conv_dispatch,
-    bench_gemm_threads,
     bench_model_inference
 );
 criterion_main!(benches);

@@ -40,7 +40,7 @@ fn main() {
     );
     println!(
         "morsel fan-out: {} lanes ({} pool workers + caller), MORSEL_ROWS {}",
-        InferScratch::coalescing().morsel_lanes(),
+        InferScratch::default().morsel_lanes(),
         tahoma_mathx::pool::workers(),
         MORSEL_ROWS
     );

@@ -365,15 +365,14 @@ impl SharedModelZoo {
 /// means "score locally on this thread and the pool's lanes".
 ///
 /// Contract: return exactly one probability per row, in row order,
-/// numerically identical to [`SharedModelZoo::infer`] on a
-/// [`tahoma_nn::InferScratch::coalescing`] scratch — which batch-shape
-/// invariance makes automatic for any implementation that scores the rows
-/// through the zoo — or the error of the lowest row that cannot be
-/// produced.
+/// numerically identical to [`SharedModelZoo::infer`] on any
+/// [`tahoma_nn::InferScratch`] — which batch-shape invariance makes
+/// automatic for any implementation that scores the rows through the zoo —
+/// or the error of the lowest row that cannot be produced.
 pub trait InferDispatch: Sync {
     /// Score every row of `rows` against `model`. `scratch` is the
-    /// caller's coalescing inference scratch, for calls the dispatch runs
-    /// on the caller's behalf.
+    /// caller's inference scratch, for calls the dispatch runs on the
+    /// caller's behalf.
     fn infer(
         &self,
         model: ModelId,
@@ -397,15 +396,11 @@ pub struct NnSessionScratch {
 }
 
 impl NnSessionScratch {
-    /// Fresh session scratch. The inference scratch is pinned to the
-    /// batched GEMM path ([`tahoma_nn::InferScratch::coalescing`]) so a
-    /// row's score never depends on whether it was scored alone here or
-    /// merged into a broker batch with other queries' rows.
+    /// Fresh session scratch. Every inference scratch scores a row with
+    /// the same bits whether it was scored alone here or merged into a
+    /// broker batch with other queries' rows.
     pub fn new() -> NnSessionScratch {
-        NnSessionScratch {
-            infer: tahoma_nn::InferScratch::coalescing(),
-            ..Default::default()
-        }
+        NnSessionScratch::default()
     }
 
     /// Fresh session scratch whose inference fans out over at most
@@ -413,7 +408,7 @@ impl NnSessionScratch {
     /// every pool worker plus the caller, as [`NnSessionScratch::new`]).
     pub fn with_threads(threads: Option<usize>) -> NnSessionScratch {
         let mut scratch = NnSessionScratch::new();
-        scratch.infer.gemm.threads = threads;
+        scratch.infer.threads = threads;
         scratch
     }
 

@@ -177,8 +177,8 @@ impl MeasuredProfiler {
     /// Measure one real inference of a `tahoma-nn` model on one image:
     /// [`Sequential::predict_proba_shared`], the inference entry point
     /// serving calls, on one [`InferScratch::default`] reused across the
-    /// repetitions. On that (non-coalescing) scratch a batch of 1 runs
-    /// `Dense`'s matvec path, not the 1-row GEMM a coalescing scratch would.
+    /// repetitions. A batch of 1 runs `Dense` as a 1-row GEMM, the same
+    /// path (and bits) the row takes inside any larger serving batch.
     pub fn measure_infer(&self, model: &Sequential, input: &[f32]) -> f64 {
         let mut scratch = InferScratch::default();
         self.time_median(|| {

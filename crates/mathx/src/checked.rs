@@ -5,9 +5,9 @@
 //! engine, this crate's worker pool) is preceded by a call into this
 //! module stating the invariant the unsafe operation relies on: the span
 //! it touches is in bounds, every gathered index is in range, the pointer
-//! is element-aligned, parallel writers own disjoint ranges. With the
-//! `checked-kernels` feature off (the default) each helper is an
-//! `#[inline(always)]` empty body — the release kernels cost nothing.
+//! is element-aligned. With the `checked-kernels` feature off (the
+//! default) each helper is an `#[inline(always)]` empty body — the release
+//! kernels cost nothing.
 //! With it on, each invariant becomes a hard `assert!` in every build
 //! profile, so CI can run the full test suite with the kernels' safety
 //! contracts machine-checked (see `SAFETY.md`).
@@ -70,24 +70,6 @@ pub fn aligned<T>(ptr: *const T, what: &str) {
     }
 }
 
-/// Assert that column/strip `chunks` are sorted, non-overlapping
-/// half-open ranges within `0..len` — the aliasing contract that lets
-/// parallel GEMM workers share one raw output pointer.
-#[inline(always)]
-#[track_caller]
-pub fn disjoint_chunks(chunks: &[(usize, usize)], len: usize, what: &str) {
-    if cfg!(feature = "checked-kernels") {
-        let mut prev_end = 0usize;
-        for &(lo, hi) in chunks {
-            assert!(
-                lo >= prev_end && lo <= hi && hi <= len,
-                "checked-kernels: {what}: chunk {lo}..{hi} overlaps or exceeds {len}"
-            );
-            prev_end = hi;
-        }
-    }
-}
-
 /// Assert an arbitrary kernel invariant stated at the call site (used
 /// where the condition does not fit the shaped helpers above, e.g. the
 /// worker pool's "no live borrowed jobs at scope exit").
@@ -113,7 +95,6 @@ mod tests {
         span(16, 8, 8, "test");
         gather(&[0, 3, 15], 16, "test");
         aligned(vec![0f32; 4].as_ptr(), "test");
-        disjoint_chunks(&[(0, 8), (8, 16)], 16, "test");
         invariant(true, "test");
     }
 
@@ -129,7 +110,6 @@ mod tests {
         // Address 1: misaligned for f32 (align 4) without any real allocation.
         let misaligned = std::ptr::dangling::<u8>().cast::<f32>();
         assert!(catch_unwind(|| aligned(misaligned, "t")).is_err());
-        assert!(catch_unwind(|| disjoint_chunks(&[(0, 9), (8, 16)], 16, "t")).is_err());
         assert!(catch_unwind(|| invariant(false, "t")).is_err());
     }
 }

@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn avx2_tier_requires_fma_too() {
         // One predicate for every crate: a CPU with avx2 but no fma is a
-        // portable CPU (the GEMM and matvec AVX2 kernels issue FMAs).
+        // portable CPU (the GEMM AVX2 kernels issue FMAs).
         assert_eq!(SimdTier::for_features(true, false, false), Portable);
         assert_eq!(SimdTier::for_features(true, false, true), Portable);
         assert_eq!(SimdTier::for_features(false, true, true), Portable);

@@ -1,5 +1,5 @@
-//! Blocked, cache-tiled f32 matrix multiply with runtime SIMD dispatch, a
-//! threaded macro-kernel, and the im2col convolution lowering.
+//! Blocked, cache-tiled f32 matrix multiply with runtime SIMD dispatch and
+//! the im2col convolution lowering.
 //!
 //! This is the engine room of the batched inference path: `Conv2d`'s
 //! forward runs [`conv2d_forward`] (a virtual-im2col GEMM that addresses the
@@ -39,19 +39,14 @@
 //!   tile. GEMM is the one op where all three tiers earn their keep
 //!   (DESIGN.md, "Deletion ledger").
 //!
-//! * the macro-kernel threads across `NR`-aligned column ranges of C via
-//!   the persistent `tahoma_mathx::pool` workers when the problem is big
-//!   enough ([`GemmScratch`]'s `threads` knob; automatic sizing uses
-//!   roughly one worker per [`PAR_MIN_FLOPS`] of work, never more than the
-//!   machine has cores — and no OS thread is ever created per call).
-//!   Column-splitting leaves every output element's accumulation order
-//!   untouched, so threaded results are bitwise equal to single-threaded
-//!   ones.
+//! Every call runs on the thread that makes it. Inference gets its
+//! parallelism one level up, from `Sequential`'s morsel lanes, each of
+//! which runs its GEMMs serially on a scratch of its own.
 //!
 //! This is one of the four files sanctioned to contain raw-pointer
 //! arithmetic; the workspace unsafe policy, the required shape of every
 //! SAFETY comment, and the `checked-kernels` audit feature that promotes
-//! the bounds/alignment/disjointness claims here into hard assertions are
+//! the bounds/alignment claims here into hard assertions are
 //! documented in `SAFETY.md` at the repository root.
 
 use tahoma_mathx::checked;
@@ -88,10 +83,6 @@ const DIRECT_K_MAX: usize = 8192;
 /// Combined budget for one column block of B plus its C block in the direct
 /// path — sized to stay comfortably inside a 2 MiB L2.
 const DIRECT_BLOCK_BYTES: usize = 3 * 512 * 1024;
-/// Auto-threading grain: spawn roughly one worker per this many FLOPs
-/// (~0.2 ms of single-thread work), so scoped-thread spawn cost stays a
-/// few percent of each worker's runtime.
-pub const PAR_MIN_FLOPS: f64 = 1.6e7;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +99,7 @@ pub enum Trans {
 /// magnitude in the default build.
 pub const TIERS: &[SimdTier] = &SimdTier::ALL;
 
-/// Reusable packing buffers plus the per-call-site execution knobs; keep
+/// Reusable packing buffers plus the per-call-site kernel pin; keep
 /// one per call site to avoid per-call allocation on hot paths. The
 /// `conv_*` fields are used only by [`conv2d_forward`]; plain [`gemm`]
 /// calls leave them empty, and products against a [`PackedB`] never grow
@@ -126,17 +117,9 @@ pub struct GemmScratch {
     off_main: Vec<usize>,
     /// Per-row B offsets for panel-packed (stride `NR`) addressing.
     off_panel: Vec<usize>,
-    /// Worker scratches for threaded runs (see `GemmScratch::worker_pool`).
-    pool: Vec<GemmScratch>,
     /// Micro-kernel tier pin; `None` (the default) runs the widest tier
     /// of [`TIERS`] under [`SimdTier::ceiling`], resolved per call.
     pub kernel: Option<SimdTier>,
-    /// Worker-thread override: `None` sizes automatically from the problem
-    /// (staying single-threaded below [`PAR_MIN_FLOPS`] per worker);
-    /// `Some(t)` forces up to `t` workers regardless of size (used by tests
-    /// to exercise the split on small problems, and by morsel lanes and
-    /// training scratch to pin their GEMMs to one thread).
-    pub threads: Option<usize>,
 }
 
 impl GemmScratch {
@@ -148,30 +131,7 @@ impl GemmScratch {
         }
     }
 
-    /// Scratch with an explicit worker-thread count.
-    pub fn with_threads(threads: usize) -> GemmScratch {
-        GemmScratch {
-            threads: Some(threads),
-            ..GemmScratch::default()
-        }
-    }
-
-    /// Split off `n` single-threaded worker scratches inheriting this
-    /// scratch's kernel selection, growing the pool as needed: one per
-    /// column-range worker of a threaded [`gemm`].
-    fn worker_pool(&mut self, n: usize) -> &mut [GemmScratch] {
-        if self.pool.len() < n {
-            self.pool.resize_with(n, GemmScratch::default);
-        }
-        for w in &mut self.pool[..n] {
-            w.kernel = self.kernel;
-            w.threads = Some(1);
-        }
-        &mut self.pool[..n]
-    }
-
-    /// Largest capacity, in elements, of any buffer held by this scratch
-    /// or its worker pool.
+    /// Largest capacity, in elements, of any buffer held by this scratch.
     #[cfg(test)]
     pub(crate) fn max_buffer_capacity(&self) -> usize {
         let own = [
@@ -182,8 +142,7 @@ impl GemmScratch {
             self.off_panel.capacity(),
         ];
         let frames = self.conv_frames.iter().map(|(_, f)| f.capacity());
-        let pool = self.pool.iter().map(GemmScratch::max_buffer_capacity);
-        own.into_iter().chain(frames).chain(pool).max().unwrap_or(0)
+        own.into_iter().chain(frames).max().unwrap_or(0)
     }
 }
 
@@ -227,9 +186,9 @@ impl PackedA {
 /// panels the blocked path's per-call `pack_b` builds for each `(jc, pc)`
 /// block: k-block `pc` (depth `kc`) holds every panel of its rows, panel
 /// `J` at `pc * n_pad + J * NR * kc`. A block starting at any `NR`-aligned
-/// column `jc` — which every `NC` step and every threaded column chunk is
-/// — is therefore one contiguous slice with `pack_b`'s layout. What `Dense`
-/// keeps of `Wᵀ`, so no call re-packs it.
+/// column `jc` — which every `NC` step is — is therefore one contiguous
+/// slice with `pack_b`'s layout. What `Dense` keeps of `Wᵀ`, so no call
+/// re-packs it.
 #[derive(Debug, Clone, Default)]
 pub struct PackedB {
     k: usize,
@@ -276,57 +235,6 @@ enum BOperand<'a> {
     /// Panels packed once by the caller.
     Packed(&'a PackedB),
 }
-
-/// Machine parallelism, detected once (`available_parallelism` performs a
-/// syscall per call, which would tax every batch-of-1 forward).
-fn hw_threads() -> usize {
-    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
-}
-
-/// Worker count for one GEMM of the given shape (see
-/// [`GemmScratch::threads`] for the policy).
-fn plan_threads(requested: Option<usize>, m: usize, n: usize, k: usize) -> usize {
-    let strips = n.div_ceil(NR);
-    if m == 0 || n == 0 || k == 0 {
-        return 1;
-    }
-    match requested {
-        Some(t) => t.clamp(1, strips),
-        None => {
-            if hw_threads() <= 1 {
-                return 1;
-            }
-            let by_work = (2.0 * (m * n) as f64 * k as f64 / PAR_MIN_FLOPS) as usize;
-            by_work.min(hw_threads()).min(strips).max(1)
-        }
-    }
-}
-
-/// Split `n` columns into at most `t` contiguous `NR`-aligned ranges.
-fn column_chunks(n: usize, t: usize) -> Vec<(usize, usize)> {
-    let strips = n.div_ceil(NR);
-    let t = t.clamp(1, strips);
-    let per = strips.div_ceil(t);
-    let mut out = Vec::with_capacity(t);
-    let mut s = 0;
-    while s < strips {
-        let e = (s + per).min(strips);
-        out.push((s * NR, (e * NR).min(n)));
-        s = e;
-    }
-    out
-}
-
-/// A raw C pointer that column-partitioned workers share. Each worker
-/// writes a disjoint set of columns, so no element is ever written by two
-/// threads; reads never occur outside the owner.
-#[derive(Clone, Copy)]
-struct CPtr(*mut f32);
-// SAFETY: workers write strictly disjoint column ranges of C (enforced by
-// `column_chunks`), so concurrent access never aliases an element.
-unsafe impl Send for CPtr {}
-unsafe impl Sync for CPtr {}
 
 /// `dst[i] += src[i]` over a raw row segment.
 ///
@@ -404,7 +312,7 @@ pub fn gemm(
 /// `b` (`k x n`). Runs [`gemm`]'s blocked path — the one every transposed
 /// B takes, e.g. [`gemm_nt`] — over the same panels, only without building
 /// them, so it is bitwise equal to that path on the matrix `b` was packed
-/// from. Threads like [`gemm`].
+/// from.
 pub fn gemm_prepacked(scratch: &mut GemmScratch, m: usize, a: &[f32], b: &PackedB, c: &mut [f32]) {
     let (n, k) = (b.n, b.k);
     debug_assert_eq!(a.len(), m * k, "A size mismatch");
@@ -427,8 +335,8 @@ pub fn gemm_prepacked(scratch: &mut GemmScratch, m: usize, a: &[f32], b: &Packed
     );
 }
 
-/// The fully blocked path, threaded across `NR`-aligned column ranges of C
-/// when the problem is large enough.
+/// The fully blocked path: pack B strips (unless they come pre-packed)
+/// and A blocks, run packed tiles.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     scratch: &mut GemmScratch,
@@ -441,40 +349,6 @@ fn gemm_blocked(
     b: BOperand<'_>,
     c: &mut [f32],
 ) {
-    let t = plan_threads(scratch.threads, m, n, k);
-    let c_ptr = CPtr(c.as_mut_ptr());
-    if t <= 1 {
-        return gemm_blocked_cols(scratch, kernel, m, n, k, a, ta, b, c_ptr, 0, n);
-    }
-    let chunks = column_chunks(n, t);
-    checked::disjoint_chunks(&chunks, n, "gemm column partition");
-    let pool = scratch.worker_pool(chunks.len());
-    tahoma_mathx::pool::scope(|scope| {
-        for (w, &(jlo, jhi)) in pool.iter_mut().zip(&chunks) {
-            scope.spawn(move || {
-                gemm_blocked_cols(w, kernel, m, n, k, a, ta, b, c_ptr, jlo, jhi);
-            });
-        }
-    });
-}
-
-/// The blocked path over columns `[jlo, jhi)` of C: pack B strips (unless
-/// they come pre-packed) and A blocks, run packed tiles. One invocation
-/// per worker thread.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_cols(
-    scratch: &mut GemmScratch,
-    kernel: SimdTier,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    ta: Trans,
-    b: BOperand<'_>,
-    c: CPtr,
-    jlo: usize,
-    jhi: usize,
-) {
     let GemmScratch {
         packed_a,
         packed_b,
@@ -485,8 +359,9 @@ fn gemm_blocked_cols(
     if let BOperand::Raw(..) = b {
         packed_b.resize(KC * NC, 0.0);
     }
-    for jc in (jlo..jhi).step_by(NC) {
-        let nc = NC.min(jhi - jc);
+    let c_ptr = c.as_mut_ptr();
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let b_block: &[f32] = match b {
@@ -514,9 +389,9 @@ fn gemm_blocked_cols(
                         let col0 = jc + jp * NR;
                         for (i, acc_row) in acc.iter().enumerate().take(mr) {
                             checked::span(m * n, (row0 + i) * n + col0, nr, "gemm C tile row");
-                            // SAFETY: row/col in bounds; this worker owns
-                            // columns [jlo, jhi) exclusively.
-                            unsafe { add_row(c.0.add((row0 + i) * n + col0), &acc_row[..nr]) };
+                            // SAFETY: row/col in bounds of C (m x n), which
+                            // this call borrows exclusively.
+                            unsafe { add_row(c_ptr.add((row0 + i) * n + col0), &acc_row[..nr]) };
                         }
                     }
                 }
@@ -531,8 +406,13 @@ fn gemm_blocked_cols(
 /// offset table. Skipping the B-pack halves B-side memory traffic, which
 /// dominates when `m` is small — exactly the shape of the im2col
 /// convolution (`m = out_c`), where this path is ~35% faster end to end
-/// than the packed one. Threads across `NR`-aligned column ranges when the
-/// problem is large enough.
+/// than the packed one.
+///
+/// Two-level column blocking. Outer: balanced `jc` blocks sized so the
+/// C block plus B block stay L2-resident (C tiles are written in strided
+/// strips, so they must hit cache). Inner: one `k x NR` strip of B is
+/// pushed through every A panel while it is L1-hot, so B streams out of
+/// L2 exactly once per block regardless of m.
 #[allow(clippy::too_many_arguments)]
 fn gemm_direct_nn(
     scratch: &mut GemmScratch,
@@ -545,10 +425,9 @@ fn gemm_direct_nn(
     c: &mut [f32],
     init: Option<&[f32]>,
 ) {
-    let t = plan_threads(scratch.threads, m, n, k);
     let GemmScratch {
         packed_a,
-        packed_b,
+        packed_b: tail_b,
         off_main,
         off_panel,
         ..
@@ -557,75 +436,13 @@ fn gemm_direct_nn(
     packed_a.resize(m_panels * MR * k, 0.0);
     pack_a(packed_a, a, Trans::N, m, k, 0, m, 0, k);
     fill_offsets(off_main, k, n);
-    let c_ptr = CPtr(c.as_mut_ptr());
-    if t <= 1 {
-        return direct_nn_cols(
-            kernel, packed_a, off_main, m, n, k, b, c_ptr, init, 0, n, off_panel, packed_b,
-        );
-    }
-    let packed_a = &*packed_a;
-    let off_main = &*off_main;
-    let chunks = column_chunks(n, t);
-    checked::disjoint_chunks(&chunks, n, "direct gemm column partition");
-    tahoma_mathx::pool::scope(|scope| {
-        for (jlo, jhi) in chunks {
-            scope.spawn(move || {
-                let mut off_panel = Vec::new();
-                let mut tail_b = Vec::new();
-                direct_nn_cols(
-                    kernel,
-                    packed_a,
-                    off_main,
-                    m,
-                    n,
-                    k,
-                    b,
-                    c_ptr,
-                    init,
-                    jlo,
-                    jhi,
-                    &mut off_panel,
-                    &mut tail_b,
-                );
-            });
-        }
-    });
-}
-
-/// Direct-path worker over columns `[jlo, jhi)` of C.
-///
-/// Two-level column blocking. Outer: balanced `jc` blocks sized so the
-/// C block plus B block stay L2-resident (C tiles are written in strided
-/// strips, so they must hit cache). Inner: one `k x NR` strip of B is
-/// pushed through every A panel while it is L1-hot, so B streams out of
-/// L2 exactly once per block regardless of m.
-#[allow(clippy::too_many_arguments)]
-fn direct_nn_cols(
-    kernel: SimdTier,
-    packed_a: &[f32],
-    off_main: &[usize],
-    m: usize,
-    n: usize,
-    k: usize,
-    b: &[f32],
-    c: CPtr,
-    init: Option<&[f32]>,
-    jlo: usize,
-    jhi: usize,
-    off_panel: &mut Vec<usize>,
-    tail_b: &mut Vec<f32>,
-) {
-    if jhi <= jlo {
-        return;
-    }
-    let m_panels = m.div_ceil(MR);
-    let span = jhi - jlo;
+    let c_ptr = c.as_mut_ptr();
     let max_nc = (DIRECT_BLOCK_BYTES / (4 * (m + k))).max(NR);
-    let blocks = span.div_ceil(max_nc).max(1);
-    let nc_block = span.div_ceil(blocks).div_ceil(NR).max(1) * NR;
+    let blocks = n.div_ceil(max_nc).max(1);
+    let nc_block = n.div_ceil(blocks).div_ceil(NR).max(1) * NR;
 
-    for jc in (jlo..jhi).step_by(nc_block) {
-        let nc = nc_block.min(jhi - jc);
+    for jc in (0..n).step_by(nc_block) {
+        let nc = nc_block.min(n - jc);
         let full_nr = nc / NR;
         let tail = nc - full_nr * NR;
         for jp in 0..full_nr {
@@ -638,10 +455,10 @@ fn direct_nn_cols(
                 for (i, acc_row) in acc.iter().enumerate().take(mr) {
                     let row = ip * MR + i;
                     checked::span(m * n, row * n + j0, NR, "direct gemm C strip");
-                    // SAFETY: row < m, j0 + NR <= n; this worker owns
-                    // columns [jlo, jhi) exclusively.
+                    // SAFETY: row < m, j0 + NR <= n, in bounds of C (m x n),
+                    // which this call borrows exclusively.
                     unsafe {
-                        let dst = c.0.add(row * n + j0);
+                        let dst = c_ptr.add(row * n + j0);
                         match init {
                             // Fused epilogue: C = bias + A·B, write-only (no
                             // read-modify-write pass over C).
@@ -672,7 +489,7 @@ fn direct_nn_cols(
                     checked::span(m * n, row * n + j0, tail, "direct gemm C tail");
                     // SAFETY: as above; only `tail` columns are live.
                     unsafe {
-                        let dst = c.0.add(row * n + j0);
+                        let dst = c_ptr.add(row * n + j0);
                         match init {
                             Some(bias) => set_bias_row(dst, bias[row], &acc_row[..tail], false),
                             None => add_row(dst, &acc_row[..tail]),
@@ -764,10 +581,9 @@ pub fn conv2d_forward(
 /// each `v = bias + acc` — the `Relu` layer's own select, so conv-then-ReLU
 /// keeps its bits while the activation is written once instead of twice.
 ///
-/// The grid sweep threads across `NR`-pixel strips for large images (same
-/// policy as [`gemm`]), and on the AVX-512 tier switches to the
-/// [`NR_WIDE`]-column tile when the accumulation depth is short (the
-/// first-layer shapes; see the module docs).
+/// On the AVX-512 tier the grid sweep switches to the [`NR_WIDE`]-column
+/// tile when the accumulation depth is short (the first-layer shapes; see
+/// the module docs).
 ///
 /// The backward pass still materializes [`im2col`]; this path is for the
 /// throughput-critical forward direction.
@@ -841,31 +657,14 @@ pub fn conv2d_forward_packed(
     }
 
     // 3. Main sweep over full NR strips of the grid: offset-addressed B,
-    //    bias-fused write-only epilogue. Threaded across strip ranges.
+    //    bias-fused write-only epilogue.
     let full_nr = n / NR;
     let tail = n - full_nr * NR;
-    let out_ptr = CPtr(out.as_mut_ptr());
-    let t = plan_threads(scratch.threads, out_c, n, k_total).min(full_nr.max(1));
-    if full_nr > 0 {
-        let offsets = &scratch.conv_offsets;
-        if t <= 1 {
-            conv_sweep(
-                kernel, filter, padded, offsets, grid, bias, out_ptr, 0, full_nr,
-            );
-        } else {
-            let per = full_nr.div_ceil(t);
-            tahoma_mathx::pool::scope(|scope| {
-                let mut s = 0;
-                while s < full_nr {
-                    let e = (s + per).min(full_nr);
-                    scope.spawn(move || {
-                        conv_sweep(kernel, filter, padded, offsets, grid, bias, out_ptr, s, e);
-                    });
-                    s = e;
-                }
-            });
-        }
-    }
+    let out_ptr = out.as_mut_ptr();
+    let offsets = &scratch.conv_offsets;
+    conv_sweep(
+        kernel, filter, padded, offsets, grid, bias, out_ptr, full_nr,
+    );
     if tail > 0 {
         // Gather the ragged final grid columns into a packed strip.
         let j0 = full_nr * NR;
@@ -923,7 +722,7 @@ impl ConvGrid {
     /// Write `bias + acc` (through the ReLU select when `relu`) for the grid
     /// pixels from `at` on of channel `row`, one live row segment at a time.
     #[inline(always)]
-    fn store(&self, out: CPtr, row: usize, at: (usize, usize), base: f32, acc: &[f32]) {
+    fn store(&self, out: *mut f32, row: usize, at: (usize, usize), base: f32, acc: &[f32]) {
         let (mut y, mut x) = at;
         let mut a = 0;
         while a < acc.len() {
@@ -932,9 +731,9 @@ impl ConvGrid {
                 let dst = row * self.hw + y * self.w + x;
                 checked::span(self.len, dst, seg, "conv out row segment");
                 // SAFETY: x + seg <= w, so dst + seg <= (row + 1) * hw <=
-                // len; grid pixels map to distinct outputs, and this
-                // worker owns its strips exclusively.
-                unsafe { set_bias_row(out.0.add(dst), base, &acc[a..a + seg], self.relu) };
+                // len, in bounds of the output the conv call borrows
+                // exclusively.
+                unsafe { set_bias_row(out.add(dst), base, &acc[a..a + seg], self.relu) };
             }
             // On to the start of the next grid row.
             a += self.gw - x;
@@ -943,10 +742,13 @@ impl ConvGrid {
     }
 }
 
-/// Conv main-sweep worker over full grid strips `[s0, s1)` (strip = `NR`
+/// Conv main sweep over the first `strips` full grid strips (strip = `NR`
 /// grid pixels). On the AVX-512 tier with short accumulation depth, pairs
-/// of adjacent strips run through the wide tile.
+/// of adjacent strips run through the wide tile. Kept out of line: inlined
+/// into `conv2d_forward_packed`, its one caller, `lookup`'s p50 read ~8%
+/// slower in alternating benchmark runs.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn conv_sweep(
     kernel: SimdTier,
     filter: &PackedA,
@@ -954,17 +756,16 @@ fn conv_sweep(
     offsets: &[usize],
     grid: ConvGrid,
     bias: &[f32],
-    out: CPtr,
-    s0: usize,
-    s1: usize,
+    out: *mut f32,
+    strips: usize,
 ) {
     let (out_c, k_total) = (filter.m, filter.k);
     let wide = kernel == SimdTier::Avx512 && k_total <= SMALL_K_MAX;
-    let mut s = s0;
-    while s < s1 {
+    let mut s = 0;
+    while s < strips {
         let j0 = s * NR;
         let at = grid.at(j0);
-        if wide && s + 1 < s1 {
+        if wide && s + 1 < strips {
             for ip in 0..out_c.div_ceil(MR) {
                 let mr = MR.min(out_c - ip * MR);
                 let mut acc = [[0.0f32; NR_WIDE]; MR];
@@ -1636,40 +1437,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_split_is_bitwise_identical() {
-        // Column-splitting changes which thread computes a column, never
-        // the accumulation order inside one — forced thread counts must
-        // reproduce the serial result exactly, on every tier.
-        let mut rng = DetRng::new(0x7B);
-        for (m, n, k, ta) in [
-            (16, 4 * NR + 7, 64, Trans::N),
-            (5, 3 * NR, 9, Trans::N),
-            (11, 2 * NR + 1, 40, Trans::T),
-        ] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            for kernel in SimdTier::runnable(TIERS) {
-                let mut serial = GemmScratch::with_kernel(kernel);
-                serial.threads = Some(1);
-                let mut c1 = vec![0.0f32; m * n];
-                gemm(&mut serial, m, n, k, &a, ta, &b, Trans::N, &mut c1);
-                for t in [2usize, 3, 7] {
-                    let mut par = GemmScratch::with_kernel(kernel);
-                    par.threads = Some(t);
-                    let mut ct = vec![0.0f32; m * n];
-                    gemm(&mut par, m, n, k, &a, ta, &b, Trans::N, &mut ct);
-                    assert_eq!(
-                        c1,
-                        ct,
-                        "({m}x{n}x{k}) {ta:?}N kernel {} threads {t} diverges",
-                        kernel.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn forced_unsupported_kernel_degrades_to_detection() {
         // Pinning a tier this CPU lacks must not crash — `resolve` clamps
         // it to detection. (On a machine that has every tier this still
@@ -1723,20 +1490,6 @@ mod tests {
     }
 
     #[test]
-    fn column_chunks_cover_and_align() {
-        for (n, t) in [(1, 4), (NR, 2), (5 * NR + 3, 3), (100 * NR, 7)] {
-            let chunks = column_chunks(n, t);
-            assert!(chunks.len() <= t);
-            assert_eq!(chunks.first().unwrap().0, 0);
-            assert_eq!(chunks.last().unwrap().1, n);
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "gap between chunks");
-                assert_eq!(w[0].1 % NR, 0, "boundary not NR-aligned");
-            }
-        }
-    }
-
-    #[test]
     fn im2col_matches_definition() {
         // 1 channel, 3x3 image, 3x3 kernel: center row of the patch matrix
         // reproduces the image; corner rows show the zero padding.
@@ -1759,7 +1512,7 @@ mod tests {
     fn conv2d_forward_matches_materialized_im2col() {
         // Bitwise: every output element is the same fma chain over the same
         // patch values as a product against the materialized patch matrix,
-        // on every tier and thread count.
+        // on every tier.
         let shapes = [
             (1, 5, 5, 3, 4, 1u64),
             (3, 8, 6, 3, 16, 2),
@@ -1808,33 +1561,30 @@ mod tests {
             .collect();
 
         for kernel in SimdTier::runnable(TIERS) {
-            for threads in [1usize, 2, 5] {
-                // One scratch for every shape, in both orders: a frame left
-                // by one shape must never leak into the next.
-                let mut scratch = GemmScratch::with_kernel(kernel);
-                scratch.threads = Some(threads);
-                for (dims, input, weights, bias, want) in cases.iter().chain(cases.iter().rev()) {
-                    let (c_in, h, w, kk, out_c) = *dims;
-                    let mut got = vec![f32::NAN; want.len()];
-                    conv2d_forward(
-                        &mut scratch,
-                        input,
-                        c_in,
-                        h,
-                        w,
-                        kk,
-                        weights,
-                        bias,
-                        out_c,
-                        &mut got,
-                    );
-                    assert_eq!(
-                        &got,
-                        want,
-                        "kernel {} threads {threads} shape c{c_in} {h}x{w} k{kk} out{out_c}",
-                        kernel.name()
-                    );
-                }
+            // One scratch for every shape, in both orders: a frame left by
+            // one shape must never leak into the next.
+            let mut scratch = GemmScratch::with_kernel(kernel);
+            for (dims, input, weights, bias, want) in cases.iter().chain(cases.iter().rev()) {
+                let (c_in, h, w, kk, out_c) = *dims;
+                let mut got = vec![f32::NAN; want.len()];
+                conv2d_forward(
+                    &mut scratch,
+                    input,
+                    c_in,
+                    h,
+                    w,
+                    kk,
+                    weights,
+                    bias,
+                    out_c,
+                    &mut got,
+                );
+                assert_eq!(
+                    &got,
+                    want,
+                    "kernel {} shape c{c_in} {h}x{w} k{kk} out{out_c}",
+                    kernel.name()
+                );
             }
         }
     }
@@ -1920,29 +1670,20 @@ mod tests {
                 crate::kernels::relu(&plain, &mut want);
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 for kernel in SimdTier::runnable(TIERS) {
-                    for threads in [1usize, 2, 5] {
-                        let mut scratch = GemmScratch::with_kernel(kernel);
-                        scratch.threads = Some(threads);
-                        let mut got = vec![f32::NAN; plain.len()];
-                        conv2d_forward_packed(
-                            &mut scratch,
-                            &input,
-                            c_in,
-                            h,
-                            w,
-                            3,
-                            &filter,
-                            &bias,
-                            true,
-                            &mut got,
-                        );
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "kernel {} threads {threads} c{c_in}",
-                            kernel.name()
-                        );
-                    }
+                    let mut got = vec![f32::NAN; plain.len()];
+                    conv2d_forward_packed(
+                        &mut GemmScratch::with_kernel(kernel),
+                        &input,
+                        c_in,
+                        h,
+                        w,
+                        3,
+                        &filter,
+                        &bias,
+                        true,
+                        &mut got,
+                    );
+                    assert_eq!(bits(&got), bits(&want), "kernel {} c{c_in}", kernel.name());
                 }
                 if input[0] == -1e-30 {
                     assert!(
@@ -1959,8 +1700,7 @@ mod tests {
     #[test]
     fn prepacked_b_matches_gemm_nt_bitwise() {
         // Panels packed once must reproduce the per-call packing exactly:
-        // ragged NR panels, ragged KC blocks, an NC block edge, and threaded
-        // column ranges that start mid-NC block.
+        // ragged NR panels, ragged KC blocks and an NC block edge.
         let mut rng = DetRng::new(0xB0);
         for (m, n, k) in [
             (5, 70, 300),
@@ -1973,55 +1713,12 @@ mod tests {
             let b = random_vec(&mut rng, n * k); // stored n x k
             let packed = PackedB::new(&b, Trans::T, k, n);
             for kernel in SimdTier::runnable(TIERS) {
-                for threads in [1usize, 2, 3] {
-                    let mut scratch = GemmScratch::with_kernel(kernel);
-                    scratch.threads = Some(threads);
-                    let mut want = vec![0.5f32; m * n];
-                    gemm_nt(&mut scratch, m, n, k, &a, &b, &mut want);
-                    let mut got = vec![0.5f32; m * n];
-                    gemm_prepacked(&mut scratch, m, &a, &packed, &mut got);
-                    assert_eq!(
-                        got,
-                        want,
-                        "({m}x{n}x{k}) kernel {} threads {threads}",
-                        kernel.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn conv2d_forward_threaded_is_bitwise_identical() {
-        let (c_in, h, w, kk, out_c) = (3, 40, 40, 3, 16);
-        let mut rng = DetRng::new(77);
-        let input = random_vec(&mut rng, c_in * h * w);
-        let weights = random_vec(&mut rng, out_c * c_in * kk * kk);
-        let bias = random_vec(&mut rng, out_c);
-        for kernel in SimdTier::runnable(TIERS) {
-            let mut serial = GemmScratch::with_kernel(kernel);
-            serial.threads = Some(1);
-            let mut base = vec![0.0f32; out_c * h * w];
-            conv2d_forward(
-                &mut serial,
-                &input,
-                c_in,
-                h,
-                w,
-                kk,
-                &weights,
-                &bias,
-                out_c,
-                &mut base,
-            );
-            for t in [2usize, 5] {
-                let mut par = GemmScratch::with_kernel(kernel);
-                par.threads = Some(t);
-                let mut got = vec![0.0f32; out_c * h * w];
-                conv2d_forward(
-                    &mut par, &input, c_in, h, w, kk, &weights, &bias, out_c, &mut got,
-                );
-                assert_eq!(base, got, "kernel {} threads {t} diverges", kernel.name());
+                let mut scratch = GemmScratch::with_kernel(kernel);
+                let mut want = vec![0.5f32; m * n];
+                gemm_nt(&mut scratch, m, n, k, &a, &b, &mut want);
+                let mut got = vec![0.5f32; m * n];
+                gemm_prepacked(&mut scratch, m, &a, &packed, &mut got);
+                assert_eq!(got, want, "({m}x{n}x{k}) kernel {}", kernel.name());
             }
         }
     }

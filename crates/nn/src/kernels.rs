@@ -1,23 +1,20 @@
-//! The non-GEMM layer sweeps: batch-1 dense matrix–vector products, the
-//! ReLU inference sweep, and the 2x2 max-pool inference sweep.
+//! The non-GEMM layer sweeps: the ReLU inference sweep and the 2x2
+//! max-pool inference sweep. `Dense` runs the GEMM at every batch size
+//! (`gemm::gemm_prepacked`), so no dense kernel lives here.
 //!
 //! A SIMD tier exists here only where it beats the next-narrower one on
-//! measured hardware (DESIGN.md, "Deletion ledger"): **matvec** and
-//! **max-pool** carry an explicit AVX2 kernel ([`MATVEC_TIERS`],
-//! [`POOL_TIERS`]); their AVX-512 kernels lost to it and are gone. **ReLU**
-//! is the portable loop alone — the compiler's baseline vectorization of a
-//! compare-and-select ties the explicit AVX2 kernel and beats the AVX-512
-//! one, so there is nothing to dispatch. Every tier executes the **same
-//! IEEE operations in the same order**, so each is bitwise identical to the
-//! portable reference (property-tested in `tests/proptests.rs`); an
-//! unpinned request resolves through [`SimdTier::resolve`].
+//! measured hardware (DESIGN.md, "Deletion ledger"): **max-pool** carries
+//! an explicit AVX2 kernel ([`POOL_TIERS`]); its AVX-512 kernel lost to it
+//! and is gone. **ReLU** is the portable loop alone — the compiler's
+//! baseline vectorization of a compare-and-select ties the explicit AVX2
+//! kernel and beats the AVX-512 one, so there is nothing to dispatch. Every
+//! tier executes the **same IEEE operations in the same order**, so each
+//! is bitwise identical to the portable reference (property-tested in
+//! `tests/proptests.rs`); an unpinned request resolves through
+//! [`SimdTier::resolve`].
 //!
 //! Bitwise-identity recipes:
 //!
-//! * **matvec** accumulates into [`MV_LANES`] = 16 f32 lanes (element `i`
-//!   of the dot product lands in lane `i % 16`) with one fused
-//!   multiply-add chain per lane, finished by a fixed pairwise fold tree —
-//!   two ymm on AVX2, a plain `f32::mul_add` array in the portable tier;
 //! * **relu** is the strict select `if x > 0.0 { x } else { 0.0 }` (the
 //!   exact semantics of the training path's mask) — NaN and `-0.0` inputs
 //!   map to `+0.0`;
@@ -34,72 +31,9 @@
 use tahoma_mathx::checked;
 use tahoma_mathx::SimdTier;
 
-/// The tiers [`matvec`] implements (AVX2 beats AVX-512 by ~10% at the
-/// post-pool dense shape, so no AVX-512 kernel exists).
-pub const MATVEC_TIERS: &[SimdTier] = &[SimdTier::Portable, SimdTier::Avx2];
 /// The tiers [`maxpool2_plane`] implements (AVX2 beats AVX-512 at every
 /// serving plane width but 32).
 pub const POOL_TIERS: &[SimdTier] = &[SimdTier::Portable, SimdTier::Avx2];
-
-/// f32 accumulator lanes in the matvec reduction: element `i` of a dot
-/// product accumulates into lane `i % MV_LANES`, in every tier.
-pub const MV_LANES: usize = 16;
-
-/// Fixed pairwise fold over the 16 matvec lanes — identical in every tier,
-/// so the final scalar is too.
-#[inline]
-fn fold_lanes(l: &[f32; MV_LANES]) -> f32 {
-    let a = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    let b = ((l[8] + l[9]) + (l[10] + l[11])) + ((l[12] + l[13]) + (l[14] + l[15]));
-    a + b
-}
-
-/// Scalar tail: fold elements `main..n` into the lane accumulators with
-/// the same per-lane fused chain the vector body uses.
-#[inline]
-fn matvec_tail(row: &[f32], x: &[f32], main: usize, lanes: &mut [f32; MV_LANES]) {
-    for t in main..x.len() {
-        lanes[t % MV_LANES] = row[t].mul_add(x[t], lanes[t % MV_LANES]);
-    }
-}
-
-/// `out[o] = bias[o] + W[o] · x` for a `[n_out][n_in]` row-major weight
-/// matrix — the batch-1 `Dense` forward. `kernel` pins a tier of
-/// [`MATVEC_TIERS`] (`None`: the widest the ceiling allows); all tiers
-/// agree bitwise.
-pub fn matvec(kernel: Option<SimdTier>, weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-    let (n_out, n_in) = (out.len(), x.len());
-    assert_eq!(weights.len(), n_out * n_in, "weight matrix shape");
-    assert_eq!(bias.len(), n_out, "bias length");
-    // Audit mode restates the bounds every vector load below relies on
-    // (each row slice plus the shared x vector) as hard assertions.
-    if checked::active() {
-        checked::aligned(weights.as_ptr(), "matvec weights");
-        for o in 0..n_out {
-            checked::span(weights.len(), o * n_in, n_in, "matvec weight row");
-        }
-    }
-    match SimdTier::resolve(kernel, MATVEC_TIERS) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `resolve` never exceeds the detected tier, so avx2 and
-        // fma were runtime-detected.
-        SimdTier::Avx2 => unsafe { x86::matvec_avx2(weights, bias, x, out) },
-        _ => {
-            for (o, dst) in out.iter_mut().enumerate() {
-                let row = &weights[o * n_in..(o + 1) * n_in];
-                let mut lanes = [0.0f32; MV_LANES];
-                let main = n_in - n_in % MV_LANES;
-                for p in (0..main).step_by(MV_LANES) {
-                    for j in 0..MV_LANES {
-                        lanes[j] = row[p + j].mul_add(x[p + j], lanes[j]);
-                    }
-                }
-                matvec_tail(row, x, main, &mut lanes);
-                *dst = bias[o] + fold_lanes(&lanes);
-            }
-        }
-    }
-}
 
 /// `dst[i] = if src[i] > 0.0 { src[i] } else { 0.0 }` — the ReLU inference
 /// sweep (NaN and `-0.0` both map to `+0.0`). One portable loop: no
@@ -176,42 +110,7 @@ fn pool_row_portable(r0: &[f32], r1: &[f32], dst: &mut [f32]) {
 /// run the identical scalar expression.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{fold_lanes, matvec_tail, MV_LANES};
     use core::arch::x86_64::*;
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn matvec_avx2(weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-        let n_in = x.len();
-        let main = n_in - n_in % MV_LANES;
-        for (o, dst) in out.iter_mut().enumerate() {
-            let row = &weights[o * n_in..(o + 1) * n_in];
-            // Lanes 0..8 and 8..16 in two ymm — the same per-lane fused
-            // chain as the portable 16-lane array.
-            let mut lo = _mm256_setzero_ps();
-            let mut hi = _mm256_setzero_ps();
-            let mut p = 0;
-            while p < main {
-                // SAFETY: p + 16 <= main <= n_in == row.len() == x.len().
-                unsafe {
-                    let w0 = _mm256_loadu_ps(row.as_ptr().add(p));
-                    let x0 = _mm256_loadu_ps(x.as_ptr().add(p));
-                    lo = _mm256_fmadd_ps(w0, x0, lo);
-                    let w1 = _mm256_loadu_ps(row.as_ptr().add(p + 8));
-                    let x1 = _mm256_loadu_ps(x.as_ptr().add(p + 8));
-                    hi = _mm256_fmadd_ps(w1, x1, hi);
-                }
-                p += MV_LANES;
-            }
-            let mut lanes = [0.0f32; MV_LANES];
-            // SAFETY: the two halves of `lanes` are 8 f32 each.
-            unsafe {
-                _mm256_storeu_ps(lanes.as_mut_ptr(), lo);
-                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), hi);
-            }
-            matvec_tail(row, x, main, &mut lanes);
-            *dst = bias[o] + fold_lanes(&lanes);
-        }
-    }
 
     /// Scalar tail of the vector pool kernel (identical to the portable
     /// reference's per-window chain).
@@ -291,38 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_f64_reference_and_tiers_agree() {
-        let mut rng = DetRng::new(0xA1);
-        // Ragged lengths around the 16-lane body, plus the serving shape.
-        for (n_out, n_in) in [(1, 1), (3, 17), (8, 16), (5, 100), (16, 451), (16, 3600)] {
-            let w = rand_vec(&mut rng, n_out * n_in);
-            let bias = rand_vec(&mut rng, n_out);
-            let x = rand_vec(&mut rng, n_in);
-            let mut want = vec![0.0f32; n_out];
-            for o in 0..n_out {
-                let mut acc = bias[o] as f64;
-                for i in 0..n_in {
-                    acc += w[o * n_in + i] as f64 * x[i] as f64;
-                }
-                want[o] = acc as f32;
-            }
-            let mut base: Option<Vec<f32>> = None;
-            for tier in SimdTier::runnable(MATVEC_TIERS) {
-                let mut out = vec![f32::NAN; n_out];
-                matvec(Some(tier), &w, &bias, &x, &mut out);
-                for (o, (&g, &e)) in out.iter().zip(&want).enumerate() {
-                    let tol = 1e-5 * (1.0 + e.abs()) * (n_in as f32).sqrt();
-                    assert!((g - e).abs() <= tol, "{n_out}x{n_in} out {o}: {g} vs {e}");
-                }
-                match &base {
-                    None => base = Some(out),
-                    Some(b) => assert_eq!(b, &out, "tier {} diverges", tier.name()),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn relu_tiers_agree_and_handle_specials() {
         // One tier left, so "agree" is agreement with the defining select.
         let mut src: Vec<f32> = (-40..40).map(|i| i as f32 / 7.0).collect();
@@ -374,24 +241,16 @@ mod tests {
 
     #[test]
     fn pinning_a_tier_an_op_lacks_clamps_down() {
-        // Neither op has an AVX-512 kernel: the pin must run the AVX2 one
-        // (or portable where AVX2 is absent) — same bits, no illegal
+        // Max-pool has no AVX-512 kernel: the pin must run the AVX2 one (or
+        // portable where AVX2 is absent) — same bits, no illegal
         // instruction, and never a tier wider than the pin.
-        for tiers in [MATVEC_TIERS, POOL_TIERS] {
-            assert!(!tiers.contains(&SimdTier::Avx512));
-            let widest = *SimdTier::runnable(tiers).last().expect("portable");
-            assert_eq!(SimdTier::resolve(Some(SimdTier::Avx512), tiers), widest);
-        }
-        let mut rng = DetRng::new(0xA3);
-        let (w, bias, x) = (
-            rand_vec(&mut rng, 4 * 50),
-            rand_vec(&mut rng, 4),
-            rand_vec(&mut rng, 50),
+        assert!(!POOL_TIERS.contains(&SimdTier::Avx512));
+        let widest = *SimdTier::runnable(POOL_TIERS).last().expect("portable");
+        assert_eq!(
+            SimdTier::resolve(Some(SimdTier::Avx512), POOL_TIERS),
+            widest
         );
-        let (mut pinned, mut portable) = ([0.0f32; 4], [0.0f32; 4]);
-        matvec(Some(SimdTier::Avx512), &w, &bias, &x, &mut pinned);
-        matvec(Some(SimdTier::Portable), &w, &bias, &x, &mut portable);
-        assert_eq!(bits(&pinned), bits(&portable));
+        let mut rng = DetRng::new(0xA3);
         let plane = rand_vec(&mut rng, 6 * 34);
         let (mut pinned, mut portable) = ([0.0f32; 3 * 17], [0.0f32; 3 * 17]);
         maxpool2_plane(Some(SimdTier::Avx512), &plane, 6, 34, &mut pinned);

@@ -12,15 +12,14 @@
 //! state in the caller's [`InferScratch`]. `Conv2d` runs
 //! [`crate::gemm::conv2d_forward_packed`] (virtual im2col over a row-padded
 //! frame — the patch matrix is addressed, not materialized) per image;
-//! `Dense` multiplies the whole minibatch at once (or runs the matvec kernel
-//! at batch 1 on non-coalescing scratch). Both keep their weights packed
-//! once in the layout the GEMM micro-kernels read (`Conv2d`'s filter
-//! panels, `Dense`'s `Wᵀ` panels), built at construction and rebuilt by
-//! [`Layer::visit_params`] — the only way weights change — so no inference
-//! call re-packs them. In inference, a `Conv2d` followed by a `Relu` runs
-//! as one pass with the select folded into the conv epilogue
-//! ([`crate::model::Sequential::infer_batch_shared`]; same bits).
-//! Training's [`Layer::forward_batch`] records what
+//! `Dense` multiplies the whole minibatch at once, one row or many, on the
+//! same GEMM. Both keep their weights packed once in the layout the GEMM
+//! micro-kernels read (`Conv2d`'s filter panels, `Dense`'s `Wᵀ` panels),
+//! built at construction and rebuilt by [`Layer::visit_params`] — the only
+//! way weights change — so no inference call re-packs them. In inference,
+//! a `Conv2d` followed by a `Relu` runs as one pass with the select folded
+//! into the conv epilogue ([`crate::model::Sequential::infer_batch_shared`];
+//! same bits). Training's [`Layer::forward_batch`] records what
 //! [`Layer::backward_batch`] needs and then runs that same body on
 //! layer-owned, single-threaded scratch, so a trained model scores the same
 //! bits in training and in serving; the per-image `forward` is a batch-of-1
@@ -48,17 +47,16 @@ use tahoma_mathx::DetRng;
 /// through a single `Sequential` concurrently via
 /// [`crate::model::Sequential::predict_proba_shared`].
 ///
-/// `force_gemm` pins `Dense` to the batched GEMM path even at batch 1.
-/// The GEMM accumulates every output row in the same order regardless of
-/// how many rows ride along (column-split threading and `MR`-row tiling
-/// never reorder a row's k-loop), while the batch-1 matvec kernel uses a
-/// different fold tree — so with `force_gemm` set, a row's score is
-/// bitwise identical whether it is scored alone or merged into a larger
-/// batch. Cross-query batch coalescing relies on exactly this invariance,
-/// and so does morsel-parallel inference: a `force_gemm` call of at least
-/// two [`crate::model::MORSEL_ROWS`]-row morsels is cut into morsels that
-/// run across the `tahoma_mathx::pool` workers, each on one of this
-/// scratch's lane scratches.
+/// `Dense` runs the GEMM at every batch size, and the GEMM accumulates
+/// every output row in the same order regardless of how many rows ride
+/// along (`MR`-row tiling never reorders a row's k-loop) — so a row's score
+/// is bitwise identical whether it is scored alone or merged into a larger
+/// batch, on any scratch. Cross-query batch coalescing relies on exactly
+/// this invariance, and so does morsel-parallel inference: a call of at
+/// least two [`crate::model::MORSEL_ROWS`]-row morsels is cut into morsels
+/// that run across the `tahoma_mathx::pool` workers, each on one of this
+/// scratch's lane scratches. The lanes are the only parallelism inside a
+/// model: every GEMM runs on the thread that calls it.
 ///
 /// Each input row is produced into a one-row buffer (or read in place
 /// from a source that holds it), and activations live in two pairs of
@@ -69,12 +67,12 @@ use tahoma_mathx::DetRng;
 /// its head memory is one morsel of the head's widest activation.
 #[derive(Debug, Default)]
 pub struct InferScratch {
-    /// GEMM packing buffers + kernel/threading knobs for every layer.
-    /// `threads` also caps the morsel fan-out (see
-    /// [`InferScratch::morsel_lanes`]).
+    /// GEMM packing buffers + kernel pin for every layer.
     pub gemm: GemmScratch,
-    /// Pin `Dense` to the batch-shape-invariant GEMM path (see above).
-    pub force_gemm: bool,
+    /// Morsel fan-out cap: `None` fans out over every pool worker plus the
+    /// caller, `Some(1)` runs the morsels serially on the caller (see
+    /// [`InferScratch::morsel_lanes`]).
+    pub threads: Option<usize>,
     /// Ping-pong activation buffers for [`crate::model::Sequential`]'s
     /// head: all of a call's rows at once.
     pub(crate) buf_a: Vec<f32>,
@@ -91,33 +89,31 @@ pub struct InferScratch {
 }
 
 impl InferScratch {
-    /// Scratch with the batch-shape-invariant dense path pinned on — what
-    /// serving paths that merge packs across queries must use.
+    /// Equal to [`InferScratch::default`], which is already batch-shape
+    /// invariant (`Dense` runs the GEMM at every batch size). Kept as a
+    /// public constructor because external callers (the benchmark
+    /// harness) name it.
     pub fn coalescing() -> InferScratch {
-        InferScratch {
-            force_gemm: true,
-            ..InferScratch::default()
-        }
+        InferScratch::default()
     }
 
-    /// Scratch whose GEMMs (and morsels) stay on the calling thread — what
-    /// training runs on, layer-owned inside `Conv2d` and `Dense`: training
-    /// gets its parallelism from training several models at once, not from
-    /// inside one.
+    /// Scratch whose morsels stay on the calling thread — what training
+    /// runs on, layer-owned inside `Conv2d` and `Dense`: training gets its
+    /// parallelism from training several models at once, not from inside
+    /// one.
     pub fn single_threaded() -> InferScratch {
         InferScratch {
-            gemm: GemmScratch::with_threads(1),
+            threads: Some(1),
             ..InferScratch::default()
         }
     }
 
-    /// How many lanes a morsel-split call fans out over: `gemm.threads`
-    /// when set (`Some(1)` runs the morsels serially on the caller),
-    /// otherwise every pool worker plus the caller — one lane on a 1-core
-    /// machine, where the pool runs every spawn inline.
+    /// How many lanes a morsel-split call fans out over: `threads` when
+    /// set (`Some(1)` runs the morsels serially on the caller), otherwise
+    /// every pool worker plus the caller — one lane on a 1-core machine,
+    /// where the pool runs every spawn inline.
     pub fn morsel_lanes(&self) -> usize {
-        self.gemm
-            .threads
+        self.threads
             .unwrap_or_else(|| tahoma_mathx::pool::workers() + 1)
             .max(1)
     }
@@ -128,17 +124,15 @@ impl InferScratch {
         self.morsel_calls
     }
 
-    /// `n` lane scratches inheriting this scratch's kernel and dense path,
-    /// each with its inner GEMMs pinned to one thread: the lanes are the
-    /// parallelism.
+    /// `n` lane scratches inheriting this scratch's kernel, each serial
+    /// inside: the lanes are the parallelism.
     pub(crate) fn lane_pool(&mut self, n: usize) -> &mut [InferScratch] {
         if self.lanes.len() < n {
             self.lanes.resize_with(n, InferScratch::default);
         }
         for lane in &mut self.lanes[..n] {
-            lane.force_gemm = self.force_gemm;
             lane.gemm.kernel = self.gemm.kernel;
-            lane.gemm.threads = Some(1);
+            lane.threads = Some(1);
         }
         &mut self.lanes[..n]
     }
@@ -205,7 +199,7 @@ pub trait Layer: Send + Sync {
     fn backward_batch(&mut self, grad_out: &[f32], batch: usize, grad_in: &mut Vec<f32>);
     /// The inference forward: all mutable state lives in the caller's
     /// [`InferScratch`], so one layer instance serves any number of threads
-    /// concurrently, on the scratch's [`GemmScratch::kernel`]/`threads`.
+    /// concurrently, on the scratch's [`GemmScratch::kernel`].
     fn infer_shared(
         &self,
         input: &[f32],
@@ -849,14 +843,6 @@ impl Layer for Dense {
     ) {
         debug_assert_eq!(input.len(), batch * self.n_in);
         out.clear();
-        if batch == 1 && !scratch.force_gemm {
-            // A single image is a matrix-vector product; the dedicated
-            // matvec kernel (runtime-dispatched SIMD) beats the GEMM
-            // path's packing overhead.
-            out.resize(self.n_out, 0.0);
-            kernels::matvec(scratch.gemm.kernel, &self.weights, &self.bias, input, out);
-            return;
-        }
         out.resize(batch * self.n_out, 0.0);
         for row in out.chunks_exact_mut(self.n_out) {
             row.copy_from_slice(&self.bias);
@@ -1338,7 +1324,7 @@ mod tests {
         let input: Vec<f32> = (0..batch * n_in)
             .map(|i| ((i * 13) % 17) as f32 / 17.0 - 0.5)
             .collect();
-        let mut scratch = InferScratch::coalescing();
+        let mut scratch = InferScratch::default();
         let mut before = Vec::new();
         dense.infer_shared(&input, batch, &mut before, &mut scratch);
 

@@ -17,9 +17,11 @@
 //!   micro-kernel is selected at runtime (`is_x86_feature_detected!`) from
 //!   explicit AVX-512 / AVX2+FMA `std::arch` kernels plus a portable
 //!   `mul_add` fallback — all bitwise-identical — so a plain portable build
-//!   runs at hardware peak with no `-C target-cpu` flags; large products
-//!   and shared-inference calls of two or more [`model::MORSEL_ROWS`]-row
-//!   morsels additionally thread across the persistent
+//!   runs at hardware peak with no `-C target-cpu` flags. `Dense` runs it
+//!   at every batch size, so a row scores the same bits alone or in any
+//!   batch. Every GEMM runs on its caller's thread: the one parallelism
+//!   inside a model is an inference call of two or more
+//!   [`model::MORSEL_ROWS`]-row morsels fanning out across the persistent
 //!   `tahoma_mathx::pool` workers;
 //! * [`gemm::im2col`] lowers each image to a patch matrix, turning a
 //!   convolution into one GEMM against the filter matrix, and
@@ -59,8 +61,8 @@
 //!
 //! * [`tensor::Shape`] — `(channels, height, width)` bookkeeping;
 //! * [`gemm`] — blocked GEMM, im2col/col2im lowering;
-//! * [`kernels`] — the non-GEMM layer sweeps (batch-1 dense matvec, ReLU,
-//!   max-pool), with an explicit SIMD tier only where one measurably wins;
+//! * [`kernels`] — the non-GEMM layer sweeps (ReLU, max-pool), with an
+//!   explicit SIMD tier only where one measurably wins;
 //! * [`layer`] — forward/backward implementations of every layer, each with
 //!   exact FLOP accounting (the cost model prices inference from these);
 //! * [`model::Sequential`] and [`model::CnnSpec`] — composition and the

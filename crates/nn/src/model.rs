@@ -195,18 +195,16 @@ impl Sequential {
     /// lanes too, and no buffer ever holds more than one input row per
     /// lane.
     ///
-    /// With [`InferScratch::coalescing`]-configured scratch, each image's
-    /// output is additionally bitwise independent of the batch it rides
-    /// in, which is what lets a scoring broker merge packs from concurrent
-    /// queries into one call — and what lets a coalescing call of at least
-    /// two [`MORSEL_ROWS`]-row morsels run as morsels spread over
+    /// Each image's output is bitwise independent of the batch it rides
+    /// in, on any scratch, which is what lets a scoring broker merge packs
+    /// from concurrent queries into one call — and what lets a call of at
+    /// least two [`MORSEL_ROWS`]-row morsels run as morsels spread over
     /// [`InferScratch::morsel_lanes`] lanes of the `tahoma_mathx::pool`,
-    /// with the same bits. Smaller calls, and every call on non-coalescing
-    /// scratch (whose batch-1 matvec would make a 1-row tail morsel
-    /// differ), run as one pass on the caller. Within a pass the conv
-    /// prefix runs depth-first, one image at a time, so its activation
-    /// memory is one image; the dense head's is the pass's rows (a morsel,
-    /// on a lane). Zero rows score to an empty vector.
+    /// with the same bits. Smaller calls run as one pass on the caller.
+    /// Within a pass the conv prefix runs depth-first, one image at a time,
+    /// so its activation memory is one image; the dense head's is the
+    /// pass's rows (a morsel, on a lane). Zero rows score to an empty
+    /// vector.
     ///
     /// A row the source cannot produce fails the call with the source's
     /// error. Once one has failed no further morsel is handed out, and the
@@ -229,7 +227,7 @@ impl Sequential {
         if batch == 0 {
             return Ok(Vec::new());
         }
-        if scratch.force_gemm && batch >= 2 * MORSEL_ROWS {
+        if batch >= 2 * MORSEL_ROWS {
             return self.infer_morsels(source, batch, scratch);
         }
         self.infer_pass(source, 0..batch, scratch)
@@ -473,10 +471,9 @@ impl Sequential {
     }
 }
 
-/// Whether `layer` computes each image from that image's values alone,
-/// the same whatever batch it rides in — what lets [`Sequential`]'s
-/// inference run it image by image. `Dense` is not: at batch 1 on
-/// non-coalescing scratch it takes the matvec kernel's different fold.
+/// Whether [`Sequential`]'s inference runs `layer` image by image, in the
+/// depth-first prefix. `Dense` would give the same bits per image too, but
+/// the head runs it over all of a pass's rows at once: one GEMM per pass.
 fn is_per_image(layer: &dyn Layer) -> bool {
     let any = layer.as_any();
     any.is::<Conv2d>() || any.is::<Relu>() || any.is::<MaxPool2>()
@@ -864,17 +861,12 @@ mod tests {
     #[test]
     fn training_forward_matches_shared_inference_bitwise() {
         // Training's forward runs each layer's inference body after
-        // recording its caches: the same bits as serving, at batch 1 (the
-        // matvec dense path on default scratch), at small batches, and
-        // against a coalescing call large enough to split into morsels.
+        // recording its caches: the same bits as serving, at batch 1, at
+        // small batches, and against a call large enough to split into
+        // morsels.
         let mut model = tiny_spec().build(21).unwrap();
-        let cases = [
-            (1usize, InferScratch::default()),
-            (3, InferScratch::default()),
-            (7, InferScratch::default()),
-            (2 * MORSEL_ROWS + 1, InferScratch::coalescing()),
-        ];
-        for (batch, mut scratch) in cases {
+        for batch in [1usize, 3, 7, 2 * MORSEL_ROWS + 1] {
+            let mut scratch = InferScratch::default();
             let input: Vec<f32> = (0..batch * 64)
                 .map(|i| ((i * 29) % 31) as f32 / 31.0 - 0.5)
                 .collect();
@@ -887,32 +879,44 @@ mod tests {
     #[test]
     fn coalescing_scratch_scores_are_batch_shape_invariant() {
         // The broker's contract: a row's score must not depend on how many
-        // other rows were merged into the same inference call.
+        // other rows were merged into the same inference call — on every
+        // scratch, and whether the call runs as one pass or as morsels
+        // over any number of lanes.
         let model = tiny_spec().build(22).unwrap();
-        let n = 9usize;
+        let sizes = [4, 1, 2 * MORSEL_ROWS + 1, 3];
+        let n: usize = sizes.iter().sum();
         let input: Vec<f32> = (0..n * 64)
             .map(|i| ((i * 17) % 23) as f32 / 23.0 - 0.3)
             .collect();
-        let mut scratch = InferScratch::coalescing();
-        let merged = model.predict_proba_shared(&input, n, &mut scratch);
-        // Score the same rows alone and in ragged sub-batches.
-        let mut alone = Vec::new();
-        for b in 0..n {
-            alone.extend(model.predict_proba_shared(&input[b * 64..(b + 1) * 64], 1, &mut scratch));
+        let lanes = |threads| InferScratch {
+            threads,
+            ..InferScratch::default()
+        };
+        let scratches = [
+            ("default", InferScratch::default()),
+            ("coalescing", InferScratch::coalescing()),
+            ("single-threaded", InferScratch::single_threaded()),
+            ("1 lane", lanes(Some(1))),
+            ("2 lanes", lanes(Some(2))),
+            ("3 lanes", lanes(Some(3))),
+        ];
+        for (name, mut scratch) in scratches {
+            let merged = model.predict_proba_shared(&input, n, &mut scratch);
+            // Score the same rows alone and in ragged sub-batches.
+            let mut alone = Vec::new();
+            for row in input.chunks(64) {
+                alone.extend(model.predict_proba_shared(row, 1, &mut scratch));
+            }
+            assert_eq!(merged, alone, "{name}: batch-1 vs batch-{n} diverges");
+            let mut ragged = Vec::new();
+            let mut at = 0;
+            for b in sizes {
+                let chunk = &input[at * 64..(at + b) * 64];
+                ragged.extend(model.predict_proba_shared(chunk, b, &mut scratch));
+                at += b;
+            }
+            assert_eq!(merged, ragged, "{name}: ragged sub-batches diverge");
         }
-        assert_eq!(
-            merged, alone,
-            "batch-1 vs batch-{n} diverges under force_gemm"
-        );
-        let mut ragged = Vec::new();
-        for chunk in input.chunks(4 * 64) {
-            let b = chunk.len() / 64;
-            ragged.extend(model.predict_proba_shared(chunk, b, &mut scratch));
-        }
-        assert_eq!(
-            merged, ragged,
-            "ragged sub-batches diverge under force_gemm"
-        );
     }
 
     #[test]
@@ -925,14 +929,16 @@ mod tests {
         let input: Vec<f32> = (0..rows * 64)
             .map(|i| ((i * 37) % 101) as f32 / 101.0 - 0.4)
             .collect();
-        let mut one = InferScratch::coalescing();
+        let mut one = InferScratch::default();
         let per_row: Vec<f32> = input
             .chunks(64)
             .flat_map(|row| model.predict_proba_shared(row, 1, &mut one))
             .collect();
         for threads in [None, Some(1), Some(2), Some(3)] {
-            let mut scratch = InferScratch::coalescing();
-            scratch.gemm.threads = threads;
+            let mut scratch = InferScratch {
+                threads,
+                ..InferScratch::default()
+            };
             for batch in [1, m - 1, m, 2 * m - 1, 2 * m, 2 * m + 1, 5 * m + 3, rows] {
                 let before = scratch.morsel_calls();
                 let got = model.predict_proba_shared(&input[..batch * 64], batch, &mut scratch);
@@ -962,7 +968,7 @@ mod tests {
         let input: Vec<f32> = (0..rows * 64)
             .map(|i| ((i * 53) % 89) as f32 / 89.0 - 0.5)
             .collect();
-        let want = model.predict_proba_shared(&input, rows, &mut InferScratch::coalescing());
+        let want = model.predict_proba_shared(&input, rows, &mut InferScratch::default());
         let cases: [(usize, &[usize]); 4] = [
             (rows, &[11 * m + 5, 2 * m + 7]),
             (rows, &[rows - 1, 0]),
@@ -970,36 +976,31 @@ mod tests {
             (m + 9, &[m + 8, 4]),
         ];
         for threads in [None, Some(1), Some(2), Some(3)] {
-            for coalescing in [true, false] {
-                let mut scratch = InferScratch {
-                    force_gemm: coalescing,
-                    ..InferScratch::default()
+            let mut scratch = InferScratch {
+                threads,
+                ..InferScratch::default()
+            };
+            for &(batch, fail) in &cases {
+                let source = Produced {
+                    fail,
+                    ..Produced::new(&input[..batch * 64], 64)
                 };
-                scratch.gemm.threads = threads;
-                for &(batch, fail) in &cases {
-                    let source = Produced {
-                        fail,
-                        ..Produced::new(&input[..batch * 64], 64)
-                    };
-                    let lowest = *fail.iter().min().unwrap();
-                    assert_eq!(
-                        model.predict_proba_rows(&source, &mut scratch),
-                        Err(lowest),
-                        "batch {batch} threads {threads:?} coalescing {coalescing}"
-                    );
-                }
-                if coalescing {
-                    let got = model.predict_proba_rows(&Produced::new(&input, 64), &mut scratch);
-                    assert_eq!(got, Ok(want.clone()), "threads {threads:?} after failures");
-                }
+                let lowest = *fail.iter().min().unwrap();
+                assert_eq!(
+                    model.predict_proba_rows(&source, &mut scratch),
+                    Err(lowest),
+                    "batch {batch} threads {threads:?}"
+                );
             }
+            let got = model.predict_proba_rows(&Produced::new(&input, 64), &mut scratch);
+            assert_eq!(got, Ok(want.clone()), "threads {threads:?} after failures");
         }
     }
 
     #[test]
     fn zero_rows_score_to_an_empty_vector() {
         let model = tiny_spec().build(25).unwrap();
-        for mut scratch in [InferScratch::default(), InferScratch::coalescing()] {
+        for mut scratch in [InferScratch::default(), InferScratch::single_threaded()] {
             assert!(model.predict_proba_shared(&[], 0, &mut scratch).is_empty());
         }
     }
@@ -1036,8 +1037,10 @@ mod tests {
             .map(|i| ((i * 13) % 29) as f32 / 29.0 - 0.5)
             .collect();
         for threads in [None, Some(1), Some(2)] {
-            let mut scratch = InferScratch::coalescing();
-            scratch.gemm.threads = threads;
+            let mut scratch = InferScratch {
+                threads,
+                ..InferScratch::default()
+            };
             model.predict_proba_shared(&input, rows, &mut scratch);
             let produced = Produced::new(&input, spec.input.len());
             assert!(model.predict_proba_rows(&produced, &mut scratch).is_ok());
@@ -1064,10 +1067,9 @@ mod tests {
         // The depth-first pass against training's layer-major forward, on
         // the serving fixture's two architectures, 1- and 2-block nets, a
         // conv feeding a conv with no ReLU between (and a ReLU after a
-        // pool), and a Dense-only stack. Default scratch must match
-        // `forward_batch` at the same batch (matvec at batch 1 on both
-        // sides); coalescing scratch must match each row's GEMM score from
-        // a full batch.
+        // pool), and a Dense-only stack. Inference must match
+        // `forward_batch` at the same batch, and both must match each row's
+        // score from a full batch.
         let fixture_m0 = CnnSpec {
             input: Shape::new(1, 24, 24),
             conv_channels: vec![8],
@@ -1120,46 +1122,41 @@ mod tests {
                 .into_iter()
                 .map(|batch| (batch, model.forward_batch(&input[..batch * in_len], batch)))
                 .collect();
+            for (batch, want) in &layer_major {
+                assert_eq!(
+                    bits(want),
+                    bits(&all_rows[..batch * out_len]),
+                    "layer-major: {} batch {batch}",
+                    model.summary()
+                );
+            }
             for kernel in SimdTier::runnable(crate::gemm::TIERS) {
-                for coalescing in [false, true] {
-                    let mut scratch = InferScratch {
-                        force_gemm: coalescing,
-                        ..InferScratch::default()
-                    };
-                    scratch.gemm.kernel = Some(kernel);
-                    for (batch, want) in &layer_major {
-                        // The portable tier's fma is a library call in an
-                        // unoptimized build: give it the edges alone.
-                        if kernel == SimdTier::Portable && (3..most).contains(batch) {
-                            continue;
-                        }
-                        let want = if coalescing {
-                            &all_rows[..batch * out_len]
-                        } else {
-                            &want[..]
-                        };
-                        let got = model.infer_batch_shared(
-                            &input[..batch * in_len],
-                            *batch,
-                            &mut scratch,
-                        );
-                        assert_eq!(
-                            bits(&got),
-                            bits(want),
-                            "{} batch {batch} coalescing {coalescing} tier {}",
-                            model.summary(),
-                            kernel.name()
-                        );
-                        let produced = Produced::new(&input[..batch * in_len], in_len);
-                        let got = model.infer_rows(&produced, &mut scratch).unwrap();
-                        assert_eq!(
-                            bits(&got),
-                            bits(want),
-                            "produced: {} batch {batch} coalescing {coalescing} tier {}",
-                            model.summary(),
-                            kernel.name()
-                        );
+                let mut scratch = InferScratch::default();
+                scratch.gemm.kernel = Some(kernel);
+                for (batch, want) in &layer_major {
+                    // The portable tier's fma is a library call in an
+                    // unoptimized build: give it the edges alone.
+                    if kernel == SimdTier::Portable && (3..most).contains(batch) {
+                        continue;
                     }
+                    let got =
+                        model.infer_batch_shared(&input[..batch * in_len], *batch, &mut scratch);
+                    assert_eq!(
+                        bits(&got),
+                        bits(want),
+                        "{} batch {batch} tier {}",
+                        model.summary(),
+                        kernel.name()
+                    );
+                    let produced = Produced::new(&input[..batch * in_len], in_len);
+                    let got = model.infer_rows(&produced, &mut scratch).unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        bits(want),
+                        "produced: {} batch {batch} tier {}",
+                        model.summary(),
+                        kernel.name()
+                    );
                 }
             }
         }
@@ -1169,12 +1166,12 @@ mod tests {
     fn concurrent_threads_share_one_model() {
         let model = tiny_spec().build(23).unwrap();
         let input: Vec<f32> = (0..64).map(|i| (i as f32 / 32.0) - 1.0).collect();
-        let want = model.predict_proba_shared(&input, 1, &mut InferScratch::coalescing());
+        let want = model.predict_proba_shared(&input, 1, &mut InferScratch::default());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let (model, input, want) = (&model, &input, &want);
                 s.spawn(move || {
-                    let mut scratch = InferScratch::coalescing();
+                    let mut scratch = InferScratch::default();
                     for _ in 0..20 {
                         let got = model.predict_proba_shared(input, 1, &mut scratch);
                         assert_eq!(&got, want);

@@ -10,7 +10,7 @@
 
 use tahoma_mathx::DetRng;
 use tahoma_nn::gemm::{conv2d_forward, gemm, GemmScratch, Trans};
-use tahoma_nn::kernels::{matvec, maxpool2_plane, relu};
+use tahoma_nn::kernels::{maxpool2_plane, relu};
 
 fn fill(rng: &mut DetRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.normal(0.0, 1.0) as f32).collect()
@@ -34,7 +34,7 @@ fn gemm_reference(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f
 fn gemm_matches_reference_under_audit_config() {
     let mut rng = DetRng::new(7);
     // Shapes spanning the direct path (small k), the blocked path (large
-    // k), ragged tails, and the threaded column partition.
+    // k), and ragged tails.
     for &(m, n, k) in &[(3, 5, 4), (6, 33, 12), (13, 130, 40), (7, 64, 200)] {
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, k * n);
@@ -109,27 +109,6 @@ fn conv_matches_direct_gemm_under_audit_config() {
 #[test]
 fn layer_sweeps_match_reference_under_audit_config() {
     let mut rng = DetRng::new(23);
-    // matvec
-    let (n_out, n_in) = (7, 37);
-    let weights = fill(&mut rng, n_out * n_in);
-    let bias = fill(&mut rng, n_out);
-    let x = fill(&mut rng, n_in);
-    let mut out = vec![0.0f32; n_out];
-    matvec(None, &weights, &bias, &x, &mut out);
-    for o in 0..n_out {
-        // Reference replays the lane accumulation + fixed fold the
-        // dispatcher documents; equality must be exact.
-        let row = &weights[o * n_in..(o + 1) * n_in];
-        let mut lanes = [0.0f32; 16];
-        for (i, (&wv, &xv)) in row.iter().zip(&x).enumerate() {
-            lanes[i % 16] = wv.mul_add(xv, lanes[i % 16]);
-        }
-        let a = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-        let b = ((lanes[8] + lanes[9]) + (lanes[10] + lanes[11]))
-            + ((lanes[12] + lanes[13]) + (lanes[14] + lanes[15]));
-        assert_eq!(out[o], bias[o] + (a + b), "matvec row {o}");
-    }
     // relu
     let src = fill(&mut rng, 100);
     let mut dst = vec![0.0f32; 100];

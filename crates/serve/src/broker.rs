@@ -34,8 +34,8 @@
 //! the slots where they lie. Zoo calls run on the submitting query's own
 //! inference scratch — the leader's, for a merged batch.
 //!
-//! Coalescing is invisible in the results: the shared inference path pins
-//! the batched GEMM kernel ([`InferScratch::coalescing`]), whose per-row
+//! Coalescing is invisible in the results: the shared inference path runs
+//! `Dense` as the batched GEMM at every batch size, whose per-row
 //! reduction order does not depend on how many rows ride in the call, so
 //! every row's score is bitwise identical whether it was scored alone or
 //! merged with strangers (asserted by `tests/concurrency.rs`).

@@ -26,9 +26,8 @@
 //!   prices inference per batch (fixed per-call overhead amortized over
 //!   `batch_size` items), so two half-full packs cost nearly as much as
 //!   one merged pack — merging them buys the second query's inference at
-//!   marginal cost. Coalescing never changes results: the shared inference
-//!   path pins the batched GEMM kernel
-//!   ([`tahoma_nn::InferScratch::coalescing`]), whose per-row reduction
+//!   marginal cost. Coalescing never changes results: `tahoma_nn`'s `Dense`
+//!   runs the batched GEMM at every batch size, whose per-row reduction
 //!   order is independent of how many rows ride in the call, so a row's
 //!   score is bitwise identical however packs are merged.
 //! * [`server`] exposes the service over TCP with a line protocol

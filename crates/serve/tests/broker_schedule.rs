@@ -65,7 +65,7 @@ impl RowSource for Pack<'_> {
 /// `n` rows of `rows` through the broker, on a fresh query scratch.
 fn brokered(broker: &Broker, model: ModelId, rows: &[f32], n: usize) -> Vec<f32> {
     let pack = Pack(SliceRows::new(rows, n, ROW_LEN));
-    let mut scratch = InferScratch::coalescing();
+    let mut scratch = InferScratch::default();
     broker
         .infer(model, &pack, &mut scratch)
         .expect("a materialized pack never fails")
@@ -131,7 +131,7 @@ fn thousand_seeds_bitwise_identical_to_serial() {
     let packs: Vec<(Vec<f32>, usize)> = (0..THREADS).map(pack_for).collect();
     // Serial reference, one pack at a time — what every perturbed
     // concurrent round must reproduce exactly.
-    let mut scratch = InferScratch::coalescing();
+    let mut scratch = InferScratch::default();
     let expected: Vec<[Vec<f32>; 2]> = packs
         .iter()
         .map(|(rows, n)| {
@@ -261,7 +261,7 @@ fn panicking_morsel_fails_over_solo_bitwise() {
         let rows: Vec<f32> = (0..n * ROW_LEN)
             .map(|_| rng.normal(0.0, 1.0) as f32)
             .collect();
-        let want = clean.predict_proba_shared(&rows, n, &mut InferScratch::coalescing());
+        let want = clean.predict_proba_shared(&rows, n, &mut InferScratch::default());
         (rows, n, want)
     };
 
@@ -341,6 +341,6 @@ fn leader_panic_reaches_followers_and_broker_survives() {
     active.store(1, Ordering::SeqCst);
     let (rows, n) = &packs[1];
     let scores = brokered(&broker, ModelId(1), rows, *n);
-    let mut scratch = InferScratch::coalescing();
+    let mut scratch = InferScratch::default();
     assert_eq!(scores, serial(&zoo, ModelId(1), rows, *n, &mut scratch));
 }

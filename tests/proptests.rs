@@ -14,7 +14,7 @@ use tahoma::imagery::{
 };
 use tahoma::mathx::SimdTier;
 use tahoma::nn::gemm::{self, GemmScratch, Trans};
-use tahoma::nn::{kernels, Conv2d, Dense, InferScratch, Layer, MaxPool2, Shape};
+use tahoma::nn::{kernels, Conv2d, InferScratch, Layer, MaxPool2, Shape};
 
 /// Fresh scratch directory for store property tests (unique per case so
 /// shrinking never observes a previous case's files).
@@ -60,7 +60,7 @@ proptest! {
     fn conv_gemm_forward_matches_scalar_loop(
         c_in in 1usize..5, out_c in 1usize..9,
         h in 1usize..14, w in 1usize..14,
-        half_k in 0usize..3, seed in 0u64..10_000, threads in 1usize..4
+        half_k in 0usize..3, seed in 0u64..10_000
     ) {
         let shape = Shape::new(c_in, h, w);
         let kk = 2 * half_k + 1;
@@ -76,7 +76,6 @@ proptest! {
         let mut baseline: Option<Vec<f32>> = None;
         for kernel in SimdTier::runnable(gemm::TIERS) {
             let mut scratch = GemmScratch::with_kernel(kernel);
-            scratch.threads = Some(threads);
             let mut got = vec![f32::NAN; out_c * h * w];
             gemm::conv2d_forward(
                 &mut scratch, &input, c_in, h, w, kk, &weights, &bias, out_c, &mut got,
@@ -86,8 +85,8 @@ proptest! {
                 let tol = 1e-5 * (1.0 + a.abs()) * k_total.sqrt().max(1.0);
                 prop_assert!(
                     (a - b).abs() <= tol,
-                    "shape {}x{}x{} k{} out{} kernel {} threads {} idx {}: scalar {} gemm {}",
-                    c_in, h, w, kk, out_c, kernel.name(), threads, i, a, b
+                    "shape {}x{}x{} k{} out{} kernel {} idx {}: scalar {} gemm {}",
+                    c_in, h, w, kk, out_c, kernel.name(), i, a, b
                 );
             }
             match &baseline {
@@ -191,10 +190,9 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Every runtime-dispatchable GEMM tier, at every thread count, is
-    /// bitwise identical to the portable single-threaded kernel (all tiers
-    /// run the same per-element fused chain; column-splitting never changes
-    /// accumulation order) and epsilon-close to an f64 reference.
+    /// Every runtime-dispatchable GEMM tier is bitwise identical to the
+    /// portable kernel (all tiers run the same per-element fused chain) and
+    /// epsilon-close to an f64 reference.
     #[test]
     fn gemm_kernels_and_threads_agree(
         m in 1usize..20, n in 1usize..80, k in 1usize..40,
@@ -226,26 +224,22 @@ proptest! {
 
         let mut baseline: Option<Vec<f32>> = None;
         for kernel in SimdTier::runnable(gemm::TIERS) {
-            for threads in [1usize, 2, 3] {
-                let mut scratch = GemmScratch::with_kernel(kernel);
-                scratch.threads = Some(threads);
-                let mut c = vec![0.0f32; m * n];
-                gemm::gemm(&mut scratch, m, n, k, &a, ta, &b, tb, &mut c);
-                for (i, (&got, &want)) in c.iter().zip(&reference).enumerate() {
-                    let tol = 1e-5 * (1.0 + want.abs()) * (k as f32).sqrt();
-                    prop_assert!(
-                        (got - want).abs() <= tol,
-                        "({},{},{}) {:?}{:?} kernel {} threads {} idx {}: {} vs {}",
-                        m, n, k, ta, tb, kernel.name(), threads, i, got, want
-                    );
-                }
-                match &baseline {
-                    None => baseline = Some(c),
-                    Some(base) => prop_assert_eq!(
-                        base, &c,
-                        "kernel {} threads {} not bitwise identical", kernel.name(), threads
-                    ),
-                }
+            let mut scratch = GemmScratch::with_kernel(kernel);
+            let mut c = vec![0.0f32; m * n];
+            gemm::gemm(&mut scratch, m, n, k, &a, ta, &b, tb, &mut c);
+            for (i, (&got, &want)) in c.iter().zip(&reference).enumerate() {
+                let tol = 1e-5 * (1.0 + want.abs()) * (k as f32).sqrt();
+                prop_assert!(
+                    (got - want).abs() <= tol,
+                    "({},{},{}) {:?}{:?} kernel {} idx {}: {} vs {}",
+                    m, n, k, ta, tb, kernel.name(), i, got, want
+                );
+            }
+            match &baseline {
+                None => baseline = Some(c),
+                Some(base) => prop_assert_eq!(
+                    base, &c, "kernel {} not bitwise identical", kernel.name()
+                ),
             }
         }
     }
@@ -518,52 +512,6 @@ proptest! {
         let mut order = plan.order().to_vec();
         order.sort_unstable();
         prop_assert_eq!(order, (0..reps.len()).collect::<Vec<_>>());
-    }
-
-    /// Every matvec kernel tier is bitwise identical to the portable
-    /// 16-lane reference (same per-lane fused chain, same fold tree) and
-    /// epsilon-close to an f64 dot product, across arbitrary shapes —
-    /// including n_in below one vector and ragged tails.
-    #[test]
-    fn matvec_tiers_agree_bitwise(
-        n_out in 1usize..24, n_in in 1usize..300, seed in 0u64..10_000
-    ) {
-        let mut rng = tahoma::mathx::DetRng::new(seed);
-        let weights: Vec<f32> = (0..n_out * n_in)
-            .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-            .collect();
-        let bias: Vec<f32> = (0..n_out).map(|_| rng.uniform_in(-1.0, 1.0) as f32).collect();
-        let x: Vec<f32> = (0..n_in).map(|_| rng.uniform_in(-1.0, 1.0) as f32).collect();
-        let mut reference = vec![0.0f32; n_out];
-        for o in 0..n_out {
-            let mut acc = bias[o] as f64;
-            for i in 0..n_in {
-                acc += weights[o * n_in + i] as f64 * x[i] as f64;
-            }
-            reference[o] = acc as f32;
-        }
-        let mut baseline: Option<Vec<f32>> = None;
-        for kernel in SimdTier::runnable(kernels::MATVEC_TIERS) {
-            let mut out = vec![f32::NAN; n_out];
-            kernels::matvec(Some(kernel), &weights, &bias, &x, &mut out);
-            for (o, (&got, &want)) in out.iter().zip(&reference).enumerate() {
-                let tol = 1e-5 * (1.0 + want.abs()) * (n_in as f32).sqrt();
-                prop_assert!(
-                    (got - want).abs() <= tol,
-                    "{}x{} out {} kernel {}: {} vs {}", n_out, n_in, o, kernel.name(), got, want
-                );
-            }
-            match &baseline {
-                None => baseline = Some(out),
-                Some(base) => prop_assert_eq!(
-                    base, &out, "matvec tier {} diverges bitwise", kernel.name()
-                ),
-            }
-        }
-        // The layer's batch-1 forward is exactly this kernel.
-        let mut dense = Dense::from_parts(n_in, n_out, weights.clone(), bias.clone());
-        let single = dense.forward(&x);
-        prop_assert_eq!(&single, baseline.as_ref().unwrap());
     }
 
     /// The ReLU sweep (one portable tier) is bitwise identical to the
