@@ -26,7 +26,7 @@ use tahoma_core::evaluator::CostContext;
 use tahoma_core::exec::{
     BatchScorer, NnSessionScratch, SharedModelZoo, SharedNnScorer, SurrogateBatchScorer,
 };
-use tahoma_core::query::{Corpus, CorpusItem, QueryProcessor, SurrogateItemScorer};
+use tahoma_core::query::{Corpus, CorpusItem, SurrogateItemScorer};
 use tahoma_core::thresholds::{calibrate_all, DecisionThresholds, ThresholdTable};
 use tahoma_core::{Cascade, VectorizedExecutor, PAPER_PRECISION_SETTINGS};
 use tahoma_costmodel::{AnalyticProfiler, DeviceProfile, Scenario};
@@ -80,7 +80,6 @@ fn surrogate_fixture() -> SurrogateFixture {
 fn bench_surrogate_exec(c: &mut Criterion) {
     let fx = surrogate_fixture();
     let items: Vec<&CorpusItem> = fx.corpus.items.iter().collect();
-    let processor = QueryProcessor::new(&fx.repo, &fx.thresholds, &fx.cost);
     let executor = VectorizedExecutor::new(&fx.repo, &fx.thresholds, &fx.cost);
     // Pool-model cascades (the paper's main two-level space: both levels
     // drawn from the specialized family), plus a ResNet-terminated line:
@@ -105,7 +104,7 @@ fn bench_surrogate_exec(c: &mut Criterion) {
         group.bench_function(format!("reference/{tag}"), |b| {
             b.iter(|| {
                 black_box(
-                    processor
+                    executor
                         .run_cascade_reference(ObjectKind::Fence, cascade, &items, &item_scorer)
                         .unwrap(),
                 )
@@ -141,7 +140,7 @@ fn bench_surrogate_exec(c: &mut Criterion) {
         for _ in 0..rounds {
             let t = std::time::Instant::now();
             black_box(
-                processor
+                executor
                     .run_cascade_reference(ObjectKind::Fence, cascade, &items, &item_scorer)
                     .unwrap(),
             );
@@ -167,8 +166,7 @@ fn bench_surrogate_exec(c: &mut Criterion) {
     }
 }
 
-/// Planner-ordered short-circuiting on a two-predicate conjunction vs the
-/// full materialization.
+/// Planner-ordered short-circuiting on a two-predicate conjunction.
 fn bench_short_circuit(c: &mut Criterion) {
     let fx = surrogate_fixture();
     let executor = VectorizedExecutor::new(&fx.repo, &fx.thresholds, &fx.cost);
@@ -182,19 +180,16 @@ fn bench_short_circuit(c: &mut Criterion) {
         cascades.insert(kind, Cascade::new(&[(0, 2), (terminal, 0)]));
     }
     let mut group = c.benchmark_group("query_exec/conjunction");
-    for (tag, materialize_all) in [("materialize_all", true), ("short_circuit", false)] {
-        let mut scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.repo);
-        let opts = tahoma_core::ExecOptions { materialize_all };
-        group.bench_function(tag, |b| {
-            b.iter(|| {
-                black_box(
-                    executor
-                        .execute(&query, &fx.corpus, &cascades, &mut scorer, &opts)
-                        .unwrap(),
-                )
-            })
-        });
-    }
+    let mut scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.repo);
+    group.bench_function("short_circuit", |b| {
+        b.iter(|| {
+            black_box(
+                executor
+                    .execute(&query, &fx.corpus, &cascades, &mut scorer)
+                    .unwrap(),
+            )
+        })
+    });
     group.finish();
 }
 

@@ -50,7 +50,10 @@
 //! type through ([`ContinuousExecutor::tick_batched`] is the single-backend
 //! convenience of tests and benches). `rescan() == matched()` after every
 //! tick is this module's correctness bar, enforced by
-//! `tests/continuous_proptests.rs` against the item-at-a-time executor.
+//! `tests/continuous_proptests.rs` against a brute force over the
+//! item-at-a-time reference walk
+//! ([`VectorizedExecutor::run_cascade_reference`] per predicate over every
+//! window item, `HashSet` intersection).
 
 use crate::cascade::Cascade;
 use crate::error::CoreError;
@@ -363,8 +366,9 @@ mod tests {
     use super::*;
     use crate::evaluator::CostContext;
     use crate::exec::ItemScorerBatchAdapter;
-    use crate::query::{Corpus, ItemScorer, QueryProcessor};
+    use crate::query::{Corpus, ItemScorer};
     use crate::thresholds::{DecisionThresholds, ThresholdTable};
+    use std::collections::HashSet;
     use tahoma_costmodel::{AnalyticProfiler, DeviceProfile, Scenario};
     use tahoma_mathx::DetRng;
     use tahoma_zoo::repository::{build_surrogate_repository, SurrogateBuildConfig};
@@ -494,17 +498,32 @@ mod tests {
                 cx.rescan_batched(&exec, &mut fresh).expect("rescan"),
                 matched
             );
-            // And so does the PR 5 reference path over the window corpus.
-            let window_items: Vec<CorpusItem> = cx.entries.iter().map(|e| e.item.clone()).collect();
-            let window_corpus = Corpus {
-                items: window_items,
-            };
-            let qp = QueryProcessor::new(&repo, &thresholds, &cost);
-            let cascades: BTreeMap<ObjectKind, Cascade> = cx.steps.iter().copied().collect();
-            let reference = qp
-                .execute(cx.query(), &window_corpus, &cascades, &scorer)
-                .expect("reference executes");
-            assert_eq!(reference.matched_ids, matched, "tick {tick} vs reference");
+            // And so does brute force over the window: metadata filter, the
+            // item-at-a-time reference per predicate over every item, sets.
+            let window: Vec<&CorpusItem> = cx.entries.iter().map(|e| &e.item).collect();
+            let mut expected: HashSet<u64> = window
+                .iter()
+                .filter(|item| cx.query().metadata.iter().all(|p| p.holds(item)))
+                .map(|item| item.id)
+                .collect();
+            for &(kind, cascade) in &cx.steps {
+                let relation = exec
+                    .run_cascade_reference(kind, cascade, &window, &scorer)
+                    .expect("reference runs");
+                let pass: HashSet<u64> = relation
+                    .rows
+                    .iter()
+                    .filter(|r| r.value)
+                    .map(|r| r.id)
+                    .collect();
+                expected.retain(|id| pass.contains(id));
+            }
+            let reference: Vec<u64> = window
+                .iter()
+                .map(|item| item.id)
+                .filter(|id| expected.contains(id))
+                .collect();
+            assert_eq!(reference, matched, "tick {tick} vs reference");
             prev = matched;
         }
         assert!(cx.scored_total() > 0);

@@ -236,17 +236,18 @@ impl CostContext {
         }
     }
 
-    /// Expected per-image cost of a cascade given its stop-level histogram.
-    ///
-    /// `prefix_cost[k]` = fixed + inference of levels 0..=k + marginal cost
-    /// of the *distinct* representations used by levels 0..=k; an image that
-    /// stops at level k pays `prefix_cost[k]`.
-    pub fn expected_cost_s(&self, cascade: &Cascade, outcome: &Outcome, n_images: usize) -> f64 {
-        let depth = cascade.depth();
-        let mut prefix_cost = [0.0f64; MAX_LEVELS];
+    /// The §IV level prefix costs of a cascade: an image that stops at
+    /// level `l` pays `prefix[l] = fixed + Σ infer(0..=l) + Σ marginal
+    /// (distinct representations in 0..=l)`; entries past the cascade's
+    /// depth are zero. The accumulation order matches
+    /// [`crate::query::walk_cascade_item`]'s per-item walk operation for
+    /// operation, so a batched relation's total time is bitwise equal to
+    /// the reference's.
+    pub fn prefix_costs(&self, cascade: &Cascade) -> [f64; MAX_LEVELS] {
+        let mut prefix = [0.0f64; MAX_LEVELS];
         let mut seen_reps = [u32::MAX; MAX_LEVELS];
         let mut acc = self.fixed_s;
-        for l in 0..depth {
+        for l in 0..cascade.depth() {
             let m = cascade.model_at(l) as usize;
             acc += self.infer_s[m];
             let key = self.rep_key[m];
@@ -254,12 +255,20 @@ impl CostContext {
                 acc += self.rep_marginal_s[m];
             }
             seen_reps[l] = key;
-            prefix_cost[l] = acc;
+            prefix[l] = acc;
         }
-        let total: f64 = prefix_cost
+        prefix
+    }
+
+    /// Expected per-image cost of a cascade given its stop-level histogram:
+    /// each image that stops at level `k` pays
+    /// [`CostContext::prefix_costs`]`[k]`.
+    pub fn expected_cost_s(&self, cascade: &Cascade, outcome: &Outcome, n_images: usize) -> f64 {
+        let total: f64 = self
+            .prefix_costs(cascade)
             .iter()
             .zip(&outcome.stop_counts)
-            .take(depth)
+            .take(cascade.depth())
             .map(|(&cost, &count)| count as f64 * cost)
             .sum();
         total / n_images as f64

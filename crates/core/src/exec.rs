@@ -23,7 +23,7 @@
 //!   level *k* pays `fixed + Σ infer(0..=k) + Σ marginal(distinct reps in
 //!   0..=k)`, so the walk is decision-for-decision *and* cost-for-cost
 //!   identical to the item-at-a-time oracle
-//!   ([`crate::query::QueryProcessor::run_cascade_reference`]).
+//!   ([`VectorizedExecutor::run_cascade_reference`]).
 //! * **Batch scoring backends**: [`SurrogateBatchScorer`] hoists the
 //!   per-(model, split) stream derivation out of the item loop;
 //!   [`SharedNnScorer`] serves real CNN inference over a shared
@@ -31,17 +31,14 @@
 //!
 //! Scoring is fallible: a backend that cannot produce a pack's scores
 //! returns a [`CoreError`], which every caller above propagates as a value.
-//! [`ExecOptions::materialize_all`] (every predicate over every metadata
-//! survivor, query order) stays as the full-relation oracle the
-//! figure-reproduction experiments and the property suites read.
 
-use crate::cascade::{Cascade, MAX_LEVELS};
+use crate::cascade::Cascade;
 use crate::error::CoreError;
 use crate::evaluator::{simulate_one_naive_stats, CostContext};
 use crate::planner::{order_indices, PlannedPredicate};
 use crate::query::{
-    Corpus, CorpusItem, ItemScorer, MetaPredicate, PredicateRelation, Query, QueryResult,
-    CORPUS_SCORE_SALT,
+    walk_cascade_item, Corpus, CorpusItem, ItemScorer, MetaPredicate, PredicateRelation, Query,
+    QueryResult, CORPUS_SCORE_SALT,
 };
 use crate::thresholds::ThresholdTable;
 use std::collections::{BTreeMap, HashMap};
@@ -106,10 +103,10 @@ pub trait BatchScorer {
     ) -> Result<(), CoreError>;
 }
 
-/// Adapts any [`ItemScorer`] to the batch interface by looping it — the
-/// bridge that lets [`crate::query::QueryProcessor::execute`] keep its
-/// item-scorer signature while running on the vectorized executor. Scores
-/// are trivially identical to the wrapped scorer's.
+/// Adapts any [`ItemScorer`] to the batch interface by looping it, so the
+/// property suites can drive the vectorized executor and the item-at-a-time
+/// reference with one scorer. Scores are trivially identical to the
+/// wrapped scorer's.
 pub struct ItemScorerBatchAdapter<'a>(pub &'a dyn ItemScorer);
 
 impl BatchScorer for ItemScorerBatchAdapter<'_> {
@@ -451,8 +448,8 @@ impl NnSessionScratch {
 /// caller's [`NnSessionScratch`] or a lane's thread-local engine, so any
 /// number of scorers run concurrently. Scoring is bitwise identical to a
 /// serial run regardless of concurrency, lane count or coalescing: inputs
-/// are standardized per item (shape-independent), and the forced-GEMM
-/// inference path is batch-shape invariant.
+/// are standardized per item (shape-independent), and inference (every
+/// layer through the one GEMM path) is batch-shape invariant.
 ///
 /// `score_batch` fails with [`CoreError::UnknownModel`] for a cascade
 /// level whose model was never registered in the zoo, and with
@@ -769,48 +766,12 @@ pub fn run_level_major<E>(
     Ok(decided)
 }
 
-/// The §IV level prefix costs of a cascade: an item stopping at level `l`
-/// pays `prefix[l] = fixed + Σ infer(0..=l) + Σ marginal(distinct reps in
-/// 0..=l)`. The accumulation order matches the reference executor's
-/// per-item walk operation for operation, so the batched total time is
-/// bitwise equal to the reference's.
-fn level_prefix_costs(cascade: &Cascade, cost: &CostContext) -> [f64; MAX_LEVELS] {
-    let depth = cascade.depth();
-    let mut prefix = [0.0f64; MAX_LEVELS];
-    let mut seen = [u32::MAX; MAX_LEVELS];
-    let mut acc = cost.fixed_s;
-    for l in 0..depth {
-        let m = cascade.model_at(l) as usize;
-        acc += cost.infer_s[m];
-        let key = cost.rep_key[m];
-        if !seen[..l].contains(&key) {
-            acc += cost.rep_marginal_s[m];
-        }
-        seen[l] = key;
-        prefix[l] = acc;
-    }
-    prefix
-}
-
 // ---------------------------------------------------------------------------
 // Query execution
 // ---------------------------------------------------------------------------
 
-/// Execution-mode knobs for [`VectorizedExecutor::execute`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Evaluate every content predicate over the *full* metadata-survivor
-    /// set in query-text order — the reference relation semantics the
-    /// figure-reproduction experiments consume (every relation covers
-    /// every survivor). The default (`false`) short-circuits: predicates
-    /// run in planner rank order over the shrinking conjunction survivor
-    /// set, and each relation covers only the items still undecided when
-    /// it ran. `matched_ids` is identical either way.
-    pub materialize_all: bool,
-}
-
 /// Every model id a cascade names must exist in the repository.
-pub(crate) fn validate_cascade(repo: &ModelRepository, cascade: &Cascade) -> Result<(), CoreError> {
+fn validate_cascade(repo: &ModelRepository, cascade: &Cascade) -> Result<(), CoreError> {
     match cascade
         .levels()
         .iter()
@@ -821,8 +782,8 @@ pub(crate) fn validate_cascade(repo: &ModelRepository, cascade: &Cascade) -> Res
     }
 }
 
-/// The vectorized query executor — the product query path. Binds the same
-/// triple as [`crate::query::QueryProcessor`] (whose `execute` calls it).
+/// The vectorized query executor — the product query path — and, beside
+/// it, the item-at-a-time reference it is property-tested against.
 pub struct VectorizedExecutor<'a> {
     repo: &'a ModelRepository,
     thresholds: &'a ThresholdTable,
@@ -845,7 +806,7 @@ impl<'a> VectorizedExecutor<'a> {
 
     /// Run one cascade level-major over the given items, producing its
     /// relation. Decision-for-decision identical to
-    /// [`crate::query::QueryProcessor::run_cascade_reference`] for any
+    /// [`VectorizedExecutor::run_cascade_reference`] for any
     /// scorer whose batch scores equal its per-item scores, with the
     /// simulated time accumulated in the same operation order (bitwise
     /// equal totals).
@@ -876,31 +837,45 @@ impl<'a> VectorizedExecutor<'a> {
                 )
             },
         )?;
-        let prefix = level_prefix_costs(&cascade, self.cost);
+        let prefix = self.cost.prefix_costs(&cascade);
         let priced = decisions.into_iter().map(|d| (d, prefix[d.level as usize]));
         Ok(PredicateRelation::collect(kind, items, priced))
+    }
+
+    /// Run one cascade over the filtered items item-at-a-time
+    /// ([`walk_cascade_item`] per item), producing its relation — the
+    /// reference implementation the vectorized path is property-tested
+    /// against. Kept deliberately simple.
+    pub fn run_cascade_reference(
+        &self,
+        kind: ObjectKind,
+        cascade: Cascade,
+        items: &[&CorpusItem],
+        scorer: &dyn ItemScorer,
+    ) -> Result<PredicateRelation, CoreError> {
+        validate_cascade(self.repo, &cascade)?;
+        let walked = items
+            .iter()
+            .map(|item| walk_cascade_item(self.thresholds, self.cost, &cascade, scorer, item));
+        Ok(PredicateRelation::collect(kind, items, walked))
     }
 
     /// Execute a parsed query: metadata filter, then the content
     /// predicates through the level-major cascade driver.
     ///
-    /// By default this is [`run_conjunction`] with the predicates in
-    /// planner rank order
-    /// ([`order_predicates`](crate::planner::order_predicates), statistics
-    /// measured on the eval split by [`simulate_one_naive_stats`]), each
-    /// relation covering only the items still undecided when it ran.
-    /// [`ExecOptions::materialize_all`] is the full-relation oracle instead:
-    /// every predicate over every metadata survivor in query-text order,
-    /// intersected by a sorted merge over survivor indices. Relations are
-    /// always returned in query-text order, and `matched_ids` is identical
-    /// either way.
+    /// This is [`run_conjunction`] with the predicates in planner rank
+    /// order ([`order_predicates`](crate::planner::order_predicates),
+    /// statistics measured on the eval split by
+    /// [`simulate_one_naive_stats`]), each relation covering only the items
+    /// still undecided when it ran. Relations are returned in query-text
+    /// order. `cascades` maps each content predicate to the cascade
+    /// implementing it; a missing entry is an error.
     pub fn execute(
         &self,
         query: &Query,
         corpus: &Corpus,
         cascades: &BTreeMap<ObjectKind, Cascade>,
         scorer: &mut dyn BatchScorer,
-        opts: &ExecOptions,
     ) -> Result<QueryResult, CoreError> {
         let by_pos: Vec<Cascade> = query
             .content
@@ -916,36 +891,6 @@ impl<'a> VectorizedExecutor<'a> {
             validate_cascade(self.repo, cascade)?;
         }
         let n_preds = query.content.len();
-
-        if opts.materialize_all {
-            let surviving: Vec<&CorpusItem> = corpus
-                .items
-                .iter()
-                .filter(|item| query.metadata.iter().all(|p| p.holds(item)))
-                .collect();
-            // Conjunction survivors as indices into `surviving` — strictly
-            // increasing, as are each full relation's passing rows (row k
-            // is survivor k), so every intersection is a linear merge.
-            let mut passing: Vec<usize> = (0..surviving.len()).collect();
-            let mut relations = Vec::with_capacity(n_preds);
-            for (&kind, &cascade) in query.content.iter().zip(&by_pos) {
-                let rel = self.run_cascade_batched(kind, cascade, &surviving, scorer)?;
-                intersect_sorted(
-                    &mut passing,
-                    rel.rows
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.value)
-                        .map(|(k, _)| k),
-                );
-                relations.push(rel);
-            }
-            return Ok(QueryResult {
-                matched_ids: passing.iter().map(|&i| surviving[i].id).collect(),
-                metadata_survivors: surviving.len(),
-                relations,
-            });
-        }
 
         let order: Vec<usize> = if n_preds <= 1 {
             (0..n_preds).collect()
@@ -1064,45 +1009,10 @@ pub fn run_conjunction<E: From<CoreError>>(
     })
 }
 
-/// Retain only the elements of `passing` present in `pass` — both strictly
-/// increasing index sequences — by a single forward merge.
-fn intersect_sorted(passing: &mut Vec<usize>, pass: impl IntoIterator<Item = usize>) {
-    let mut pass = pass.into_iter();
-    let mut next = pass.next();
-    passing.retain(|&i| {
-        while let Some(p) = next {
-            if p < i {
-                next = pass.next();
-            } else {
-                break;
-            }
-        }
-        if next == Some(i) {
-            next = pass.next();
-            true
-        } else {
-            false
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::thresholds::DecisionThresholds;
-
-    #[test]
-    fn intersect_sorted_merges() {
-        let mut a = vec![0, 2, 5, 7, 9];
-        intersect_sorted(&mut a, vec![1, 2, 3, 7, 8, 10]);
-        assert_eq!(a, vec![2, 7]);
-        let mut b = vec![1, 2, 3];
-        intersect_sorted(&mut b, Vec::new());
-        assert!(b.is_empty());
-        let mut c: Vec<usize> = Vec::new();
-        intersect_sorted(&mut c, vec![0, 1]);
-        assert!(c.is_empty());
-    }
 
     #[test]
     fn level_major_compacts_and_decides_everything() {

@@ -25,13 +25,17 @@
 //! 6. **Query vocabulary** ([`query`], §IV): the corpus, a SQL-subset
 //!    parser that decomposes queries into metadata predicates plus binary
 //!    `contains_object` predicates, the binary-predicate relation types,
-//!    and the item-at-a-time cascade walk kept as the execution oracle.
-//! 7. **Execution** ([`exec`]): the one conjunction walk
+//!    and [`query::walk_cascade_item`], the item-at-a-time cascade walk
+//!    the executor is tested against.
+//! 7. **Execution** ([`exec`]): one query executor — the conjunction walk
 //!    ([`exec::run_conjunction`] — metadata filter, then each predicate's
-//!    cascade over the shrinking survivor pack) that every query path
-//!    calls, the level-major cascade driver with survivor compaction under
-//!    it, and the fallible batch scoring backends (hoisted surrogate
-//!    streams; real CNN inference over the representation store).
+//!    cascade over the shrinking survivor pack, in planner order for
+//!    [`VectorizedExecutor::execute`]) that every query path calls, the
+//!    level-major cascade driver with survivor compaction under it, and the
+//!    fallible batch scoring backends (hoisted surrogate streams; real CNN
+//!    inference over the representation store) — plus
+//!    [`VectorizedExecutor::run_cascade_reference`], the item-at-a-time
+//!    oracle over [`query::walk_cascade_item`].
 //! 8. **Continuous queries** ([`continuous`]): standing queries over live
 //!    streams — sliding count windows (RANGE/STEP), tick-driven; the
 //!    window decides which items enter and expire, the conjunction walk
@@ -49,7 +53,6 @@ pub mod continuous;
 pub mod error;
 pub mod evaluator;
 pub mod exec;
-pub mod materialized;
 pub mod order;
 pub mod pareto;
 pub mod pipeline;
@@ -65,8 +68,8 @@ pub use continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 pub use error::CoreError;
 pub use evaluator::{simulate_all, CascadeOutcomes, CostContext};
 pub use exec::{
-    run_conjunction, BatchScorer, Conjunction, ExecOptions, InferDispatch, InputRows,
-    NnSessionScratch, SharedModelZoo, SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
+    run_conjunction, BatchScorer, Conjunction, InferDispatch, InputRows, NnSessionScratch,
+    SharedModelZoo, SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
 };
 pub use order::{nan_last, nan_lowest};
 pub use pareto::{pareto_frontier, ParetoPoint};

@@ -17,26 +17,19 @@
 //! relation types — and the item-at-a-time oracle. Execution lives in
 //! [`crate::exec`]: one conjunction walk over one level-major cascade
 //! driver, which every product path calls. What remains here is simple on
-//! purpose:
-//!
-//! * [`walk_cascade_item`] — one item climbing one cascade with §IV prefix
-//!   costing, the single copy of that walk.
-//!   [`QueryProcessor::run_cascade_reference`] loops it (the oracle the
-//!   executor is property-tested against in `tests/exec_proptests.rs`, and
-//!   the baseline side of the `query_exec` bench);
-//!   [`crate::materialized::classify_item`] wraps it.
-//! * [`QueryProcessor::execute`] — the [`ItemScorer`]-typed entry point of
-//!   the figure-reproduction experiments: the vectorized executor in its
-//!   full-relation `materialize_all` mode.
+//! purpose: [`walk_cascade_item`], one item climbing one cascade with §IV
+//! prefix costing through one [`ItemScorer`] call per level — the single
+//! copy of that walk.
+//! [`VectorizedExecutor::run_cascade_reference`](crate::exec::VectorizedExecutor::run_cascade_reference)
+//! loops it: the oracle the executor is property-tested against in
+//! `tests/exec_proptests.rs`, and the baseline side of the `query_exec`
+//! bench.
 
 use crate::cascade::{Cascade, MAX_LEVELS};
 use crate::error::CoreError;
 use crate::evaluator::CostContext;
-use crate::exec::{
-    validate_cascade, ExecOptions, ItemScorerBatchAdapter, LevelDecision, VectorizedExecutor,
-};
+use crate::exec::LevelDecision;
 use crate::thresholds::ThresholdTable;
-use std::collections::BTreeMap;
 use tahoma_imagery::ObjectKind;
 use tahoma_mathx::DetRng;
 use tahoma_zoo::{ModelId, ModelRepository};
@@ -579,76 +572,6 @@ pub fn walk_cascade_item(
             );
         }
         l += 1;
-    }
-}
-
-/// Executes queries: metadata filter first, then one cascade per content
-/// predicate.
-pub struct QueryProcessor<'a> {
-    repo: &'a ModelRepository,
-    thresholds: &'a ThresholdTable,
-    cost: &'a CostContext,
-}
-
-impl<'a> QueryProcessor<'a> {
-    /// Create a processor bound to a repository, thresholds and pricing.
-    pub fn new(
-        repo: &'a ModelRepository,
-        thresholds: &'a ThresholdTable,
-        cost: &'a CostContext,
-    ) -> QueryProcessor<'a> {
-        QueryProcessor {
-            repo,
-            thresholds,
-            cost,
-        }
-    }
-
-    /// Execute a parsed query over a corpus with the given cascade(s).
-    ///
-    /// `cascades` maps each content predicate in the query to the cascade
-    /// implementing it; a missing entry is an error.
-    ///
-    /// Runs the vectorized executor ([`VectorizedExecutor::execute`]) in
-    /// `materialize_all` mode: every content predicate evaluates over the
-    /// full metadata-survivor set in query order, the full-relation
-    /// semantics the figure-reproduction experiments read. Batch-native
-    /// callers that want planner-ordered short-circuiting construct the
-    /// [`VectorizedExecutor`] themselves.
-    pub fn execute(
-        &self,
-        query: &Query,
-        corpus: &Corpus,
-        cascades: &BTreeMap<ObjectKind, Cascade>,
-        scorer: &dyn ItemScorer,
-    ) -> Result<QueryResult, CoreError> {
-        VectorizedExecutor::new(self.repo, self.thresholds, self.cost).execute(
-            query,
-            corpus,
-            cascades,
-            &mut ItemScorerBatchAdapter(scorer),
-            &ExecOptions {
-                materialize_all: true,
-            },
-        )
-    }
-
-    /// Run one cascade over the filtered items item-at-a-time
-    /// ([`walk_cascade_item`] per item), producing its relation — the
-    /// reference implementation the vectorized path is property-tested
-    /// against. Kept deliberately simple.
-    pub fn run_cascade_reference(
-        &self,
-        kind: ObjectKind,
-        cascade: Cascade,
-        items: &[&CorpusItem],
-        scorer: &dyn ItemScorer,
-    ) -> Result<PredicateRelation, CoreError> {
-        validate_cascade(self.repo, &cascade)?;
-        let walked = items
-            .iter()
-            .map(|item| walk_cascade_item(self.thresholds, self.cost, &cascade, scorer, item));
-        Ok(PredicateRelation::collect(kind, items, walked))
     }
 }
 

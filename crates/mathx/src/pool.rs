@@ -3,10 +3,9 @@
 //!
 //! The GEMM and batched-convolution paths in `tahoma-nn` originally spawned
 //! OS threads per call through `std::thread::scope`. That is correct but
-//! pays thread creation/teardown on every large product — measurable in the
-//! `gemm_threads` bench even when the spawned workers do substantial work,
-//! and fatal for a query service that runs thousands of batched inference
-//! calls per second. This module keeps `available_parallelism() - 1`
+//! pays thread creation/teardown on every call — measurable even when the
+//! spawned workers do substantial work, and fatal for a query service that
+//! runs thousands of batched inference calls per second. This module keeps `available_parallelism() - 1`
 //! workers parked on a condvar for the life of the process and hands out
 //! [`scope`], a drop-in replacement for `std::thread::scope` with the same
 //! borrow-the-stack API:

@@ -14,8 +14,8 @@
 //! and degraded-slot count, and which a standing query's `TICK`/`DELTAS`
 //! ([`crate::stream`]) hand to the continuous executor unchanged. Every
 //! backend is deterministic per (model, item) — the NN path by
-//! batch-shape-invariant forced-GEMM inference — so step order changes
-//! cost, never results.
+//! batch-shape-invariant inference (every layer through the one GEMM
+//! path) — so step order changes cost, never results.
 //!
 //! All mutable per-query state lives in scratch checked out of per-kind
 //! pools; everything else is only ever borrowed shared. Concurrent queries

@@ -1,22 +1,20 @@
-//! Ingest-time materialization pipeline — the paper's §III ONGOING scenario
-//! and §V-A RDBMS-integration sketch, end to end:
+//! Ingest-time materialization pipeline — the paper's §III ONGOING
+//! scenario, end to end:
 //!
 //! 1. frames are ingested: the representation store materializes the small
 //!    physical representations models will want (real bytes, real codec);
-//! 2. a database-style trigger classifies each new frame eagerly with a
-//!    slow, accurate cascade, pre-materializing the predicate relation;
-//! 3. a later multi-predicate query orders its predicates by
-//!    cost-per-rejection (§IV future work) and is served almost entirely
-//!    from the materialized store.
+//! 2. a content query runs a fast selected cascade over the corpus through
+//!    the vectorized executor, priced under ONGOING;
+//! 3. a multi-predicate plan orders its predicates by cost-per-rejection
+//!    (§IV future work).
 //!
 //! ```text
 //! cargo run --release --example ingest_pipeline
 //! ```
 
 use tahoma::core::evaluator::CostContext;
-use tahoma::core::materialized::{read_through, IngestTrigger, MaterializedStore};
+use tahoma::core::exec::{SurrogateBatchScorer, VectorizedExecutor};
 use tahoma::core::planner::{expected_conjunction_cost_s, order_predicates, PlannedPredicate};
-use tahoma::core::query::{CorpusItem, SurrogateItemScorer};
 use tahoma::imagery::{RepresentationStore, SceneParams, SceneRenderer};
 use tahoma::prelude::*;
 
@@ -41,7 +39,7 @@ fn main() {
         rep_store.amplification_vs(60_000),
     );
 
-    // --- 2. Trigger-based predicate materialization ----------------------
+    // --- 2. Query time: one content predicate over the corpus ----------
     let pred = PredicateSpec::for_kind(ObjectKind::Fence);
     let cfg = SurrogateBuildConfig {
         n_config: 300,
@@ -59,71 +57,43 @@ fn main() {
     let system = tahoma::core::pipeline::TahomaSystem::initialize_paper_main(repo);
     let profiler = AnalyticProfiler::paper_testbed(Scenario::Ongoing);
     let cost = CostContext::build(&system.repo, &profiler);
-    let item_scorer = SurrogateItemScorer {
-        scorer: &scorer,
-        repo: &system.repo,
+    let select = |max_loss: f64| {
+        system
+            .select(
+                &profiler,
+                Constraints {
+                    max_accuracy_loss: Some(max_loss),
+                    max_throughput_loss: None,
+                },
+            )
+            .expect("feasible")
     };
-
-    // The trigger can afford a slower, more accurate cascade than query
-    // time would pick (§V-A).
-    let accurate = system
-        .select(
-            &profiler,
-            Constraints {
-                max_accuracy_loss: Some(0.0),
-                max_throughput_loss: None,
-            },
-        )
-        .expect("feasible");
+    let accurate = select(0.0);
+    let fast = select(0.05);
     println!(
-        "\ntrigger cascade ({}): {:.0} fps @ accuracy {:.3}",
-        accurate.description, accurate.throughput, accurate.accuracy
+        "\nfast cascade ({}): {:.0} fps @ accuracy {:.3}",
+        fast.description, fast.throughput, fast.accuracy
     );
 
     let corpus = Corpus::synthetic(5000, 0.25, 42);
-    let mut mat_store = MaterializedStore::new();
-    let mut trigger = IngestTrigger::new(
-        &system.repo,
-        &system.thresholds,
-        &cost,
-        ObjectKind::Fence,
-        accurate.cascade,
-    );
-    for item in &corpus.items {
-        trigger.on_insert(&mut mat_store, &item_scorer, item);
-    }
-    let (n, t) = trigger.stats();
-    println!("trigger materialized {n} rows in {t:.1} simulated s (amortized at ingest)");
-
-    // --- 3. Query time: served from the store ----------------------------
-    let items: Vec<&CorpusItem> = corpus.items.iter().collect();
-    let fast = system
-        .select(
-            &profiler,
-            Constraints {
-                max_accuracy_loss: Some(0.05),
-                max_throughput_loss: None,
-            },
+    let query = Query::parse("SELECT * FROM frames WHERE contains_object(fence)").expect("parses");
+    let cascades = [(ObjectKind::Fence, fast.cascade)].into_iter().collect();
+    let result = VectorizedExecutor::new(&system.repo, &system.thresholds, &cost)
+        .execute(
+            &query,
+            &corpus,
+            &cascades,
+            &mut SurrogateBatchScorer::new(&scorer, &system.repo),
         )
-        .expect("feasible");
-    let (rows, query_time) = read_through(
-        &mut mat_store,
-        &system.repo,
-        &system.thresholds,
-        &cost,
-        ObjectKind::Fence,
-        &fast.cascade,
-        &item_scorer,
-        &items,
-    );
-    let positives = rows.iter().filter(|r| r.value).count();
+        .expect("query executes");
+    let positives = result.matched_ids.len();
     println!(
-        "query over {} frames: {positives} positives, {query_time:.3} simulated s \
-         (all rows pre-materialized)",
-        items.len()
+        "query over {} frames: {positives} positives, {:.3} simulated s",
+        corpus.len(),
+        result.relations[0].simulated_time_s
     );
 
-    // --- 4. Multi-predicate ordering (§IV future work) -------------------
+    // --- 3. Multi-predicate ordering (§IV future work) -------------------
     // Three predicates with different costs and selectivities; the planner
     // runs cheap, selective ones first.
     let plans = vec![
@@ -131,7 +101,7 @@ fn main() {
             kind: ObjectKind::Fence,
             cascade: fast.cascade,
             expected_cost_s: 1.0 / fast.throughput,
-            selectivity: positives as f64 / items.len() as f64,
+            selectivity: positives as f64 / corpus.len() as f64,
         },
         PlannedPredicate {
             kind: ObjectKind::Komondor,

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 use tahoma::core::evaluator::CostContext;
-use tahoma::core::query::SurrogateItemScorer;
+use tahoma::core::exec::{SurrogateBatchScorer, VectorizedExecutor};
 use tahoma::prelude::*;
 
 fn default_queries() -> Vec<String> {
@@ -370,7 +370,7 @@ fn main() {
                 )
                 .expect("feasible cascade");
             let cost = CostContext::build(&system.repo, &profiler);
-            let processor = QueryProcessor::new(&system.repo, &system.thresholds, &cost);
+            let executor = VectorizedExecutor::new(&system.repo, &system.thresholds, &cost);
             let single = Query {
                 table: query.table.clone(),
                 metadata: query.metadata.clone(),
@@ -378,12 +378,9 @@ fn main() {
             };
             let mut cascades = BTreeMap::new();
             cascades.insert(kind, chosen.cascade);
-            let scorer = SurrogateItemScorer {
-                scorer,
-                repo: &system.repo,
-            };
-            let result = processor
-                .execute(&single, &corpus, &cascades, &scorer)
+            let mut scorer = SurrogateBatchScorer::new(scorer, &system.repo);
+            let result = executor
+                .execute(&single, &corpus, &cascades, &mut scorer)
                 .expect("query executes");
             survivors = result.metadata_survivors;
             let rel = &result.relations[0];

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 use tahoma::core::evaluator::CostContext;
-use tahoma::core::query::SurrogateItemScorer;
+use tahoma::core::exec::{SurrogateBatchScorer, VectorizedExecutor};
 use tahoma::prelude::*;
 
 fn main() {
@@ -73,11 +73,8 @@ fn main() {
         .expect("feasible");
 
     let cost = CostContext::build(&system.repo, &archive);
-    let processor = QueryProcessor::new(&system.repo, &system.thresholds, &cost);
-    let item_scorer = SurrogateItemScorer {
-        scorer: &scorer,
-        repo: &system.repo,
-    };
+    let executor = VectorizedExecutor::new(&system.repo, &system.thresholds, &cost);
+    let mut batch_scorer = SurrogateBatchScorer::new(&scorer, &system.repo);
 
     for (label, cascade) in [
         ("scenario-AWARE", aware.cascade),
@@ -85,8 +82,8 @@ fn main() {
     ] {
         let mut cascades = BTreeMap::new();
         cascades.insert(kind, cascade);
-        let result = processor
-            .execute(&query, &corpus, &cascades, &item_scorer)
+        let result = executor
+            .execute(&query, &corpus, &cascades, &mut batch_scorer)
             .expect("query executes");
         let rel = &result.relations[0];
         println!("{label} cascade: {}", system.describe(&cascade));

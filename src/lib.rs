@@ -59,7 +59,7 @@ pub use tahoma_zoo as zoo;
 /// The names an application typically needs.
 pub mod prelude {
     pub use tahoma_core::pipeline::{Frontier, SelectedCascade, TahomaSystem};
-    pub use tahoma_core::query::{Corpus, CorpusItem, ItemScorer, Query, QueryProcessor};
+    pub use tahoma_core::query::{Corpus, CorpusItem, ItemScorer, Query};
     pub use tahoma_core::selector::Constraints;
     pub use tahoma_core::{
         alc, build_cascades, pareto_frontier, BuilderConfig, Cascade, DecisionThresholds,

@@ -1,12 +1,15 @@
 //! Property tests for continuous sliding-window execution: at EVERY
 //! slide, the incrementally maintained window result (only entrants
 //! scored, survivor decisions carried over) is identical to a full
-//! from-scratch re-evaluation of the window through the PR 5 reference
-//! executor — under arbitrary RANGE/STEP shapes (including STEP > RANGE
+//! from-scratch re-evaluation of the window and to brute force over it
+//! (the item-at-a-time reference walk per predicate over every window
+//! item, `HashSet` intersection) — under arbitrary RANGE/STEP shapes (including STEP > RANGE
 //! gaps), arbitrary frame arrival orders, cascade depths 1–3, arbitrary
 //! threshold tables, NaN scores, and metadata + multi-predicate standing
 //! queries. The per-tick `added`/`removed` deltas must also replay the
 //! previous matched set into the current one exactly.
+
+mod common;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -110,8 +113,8 @@ fn arrival_order(corpus: &Corpus, seed: u64) -> Vec<CorpusItem> {
 }
 
 /// Drive `n_ticks` slides and, at every one, check the three-way
-/// equivalence (incremental == rescan == reference re-execution over the
-/// window corpus) plus exact delta replay.
+/// equivalence (incremental == rescan == brute force over the window)
+/// plus exact delta replay.
 fn check_all_slides(
     query: Query,
     cascades: BTreeMap<ObjectKind, Cascade>,
@@ -125,7 +128,11 @@ fn check_all_slides(
     let mut cx =
         ContinuousExecutor::register(query.clone(), cascades.clone(), window).expect("registers");
     let exec = VectorizedExecutor::new(&fx.repo, thresholds, &fx.cost);
-    let processor = QueryProcessor::new(&fx.repo, thresholds, &fx.cost);
+    let steps: Vec<(ObjectKind, Cascade)> = query
+        .content
+        .iter()
+        .map(|kind| (*kind, cascades[kind]))
+        .collect();
     let mut feed = arrivals.iter();
     let mut prev: Vec<u64> = Vec::new();
     for tick in 1..=n_ticks {
@@ -154,18 +161,15 @@ fn check_all_slides(
         let rescan = cx.rescan_batched(&exec, &mut fresh).expect("rescan");
         prop_assert_eq!(&rescan, &matched, "tick {} rescan", tick);
 
-        // Full re-evaluation of the window via the reference executor:
-        // rebuild the window corpus from the arrival positions alone.
+        // Brute force over the window, rebuilt from the arrival positions
+        // alone.
         let end = tick * window.step();
         let start = end.saturating_sub(window.range());
-        let window_corpus = Corpus {
-            items: arrivals[start as usize..end as usize].to_vec(),
-        };
-        prop_assert_eq!(window_corpus.items.len(), cx.window_len());
-        let reference = processor
-            .execute(&query, &window_corpus, &cascades, scorer)
-            .expect("reference executes");
-        prop_assert_eq!(&reference.matched_ids, &matched, "tick {} reference", tick);
+        let window_items: Vec<&CorpusItem> =
+            arrivals[start as usize..end as usize].iter().collect();
+        prop_assert_eq!(window_items.len(), cx.window_len());
+        let reference = common::brute_force(&exec, &query.metadata, &steps, &window_items, scorer);
+        prop_assert_eq!(&reference.matched, &matched, "tick {} reference", tick);
         prev = matched;
     }
     // Incremental work never exceeds arrivals consumed (times predicates).
@@ -211,8 +215,8 @@ proptest! {
     }
 
     /// Metadata + multi-predicate standing query: the short-circuit
-    /// conjunction over entrant packs must still match the reference
-    /// (materialize-all) execution of the whole window.
+    /// conjunction over entrant packs must still match brute force over
+    /// the whole window.
     #[test]
     fn multi_predicate_windows_match_reference(
         range in 2u64..32,

@@ -5,20 +5,19 @@
 //! tables, NaN scores (which must follow the PR 2 `nan_last` discipline:
 //! never decide at a thresholded level, lose the `>= 0.5` comparison at
 //! the terminal), and arbitrary metadata-survivor subsets — plus the
-//! planner-ordering regression: short-circuit execution never changes
-//! `matched_ids`, and the shared conjunction walk pinned against brute
-//! force (every predicate over every item, `HashSet` intersection).
+//! planner-ordered query executor and the shared conjunction walk, both
+//! pinned against brute force (every predicate over every item through the
+//! reference walk, `HashSet` intersection).
 
+mod common;
+
+use common::{assert_execute_matches_brute_force, assert_relations_identical, brute_force};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::OnceLock;
 use tahoma::core::evaluator::CostContext;
-use tahoma::core::exec::{
-    run_conjunction, ExecOptions, ItemScorerBatchAdapter, SurrogateBatchScorer,
-};
-use tahoma::core::query::{
-    CmpOp, CorpusItem, ItemScorer, MetaPredicate, QueryResult, SurrogateItemScorer,
-};
+use tahoma::core::exec::{run_conjunction, ItemScorerBatchAdapter, SurrogateBatchScorer};
+use tahoma::core::query::{CmpOp, CorpusItem, ItemScorer, MetaPredicate, SurrogateItemScorer};
 use tahoma::core::thresholds::{DecisionThresholds, ThresholdTable};
 use tahoma::core::{Cascade, CoreError, VectorizedExecutor};
 use tahoma::mathx::DetRng;
@@ -123,31 +122,6 @@ fn random_subset(corpus: &Corpus, seed: u64, keep_pct: usize) -> Vec<&CorpusItem
         .collect()
 }
 
-fn assert_relations_identical(
-    a: &tahoma::core::query::PredicateRelation,
-    b: &tahoma::core::query::PredicateRelation,
-) {
-    assert_eq!(a.rows.len(), b.rows.len());
-    for (ra, rb) in a.rows.iter().zip(&b.rows) {
-        assert_eq!(ra.id, rb.id);
-        assert_eq!(ra.value, rb.value, "item {}", ra.id);
-        assert_eq!(ra.decided_at, rb.decided_at, "item {}", ra.id);
-        assert_eq!(
-            ra.score.to_bits(),
-            rb.score.to_bits(),
-            "item {} score {} vs {}",
-            ra.id,
-            ra.score,
-            rb.score
-        );
-    }
-    assert_eq!(a.level_histogram, b.level_histogram);
-    assert_eq!(a.accuracy, b.accuracy);
-    // Same per-item prefix costs summed in the same order: bitwise equal.
-    assert_eq!(a.simulated_time_s.to_bits(), b.simulated_time_s.to_bits());
-    assert_eq!(a.throughput_fps.to_bits(), b.throughput_fps.to_bits());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -170,12 +144,11 @@ proptest! {
         let items = random_subset(&fx.corpus, subset_seed, keep_pct);
         let scorer = HashScorer { seed: cascade_seed ^ thr_seed, nan_pct };
 
-        let processor = QueryProcessor::new(&fx.repo, &thresholds, &fx.cost);
-        let reference = processor
+        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
+        let reference = executor
             .run_cascade_reference(ObjectKind::Fence, cascade, &items, &scorer)
             .expect("reference runs");
 
-        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
         let mut adapter = ItemScorerBatchAdapter(&scorer);
         let batched = executor
             .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut adapter)
@@ -199,13 +172,12 @@ proptest! {
         let cascade = random_cascade(&mut rng, depth, fx.repo.len(), 5);
         let items = random_subset(&fx.corpus, subset_seed, 70);
 
-        let processor = QueryProcessor::new(&fx.repo, &thresholds, &fx.cost);
+        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
         let item_scorer = SurrogateItemScorer { scorer: &fx.scorer, repo: &fx.repo };
-        let reference = processor
+        let reference = executor
             .run_cascade_reference(ObjectKind::Fence, cascade, &items, &item_scorer)
             .expect("reference runs");
 
-        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
         let mut batch_scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.repo);
         let batched = executor
             .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut batch_scorer)
@@ -214,10 +186,11 @@ proptest! {
         assert_relations_identical(&reference, &batched);
     }
 
-    /// Full-query identity: `QueryProcessor::execute` (now a wrapper over
-    /// the vectorized executor in materialize-all mode) reproduces the
-    /// legacy algorithm — reference cascade per predicate over all
-    /// survivors, hash-set conjunction — exactly.
+    /// Full-query identity: the planner-ordered executor under a metadata
+    /// filter and 1–3 content predicates reproduces the legacy algorithm —
+    /// reference cascade per predicate over all survivors, hash-set
+    /// conjunction — and each relation is the reference walk over exactly
+    /// the rows it covers.
     #[test]
     fn execute_matches_legacy_algorithm(
         thr_seed in 0u64..1_000_000,
@@ -232,10 +205,7 @@ proptest! {
         let kinds = [ObjectKind::Fence, ObjectKind::Wallet, ObjectKind::Acorn];
         let query = Query {
             table: "t".into(),
-            metadata: vec![MetaPredicate::Camera(
-                tahoma::core::query::CmpOp::Lt,
-                camera_cut,
-            )],
+            metadata: vec![MetaPredicate::Camera(CmpOp::Lt, camera_cut)],
             content: kinds[..n_preds].to_vec(),
         };
         let mut cascades = BTreeMap::new();
@@ -244,41 +214,18 @@ proptest! {
             cascades.insert(kind, random_cascade(&mut rng, depth, fx.repo.len(), 5));
         }
         let scorer = HashScorer { seed: thr_seed ^ cascade_seed, nan_pct };
-        let processor = QueryProcessor::new(&fx.repo, &thresholds, &fx.cost);
+        let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
 
-        // Legacy oracle, reimplemented verbatim.
-        let surviving: Vec<&CorpusItem> = fx
-            .corpus
-            .items
-            .iter()
-            .filter(|item| query.metadata.iter().all(|p| p.holds(item)))
-            .collect();
-        let mut passing: Vec<u64> = surviving.iter().map(|i| i.id).collect();
-        let mut legacy_relations = Vec::new();
-        for &kind in &query.content {
-            let relation = processor
-                .run_cascade_reference(kind, cascades[&kind], &surviving, &scorer)
-                .expect("reference runs");
-            let pass_set: HashSet<u64> =
-                relation.rows.iter().filter(|r| r.value).map(|r| r.id).collect();
-            passing.retain(|id| pass_set.contains(id));
-            legacy_relations.push(relation);
-        }
-
-        let got: QueryResult = processor
-            .execute(&query, &fx.corpus, &cascades, &scorer)
+        let got = executor
+            .execute(&query, &fx.corpus, &cascades, &mut ItemScorerBatchAdapter(&scorer))
             .expect("executes");
-        assert_eq!(got.matched_ids, passing);
-        assert_eq!(got.metadata_survivors, surviving.len());
-        assert_eq!(got.relations.len(), legacy_relations.len());
-        for (a, b) in legacy_relations.iter().zip(&got.relations) {
-            assert_relations_identical(a, b);
-        }
+        assert_execute_matches_brute_force(&executor, &query, &fx.corpus, &cascades, &scorer, &got);
     }
 
-    /// Planner-ordered short-circuit execution never changes
-    /// `matched_ids`, and never scores more items than the full
-    /// materialization.
+    /// Planner-ordered short-circuit execution of a 2–3 predicate
+    /// conjunction never changes `matched_ids` from brute force's, and never
+    /// scores an item outside the metadata survivors or more rows than
+    /// every predicate over every survivor.
     #[test]
     fn short_circuit_preserves_matched_ids(
         thr_seed in 0u64..1_000_000,
@@ -303,33 +250,12 @@ proptest! {
         let scorer = HashScorer { seed: thr_seed ^ !cascade_seed, nan_pct };
         let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
 
-        let mut a1 = ItemScorerBatchAdapter(&scorer);
-        let full = executor
-            .execute(&query, &fx.corpus, &cascades, &mut a1,
-                &ExecOptions { materialize_all: true })
-            .expect("materialize-all executes");
-        let mut a2 = ItemScorerBatchAdapter(&scorer);
         let shortcut = executor
-            .execute(&query, &fx.corpus, &cascades, &mut a2,
-                &ExecOptions { materialize_all: false })
+            .execute(&query, &fx.corpus, &cascades, &mut ItemScorerBatchAdapter(&scorer))
             .expect("short-circuit executes");
-
-        assert_eq!(full.matched_ids, shortcut.matched_ids);
-        assert_eq!(full.metadata_survivors, shortcut.metadata_survivors);
-        let scored = |r: &QueryResult| -> usize { r.relations.iter().map(|rel| rel.rows.len()).sum() };
-        assert!(
-            scored(&shortcut) <= scored(&full),
-            "short-circuit scored {} items, full {}",
-            scored(&shortcut),
-            scored(&full)
+        assert_execute_matches_brute_force(
+            &executor, &query, &fx.corpus, &cascades, &scorer, &shortcut,
         );
-        // Every short-circuit relation's rows are a subset of the full one's.
-        for (f, s) in full.relations.iter().zip(&shortcut.relations) {
-            let full_rows: HashSet<u64> = f.rows.iter().map(|r| r.id).collect();
-            for row in &s.rows {
-                assert!(full_rows.contains(&row.id));
-            }
-        }
     }
 
     /// The one conjunction walk against brute force: random metadata
@@ -372,24 +298,11 @@ proptest! {
         let scorer = HashScorer { seed: thr_seed ^ order_seed, nan_pct };
         let items: Vec<&CorpusItem> = fx.corpus.items.iter().collect();
 
-        // Brute force: no shrinking pack, no ordering, sets only.
-        let processor = QueryProcessor::new(&fx.repo, &thresholds, &fx.cost);
-        let mut expected: HashSet<u64> = items
-            .iter()
-            .filter(|item| metadata.iter().all(|p| p.holds(item)))
-            .map(|item| item.id)
-            .collect();
-        let metadata_survivors = expected.len();
-        for &(kind, cascade) in &steps {
-            let relation = processor
-                .run_cascade_reference(kind, cascade, &items, &scorer)
-                .expect("reference runs");
-            let pass: HashSet<u64> =
-                relation.rows.iter().filter(|r| r.value).map(|r| r.id).collect();
-            expected = expected.intersection(&pass).copied().collect();
-        }
-
         let executor = VectorizedExecutor::new(&fx.repo, &thresholds, &fx.cost);
+        let bf = brute_force(&executor, &metadata, &steps, &items, &scorer);
+        let expected: HashSet<u64> = bf.matched.iter().copied().collect();
+        let metadata_survivors = bf.survivors.len();
+
         let mut adapter = ItemScorerBatchAdapter(&scorer);
         let mut pack_sizes = Vec::new();
         let walk = run_conjunction(&metadata, &steps, &items, |kind, cascade, pack| {
@@ -410,6 +323,7 @@ proptest! {
             .collect();
         assert_eq!(walk.passes.len(), items.len());
         assert_eq!(flagged, expected);
+        assert_eq!(walk.matched_ids(&items), bf.matched);
         assert_eq!(walk.metadata_survivors, metadata_survivors);
         // Every step ran once, over a pack no larger than the one before.
         assert_eq!(pack_sizes.len(), steps.len());

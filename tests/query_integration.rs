@@ -1,8 +1,11 @@
 //! Integration of the query layer: SQL parsing, metadata pushdown, cascade
 //! execution over a corpus, and cost accounting consistency.
 
+mod common;
+
 use std::collections::BTreeMap;
 use tahoma::core::evaluator::CostContext;
+use tahoma::core::exec::{SurrogateBatchScorer, VectorizedExecutor};
 use tahoma::core::query::{QueryResult, SurrogateItemScorer};
 use tahoma::prelude::*;
 
@@ -48,17 +51,14 @@ fn execute(fx: &Fixture, sql: &str, scenario: Scenario) -> QueryResult {
         )
         .expect("feasible");
     let cost = CostContext::build(&fx.system.repo, &profiler);
-    let processor = QueryProcessor::new(&fx.system.repo, &fx.system.thresholds, &cost);
+    let executor = VectorizedExecutor::new(&fx.system.repo, &fx.system.thresholds, &cost);
     let mut cascades = BTreeMap::new();
     for &kind in &query.content {
         cascades.insert(kind, chosen.cascade);
     }
-    let scorer = SurrogateItemScorer {
-        scorer: &fx.scorer,
-        repo: &fx.system.repo,
-    };
-    processor
-        .execute(&query, &fx.corpus, &cascades, &scorer)
+    let mut scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
+    executor
+        .execute(&query, &fx.corpus, &cascades, &mut scorer)
         .expect("executes")
 }
 
@@ -137,12 +137,10 @@ fn query_results_are_deterministic() {
 
 #[test]
 fn planner_short_circuit_strictly_reduces_scored_items() {
-    // A two-content-predicate query through the vectorized executor: in
-    // short-circuit mode the later predicate evaluates only the earlier
-    // one's survivors, so the total scored-item count strictly drops while
-    // `matched_ids` stays exactly the same.
-    use tahoma::core::exec::{ExecOptions, SurrogateBatchScorer, VectorizedExecutor};
-
+    // A two-content-predicate query through the vectorized executor: the
+    // later predicate evaluates only the earlier one's survivors, so fewer
+    // rows are scored than both predicates over every survivor, while
+    // `matched_ids` equals brute force's exactly.
     let fx = fixture(ObjectKind::Fence);
     let query =
         Query::parse("SELECT * FROM f WHERE contains_object(fence) AND contains_object(wallet)")
@@ -165,45 +163,33 @@ fn planner_short_circuit_strictly_reduces_scored_items() {
         cascades.insert(kind, chosen.cascade);
     }
 
-    let mut full_scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
-    let full = executor
-        .execute(
-            &query,
-            &fx.corpus,
-            &cascades,
-            &mut full_scorer,
-            &ExecOptions {
-                materialize_all: true,
-            },
-        )
-        .expect("materialize-all executes");
-    let mut sc_scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
+    let mut scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
     let shortcut = executor
-        .execute(
-            &query,
-            &fx.corpus,
-            &cascades,
-            &mut sc_scorer,
-            &ExecOptions {
-                materialize_all: false,
-            },
-        )
+        .execute(&query, &fx.corpus, &cascades, &mut scorer)
         .expect("short-circuit executes");
-
-    assert_eq!(full.matched_ids, shortcut.matched_ids);
-    assert!(!full.matched_ids.is_empty(), "query should match something");
-    let scored = |r: &QueryResult| -> usize { r.relations.iter().map(|rel| rel.rows.len()).sum() };
-    let (nf, ns) = (scored(&full), scored(&shortcut));
-    assert_eq!(nf, 2 * full.metadata_survivors);
-    assert!(
-        ns < nf,
-        "short-circuit scored {ns} items, full materialization {nf}"
+    let item_scorer = SurrogateItemScorer {
+        scorer: &fx.scorer,
+        repo: &fx.system.repo,
+    };
+    common::assert_execute_matches_brute_force(
+        &executor,
+        &query,
+        &fx.corpus,
+        &cascades,
+        &item_scorer,
+        &shortcut,
     );
-    // The first-executed predicate still covers every survivor; the other
-    // covers exactly the conjunction input it received.
-    let covered: Vec<usize> = shortcut.relations.iter().map(|r| r.rows.len()).collect();
-    assert!(covered.contains(&shortcut.metadata_survivors));
-    assert!(covered.iter().any(|&n| n < shortcut.metadata_survivors));
+
+    assert!(
+        !shortcut.matched_ids.is_empty(),
+        "query should match something"
+    );
+    let scored: usize = shortcut.relations.iter().map(|rel| rel.rows.len()).sum();
+    let full = query.content.len() * shortcut.metadata_survivors;
+    assert!(
+        scored < full,
+        "short-circuit scored {scored} rows, every predicate over every survivor {full}"
+    );
 }
 
 #[test]
@@ -212,13 +198,10 @@ fn missing_cascade_for_predicate_is_an_error() {
     let query = Query::parse("SELECT * FROM f WHERE contains_object(acorn)").unwrap();
     let profiler = AnalyticProfiler::paper_testbed(Scenario::Ongoing);
     let cost = CostContext::build(&fx.system.repo, &profiler);
-    let processor = QueryProcessor::new(&fx.system.repo, &fx.system.thresholds, &cost);
-    let scorer = SurrogateItemScorer {
-        scorer: &fx.scorer,
-        repo: &fx.system.repo,
-    };
+    let executor = VectorizedExecutor::new(&fx.system.repo, &fx.system.thresholds, &cost);
+    let mut scorer = SurrogateBatchScorer::new(&fx.scorer, &fx.system.repo);
     let cascades = BTreeMap::new(); // no cascade registered for acorn
-    assert!(processor
-        .execute(&query, &fx.corpus, &cascades, &scorer)
+    assert!(executor
+        .execute(&query, &fx.corpus, &cascades, &mut scorer)
         .is_err());
 }

@@ -135,9 +135,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     // not stored) → standardize → `infer_batch_shared` → thresholds.
     use std::collections::BTreeMap;
     use tahoma::core::evaluator::CostContext;
-    use tahoma::core::exec::{
-        BatchScorer, ExecOptions, NnSessionScratch, SharedModelZoo, SharedNnScorer,
-    };
+    use tahoma::core::exec::{BatchScorer, NnSessionScratch, SharedModelZoo, SharedNnScorer};
     use tahoma::core::thresholds::{DecisionThresholds, ThresholdTable};
     use tahoma::core::VectorizedExecutor;
     use tahoma::imagery::RepresentationStore;
@@ -254,7 +252,6 @@ fn vectorized_executor_serves_real_models_end_to_end() {
             &corpus,
             &cascades,
             &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
-            &ExecOptions::default(),
         )
         .unwrap();
     let rel = &result.relations[0];
