@@ -31,9 +31,35 @@ pub trait Codec {
     fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError>;
 }
 
+/// 2²³: adding it to an `f32` in `[0, 2²³)` rounds the value to an integer.
+const TWO_POW_23: f32 = 8_388_608.0;
+
+/// The storage quantizer: equal to `(v.clamp(0.0, 1.0) * 255.0).round()
+/// as u8` for every `f32` bit pattern, with no `round` libcall, no branch
+/// and no float-to-int cast, so slice loops over it vectorize (a
+/// saturating `as` cast does not vectorize on the portable x86-64 target).
+///
+/// Exactness: NaN and `v <= 0` (±0, −∞) give `x = 0`; `v >= 1` (+∞) gives
+/// `x = 255`; otherwise `x` is the reference's own `v * 255.0`. For `x` in
+/// `[0, 255]`, `y = x + 2²³` is exact up to rounding `x` to the nearest
+/// integer `r`, ties to even, so `y`'s low bits are `r`. `y − 2²³ = r` is
+/// exact (Sterbenz), and so is `x − r`: both are multiples of `ulp(x)` and
+/// `|x − r| <= 0.5`. `round` differs from ties-to-even only on a tie
+/// rounded down (`x − r == 0.5`), which the last step sends up. Pinned
+/// over the u8 grid's boundaries and specials in tier-1, and over all 2³²
+/// patterns by the `#[ignore]`d `quantize_all_bits` test.
 #[inline]
 fn quantize(v: f32) -> u8 {
-    (v.clamp(0.0, 1.0) * 255.0).round() as u8
+    // NaN and everything at or below 0 go to 0, everything at or above 1
+    // to 1: one max and one min, no NaN left.
+    let c = if v > 0.0 { v } else { 0.0 };
+    let x = if c < 1.0 { c } else { 1.0 } * 255.0;
+    // Adding 2²³ rounds `x` to the nearest integer `r` (ties to even) and
+    // leaves it in the low mantissa bits: `y.to_bits() == 0x4B00_0000 + r`.
+    let y = x + TWO_POW_23;
+    // Half away from zero: a tie that went down to the even `r` goes up.
+    let tie = x - (y - TWO_POW_23) == 0.5;
+    (y.to_bits() + u32::from(tie)) as u8
 }
 
 #[inline]
@@ -44,10 +70,9 @@ fn dequantize(b: u8) -> f32 {
 /// Quantize-roundtrip every sample through the storage quantizer, in
 /// place: afterwards the image is exactly what encoding then decoding it
 /// produces (the u8 grid is a fixed point: `quantize(dequantize(b)) == b`).
-/// Ingest normalizes frames through this *before* deriving
-/// representations, so a representation re-derived from the decoded
-/// stored source is bitwise identical to the stored record — the
-/// quarantine degradation path's exactness guarantee (RELIABILITY.md).
+/// A representation re-derived from the decoded stored source lands on the
+/// stored record's grid through this — the quarantine degradation path's
+/// exactness guarantee (RELIABILITY.md).
 pub fn quantize_roundtrip(img: &mut Image) {
     for v in img.data_mut() {
         *v = dequantize(quantize(*v));
@@ -93,15 +118,9 @@ impl Codec for RawCodec {
     }
 
     fn encode(&self, img: &Image) -> Bytes {
-        let mut buf = BytesMut::with_capacity(RAW_HEADER_LEN + img.value_count());
-        buf.put_slice(RAW_MAGIC);
-        buf.put_u32_le(img.width() as u32);
-        buf.put_u32_le(img.height() as u32);
-        buf.put_u8(mode_code(img.mode()));
-        for &v in img.data() {
-            buf.put_u8(quantize(v));
-        }
-        buf.freeze()
+        let mut buf = Vec::new();
+        self.encode_into(img, &mut buf);
+        buf.into()
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError> {
@@ -110,6 +129,19 @@ impl Codec for RawCodec {
 }
 
 impl RawCodec {
+    /// Encode into a caller-owned byte buffer (cleared first), so a writer
+    /// that encodes frame after frame reuses one allocation. Produces
+    /// exactly the bytes of [`Codec::encode`].
+    pub fn encode_into(&self, img: &Image, buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.reserve(RAW_HEADER_LEN + img.value_count());
+        buf.put_slice(RAW_MAGIC);
+        buf.put_u32_le(img.width() as u32);
+        buf.put_u32_le(img.height() as u32);
+        buf.put_u8(mode_code(img.mode()));
+        buf.extend(img.data().iter().map(|&v| quantize(v)));
+    }
+
     /// Decode into a caller-provided buffer (typically recycled from a
     /// [`crate::engine::TranscodeEngine`] pool), so steady-state decoding
     /// of same-shaped blobs performs no large allocations. `data` is
@@ -401,6 +433,102 @@ mod tests {
             (base + rng.normal(0.0, 0.02) as f32).clamp(0.0, 1.0)
         })
         .unwrap()
+    }
+
+    /// The quantizer's specification.
+    fn reference_quantize(v: f32) -> u8 {
+        (v.clamp(0.0, 1.0) * 255.0).round() as u8
+    }
+
+    fn assert_quantize_matches(v: f32) {
+        assert_eq!(
+            quantize(v),
+            reference_quantize(v),
+            "{v:?} (bits {:#010x})",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn quantize_matches_reference_on_boundaries_and_specials() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffc0_0001),
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffbf_ffff),
+            f32::from_bits(1), // smallest subnormal
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            -1.0,
+            2.0,
+            1.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // Every grid point and every half-way point, each with its float
+        // neighbours: the only places the rounding decision can flip.
+        for k in 0..=255u16 {
+            for v in [f32::from(k) / 255.0, (f32::from(k) + 0.5) / 255.0] {
+                inputs.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        for &v in &inputs {
+            assert_quantize_matches(v);
+        }
+        // The same values through the encoder's vectorized loop.
+        let want: Vec<u8> = inputs.iter().map(|&v| reference_quantize(v)).collect();
+        let row = Image::from_planar(inputs.len(), 1, ColorMode::Gray, inputs).unwrap();
+        let mut buf = Vec::new();
+        RawCodec.encode_into(&row, &mut buf);
+        assert_eq!(&buf[RAW_HEADER_LEN..], &want[..]);
+    }
+
+    #[test]
+    #[ignore = "exhaustive over all 2^32 f32 bit patterns; run in release"]
+    fn quantize_all_bits() {
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let span = (1u64 << 32) / lanes + 1;
+        std::thread::scope(|s| {
+            for lane in 0..lanes {
+                s.spawn(move || {
+                    let end = ((lane + 1) * span).min(1 << 32);
+                    for bits in lane * span..end {
+                        let v = f32::from_bits(bits as u32);
+                        if quantize(v) != reference_quantize(v) {
+                            assert_quantize_matches(v);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn raw_encode_into_matches_encode() {
+        // One buffer for both images, the larger first: no stale byte of
+        // the first may survive into the second.
+        let mut buf = Vec::new();
+        for (seed, (w, h, mode)) in [(17, 11, ColorMode::Rgb), (5, 9, ColorMode::Gray)]
+            .into_iter()
+            .enumerate()
+        {
+            let img = noisy_scene(w, h, mode, seed as u64 + 10);
+            RawCodec.encode_into(&img, &mut buf);
+            assert_eq!(&buf[..], &RawCodec.encode(&img)[..]);
+            let samples = &buf[RAW_HEADER_LEN..];
+            assert!(samples
+                .iter()
+                .zip(img.data())
+                .all(|(&b, &v)| b == reference_quantize(v)));
+        }
     }
 
     #[test]

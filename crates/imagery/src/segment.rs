@@ -58,10 +58,20 @@ pub const RECORD_HEADER_LEN: usize = 25;
 const MIN_CAPACITY_STEP: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant).
+// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant), slicing-by-16.
+//
+// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][n]`
+// is the CRC state after feeding byte `n` followed by `k` zero bytes. A
+// 16-byte block then folds in one step: XOR the running state into its
+// first four bytes, look each of the 16 bytes up in the table for the
+// number of bytes that follow it, and XOR the 16 words. Same polynomial,
+// same result as the byte loop, ~16 independent loads per block instead
+// of a 16-long dependency chain.
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+const CRC_SLICES: usize = 16;
+
+const CRC_TABLES: [[u32; 256]; CRC_SLICES] = {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
     let mut n = 0usize;
     while n < 256 {
         let mut c = n as u32;
@@ -74,18 +84,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut n = 0usize;
+    while n < 256 {
+        let mut c = tables[0][n];
+        let mut k = 1;
+        while k < CRC_SLICES {
+            c = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            tables[k][n] = c;
+            k += 1;
+        }
+        n += 1;
+    }
+    tables
 };
 
 const CRC_INIT: u32 = 0xFFFF_FFFF;
 
+/// Advance a CRC state over `chunk`. Feeding a payload in any split gives
+/// the same state as feeding it whole.
 #[inline]
 fn crc_update(mut state: u32, chunk: &[u8]) -> u32 {
-    for &b in chunk {
-        state = CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    let mut blocks = chunk.chunks_exact(CRC_SLICES);
+    for block in &mut blocks {
+        let head =
+            (state ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]])).to_le_bytes();
+        let mut acc = 0u32;
+        for i in 0..CRC_SLICES {
+            let byte = if i < 4 { head[i] } else { block[i] };
+            acc ^= CRC_TABLES[CRC_SLICES - 1 - i][usize::from(byte)];
+        }
+        state = acc;
+    }
+    for &byte in blocks.remainder() {
+        state = CRC_TABLES[0][((state ^ u32::from(byte)) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
@@ -911,6 +945,50 @@ mod tests {
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC loop: the reference the sliced one must equal.
+    fn crc_update_bytewise(mut state: u32, chunk: &[u8]) -> u32 {
+        for &b in chunk {
+            state = CRC_TABLES[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise_at_every_length_offset_and_split() {
+        let max_len = 4096;
+        let data: Vec<u8> = (0..max_len as u64 + 8)
+            .map(|i| tahoma_mathx::hash64(i ^ 0xC4C3_2000) as u8)
+            .collect();
+        // The reference state of every prefix, per start offset, grows one
+        // byte per length. Every length is checked at a rotating offset, and
+        // at all 8 offsets up to 33 blocks (beyond that the block loop has
+        // nothing new to show, and a debug build pays ~4 ns a byte).
+        let mut want = [CRC_INIT; 8];
+        for len in 0..=max_len {
+            for (off, want) in want.iter_mut().enumerate() {
+                if len > 0 {
+                    *want = crc_update_bytewise(*want, &data[off + len - 1..off + len]);
+                }
+                if len <= 33 * CRC_SLICES || off == len % 8 {
+                    let p = &data[off..off + len];
+                    assert_eq!(crc_update(CRC_INIT, p), *want, "len {len} offset {off}");
+                }
+            }
+            // Fed in seeded uneven chunks, as the recovery scan streams.
+            let off = (len + 3) % 8;
+            let mut state = CRC_INIT;
+            let mut rest = &data[off..off + len];
+            let mut k = len as u64;
+            while !rest.is_empty() {
+                k = tahoma_mathx::hash64(k);
+                let take = (1 + k as usize % 40).min(rest.len());
+                state = crc_update(state, &rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(state, want[off], "len {len} chunked");
+        }
     }
 
     #[test]

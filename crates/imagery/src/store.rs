@@ -44,8 +44,8 @@
 //! reused across frames — this is the per-frame serving cost of the
 //! ONGOING scenario, so it gets the engine's full hot-path treatment.
 
-use crate::codec::{Codec, RawCodec};
-use crate::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan};
+use crate::codec::RawCodec;
+use crate::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan, TranscodeStep};
 use crate::error::ImageryError;
 use crate::image::Image;
 use crate::repr::Representation;
@@ -112,6 +112,11 @@ struct IngestState {
     /// Shape of the most recently ingested frame (what
     /// [`RepresentationStore::planned_ingest_cost_s`] prices).
     last_shape: Option<(usize, usize)>,
+    /// The frame's `TAH1` encoding: the source quantized once, and the
+    /// stored bytes of a full-size RGB representation as they are.
+    source: Vec<u8>,
+    /// Encode scratch for every other representation, reused per frame.
+    encoded: Vec<u8>,
 }
 
 /// Classified result of [`RepresentationStore::fetch_classified`].
@@ -280,22 +285,31 @@ impl RepresentationStore {
             TranscodePlan::new(shape.0, shape.1, reps, &TranscodeCosts::default())
         });
         st.last_shape = Some(shape);
-        // Snap the frame to the storage quantizer's u8 grid before any
-        // derivation: every stored representation is then a function of
-        // exactly what the stored source decodes back to, which is what
-        // makes `rederive` (the quarantine degradation rung) bitwise
-        // exact (RELIABILITY.md).
-        let mut full_q = full.clone();
-        crate::codec::quantize_roundtrip(&mut full_q);
-        let materialized = st.engine.apply_planned(&full_q, plan)?;
-        st.engine.recycle([full_q]);
+        // Quantize the frame once, straight into its `TAH1` encoding, and
+        // derive every representation from what those bytes decode back
+        // to: each stored record is then a function of exactly the stored
+        // source, which is what makes `rederive` (the quarantine
+        // degradation rung) bitwise exact (RELIABILITY.md).
+        RawCodec.encode_into(full, &mut st.source);
+        let buf = st.engine.take_buffer(full.value_count());
+        let source = RawCodec.decode_into(&st.source, buf)?;
+        let materialized = st.engine.apply_planned(&source, plan);
+        st.engine.recycle([source]);
+        let materialized = materialized?;
         let mut added = 0usize;
-        for (&rep, image) in self.reps.iter().zip(&materialized) {
-            let bytes = RawCodec.encode(image);
+        for ((&rep, image), &step) in self.reps.iter().zip(&materialized).zip(plan.steps()) {
+            // The full-size RGB target is the source itself: its bytes are
+            // already encoded (the u8 grid is a fixed point of the codec).
+            let bytes: &[u8] = if step == TranscodeStep::Identity {
+                &st.source
+            } else {
+                RawCodec.encode_into(image, &mut st.encoded);
+                &st.encoded
+            };
             added += bytes.len();
             match &self.tier {
                 Tier::Ram(ram) => {
-                    lock(&ram.blobs).insert((id, rep), bytes);
+                    lock(&ram.blobs).insert((id, rep), Bytes::copy_from_slice(bytes));
                 }
                 // Bounded retry on transient append errors; re-appending a
                 // key is idempotent at the index (last record wins), so a
@@ -303,7 +317,7 @@ impl RepresentationStore {
                 Tier::Disk(seg) => {
                     let mut attempt = 0;
                     loop {
-                        match seg.append(id, rep, &bytes) {
+                        match seg.append(id, rep, bytes) {
                             Ok(()) => break,
                             Err(e) => {
                                 let e: ImageryError = e.into();
@@ -711,6 +725,7 @@ fn manifest_path(dir: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use crate::color::ColorMode;
     use std::sync::atomic::{AtomicU64, Ordering};
 
