@@ -374,19 +374,6 @@ impl RepresentationStore {
         Ok(out)
     }
 
-    /// Ingest a batch of frames. Equivalent to calling
-    /// [`RepresentationStore::ingest`] per frame (one plan and one engine
-    /// scratch serve the whole batch either way).
-    pub fn ingest_batch<'a>(
-        &self,
-        frames: impl IntoIterator<Item = (u64, &'a Image)>,
-    ) -> Result<(), ImageryError> {
-        for (id, frame) in frames {
-            self.ingest(id, frame)?;
-        }
-        Ok(())
-    }
-
     /// The cost-model price of one frame's planned materialization under
     /// the given per-unit costs, next to what the naive per-representation
     /// loop would pay. Priced for the most recently ingested frame shape;
@@ -852,17 +839,22 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_matches_sequential_and_prices_plan() {
+    fn per_frame_ingest_accounts_bytes_frames_and_prices_plan() {
+        // Two stores fed the same frames one `ingest` call at a time —
+        // one store walked forwards, the other backwards — account the
+        // same bytes and frames: each frame is priced on its own.
         let frames: Vec<Image> = (0..3).map(frame).collect();
         let a = RepresentationStore::new(small_reps());
-        a.ingest_batch(frames.iter().enumerate().map(|(i, f)| (i as u64, f)))
-            .unwrap();
-        let b = RepresentationStore::new(small_reps());
         for (i, f) in frames.iter().enumerate() {
+            a.ingest(i as u64, f).unwrap();
+        }
+        let b = RepresentationStore::new(small_reps());
+        for (i, f) in frames.iter().enumerate().rev() {
             b.ingest(i as u64, f).unwrap();
         }
         assert_eq!(a.total_bytes(), b.total_bytes());
         assert_eq!(a.frames(), b.frames());
+        assert_eq!(a.frames(), 3);
         let (planned, direct) = a
             .planned_ingest_cost_s(&crate::engine::TranscodeCosts::default())
             .expect("shape fixed by ingest");

@@ -6,8 +6,9 @@
 //! [`StreamIngest`] camera feed. A `TICK` request drives the paper's §III
 //! ONGOING scenario end to end for one window slide:
 //!
-//! 1. the feed renders this tick's `STEP` arriving frames;
-//! 2. each frame is materialized into the shared
+//! 1. the feed renders this tick's `STEP` arriving frames, side by side on
+//!    the process pool's lanes;
+//! 2. each frame, in id order, is materialized into the shared
 //!    [`RepresentationStore`] through the lattice-planned transcode path
 //!    (§V ingest-time materialization) — the same store ad-hoc `QUERY`
 //!    traffic reads, so a standing query's NN cascades score the stored
@@ -35,7 +36,7 @@
 
 use crate::protocol::fnv1a64;
 use crate::service::{lock, QueryService, ServeError};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -126,11 +127,12 @@ struct StandingState {
     /// Deduplicated content kinds, for broker interest registration.
     kinds: Vec<ObjectKind>,
     camera: u64,
-    /// A rendered frame whose store materialization failed mid-tick; the
-    /// next tick retries it before advancing the feed, so a transient
-    /// ingest fault never loses a frame (the retried window is identical
-    /// to the fault-free one).
-    pending_frame: Option<IngestFrame>,
+    /// Rendered frames not yet ingested, in id order: a store
+    /// materialization that failed mid-tick parks its frame and every
+    /// frame after it, and the next tick retries them before rendering
+    /// more, so a transient ingest fault never loses a frame (the retried
+    /// window is identical to the fault-free one).
+    parked: VecDeque<IngestFrame>,
     /// Sticky quarantine reason: set when a tick evaluation failed twice
     /// in a row. A degraded query refuses further ticks and reports
     /// `state=degraded` via `DELTAS` (see RELIABILITY.md).
@@ -145,7 +147,10 @@ pub struct StandingQuery {
     // cursor, transcode engine); held across a whole tick, strictly below
     // the registry map (25) and above everything the tick reaches through
     // the service: scratch pools (30), broker (40/50), and store
-    // ingest/fetch (65/66/70/71).
+    // ingest/fetch (65/66/70/71). The render jobs a tick spawns on the
+    // process pool while holding it take no lock; like an inference scope
+    // under this lock, the owner thread may help run other scopes' jobs
+    // while it waits for its renders.
     // LOCK-ORDER: 27
     window: Mutex<StandingState>,
 }
@@ -245,7 +250,7 @@ impl StreamRegistry {
                 stores,
                 kinds,
                 camera: qid % 8,
-                pending_frame: None,
+                parked: VecDeque::new(),
                 degraded: None,
             }),
         });
@@ -267,9 +272,13 @@ impl StreamRegistry {
 
     /// Drive one window slide: ingest the tick's `STEP` arriving frames
     /// (render → store materialization → executor buffer), then tick the
-    /// window, scoring only the entrants. Ingest tops up to the tick's
-    /// window end and parks a frame whose materialization failed, so a
-    /// tick that errored mid-way is simply retried with nothing lost.
+    /// window, scoring only the entrants. The feed renders every frame
+    /// still missing up to the tick's window end in one call (the renders
+    /// run in parallel); the stores then ingest them one by one in id
+    /// order, so segment files are byte-identical to a serial feed. A
+    /// frame whose materialization failed is parked with every frame after
+    /// it, so a tick that errored mid-way is simply retried with nothing
+    /// lost.
     ///
     /// A failed window evaluation is retried once on the spot — the
     /// executor's tick is failure-atomic, so the retry replays the
@@ -288,17 +297,17 @@ impl StreamRegistry {
         }
         let _interest = service.register_interest(&st.kinds, true);
         let need = (st.cx.ticks() + 1) * st.cx.window().step();
-        while st.cx.arrived() < need {
-            let arriving = match st.pending_frame.take() {
-                Some(parked) => parked,
-                None => st.feed.next_ingest(&mut st.engine),
-            };
+        let missing = need.saturating_sub(st.cx.arrived() + st.parked.len() as u64);
+        let rendered = st.feed.take_ingest(missing as usize, &mut st.engine);
+        st.parked.extend(rendered);
+        while let Some(arriving) = st.parked.pop_front() {
             for store in &st.stores {
                 if let Err(e) = store.ingest(arriving.id, &arriving.image) {
-                    // Park the frame: the next tick retries this exact
-                    // ingest (re-appending already-written stores is
-                    // idempotent — last record wins).
-                    st.pending_frame = Some(arriving);
+                    // Park the frame back at the front: the next tick
+                    // retries this exact ingest (re-appending
+                    // already-written stores is idempotent — last record
+                    // wins).
+                    st.parked.push_front(arriving);
                     return Err(ServeError::Exec(format!("stream ingest: {e}")));
                 }
             }

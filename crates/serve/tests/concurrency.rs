@@ -10,7 +10,7 @@ use std::time::Duration;
 use tahoma_imagery::ObjectKind;
 use tahoma_nn::MORSEL_ROWS;
 use tahoma_serve::fixture::{nn_service, surrogate_service, NnFixtureConfig};
-use tahoma_serve::{serve, ExecPolicy, QueryService, ServerConfig};
+use tahoma_serve::{serve, ExecPolicy, QueryService, ServerConfig, StreamRegistry};
 
 const QUERIES: &[&str] = &[
     "SELECT * FROM frames WHERE contains_object(fence)",
@@ -197,6 +197,86 @@ fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
     assert!(
         stats.broker.morsel_calls > 0,
         "broker path never fanned out: {stats:?}"
+    );
+}
+
+/// Two standing queries ticked from two threads at once: each tick's
+/// frame renders run as jobs on the shared process pool, and its entrant
+/// packs (two morsels wide) fan out as inference scopes on the same
+/// pool, so render and inference jobs of both queries interleave. Every
+/// tick's delta and matched-set sum must equal a one-thread run of the
+/// same script.
+#[test]
+fn concurrent_standing_ticks_match_sequential() {
+    const STEP: u64 = 2 * MORSEL_ROWS as u64;
+    const TICKS: usize = 3;
+    const STREAMS: [(&str, &str); 2] = [
+        ("coral", "SELECT * FROM frames WHERE contains_object(fence)"),
+        (
+            "jackson",
+            "SELECT * FROM frames WHERE contains_object(wallet) AND contains_object(fence)",
+        ),
+    ];
+    let service = nn_service(&NnFixtureConfig {
+        corpus_n: 32,
+        window: Duration::from_millis(2),
+        ..Default::default()
+    });
+    // Same registry seed and registration order: same qids, same frames.
+    let registry = || {
+        let registry = StreamRegistry::new(0x71C4);
+        let qids: Vec<u64> = STREAMS
+            .iter()
+            .map(|(stream, sql)| {
+                registry
+                    .register(&service, stream, 2 * STEP, STEP, sql)
+                    .expect("register")
+                    .qid
+            })
+            .collect();
+        (registry, qids)
+    };
+    type Tick = (Vec<u64>, Vec<u64>, u64);
+    let tick = |registry: &StreamRegistry, qid: u64| -> Tick {
+        let t = registry.tick(&service, qid).expect("tick");
+        (t.deltas.added, t.deltas.removed, t.sum)
+    };
+
+    let (sequential, qids) = registry();
+    let mut want: Vec<Vec<Tick>> = vec![Vec::new(); qids.len()];
+    for _ in 0..TICKS {
+        for (script, &qid) in want.iter_mut().zip(&qids) {
+            script.push(tick(&sequential, qid));
+        }
+    }
+    assert!(
+        want.iter().flatten().any(|(added, _, _)| !added.is_empty()),
+        "the script must match something"
+    );
+
+    let before = service.stats().broker.morsel_calls;
+    let (concurrent, qids) = registry();
+    let got: Vec<Vec<Tick>> = std::thread::scope(|s| {
+        let handles: Vec<_> = qids
+            .iter()
+            .map(|&qid| {
+                let (concurrent, tick) = (&concurrent, &tick);
+                s.spawn(move || (0..TICKS).map(|_| tick(concurrent, qid)).collect())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("ticking thread"))
+            .collect()
+    });
+    for (q, (g, w)) in got.iter().zip(&want).enumerate() {
+        for (t, (g, w)) in g.iter().zip(w).enumerate() {
+            assert_eq!(g, w, "query {q} tick {}: (added, removed, sum)", t + 1);
+        }
+    }
+    assert!(
+        service.stats().broker.morsel_calls > before,
+        "entrant packs never fanned out as morsels"
     );
 }
 

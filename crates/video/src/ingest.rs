@@ -86,37 +86,132 @@ impl StreamIngest {
         self.id_base + self.stream.position()
     }
 
-    /// Produce the next arriving frame: advance the stream one step and
-    /// render its raster. Pass the same `engine` across calls so the
-    /// thumbnail resize plan and buffer pool amortize (the raster itself
-    /// is a fresh allocation — it is handed to the store).
+    /// Produce the next arriving frame: [`StreamIngest::take_ingest`] of
+    /// one.
     pub fn next_ingest(&mut self, engine: &mut TranscodeEngine) -> IngestFrame {
-        let f = self.stream.next_frame();
-        let (image, _) = self.renderer.render(f.idx, f.label);
-        let frame = Frame::from_image(
-            f.idx,
-            f.label,
-            f.difficulty,
-            &image,
-            self.stream.config().thumb_side,
-            engine,
-        );
-        IngestFrame {
-            id: self.id_base + frame.idx,
-            frame,
-            image,
-        }
+        self.take_ingest(1, engine)
+            .pop()
+            .expect("take_ingest(1) yields one frame")
     }
 
-    /// Produce the next `n` arriving frames.
+    /// Produce the next `n` arriving frames, in id order.
+    ///
+    /// The stream advances serially (its RNG is consumed in frame order),
+    /// and each frame's raster renders on a `tahoma_mathx::pool` lane as
+    /// soon as the stream has produced it: a render is a pure function of
+    /// `(seed, idx, label)`, so the rasters are bitwise the ones a serial
+    /// loop renders. The caller keeps advancing the stream while lanes
+    /// render, then helps until every raster is in; thumbnails are built
+    /// afterwards in id order through `engine` (pass the same engine across
+    /// calls so the resize plan and buffer pool amortize — the rasters
+    /// themselves are fresh allocations handed to the store).
     pub fn take_ingest(&mut self, n: usize, engine: &mut TranscodeEngine) -> Vec<IngestFrame> {
-        (0..n).map(|_| self.next_ingest(engine)).collect()
+        let mut frames = Vec::with_capacity(n);
+        let mut images: Vec<Option<Image>> = vec![None; n];
+        let (stream, renderer) = (&mut self.stream, &self.renderer);
+        tahoma_mathx::pool::scope(|s| {
+            for slot in images.iter_mut() {
+                let f = stream.next_frame();
+                let (idx, label) = (f.idx, f.label);
+                frames.push(f);
+                s.spawn(move || *slot = Some(renderer.render(idx, label).0));
+            }
+        });
+        let thumb_side = self.stream.config().thumb_side;
+        frames
+            .into_iter()
+            .zip(images)
+            .map(|(f, image)| {
+                let image = image.expect("every spawned render ran");
+                let frame =
+                    Frame::from_image(f.idx, f.label, f.difficulty, &image, thumb_side, engine);
+                IngestFrame {
+                    id: self.id_base + frame.idx,
+                    frame,
+                    image,
+                }
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-at-a-time serial render `take_ingest` must reproduce: step
+    /// the stream, render on this thread, thumbnail, id.
+    fn serial_next(feed: &mut StreamIngest, engine: &mut TranscodeEngine) -> IngestFrame {
+        let f = feed.stream.next_frame();
+        let (image, _) = feed.renderer.render(f.idx, f.label);
+        let thumb_side = feed.stream.config().thumb_side;
+        let frame = Frame::from_image(f.idx, f.label, f.difficulty, &image, thumb_side, engine);
+        IngestFrame {
+            id: feed.id_base + frame.idx,
+            frame,
+            image,
+        }
+    }
+
+    fn assert_same_frame(got: &IngestFrame, want: &IngestFrame, what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.id, want.id, "{what}: id");
+        assert_eq!(got.frame.idx, want.frame.idx, "{what}: idx");
+        assert_eq!(got.frame.label, want.frame.label, "{what}: label");
+        assert_eq!(
+            got.frame.difficulty.to_bits(),
+            want.frame.difficulty.to_bits(),
+            "{what}: difficulty"
+        );
+        assert_eq!(
+            bits(&got.frame.thumb),
+            bits(&want.frame.thumb),
+            "{what}: thumb"
+        );
+        assert_eq!(
+            (got.image.width(), got.image.height(), got.image.mode()),
+            (want.image.width(), want.image.height(), want.image.mode()),
+            "{what}: raster shape"
+        );
+        assert_eq!(
+            bits(got.image.data()),
+            bits(want.image.data()),
+            "{what}: raster"
+        );
+    }
+
+    #[test]
+    fn take_ingest_equals_serial_render_for_every_batch_shape() {
+        let feed = || StreamIngest::new(StreamConfig::jackson(11), ObjectKind::Fence, 32, 7 << 32);
+        let mut engine = TranscodeEngine::new();
+        let mut serial_engine = TranscodeEngine::new();
+        for n in [1, 2, 15, 16, 17] {
+            let mut batched = feed();
+            let mut twin = feed();
+            let got = batched.take_ingest(n, &mut engine);
+            assert_eq!(got.len(), n);
+            for (i, g) in got.iter().enumerate() {
+                let want = serial_next(&mut twin, &mut serial_engine);
+                assert_same_frame(g, &want, &format!("n={n} frame {i}"));
+            }
+            assert_eq!(batched.next_id(), twin.next_id(), "n={n}: stream position");
+        }
+        // One stream cut into uneven batches continues exactly where the
+        // previous batch stopped.
+        let mut batched = feed();
+        let mut twin = feed();
+        let mut pos = 0;
+        for n in [5, 11, 16, 1] {
+            for g in batched.take_ingest(n, &mut engine) {
+                let want = serial_next(&mut twin, &mut serial_engine);
+                assert_same_frame(&g, &want, &format!("uneven batch {n}, frame {pos}"));
+                pos += 1;
+            }
+        }
+        assert_eq!(pos, 33);
+        assert!(batched.take_ingest(0, &mut engine).is_empty());
+        assert_eq!(batched.next_id(), twin.next_id());
+    }
 
     #[test]
     fn replay_is_deterministic_and_ids_offset() {
