@@ -162,8 +162,9 @@ pub fn simulate_all(tables: &DecisionTables, cascades: Vec<Cascade>) -> CascadeO
         },
     );
     // Cap workers at the number of cascades so `n < threads` never produces
-    // empty-range chunks, and run small inputs inline — spawning a thread
-    // scope for one chunk (or zero cascades) is pure overhead.
+    // empty-range chunks, and run small inputs inline — opening a pool
+    // scope for one chunk (or zero cascades) is pure overhead. A panicking
+    // chunk re-raises here once every chunk has finished.
     let threads = std::thread::available_parallelism()
         .map_or(4, |t| t.get())
         .min(n.max(1));
@@ -173,19 +174,18 @@ pub fn simulate_all(tables: &DecisionTables, cascades: Vec<Cascade>) -> CascadeO
             *slot = simulate_one(tables, c);
         }
     } else {
-        crossbeam::thread::scope(|scope| {
+        tahoma_mathx::pool::scope(|scope| {
             let mut remaining: &mut [Outcome] = &mut outcomes;
             for cs in cascades.chunks(chunk) {
                 let (head, tail) = remaining.split_at_mut(cs.len());
                 remaining = tail;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (slot, c) in head.iter_mut().zip(cs) {
                         *slot = simulate_one(tables, c);
                     }
                 });
             }
-        })
-        .expect("simulation threads do not panic");
+        });
     }
     CascadeOutcomes {
         n_images: tables.n_images,

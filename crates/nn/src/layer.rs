@@ -52,10 +52,11 @@ use tahoma_mathx::DetRng;
 /// along (`MR`-row tiling never reorders a row's k-loop) — so a row's score
 /// is bitwise identical whether it is scored alone or merged into a larger
 /// batch, on any scratch. Cross-query batch coalescing relies on exactly
-/// this invariance, and so does morsel-parallel inference: a call of at
-/// least two [`crate::model::MORSEL_ROWS`]-row morsels is cut into morsels
-/// that run across the `tahoma_mathx::pool` workers, each on one of this
-/// scratch's lane scratches. The lanes are the only parallelism inside a
+/// this invariance, and so does morsel-parallel inference: a call that
+/// can give two lanes 16 rows each is cut into morsels of at most
+/// [`crate::model::MORSEL_ROWS`] rows that run across the
+/// `tahoma_mathx::pool` workers, each on one of this scratch's lane
+/// scratches (see [`crate::model::Sequential::infer_rows`] for the rule). The lanes are the only parallelism inside a
 /// model: every GEMM runs on the thread that calls it.
 ///
 /// Each input row is produced into a one-row buffer (or read in place

@@ -20,9 +20,10 @@
 //!   runs at hardware peak with no `-C target-cpu` flags. `Dense` runs it
 //!   at every batch size, so a row scores the same bits alone or in any
 //!   batch. Every GEMM runs on its caller's thread: the one parallelism
-//!   inside a model is an inference call of two or more
-//!   [`model::MORSEL_ROWS`]-row morsels fanning out across the persistent
-//!   `tahoma_mathx::pool` workers;
+//!   inside a model is an inference call fanning out as morsels of at
+//!   most [`model::MORSEL_ROWS`] rows across the persistent
+//!   `tahoma_mathx::pool` workers — any call that can give two lanes 16
+//!   rows each (a 64-row call runs as eight morsels of 8 on two lanes);
 //! * [`gemm::im2col`] lowers each image to a patch matrix, turning a
 //!   convolution into one GEMM against the filter matrix, and
 //!   [`gemm::col2im_add`] scatters gradients back for the batched backward

@@ -11,15 +11,36 @@ use crate::tensor::Shape;
 use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 use tahoma_mathx::{logistic, DetRng};
 
-/// Rows per morsel of a fanned-out [`Sequential::infer_rows`]
-/// call; calls under two morsels run as one pass. Picked by a 32…256 sweep
-/// (DESIGN.md §7): the best `scan` p50 among the sizes whose two-morsel
-/// threshold keeps `lookup`'s 64-row calls on the one-pass path, and the
-/// only one of them that does not raise `standing`'s peak RSS.
+/// Rows per morsel of a fanned-out [`Sequential::infer_rows`] call of at
+/// least `lanes x MORSEL_ROWS` rows, or of more than `MORSEL_ROWS` rows on
+/// one lane; a smaller call over several lanes is cut into
+/// `MORSELS_PER_LANE` smaller morsels a lane. Picked by a 32…256 sweep
+/// (DESIGN.md §7): the best `scan` p50, and the only size that does not
+/// raise `standing`'s peak RSS. It also bounds every call's head
+/// activations, whatever the call size.
 pub const MORSEL_ROWS: usize = 64;
+
+/// Morsels each lane of a fanned-out call is handed when the call is too
+/// small for a [`MORSEL_ROWS`]-row morsel a lane. With several morsels a
+/// lane, a lane whose vCPU wakes late or runs slow scores fewer of them,
+/// and the caller waits for at most one small morsel at the end of the
+/// call. On `lookup`, 4 a lane cut the mean time per op by 6–8% against
+/// one a lane, and 8 gained under 2% more (DESIGN.md §13).
+const MORSELS_PER_LANE: usize = 4;
+
+/// Fewest rows a morsel lane is handed: a call fans out over at most
+/// `rows / LANE_MIN_ROWS` lanes, so a call of fewer than
+/// `2 x LANE_MIN_ROWS` rows runs as one pass. A fan-out costs a roughly
+/// fixed 50–130 µs of extra CPU on the benchmark box, whatever its size.
+/// From 16 rows a lane that is at most 13% of the call's CPU on both
+/// served models, for 0.54–0.60x its wall time; at 12 rows a lane m0's
+/// split costs up to 18% (DESIGN.md §13).
+const LANE_MIN_ROWS: usize = 16;
 
 /// Where [`Sequential::infer_rows`] reads its input rows from: a
 /// materialized slice ([`SliceRows`]), or a source that produces each row
@@ -197,14 +218,22 @@ impl Sequential {
     ///
     /// Each image's output is bitwise independent of the batch it rides
     /// in, on any scratch, which is what lets a scoring broker merge packs
-    /// from concurrent queries into one call — and what lets a call of at
-    /// least two [`MORSEL_ROWS`]-row morsels run as morsels spread over
-    /// [`InferScratch::morsel_lanes`] lanes of the `tahoma_mathx::pool`,
-    /// with the same bits. Smaller calls run as one pass on the caller.
+    /// from concurrent queries into one call — and what lets a call run as
+    /// morsels spread over the [`InferScratch::morsel_lanes`] lanes of the
+    /// `tahoma_mathx::pool`, with the same bits. The call uses as many
+    /// lanes as give each at least `LANE_MIN_ROWS` (16) rows. Its morsels
+    /// are [`MORSEL_ROWS`] rows, except that a call of fewer than `lanes x
+    /// MORSEL_ROWS` rows over several lanes is cut into
+    /// `ceil(rows / (MORSELS_PER_LANE x lanes))`-row morsels
+    /// (`MORSELS_PER_LANE` = 4); it fans out when it holds more rows than
+    /// one morsel, and otherwise runs as one pass on the caller. So on two
+    /// lanes a 64-row call runs as eight 8-row morsels, a call of 128 rows
+    /// or more keeps [`MORSEL_ROWS`]-row morsels, and on one lane a call of
+    /// over [`MORSEL_ROWS`] rows runs as serial morsels on the caller.
     /// Within a pass the conv prefix runs depth-first, one image at a time,
     /// so its activation memory is one image; the dense head's is the
-    /// pass's rows (a morsel, on a lane). Zero rows score to an empty
-    /// vector.
+    /// pass's rows — at most [`MORSEL_ROWS`], whatever the call size. Zero
+    /// rows score to an empty vector.
     ///
     /// A row the source cannot produce fails the call with the source's
     /// error. Once one has failed no further morsel is handed out, and the
@@ -227,8 +256,15 @@ impl Sequential {
         if batch == 0 {
             return Ok(Vec::new());
         }
-        if batch >= 2 * MORSEL_ROWS {
-            return self.infer_morsels(source, batch, scratch);
+        let lanes = scratch.morsel_lanes().min(batch / LANE_MIN_ROWS).max(1);
+        // One lane has nothing to balance: its morsels only cap the pass.
+        let morsel = if lanes > 1 && batch < lanes * MORSEL_ROWS {
+            batch.div_ceil(MORSELS_PER_LANE * lanes)
+        } else {
+            MORSEL_ROWS
+        };
+        if batch > morsel {
+            return self.infer_morsels(source, batch, morsel, scratch);
         }
         self.infer_pass(source, 0..batch, scratch)
             .map(<[f32]>::to_vec)
@@ -309,18 +345,28 @@ impl Sequential {
         read.map(|()| &scratch.buf_a[..])
     }
 
-    /// The fan-out path of [`Sequential::infer_rows`]: lanes pull the next
-    /// unscored morsel from a shared cursor (so a lane whose core is busy
-    /// elsewhere simply takes fewer), read its rows from the source and
-    /// write its outputs to that morsel's disjoint slice of the result. A
+    /// The fan-out path of [`Sequential::infer_rows`], over `morsel`-row
+    /// morsels (the last one ragged): lanes pull the next unscored morsel
+    /// from a shared cursor (so a lane whose core is busy elsewhere simply
+    /// takes fewer), read its rows from the source and write its outputs
+    /// to that morsel's disjoint slice of the result. A
     /// lane whose morsel hits a failing row records it — the lowest
     /// recorded wins — and the cursor hands out nothing more. A lane's
     /// panic re-raises here once every lane has stopped.
+    ///
+    /// The caller, once the cursor is empty, spins while other lanes still
+    /// score their last morsels, for at most as long as its own last morsel
+    /// took, before `pool::scope` puts it to sleep. A lane that started its
+    /// morsel no earlier than the caller started its own is done within
+    /// that time unless its vCPU was taken away, and on a 2-vCPU KVM guest
+    /// without guest-side idle polling a sleeping caller halts its vCPU,
+    /// which the host then resumes late and unevenly (DESIGN.md §13).
     #[inline(never)]
     fn infer_morsels<S: RowSource + ?Sized>(
         &self,
         source: &S,
         batch: usize,
+        morsel: usize,
         scratch: &mut InferScratch,
     ) -> Result<Vec<f32>, S::Error> {
         struct Cursor<M, E> {
@@ -329,34 +375,56 @@ impl Sequential {
         }
         let out_len = self.output_shape().len();
         let mut out = vec![0.0f32; batch * out_len];
-        let lanes = scratch.morsel_lanes().min(batch.div_ceil(MORSEL_ROWS));
+        let lanes = scratch.morsel_lanes().min(batch.div_ceil(morsel));
         let cursor = Mutex::new(Cursor {
             morsels: (0..batch)
-                .step_by(MORSEL_ROWS)
-                .zip(out.chunks_mut(MORSEL_ROWS * out_len)),
+                .step_by(morsel)
+                .zip(out.chunks_mut(morsel * out_len)),
             failed: None,
         });
         let lock = || cursor.lock().unwrap_or_else(PoisonError::into_inner);
+        let caller = std::thread::current().id();
+        // Lanes that took a morsel and have not yet found the cursor empty.
+        // Only the caller's wait reads it; the results are joined by
+        // `pool::scope`.
+        let scoring = AtomicUsize::new(0);
         tahoma_mathx::pool::scope(|s| {
             for lane in scratch.lane_pool(lanes) {
-                let lock = &lock;
-                s.spawn(move || loop {
-                    let next = {
-                        let mut c = lock();
-                        match c.failed {
-                            Some(_) => None,
-                            None => c.morsels.next(),
-                        }
-                    };
-                    let Some((start, dst)) = next else { break };
-                    let rows = start..start + dst.len() / out_len;
-                    match self.infer_pass(source, rows, lane) {
-                        Ok(scores) => dst.copy_from_slice(scores),
-                        Err((row, e)) => {
+                let (lock, scoring) = (&lock, &scoring);
+                s.spawn(move || {
+                    let mut last = None;
+                    loop {
+                        let next = {
                             let mut c = lock();
-                            if c.failed.as_ref().is_none_or(|&(r, _)| row < r) {
-                                c.failed = Some((row, e));
+                            let next = match c.failed {
+                                Some(_) => None,
+                                None => c.morsels.next(),
+                            };
+                            if next.is_some() && last.is_none() {
+                                scoring.fetch_add(1, Ordering::Relaxed);
                             }
+                            next
+                        };
+                        let Some((start, dst)) = next else { break };
+                        let rows = start..start + dst.len() / out_len;
+                        let began = Instant::now();
+                        match self.infer_pass(source, rows, lane) {
+                            Ok(scores) => dst.copy_from_slice(scores),
+                            Err((row, e)) => {
+                                let mut c = lock();
+                                if c.failed.as_ref().is_none_or(|&(r, _)| row < r) {
+                                    c.failed = Some((row, e));
+                                }
+                            }
+                        }
+                        last = Some(began.elapsed());
+                    }
+                    let Some(last) = last else { return };
+                    scoring.fetch_sub(1, Ordering::Relaxed);
+                    if std::thread::current().id() == caller {
+                        let waited = Instant::now();
+                        while scoring.load(Ordering::Relaxed) > 0 && waited.elapsed() < last {
+                            std::hint::spin_loop();
                         }
                     }
                 });
@@ -589,11 +657,13 @@ mod tests {
     use tahoma_mathx::SimdTier;
 
     /// Rows produced on demand into the lane's input buffer, as a
-    /// fetching source does, failing at the rows in `fail`.
+    /// fetching source does, failing at the rows in `fail`. Records the
+    /// row count of every pass it feeds.
     struct Produced<'a> {
         data: &'a [f32],
         row_len: usize,
         fail: &'a [usize],
+        passes: Mutex<Vec<usize>>,
     }
 
     impl<'a> Produced<'a> {
@@ -602,7 +672,15 @@ mod tests {
                 data,
                 row_len,
                 fail: &[],
+                passes: Mutex::default(),
             }
+        }
+
+        /// Row counts of the passes fed so far, largest first.
+        fn passes(&self) -> Vec<usize> {
+            let mut passes = self.passes.lock().unwrap().clone();
+            passes.sort_unstable_by(|a, b| b.cmp(a));
+            passes
         }
     }
 
@@ -623,6 +701,7 @@ mod tests {
             buf: &mut [f32],
             visit: &mut dyn FnMut(&[f32]),
         ) -> Result<(), usize> {
+            self.passes.lock().unwrap().push(range.len());
             for r in range {
                 if self.fail.contains(&r) {
                     return Err(r);
@@ -921,10 +1000,14 @@ mod tests {
 
     #[test]
     fn morsel_split_is_bitwise_per_row_at_every_edge_and_width() {
-        // Every call shape around the two-morsel threshold, through every
-        // fan-out width, must reproduce batch-1 scoring bit for bit.
+        // Every call shape around the split rule's edges, through every
+        // fan-out width, must reproduce batch-1 scoring bit for bit. A call
+        // fans out exactly when it can give two lanes `LANE_MIN_ROWS` rows
+        // each or holds more than `MORSEL_ROWS` rows; into `MORSEL_ROWS`-row
+        // morsels, or, under `lanes x MORSEL_ROWS` rows on several lanes,
+        // into `ceil(rows / (MORSELS_PER_LANE x lanes))`-row morsels.
         let model = tiny_spec().build(24).unwrap();
-        let m = MORSEL_ROWS;
+        let (m, l, k) = (MORSEL_ROWS, LANE_MIN_ROWS, MORSELS_PER_LANE);
         let rows = 2048usize;
         let input: Vec<f32> = (0..rows * 64)
             .map(|i| ((i * 37) % 101) as f32 / 101.0 - 0.4)
@@ -934,12 +1017,19 @@ mod tests {
             .chunks(64)
             .flat_map(|row| model.predict_proba_shared(row, 1, &mut one))
             .collect();
+        // 31/32 straddle two lanes' floor (2 x LANE_MIN_ROWS), 64/65 one
+        // morsel, 127/128/129 the 64-row morsels of two lanes.
+        assert_eq!((m, l, k), (64, 16, 4), "edges below are stated for these");
+        let batches = [
+            1, 2, 16, 31, 32, 47, 48, 63, 64, 65, 127, 128, 129, 323, rows,
+        ];
         for threads in [None, Some(1), Some(2), Some(3)] {
             let mut scratch = InferScratch {
                 threads,
                 ..InferScratch::default()
             };
-            for batch in [1, m - 1, m, 2 * m - 1, 2 * m, 2 * m + 1, 5 * m + 3, rows] {
+            let lanes = scratch.morsel_lanes();
+            for batch in batches {
                 let before = scratch.morsel_calls();
                 let got = model.predict_proba_shared(&input[..batch * 64], batch, &mut scratch);
                 assert_eq!(got, per_row[..batch], "batch {batch} threads {threads:?}");
@@ -951,9 +1041,40 @@ mod tests {
                     Ok(per_row[..batch].to_vec()),
                     "produced, batch {batch}"
                 );
-                let split = u64::from(batch >= 2 * m);
-                assert_eq!(scratch.morsel_calls() - before, 2 * split, "batch {batch}");
+                let used = lanes.min(batch / l).max(1);
+                let split = used > 1 || batch > m;
+                assert_eq!(
+                    scratch.morsel_calls() - before,
+                    2 * u64::from(split),
+                    "batch {batch} threads {threads:?}"
+                );
+                let morsel = match (split, used) {
+                    (false, _) => batch,
+                    (true, 2..) if batch < used * m => batch.div_ceil(k * used),
+                    (true, _) => m,
+                };
+                let mut want = vec![morsel; batch / morsel];
+                want.extend((batch % morsel > 0).then_some(batch % morsel));
+                assert_eq!(produced.passes(), want, "batch {batch} threads {threads:?}");
             }
+        }
+        // The rule's named cases on two lanes: a 64-row call is eight 8-row
+        // morsels, a 16-row call one pass, a 127-row call eight morsels of
+        // at most 16, a 128-row call two 64-row morsels.
+        let mut two = InferScratch {
+            threads: Some(2),
+            ..InferScratch::default()
+        };
+        for (batch, want) in [
+            (64, vec![8; 8]),
+            (16, vec![16]),
+            (127, vec![16, 16, 16, 16, 16, 16, 16, 15]),
+            (128, vec![m, m]),
+            (rows, vec![m; rows / m]),
+        ] {
+            let produced = Produced::new(&input[..batch * 64], 64);
+            assert!(model.predict_proba_rows(&produced, &mut two).is_ok());
+            assert_eq!(produced.passes(), want, "batch {batch} on two lanes");
         }
     }
 
@@ -1013,7 +1134,8 @@ mod tests {
         // and its lanes hold at most one input row, the per-image prefix
         // buffers at most one image's widest prefix activation, and no
         // other buffer anywhere more than one morsel of the widest head
-        // activation.
+        // activation. The same holds for calls under two morsels: 127 rows
+        // on one lane (serial morsels) and 64 rows on two lanes.
         let spec = CnnSpec {
             input: Shape::new(1, 24, 24),
             conv_channels: vec![8],
@@ -1036,15 +1158,27 @@ mod tests {
         let input: Vec<f32> = (0..rows * spec.input.len())
             .map(|i| ((i * 13) % 29) as f32 / 29.0 - 0.5)
             .collect();
-        for threads in [None, Some(1), Some(2)] {
+        let cases = [
+            (None, rows),
+            (Some(1), rows),
+            (Some(2), rows),
+            (Some(1), 2 * MORSEL_ROWS - 1),
+            (Some(2), MORSEL_ROWS),
+        ];
+        for (threads, batch) in cases {
             let mut scratch = InferScratch {
                 threads,
                 ..InferScratch::default()
             };
-            model.predict_proba_shared(&input, rows, &mut scratch);
-            let produced = Produced::new(&input, spec.input.len());
+            let input = &input[..batch * spec.input.len()];
+            model.predict_proba_shared(input, batch, &mut scratch);
+            let produced = Produced::new(input, spec.input.len());
             assert!(model.predict_proba_rows(&produced, &mut scratch).is_ok());
-            assert_eq!(scratch.morsel_calls(), 2);
+            assert_eq!(
+                scratch.morsel_calls(),
+                2,
+                "{batch} rows, threads {threads:?}"
+            );
             let (row, image, other) = scratch.max_buffer_capacity();
             assert_eq!(
                 row,

@@ -7,12 +7,14 @@
 //! once instead of items one by one. The same argument holds one level up:
 //! when two concurrent queries each bring a half-full pack for the *same
 //! model*, running them as one merged call pays the fixed cost once. (What
-//! happens *inside* a call is `tahoma_nn`'s business: a call of two or
-//! more [`tahoma_nn::MORSEL_ROWS`]-row morsels runs as morsels spread over
-//! the worker pool, since per-row cost is flat past a few dozen rows. That
-//! adds no calls — `calls` counts zoo calls, `morsel_calls` how many of
-//! them fanned out.) The broker implements this with a leader/follower
-//! protocol per model:
+//! happens *inside* a call is `tahoma_nn`'s business: a call that can
+//! give each of two lanes 16 rows runs as morsels of at most
+//! [`tahoma_nn::MORSEL_ROWS`] rows spread over the worker pool — on two
+//! lanes, a 64-row pack as eight morsels of 8. A smaller call runs as one
+//! pass: waking a lane costs a fixed slice of CPU that a few rows do not
+//! repay. That adds no calls — `calls` counts zoo calls, `morsel_calls`
+//! how many of them fanned out.) The broker implements this with a
+//! leader/follower protocol per model:
 //!
 //! 1. A query submitting rows for model `m` joins the open batch for `m`
 //!    (or opens one, becoming its **leader**).
@@ -149,7 +151,7 @@ pub struct BrokerStats {
     /// Failed merged calls whose participants re-executed solo (one count
     /// per recovering participant, not per failed batch).
     pub failovers: u64,
-    /// Zoo calls big enough to run as morsels across the worker pool.
+    /// Zoo calls that ran as morsels across the worker pool.
     pub morsel_calls: u64,
 }
 

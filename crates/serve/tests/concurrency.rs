@@ -7,6 +7,7 @@
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+use tahoma_core::query::Corpus;
 use tahoma_imagery::ObjectKind;
 use tahoma_nn::MORSEL_ROWS;
 use tahoma_serve::fixture::{nn_service, surrogate_service, NnFixtureConfig};
@@ -124,33 +125,40 @@ fn concurrent_uncoalesced_results_match_serial() {
     });
 }
 
-/// Packs of several morsels (`tahoma_nn::MORSEL_ROWS`) are scored as
-/// morsels spread across the worker pool — through the broker and through
-/// the local path — and must answer exactly what the same predicates
-/// answer asked one camera at a time, where every pack stays under two
-/// morsels and scores in one pass on the caller.
+/// Packs are scored as morsels spread across the worker pool — through
+/// the broker and through the local path — and must answer exactly what
+/// the same predicates answer asked one item at a time (`timestamp = T`
+/// selects one item), where every call scores one row and provably runs
+/// as one pass. Quarter-corpus slices (two cameras, ~42 rows, under one
+/// `MORSEL_ROWS`-row morsel) give the same answers and fan out wherever
+/// the pool has workers; on one core they stay one pass.
 #[test]
 fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
     const PREDICATES: &[&str] = &[
         "contains_object(fence)",
         "contains_object(wallet) AND contains_object(fence)",
     ];
-    let service = Arc::new(nn_service(&NnFixtureConfig {
+    let cfg = NnFixtureConfig {
         corpus_n: 2 * MORSEL_ROWS + 40,
         window: Duration::from_millis(2),
         ..Default::default()
-    }));
+    };
+    let service = Arc::new(nn_service(&cfg));
+    let corpus = Corpus::synthetic(cfg.corpus_n, cfg.prevalence, cfg.seed);
+    let matched = |p: &str, meta: &str| {
+        let sql = format!("SELECT * FROM frames WHERE {p} AND {meta}");
+        service
+            .execute_with(&sql, UNCACHED_SERIAL)
+            .expect("slice")
+            .matched_ids
+    };
     let sliced: Vec<Vec<u64>> = PREDICATES
         .iter()
         .map(|p| {
-            let mut ids: Vec<u64> = (0..8)
-                .flat_map(|cam| {
-                    let sql = format!("SELECT * FROM frames WHERE {p} AND camera = {cam}");
-                    service
-                        .execute_with(&sql, UNCACHED_SERIAL)
-                        .expect("slice")
-                        .matched_ids
-                })
+            let mut ids: Vec<u64> = corpus
+                .items
+                .iter()
+                .flat_map(|item| matched(p, &format!("timestamp = {}", item.timestamp)))
                 .collect();
             ids.sort_unstable();
             ids
@@ -160,8 +168,22 @@ fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
     assert_eq!(
         (stats.morsel_calls, stats.broker.morsel_calls),
         (0, 0),
-        "camera slices must stay on the one-pass path"
+        "one-row calls must stay on the one-pass path"
     );
+    for (p, want) in PREDICATES.iter().zip(&sliced) {
+        let mut quarters: Vec<u64> = (0..8)
+            .step_by(2)
+            .flat_map(|lo| matched(p, &format!("camera >= {lo} AND camera < {}", lo + 2)))
+            .collect();
+        quarters.sort_unstable();
+        assert_eq!(&quarters, want, "quarter-corpus slices of {p:?}");
+    }
+    let fanned = service.stats().morsel_calls;
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        assert!(fanned > 0, "quarter-corpus slices never fanned out");
+    } else {
+        assert_eq!(fanned, 0, "one lane runs calls of one morsel as one pass");
+    }
     let run = |policy: ExecPolicy| {
         std::thread::scope(|s| {
             for t in 0..3 {
@@ -185,7 +207,7 @@ fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
     });
     let stats = service.stats();
     assert!(
-        stats.morsel_calls > 0,
+        stats.morsel_calls > fanned,
         "local path never fanned out: {stats:?}"
     );
     assert_eq!(

@@ -166,13 +166,13 @@ pub fn build_surrogate_repository(
     let mut entries: Vec<Option<ModelEntry>> = Vec::new();
     entries.resize_with(variants.len(), || None);
 
-    crossbeam::thread::scope(|scope| {
+    tahoma_mathx::pool::scope(|scope| {
         let mut remaining: &mut [Option<ModelEntry>] = &mut entries;
         for vs in variants.chunks(chunk) {
             let (head, tail) = remaining.split_at_mut(vs.len());
             remaining = tail;
             let (scorer, config, eval, device) = (&scorer, &config, &eval, device);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (slot, v) in head.iter_mut().zip(vs) {
                     *slot = Some(ModelEntry {
                         variant: *v,
@@ -184,8 +184,7 @@ pub fn build_surrogate_repository(
                 }
             });
         }
-    })
-    .expect("scoring threads do not panic");
+    });
 
     let entries: Vec<ModelEntry> = entries
         .into_iter()

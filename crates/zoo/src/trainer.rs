@@ -166,10 +166,13 @@ pub fn build_real_repository_keeping_models(
     let mut slots: Vec<Slot> = Vec::new();
     slots.resize_with(variants.len(), || None);
 
-    let result: Result<(), String> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
+    // One result per chunk; a panicking chunk re-raises on this thread once
+    // every chunk has finished.
+    let mut results: Vec<Result<(), String>> = vec![Ok(()); variants.len().div_ceil(chunk)];
+    tahoma_mathx::pool::scope(|scope| {
         let mut remaining: &mut [Slot] = &mut slots;
-        for (chunk_idx, vs) in variants.chunks(chunk).enumerate() {
+        let chunks = variants.chunks(chunk).zip(results.iter_mut());
+        for (chunk_idx, (vs, result)) in chunks.enumerate() {
             let (head, tail) = remaining.split_at_mut(vs.len());
             remaining = tail;
             let (train_cache, config_cache, eval_cache, train_labels, cfg, device) = (
@@ -180,7 +183,7 @@ pub fn build_real_repository_keeping_models(
                 cfg,
                 device,
             );
-            handles.push(scope.spawn(move |_| -> Result<(), String> {
+            let mut train = move || -> Result<(), String> {
                 for (slot, v) in head.iter_mut().zip(vs) {
                     let arch = match v.kind {
                         ModelKind::Cnn(a) => a,
@@ -232,15 +235,11 @@ pub fn build_real_repository_keeping_models(
                     ));
                 }
                 Ok(())
-            }));
+            };
+            scope.spawn(move || *result = train());
         }
-        for h in handles {
-            h.join().expect("training thread does not panic")?;
-        }
-        Ok(())
-    })
-    .expect("training scope does not panic");
-    result?;
+    });
+    results.into_iter().collect::<Result<(), String>>()?;
 
     let mut entries = Vec::with_capacity(variants.len());
     let mut outcomes = Vec::with_capacity(variants.len());
