@@ -283,35 +283,48 @@ impl CostContext {
 /// Naive reference evaluator: re-derives every decision from raw scores and
 /// thresholds per cascade, per image — no precomputed tables. This is what
 /// evaluation looks like *without* the paper's §V-D design; an equivalence
-/// test pits it against [`simulate_one`]. Kept simple on purpose.
+/// test pits it against [`simulate_one`]. It is [`cascade_stats`] fed the
+/// eval split.
 pub fn simulate_one_naive(
     repo: &ModelRepository,
     thresholds: &ThresholdTable,
     cascade: &Cascade,
 ) -> Outcome {
-    simulate_one_naive_stats(repo, thresholds, cascade).0
+    cascade_stats(cascade, thresholds, &repo.eval.labels, |m, i| {
+        repo.entries[m].eval_scores[i]
+    })
+    .0
 }
 
-/// [`simulate_one_naive`] plus the cascade's *positive rate* on the eval
-/// split — the selectivity estimate conjunctive predicate ordering wants
-/// (see `exec::predicate_stats`). One walk produces both so the planner's
-/// statistics can never diverge from the evaluator's decision rules.
-pub fn simulate_one_naive_stats(
-    repo: &ModelRepository,
-    thresholds: &ThresholdTable,
+/// The per-item decision walk behind every predicate statistic: each of
+/// `labels.len()` items climbs `cascade` with `score(model, item)` as its
+/// score, deciding at a level when the level's thresholds decide and at
+/// the terminal level on `score >= 0.5` — the executor's rule
+/// ([`crate::exec::run_level_major`]). Returns the outcome against
+/// `labels` and the fraction of items labeled positive.
+///
+/// One walk serves both statistics sources, so they cannot drift apart on
+/// the decision rule: [`crate::exec::VectorizedExecutor::execute`] feeds
+/// it the eval split, and the serving layer feeds it the corpus it
+/// serves, under its execution thresholds. The positive rate is the
+/// selectivity [`crate::planner::PlannedPredicate`] ranks by.
+pub fn cascade_stats(
     cascade: &Cascade,
+    thresholds: &ThresholdTable,
+    labels: &[bool],
+    score: impl Fn(usize, usize) -> f32,
 ) -> (Outcome, f64) {
-    let n_images = repo.eval.len();
+    let n_images = labels.len();
     let depth = cascade.depth();
     let mut stop_counts = [0u32; MAX_LEVELS];
     let mut correct = 0usize;
     let mut positive = 0usize;
-    for i in 0..n_images {
+    for (i, &truth) in labels.iter().enumerate() {
         let mut label = false;
         let mut stop = depth - 1;
         for l in 0..depth {
             let m = cascade.model_at(l) as usize;
-            let score = repo.entries[m].eval_scores[i];
+            let score = score(m, i);
             if l + 1 == depth {
                 label = score >= 0.5;
                 stop = l;
@@ -328,7 +341,7 @@ pub fn simulate_one_naive_stats(
         if label {
             positive += 1;
         }
-        if label == repo.eval.labels[i] {
+        if label == truth {
             correct += 1;
         }
     }

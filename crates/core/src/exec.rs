@@ -34,7 +34,7 @@
 
 use crate::cascade::Cascade;
 use crate::error::CoreError;
-use crate::evaluator::{simulate_one_naive_stats, CostContext};
+use crate::evaluator::{cascade_stats, CostContext};
 use crate::planner::{order_indices, PlannedPredicate};
 use crate::query::{
     walk_cascade_item, Corpus, CorpusItem, ItemScorer, MetaPredicate, PredicateRelation, Query,
@@ -866,7 +866,7 @@ impl<'a> VectorizedExecutor<'a> {
     /// This is [`run_conjunction`] with the predicates in planner rank
     /// order ([`order_predicates`](crate::planner::order_predicates),
     /// statistics measured on the eval split by
-    /// [`simulate_one_naive_stats`]), each relation covering only the items
+    /// [`cascade_stats`]), each relation covering only the items
     /// still undecided when it ran. Relations are returned in query-text
     /// order. `cascades` maps each content predicate to the cascade
     /// implementing it; a missing entry is an error.
@@ -900,8 +900,9 @@ impl<'a> VectorizedExecutor<'a> {
                 .iter()
                 .zip(&by_pos)
                 .map(|(&kind, &cascade)| {
+                    let eval = |m: usize, i: usize| self.repo.entries[m].eval_scores[i];
                     let (outcome, selectivity) =
-                        simulate_one_naive_stats(self.repo, self.thresholds, &cascade);
+                        cascade_stats(&cascade, self.thresholds, &self.repo.eval.labels, eval);
                     PlannedPredicate::new(
                         kind,
                         cascade,

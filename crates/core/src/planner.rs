@@ -5,9 +5,18 @@
 //! For a conjunctive query with several `contains_object` predicates, the
 //! classic System-R-style rule applies: evaluate predicates in increasing
 //! `cost / rejection-rate` order so cheap, selective predicates prune the
-//! item set before expensive ones run. Selectivity comes from each
-//! cascade's simulated eval-split outcomes (its positive rate); cost from
-//! the scenario-priced expected per-image time.
+//! item set before expensive ones run. This is the tree's one conjunct
+//! ordering rule: [`crate::exec::VectorizedExecutor::execute`] and the
+//! serving layer's `QueryService::plan_for` both rank with it.
+//!
+//! Both statistics come from one per-item decision walk,
+//! [`crate::evaluator::cascade_stats`], over whichever items the caller
+//! holds scores for: selectivity is the cascade's positive rate, and cost
+//! is the scenario-priced expected per-image time of the walk's
+//! stop-level histogram. `core::exec` walks the eval split; the serving
+//! layer walks the corpus it serves, under the thresholds its execution
+//! uses, so a conjunct that rejects nothing there ranks `+∞` and runs
+//! last.
 
 use crate::cascade::Cascade;
 use crate::evaluator::{CostContext, Outcome};
@@ -28,12 +37,11 @@ pub struct PlannedPredicate {
 }
 
 impl PlannedPredicate {
-    /// Build from a cascade's simulated outcome and pricing.
-    ///
-    /// Selectivity is estimated from the cascade's positive rate on the
-    /// eval split, which the simulation already knows via its accuracy and
-    /// the split's base rate; here we take it directly as an argument so
-    /// callers can use corpus-specific priors when they have them.
+    /// Build from a cascade's simulated outcome over `n_images` items and
+    /// its pricing. `selectivity` is the positive rate of the same walk
+    /// ([`crate::evaluator::cascade_stats`]), taken as an argument because
+    /// the walk's items are the caller's: the eval split, or the corpus a
+    /// service serves.
     pub fn new(
         kind: ObjectKind,
         cascade: Cascade,

@@ -9,9 +9,11 @@
 //! transforms and I/O: classification says *which* branch an error takes,
 //! and [`RetryPolicy`] prices what the branch costs in expectation —
 //! extra attempts and backoff sleeps for transients, the source fetch +
-//! transcode surcharge for degraded records. The serve layer's deadline
-//! budgeting uses these expectations to decide whether a retry still fits
-//! inside a query's remaining budget.
+//! transcode surcharge for degraded records. Nothing outside this crate
+//! uses these expectations yet: the serve layer's deadline check
+//! (`QueryService::check_deadline`) stops at predicate boundaries without
+//! pricing retries. Whether this module gains that consumer (deadline
+//! admission) or is deleted is ROADMAP direction 4(c).
 //!
 //! The numeric constants mirror the store's actual retry loop (4 total
 //! attempts, 32 µs exponential base, ~32 µs mean jitter) so expectations

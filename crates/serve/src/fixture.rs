@@ -124,9 +124,10 @@ pub fn frame(seed: u64, size: usize) -> Image {
 /// progressively stricter settings (matching the fixture's three planner
 /// precision settings), each deciding the tails and leaving the middle to
 /// the next level.
-fn quantile_cuts(scores: &mut [f32]) -> Vec<DecisionThresholds> {
-    scores.sort_by(f32::total_cmp);
-    let cut = |q: f64| scores[((scores.len() - 1) as f64 * q) as usize];
+fn quantile_cuts(scores: &[f32]) -> Vec<DecisionThresholds> {
+    let mut sorted = scores.to_vec();
+    sorted.sort_by(f32::total_cmp);
+    let cut = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
     [(0.35, 0.65), (0.30, 0.70), (0.20, 0.80)]
         .iter()
         .map(|&(lo, hi)| DecisionThresholds {
@@ -254,27 +255,32 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
         );
 
         // Execution-time threshold override calibrated from the live score
-        // distributions (planning still uses the system's table).
+        // distributions (cascade selection still uses the system's table).
+        // The scores are kept: a conjunction is ordered by each cascade's
+        // walk over them, at no extra inference. They are allocated before
+        // the scoring scratch, so they never sit above its freed buffers
+        // and keep the heap from shrinking back.
         let mut per_model = Vec::with_capacity(system.repo.len());
+        let mut corpus_scores: Vec<Vec<f32>> = (0..system.repo.len())
+            .map(|id| match zoo.input_rep(ModelId(id as u32)) {
+                Some(_) => Vec::with_capacity(items.len()),
+                None => Vec::new(),
+            })
+            .collect();
         {
             let mut scratch = NnSessionScratch::new();
             let mut scorer = SharedNnScorer::new(&store, &zoo, &mut scratch);
-            for id in 0..system.repo.len() {
+            for (id, scores) in corpus_scores.iter_mut().enumerate() {
                 if zoo.input_rep(ModelId(id as u32)).is_none() {
                     // The appended reference entry has no network; it never
                     // appears in a planned cascade and must never decide.
                     per_model.push(vec![DecisionThresholds::never_decide(); 3]);
                     continue;
                 }
-                let mut scores = Vec::new();
                 scorer
-                    .score_batch(
-                        ModelId(id as u32),
-                        ScorePack::standalone(&items),
-                        &mut scores,
-                    )
+                    .score_batch(ModelId(id as u32), ScorePack::standalone(&items), scores)
                     .expect("the fixture store holds every model's input representation");
-                per_model.push(quantile_cuts(&mut scores));
+                per_model.push(quantile_cuts(scores));
             }
         }
         let exec_thresholds = ThresholdTable {
@@ -286,6 +292,7 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
             kind,
             system,
             Some(exec_thresholds),
+            corpus_scores,
             Arc::clone(&store),
             zoo,
             cfg.window,

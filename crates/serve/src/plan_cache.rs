@@ -34,9 +34,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A fully planned query: one selected cascade per content predicate, in
-/// execution order (cheapest predicate first, so the conjunction narrows
-/// the survivor set before the expensive predicates run — the
-/// cross-predicate analogue of planner-ordered short-circuiting).
+/// execution order — ascending expected cost per unit of rejection on the
+/// served corpus (`QueryService::plan_for`), so the conjunction narrows
+/// the survivor set before the costly or unselective predicates run.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// Per-predicate selections, in execution order.

@@ -582,6 +582,7 @@ mod tests {
             ObjectKind::Fence,
             system,
             None,
+            Vec::new(),
             std::sync::Arc::new(store),
             zoo,
             crate::Broker::DEFAULT_WINDOW,

@@ -4,8 +4,10 @@
 //! executes SQL queries with `&self` from any number of threads.
 //!
 //! The service does not walk predicates itself. A query is the planning
-//! prefix (cascade selection per content predicate, cheapest first —
-//! served from the [`PlanCache`] on repeat queries) followed by one call to
+//! prefix (cascade selection per content predicate, then — for two or more
+//! — the System-R rank of [`tahoma_core::planner::order_predicates`], fed
+//! each cascade's statistics on the served corpus; served from the
+//! [`PlanCache`] on repeat queries) followed by one call to
 //! the core conjunction walk ([`tahoma_core::exec::run_conjunction`]) over
 //! the corpus with the plan's steps. The service contributes the walk's
 //! evaluation seam, `QueryService::eval_kind_pack` — one pack through
@@ -31,17 +33,19 @@ use crate::plan_cache::{CachedPlan, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tahoma_core::evaluator::CostContext;
+use tahoma_core::evaluator::{cascade_stats, CostContext, Outcome};
 use tahoma_core::exec::{
-    run_conjunction, NnSessionScratch, SharedModelZoo, SharedNnScorer, VectorizedExecutor,
+    run_conjunction, BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer,
+    VectorizedExecutor,
 };
 use tahoma_core::pipeline::TahomaSystem;
+use tahoma_core::planner::{order_predicates, PlannedPredicate};
 use tahoma_core::query::{Corpus, CorpusItem, Query};
 use tahoma_core::thresholds::ThresholdTable;
 use tahoma_core::{Cascade, Constraints, CoreError, SurrogateBatchScorer};
 use tahoma_costmodel::AnalyticProfiler;
 use tahoma_imagery::{ObjectKind, RepresentationStore};
-use tahoma_zoo::SurrogateScorer;
+use tahoma_zoo::{ModelId, SurrogateScorer};
 
 /// Poison-tolerant lock (SAFETY.md): a panicked holder never wedges later
 /// queries with a secondary panic.
@@ -208,6 +212,9 @@ struct NnBackend {
     // LOCK-ORDER: 30 — session-scratch pool; held only to pop/push a
     // buffer, never across scoring (the broker's locks rank above).
     sessions: Mutex<Vec<NnSessionScratch>>,
+    /// Per model id, the model's score for every corpus item (empty for a
+    /// model with no network): the statistics a conjunction is ordered by.
+    corpus_scores: Vec<Vec<f32>>,
     /// Locally scored inference calls that ran as morsels.
     morsel_calls: AtomicU64,
 }
@@ -305,13 +312,18 @@ impl QueryService {
     /// Serve `kind` with real-NN scoring over `store` and `zoo`. The
     /// broker is created here so it shares the kind's in-flight interest
     /// counter; `exec_thresholds`, when given, replaces the system's
-    /// calibrated table at execution time only.
+    /// calibrated table at execution time only. `corpus_scores[m]` is
+    /// model `m`'s score for every corpus item, in corpus order (empty for
+    /// a model with no network); a conjunction naming `kind` is ordered by
+    /// its planned cascade's walk over them, and planning one fails if a
+    /// model of that cascade has none.
     #[allow(clippy::too_many_arguments)]
     pub fn add_nn_kind(
         &mut self,
         kind: ObjectKind,
         system: TahomaSystem,
         exec_thresholds: Option<ThresholdTable>,
+        corpus_scores: Vec<Vec<f32>>,
         store: Arc<RepresentationStore>,
         zoo: SharedModelZoo,
         window: std::time::Duration,
@@ -335,6 +347,7 @@ impl QueryService {
                     broker,
                     active,
                     sessions: Mutex::new(Vec::new()),
+                    corpus_scores,
                     morsel_calls: AtomicU64::new(0),
                 }),
             },
@@ -413,9 +426,12 @@ impl QueryService {
     }
 
     /// Plan the given predicate set: cascade selection per kind under the
-    /// service's accuracy target, ordered cheapest-first. Returns the plan
-    /// and whether it came from the cache. Public so the `query_serve`
-    /// bench can measure cold vs cached planning in isolation.
+    /// service's accuracy target, then, for two or more kinds, execution
+    /// order by [`order_predicates`] — ascending expected cost per unit of
+    /// rejection, both measured by `QueryService::corpus_stats` on the
+    /// served corpus. A one-kind plan is not walked. Returns the plan and
+    /// whether it came from the cache. Public so the `query_serve` bench
+    /// can measure cold vs cached planning in isolation.
     pub fn plan_for(
         &self,
         kinds: &[ObjectKind],
@@ -448,9 +464,22 @@ impl QueryService {
                 .map_err(|e| ServeError::Planning(e.to_string()))?;
             entries.push((kind, selected));
         }
-        // Cheapest predicate first: the narrowing conjunction leaves the
-        // slow cascades the smallest survivor sets.
-        entries.sort_by(|a, b| b.1.throughput.total_cmp(&a.1.throughput));
+        if entries.len() > 1 {
+            let mut planned = Vec::with_capacity(entries.len());
+            for (kind, selected) in &entries {
+                let (outcome, selectivity) = self.corpus_stats(*kind, &selected.cascade)?;
+                planned.push(PlannedPredicate::new(
+                    *kind,
+                    selected.cascade,
+                    &outcome,
+                    self.corpus.len(),
+                    &self.kinds[kind].cost,
+                    selectivity,
+                ));
+            }
+            let order = order_predicates(planned);
+            entries.sort_by_key(|(kind, _)| order.iter().position(|p| p.kind == *kind));
+        }
         let plan = CachedPlan { entries };
         let plan = if use_cache {
             self.plan_cache.insert(kinds, acc_milli, plan)
@@ -458,6 +487,54 @@ impl QueryService {
             Arc::new(plan)
         };
         Ok((plan, false))
+    }
+
+    /// `cascade`'s outcome and positive rate on the served corpus, under the
+    /// thresholds [`QueryService::eval_kind_pack`] executes with (the
+    /// terminal level at `score >= 0.5`): the statistics a conjunction is
+    /// ordered by. The decision walk is `core`'s
+    /// [`cascade_stats`], the one the eval-split statistics use. NN kinds
+    /// read the corpus scores handed to [`QueryService::add_nn_kind`], so
+    /// planning runs no inference; surrogate kinds score the corpus here.
+    pub(crate) fn corpus_stats(
+        &self,
+        kind: ObjectKind,
+        cascade: &Cascade,
+    ) -> Result<(Outcome, f64), ServeError> {
+        let st = self
+            .kinds
+            .get(&kind)
+            .ok_or(ServeError::UnservedKind(kind))?;
+        let thresholds = st.exec_thresholds.as_ref().unwrap_or(&st.system.thresholds);
+        let items: Vec<&CorpusItem> = self.corpus.items.iter().collect();
+        let labels: Vec<bool> = items.iter().map(|item| item.contains(kind)).collect();
+        let models = cascade.levels().iter().map(|&(m, _)| m as usize);
+        let surrogate_scores;
+        let scores: &[Vec<f32>] = match &st.backend {
+            KindBackend::Nn(nn) => &nn.corpus_scores,
+            KindBackend::Surrogate(sc) => {
+                let mut scorer = SurrogateBatchScorer::new(sc, &st.system.repo);
+                let mut columns = vec![Vec::new(); st.system.repo.len()];
+                for m in models.clone() {
+                    if columns[m].is_empty() {
+                        let pack = ScorePack::standalone(&items);
+                        scorer.score_batch(ModelId(m as u32), pack, &mut columns[m])?;
+                    }
+                }
+                surrogate_scores = columns;
+                &surrogate_scores
+            }
+        };
+        for m in models {
+            if scores.get(m).map(Vec::len) != Some(items.len()) {
+                return Err(ServeError::Planning(format!(
+                    "{kind}: model {m} has no corpus scores"
+                )));
+            }
+        }
+        Ok(cascade_stats(cascade, thresholds, &labels, |m, i| {
+            scores[m][i]
+        }))
     }
 
     /// Execute a SQL query under the default [`ExecPolicy`].
@@ -606,5 +683,179 @@ impl QueryService {
             Some(KindBackend::Nn(nn)) => Some(Arc::clone(&nn.store)),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixture::{nn_service, surrogate_service, NnFixtureConfig};
+    use std::collections::HashSet;
+    use std::sync::OnceLock;
+    use tahoma_core::exec::Conjunction;
+
+    /// The two-kind (fence, wallet) NN fixture at the judged server seed,
+    /// where wallet's one-level cascade passes every corpus row.
+    fn nn_fixture() -> &'static QueryService {
+        static SERVICE: OnceLock<QueryService> = OnceLock::new();
+        SERVICE.get_or_init(|| {
+            nn_service(&NnFixtureConfig {
+                corpus_n: 128,
+                seed: 1,
+                ..Default::default()
+            })
+        })
+    }
+
+    fn single_ids(service: &QueryService, kind: ObjectKind) -> Vec<u64> {
+        let sql = format!("SELECT * FROM frames WHERE contains_object({kind})");
+        service
+            .execute(&sql)
+            .expect("single-predicate query")
+            .matched_ids
+    }
+
+    /// Walk `steps` over the whole corpus through the service's own
+    /// evaluation seam (broker on): the walk and the broker rows it scored.
+    fn walk(service: &QueryService, steps: &[(ObjectKind, Cascade)]) -> (Conjunction, u64) {
+        let items: Vec<&CorpusItem> = service.corpus.items.iter().collect();
+        let kinds: Vec<ObjectKind> = steps.iter().map(|&(k, _)| k).collect();
+        let _interest = service.register_interest(&kinds, true);
+        let before = service.stats().broker.rows;
+        let walk = run_conjunction(&[], steps, &items, |kind, cascade, pack| {
+            service
+                .eval_kind_pack(kind, cascade, pack, true)
+                .map(|(passes, _)| passes)
+        })
+        .expect("walk");
+        (walk, service.stats().broker.rows - before)
+    }
+
+    fn plan_steps(service: &QueryService, kinds: &[ObjectKind]) -> Vec<(ObjectKind, Cascade)> {
+        let (plan, _) = service.plan_for(kinds, false).expect("planning");
+        plan.entries
+            .iter()
+            .map(|(kind, selected)| (*kind, selected.cascade))
+            .collect()
+    }
+
+    /// Exact work, counted rather than timed: the planned order scores no
+    /// more rows than the reverse order, both orders pass the same items,
+    /// and each kind's predicted corpus pass count is exactly what its
+    /// single-predicate `QUERY` returns — the statistics walk uses the
+    /// thresholds execution uses.
+    #[test]
+    fn planned_order_scores_fewest_rows_and_predicts_exact_pass_counts() {
+        // The default fixture, where both conjuncts reject, and the judged
+        // seed's, where wallet rejects nothing. Both are this test's own:
+        // the broker row counters are service-wide, so a service shared
+        // with concurrently running tests would count their rows too.
+        for seed in [NnFixtureConfig::default().seed, 1] {
+            assert_planned_work(&nn_service(&NnFixtureConfig {
+                corpus_n: 96,
+                seed,
+                ..Default::default()
+            }));
+        }
+    }
+
+    fn assert_planned_work(service: &QueryService) {
+        let n = service.corpus_len();
+        let planned = plan_steps(service, &[ObjectKind::Wallet, ObjectKind::Fence]);
+        assert_eq!(planned.len(), 2);
+        let mut reversed = planned.clone();
+        reversed.reverse();
+        let (walk_planned, rows_planned) = walk(service, &planned);
+        let (walk_reversed, rows_reversed) = walk(service, &reversed);
+        assert_eq!(walk_planned.passes, walk_reversed.passes);
+        assert!(
+            walk_planned.scored <= walk_reversed.scored,
+            "planned order scored {} packed rows, the reverse {}",
+            walk_planned.scored,
+            walk_reversed.scored
+        );
+        assert!(
+            rows_planned <= rows_reversed,
+            "planned order scored {rows_planned} broker rows, the reverse {rows_reversed}"
+        );
+        for &(kind, cascade) in &planned {
+            let (outcome, rate) = service.corpus_stats(kind, &cascade).expect("stats");
+            assert_eq!(outcome.stop_counts.iter().sum::<u32>() as usize, n);
+            let predicted = (rate * n as f64).round() as usize;
+            assert_eq!(predicted, single_ids(service, kind).len(), "{kind}");
+        }
+    }
+
+    /// A conjunct that passes every corpus row rejects nothing: it ranks
+    /// `+∞` and plans last, whichever order the query names it in.
+    #[test]
+    fn conjunct_passing_every_row_plans_last() {
+        let service = nn_fixture();
+        let n = service.corpus_len();
+        assert_eq!(single_ids(service, ObjectKind::Wallet).len(), n);
+        assert!(single_ids(service, ObjectKind::Fence).len() < n);
+        for kinds in [
+            [ObjectKind::Wallet, ObjectKind::Fence],
+            [ObjectKind::Fence, ObjectKind::Wallet],
+        ] {
+            let steps = plan_steps(service, &kinds);
+            assert_eq!(steps[1].0, ObjectKind::Wallet, "{kinds:?}");
+            let (_, rate) = service
+                .corpus_stats(ObjectKind::Wallet, &steps[1].1)
+                .unwrap();
+            assert_eq!(rate, 1.0);
+        }
+    }
+
+    /// Every permutation of every subset of `kinds`, walked through the
+    /// service's seam, matches the intersection of the single-predicate
+    /// answers: order moves work, never answers.
+    fn assert_order_invariant(service: &QueryService, kinds: &[ObjectKind]) {
+        let items: Vec<&CorpusItem> = service.corpus.items.iter().collect();
+        let singles: Vec<HashSet<u64>> = kinds
+            .iter()
+            .map(|&k| single_ids(service, k).into_iter().collect())
+            .collect();
+        let steps = plan_steps(service, kinds);
+        let cascade_of = |k: ObjectKind| steps.iter().find(|s| s.0 == k).unwrap().1;
+        for bits in 1u32..(1 << kinds.len()) {
+            let subset: Vec<usize> = (0..kinds.len()).filter(|i| bits & (1 << i) != 0).collect();
+            let expected: Vec<u64> = items
+                .iter()
+                .map(|item| item.id)
+                .filter(|id| subset.iter().all(|&i| singles[i].contains(id)))
+                .collect();
+            let mut perm = subset;
+            loop {
+                let order: Vec<(ObjectKind, Cascade)> = perm
+                    .iter()
+                    .map(|&i| (kinds[i], cascade_of(kinds[i])))
+                    .collect();
+                let (conj, _) = walk(service, &order);
+                assert_eq!(conj.matched_ids(&items), expected, "{order:?}");
+                if !next_permutation(&mut perm) {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Lexicographic successor of `v`; false (and `v` untouched) at the
+    /// last permutation.
+    fn next_permutation(v: &mut [usize]) -> bool {
+        let Some(i) = (1..v.len()).rev().find(|&i| v[i - 1] < v[i]) else {
+            return false;
+        };
+        let j = (i..v.len()).rev().find(|&j| v[j] > v[i - 1]).unwrap();
+        v.swap(i - 1, j);
+        v[i..].reverse();
+        true
+    }
+
+    #[test]
+    fn every_step_order_answers_the_intersection() {
+        let kinds = [ObjectKind::Fence, ObjectKind::Wallet, ObjectKind::Acorn];
+        assert_order_invariant(&surrogate_service(&kinds, 128, 0x90), &kinds);
+        assert_order_invariant(nn_fixture(), &[ObjectKind::Fence, ObjectKind::Wallet]);
     }
 }

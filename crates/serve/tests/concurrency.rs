@@ -444,8 +444,9 @@ mod plan_cache_props {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// A plan served from the cache is identical to planning the same
-        /// predicate set from scratch, for every subset and ordering of
-        /// the served kinds.
+        /// predicate set from scratch, entry by entry in execution order,
+        /// for every subset and ordering of the served kinds — on the
+        /// surrogate fixture and, for its kinds, the NN one.
         #[test]
         fn cached_plan_equals_fresh_planning(bits in 1u8..8, swap in 0u8..2) {
             let service = surrogate_fixture();
@@ -459,22 +460,90 @@ mod plan_cache_props {
             if swap == 1 {
                 kinds.reverse();
             }
-            // Warm (or hit) the cache, then compare against a fresh plan.
-            let (cached, _) = service.plan_for(&kinds, true).expect("cached planning");
-            let (fresh, hit) = service.plan_for(&kinds, false).expect("fresh planning");
-            prop_assert!(!hit);
-            prop_assert_eq!(cached.entries.len(), fresh.entries.len());
-            for (c, f) in cached.entries.iter().zip(fresh.entries.iter()) {
-                prop_assert_eq!(c.0, f.0);
-                prop_assert_eq!(c.1.cascade, f.1.cascade);
-                prop_assert_eq!(c.1.accuracy.to_bits(), f.1.accuracy.to_bits());
-                prop_assert_eq!(c.1.throughput.to_bits(), f.1.throughput.to_bits());
+            cached_equals_fresh(&service, &kinds)?;
+            // The two-kind NN case: its order comes from the corpus scores
+            // the fixture kept at boot, not from the surrogate tables.
+            let nn_kinds: Vec<ObjectKind> = kinds
+                .iter()
+                .copied()
+                .filter(|k| matches!(k, ObjectKind::Fence | ObjectKind::Wallet))
+                .collect();
+            if !nn_kinds.is_empty() {
+                cached_equals_fresh(&nn_fixture(), &nn_kinds)?;
             }
-            // And a second cached call returns the very same allocation.
-            let (again, hit) = service.plan_for(&kinds, true).expect("repeat planning");
-            prop_assert!(hit);
-            prop_assert!(Arc::ptr_eq(&cached, &again));
         }
+    }
+
+    fn cached_equals_fresh(
+        service: &QueryService,
+        kinds: &[ObjectKind],
+    ) -> Result<(), TestCaseError> {
+        // Warm (or hit) the cache, then compare against a fresh plan.
+        let (cached, _) = service.plan_for(kinds, true).expect("cached planning");
+        let (fresh, hit) = service.plan_for(kinds, false).expect("fresh planning");
+        prop_assert!(!hit);
+        prop_assert_eq!(cached.entries.len(), fresh.entries.len());
+        for (c, f) in cached.entries.iter().zip(fresh.entries.iter()) {
+            prop_assert_eq!(c.0, f.0);
+            prop_assert_eq!(c.1.cascade, f.1.cascade);
+            prop_assert_eq!(c.1.accuracy.to_bits(), f.1.accuracy.to_bits());
+            prop_assert_eq!(c.1.throughput.to_bits(), f.1.throughput.to_bits());
+        }
+        // And a second cached call returns the very same allocation.
+        let (again, hit) = service.plan_for(kinds, true).expect("repeat planning");
+        prop_assert!(hit);
+        prop_assert!(Arc::ptr_eq(&cached, &again));
+        Ok(())
+    }
+}
+
+/// Threads racing the same cold two-predicate `QUERY` — every one of them
+/// misses the plan cache and orders the conjunction from the corpus
+/// statistics — all get the serial reference's ids, and all end up
+/// sharing one cached plan whose order equals planning from scratch.
+#[test]
+fn racing_cold_conjunctions_agree_on_ids_and_order() {
+    const SQL: &str =
+        "SELECT * FROM frames WHERE contains_object(wallet) AND contains_object(fence)";
+    let kinds = [ObjectKind::Wallet, ObjectKind::Fence];
+    let service = nn_service(&NnFixtureConfig {
+        corpus_n: 96,
+        seed: 1,
+        ..Default::default()
+    });
+    let threads = 4;
+    let barrier = std::sync::Barrier::new(threads);
+    let answers: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let out = service.execute(SQL).expect("racing query");
+                    let (plan, hit) = service.plan_for(&kinds, true).expect("planning");
+                    assert!(hit, "the race's plan is cached");
+                    (out.matched_ids, plan)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let reference = service
+        .execute_with(SQL, UNCACHED_SERIAL)
+        .expect("reference query")
+        .matched_ids;
+    assert!(!reference.is_empty());
+    let (fresh, _) = service.plan_for(&kinds, false).expect("fresh planning");
+    let fresh_order: Vec<ObjectKind> = fresh.entries.iter().map(|e| e.0).collect();
+    // Wallet passes every row of this fixture, so it runs last.
+    assert_eq!(fresh_order, [ObjectKind::Fence, ObjectKind::Wallet]);
+    for (t, (ids, plan)) in answers.iter().enumerate() {
+        assert_eq!(ids, &reference, "thread {t}");
+        assert!(
+            Arc::ptr_eq(plan, &answers[0].1),
+            "thread {t}: one cached plan"
+        );
+        let order: Vec<ObjectKind> = plan.entries.iter().map(|e| e.0).collect();
+        assert_eq!(order, fresh_order, "thread {t}");
     }
 }
 
