@@ -548,7 +548,7 @@ impl PackRows<'_> {
                 // input must be bitwise what ingest stored.
                 let out = self
                     .store
-                    .rederive(&src, rep)
+                    .rederive(&src, rep, engine)
                     .map_err(|e| failed(format!("transcode to {rep}: {e}")))?;
                 tally.transcode_s += t2.elapsed().as_secs_f64();
                 engine.recycle([src]);

@@ -58,5 +58,5 @@ pub use error::ImageryError;
 pub use image::Image;
 pub use repr::Representation;
 pub use segment::{AccessMode, RecoveryReport, SegmentStore};
-pub use store::{Fetched, ReliabilityStats, RepresentationStore};
+pub use store::{Fetched, PreparedFrame, ReliabilityStats, RepresentationStore};
 pub use synth::{ObjectKind, SceneParams, SceneRenderer};

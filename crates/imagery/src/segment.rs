@@ -355,9 +355,12 @@ struct RecHeader {
     crc: u32,
 }
 
-/// Frame one record header + payload into `buf` (cleared first).
-fn encode_record(buf: &mut Vec<u8>, id: u64, rep: Representation, payload: &[u8]) {
-    buf.clear();
+/// Frame one record — header with the payload's CRC, then the payload —
+/// onto the end of `buf`. This is the whole of a record's bytes: framing
+/// needs no shard state, so a frame's records can be built on any thread
+/// and appended later in the order that fixes the file
+/// ([`SegmentStore::append_record`]).
+pub(crate) fn frame_record(buf: &mut Vec<u8>, id: u64, rep: Representation, payload: &[u8]) {
     buf.reserve(RECORD_HEADER_LEN + payload.len());
     buf.put_slice(&RECORD_MAGIC);
     buf.put_u64_le(id);
@@ -404,8 +407,6 @@ struct ShardWriter {
     capacity: u64,
     /// Capacity changed since the last published map.
     map_stale: bool,
-    /// Reusable frame buffer so steady-state appends don't allocate.
-    scratch: Vec<u8>,
 }
 
 #[derive(Debug, Default)]
@@ -513,7 +514,6 @@ impl SegmentStore {
                     committed: SEGMENT_HEADER_LEN,
                     capacity: SEGMENT_HEADER_LEN,
                     map_stale: false,
-                    scratch: Vec::new(),
                 }),
                 seg_index: Mutex::new(ShardIndex::default()),
             });
@@ -580,7 +580,6 @@ impl SegmentStore {
                     committed: scan.committed,
                     capacity: scan.committed,
                     map_stale: false,
-                    scratch: Vec::new(),
                 }),
                 seg_index: Mutex::new(ShardIndex {
                     entries: scan.entries,
@@ -678,13 +677,27 @@ impl SegmentStore {
     /// fans out across shards. The entry becomes fetchable once the index
     /// publish completes.
     pub fn append(&self, id: u64, rep: Representation, payload: &[u8]) -> io::Result<()> {
+        let mut record = Vec::new();
+        frame_record(&mut record, id, rep, payload);
+        self.append_record(&record)
+    }
+
+    /// Append one record already framed by [`frame_record`]: the one write
+    /// path. The header names the record's id (hence its shard) and rep.
+    pub(crate) fn append_record(&self, record: &[u8]) -> io::Result<()> {
         // FAULT: transient write error, injected before any shard state
         // changes so a retried append starts from a clean slate.
         if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::SEG_WRITE) {
             return Err(e);
         }
+        let h = parse_record_header(record)
+            .filter(|h| h.len as usize == record.len() - RECORD_HEADER_LEN)
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "append of an unframed record")
+            })?;
+        let (id, rep) = (h.id, h.rep);
         let shard = &self.shards[self.shard_of(id)];
-        let rec_len = RECORD_HEADER_LEN as u64 + payload.len() as u64;
+        let rec_len = record.len() as u64;
         let mut w = lock(&shard.seg_writer);
         let off = w.committed;
         let end = off + rec_len;
@@ -697,11 +710,7 @@ impl SegmentStore {
             w.capacity = cap;
             w.map_stale = true;
         }
-        let mut buf = std::mem::take(&mut w.scratch);
-        encode_record(&mut buf, id, rep, payload);
-        let res = write_all_at(&w.file, &buf, off);
-        w.scratch = buf;
-        res?;
+        write_all_at(&w.file, record, off)?;
         w.committed = end;
         // Publish under the index lock while still holding the writer
         // lock (ranks 70 → 71, ascending).
@@ -718,10 +727,8 @@ impl SegmentStore {
                 w.map_stale = false;
             }
         }
-        ix.entries.insert(
-            (id, rep),
-            (off + RECORD_HEADER_LEN as u64, payload.len() as u32),
-        );
+        ix.entries
+            .insert((id, rep), (off + RECORD_HEADER_LEN as u64, h.len));
         ix.bytes += rec_len;
         Ok(())
     }

@@ -28,34 +28,39 @@
 //! All reads go through the shared-borrow [`RepresentationStore::fetch`]:
 //! the caller supplies the [`TranscodeEngine`] whose buffer pool receives
 //! the decode, so many query sessions fetch from one store concurrently,
-//! each with its own pool. (The store's own engine is used only at
-//! ingest.) Since the continuous-query layer, *writes* share the same
-//! borrow: [`RepresentationStore::ingest`] is `&self` and internally
-//! synchronized, so live streams ingest through the same `Arc`-shared
-//! handle the query sessions fetch from — materialization serializes on
-//! the store's engine lock, persistent-tier appends fan out across shard
-//! locks, and RAM-tier blobs sit behind one map lock (ranks in
-//! `SAFETY.md`).
+//! each with its own pool. Since the continuous-query layer, *writes*
+//! share the same borrow: [`RepresentationStore::ingest`] is `&self` and
+//! internally synchronized, so live streams ingest through the same
+//! `Arc`-shared handle the query sessions fetch from.
 //!
-//! Materialization runs through an owned [`TranscodeEngine`] executing a
+//! A write is two steps. [`RepresentationStore::prepare`] materializes and
+//! encodes a frame on the caller's engine and takes no lock while it
+//! works, so frames prepare side by side on the process pool's lanes.
+//! [`RepresentationStore::commit`] appends the prepared bytes: persistent-
+//! tier appends fan out across shard locks, and RAM-tier blobs sit behind
+//! one map lock (ranks in `SAFETY.md`). Committing in id order writes
+//! exactly the files a one-frame-at-a-time `ingest` loop writes, however
+//! the preparing was spread.
+//!
+//! Materialization runs a [`TranscodeEngine`] through a
 //! [`TranscodePlan`] built once per source shape (see [`crate::engine`]):
 //! the shared luma plane is computed once per frame, single-channel targets
 //! resize straight from the source's planes, and resize span tables are
 //! reused across frames — this is the per-frame serving cost of the
 //! ONGOING scenario, so it gets the engine's full hot-path treatment.
 
-use crate::codec::RawCodec;
+use crate::codec::{RawCodec, RAW_HEADER_LEN};
 use crate::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan, TranscodeStep};
 use crate::error::ImageryError;
 use crate::image::Image;
 use crate::repr::Representation;
-use crate::segment::{AccessMode, RecoveryReport, SegmentStore, RECORD_HEADER_LEN};
+use crate::segment::{frame_record, AccessMode, RecoveryReport, SegmentStore, RECORD_HEADER_LEN};
 use bytes::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Store manifest file name (records shard count + representation set so
 /// [`RepresentationStore::open`] needs only the directory).
@@ -99,24 +104,44 @@ impl Default for Tier {
     }
 }
 
-/// Ingest-side state: the store's own transcode engine plus the lattice
-/// plans it executes. One lock serializes materialization (the engine's
-/// buffer pool is single-threaded scratch); persistent-tier appends then
-/// fan out across shard locks (rank 70/71) while this is held.
+/// Ingest-side plan cache: the lattice plan for each distinct source
+/// shape, built once and shared by every preparing thread.
 #[derive(Debug, Default)]
-struct IngestState {
-    engine: TranscodeEngine,
-    /// Lattice plans keyed by source shape — each distinct ingested frame
-    /// shape is planned exactly once.
-    plans: HashMap<(usize, usize), TranscodePlan>,
-    /// Shape of the most recently ingested frame (what
+struct IngestPlans {
+    plans: HashMap<(usize, usize), Arc<TranscodePlan>>,
+    /// Shape of the most recently committed frame (what
     /// [`RepresentationStore::planned_ingest_cost_s`] prices).
     last_shape: Option<(usize, usize)>,
-    /// The frame's `TAH1` encoding: the source quantized once, and the
-    /// stored bytes of a full-size RGB representation as they are.
-    source: Vec<u8>,
-    /// Encode scratch for every other representation, reused per frame.
-    encoded: Vec<u8>,
+}
+
+/// One frame's ingest, built by [`RepresentationStore::prepare`] and
+/// written by [`RepresentationStore::commit`]: every configured
+/// representation encoded, in the store's representation order. For the
+/// persistent tier each one is already a framed segment record (header
+/// and CRC), so a commit only appends bytes.
+#[derive(Debug)]
+pub struct PreparedFrame {
+    id: u64,
+    shape: (usize, usize),
+    /// The representations' encodings (framed records for the persistent
+    /// tier), back to back.
+    bytes: Vec<u8>,
+    /// End offset of each representation's encoding in `bytes`.
+    ends: Vec<usize>,
+    /// Encoded payload bytes, without record framing (the store's byte
+    /// accounting).
+    payload: usize,
+    /// Whether `bytes` holds framed records (prepared for a persistent
+    /// store).
+    framed: bool,
+}
+
+impl PreparedFrame {
+    /// Each representation's encoding, in the store's representation order.
+    fn records(&self) -> impl Iterator<Item = &[u8]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.bytes[a..b])
+    }
 }
 
 /// Classified result of [`RepresentationStore::fetch_classified`].
@@ -165,6 +190,16 @@ fn backoff(id: u64, attempt: u32) {
     std::thread::sleep(std::time::Duration::from_micros(base_us + jitter_us));
 }
 
+/// Frames one lane job builds and prepares in
+/// [`RepresentationStore::ingest_on_lanes`]: small, so the wave's last job
+/// leaves the other lanes little idle time.
+const LANE_JOB_FRAMES: usize = 4;
+
+/// Jobs per lane in one wave of [`RepresentationStore::ingest_on_lanes`]:
+/// enough that the caller's commits of the previous wave and its share of
+/// this wave's jobs balance against the other lanes.
+const LANE_JOBS: usize = 4;
+
 /// The representation store; see the module docs for the tier layout.
 #[derive(Debug, Default)]
 pub struct RepresentationStore {
@@ -172,10 +207,10 @@ pub struct RepresentationStore {
     tier: Tier,
     total_bytes: AtomicUsize,
     ingested: AtomicU64,
-    // LOCK-ORDER: 65 — ingest-side engine + plans; held across the
-    // materialize + append of one frame, below the blob map (66) and the
-    // shard locks (70/71), never while any serve-layer lock is wanted.
-    ingest_state: Mutex<IngestState>,
+    // LOCK-ORDER: 65 — ingest plan cache; held only to look up or insert
+    // a plan (or read the last committed shape), never across a
+    // materialization, an append or any other lock.
+    ingest_plans: Mutex<IngestPlans>,
     // Quarantined (id, rep) keys: records whose stored bytes must never
     // be served again. Guarded by a length fast path so the fault-free
     // fetch path pays one relaxed load, no lock.
@@ -262,83 +297,172 @@ impl RepresentationStore {
         &self.reps
     }
 
-    /// Ingest one full-resolution RGB frame: produce and encode every
-    /// configured representation through the engine's lattice plan (shared
-    /// luma, borrowed planes, cached resize tables — no per-frame setup).
+    /// Ingest one full-resolution RGB frame: [`RepresentationStore::prepare`]
+    /// on this thread's engine, then [`RepresentationStore::commit`] — the
+    /// two steps every ingest runs, back to back.
     ///
     /// Takes `&self`: the ingest path is internally synchronized so live
     /// streams can feed a store that query sessions are concurrently
     /// fetching from (the serve layer shares one store behind an `Arc`).
-    /// Materialization serializes on the store's engine; persistent-tier
-    /// appends touch only the shards owning this id.
+    /// Persistent-tier appends touch only the shards owning this id. Do
+    /// not call it from inside [`crate::engine::with_local_engine`].
     pub fn ingest(&self, id: u64, full: &Image) -> Result<(), ImageryError> {
-        // FAULT: transient ingest fault upstream of any state change, so
-        // the caller's retry re-runs the whole frame cleanly.
-        if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::STORE_INGEST) {
-            return Err(e.into());
-        }
+        let prepared = crate::engine::with_local_engine(|e| self.prepare(id, full, e))?;
+        self.commit(&prepared)
+    }
+
+    /// The write side's compute half: produce and encode every configured
+    /// representation through the lattice plan (shared luma, borrowed
+    /// planes, cached resize tables) on the caller's `engine`, and frame
+    /// each persistent-tier record with its CRC. Touches no stored state
+    /// and holds no lock while it works, so frames prepare on any number
+    /// of threads at once; the bytes are a function of `(id, full)` and
+    /// the store's configuration alone, whichever thread prepares them.
+    pub fn prepare(
+        &self,
+        id: u64,
+        full: &Image,
+        engine: &mut TranscodeEngine,
+    ) -> Result<PreparedFrame, ImageryError> {
         let shape = (full.width(), full.height());
-        let mut st = lock(&self.ingest_state);
-        let st = &mut *st;
-        let reps = &self.reps;
-        let plan = st.plans.entry(shape).or_insert_with(|| {
-            TranscodePlan::new(shape.0, shape.1, reps, &TranscodeCosts::default())
-        });
-        st.last_shape = Some(shape);
+        let plan = self.plan_for(shape);
         // Quantize the frame once, straight into its `TAH1` encoding, and
         // derive every representation from what those bytes decode back
         // to: each stored record is then a function of exactly the stored
         // source, which is what makes `rederive` (the quarantine
         // degradation rung) bitwise exact (RELIABILITY.md).
-        RawCodec.encode_into(full, &mut st.source);
-        let buf = st.engine.take_buffer(full.value_count());
-        let source = RawCodec.decode_into(&st.source, buf)?;
-        let materialized = st.engine.apply_planned(&source, plan);
-        st.engine.recycle([source]);
+        let mut source = Vec::new();
+        RawCodec.encode_into(full, &mut source);
+        let buf = engine.take_buffer(full.value_count());
+        let decoded = RawCodec.decode_into(&source, buf)?;
+        let materialized = engine.apply_planned(&decoded, &plan);
+        engine.recycle([decoded]);
         let materialized = materialized?;
-        let mut added = 0usize;
+        let framed = self.is_persistent();
+        let header = if framed { RECORD_HEADER_LEN } else { 0 };
+        let mut out = PreparedFrame {
+            id,
+            shape,
+            bytes: Vec::with_capacity(
+                self.reps
+                    .iter()
+                    .map(|r| header + RAW_HEADER_LEN + r.value_count())
+                    .sum(),
+            ),
+            ends: Vec::with_capacity(self.reps.len()),
+            payload: 0,
+            framed,
+        };
+        let mut encoded = Vec::new();
         for ((&rep, image), &step) in self.reps.iter().zip(&materialized).zip(plan.steps()) {
             // The full-size RGB target is the source itself: its bytes are
             // already encoded (the u8 grid is a fixed point of the codec).
             let bytes: &[u8] = if step == TranscodeStep::Identity {
-                &st.source
+                &source
             } else {
-                RawCodec.encode_into(image, &mut st.encoded);
-                &st.encoded
+                RawCodec.encode_into(image, &mut encoded);
+                &encoded
             };
-            added += bytes.len();
+            out.payload += bytes.len();
+            if framed {
+                frame_record(&mut out.bytes, id, rep, bytes);
+            } else {
+                out.bytes.extend_from_slice(bytes);
+            }
+            out.ends.push(out.bytes.len());
+        }
+        // Only the encoded bytes are kept; the pixel buffers feed the next
+        // frame's materialization instead of the allocator.
+        engine.recycle(materialized);
+        Ok(out)
+    }
+
+    /// The write side's ordered half: append a prepared frame's records,
+    /// publish them to the index and count the frame. Commits run in the
+    /// order that fixes the files — committing frames in id order writes
+    /// the bytes a one-at-a-time [`RepresentationStore::ingest`] loop
+    /// writes. A failed commit may be retried with the same frame:
+    /// re-appending a key is idempotent at the index (last record wins).
+    pub fn commit(&self, frame: &PreparedFrame) -> Result<(), ImageryError> {
+        assert_eq!(
+            (frame.ends.len(), frame.framed),
+            (self.reps.len(), self.is_persistent()),
+            "frame {} was prepared for another store",
+            frame.id
+        );
+        // FAULT: transient ingest fault upstream of any state change, so
+        // the caller's retry re-runs the whole frame cleanly.
+        if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::STORE_INGEST) {
+            return Err(e.into());
+        }
+        let id = frame.id;
+        for (&rep, record) in self.reps.iter().zip(frame.records()) {
             match &self.tier {
                 Tier::Ram(ram) => {
-                    lock(&ram.blobs).insert((id, rep), Bytes::copy_from_slice(bytes));
+                    lock(&ram.blobs).insert((id, rep), Bytes::copy_from_slice(record));
                 }
                 // Bounded retry on transient append errors; re-appending a
                 // key is idempotent at the index (last record wins), so a
                 // retried write can never serve torn bytes.
                 Tier::Disk(seg) => {
                     let mut attempt = 0;
-                    loop {
-                        match seg.append(id, rep, bytes) {
-                            Ok(()) => break,
-                            Err(e) => {
-                                let e: ImageryError = e.into();
-                                attempt += 1;
-                                if !e.is_transient() || attempt >= MAX_ATTEMPTS {
-                                    return Err(e);
-                                }
-                                self.retries.fetch_add(1, Ordering::Relaxed);
-                                backoff(id, attempt);
-                            }
+                    while let Err(e) = seg.append_record(record) {
+                        let e: ImageryError = e.into();
+                        attempt += 1;
+                        if !e.is_transient() || attempt >= MAX_ATTEMPTS {
+                            return Err(e);
                         }
+                        self.retries.fetch_add(1, Ordering::Relaxed);
+                        backoff(id, attempt);
                     }
                 }
             }
         }
-        // Only the encoded bytes are kept; the pixel buffers feed the next
-        // frame's materialization instead of the allocator.
-        st.engine.recycle(materialized);
-        self.total_bytes.fetch_add(added, Ordering::Relaxed);
+        lock(&self.ingest_plans).last_shape = Some(frame.shape);
+        self.total_bytes.fetch_add(frame.payload, Ordering::Relaxed);
         self.ingested.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Ingest a batch of frames on the process pool's lanes: frame `id` is
+    /// `make(id)`, built and prepared in jobs of 4 frames on the lanes' own
+    /// engines, and committed in `ids` order on the caller. The batch runs
+    /// in waves of `lanes` × 4 jobs; the caller
+    /// commits one wave while the lanes prepare the next, so at most two
+    /// waves of prepared frames exist at once, whatever the batch size.
+    /// With zero pool workers every job runs inline on the caller.
+    ///
+    /// The files are byte-identical to `ingest` called on each id in
+    /// order: preparing is a pure function of the frame, and the commits
+    /// run in that order. The first failing commit stops the batch.
+    pub fn ingest_on_lanes(
+        &self,
+        ids: &[u64],
+        lanes: usize,
+        make: impl Fn(u64) -> Image + Sync,
+    ) -> Result<(), ImageryError> {
+        let make = &make;
+        let mut ready: Vec<Result<PreparedFrame, ImageryError>> = Vec::new();
+        for wave in ids.chunks(lanes.max(1) * LANE_JOBS * LANE_JOB_FRAMES) {
+            let mut next: Vec<Vec<Result<PreparedFrame, ImageryError>>> =
+                wave.chunks(LANE_JOB_FRAMES).map(|_| Vec::new()).collect();
+            let committed = tahoma_mathx::pool::scope(|s| {
+                for (job, out) in wave.chunks(LANE_JOB_FRAMES).zip(next.iter_mut()) {
+                    s.spawn(move || {
+                        for &id in job {
+                            let full = make(id);
+                            let prepared =
+                                crate::engine::with_local_engine(|e| self.prepare(id, &full, e));
+                            out.push(prepared);
+                        }
+                    });
+                }
+                ready.drain(..).try_for_each(|p| self.commit(&p?))
+            });
+            committed?;
+            ready = next.into_iter().flatten().collect();
+        }
+        ready.into_iter().try_for_each(|p| self.commit(&p?))
     }
 
     /// Re-derive one configured representation from a caller-supplied
@@ -348,25 +472,24 @@ impl RepresentationStore {
     /// intermediate representations, so a direct source→rep transcode
     /// would NOT reproduce them). This is the quarantine degradation
     /// rung's compute half: fetch the pinned source, re-derive the input
-    /// (RELIABILITY.md).
+    /// (RELIABILITY.md). Runs on the caller's `engine`.
     ///
     /// A representation the store never materialized has no stored record
     /// to reproduce, so it is transcoded directly — the on-the-fly path
     /// executors use for reps outside the configured set.
-    pub fn rederive(&self, full: &Image, rep: Representation) -> Result<Image, ImageryError> {
+    pub fn rederive(
+        &self,
+        full: &Image,
+        rep: Representation,
+        engine: &mut TranscodeEngine,
+    ) -> Result<Image, ImageryError> {
         let Some(idx) = self.reps.iter().position(|&r| r == rep) else {
-            return lock(&self.ingest_state).engine.apply(full, rep);
+            return engine.apply(full, rep);
         };
-        let shape = (full.width(), full.height());
-        let mut st = lock(&self.ingest_state);
-        let st = &mut *st;
-        let reps = &self.reps;
-        let plan = st.plans.entry(shape).or_insert_with(|| {
-            TranscodePlan::new(shape.0, shape.1, reps, &TranscodeCosts::default())
-        });
-        let mut materialized = st.engine.apply_planned(full, plan)?;
+        let plan = self.plan_for((full.width(), full.height()));
+        let mut materialized = engine.apply_planned(full, &plan)?;
         let mut out = materialized.swap_remove(idx);
-        st.engine.recycle(materialized);
+        engine.recycle(materialized);
         // A normal fetch serves *decoded* pixels (the stored u8 grid), so
         // the stand-in must land on that grid too, not on the
         // full-precision derivation.
@@ -374,12 +497,27 @@ impl RepresentationStore {
         Ok(out)
     }
 
+    /// The lattice plan for one source shape, planned on first use.
+    fn plan_for(&self, shape: (usize, usize)) -> Arc<TranscodePlan> {
+        let mut cache = lock(&self.ingest_plans);
+        let plan = cache.plans.entry(shape).or_insert_with(|| {
+            let (w, h) = shape;
+            Arc::new(TranscodePlan::new(
+                w,
+                h,
+                &self.reps,
+                &TranscodeCosts::default(),
+            ))
+        });
+        Arc::clone(plan)
+    }
+
     /// The cost-model price of one frame's planned materialization under
     /// the given per-unit costs, next to what the naive per-representation
     /// loop would pay. Priced for the most recently ingested frame shape;
     /// `None` before the first ingest fixes one.
     pub fn planned_ingest_cost_s(&self, costs: &TranscodeCosts) -> Option<(f64, f64)> {
-        let (w, h) = lock(&self.ingest_state).last_shape?;
+        let (w, h) = lock(&self.ingest_plans).last_shape?;
         let priced = TranscodePlan::new(w, h, &self.reps, costs);
         Some((priced.planned_cost_s(), priced.direct_cost_s()))
     }
@@ -760,7 +898,9 @@ mod tests {
         store.ingest(7, &frame(3)).unwrap();
         let src = fetch_one(&store, 7, src_rep).expect("stored source");
         for rep in [reps[0], reps[1]] {
-            let derived = store.rederive(&src, rep).expect("rederives");
+            let derived = store
+                .rederive(&src, rep, &mut TranscodeEngine::new())
+                .expect("rederives");
             let derived_bytes = RawCodec.encode(&derived);
             let stored = store
                 .with_blob(7, rep, |b| b.to_vec())

@@ -112,12 +112,34 @@ impl Default for NnFixtureConfig {
 }
 
 /// Deterministic synthetic raster frame (same construction as the
-/// `query_exec` bench).
+/// `query_exec` bench): sample `(c, y, x)` is
+/// `((c·31 + y·7 + x·3 + seed) mod 13) / 13`.
+///
+/// No sample pays a division: stepping the residue by 3 per pixel reads a
+/// 13-entry table into one ramp, `ramp[k] = ((3k) mod 13) / 13`. The ramp
+/// repeats every 13 pixels, so each row is the slice of it starting where
+/// `3k ≡ row residue (mod 13)`, i.e. at `k = 9 · residue mod 13` (9 is 3's
+/// inverse mod 13). The bits equal the formula's for every seed at which
+/// the formula's sum does not overflow.
 pub fn frame(seed: u64, size: usize) -> Image {
-    Image::from_fn(size, size, ColorMode::Rgb, |c, y, x| {
-        (((c as u64 * 31 + y as u64 * 7 + x as u64 * 3 + seed) % 13) as f32) / 13.0
-    })
-    .unwrap()
+    let levels: [f32; 13] = std::array::from_fn(|r| r as f32 / 13.0);
+    let mut r = 0;
+    let ramp: Vec<f32> = (0..size + 12)
+        .map(|_| {
+            let v = levels[r];
+            r = if r >= 10 { r - 10 } else { r + 3 };
+            v
+        })
+        .collect();
+    let seed = (seed % 13) as usize;
+    let mut data = Vec::with_capacity(3 * size * size);
+    for c in 0..3 {
+        for y in 0..size {
+            let start = 9 * ((c * 31 + y * 7 + seed) % 13) % 13;
+            data.extend_from_slice(&ramp[start..start + size]);
+        }
+    }
+    Image::from_planar(size, size, ColorMode::Rgb, data).unwrap()
 }
 
 /// Decision cuts for one model from its live score distribution: three
@@ -137,6 +159,35 @@ fn quantile_cuts(scores: &[f32]) -> Vec<DecisionThresholds> {
         .collect()
 }
 
+/// The NN fixture's stored representations: the two model inputs, and the
+/// full-resolution source frame. The source is stored alongside the model
+/// inputs so a quarantined (CRC-bad) model-input record can be re-derived
+/// by transcoding — the degradation ladder's last store rung
+/// (RELIABILITY.md).
+const NN_REPS: (Representation, Representation, Representation) = (
+    Representation::new(24, ColorMode::Gray),
+    Representation::new(32, ColorMode::Rgb),
+    Representation::new(64, ColorMode::Rgb),
+);
+
+/// The two zoo levels' architectures. Wide dense heads on purpose: the
+/// packed weight matrix is the per-call fixed cost (§IV batch pricing) that
+/// cross-query coalescing amortizes, so the serving fixture gives it
+/// realistic weight relative to per-row compute (production detectors are
+/// far denser still).
+const NN_ARCHS: (ArchSpec, ArchSpec) = (
+    ArchSpec {
+        conv_layers: 1,
+        conv_nodes: 8,
+        dense_nodes: 256,
+    },
+    ArchSpec {
+        conv_layers: 2,
+        conv_nodes: 8,
+        dense_nodes: 320,
+    },
+);
+
 /// Real-NN service: shared frame store, per-kind zoos with untrained CNNs
 /// at two representation levels, live-calibrated execution thresholds,
 /// coalescing brokers wired to `cfg.window`/`cfg.max_rows`.
@@ -144,26 +195,7 @@ fn quantile_cuts(scores: &[f32]) -> Vec<DecisionThresholds> {
 /// Needs `cfg.corpus_n >= 1`: the thresholds are quantiles of the corpus's
 /// own scores (the `tahoma-serve` binary rejects `--corpus 0` up front).
 pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
-    let rep0 = Representation::new(24, ColorMode::Gray);
-    let rep1 = Representation::new(32, ColorMode::Rgb);
-    // Full-resolution source frames are stored alongside the model inputs
-    // so a quarantined (CRC-bad) model-input record can be re-derived by
-    // transcoding — the degradation ladder's last store rung (RELIABILITY.md).
-    let rep_src = Representation::new(64, ColorMode::Rgb);
-    // Wide dense heads on purpose: the packed weight matrix is the per-call
-    // fixed cost (§IV batch pricing) that cross-query coalescing amortizes,
-    // so the serving fixture gives it realistic weight relative to per-row
-    // compute (production detectors are far denser still).
-    let arch0 = ArchSpec {
-        conv_layers: 1,
-        conv_nodes: 8,
-        dense_nodes: 256,
-    };
-    let arch1 = ArchSpec {
-        conv_layers: 2,
-        conv_nodes: 8,
-        dense_nodes: 320,
-    };
+    let (rep0, rep1, rep_src) = NN_REPS;
     let profiler = AnalyticProfiler::paper_testbed(Scenario::Ongoing);
     let corpus = Arc::new(Corpus::synthetic(cfg.corpus_n, cfg.prevalence, cfg.seed));
     let mut service = QueryService::new(profiler, ACCURACY_LOSS, Arc::clone(&corpus));
@@ -187,13 +219,18 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
             _ => RepresentationStore::persistent(reps, dir, 8).unwrap(),
         },
     };
-    if store.frames() == 0 {
-        for item in &corpus.items {
-            store
-                .ingest(item.id, &frame(item.id ^ cfg.seed, 64))
-                .unwrap();
-        }
-        store.sync().unwrap();
+    // A fresh store ingests the corpus on the lanes (frames built and
+    // prepared in parallel, committed in id order: the bytes of a serial
+    // loop), and its sync then runs beside the calibration scoring below,
+    // which only reads records already committed and published.
+    let fresh = store.frames() == 0;
+    if fresh {
+        let ids: Vec<u64> = corpus.items.iter().map(|item| item.id).collect();
+        store
+            .ingest_on_lanes(&ids, tahoma_mathx::pool::workers() + 1, |id| {
+                frame(id ^ cfg.seed, 64)
+            })
+            .unwrap();
     }
     if cfg.verify_on_open {
         // Quarantine rather than reject: CRC-bad records degrade to the
@@ -201,8 +238,29 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
         let _ = store.verify_and_quarantine();
     }
     let store = Arc::new(store);
-    let items: Vec<&CorpusItem> = corpus.items.iter().collect();
+    std::thread::scope(|s| {
+        // The fsync is a wait on the device, not work for a lane: it gets
+        // its own thread, and is joined before the service is returned, so
+        // nothing listens before the store is durable.
+        let synced = fresh.then(|| s.spawn(|| store.sync()));
+        add_nn_kinds(&mut service, cfg, &store, &corpus);
+        if let Some(synced) = synced {
+            synced.join().expect("store sync panicked").unwrap();
+        }
+    });
+    service
+}
 
+/// Plan, build and calibrate every kind of `cfg` over the shared store.
+fn add_nn_kinds(
+    service: &mut QueryService,
+    cfg: &NnFixtureConfig,
+    store: &Arc<RepresentationStore>,
+    corpus: &Corpus,
+) {
+    let (rep0, rep1, rep_src) = NN_REPS;
+    let (arch0, arch1) = NN_ARCHS;
+    let items: Vec<&CorpusItem> = corpus.items.iter().collect();
     for (ki, &kind) in cfg.kinds.iter().enumerate() {
         // A surrogate repository supplies the (model id -> variant) table
         // and pricing; the scores come from the real networks below.
@@ -269,7 +327,7 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
             .collect();
         {
             let mut scratch = NnSessionScratch::new();
-            let mut scorer = SharedNnScorer::new(&store, &zoo, &mut scratch);
+            let mut scorer = SharedNnScorer::new(store, &zoo, &mut scratch);
             for (id, scores) in corpus_scores.iter_mut().enumerate() {
                 if zoo.input_rep(ModelId(id as u32)).is_none() {
                     // The appended reference entry has no network; it never
@@ -293,11 +351,41 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
             system,
             Some(exec_thresholds),
             corpus_scores,
-            Arc::clone(&store),
+            Arc::clone(store),
             zoo,
             cfg.window,
             cfg.max_rows,
         );
     }
-    service
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frame_matches_the_mod_13_formula_bit_for_bit() {
+        // The formula the stepped ramp replaces, evaluated per sample.
+        let formula = |seed: u64, size: usize| {
+            Image::from_fn(size, size, ColorMode::Rgb, |c, y, x| {
+                (((c as u64 * 31 + y as u64 * 7 + x as u64 * 3 + seed) % 13) as f32) / 13.0
+            })
+            .unwrap()
+        };
+        let bits = |img: &Image| img.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Every seed the fixture passes: corpus ids (up to the judged
+        // server's 2048) xor the judged root seed and the default one.
+        for root in [1, NnFixtureConfig::default().seed] {
+            for id in 0..2048u64 {
+                for size in [1, 24, 64] {
+                    let (got, want) = (frame(id ^ root, size), formula(id ^ root, size));
+                    assert_eq!(
+                        (got.width(), got.height(), got.mode()),
+                        (want.width(), want.height(), want.mode())
+                    );
+                    assert!(bits(&got) == bits(&want), "seed {} size {size}", id ^ root);
+                }
+            }
+        }
+    }
 }

@@ -678,7 +678,7 @@ impl QueryService {
     /// The shared representation store behind `kind`'s NN backend, if any
     /// — the ingest target for stream frames whose standing query scores
     /// that kind with real networks (surrogate backends move no pixels).
-    pub(crate) fn nn_store(&self, kind: ObjectKind) -> Option<Arc<RepresentationStore>> {
+    pub fn nn_store(&self, kind: ObjectKind) -> Option<Arc<RepresentationStore>> {
         match self.kinds.get(&kind).map(|st| &st.backend) {
             Some(KindBackend::Nn(nn)) => Some(Arc::clone(&nn.store)),
             _ => None,

@@ -7,12 +7,12 @@
 //! ONGOING scenario end to end for one window slide:
 //!
 //! 1. the feed renders this tick's `STEP` arriving frames, side by side on
-//!    the process pool's lanes;
-//! 2. each frame, in id order, is materialized into the shared
-//!    [`RepresentationStore`] through the lattice-planned transcode path
-//!    (§V ingest-time materialization) — the same store ad-hoc `QUERY`
-//!    traffic reads, so a standing query's NN cascades score the stored
-//!    representations, not the raw frames;
+//!    the process pool's lanes, and each lane materializes its frame for
+//!    the shared [`RepresentationStore`] through the lattice-planned
+//!    transcode path (§V ingest-time materialization);
+//! 2. the tick thread commits the frames in id order — into the same
+//!    store ad-hoc `QUERY` traffic reads, so a standing query's NN
+//!    cascades score the stored representations, not the raw frames;
 //! 3. the window slides one `STEP` and only the entrants are scored: the
 //!    continuous executor runs them through the same conjunction walk an
 //!    ad-hoc `QUERY` runs over the corpus, with the same evaluation seam
@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tahoma_core::continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 use tahoma_core::query::{CorpusItem, Query};
-use tahoma_imagery::{ObjectKind, RepresentationStore, TranscodeEngine};
+use tahoma_imagery::{ImageryError, ObjectKind, PreparedFrame, RepresentationStore};
 use tahoma_video::{IngestFrame, StreamConfig, StreamIngest};
 
 /// Square raster side for rendered stream frames — matches the NN
@@ -113,13 +113,15 @@ pub struct StreamStatus {
     pub degraded: bool,
 }
 
+/// One arriving frame's records, prepared for each of a standing query's
+/// stores on the frame's render lane.
+type Prepared = Result<Vec<PreparedFrame>, ImageryError>;
+
 /// One standing query's mutable state: the window executor, its camera
-/// feed, the transcode engine amortizing per-frame resize plans, and the
-/// NN stores its frames materialize into.
+/// feed, and the NN stores its frames materialize into.
 struct StandingState {
     cx: ContinuousExecutor,
     feed: StreamIngest,
-    engine: TranscodeEngine,
     /// Distinct representation stores behind the query's NN-backed kinds;
     /// every arriving frame is ingested into each (surrogate-only queries
     /// move no pixels and leave this empty).
@@ -127,12 +129,13 @@ struct StandingState {
     /// Deduplicated content kinds, for broker interest registration.
     kinds: Vec<ObjectKind>,
     camera: u64,
-    /// Rendered frames not yet ingested, in id order: a store
-    /// materialization that failed mid-tick parks its frame and every
-    /// frame after it, and the next tick retries them before rendering
-    /// more, so a transient ingest fault never loses a frame (the retried
-    /// window is identical to the fault-free one).
-    parked: VecDeque<IngestFrame>,
+    /// Rendered frames not yet ingested, in id order, each with its
+    /// records prepared for every store (one entry per store, in `stores`
+    /// order): a store commit that failed mid-tick parks its frame and
+    /// every frame after it, and the next tick retries their commits
+    /// before rendering more, so a transient ingest fault never loses a
+    /// frame (the retried window is identical to the fault-free one).
+    parked: VecDeque<(IngestFrame, Prepared)>,
     /// Sticky quarantine reason: set when a tick evaluation failed twice
     /// in a row. A degraded query refuses further ticks and reports
     /// `state=degraded` via `DELTAS` (see RELIABILITY.md).
@@ -144,13 +147,14 @@ struct StandingState {
 pub struct StandingQuery {
     stream_name: String,
     // One standing query's entire mutable state (window entries, stream
-    // cursor, transcode engine); held across a whole tick, strictly below
+    // cursor, parked frames); held across a whole tick, strictly below
     // the registry map (25) and above everything the tick reaches through
     // the service: scratch pools (30), broker (40/50), and store
     // ingest/fetch (65/66/70/71). The render jobs a tick spawns on the
-    // process pool while holding it take no lock; like an inference scope
-    // under this lock, the owner thread may help run other scopes' jobs
-    // while it waits for its renders.
+    // process pool while holding it take only the store's plan cache (65)
+    // for a lookup; like an inference scope under this lock, the owner
+    // thread may help run other scopes' jobs while it waits for its
+    // renders.
     // LOCK-ORDER: 27
     window: Mutex<StandingState>,
 }
@@ -246,7 +250,6 @@ impl StreamRegistry {
             window: Mutex::new(StandingState {
                 cx,
                 feed,
-                engine: TranscodeEngine::new(),
                 stores,
                 kinds,
                 camera: qid % 8,
@@ -273,12 +276,12 @@ impl StreamRegistry {
     /// Drive one window slide: ingest the tick's `STEP` arriving frames
     /// (render → store materialization → executor buffer), then tick the
     /// window, scoring only the entrants. The feed renders every frame
-    /// still missing up to the tick's window end in one call (the renders
-    /// run in parallel); the stores then ingest them one by one in id
-    /// order, so segment files are byte-identical to a serial feed. A
-    /// frame whose materialization failed is parked with every frame after
-    /// it, so a tick that errored mid-way is simply retried with nothing
-    /// lost.
+    /// still missing up to the tick's window end in one call, and each
+    /// frame's lane also builds its thumbnail and prepares its records for
+    /// every store; this thread then commits them one by one in id order,
+    /// so segment files are byte-identical to a serial feed. A frame whose
+    /// commit failed is parked with every frame after it, so a tick that
+    /// errored mid-way is simply retried with nothing lost.
     ///
     /// A failed window evaluation is retried once on the spot — the
     /// executor's tick is failure-atomic, so the retry replays the
@@ -298,18 +301,28 @@ impl StreamRegistry {
         let _interest = service.register_interest(&st.kinds, true);
         let need = (st.cx.ticks() + 1) * st.cx.window().step();
         let missing = need.saturating_sub(st.cx.arrived() + st.parked.len() as u64);
-        let rendered = st.feed.take_ingest(missing as usize, &mut st.engine);
+        let stores = &st.stores;
+        let rendered = st.feed.take_ingest_with(missing as usize, |f, engine| {
+            stores
+                .iter()
+                .map(|store| store.prepare(f.id, &f.image, engine))
+                .collect::<Result<Vec<_>, _>>()
+        });
         st.parked.extend(rendered);
-        while let Some(arriving) = st.parked.pop_front() {
-            for store in &st.stores {
-                if let Err(e) = store.ingest(arriving.id, &arriving.image) {
-                    // Park the frame back at the front: the next tick
-                    // retries this exact ingest (re-appending
-                    // already-written stores is idempotent — last record
-                    // wins).
-                    st.parked.push_front(arriving);
-                    return Err(ServeError::Exec(format!("stream ingest: {e}")));
-                }
+        while let Some((arriving, prepared)) = st.parked.pop_front() {
+            let committed = prepared.as_ref().map_err(|e| e.to_string()).and_then(|p| {
+                st.stores
+                    .iter()
+                    .zip(p)
+                    .try_for_each(|(store, p)| store.commit(p))
+                    .map_err(|e| e.to_string())
+            });
+            if let Err(e) = committed {
+                // Park the frame back at the front: the next tick retries
+                // these exact commits (re-appending already-written stores
+                // is idempotent — last record wins).
+                st.parked.push_front((arriving, prepared));
+                return Err(ServeError::Exec(format!("stream ingest: {e}")));
             }
             let item = corpus_item(&arriving, st.feed.kind(), st.camera, &sq.stream_name);
             st.cx.ingest(item);

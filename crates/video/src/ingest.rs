@@ -19,6 +19,7 @@
 //! hands each registered stream a disjoint base).
 
 use crate::stream::{Frame, StreamConfig, VideoStream};
+use tahoma_imagery::engine::with_local_engine;
 use tahoma_imagery::{Image, ObjectKind, SceneParams, SceneRenderer, TranscodeEngine};
 
 /// Seed perturbation tying a stream's renderer to its config seed (same
@@ -106,32 +107,75 @@ impl StreamIngest {
     /// calls so the resize plan and buffer pool amortize — the rasters
     /// themselves are fresh allocations handed to the store).
     pub fn take_ingest(&mut self, n: usize, engine: &mut TranscodeEngine) -> Vec<IngestFrame> {
-        let mut frames = Vec::with_capacity(n);
-        let mut images: Vec<Option<Image>> = vec![None; n];
-        let (stream, renderer) = (&mut self.stream, &self.renderer);
+        let thumb_side = self.stream.config().thumb_side;
+        self.render_on_lanes(n, |f, image| (f, image))
+            .into_iter()
+            .map(|(f, image)| Self::build_frame(self.id_base, f, image, thumb_side, engine))
+            .collect()
+    }
+
+    /// [`StreamIngest::take_ingest`] with each frame's whole preparation on
+    /// its lane: the render job also builds the frame's thumbnail and runs
+    /// `per_frame` on it (e.g. the store's ingest preparation), both on the
+    /// lane's own engine. Returns the frames in id order, each with its
+    /// `per_frame` result; the frames are bitwise those of `take_ingest`.
+    /// `per_frame` runs inside [`with_local_engine`], so it must use the
+    /// engine it is handed rather than call that function again.
+    pub fn take_ingest_with<T: Send>(
+        &mut self,
+        n: usize,
+        per_frame: impl Fn(&IngestFrame, &mut TranscodeEngine) -> T + Sync,
+    ) -> Vec<(IngestFrame, T)> {
+        let thumb_side = self.stream.config().thumb_side;
+        let id_base = self.id_base;
+        self.render_on_lanes(n, |f, image| {
+            with_local_engine(|engine| {
+                let frame = Self::build_frame(id_base, f, image, thumb_side, engine);
+                let extra = per_frame(&frame, engine);
+                (frame, extra)
+            })
+        })
+    }
+
+    /// Advance the stream `n` frames and render each on a pool lane,
+    /// running `job` on the stream frame and its raster there. Results come
+    /// back in id order.
+    fn render_on_lanes<T: Send>(
+        &mut self,
+        n: usize,
+        job: impl Fn(Frame, Image) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let (stream, renderer, job) = (&mut self.stream, &self.renderer, &job);
         tahoma_mathx::pool::scope(|s| {
-            for slot in images.iter_mut() {
+            for slot in out.iter_mut() {
                 let f = stream.next_frame();
-                let (idx, label) = (f.idx, f.label);
-                frames.push(f);
-                s.spawn(move || *slot = Some(renderer.render(idx, label).0));
+                s.spawn(move || {
+                    let image = renderer.render(f.idx, f.label).0;
+                    *slot = Some(job(f, image));
+                });
             }
         });
-        let thumb_side = self.stream.config().thumb_side;
-        frames
-            .into_iter()
-            .zip(images)
-            .map(|(f, image)| {
-                let image = image.expect("every spawned render ran");
-                let frame =
-                    Frame::from_image(f.idx, f.label, f.difficulty, &image, thumb_side, engine);
-                IngestFrame {
-                    id: self.id_base + frame.idx,
-                    frame,
-                    image,
-                }
-            })
+        out.into_iter()
+            .map(|r| r.expect("every spawned render ran"))
             .collect()
+    }
+
+    /// An ingest frame from a stream frame and its raster: the thumbnail is
+    /// rebuilt from the raster through `engine`.
+    fn build_frame(
+        id_base: u64,
+        f: Frame,
+        image: Image,
+        thumb_side: usize,
+        engine: &mut TranscodeEngine,
+    ) -> IngestFrame {
+        let frame = Frame::from_image(f.idx, f.label, f.difficulty, &image, thumb_side, engine);
+        IngestFrame {
+            id: id_base + frame.idx,
+            frame,
+            image,
+        }
     }
 }
 

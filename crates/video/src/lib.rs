@@ -13,11 +13,9 @@
 pub mod diff;
 pub mod ingest;
 pub mod skip;
-pub mod smooth;
 pub mod stream;
 
 pub use diff::DifferenceDetector;
 pub use ingest::{IngestFrame, StreamIngest};
 pub use skip::FrameSkipper;
-pub use smooth::MajoritySmoother;
 pub use stream::{Frame, StreamConfig, VideoStream};
