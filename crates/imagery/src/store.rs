@@ -427,9 +427,9 @@ impl RepresentationStore {
     /// Ingest a batch of frames on the process pool's lanes: frame `id` is
     /// `make(id)`, built and prepared in jobs of 4 frames on the lanes' own
     /// engines, and committed in `ids` order on the caller. The batch runs
-    /// in waves of `lanes` × 4 jobs; the caller
-    /// commits one wave while the lanes prepare the next, so at most two
-    /// waves of prepared frames exist at once, whatever the batch size.
+    /// in waves of 4 jobs per lane (the pool's workers and the caller); the
+    /// caller commits one wave while the lanes prepare the next, so at most
+    /// two waves of prepared frames exist at once, whatever the batch size.
     /// With zero pool workers every job runs inline on the caller.
     ///
     /// The files are byte-identical to `ingest` called on each id in
@@ -438,12 +438,12 @@ impl RepresentationStore {
     pub fn ingest_on_lanes(
         &self,
         ids: &[u64],
-        lanes: usize,
         make: impl Fn(u64) -> Image + Sync,
     ) -> Result<(), ImageryError> {
         let make = &make;
+        let lanes = tahoma_mathx::pool::workers() + 1;
         let mut ready: Vec<Result<PreparedFrame, ImageryError>> = Vec::new();
-        for wave in ids.chunks(lanes.max(1) * LANE_JOBS * LANE_JOB_FRAMES) {
+        for wave in ids.chunks(lanes * LANE_JOBS * LANE_JOB_FRAMES) {
             let mut next: Vec<Vec<Result<PreparedFrame, ImageryError>>> =
                 wave.chunks(LANE_JOB_FRAMES).map(|_| Vec::new()).collect();
             let committed = tahoma_mathx::pool::scope(|s| {

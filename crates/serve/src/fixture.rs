@@ -227,9 +227,7 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
     if fresh {
         let ids: Vec<u64> = corpus.items.iter().map(|item| item.id).collect();
         store
-            .ingest_on_lanes(&ids, tahoma_mathx::pool::workers() + 1, |id| {
-                frame(id ^ cfg.seed, 64)
-            })
+            .ingest_on_lanes(&ids, |id| frame(id ^ cfg.seed, 64))
             .unwrap();
     }
     if cfg.verify_on_open {

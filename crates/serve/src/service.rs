@@ -678,6 +678,11 @@ impl QueryService {
     /// The shared representation store behind `kind`'s NN backend, if any
     /// — the ingest target for stream frames whose standing query scores
     /// that kind with real networks (surrogate backends move no pixels).
+    /// Hidden from the docs: it is reachable only so the tick-ingest
+    /// integration tests can sync and inspect the store a service writes
+    /// (their fault plans are process-wide, so they cannot share the
+    /// library's unit-test binary).
+    #[doc(hidden)]
     pub fn nn_store(&self, kind: ObjectKind) -> Option<Arc<RepresentationStore>> {
         match self.kinds.get(&kind).map(|st| &st.backend) {
             Some(KindBackend::Nn(nn)) => Some(Arc::clone(&nn.store)),
