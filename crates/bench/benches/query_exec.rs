@@ -30,7 +30,6 @@ use tahoma_core::query::{Corpus, CorpusItem, SurrogateItemScorer};
 use tahoma_core::thresholds::{calibrate_all, DecisionThresholds, ThresholdTable};
 use tahoma_core::{Cascade, VectorizedExecutor, PAPER_PRECISION_SETTINGS};
 use tahoma_costmodel::{AnalyticProfiler, DeviceProfile, Scenario};
-use tahoma_imagery::codec::Codec;
 use tahoma_imagery::engine::TranscodeEngine;
 use tahoma_imagery::{ColorMode, Image, ObjectKind, RawCodec, Representation, RepresentationStore};
 use tahoma_nn::{InferScratch, Sequential};

@@ -1,7 +1,6 @@
 //! Criterion bench: the persistent segment store at corpus scale.
 //!
-//! The tentpole measurements for the sharded mmap-backed tier and the §V
-//! budget policy, in five parts:
+//! The measurements for the sharded mmap-backed tier, in four parts:
 //!
 //! * `store_scale/fetch/{ram,mmap,pread}` — warm single-fetch latency over
 //!   the full corpus (10^5 items, 10^4 in `--quick`), prime-stride walk so
@@ -17,11 +16,6 @@
 //!   and one full-corpus depth-2 sweep per tier at scale.
 //! * Ingest throughput (printed): raw segment appends from 1 and 4
 //!   threads across 8 shards, items/s and MB/s per shard.
-//! * Budget policy (printed + asserted): at an intermediate per-item byte
-//!   budget, the measured total cost (ingest + sync + Q query sweeps) of
-//!   the `plan_materialization` choice beats both extremes —
-//!   materialize-everything pays storage amplification it cannot repay,
-//!   transcode-everything pays a source fetch + transcode per query.
 //!
 //! Byte identity between the tiers is asserted on a sample here and
 //! property-tested exhaustively in `tests/proptests.rs`.
@@ -32,9 +26,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 use tahoma_core::exec::{BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer};
 use tahoma_core::query::{Corpus, CorpusItem};
-use tahoma_costmodel::io::stored_record_bytes;
-use tahoma_costmodel::{plan_materialization, IoProfile, TransformCostModel};
-use tahoma_imagery::codec::{Codec, RawCodec};
+use tahoma_imagery::codec::RawCodec;
 use tahoma_imagery::{
     AccessMode, ColorMode, Image, Representation, RepresentationStore, SegmentStore,
     TranscodeEngine,
@@ -343,155 +335,5 @@ fn bench_ingest_throughput(_c: &mut Criterion) {
     }
 }
 
-/// The §V acceptance comparison: at an intermediate per-item byte budget,
-/// the measured total cost (ingest + sync + Q query sweeps) of the policy
-/// plan beats materializing every lattice node and beats materializing
-/// only the source.
-fn bench_budget_policy(_c: &mut Criterion) {
-    let n = if quick() { 1_500u64 } else { 4_000 };
-    // Enough query sweeps that materializing the cheap-to-store reps pays
-    // for itself, few enough that materializing everything cannot repay
-    // its storage amplification — the intermediate regime §V is about.
-    let q_sweeps = 3usize;
-    let source = Representation::new(SOURCE_PX, ColorMode::Rgb);
-    let candidates = [
-        Representation::new(16, ColorMode::Gray),
-        Representation::new(24, ColorMode::Gray),
-        Representation::new(32, ColorMode::Gray),
-        Representation::new(24, ColorMode::Rgb),
-        Representation::new(48, ColorMode::Rgb),
-        Representation::new(56, ColorMode::Rgb),
-        Representation::new(60, ColorMode::Rgb),
-    ];
-    let cheap_to_store: Vec<Representation> = candidates
-        .iter()
-        .copied()
-        .filter(|r| stored_record_bytes(*r) * 2 < stored_record_bytes(source))
-        .collect();
-
-    let model = TransformCostModel::default();
-    let io = IoProfile::measure().expect("io calibration");
-    eprintln!(
-        "store_scale io profile (measured): per-fetch {:.2} µs + {:.0} MB/s",
-        io.per_fetch_s * 1e6,
-        io.bytes_per_sec / 1e6,
-    );
-    // Intermediate budget: room for the source plus exactly the reps whose
-    // stored record is small next to the source's (the slack is smaller
-    // than any remaining candidate, so the greedy split is deterministic).
-    let budget = stored_record_bytes(source)
-        + cheap_to_store
-            .iter()
-            .map(|&r| stored_record_bytes(r))
-            .sum::<usize>()
-        + 64;
-    let plan = plan_materialization(&candidates, source, budget, &model, &io);
-    assert!(
-        plan.materialized.len() > 1 && !plan.on_demand.is_empty(),
-        "budget {budget} is not intermediate: {plan:?}"
-    );
-    eprintln!(
-        "store_scale budget plan ({} B/item budget, {} B/item stored): materialize {:?}, \
-         on-demand {:?}",
-        plan.budget_bytes_per_item,
-        plan.stored_bytes_per_item,
-        plan.materialized
-            .iter()
-            .map(|r| r.tag())
-            .collect::<Vec<_>>(),
-        plan.on_demand.iter().map(|r| r.tag()).collect::<Vec<_>>(),
-    );
-
-    let frames = frame_pool();
-    let mut all = vec![source];
-    all.extend(candidates);
-    let configs: Vec<(&str, Vec<Representation>)> = vec![
-        ("materialize_all", all),
-        ("policy", plan.materialized.clone()),
-        ("transcode_all", vec![source]),
-    ];
-
-    // One config run: ingest + durability sync, then Q sweeps fetching
-    // every candidate rep per item — materialized reps read directly,
-    // the rest through the serving fallback (source fetch + transcode).
-    let run = |stored: &[Representation]| -> (f64, f64) {
-        let dir = bench_dir("budget");
-        let store = RepresentationStore::persistent(stored.to_vec(), &dir, 4).expect("store");
-        let t0 = Instant::now();
-        for id in 0..n {
-            store
-                .ingest(id, &frames[id as usize % FRAME_POOL])
-                .expect("ingest");
-        }
-        store.sync().expect("sync");
-        let ingest_s = t0.elapsed().as_secs_f64();
-        let mut engine = TranscodeEngine::new();
-        let t1 = Instant::now();
-        for _ in 0..q_sweeps {
-            for id in 0..n {
-                for rep in candidates {
-                    let img = if stored.contains(&rep) {
-                        store.fetch(id, rep, &mut engine).unwrap().unwrap()
-                    } else {
-                        let src = store.fetch(id, source, &mut engine).unwrap().unwrap();
-                        let out = engine.apply(&src, rep).expect("transcode");
-                        engine.recycle([src]);
-                        out
-                    };
-                    black_box(img.data()[0]);
-                    engine.recycle([img]);
-                }
-            }
-        }
-        let query_s = t1.elapsed().as_secs_f64();
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-        (ingest_s, query_s)
-    };
-
-    // Interleaved rounds, medians per config: the three strategies see the
-    // same machine state.
-    let rounds = 5;
-    let mut samples: Vec<Vec<(f64, f64)>> = vec![Vec::new(); configs.len()];
-    for _ in 0..rounds {
-        for (i, (_, stored)) in configs.iter().enumerate() {
-            samples[i].push(run(stored));
-        }
-    }
-    let mut totals = Vec::new();
-    eprintln!("store_scale budget policy ({n} items, Q={q_sweeps} sweep(s), medians of {rounds}):");
-    eprintln!("  config           stored B/item  ingest+sync ms  query ms  total ms");
-    for (i, (tag, stored)) in configs.iter().enumerate() {
-        let med = |f: fn(&(f64, f64)) -> f64| -> f64 {
-            let mut v: Vec<f64> = samples[i].iter().map(f).collect();
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
-        let (ing, qry) = (med(|s| s.0), med(|s| s.1));
-        let bytes: usize = stored.iter().map(|&r| stored_record_bytes(r)).sum();
-        eprintln!(
-            "  {tag:<16} {bytes:>13}  {:>14.1}  {:>8.1}  {:>8.1}",
-            ing * 1e3,
-            qry * 1e3,
-            (ing + qry * q_sweeps as f64) * 1e3,
-        );
-        totals.push(ing + qry * q_sweeps as f64);
-    }
-    let (all_t, policy_t, none_t) = (totals[0], totals[1], totals[2]);
-    assert!(
-        policy_t < all_t,
-        "policy total {policy_t:.3}s does not beat materialize-everything {all_t:.3}s"
-    );
-    assert!(
-        policy_t < none_t,
-        "policy total {policy_t:.3}s does not beat transcode-everything {none_t:.3}s"
-    );
-}
-
-criterion_group!(
-    benches,
-    bench_store_scale,
-    bench_ingest_throughput,
-    bench_budget_policy
-);
+criterion_group!(benches, bench_store_scale, bench_ingest_throughput);
 criterion_main!(benches);

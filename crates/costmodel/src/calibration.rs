@@ -10,7 +10,9 @@
 //!   (Table III), implying full-image load+decode ≈ 7 ms.
 //!
 //! The constants below make the analytic profiles reproduce those anchors;
-//! the tests in this module pin them.
+//! the tests in this module pin them. The transform stage's per-unit costs
+//! are `tahoma_imagery::engine::TranscodeCosts::default()`, one copy shared
+//! with the transcode engine's planner; the CAMERA test here pins them too.
 
 /// Effective K80 FLOP throughput for our small-CNN workloads (FLOPs/s).
 /// Solved jointly with the ingest term from ResNet50's ~75 fps anchor
@@ -45,37 +47,23 @@ pub const SSD_SEEK_S: f64 = 50e-6;
 pub const SSD_BYTES_PER_SEC: f64 = 500e6;
 
 /// Average stored size of a full-resolution compressed frame in ARCHIVE
-/// (bytes). Matches our block codec's output on synthetic 224x224 scenes at
-/// quality 75 (~0.4 bytes/pixel over 150,528 samples).
+/// (bytes): an assumed JPEG-class size for a 224x224 RGB frame (~0.4
+/// bytes/pixel over 150,528 samples).
 pub const ARCHIVE_FRAME_BYTES: usize = 60_000;
 
-/// Full-frame decode cost per sample, seconds (block codec / JPEG-class).
-/// Together with the load terms this yields the ~7 ms ARCHIVE fixed cost.
+/// Full-frame decode cost per sample, seconds: an assumed JPEG-class
+/// decode rate. Together with the load terms this yields the ~7 ms ARCHIVE
+/// fixed cost.
 pub const DECODE_S_PER_SAMPLE: f64 = 45e-9;
 
 /// Dequantization cost per sample when loading a stored raw representation
 /// in ONGOING, seconds.
 pub const DEQUANT_S_PER_SAMPLE: f64 = 2e-9;
 
-/// Per-transform-invocation overhead, seconds.
-pub const TRANSFORM_OP_OVERHEAD_S: f64 = 15e-6;
-
-/// Single-channel extraction cost per source pixel, seconds (plane copy).
-pub const EXTRACT_S_PER_PIXEL: f64 = 2.5e-9;
-
-/// Grayscale reduction cost per source pixel, seconds (3 reads + weighted
-/// sum per output pixel).
-pub const GRAY_S_PER_PIXEL: f64 = 8e-9;
-
-/// Resize read cost per input sample, seconds.
-pub const RESIZE_S_PER_IN_SAMPLE: f64 = 8e-9;
-
-/// Resize write cost per output sample, seconds.
-pub const RESIZE_S_PER_OUT_SAMPLE: f64 = 4e-9;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tahoma_imagery::engine::TranscodeCosts;
 
     #[test]
     fn resnet_compute_time_matches_paper_anchor() {
@@ -115,12 +103,15 @@ mod tests {
 
     #[test]
     fn camera_transform_bounds_small_gray_rep() {
-        // 30x30 gray from 224x224 RGB: gray reduction + 1-plane resize.
+        // 30x30 gray from 224x224 RGB: gray reduction + 1-plane resize,
+        // priced with the transcode engine's per-unit costs (the ones
+        // `TransformCostModel` and the lattice planner both use).
+        let c = TranscodeCosts::default();
         let px = 224.0 * 224.0;
-        let t = TRANSFORM_OP_OVERHEAD_S
-            + GRAY_S_PER_PIXEL * px
-            + RESIZE_S_PER_IN_SAMPLE * px
-            + RESIZE_S_PER_OUT_SAMPLE * 900.0;
+        let t = c.op_overhead_s
+            + c.gray_s_per_pixel * px
+            + c.resize_s_per_in_sample * px
+            + c.resize_s_per_out_sample * 900.0;
         let fps = 1.0 / t;
         assert!(
             (1_000.0..1_600.0).contains(&fps),

@@ -22,34 +22,21 @@
 //!   ARCHIVE, ONGOING, CAMERA) expressed as a per-image fixed cost plus a
 //!   per-representation marginal cost charged once per image per
 //!   representation (§VII-A);
-//! * [`profiler`] — the cost profiler from Fig. 2: analytic (calibrated to
-//!   the paper's GPU testbed) and measured (times this machine's real codec,
-//!   transform and `tahoma-nn` inference);
-//! * [`io`] — the measured-profiling discipline applied to the persistent
-//!   representation store: calibrate the real fetch+decode path
-//!   ([`io::IoProfile::measure`]) and spend a §V storage budget on the
-//!   lattice nodes with the best latency gain per stored byte
-//!   ([`io::plan_materialization`]);
-//! * [`reliability`] — error classification (transient vs permanent) and
-//!   expected-cost pricing of the store's bounded-retry and degradation
-//!   policies (RELIABILITY.md), which the serve layer's deadline budgeting
-//!   consumes.
+//! * [`profiler`] — the cost profiler from Fig. 2: [`AnalyticProfiler`],
+//!   calibrated to the paper's GPU testbed, which the served planner, the
+//!   paper-figure experiments and the examples all price with.
 //!
 //! [`Representation`]: tahoma_imagery::Representation
 
 pub mod calibration;
 pub mod device;
-pub mod io;
 pub mod profiler;
-pub mod reliability;
 pub mod scenario;
 pub mod storage;
 pub mod transform;
 
 pub use device::DeviceProfile;
-pub use io::{plan_materialization, IoProfile, MaterializationPlan};
-pub use profiler::{AnalyticProfiler, CostBreakdown, CostProfiler, MeasuredProfiler};
-pub use reliability::{ErrorClass, RetryPolicy};
+pub use profiler::{AnalyticProfiler, CostBreakdown, CostProfiler};
 pub use scenario::{Scenario, ScenarioCosts};
 pub use storage::StorageProfile;
 pub use transform::TransformCostModel;

@@ -1,18 +1,13 @@
 //! The cost profiler from the paper's architecture diagram (Fig. 2).
 //!
 //! [`AnalyticProfiler`] prices models under a scenario using the calibrated
-//! device/storage/transform models — this is what the paper-scale
-//! experiments use, so that throughput *shapes* match the authors' GPU
-//! testbed. [`MeasuredProfiler`] instead times the real substrate on this
-//! machine (codec decode, `Representation::apply`, `tahoma-nn` forward
-//! passes); it demonstrates that the profiling machinery is real and is used
-//! by the scaled-down experiments and tests.
+//! device/storage/transform models, so that throughput *shapes* match the
+//! authors' GPU testbed. The served planner, the paper-figure experiments
+//! and the examples all price with it.
 
 use crate::device::DeviceProfile;
 use crate::scenario::{Scenario, ScenarioCosts};
-use std::time::Instant;
-use tahoma_imagery::{BlockCodec, Codec, Image, Representation};
-use tahoma_nn::{InferScratch, Sequential};
+use tahoma_imagery::Representation;
 
 /// The three cost terms of `t_classify = t_load + t_transform + t_infer`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -107,91 +102,10 @@ impl CostProfiler for AnalyticProfiler {
     }
 }
 
-/// Wall-clock profiler: times the real substrate on this machine.
-#[derive(Debug, Clone)]
-pub struct MeasuredProfiler {
-    /// Scenario whose pipeline is measured.
-    pub scenario: Scenario,
-    /// Timing repetitions; the median is reported.
-    pub repetitions: usize,
-}
-
-impl MeasuredProfiler {
-    /// Create a measured profiler with a sensible repetition count.
-    pub fn new(scenario: Scenario) -> MeasuredProfiler {
-        MeasuredProfiler {
-            scenario,
-            repetitions: 5,
-        }
-    }
-
-    /// Median wall-clock seconds of `f` over `repetitions` runs.
-    pub fn time_median(&self, mut f: impl FnMut()) -> f64 {
-        let reps = self.repetitions.max(1);
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            f();
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(f64::total_cmp);
-        samples[reps / 2]
-    }
-
-    /// Measure producing `rep` from a real full-resolution frame, including
-    /// scenario-appropriate load/decode work.
-    pub fn measure_rep_marginal(&self, full: &Image, rep: Representation) -> f64 {
-        match self.scenario {
-            Scenario::InferOnly => 0.0,
-            Scenario::Camera => self.time_median(|| {
-                let _ = rep.apply(full).expect("representation applies");
-            }),
-            Scenario::Archive => {
-                // Transform stage only; the full-frame decode is the fixed
-                // per-image cost measured separately.
-                self.time_median(|| {
-                    let _ = rep.apply(full).expect("representation applies");
-                })
-            }
-            Scenario::Ongoing => {
-                // Stored representation decode (raw codec roundtrip's read
-                // half): encode once outside the timer, time decode.
-                let stored = rep.apply(full).expect("representation applies");
-                let bytes = tahoma_imagery::RawCodec.encode(&stored);
-                self.time_median(|| {
-                    let _ = tahoma_imagery::RawCodec.decode(&bytes).expect("decodes");
-                })
-            }
-        }
-    }
-
-    /// Measure the ARCHIVE fixed cost: decoding a compressed full frame.
-    pub fn measure_full_decode(&self, full: &Image) -> f64 {
-        let codec = BlockCodec::default();
-        let bytes = codec.encode(full);
-        self.time_median(|| {
-            let _ = codec.decode(&bytes).expect("decodes");
-        })
-    }
-
-    /// Measure one real inference of a `tahoma-nn` model on one image:
-    /// [`Sequential::predict_proba_shared`], the inference entry point
-    /// serving calls, on one [`InferScratch::default`] reused across the
-    /// repetitions. A batch of 1 runs `Dense` as a 1-row GEMM, the same
-    /// path (and bits) the row takes inside any larger serving batch.
-    pub fn measure_infer(&self, model: &Sequential, input: &[f32]) -> f64 {
-        let mut scratch = InferScratch::default();
-        self.time_median(|| {
-            let _ = model.predict_proba_shared(input, 1, &mut scratch);
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tahoma_imagery::ColorMode;
-    use tahoma_nn::{CnnSpec, Shape};
 
     #[test]
     fn cost_breakdown_totals_and_fps() {
@@ -251,55 +165,5 @@ mod tests {
         assert!(io > on, "{io} !> {on}");
         assert!(on > cam, "{on} !> {cam}");
         assert!(cam > ar, "{cam} !> {ar}");
-    }
-
-    #[test]
-    fn measured_profiler_returns_positive_times() {
-        let full = Image::from_fn(224, 224, ColorMode::Rgb, |c, y, x| {
-            ((c + y + x) % 13) as f32 / 13.0
-        })
-        .unwrap();
-        let prof = MeasuredProfiler::new(Scenario::Camera);
-        let rep = Representation::new(30, ColorMode::Gray);
-        assert!(prof.measure_rep_marginal(&full, rep) > 0.0);
-        assert!(prof.measure_full_decode(&full) > 0.0);
-    }
-
-    #[test]
-    fn measured_infer_scales_with_model_size() {
-        let prof = MeasuredProfiler::new(Scenario::InferOnly);
-        let small = CnnSpec {
-            input: Shape::new(1, 16, 16),
-            conv_channels: vec![4],
-            kernel: 3,
-            dense_units: 8,
-        }
-        .build(1)
-        .unwrap();
-        let large = CnnSpec {
-            input: Shape::new(3, 64, 64),
-            conv_channels: vec![16, 16],
-            kernel: 3,
-            dense_units: 32,
-        }
-        .build(1)
-        .unwrap();
-        let t_small = prof.measure_infer(&small, &vec![0.5; 256]);
-        let t_large = prof.measure_infer(&large, &vec![0.5; 3 * 64 * 64]);
-        assert!(
-            t_large > t_small,
-            "large model not slower: {t_large} vs {t_small}"
-        );
-    }
-
-    #[test]
-    fn measured_ongoing_decode_positive() {
-        let full = Image::from_fn(224, 224, ColorMode::Rgb, |_, y, x| {
-            ((y * 31 + x) % 7) as f32 / 7.0
-        })
-        .unwrap();
-        let prof = MeasuredProfiler::new(Scenario::Ongoing);
-        let rep = Representation::new(60, ColorMode::Rgb);
-        assert!(prof.measure_rep_marginal(&full, rep) > 0.0);
     }
 }

@@ -23,24 +23,6 @@ impl StorageProfile {
         }
     }
 
-    /// Spinning disk — slower variant for deployment-diversity studies.
-    pub fn hdd() -> StorageProfile {
-        StorageProfile {
-            name: "hdd",
-            seek_s: 8e-3,
-            bytes_per_sec: 150e6,
-        }
-    }
-
-    /// Remote object store over a datacenter network.
-    pub fn network() -> StorageProfile {
-        StorageProfile {
-            name: "network-store",
-            seek_s: 2e-3,
-            bytes_per_sec: 100e6,
-        }
-    }
-
     /// Seconds to load `bytes` in one request.
     pub fn load_time(&self, bytes: usize) -> f64 {
         self.seek_s + bytes as f64 / self.bytes_per_sec
@@ -58,13 +40,5 @@ mod tests {
         let t1 = ssd.load_time(500_000);
         assert!((t0 - ssd.seek_s).abs() < 1e-12);
         assert!((t1 - t0 - 1e-3).abs() < 1e-9); // 500 KB at 500 MB/s = 1 ms
-    }
-
-    #[test]
-    fn tier_ordering_for_small_objects() {
-        // For small objects seek dominates: ssd < network < hdd.
-        let b = 10_000;
-        assert!(StorageProfile::ssd().load_time(b) < StorageProfile::network().load_time(b));
-        assert!(StorageProfile::network().load_time(b) < StorageProfile::hdd().load_time(b));
     }
 }

@@ -7,23 +7,15 @@
 //! cheaper to produce than a 30x30 *gray* input because channel extraction
 //! is a plane copy while grayscale is a weighted sum of three planes.
 
-use crate::calibration;
-use tahoma_imagery::engine::{TranscodeCosts, TranscodePlan};
+use tahoma_imagery::engine::TranscodeCosts;
 use tahoma_imagery::{ColorMode, Representation};
 
 /// Analytic cost model for the transform stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformCostModel {
-    /// Fixed overhead per transform invocation, seconds.
-    pub op_overhead_s: f64,
-    /// Per-source-pixel cost of single-channel extraction.
-    pub extract_s_per_pixel: f64,
-    /// Per-source-pixel cost of grayscale reduction.
-    pub gray_s_per_pixel: f64,
-    /// Per-input-sample cost of the resize read path.
-    pub resize_s_per_in_sample: f64,
-    /// Per-output-sample cost of the resize write path.
-    pub resize_s_per_out_sample: f64,
+    /// Per-unit transform costs: the same constants the transcode engine's
+    /// lattice planner prices with, so the two cannot drift apart.
+    pub costs: TranscodeCosts,
     /// Side length of the full-resolution source frame.
     pub source_size: usize,
 }
@@ -31,11 +23,7 @@ pub struct TransformCostModel {
 impl Default for TransformCostModel {
     fn default() -> Self {
         TransformCostModel {
-            op_overhead_s: calibration::TRANSFORM_OP_OVERHEAD_S,
-            extract_s_per_pixel: calibration::EXTRACT_S_PER_PIXEL,
-            gray_s_per_pixel: calibration::GRAY_S_PER_PIXEL,
-            resize_s_per_in_sample: calibration::RESIZE_S_PER_IN_SAMPLE,
-            resize_s_per_out_sample: calibration::RESIZE_S_PER_OUT_SAMPLE,
+            costs: TranscodeCosts::default(),
             source_size: tahoma_imagery::repr::FULL_SIZE,
         }
     }
@@ -49,58 +37,24 @@ impl TransformCostModel {
         if rep.is_identity() && rep.size == self.source_size {
             return 0.0;
         }
+        let c = &self.costs;
         let src_px = (self.source_size * self.source_size) as f64;
-        let mut t = self.op_overhead_s;
+        let mut t = c.op_overhead_s;
         // Stage 1: color reduction over the full-resolution frame.
         match rep.mode {
             ColorMode::Rgb => {}
-            ColorMode::Gray => t += self.gray_s_per_pixel * src_px,
+            ColorMode::Gray => t += c.gray_s_per_pixel * src_px,
             ColorMode::Red | ColorMode::Green | ColorMode::Blue => {
-                t += self.extract_s_per_pixel * src_px
+                t += c.extract_s_per_pixel * src_px
             }
         }
         // Stage 2: resize over surviving channels.
         if rep.size != self.source_size {
             let ch = rep.mode.channels() as f64;
             let out = (rep.size * rep.size) as f64;
-            t +=
-                self.resize_s_per_in_sample * src_px * ch + self.resize_s_per_out_sample * out * ch;
+            t += c.resize_s_per_in_sample * src_px * ch + c.resize_s_per_out_sample * out * ch;
         }
         t
-    }
-
-    /// This model's per-unit constants in the form the transcode engine's
-    /// lattice planner prices with. Building plans through this keeps the
-    /// planner-visible cost of a shared materialization in the same units
-    /// as [`TransformCostModel::transform_time`].
-    pub fn transcode_costs(&self) -> TranscodeCosts {
-        TranscodeCosts {
-            op_overhead_s: self.op_overhead_s,
-            extract_s_per_pixel: self.extract_s_per_pixel,
-            gray_s_per_pixel: self.gray_s_per_pixel,
-            resize_s_per_in_sample: self.resize_s_per_in_sample,
-            resize_s_per_out_sample: self.resize_s_per_out_sample,
-        }
-    }
-
-    /// Seconds to materialize a whole representation set from one in-memory
-    /// full-resolution frame under the engine's lattice plan (shared luma
-    /// sweep, borrowed planes, streaming resizes). Far below the sum of the
-    /// per-representation [`TransformCostModel::transform_time`]s whenever
-    /// the set shares work, but not a strict per-element lower bound: the
-    /// plan prices resize reads as 2 gathered samples per output column of
-    /// each touched row, which on a *mild* downscale (e.g. 224→120, where
-    /// every source row is touched) comes out slightly above
-    /// `transform_time`'s every-input-sample model (bounded at ~10%; the
-    /// tests pin both directions).
-    pub fn set_transform_time(&self, reps: &[Representation]) -> f64 {
-        TranscodePlan::new(
-            self.source_size,
-            self.source_size,
-            reps,
-            &self.transcode_costs(),
-        )
-        .planned_cost_s()
     }
 }
 
@@ -142,7 +96,8 @@ mod tests {
     #[test]
     fn full_size_color_change_skips_resize() {
         let t224_gray = m().transform_time(Representation::new(224, ColorMode::Gray));
-        let expected = m().op_overhead_s + m().gray_s_per_pixel * (224.0 * 224.0);
+        let c = m().costs;
+        let expected = c.op_overhead_s + c.gray_s_per_pixel * (224.0 * 224.0);
         assert!((t224_gray - expected).abs() < 1e-12);
     }
 
@@ -152,42 +107,5 @@ mod tests {
             let t = m().transform_time(rep);
             assert!(t.is_finite() && t >= 0.0, "{rep}: {t}");
         }
-    }
-
-    #[test]
-    fn engine_default_costs_mirror_calibration() {
-        // `TranscodeCosts::default()` (used when planning without a cost
-        // model in hand) must stay in sync with the calibrated constants.
-        assert_eq!(TranscodeCosts::default(), m().transcode_costs());
-    }
-
-    #[test]
-    fn planned_set_cost_is_at_most_the_naive_sum() {
-        let model = m();
-        let reps = Representation::paper_set();
-        let naive: f64 = reps.iter().map(|&r| model.transform_time(r)).sum();
-        let planned = model.set_transform_time(&reps);
-        assert!(
-            planned < naive / 2.0,
-            "planned {planned} vs naive {naive}: the lattice shares the \
-             luma sweep and drops the extraction passes"
-        );
-        // A single representation prices close to its direct path: the
-        // plan's read term counts 2 gathered samples per output column of
-        // each touched row, which can slightly exceed the naive
-        // every-input-sample model on mild downscales (224 -> 120 touches
-        // every row) but is far below it on aggressive ones.
-        for &rep in &reps {
-            let planned = model.set_transform_time(&[rep]);
-            let direct = model.transform_time(rep);
-            assert!(
-                planned <= direct * 1.1 + 1e-15,
-                "{rep}: {planned} vs {direct}"
-            );
-        }
-        // An aggressive downscale keeps the full luma sweep but drops most
-        // of the resize's read traffic (60 touched rows instead of 224).
-        let small = Representation::new(30, ColorMode::Gray);
-        assert!(model.set_transform_time(&[small]) < model.transform_time(small) * 0.6);
     }
 }

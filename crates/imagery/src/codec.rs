@@ -1,35 +1,15 @@
-//! Image codecs: the on-disk formats behind the deployment scenarios.
+//! The storage codec: the on-disk format of stored representations.
 //!
 //! §VI of the paper argues that load and decode costs are a first-class part
-//! of query cost. To keep those costs honest in this reproduction, the
-//! storage scenarios are backed by real encoders/decoders with real byte
-//! counts:
-//!
-//! * [`RawCodec`] — one byte per sample, planar (`TAH1`). This is the layout
-//!   the ONGOING scenario stores pre-transformed representations in: decode
-//!   is a straight dequantization pass.
-//! * [`PpmCodec`] — binary PPM (P6) / PGM (P5), for interoperability with
-//!   external tools when dumping synthetic corpora.
-//! * [`BlockCodec`] — a lossy 8x8 block codec (`TAHB`): per-block mean plus
-//!   quality-quantized residuals with zero-run-length coding. It stands in
-//!   for JPEG in the ARCHIVE scenario: compressed full-frame storage whose
-//!   decode requires real per-pixel work and whose size depends on image
-//!   complexity.
+//! of query cost. [`RawCodec`] stores one byte per sample, planar (`TAH1`):
+//! the layout the ONGOING scenario keeps pre-transformed representations in
+//! and the persistent store's record format, whose decode is a straight
+//! dequantization pass.
 
 use crate::color::ColorMode;
 use crate::error::ImageryError;
 use crate::image::Image;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-/// A bidirectional image codec.
-pub trait Codec {
-    /// Codec name for diagnostics and cost-model labels.
-    fn name(&self) -> &'static str;
-    /// Encode an image into bytes.
-    fn encode(&self, img: &Image) -> Bytes;
-    /// Decode bytes produced by [`Codec::encode`].
-    fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError>;
-}
+use bytes::{Buf, BufMut, Bytes};
 
 /// 2²³: adding it to an `f32` in `[0, 2²³)` rounds the value to an integer.
 const TWO_POW_23: f32 = 8_388_608.0;
@@ -108,30 +88,26 @@ const RAW_MAGIC: &[u8; 4] = b"TAH1";
 
 /// Byte length of the `TAH1` header (magic + width + height + mode). A raw
 /// blob for representation `r` is exactly `RAW_HEADER_LEN +
-/// r.value_count()` bytes; the storage-budget planner in `tahoma-costmodel`
-/// prices stored bytes with this.
+/// r.value_count()` bytes; the store's record framing sizes its records
+/// with this.
 pub const RAW_HEADER_LEN: usize = 13;
 
-impl Codec for RawCodec {
-    fn name(&self) -> &'static str {
-        "raw"
-    }
-
-    fn encode(&self, img: &Image) -> Bytes {
+impl RawCodec {
+    /// Encode an image into a fresh byte buffer.
+    pub fn encode(&self, img: &Image) -> Bytes {
         let mut buf = Vec::new();
         self.encode_into(img, &mut buf);
         buf.into()
     }
 
-    fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError> {
+    /// Decode bytes produced by [`RawCodec::encode`].
+    pub fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError> {
         self.decode_into(bytes, Vec::new())
     }
-}
 
-impl RawCodec {
     /// Encode into a caller-owned byte buffer (cleared first), so a writer
     /// that encodes frame after frame reuses one allocation. Produces
-    /// exactly the bytes of [`Codec::encode`].
+    /// exactly the bytes of [`RawCodec::encode`].
     pub fn encode_into(&self, img: &Image, buf: &mut Vec<u8>) {
         buf.clear();
         buf.reserve(RAW_HEADER_LEN + img.value_count());
@@ -167,256 +143,6 @@ impl RawCodec {
         data.clear();
         data.extend(buf.chunk()[..expected].iter().map(|&b| dequantize(b)));
         Image::from_planar(w, h, mode, data)
-    }
-}
-
-/// Binary PPM (P6 for RGB, P5 for single-channel modes).
-///
-/// Single-channel modes decode as [`ColorMode::Gray`] — PGM does not carry
-/// which primary a plane came from.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PpmCodec;
-
-impl Codec for PpmCodec {
-    fn name(&self) -> &'static str {
-        "ppm"
-    }
-
-    fn encode(&self, img: &Image) -> Bytes {
-        let rgb = img.mode() == ColorMode::Rgb;
-        let header = format!(
-            "{}\n{} {}\n255\n",
-            if rgb { "P6" } else { "P5" },
-            img.width(),
-            img.height()
-        );
-        let mut buf = BytesMut::with_capacity(header.len() + img.value_count());
-        buf.put_slice(header.as_bytes());
-        // PPM is pixel-interleaved; our layout is planar.
-        let (w, h) = (img.width(), img.height());
-        for y in 0..h {
-            for x in 0..w {
-                for c in 0..img.channels() {
-                    buf.put_u8(quantize(img.get(c, y, x)));
-                }
-            }
-        }
-        buf.freeze()
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError> {
-        let header_err = || ImageryError::Decode("bad PPM header".into());
-        // Parse "P6\nW H\n255\n" allowing arbitrary whitespace between tokens.
-        let mut pos = 0usize;
-        let mut next_token = |bytes: &[u8]| -> Result<String, ImageryError> {
-            while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
-                pos += 1;
-            }
-            let start = pos;
-            while pos < bytes.len() && !bytes[pos].is_ascii_whitespace() {
-                pos += 1;
-            }
-            if start == pos {
-                return Err(header_err());
-            }
-            Ok(String::from_utf8_lossy(&bytes[start..pos]).into_owned())
-        };
-        let magic = next_token(bytes)?;
-        let channels = match magic.as_str() {
-            "P6" => 3,
-            "P5" => 1,
-            _ => return Err(header_err()),
-        };
-        let w: usize = next_token(bytes)?.parse().map_err(|_| header_err())?;
-        let h: usize = next_token(bytes)?.parse().map_err(|_| header_err())?;
-        let maxval: usize = next_token(bytes)?.parse().map_err(|_| header_err())?;
-        if maxval != 255 {
-            return Err(ImageryError::Decode(format!("unsupported maxval {maxval}")));
-        }
-        // Exactly one whitespace byte separates the header from pixel data.
-        pos += 1;
-        let expected = w * h * channels;
-        if bytes.len() < pos || bytes.len() - pos < expected {
-            return Err(ImageryError::Decode("truncated PPM payload".into()));
-        }
-        let payload = &bytes[pos..pos + expected];
-        let mode = if channels == 3 {
-            ColorMode::Rgb
-        } else {
-            ColorMode::Gray
-        };
-        let mut img = Image::zeros(w, h, mode)?;
-        let mut i = 0;
-        for y in 0..h {
-            for x in 0..w {
-                for c in 0..channels {
-                    img.set(c, y, x, dequantize(payload[i]));
-                    i += 1;
-                }
-            }
-        }
-        Ok(img)
-    }
-}
-
-/// Lossy 8x8 block codec (`TAHB`) standing in for JPEG.
-///
-/// Per block: the quantized block mean, then residuals quantized by a step
-/// derived from `quality` (1..=100), with runs of zero residuals run-length
-/// coded. Smooth synthetic scenes compress to a fraction of raw size, and
-/// decoding does real per-pixel arithmetic — both properties the ARCHIVE
-/// cost scenario depends on.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockCodec {
-    /// Quality 1..=100; higher keeps more residual detail (larger files).
-    pub quality: u8,
-}
-
-const BLOCK_MAGIC: &[u8; 4] = b"TAHB";
-const BLOCK: usize = 8;
-
-impl BlockCodec {
-    /// Construct with a clamped quality setting.
-    pub fn new(quality: u8) -> BlockCodec {
-        BlockCodec {
-            quality: quality.clamp(1, 100),
-        }
-    }
-
-    /// Quantization step in sample units (0..=255 scale).
-    fn step(quality: u8) -> f32 {
-        // quality 100 -> step 2 (near-lossless); quality 1 -> step 64.
-        let q = quality.clamp(1, 100) as f32;
-        2.0 + (100.0 - q) * 62.0 / 99.0
-    }
-}
-
-impl Default for BlockCodec {
-    fn default() -> Self {
-        BlockCodec::new(75)
-    }
-}
-
-impl Codec for BlockCodec {
-    fn name(&self) -> &'static str {
-        "block"
-    }
-
-    fn encode(&self, img: &Image) -> Bytes {
-        let step = Self::step(self.quality);
-        let mut buf = BytesMut::with_capacity(img.value_count() / 3 + 64);
-        buf.put_slice(BLOCK_MAGIC);
-        buf.put_u32_le(img.width() as u32);
-        buf.put_u32_le(img.height() as u32);
-        buf.put_u8(mode_code(img.mode()));
-        buf.put_u8(self.quality);
-        let (w, h) = (img.width(), img.height());
-        for c in 0..img.channels() {
-            let plane = img.plane(c);
-            for by in (0..h).step_by(BLOCK) {
-                for bx in (0..w).step_by(BLOCK) {
-                    let bh = BLOCK.min(h - by);
-                    let bw = BLOCK.min(w - bx);
-                    // Block mean.
-                    let mut sum = 0.0f32;
-                    for y in 0..bh {
-                        for x in 0..bw {
-                            sum += plane[(by + y) * w + bx + x];
-                        }
-                    }
-                    let mean = sum / (bh * bw) as f32;
-                    let mean_q = quantize(mean);
-                    buf.put_u8(mean_q);
-                    // Residuals, zero-run-length coded.
-                    // Token stream: 0x00 <run_len:u8> for zero runs,
-                    // else a nonzero i8 residual written as u8 (offset 128).
-                    let mut zero_run = 0u8;
-                    let flush_zeros = |buf: &mut BytesMut, zero_run: &mut u8| {
-                        while *zero_run > 0 {
-                            let chunk = *zero_run;
-                            buf.put_u8(0);
-                            buf.put_u8(chunk);
-                            *zero_run -= chunk;
-                        }
-                    };
-                    for y in 0..bh {
-                        for x in 0..bw {
-                            let v = plane[(by + y) * w + bx + x];
-                            let r = ((v - dequantize(mean_q)) * 255.0 / step).round();
-                            let r = r.clamp(-127.0, 127.0) as i8;
-                            if r == 0 {
-                                if zero_run == 255 {
-                                    flush_zeros(&mut buf, &mut zero_run);
-                                }
-                                zero_run += 1;
-                            } else {
-                                flush_zeros(&mut buf, &mut zero_run);
-                                buf.put_u8((r as i16 + 128) as u8);
-                            }
-                        }
-                    }
-                    flush_zeros(&mut buf, &mut zero_run);
-                }
-            }
-        }
-        buf.freeze()
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<Image, ImageryError> {
-        let mut buf = bytes;
-        if buf.len() < 14 || &buf[..4] != BLOCK_MAGIC {
-            return Err(ImageryError::Decode("bad TAHB header".into()));
-        }
-        buf.advance(4);
-        let w = buf.get_u32_le() as usize;
-        let h = buf.get_u32_le() as usize;
-        let mode = mode_from_code(buf.get_u8())?;
-        let quality = buf.get_u8();
-        let step = Self::step(quality);
-        let mut img = Image::zeros(w, h, mode)?;
-        for c in 0..mode.channels() {
-            for by in (0..h).step_by(BLOCK) {
-                for bx in (0..w).step_by(BLOCK) {
-                    let bh = BLOCK.min(h - by);
-                    let bw = BLOCK.min(w - bx);
-                    if !buf.has_remaining() {
-                        return Err(ImageryError::Decode("truncated TAHB block".into()));
-                    }
-                    let mean = dequantize(buf.get_u8());
-                    let total = bh * bw;
-                    let mut filled = 0usize;
-                    while filled < total {
-                        if !buf.has_remaining() {
-                            return Err(ImageryError::Decode("truncated TAHB residuals".into()));
-                        }
-                        let tok = buf.get_u8();
-                        if tok == 0 {
-                            if !buf.has_remaining() {
-                                return Err(ImageryError::Decode("truncated zero run".into()));
-                            }
-                            let run = buf.get_u8() as usize;
-                            if run == 0 || filled + run > total {
-                                return Err(ImageryError::Decode("invalid zero run".into()));
-                            }
-                            for _ in 0..run {
-                                let y = filled / bw;
-                                let x = filled % bw;
-                                img.set(c, by + y, bx + x, mean.clamp(0.0, 1.0));
-                                filled += 1;
-                            }
-                        } else {
-                            let r = tok as i16 - 128;
-                            let v = mean + r as f32 * step / 255.0;
-                            let y = filled / bw;
-                            let x = filled % bw;
-                            img.set(c, by + y, bx + x, v.clamp(0.0, 1.0));
-                            filled += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(img)
     }
 }
 
@@ -546,6 +272,14 @@ mod tests {
     fn raw_size_is_header_plus_samples() {
         let img = Image::zeros(10, 10, ColorMode::Gray).unwrap();
         assert_eq!(RawCodec.encode(&img).len(), 13 + 100);
+        for rep in crate::Representation::paper_set() {
+            let img = Image::zeros(rep.size, rep.size, rep.mode).unwrap();
+            assert_eq!(
+                RawCodec.encode(&img).len(),
+                RAW_HEADER_LEN + rep.value_count(),
+                "{rep}"
+            );
+        }
     }
 
     #[test]
@@ -559,97 +293,5 @@ mod tests {
         let img = Image::zeros(4, 4, ColorMode::Gray).unwrap();
         let enc = RawCodec.encode(&img);
         assert!(RawCodec.decode(&enc[..enc.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn ppm_roundtrip_rgb() {
-        let img = noisy_scene(9, 7, ColorMode::Rgb, 2);
-        let out = PpmCodec.decode(&PpmCodec.encode(&img)).unwrap();
-        assert_eq!(out.mode(), ColorMode::Rgb);
-        assert!(img.mean_abs_diff(&out).unwrap() < 0.5 / 255.0 + 1e-6);
-    }
-
-    #[test]
-    fn ppm_roundtrip_gray() {
-        let img = noisy_scene(8, 8, ColorMode::Gray, 3);
-        let out = PpmCodec.decode(&PpmCodec.encode(&img)).unwrap();
-        assert_eq!(out.mode(), ColorMode::Gray);
-        assert!(img.mean_abs_diff(&out).unwrap() < 0.5 / 255.0 + 1e-6);
-    }
-
-    #[test]
-    fn ppm_header_is_ascii() {
-        let img = Image::zeros(3, 2, ColorMode::Rgb).unwrap();
-        let enc = PpmCodec.encode(&img);
-        assert!(enc.starts_with(b"P6\n3 2\n255\n"));
-    }
-
-    #[test]
-    fn ppm_rejects_bad_magic() {
-        assert!(PpmCodec.decode(b"P9\n1 1\n255\nxxx").is_err());
-    }
-
-    #[test]
-    fn block_roundtrip_error_bounded_by_step() {
-        let img = noisy_scene(32, 32, ColorMode::Rgb, 4);
-        for quality in [25u8, 50, 75, 95] {
-            let codec = BlockCodec::new(quality);
-            let out = codec.decode(&codec.encode(&img)).unwrap();
-            let bound = BlockCodec::step(quality) / 255.0 + 0.5 / 255.0 + 1e-5;
-            let mad = img.mean_abs_diff(&out).unwrap();
-            assert!(mad < bound, "q={quality}: mad {mad} >= bound {bound}");
-        }
-    }
-
-    #[test]
-    fn block_compresses_smooth_images() {
-        // A smooth gradient should compress well below raw size.
-        let img = Image::from_fn(64, 64, ColorMode::Rgb, |_, y, x| {
-            0.5 + 0.001 * (x as f32) + 0.001 * (y as f32)
-        })
-        .unwrap();
-        let raw = RawCodec.encode(&img).len();
-        let block = BlockCodec::new(60).encode(&img).len();
-        assert!(
-            (block as f64) < raw as f64 * 0.5,
-            "block {block} not < half of raw {raw}"
-        );
-    }
-
-    #[test]
-    fn block_quality_monotone_in_size() {
-        let img = noisy_scene(64, 64, ColorMode::Rgb, 5);
-        let low = BlockCodec::new(20).encode(&img).len();
-        let high = BlockCodec::new(95).encode(&img).len();
-        assert!(
-            low < high,
-            "low-q {low} should be smaller than high-q {high}"
-        );
-    }
-
-    #[test]
-    fn block_handles_non_multiple_of_eight() {
-        let img = noisy_scene(13, 21, ColorMode::Gray, 6);
-        let codec = BlockCodec::default();
-        let out = codec.decode(&codec.encode(&img)).unwrap();
-        assert_eq!(out.width(), 13);
-        assert_eq!(out.height(), 21);
-    }
-
-    #[test]
-    fn block_rejects_truncation() {
-        let img = noisy_scene(16, 16, ColorMode::Gray, 7);
-        let codec = BlockCodec::default();
-        let enc = codec.encode(&img);
-        for cut in [3usize, 13, enc.len() / 2] {
-            assert!(codec.decode(&enc[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn codec_names() {
-        assert_eq!(RawCodec.name(), "raw");
-        assert_eq!(PpmCodec.name(), "ppm");
-        assert_eq!(BlockCodec::default().name(), "block");
     }
 }

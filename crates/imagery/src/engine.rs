@@ -65,9 +65,9 @@
 //! streaming resize's cost scales with the *output* size, so a chained
 //! source saves nothing over the full-size gray plane while introducing
 //! resampling error and train/serve skew. The plan is priced with
-//! [`TranscodeCosts`] (fed from `tahoma-costmodel`'s calibrated transform
-//! constants via `TransformCostModel::transcode_costs`) and orders targets
-//! cheapest-first, so planner-visible costs stay honest about the sharing.
+//! [`TranscodeCosts`] (the same per-unit constants `tahoma-costmodel`'s
+//! `TransformCostModel` prices with) and orders targets cheapest-first, so
+//! planner-visible costs stay honest about the sharing.
 //!
 //! This is one of the four files sanctioned to contain raw-pointer
 //! arithmetic; see `SAFETY.md` at the repository root for the unsafe
@@ -497,10 +497,10 @@ mod x86 {
 // ---------------------------------------------------------------------------
 
 /// Per-unit transform costs used to price a [`TranscodePlan`]. The defaults
-/// mirror `tahoma-costmodel`'s calibrated constants; when planning on
-/// behalf of the cost model, build this through
-/// `TransformCostModel::transcode_costs()` so the two stay in sync (a
-/// costmodel test pins the defaults against the calibration constants).
+/// are the calibrated transform constants: `tahoma-costmodel`'s
+/// `TransformCostModel` holds a `TranscodeCosts` (this default unless a
+/// caller overrides it), and a costmodel calibration test pins the
+/// defaults to the paper's CAMERA anchor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranscodeCosts {
     /// Fixed overhead per materialized target, seconds.
@@ -517,7 +517,8 @@ pub struct TranscodeCosts {
 
 impl Default for TranscodeCosts {
     fn default() -> Self {
-        // Mirrors tahoma_costmodel::calibration — pinned by a test there.
+        // Pinned to the paper's CAMERA anchor by tahoma_costmodel's
+        // calibration tests.
         TranscodeCosts {
             op_overhead_s: 15e-6,
             extract_s_per_pixel: 2.5e-9,
@@ -577,8 +578,8 @@ impl TranscodePlan {
             let same_size = rep.size == source_w && rep.size == source_h;
             let out_px = (rep.size * rep.size) as f64;
             let (step, cost) = if same_size && rep.mode == ColorMode::Rgb {
-                // Clone of the already-materialized frame; priced 0 to stay
-                // consistent with `TransformCostModel::transform_time`.
+                // Clone of the already-materialized frame; priced 0, as
+                // `TransformCostModel::transform_time` prices the identity.
                 (TranscodeStep::Identity, 0.0)
             } else if same_size {
                 // Gray's full-size plane is written once by the shared luma

@@ -17,13 +17,14 @@
 //!   materialized into many representations;
 //! * [`repr::Representation`] — a (size, color-mode) pair, the unit the cost
 //!   model and cascade evaluator reason about;
-//! * [`codec`] — on-disk encodings (raw planar, PPM, lossy block codec) so
-//!   that load/decode costs in the ARCHIVE and ONGOING deployment scenarios
-//!   are grounded in real byte counts and real decode work;
+//! * [`codec`] — the raw planar storage encoding, so that load/decode
+//!   costs in the ONGOING deployment scenario are grounded in real byte
+//!   counts and real decode work;
 //! * [`store`] — the representation store behind the ONGOING scenario's
 //!   ingest-time materialization, with a RAM tier for fixtures and a
-//!   persistent tier whose per-item materialization set is chosen by the
-//!   §V byte-budget policy in `tahoma_costmodel::io`;
+//!   persistent tier; the caller lists the representations every item
+//!   materializes (the serving fixture lists its models' inputs and the
+//!   source representation);
 //! * [`segment`] — the persistent tier's substrate: item-id-sharded
 //!   append-only segment files with CRC-framed records, mmap (or pread)
 //!   read access, and crash recovery to the last complete record;
@@ -50,7 +51,7 @@ pub mod store;
 pub mod synth;
 pub mod transform;
 
-pub use codec::{BlockCodec, Codec, PpmCodec, RawCodec};
+pub use codec::RawCodec;
 pub use color::ColorMode;
 pub use dataset::{Dataset, DatasetBundle, DatasetSpec, LabeledImage};
 pub use engine::{TranscodeCosts, TranscodeEngine, TranscodePlan};

@@ -7,11 +7,9 @@
 //! model prices). At query time a model fetches exactly its
 //! representation's bytes — no full-frame load, no transform. The store
 //! tracks byte totals so storage-amplification tradeoffs (paper §V: how
-//! many representations is it worth pre-computing?) are measurable — and,
-//! with the persistent tier, *payable*: `tahoma_costmodel::io` prices each
-//! lattice node's materialize-vs-transcode-on-demand decision against this
-//! store's measured read throughput, which is how a byte budget turns into
-//! a concrete representation set for [`RepresentationStore::persistent`].
+//! many representations is it worth pre-computing?) are measurable. The
+//! representation set is the caller's list, fixed when the store is
+//! created.
 //!
 //! Two storage tiers, one API:
 //!
@@ -104,16 +102,6 @@ impl Default for Tier {
     }
 }
 
-/// Ingest-side plan cache: the lattice plan for each distinct source
-/// shape, built once and shared by every preparing thread.
-#[derive(Debug, Default)]
-struct IngestPlans {
-    plans: HashMap<(usize, usize), Arc<TranscodePlan>>,
-    /// Shape of the most recently committed frame (what
-    /// [`RepresentationStore::planned_ingest_cost_s`] prices).
-    last_shape: Option<(usize, usize)>,
-}
-
 /// One frame's ingest, built by [`RepresentationStore::prepare`] and
 /// written by [`RepresentationStore::commit`]: every configured
 /// representation encoded, in the store's representation order. For the
@@ -122,7 +110,6 @@ struct IngestPlans {
 #[derive(Debug)]
 pub struct PreparedFrame {
     id: u64,
-    shape: (usize, usize),
     /// The representations' encodings (framed records for the persistent
     /// tier), back to back.
     bytes: Vec<u8>,
@@ -207,10 +194,12 @@ pub struct RepresentationStore {
     tier: Tier,
     total_bytes: AtomicUsize,
     ingested: AtomicU64,
-    // LOCK-ORDER: 65 — ingest plan cache; held only to look up or insert
-    // a plan (or read the last committed shape), never across a
-    // materialization, an append or any other lock.
-    ingest_plans: Mutex<IngestPlans>,
+    // Ingest-side plan cache: the lattice plan for each distinct source
+    // shape, built once and shared by every preparing thread. Held only
+    // to look up or insert a plan, never across a materialization, an
+    // append or any other lock.
+    // LOCK-ORDER: 65
+    ingest_plans: Mutex<HashMap<(usize, usize), Arc<TranscodePlan>>>,
     // Quarantined (id, rep) keys: records whose stored bytes must never
     // be served again. Guarded by a length fast path so the fault-free
     // fetch path pays one relaxed load, no lock.
@@ -324,8 +313,7 @@ impl RepresentationStore {
         full: &Image,
         engine: &mut TranscodeEngine,
     ) -> Result<PreparedFrame, ImageryError> {
-        let shape = (full.width(), full.height());
-        let plan = self.plan_for(shape);
+        let plan = self.plan_for((full.width(), full.height()));
         // Quantize the frame once, straight into its `TAH1` encoding, and
         // derive every representation from what those bytes decode back
         // to: each stored record is then a function of exactly the stored
@@ -342,7 +330,6 @@ impl RepresentationStore {
         let header = if framed { RECORD_HEADER_LEN } else { 0 };
         let mut out = PreparedFrame {
             id,
-            shape,
             bytes: Vec::with_capacity(
                 self.reps
                     .iter()
@@ -418,7 +405,6 @@ impl RepresentationStore {
                 }
             }
         }
-        lock(&self.ingest_plans).last_shape = Some(frame.shape);
         self.total_bytes.fetch_add(frame.payload, Ordering::Relaxed);
         self.ingested.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -499,8 +485,8 @@ impl RepresentationStore {
 
     /// The lattice plan for one source shape, planned on first use.
     fn plan_for(&self, shape: (usize, usize)) -> Arc<TranscodePlan> {
-        let mut cache = lock(&self.ingest_plans);
-        let plan = cache.plans.entry(shape).or_insert_with(|| {
+        let mut plans = lock(&self.ingest_plans);
+        let plan = plans.entry(shape).or_insert_with(|| {
             let (w, h) = shape;
             Arc::new(TranscodePlan::new(
                 w,
@@ -510,16 +496,6 @@ impl RepresentationStore {
             ))
         });
         Arc::clone(plan)
-    }
-
-    /// The cost-model price of one frame's planned materialization under
-    /// the given per-unit costs, next to what the naive per-representation
-    /// loop would pay. Priced for the most recently ingested frame shape;
-    /// `None` before the first ingest fixes one.
-    pub fn planned_ingest_cost_s(&self, costs: &TranscodeCosts) -> Option<(f64, f64)> {
-        let (w, h) = lock(&self.ingest_plans).last_shape?;
-        let priced = TranscodePlan::new(w, h, &self.reps, costs);
-        Some((priced.planned_cost_s(), priced.direct_cost_s()))
     }
 
     /// Fetch one stored representation, decoding it into a buffer from the
@@ -850,7 +826,6 @@ fn manifest_path(dir: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Codec;
     use crate::color::ColorMode;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -979,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn per_frame_ingest_accounts_bytes_frames_and_prices_plan() {
+    fn per_frame_ingest_accounts_bytes_and_frames() {
         // Two stores fed the same frames one `ingest` call at a time —
         // one store walked forwards, the other backwards — account the
         // same bytes and frames: each frame is priced on its own.
@@ -995,15 +970,6 @@ mod tests {
         assert_eq!(a.total_bytes(), b.total_bytes());
         assert_eq!(a.frames(), b.frames());
         assert_eq!(a.frames(), 3);
-        let (planned, direct) = a
-            .planned_ingest_cost_s(&crate::engine::TranscodeCosts::default())
-            .expect("shape fixed by ingest");
-        assert!(planned <= direct, "planned {planned} > direct {direct}");
-        // No plan before any ingest.
-        let empty = RepresentationStore::new(small_reps());
-        assert!(empty
-            .planned_ingest_cost_s(&crate::engine::TranscodeCosts::default())
-            .is_none());
     }
 
     #[test]

@@ -38,9 +38,8 @@ cargo bench -p tahoma-bench --bench kernel_policy  -- --quick --json "$out/kerne
 # the clients={1,4,16} QPS/latency table alongside its criterion lines.
 cargo bench -p tahoma-bench --bench query_serve    -- --quick --json "$out/query_serve.json" \
     2>&1 | tee "$out/query_serve.txt"
-# store_scale prints ingest/cold-open/budget-policy tables and asserts the
-# persistent-vs-RAM warm-latency bar and the §V policy-beats-extremes
-# comparison alongside its criterion lines.
+# store_scale prints ingest/cold-open tables and asserts the
+# persistent-vs-RAM warm-latency bar alongside its criterion lines.
 cargo bench -p tahoma-bench --bench store_scale    -- --quick --json "$out/store_scale.json" \
     2>&1 | tee "$out/store_scale.txt"
 # stream_query prints the per-tick frames/s table (two window sizes) and

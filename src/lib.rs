@@ -66,8 +66,7 @@ pub mod prelude {
         ThresholdTable, PAPER_PRECISION_SETTINGS,
     };
     pub use tahoma_costmodel::{
-        AnalyticProfiler, CostProfiler, DeviceProfile, MeasuredProfiler, Scenario, ScenarioCosts,
-        StorageProfile,
+        AnalyticProfiler, CostProfiler, DeviceProfile, Scenario, ScenarioCosts, StorageProfile,
     };
     pub use tahoma_imagery::{
         ColorMode, Dataset, DatasetBundle, DatasetSpec, Image, ObjectKind, Representation,
