@@ -280,22 +280,6 @@ impl CostContext {
     }
 }
 
-/// Naive reference evaluator: re-derives every decision from raw scores and
-/// thresholds per cascade, per image — no precomputed tables. This is what
-/// evaluation looks like *without* the paper's §V-D design; an equivalence
-/// test pits it against [`simulate_one`]. It is [`cascade_stats`] fed the
-/// eval split.
-pub fn simulate_one_naive(
-    repo: &ModelRepository,
-    thresholds: &ThresholdTable,
-    cascade: &Cascade,
-) -> Outcome {
-    cascade_stats(cascade, thresholds, &repo.eval.labels, |m, i| {
-        repo.entries[m].eval_scores[i]
-    })
-    .0
-}
-
 /// The per-item decision walk behind every predicate statistic: each of
 /// `labels.len()` items climbs `cascade` with `score(model, item)` as its
 /// score, deciding at a level when the level's thresholds decide and at
@@ -456,11 +440,12 @@ mod tests {
             Cascade::new(&[(0, 4), (7, 0)]),
             Cascade::new(&[(2, 1), (9, 2), (4, 0)]),
         ] {
-            assert_eq!(
-                simulate_one(&tables, &c),
-                simulate_one_naive(&repo, &thr, &c),
-                "{c}"
-            );
+            // The naive reference re-derives every decision from raw
+            // scores and thresholds per image, with no precomputed tables.
+            let (naive, _) = cascade_stats(&c, &thr, &repo.eval.labels, |m, i| {
+                repo.entries[m].eval_scores[i]
+            });
+            assert_eq!(simulate_one(&tables, &c), naive, "{c}");
         }
     }
 

@@ -43,10 +43,13 @@ use crate::query::{
 use crate::thresholds::ThresholdTable;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use tahoma_imagery::engine::{self, TranscodeEngine};
 use tahoma_imagery::{Fetched, ObjectKind, Representation, RepresentationStore};
+// Poison-tolerant: a lane that panicked mid-morsel leaves a tally
+// the call is about to discard anyway (the panic re-raises on the owner).
+use tahoma_mathx::lock;
 use tahoma_nn::{RowSource, Sequential};
 use tahoma_zoo::surrogate::{Split, VariantStream};
 use tahoma_zoo::{ModelId, ModelRepository, SurrogateScorer};
@@ -606,12 +609,6 @@ impl RowSource for PackRows<'_> {
         }
         read
     }
-}
-
-/// Poison-tolerant lock: a lane that panicked mid-morsel leaves a tally
-/// the call is about to discard anyway (the panic re-raises on the owner).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl BatchScorer for SharedNnScorer<'_> {

@@ -1,33 +1,51 @@
-//! Seeded, deterministic fault injection for the serving stack.
+//! Seeded, deterministic fault injection and schedule perturbation for
+//! the serving stack.
 //!
 //! The reliability layer (retry, quarantine, degradation ladders — see
 //! `RELIABILITY.md`) is only trustworthy if its failure paths actually
 //! run, and real I/O faults are too rare and too irreproducible to test
-//! against. This crate plants *injection points* at the stack's failure
-//! edges — segment reads/writes, store fetch/ingest, the coalescing
-//! broker's leader, the protocol socket loop — and lets a test arm them
-//! with a seeded [`FaultPlan`]: per-site fault rates in permille, decided
-//! by a splitmix64 counter stream, so one seed reproduces one exact fault
-//! schedule and 1000 seeds explore 1000 different ones (the chaos
-//! campaign in `tahoma-serve/tests/chaos.rs`).
+//! against. This crate plants *hooks* at the stack's failure edges —
+//! segment reads/writes, store fetch/ingest, the coalescing broker's
+//! leader, the protocol socket loop — and lets a test arm them with a
+//! seeded [`FaultPlan`]: per-site fault rates in permille, so one seed
+//! reproduces one exact fault schedule and 1000 seeds explore 1000
+//! different ones (the chaos campaign in `tahoma-serve/tests/chaos.rs`).
 //!
-//! The same `ARMED` fast-path discipline as `tahoma_serve::sched`: hooks
-//! compiled without the `fault-inject` feature are `const` no-ops the
-//! optimizer deletes, so production builds are bitwise-transparent; with
-//! the feature on but no plan installed, each hook costs one relaxed
-//! atomic load. Decisions consume one per-site counter each, so a serial
-//! request sequence replays the identical schedule for a given seed;
-//! under concurrency the *set* of decisions is still drawn from the
+//! The broker's leader/follower protocol gets a second kind of hook,
+//! [`perturb`], at its decision edges (submit, join, append, seal, run,
+//! publish, wait). A thread that called [`install_schedule`] yields,
+//! spins briefly or proceeds at each of them, so each seed reproduces one
+//! exact interleaving pressure pattern (`tahoma-serve/tests/
+//! broker_schedule.rs` asserts results stay bitwise identical to serial
+//! under 1000 of them). The interleavings a quiet test box explores on its
+//! own are a thin slice: threads are rarely preempted in the few
+//! microseconds between a join and a seal.
+//!
+//! Both kinds of decision come from one stream: the splitmix64 finalizer
+//! [`tahoma_mathx::hash64`] of `seed ^ site << 32 ^ counter`, one counter
+//! per site (plans) or per thread (schedules), so a serial request
+//! sequence replays the identical schedule for a given seed. Under
+//! concurrency the *set* of fault decisions is still drawn from the
 //! seeded stream, but which thread draws which depends on interleaving.
 //!
-//! Injection points in production code are audited: lint A7 in
-//! `tahoma-audit` confines `tahoma_faults` usage to an allowlisted module
-//! set and requires a `// FAULT:` tag at every call site (see
-//! `SAFETY.md`).
+//! The hooks are compiled into every build and only tests arm them. A
+//! hook is armed while any guard from [`install`] or [`install_schedule`]
+//! is live; unarmed, it is an inlined relaxed load and a not-taken branch,
+//! and the armed path is `#[cold]` and out of line.
+//!
+//! Hooks in production code are audited: lint A7 in `tahoma-audit`
+//! confines `tahoma_faults` usage to an allowlisted module set and
+//! requires a `// FAULT:` tag at every call site (see `SAFETY.md`).
 
-/// Injection sites. Values are arbitrary but stable so a seed reproduces
-/// a schedule even when new sites are added at the end; they index the
-/// plan's rate table directly.
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use tahoma_mathx::{hash64, lock};
+
+/// Hook sites. Values are arbitrary but stable so a seed reproduces a
+/// schedule even when new sites are added at the end. Fault sites index
+/// the plan's rate table; schedule points only salt a thread's schedule
+/// stream, so their values may repeat a fault site's.
 pub mod site {
     /// Segment payload read: transient I/O error (retryable).
     pub const SEG_READ: u32 = 0;
@@ -56,8 +74,27 @@ pub mod site {
     /// Standing-query tick evaluation fails once (retryable).
     pub const STREAM_TICK: u32 = 12;
 
-    /// Number of sites (rate/counter table size).
+    /// Number of fault sites (rate/counter table size).
     pub const COUNT: usize = 13;
+
+    /// Schedule point: entry of `Broker::infer`, before the idle
+    /// fast-path check.
+    pub const SUBMIT: u32 = 1;
+    /// Schedule point: before taking the open map to join/open a batch.
+    pub const JOIN: u32 = 2;
+    /// Schedule point: follower, after appending rows and waking the
+    /// leader.
+    pub const APPEND: u32 = 3;
+    /// Schedule point: leader, after the coalescing window, before
+    /// sealing.
+    pub const SEAL: u32 = 4;
+    /// Schedule point: leader, before the merged zoo call.
+    pub const RUN: u32 = 5;
+    /// Schedule point: leader, after publishing scores and waking
+    /// followers.
+    pub const PUBLISH: u32 = 6;
+    /// Schedule point: follower, before blocking on batch completion.
+    pub const WAIT: u32 = 7;
 }
 
 /// Per-site fault rates in permille, plus the seed deciding which
@@ -96,129 +133,104 @@ impl FaultPlan {
     }
 }
 
-/// splitmix64 finalizer: decorrelates consecutive counters into
-/// independent-looking decisions (same mixer as `tahoma_serve::sched`).
-#[cfg(feature = "fault-inject")]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Live guards from [`install`] and [`install_schedule`]. Process-wide,
+/// not thread-local: the server spawns the worker threads a plan must
+/// reach, and an unarmed hook must not touch a thread-local at all. Hooks
+/// load it `Relaxed` because it publishes nothing: the plan is read under
+/// its mutex, and a schedule lives in its own thread's local.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+
+#[inline(always)]
+fn armed() -> bool {
+    ARMED.load(Ordering::Relaxed) != 0
 }
 
-#[cfg(feature = "fault-inject")]
-mod armed {
-    use super::{mix, site, FaultPlan};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+/// The one seeded stream: the `counter`-th decision at `site` under
+/// `seed`.
+fn draw(seed: u64, site: u32, counter: u64) -> u64 {
+    hash64(seed ^ ((site as u64) << 32) ^ counter)
+}
 
-    /// Process-wide arm flag: hooks pay one relaxed load when no plan is
-    /// installed (worker threads are spawned by the server, so the state
-    /// is process-global, not thread-local).
-    static ARMED: AtomicBool = AtomicBool::new(false);
+struct State {
+    plan: FaultPlan,
+    /// One decision counter per site: each hook execution consumes
+    /// exactly one draw, so serial request sequences replay.
+    counters: [u64; site::COUNT],
+    /// Faults actually injected per site (test assertions).
+    injected: [u64; site::COUNT],
+}
 
-    struct State {
-        plan: FaultPlan,
-        /// One decision counter per site: each hook execution consumes
-        /// exactly one draw, so serial request sequences replay.
-        counters: [u64; site::COUNT],
-        /// Faults actually injected per site (test assertions).
-        injected: [u64; site::COUNT],
-    }
+static STATE: Mutex<Option<State>> = Mutex::new(None);
 
-    static STATE: Mutex<Option<State>> = Mutex::new(None);
+/// Guard returned by [`install`]; disarms the plan on drop so one chaos
+/// schedule never leaks into the next.
+pub struct Installed {
+    _priv: (),
+}
 
-    fn lock() -> MutexGuard<'static, Option<State>> {
-        match STATE.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Guard returned by [`install`]; disarms the process on drop so one
-    /// chaos schedule never leaks into the next.
-    pub struct Installed {
-        _priv: (),
-    }
-
-    impl Drop for Installed {
-        fn drop(&mut self) {
-            ARMED.store(false, Ordering::SeqCst);
-            *lock() = None;
-        }
-    }
-
-    /// Arm fault injection process-wide with `plan`. The previous plan
-    /// (if any) is replaced; counters restart from zero.
-    #[must_use]
-    pub fn install(plan: FaultPlan) -> Installed {
-        *lock() = Some(State {
-            plan,
-            counters: [0; site::COUNT],
-            injected: [0; site::COUNT],
-        });
-        ARMED.store(true, Ordering::SeqCst);
-        Installed { _priv: () }
-    }
-
-    /// Draw `site`'s next decision: true = inject a fault here.
-    pub fn fire(s: u32) -> bool {
-        if !ARMED.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut g = lock();
-        let Some(st) = g.as_mut() else { return false };
-        let i = s as usize;
-        if i >= site::COUNT {
-            return false;
-        }
-        let rate = st.plan.rates[i];
-        if rate == 0 {
-            return false;
-        }
-        let counter = st.counters[i];
-        st.counters[i] += 1;
-        let hit = mix(st.plan.seed ^ ((s as u64) << 32) ^ counter) % 1000 < rate as u64;
-        if hit {
-            st.injected[i] += 1;
-        }
-        hit
-    }
-
-    /// Faults injected at `site` since the current plan was installed.
-    pub fn injected(s: u32) -> u64 {
-        lock()
-            .as_ref()
-            .and_then(|st| st.injected.get(s as usize).copied())
-            .unwrap_or(0)
-    }
-
-    /// Total faults injected across all sites under the current plan.
-    pub fn injected_total() -> u64 {
-        lock()
-            .as_ref()
-            .map(|st| st.injected.iter().sum())
-            .unwrap_or(0)
+impl Drop for Installed {
+    fn drop(&mut self) {
+        *lock(&STATE) = None;
+        ARMED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-#[cfg(feature = "fault-inject")]
-pub use armed::{injected, injected_total, install, Installed};
+/// Arm fault injection process-wide with `plan`. The previous plan (if
+/// any) is replaced; counters restart from zero.
+#[must_use]
+pub fn install(plan: FaultPlan) -> Installed {
+    *lock(&STATE) = Some(State {
+        plan,
+        counters: [0; site::COUNT],
+        injected: [0; site::COUNT],
+    });
+    ARMED.fetch_add(1, Ordering::SeqCst);
+    Installed { _priv: () }
+}
 
 /// Draw the next decision for `site`: should a fault be injected here?
-/// Always `false` without the `fault-inject` feature (and compiled away).
-#[cfg(feature = "fault-inject")]
+/// Always `false` unless a test installed a plan.
 #[inline]
 pub fn fire(site: u32) -> bool {
-    armed::fire(site)
+    armed() && fire_armed(site)
 }
 
-/// Draw the next decision for `site`: should a fault be injected here?
-/// Always `false` without the `fault-inject` feature (and compiled away).
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-pub fn fire(_site: u32) -> bool {
-    false
+#[cold]
+#[inline(never)]
+fn fire_armed(s: u32) -> bool {
+    let mut g = lock(&STATE);
+    let Some(st) = g.as_mut() else { return false };
+    let i = s as usize;
+    if i >= site::COUNT {
+        return false;
+    }
+    let rate = st.plan.rates[i];
+    if rate == 0 {
+        return false;
+    }
+    let counter = st.counters[i];
+    st.counters[i] += 1;
+    let hit = draw(st.plan.seed, s, counter) % 1000 < rate as u64;
+    if hit {
+        st.injected[i] += 1;
+    }
+    hit
+}
+
+/// Faults injected at `site` since the current plan was installed.
+pub fn injected(s: u32) -> u64 {
+    lock(&STATE)
+        .as_ref()
+        .and_then(|st| st.injected.get(s as usize).copied())
+        .unwrap_or(0)
+}
+
+/// Total faults injected across all sites under the current plan.
+pub fn injected_total() -> u64 {
+    lock(&STATE)
+        .as_ref()
+        .map(|st| st.injected.iter().sum())
+        .unwrap_or(0)
 }
 
 /// A transient I/O error for `site`, when its decision fires. The kind is
@@ -245,26 +257,104 @@ pub fn stall(site: u32) {
     }
 }
 
-#[cfg(all(test, feature = "fault-inject"))]
+thread_local! {
+    /// The calling thread's schedule: `Some((seed, counter))` while a
+    /// guard from [`install_schedule`] is live on it.
+    static SCHEDULE: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+}
+
+/// Guard returned by [`install_schedule`]; clears the thread's schedule
+/// on drop, so seeds never leak across tests sharing a pool thread.
+pub struct Scheduled {
+    _priv: (),
+}
+
+impl Drop for Scheduled {
+    fn drop(&mut self) {
+        SCHEDULE.with(|s| s.set(None));
+        ARMED.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Arm schedule perturbation on the calling thread with `seed`. Distinct
+/// threads of one test should install distinct seeds (e.g.
+/// `seed ^ thread_rank`).
+#[must_use]
+pub fn install_schedule(seed: u64) -> Scheduled {
+    SCHEDULE.with(|s| s.set(Some((seed, 0))));
+    ARMED.fetch_add(1, Ordering::SeqCst);
+    Scheduled { _priv: () }
+}
+
+/// What one schedule point does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Give up the slice entirely: forces another runnable thread (leader
+    /// or follower) to make progress here.
+    Yield,
+    /// Short busy spin: shifts timing without a syscall, enough to move a
+    /// racing thread past its own edge.
+    Spin(u64),
+    Proceed,
+}
+
+/// The calling thread's next step at `site`; `None` when it has no
+/// schedule.
+fn next_step(site: u32) -> Option<Step> {
+    SCHEDULE.with(|s| {
+        let (seed, counter) = s.get()?;
+        s.set(Some((seed, counter + 1)));
+        let r = draw(seed, site, counter);
+        Some(match r % 8 {
+            0 | 1 => Step::Yield,
+            2 => Step::Spin((r >> 8) % 64),
+            _ => Step::Proceed,
+        })
+    })
+}
+
+/// A schedule point. No-op unless the calling thread installed a
+/// schedule; otherwise deterministically yields, spins, or proceeds.
+#[inline]
+pub fn perturb(site: u32) {
+    if armed() {
+        perturb_armed(site);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn perturb_armed(site: u32) {
+    match next_step(site) {
+        Some(Step::Yield) => std::thread::yield_now(),
+        Some(Step::Spin(n)) => {
+            for _ in 0..n {
+                std::hint::spin_loop();
+            }
+        }
+        Some(Step::Proceed) | None => {}
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::MutexGuard;
 
-    /// One test at a time: the plan and its arm flag are process-global, so
-    /// one test's `install` or guard drop would re-arm or disarm another's.
+    /// One test at a time: the plan is process-global, so one test's
+    /// `install` or guard drop would replace or clear another's.
     fn plan_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        match LOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&LOCK)
     }
 
     #[test]
     fn unarmed_hooks_never_fire() {
         let _lock = plan_lock();
+        assert!(!armed());
         assert!(!fire(site::SEG_READ));
         assert!(transient_io(site::SEG_WRITE).is_none());
+        assert_eq!(next_step(site::SEAL), None);
     }
 
     #[test]
@@ -307,5 +397,51 @@ mod tests {
         let a: Vec<bool> = (0..64).map(|_| fire(site::SEG_READ)).collect();
         let b: Vec<bool> = (0..64).map(|_| fire(site::SEG_WRITE)).collect();
         assert_ne!(a, b);
+    }
+
+    /// The first 64 decisions of a chaos plan and of a broker schedule.
+    /// Every seed in `chaos.rs` and `broker_schedule.rs` names one exact
+    /// schedule, so these values must never change.
+    #[test]
+    fn golden_schedules_are_pinned() {
+        let _lock = plan_lock();
+        let mask = |s: u32| (0..64).fold(0u64, |m, i| m | ((fire(s) as u64) << i));
+        {
+            let _g = install(
+                FaultPlan::new(7)
+                    .with_rate(site::SEG_READ, 250)
+                    .with_rate(site::BROKER_LEAD, 250),
+            );
+            assert_eq!(mask(site::SEG_READ), 0xd100_1008_c488_4030);
+            assert_eq!(mask(site::BROKER_LEAD), 0x1902_a100_08a0_2281);
+        }
+        let _s = install_schedule(7);
+        let steps: Vec<String> = (0..64)
+            .map(|_| match next_step(site::SEAL) {
+                Some(Step::Yield) => "y".to_string(),
+                Some(Step::Spin(n)) => format!("s{n}"),
+                Some(Step::Proceed) => ".".to_string(),
+                None => "unarmed".to_string(),
+            })
+            .collect();
+        assert_eq!(
+            steps.join(" "),
+            concat!(
+                ". . . . . . . . . . . . y s61 . . . y . s12 s27 . . . s47 . . y . . y . ",
+                "y . . . . . . . y . . y . . y y . . s58 . . . s43 . . . s28 . . . s5 ."
+            )
+        );
+    }
+
+    #[test]
+    fn a_thread_schedule_arms_no_fault() {
+        let _lock = plan_lock();
+        let _s = install_schedule(1);
+        assert!(armed());
+        assert!(!fire(site::SEG_READ));
+        assert!(next_step(site::JOIN).is_some());
+        std::thread::spawn(|| assert_eq!(next_step(site::JOIN), None))
+            .join()
+            .unwrap();
     }
 }

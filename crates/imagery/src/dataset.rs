@@ -123,19 +123,6 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Paper-scale defaults: ~3.4k labeled images per predicate, balanced.
-    pub fn paper_scale(kind: ObjectKind, seed: u64) -> DatasetSpec {
-        DatasetSpec {
-            kind,
-            params: SceneParams::default(),
-            n_train: 2_000,
-            n_config: 400,
-            n_eval: 1_000,
-            seed,
-            augment: true,
-        }
-    }
-
     /// Small bundle for unit tests and the real-CNN training path. Uses the
     /// easier scene parameters so tiny models can learn from tiny splits.
     pub fn tiny(kind: ObjectKind, size: usize, seed: u64) -> DatasetSpec {

@@ -40,7 +40,10 @@ use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+// Poison-tolerant: an unrelated panic must not wedge the store; critical
+// sections publish fully-formed values.
+use tahoma_mathx::lock;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"TSG1";
@@ -434,16 +437,6 @@ struct Shard {
     // enough to copy an entry and clone the map Arc.
     // LOCK-ORDER: 71
     seg_index: Mutex<ShardIndex>,
-}
-
-/// Poison-tolerant lock (same idiom as `tahoma-serve`): an unrelated
-/// panic must not wedge the store; critical sections publish fully-formed
-/// values, so a poisoned guard holds consistent state.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// What the open-time recovery scan found.

@@ -58,22 +58,15 @@ use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+// Poison-tolerant: every blob/plan update is complete before the guard
+// drops, so a panicking peer never leaves a half-written entry behind.
+use tahoma_mathx::{hash64, lock};
 
 /// Store manifest file name (records shard count + representation set so
 /// [`RepresentationStore::open`] needs only the directory).
 const MANIFEST: &str = "manifest.tsm";
 const MANIFEST_HEADER: &str = "tahoma-store v1";
-
-/// Lock a mutex, recovering the data on poison: every blob/plan update is
-/// complete before the guard drops, so a panicking peer never leaves a
-/// half-written entry behind (same policy as [`crate::segment`]).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// RAM tier: encoded blobs behind one map lock so live streams can ingest
 /// through a shared handle while query sessions fetch.
@@ -167,12 +160,7 @@ const MAX_ATTEMPTS: u32 = 4;
 /// base so repeated transients spread out, splitmix-derived jitter so
 /// concurrent retriers of different records decorrelate.
 fn backoff(id: u64, attempt: u32) {
-    let mut z = id
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(attempt as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let jitter_us = (z ^ (z >> 31)) % 64;
+    let jitter_us = hash64(id ^ ((attempt as u64) << 32)) % 64;
     let base_us = 32u64 << attempt.min(8);
     std::thread::sleep(std::time::Duration::from_micros(base_us + jitter_us));
 }
@@ -713,14 +701,6 @@ impl RepresentationStore {
     /// True when backed by segment files.
     pub fn is_persistent(&self) -> bool {
         matches!(self.tier, Tier::Disk(_))
-    }
-
-    /// The persistent tier's directory, if any.
-    pub fn storage_dir(&self) -> Option<&Path> {
-        match &self.tier {
-            Tier::Ram(_) => None,
-            Tier::Disk(seg) => Some(seg.dir()),
-        }
     }
 
     /// The persistent tier's segment store, if any (bench/diagnostic

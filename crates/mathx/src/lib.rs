@@ -19,6 +19,8 @@
 //! [`checked`] hosts the `checked-kernels` audit assertions: invariant
 //! statements the workspace's unsafe SIMD kernels make before every raw
 //! pointer operation, compiled to nothing unless the feature is on.
+//!
+//! [`lock`] is the workspace's one poison-tolerant mutex acquisition.
 
 // Unsafe hygiene (audited by `tahoma-audit`, lint A2; policy in
 // SAFETY.md): every operation inside an `unsafe fn` must carry its own
@@ -34,6 +36,17 @@ pub mod stats;
 pub use rng::{hash64, split_seed, DetRng};
 pub use simd_policy::SimdTier;
 pub use stats::{logistic, mean, normal_cdf, normal_quantile, percentile, std_dev, Summary};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Poison-tolerant lock. A holder that panicked must not wedge every later
+/// caller with a secondary panic: each critical section in the workspace
+/// publishes fully formed values (or state its owner is about to discard),
+/// so a poisoned guard still holds consistent state (SAFETY.md).
+#[inline]
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod tests {

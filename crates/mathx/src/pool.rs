@@ -48,21 +48,15 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+// Pool bookkeeping must stay usable after a task panicked (the panic is
+// re-raised on the scope owner; the queue state itself is never left
+// mid-update because critical sections below do not call user code).
+use crate::lock;
 
-/// Lock that shrugs off poisoning: pool bookkeeping must stay usable after
-/// a task panicked (the panic is re-raised on the scope owner; the queue
-/// state itself is never left mid-update because critical sections below
-/// do not call user code).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolShared {
     queue: Mutex<VecDeque<Job>>,

@@ -7,8 +7,6 @@
 //! build streams by hashing coordinates into a seed ([`split_seed`]) and
 //! feeding it to a small xoshiro-style generator ([`DetRng`]).
 
-use rand::{RngCore, SeedableRng};
-
 /// Stable 64-bit mixer (splitmix64 finalizer). Used to derive independent
 /// seeds from coordinates; passes through zero-avoidance so `DetRng` never
 /// sees an all-zero state.
@@ -32,9 +30,8 @@ pub fn split_seed(seed: u64, stream: u64) -> u64 {
 
 /// Deterministic generator: xoshiro256** seeded via splitmix64.
 ///
-/// Implements [`rand::RngCore`] so it composes with the `rand` ecosystem, and
-/// adds the distribution helpers the simulation needs (`normal`, `uniform`,
-/// `bernoulli`, `exponential`).
+/// Carries the distribution helpers the simulation needs (`normal`,
+/// `uniform`, `bernoulli`, `exponential`).
 #[derive(Debug, Clone)]
 pub struct DetRng {
     s: [u64; 4],
@@ -188,40 +185,6 @@ impl DetRng {
     }
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
-impl SeedableRng for DetRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        DetRng::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        DetRng::new(state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +194,7 @@ mod tests {
         let mut a = DetRng::new(7);
         let mut b = DetRng::new(7);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next_raw(), b.next_raw());
         }
     }
 
@@ -239,7 +202,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = DetRng::new(1);
         let mut b = DetRng::new(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next_raw() == b.next_raw()).count();
         assert_eq!(same, 0);
     }
 
@@ -340,14 +303,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_non_multiple_of_eight() {
-        let mut r = DetRng::new(12);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

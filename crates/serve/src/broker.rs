@@ -55,23 +55,15 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tahoma_core::exec::{InferDispatch, InputRows, SharedModelZoo};
 use tahoma_core::CoreError;
+// Poison-tolerant: broker bookkeeping stays usable after a leader's
+// inference panicked (critical sections do not call user code).
+use tahoma_mathx::lock;
 use tahoma_nn::{InferScratch, RowSource};
 use tahoma_zoo::ModelId;
-
-/// Poison-tolerant lock: broker bookkeeping stays usable after a leader's
-/// inference panicked (the panic is re-raised on every participant; the
-/// shared maps are never left mid-update because critical sections do not
-/// call user code).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 struct BatchState {
     /// Each participant's rows, in join order, filled before it joined.
@@ -308,7 +300,8 @@ impl Broker {
                 st = g;
             }
         }
-        crate::sched::point(crate::sched::site::SEAL);
+        // FAULT: schedule point: leader preempted between the window and the seal.
+        tahoma_faults::perturb(tahoma_faults::site::SEAL);
         // Seal under the open-map lock (map -> batch lock order, same as
         // the join path) unless a row-cap join already did.
         {
@@ -334,7 +327,8 @@ impl Broker {
         if slots.len() > 1 {
             self.merged_calls.fetch_add(1, Ordering::Relaxed);
         }
-        crate::sched::point(crate::sched::site::RUN);
+        // FAULT: schedule point: leader preempted before the merged zoo call.
+        tahoma_faults::perturb(tahoma_faults::site::RUN);
         let result = self.run_zoo(model, &rows, scratch, true);
         let mut st = lock(&batch.state);
         // Back in place for the failover rung: a participant re-runs its
@@ -352,7 +346,8 @@ impl Broker {
         st.done = true;
         batch.cv.notify_all();
         drop(st);
-        crate::sched::point(crate::sched::site::PUBLISH);
+        // FAULT: schedule point: leader preempted after publishing, before it returns.
+        tahoma_faults::perturb(tahoma_faults::site::PUBLISH);
     }
 }
 
@@ -364,7 +359,8 @@ impl InferDispatch for Broker {
         scratch: &mut InferScratch,
     ) -> Result<Vec<f32>, CoreError> {
         self.submits.fetch_add(1, Ordering::Relaxed);
-        crate::sched::point(crate::sched::site::SUBMIT);
+        // FAULT: schedule point: submitter preempted before the idle fast-path check.
+        tahoma_faults::perturb(tahoma_faults::site::SUBMIT);
         let n = rows.rows();
         // Idle fast path: nobody to coalesce with — score directly, the
         // call's lanes producing their own rows; no batch machinery, no
@@ -384,7 +380,8 @@ impl InferDispatch for Broker {
         let mut buf = vec![0.0f32; row_len];
         rows.visit_rows(0..n, &mut buf, &mut |row| slot.extend_from_slice(row))?;
         // Join (or open) the model's batch.
-        crate::sched::point(crate::sched::site::JOIN);
+        // FAULT: schedule point: submitter preempted before it joins or opens a batch.
+        tahoma_faults::perturb(tahoma_faults::site::JOIN);
         let (batch, my_index, leader) = {
             let mut open = lock(&self.open);
             match open.get(&model.0) {
@@ -420,11 +417,13 @@ impl InferDispatch for Broker {
         if leader {
             self.lead(model, row_len, &batch, scratch);
         } else {
-            crate::sched::point(crate::sched::site::APPEND);
+            // FAULT: schedule point: follower preempted after appending, before it waits.
+            tahoma_faults::perturb(tahoma_faults::site::APPEND);
         }
         // Wait for completion (leaders are already done) and slice out our
         // scores.
-        crate::sched::point(crate::sched::site::WAIT);
+        // FAULT: schedule point: participant preempted before blocking on completion.
+        tahoma_faults::perturb(tahoma_faults::site::WAIT);
         let mut st = lock(&batch.state);
         while !st.done {
             st = batch.cv.wait(st).unwrap_or_else(|p| p.into_inner());

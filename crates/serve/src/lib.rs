@@ -48,20 +48,20 @@
 //!
 //! Concurrency invariants in this crate are machine-checked: every
 //! `Mutex` field carries a `// LOCK-ORDER: n` rank audited by
-//! `tahoma-audit` (lint A6, policy in `SAFETY.md`), and [`sched`]
-//! provides the seeded schedule-perturbation points the broker's
-//! interleaving tests drive.
+//! `tahoma-audit` (lint A6, policy in `SAFETY.md`), and the broker's
+//! decision edges carry the seeded schedule points
+//! ([`tahoma_faults::perturb`]) its interleaving tests drive.
 //!
 //! The failure story — per-query deadlines, transient-error retry, the
 //! degradation ladder, bounded protocol input, and the seeded
 //! fault-injection chaos campaign that proves them — is documented in
-//! `RELIABILITY.md` (injection sites audited by lint A7).
+//! `RELIABILITY.md`. Every hook (fault site or schedule point) is compiled
+//! into every build, armed only by tests, and audited by lint A7.
 
 pub mod broker;
 pub mod fixture;
 pub mod plan_cache;
 pub mod protocol;
-pub mod sched;
 pub mod server;
 pub mod service;
 pub mod stream;

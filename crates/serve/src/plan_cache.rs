@@ -18,20 +18,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use tahoma_core::pipeline::SelectedCascade;
 use tahoma_imagery::ObjectKind;
-
-/// Poison-recovering lock. A panic elsewhere in the service (a scoring
-/// worker, a query thread) must not wedge the plan cache: the map holds
-/// finished `Arc<CachedPlan>`s that are inserted whole, so there is no
-/// partially-applied state to fear from a poisoned guard.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+// Poison-tolerant: the map holds finished `Arc<CachedPlan>`s inserted
+// whole, so a poisoned guard holds no partially-applied state.
+use tahoma_mathx::lock;
 
 /// A fully planned query: one selected cascade per content predicate, in
 /// execution order — ascending expected cost per unit of rejection on the

@@ -32,7 +32,7 @@ use crate::broker::{Broker, BrokerStats};
 use crate::plan_cache::{CachedPlan, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use tahoma_core::evaluator::{cascade_stats, CostContext, Outcome};
 use tahoma_core::exec::{
     run_conjunction, BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer,
@@ -45,16 +45,8 @@ use tahoma_core::thresholds::ThresholdTable;
 use tahoma_core::{Cascade, Constraints, CoreError, SurrogateBatchScorer};
 use tahoma_costmodel::AnalyticProfiler;
 use tahoma_imagery::{ObjectKind, RepresentationStore};
+use tahoma_mathx::lock;
 use tahoma_zoo::{ModelId, SurrogateScorer};
-
-/// Poison-tolerant lock (SAFETY.md): a panicked holder never wedges later
-/// queries with a secondary panic.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Per-query execution switches (the protocol exposes them for A/B runs;
 /// the defaults are what a production front door would run).
@@ -352,11 +344,6 @@ impl QueryService {
                 }),
             },
         );
-    }
-
-    /// The predicates this service answers.
-    pub fn served_kinds(&self) -> Vec<ObjectKind> {
-        self.kinds.keys().copied().collect()
     }
 
     /// Items in the corpus.

@@ -35,7 +35,7 @@
 //! `REGISTER` lines.
 
 use crate::protocol::fnv1a64;
-use crate::service::{lock, QueryService, ServeError};
+use crate::service::{QueryService, ServeError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use tahoma_core::continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 use tahoma_core::query::{CorpusItem, Query};
 use tahoma_imagery::{ImageryError, ObjectKind, PreparedFrame, RepresentationStore};
+use tahoma_mathx::lock;
 use tahoma_video::{IngestFrame, StreamConfig, StreamIngest};
 
 /// Square raster side for rendered stream frames — matches the NN

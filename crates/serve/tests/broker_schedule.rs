@@ -1,11 +1,10 @@
-//! Seeded schedule-perturbation harness for the coalescing broker
-//! (`tahoma_serve::sched`).
+//! Seeded schedule-perturbation harness for the coalescing broker.
 //!
 //! Interleaving bugs in the leader/follower protocol hide behind "it
 //! passed this run": the OS happens to schedule submitters so that joins
 //! land before seals and nobody observes the racy window. This harness
 //! drives the broker's injected yield points
-//! ([`tahoma_serve::sched::point`]) from a per-thread seeded RNG, so each
+//! ([`tahoma_faults::perturb`]) from a per-thread seeded RNG, so each
 //! of 1000 seeds explores a different deterministic pattern of yields and
 //! spins at the protocol's decision sites (submit, join, append, seal,
 //! run, publish, wait). The invariant under test is the broker's whole
@@ -26,9 +25,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use tahoma_core::exec::{InferDispatch, SharedModelZoo};
 use tahoma_core::CoreError;
+use tahoma_faults::install_schedule;
 use tahoma_imagery::{ColorMode, Representation};
 use tahoma_nn::{InferScratch, Layer, RowSource, Shape, SliceRows, MORSEL_ROWS};
-use tahoma_serve::{sched, Broker};
+use tahoma_serve::Broker;
 use tahoma_zoo::{ArchSpec, ModelId};
 
 const THREADS: usize = 3;
@@ -153,7 +153,7 @@ fn thousand_seeds_bitwise_identical_to_serial() {
                 let packs = &packs;
                 let expected = &expected;
                 s.spawn(move || {
-                    let _perturb = sched::install(seed.wrapping_mul(31) ^ t as u64);
+                    let _perturb = install_schedule(seed.wrapping_mul(31) ^ t as u64);
                     let (rows, n) = &packs[t];
                     let model = model_for(seed, t);
                     let scores = brokered(broker, model, rows, *n);
@@ -314,7 +314,7 @@ fn leader_panic_reaches_followers_and_broker_survives() {
                     let broker = &broker;
                     let packs = &packs;
                     s.spawn(move || {
-                        let _perturb = sched::install(seed ^ (t as u64) << 8);
+                        let _perturb = install_schedule(seed ^ (t as u64) << 8);
                         let (rows, n) = &packs[t];
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             brokered(broker, ModelId(99), rows, *n)

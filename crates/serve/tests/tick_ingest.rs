@@ -110,7 +110,6 @@ fn ticks_write_the_bytes_of_a_serial_ingest_loop() {
     fs::remove_dir_all(&ref_dir).ok();
 }
 
-#[cfg(feature = "fault-inject")]
 mod faults {
     use super::*;
     use tahoma_faults::{fire, install, site, FaultPlan};
