@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tahoma_imagery::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan, TIERS};
+use tahoma_imagery::engine::{TranscodeEngine, TranscodePlan, TIERS};
 use tahoma_imagery::repr::apply_reference;
 use tahoma_imagery::transform::{resize_bilinear_reference, standardize};
 use tahoma_imagery::{ColorMode, Image, Representation};
@@ -93,7 +93,7 @@ fn bench_paper_set(c: &mut Criterion) {
         });
         for kernel in SimdTier::runnable(TIERS) {
             let mut e = TranscodeEngine::with_kernel(kernel);
-            let plan = TranscodePlan::new(src_size, src_size, &reps, &TranscodeCosts::default());
+            let plan = TranscodePlan::new(src_size, src_size, &reps);
             group.bench_with_input(
                 BenchmarkId::new(format!("engine_{}", kernel.name()), src_size),
                 &src,
@@ -117,7 +117,7 @@ fn bench_paper_set(c: &mut Criterion) {
         // Steady-state serving: outputs recycled after each frame, so the
         // whole set materializes with zero large allocations.
         let mut e = TranscodeEngine::new();
-        let plan = TranscodePlan::new(src_size, src_size, &reps, &TranscodeCosts::default());
+        let plan = TranscodePlan::new(src_size, src_size, &reps);
         group.bench_with_input(
             BenchmarkId::new("engine_auto_recycled", src_size),
             &src,

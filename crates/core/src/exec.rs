@@ -547,8 +547,9 @@ impl PackRows<'_> {
                     .map_err(|e| failed(format!("source {src_rep}: {e}")))?;
                 tally.fetch_decode_s += t1.elapsed().as_secs_f64();
                 let t2 = Instant::now();
-                // Lattice-plan replay, not direct transcode: the degraded
-                // input must be bitwise what ingest stored.
+                // The store's re-derivation, not a bare transcode: it
+                // lands on the stored u8 grid, so the degraded input is
+                // bitwise what ingest stored.
                 let out = self
                     .store
                     .rederive(&src, rep, engine)

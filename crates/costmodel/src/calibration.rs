@@ -11,8 +11,8 @@
 //!
 //! The constants below make the analytic profiles reproduce those anchors;
 //! the tests in this module pin them. The transform stage's per-unit costs
-//! are `tahoma_imagery::engine::TranscodeCosts::default()`, one copy shared
-//! with the transcode engine's planner; the CAMERA test here pins them too.
+//! are the defaults of [`crate::transform::TranscodeCosts`], read only by
+//! `TransformCostModel::transform_time`; the CAMERA test here pins them too.
 
 /// Effective K80 FLOP throughput for our small-CNN workloads (FLOPs/s).
 /// Solved jointly with the ingest term from ResNet50's ~75 fps anchor
@@ -63,7 +63,7 @@ pub const DEQUANT_S_PER_SAMPLE: f64 = 2e-9;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tahoma_imagery::engine::TranscodeCosts;
+    use crate::transform::TranscodeCosts;
 
     #[test]
     fn resnet_compute_time_matches_paper_anchor() {
@@ -104,8 +104,7 @@ mod tests {
     #[test]
     fn camera_transform_bounds_small_gray_rep() {
         // 30x30 gray from 224x224 RGB: gray reduction + 1-plane resize,
-        // priced with the transcode engine's per-unit costs (the ones
-        // `TransformCostModel` and the lattice planner both use).
+        // priced with the per-unit costs `TransformCostModel` uses.
         let c = TranscodeCosts::default();
         let px = 224.0 * 224.0;
         let t = c.op_overhead_s

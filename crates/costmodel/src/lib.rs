@@ -36,7 +36,7 @@ pub mod storage;
 pub mod transform;
 
 pub use device::DeviceProfile;
-pub use profiler::{AnalyticProfiler, CostBreakdown, CostProfiler};
+pub use profiler::{AnalyticProfiler, CostProfiler};
 pub use scenario::{Scenario, ScenarioCosts};
 pub use storage::StorageProfile;
 pub use transform::TransformCostModel;

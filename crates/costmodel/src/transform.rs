@@ -1,20 +1,52 @@
 //! Cost of materializing a physical representation from the full frame.
 //!
-//! Mirrors the actual pipeline in `tahoma_imagery::repr::Representation::
+//! Prices the direct pipeline of `tahoma_imagery::repr::Representation::
 //! apply`: color reduction runs over the full-resolution frame, then the
 //! (cheaper) resize touches only the surviving channels. The asymmetry is
 //! deliberate and observable in the experiments: a 30x30 *red* input is
 //! cheaper to produce than a 30x30 *gray* input because channel extraction
 //! is a plane copy while grayscale is a weighted sum of three planes.
+//!
+//! This is the one place transform seconds live: the transcode engine
+//! (`tahoma_imagery::engine`) plans and runs transforms but prices none,
+//! and [`TranscodeCosts`] is read by [`TransformCostModel::transform_time`]
+//! alone (plus the CAMERA-anchor test in [`crate::calibration`]).
 
-use tahoma_imagery::engine::TranscodeCosts;
 use tahoma_imagery::{ColorMode, Representation};
+
+/// Per-unit transform costs. A calibration test pins the defaults to the
+/// paper's CAMERA anchor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TranscodeCosts {
+    /// Fixed overhead per materialized target, seconds.
+    pub op_overhead_s: f64,
+    /// Per-pixel cost of a plane copy (same-size extraction), seconds.
+    pub extract_s_per_pixel: f64,
+    /// Per-source-pixel cost of the luma sweep, seconds.
+    pub gray_s_per_pixel: f64,
+    /// Per-input-sample cost of the resize read path, seconds.
+    pub resize_s_per_in_sample: f64,
+    /// Per-output-sample cost of the resize write path, seconds.
+    pub resize_s_per_out_sample: f64,
+}
+
+impl Default for TranscodeCosts {
+    fn default() -> Self {
+        // Pinned to the paper's CAMERA anchor by the calibration tests.
+        TranscodeCosts {
+            op_overhead_s: 15e-6,
+            extract_s_per_pixel: 2.5e-9,
+            gray_s_per_pixel: 8e-9,
+            resize_s_per_in_sample: 8e-9,
+            resize_s_per_out_sample: 4e-9,
+        }
+    }
+}
 
 /// Analytic cost model for the transform stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformCostModel {
-    /// Per-unit transform costs: the same constants the transcode engine's
-    /// lattice planner prices with, so the two cannot drift apart.
+    /// Per-unit transform costs.
     pub costs: TranscodeCosts,
     /// Side length of the full-resolution source frame.
     pub source_size: usize,

@@ -54,7 +54,7 @@ pub mod transform;
 pub use codec::RawCodec;
 pub use color::ColorMode;
 pub use dataset::{Dataset, DatasetBundle, DatasetSpec, LabeledImage};
-pub use engine::{TranscodeCosts, TranscodeEngine, TranscodePlan};
+pub use engine::{TranscodeEngine, TranscodePlan};
 pub use error::ImageryError;
 pub use image::Image;
 pub use repr::Representation;

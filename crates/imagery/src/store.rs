@@ -45,10 +45,14 @@
 //! the shared luma plane is computed once per frame, single-channel targets
 //! resize straight from the source's planes, and resize span tables are
 //! reused across frames — this is the per-frame serving cost of the
-//! ONGOING scenario, so it gets the engine's full hot-path treatment.
+//! ONGOING scenario, so it gets the engine's full hot-path treatment. The
+//! quarantine fallback ([`RepresentationStore::rederive`]) derives its one
+//! target through the same engine with a one-target plan: a planned output
+//! equals the single-target one bit for bit, so the stand-in matches the
+//! stored record without replaying the whole set.
 
 use crate::codec::{RawCodec, RAW_HEADER_LEN};
-use crate::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan, TranscodeStep};
+use crate::engine::{TranscodeEngine, TranscodePlan, TranscodeStep};
 use crate::error::ImageryError;
 use crate::image::Image;
 use crate::repr::Representation;
@@ -439,17 +443,18 @@ impl RepresentationStore {
         ready.into_iter().try_for_each(|p| self.commit(&p?))
     }
 
-    /// Re-derive one configured representation from a caller-supplied
-    /// full-resolution frame by replaying the *same lattice plan* ingest
-    /// ran — the recovered pixels are bitwise identical to the stored
-    /// record they stand in for (multi-hop plans route through
-    /// intermediate representations, so a direct source→rep transcode
-    /// would NOT reproduce them). This is the quarantine degradation
-    /// rung's compute half: fetch the pinned source, re-derive the input
+    /// Re-derive one representation from a caller-supplied
+    /// full-resolution frame with a one-target transcode. Every target of
+    /// ingest's lattice plan is derived straight from the source (or its
+    /// luma plane) with the operations the direct path runs, so for a
+    /// configured representation — quantized onto the stored u8 grid —
+    /// the recovered pixels are bitwise identical to the stored record
+    /// they stand in for. This is the quarantine degradation rung's
+    /// compute half: fetch the pinned source, re-derive the input
     /// (RELIABILITY.md). Runs on the caller's `engine`.
     ///
     /// A representation the store never materialized has no stored record
-    /// to reproduce, so it is transcoded directly — the on-the-fly path
+    /// to reproduce, so it is returned unquantized — the on-the-fly path
     /// executors use for reps outside the configured set.
     pub fn rederive(
         &self,
@@ -457,32 +462,22 @@ impl RepresentationStore {
         rep: Representation,
         engine: &mut TranscodeEngine,
     ) -> Result<Image, ImageryError> {
-        let Some(idx) = self.reps.iter().position(|&r| r == rep) else {
-            return engine.apply(full, rep);
-        };
-        let plan = self.plan_for((full.width(), full.height()));
-        let mut materialized = engine.apply_planned(full, &plan)?;
-        let mut out = materialized.swap_remove(idx);
-        engine.recycle(materialized);
-        // A normal fetch serves *decoded* pixels (the stored u8 grid), so
-        // the stand-in must land on that grid too, not on the
-        // full-precision derivation.
-        crate::codec::quantize_roundtrip(&mut out);
+        let mut out = engine.apply(full, rep)?;
+        if self.reps.contains(&rep) {
+            // A normal fetch serves *decoded* pixels (the stored u8 grid),
+            // so the stand-in must land on that grid too, not on the
+            // full-precision derivation.
+            crate::codec::quantize_roundtrip(&mut out);
+        }
         Ok(out)
     }
 
     /// The lattice plan for one source shape, planned on first use.
     fn plan_for(&self, shape: (usize, usize)) -> Arc<TranscodePlan> {
         let mut plans = lock(&self.ingest_plans);
-        let plan = plans.entry(shape).or_insert_with(|| {
-            let (w, h) = shape;
-            Arc::new(TranscodePlan::new(
-                w,
-                h,
-                &self.reps,
-                &TranscodeCosts::default(),
-            ))
-        });
+        let plan = plans
+            .entry(shape)
+            .or_insert_with(|| Arc::new(TranscodePlan::new(shape.0, shape.1, &self.reps)));
         Arc::clone(plan)
     }
 
@@ -844,25 +839,56 @@ mod tests {
     fn rederive_from_stored_source_is_bitwise_identical() {
         // The degradation contract: a quarantined model input re-derived
         // from the stored source rep must reproduce the stored bytes
-        // exactly. Source rep matches the ingested frame shape (the serve
-        // fixture's layout).
+        // exactly, on both tiers. Source rep matches the ingested frame
+        // shape (the serve fixture's layout), and the set holds every way
+        // the plan produces a target: the same-size gray (it owns the
+        // shared luma plane), a resized gray, a same-size plane copy, a
+        // resized RGB, a resized single channel and the source itself.
         let src_rep = Representation::new(224, ColorMode::Rgb);
-        let mut reps = small_reps();
-        reps.push(src_rep);
-        let store = RepresentationStore::new(reps.clone());
-        store.ingest(7, &frame(3)).unwrap();
-        let src = fetch_one(&store, 7, src_rep).expect("stored source");
-        for rep in [reps[0], reps[1]] {
-            let derived = store
-                .rederive(&src, rep, &mut TranscodeEngine::new())
-                .expect("rederives");
-            let derived_bytes = RawCodec.encode(&derived);
-            let stored = store
-                .with_blob(7, rep, |b| b.to_vec())
-                .expect("readable")
-                .expect("stored");
-            assert_eq!(&derived_bytes[..], &stored[..], "rederive({rep}) diverged");
+        let reps = vec![
+            Representation::new(224, ColorMode::Gray),
+            Representation::new(30, ColorMode::Gray),
+            Representation::new(224, ColorMode::Red),
+            Representation::new(60, ColorMode::Rgb),
+            Representation::new(60, ColorMode::Green),
+            src_rep,
+        ];
+        let plan = TranscodePlan::new(224, 224, &reps);
+        assert_eq!(
+            plan.steps(),
+            [
+                TranscodeStep::CopyPlane,
+                TranscodeStep::Resize,
+                TranscodeStep::CopyPlane,
+                TranscodeStep::Resize,
+                TranscodeStep::Resize,
+                TranscodeStep::Identity,
+            ]
+        );
+        let dir = tmp_dir("rederive-steps");
+        let tiers = [
+            RepresentationStore::new(reps.clone()),
+            RepresentationStore::persistent(reps.clone(), &dir, 2).expect("persistent"),
+        ];
+        for store in &tiers {
+            store.ingest(5, &frame(8)).unwrap();
+            let src = fetch_one(store, 5, src_rep).expect("stored source");
+            let mut engine = TranscodeEngine::new();
+            for &rep in &reps {
+                // Pixels, not re-encoded bytes: encoding would quantize and
+                // hide a stand-in that missed the stored grid.
+                let derived = store.rederive(&src, rep, &mut engine).expect("rederives");
+                let stored = fetch_one(store, 5, rep).expect("stored");
+                assert_eq!(
+                    derived.data(),
+                    stored.data(),
+                    "rederive({rep}) diverged (persistent: {})",
+                    store.is_persistent()
+                );
+            }
         }
+        drop(tiers);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -156,7 +156,6 @@ pub struct Broker {
     // state (rank 50) is taken while this is held, nothing else is.
     open: Mutex<HashMap<u32, Arc<Batch>>>,
     window: Duration,
-    max_rows: usize,
     /// Queries in flight that still owe this broker's predicate a cascade
     /// execution (maintained by the service). Leaders skip the coalescing
     /// window when there is nobody to coalesce with and seal early once
@@ -179,8 +178,8 @@ impl Broker {
     /// the order of one merged inference call.
     pub const DEFAULT_WINDOW: Duration = Duration::from_millis(2);
 
-    /// Default cap on merged rows per inference call.
-    pub const DEFAULT_MAX_ROWS: usize = 1024;
+    /// Cap on merged rows per inference call.
+    pub const MAX_ROWS: usize = 1024;
 
     /// Create a broker over `zoo`. `active` counts the in-flight queries
     /// interested in this broker's predicate.
@@ -189,7 +188,6 @@ impl Broker {
             zoo,
             open: Mutex::new(HashMap::new()),
             window: Broker::DEFAULT_WINDOW,
-            max_rows: Broker::DEFAULT_MAX_ROWS,
             active,
             submits: AtomicU64::new(0),
             calls: AtomicU64::new(0),
@@ -204,12 +202,6 @@ impl Broker {
     /// merge when they arrive while a leader holds the batch open).
     pub fn with_window(mut self, window: Duration) -> Broker {
         self.window = window;
-        self
-    }
-
-    /// Override the merged-row cap.
-    pub fn with_max_rows(mut self, max_rows: usize) -> Broker {
-        self.max_rows = max_rows.max(1);
         self
     }
 
@@ -392,7 +384,7 @@ impl InferDispatch for Broker {
                     st.slots.push(slot);
                     st.sizes.push(n);
                     let idx = st.sizes.len() - 1;
-                    if st.sizes.iter().sum::<usize>() >= self.max_rows {
+                    if st.sizes.iter().sum::<usize>() >= Broker::MAX_ROWS {
                         st.sealed = true;
                         open.remove(&model.0);
                     }

@@ -79,8 +79,6 @@ pub struct NnFixtureConfig {
     pub seed: u64,
     /// Broker coalescing window.
     pub window: Duration,
-    /// Broker merged-row cap.
-    pub max_rows: usize,
     /// When set, back the shared frame store with the persistent segment
     /// tier under this directory instead of RAM. A directory holding a
     /// compatible store (same representations, same corpus size — the
@@ -104,7 +102,6 @@ impl Default for NnFixtureConfig {
             prevalence: 0.35,
             seed: 0x7A40,
             window: crate::broker::Broker::DEFAULT_WINDOW,
-            max_rows: crate::broker::Broker::DEFAULT_MAX_ROWS,
             store_dir: None,
             verify_on_open: false,
         }
@@ -190,7 +187,7 @@ const NN_ARCHS: (ArchSpec, ArchSpec) = (
 
 /// Real-NN service: shared frame store, per-kind zoos with untrained CNNs
 /// at two representation levels, live-calibrated execution thresholds,
-/// coalescing brokers wired to `cfg.window`/`cfg.max_rows`.
+/// coalescing brokers wired to `cfg.window`.
 ///
 /// Needs `cfg.corpus_n >= 1`: the thresholds are quantiles of the corpus's
 /// own scores (the `tahoma-serve` binary rejects `--corpus 0` up front).
@@ -352,7 +349,6 @@ fn add_nn_kinds(
             Arc::clone(store),
             zoo,
             cfg.window,
-            cfg.max_rows,
         );
     }
 }

@@ -586,7 +586,6 @@ mod tests {
             std::sync::Arc::new(store),
             zoo,
             crate::Broker::DEFAULT_WINDOW,
-            crate::Broker::DEFAULT_MAX_ROWS,
         );
         service
     }

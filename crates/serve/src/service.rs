@@ -319,14 +319,11 @@ impl QueryService {
         store: Arc<RepresentationStore>,
         zoo: SharedModelZoo,
         window: std::time::Duration,
-        max_rows: usize,
     ) {
         let cost = CostContext::build(&system.repo, &self.profiler);
         let zoo = Arc::new(zoo);
         let active = Arc::new(AtomicUsize::new(0));
-        let broker = Broker::new(Arc::clone(&zoo), Arc::clone(&active))
-            .with_window(window)
-            .with_max_rows(max_rows);
+        let broker = Broker::new(Arc::clone(&zoo), Arc::clone(&active)).with_window(window);
         self.kinds.insert(
             kind,
             KindState {

@@ -15,7 +15,7 @@ use crate::repository::{ModelEntry, ModelRepository};
 use crate::variant::{ModelKind, ModelVariant};
 use std::collections::HashMap;
 use tahoma_costmodel::DeviceProfile;
-use tahoma_imagery::engine::{TranscodeCosts, TranscodeEngine, TranscodePlan};
+use tahoma_imagery::engine::{TranscodeEngine, TranscodePlan};
 use tahoma_imagery::{Dataset, DatasetBundle, Representation};
 use tahoma_nn::train::{predict_scores, Example};
 use tahoma_nn::{Adam, InferScratch, Trainer};
@@ -72,9 +72,9 @@ fn transformed_input_sets(
     let mut plans: HashMap<(usize, usize), TranscodePlan> = HashMap::new();
     for item in &ds.items {
         let shape = (item.image.width(), item.image.height());
-        let plan = plans.entry(shape).or_insert_with(|| {
-            TranscodePlan::new(shape.0, shape.1, reps, &TranscodeCosts::default())
-        });
+        let plan = plans
+            .entry(shape)
+            .or_insert_with(|| TranscodePlan::new(shape.0, shape.1, reps));
         let mats = engine
             .apply_planned(&item.image, plan)
             .expect("dataset images are full RGB");

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Workspace invariant audit: run the tahoma-audit linter (SAFETY.md lints
-# A1-A6 plus A0 stale-allowlist detection) over every .rs file in the
+# A1-A7 plus A0 stale-allowlist detection) over every .rs file in the
 # workspace, exactly as the CI audit job does. Exit status is the audit
 # verdict: 0 clean, 1 violations (the report lists each one with file,
 # line, and excerpt).

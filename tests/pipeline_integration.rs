@@ -143,8 +143,9 @@ fn paper_headline_shape_holds_at_reduced_scale() {
     let arch_pick = system.select_matching_model(&archive, resnet).unwrap();
     let resnet_archive_fps = {
         let entry = system.repo.entry(resnet);
-        let c = archive.model_cost(entry.variant.input, entry.flops);
-        1.0 / (c.load_s + c.transform_s + entry.infer_s)
+        1.0 / (archive.per_image_fixed_s()
+            + archive.rep_marginal_s(entry.variant.input)
+            + entry.infer_s)
     };
     let speedup_archive = arch_pick.throughput / resnet_archive_fps;
     assert!(
