@@ -1,11 +1,11 @@
 //! Criterion bench: the persistent segment store at corpus scale.
 //!
-//! The measurements for the sharded mmap-backed tier, in four parts:
+//! The measurements for the sharded pread-backed tier, in four parts:
 //!
-//! * `store_scale/fetch/{ram,mmap,pread}` — warm single-fetch latency over
+//! * `store_scale/fetch/{ram,pread}` — warm single-fetch latency over
 //!   the full corpus (10^5 items, 10^4 in `--quick`), prime-stride walk so
 //!   every shard and file region is touched. Baseline-gated.
-//! * `store_scale/query_depth2/{ram,mmap}` — a real depth-2 NN sweep
+//! * `store_scale/query_depth2/{ram,pread}` — a real depth-2 NN sweep
 //!   (fetch → pooled decode → standardize → `infer_rows`, per row on the
 //!   scoring lane, both levels)
 //!   over a pack spread across the corpus, plus an interleaved-medians
@@ -28,8 +28,7 @@ use tahoma_core::exec::{BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo
 use tahoma_core::query::{Corpus, CorpusItem};
 use tahoma_imagery::codec::RawCodec;
 use tahoma_imagery::{
-    AccessMode, ColorMode, Image, Representation, RepresentationStore, SegmentStore,
-    TranscodeEngine,
+    ColorMode, Image, Representation, RepresentationStore, SegmentStore, TranscodeEngine,
 };
 use tahoma_nn::Sequential;
 use tahoma_zoo::{ArchSpec, ModelId};
@@ -118,33 +117,16 @@ fn depth2_sweep(scorer: &mut SharedNnScorer<'_>, items: &[&CorpusItem], out: &mu
 }
 
 /// Fetch latency, depth-2 query latency, byte identity, and cold-open
-/// timings over one corpus ingested into all three tiers.
+/// timings over one corpus ingested into both tiers.
 fn bench_store_scale(c: &mut Criterion) {
     let n = corpus_n();
     let frames = frame_pool();
-    let mmap_dir = bench_dir("mmap");
     let pread_dir = bench_dir("pread");
 
     let mut ram = RepresentationStore::new(vec![REP0, REP1]);
-    let mut mmap = RepresentationStore::persistent_with_mode(
-        vec![REP0, REP1],
-        &mmap_dir,
-        SHARDS,
-        AccessMode::Mmap,
-    )
-    .expect("mmap store");
-    let mut pread = RepresentationStore::persistent_with_mode(
-        vec![REP0, REP1],
-        &pread_dir,
-        SHARDS,
-        AccessMode::Pread,
-    )
-    .expect("pread store");
-    for (tag, store) in [
-        ("ram", &mut ram),
-        ("mmap", &mut mmap),
-        ("pread", &mut pread),
-    ] {
+    let mut pread =
+        RepresentationStore::persistent(vec![REP0, REP1], &pread_dir, SHARDS).expect("pread store");
+    for (tag, store) in [("ram", &mut ram), ("pread", &mut pread)] {
         let t0 = Instant::now();
         for id in 0..n as u64 {
             store
@@ -167,16 +149,14 @@ fn bench_store_scale(c: &mut Criterion) {
     for id in (0..n as u64).step_by(step) {
         for rep in [REP0, REP1] {
             let want = ram.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
-            for (tag, store) in [("mmap", &mmap), ("pread", &pread)] {
-                let got = store.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
-                assert_eq!(got, want, "{tag} diverged from RAM at id {id} rep {rep}");
-            }
+            let got = pread.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
+            assert_eq!(got, want, "pread diverged from RAM at id {id} rep {rep}");
         }
     }
 
     // Warm single-fetch latency, prime-stride walk over the whole corpus.
     let mut group = c.benchmark_group("store_scale/fetch");
-    for (tag, store) in [("ram", &ram), ("mmap", &mmap), ("pread", &pread)] {
+    for (tag, store) in [("ram", &ram), ("pread", &pread)] {
         let mut engine = TranscodeEngine::new();
         let mut id = 0u64;
         group.bench_function(tag, |b| {
@@ -203,14 +183,14 @@ fn bench_store_scale(c: &mut Criterion) {
     let mut out = Vec::new();
     let mut group = c.benchmark_group("store_scale/query_depth2");
     let zoo = depth2_zoo();
-    let (mut scratch_ram, mut scratch_mmap) = (NnSessionScratch::new(), NnSessionScratch::new());
+    let (mut scratch_ram, mut scratch_pread) = (NnSessionScratch::new(), NnSessionScratch::new());
     let mut scorer_ram = SharedNnScorer::new(&ram, &zoo, &mut scratch_ram);
     group.bench_function("ram", |b| {
         b.iter(|| black_box(depth2_sweep(&mut scorer_ram, &items, &mut out)))
     });
-    let mut scorer_mmap = SharedNnScorer::new(&mmap, &zoo, &mut scratch_mmap);
-    group.bench_function("mmap", |b| {
-        b.iter(|| black_box(depth2_sweep(&mut scorer_mmap, &items, &mut out)))
+    let mut scorer_pread = SharedNnScorer::new(&pread, &zoo, &mut scratch_pread);
+    group.bench_function("pread", |b| {
+        b.iter(|| black_box(depth2_sweep(&mut scorer_pread, &items, &mut out)))
     });
     group.finish();
 
@@ -218,35 +198,35 @@ fn bench_store_scale(c: &mut Criterion) {
     // both tiers see the same machine state.
     let rounds = 9;
     let mut ram_s = Vec::with_capacity(rounds);
-    let mut mmap_s = Vec::with_capacity(rounds);
+    let mut pread_s = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let t = Instant::now();
         black_box(depth2_sweep(&mut scorer_ram, &items, &mut out));
         ram_s.push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        black_box(depth2_sweep(&mut scorer_mmap, &items, &mut out));
-        mmap_s.push(t.elapsed().as_secs_f64());
+        black_box(depth2_sweep(&mut scorer_pread, &items, &mut out));
+        pread_s.push(t.elapsed().as_secs_f64());
     }
     ram_s.sort_by(f64::total_cmp);
-    mmap_s.sort_by(f64::total_cmp);
-    let (rm, mm) = (ram_s[rounds / 2], mmap_s[rounds / 2]);
+    pread_s.sort_by(f64::total_cmp);
+    let (rm, pm) = (ram_s[rounds / 2], pread_s[rounds / 2]);
     eprintln!(
         "store_scale query_depth2 warm ({n}-item corpus, {pack_n}-item pack, interleaved \
-         medians): ram {:.2} ms / mmap {:.2} ms = {:.3}x",
+         medians): ram {:.2} ms / pread {:.2} ms = {:.3}x",
         rm * 1e3,
-        mm * 1e3,
-        mm / rm,
+        pm * 1e3,
+        pm / rm,
     );
     assert!(
-        mm / rm < 1.2,
+        pm / rm < 1.2,
         "persistent warm depth-2 latency {:.3}x of RAM exceeds the 1.2x bar",
-        mm / rm
+        pm / rm
     );
 
     // One full-corpus depth-2 sweep per tier: the at-scale query latency.
     let full = Corpus::synthetic(n, 0.3, 0xF0F0);
     let full_items: Vec<&CorpusItem> = full.items.iter().collect();
-    for (tag, scorer) in [("ram", &mut scorer_ram), ("mmap", &mut scorer_mmap)] {
+    for (tag, scorer) in [("ram", &mut scorer_ram), ("pread", &mut scorer_pread)] {
         let t = Instant::now();
         black_box(depth2_sweep(scorer, &full_items, &mut out));
         eprintln!(
@@ -256,12 +236,11 @@ fn bench_store_scale(c: &mut Criterion) {
     }
 
     // Cold: a fresh process-equivalent reopen (recovery scan + CRC
-    // accounting rebuild), then first-vs-second depth-2 sweep through a
-    // brand-new mapping.
-    drop(mmap);
+    // accounting rebuild), then first-vs-second depth-2 sweep through
+    // brand-new shard handles.
+    drop(pread);
     let t = Instant::now();
-    let (cold, report) =
-        RepresentationStore::open_with_mode(&mmap_dir, AccessMode::Mmap).expect("reopen");
+    let (cold, report) = RepresentationStore::open(&pread_dir).expect("reopen");
     let open_s = t.elapsed().as_secs_f64();
     assert_eq!(cold.frames(), n as u64, "reopen lost frames");
     let mut scratch_cold = NnSessionScratch::new();
@@ -281,8 +260,6 @@ fn bench_store_scale(c: &mut Criterion) {
         second_s * 1e3,
     );
     drop(cold);
-    drop(pread);
-    let _ = std::fs::remove_dir_all(&mmap_dir);
     let _ = std::fs::remove_dir_all(&pread_dir);
 }
 
@@ -304,7 +281,7 @@ fn bench_ingest_throughput(_c: &mut Criterion) {
         .collect();
     for threads in [1usize, 4] {
         let dir = bench_dir(&format!("ingest-{threads}"));
-        let seg = SegmentStore::create(&dir, SHARDS, AccessMode::auto()).expect("create");
+        let seg = SegmentStore::create(&dir, SHARDS).expect("create");
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for w in 0..threads {

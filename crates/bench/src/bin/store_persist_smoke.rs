@@ -7,9 +7,7 @@
 //! ```
 //!
 //! CI runs `ingest` and `verify` as two separate processes — a real
-//! process drop between write and read — and runs `verify` twice, the
-//! second time with `TAHOMA_STORE_NO_MMAP=1` so both read paths check the
-//! same bytes. `verify` recomputes every expected blob from the same
+//! process drop between write and read. `verify` recomputes every expected blob from the same
 //! deterministic frames (seeded by the id, independent of the store) and
 //! exits non-zero on any divergence, missing record, or CRC failure.
 
@@ -122,15 +120,7 @@ fn verify(dir: &Path, n: u64) {
         eprintln!("{mismatches} records diverged");
         exit(1);
     }
-    println!(
-        "verified {verified} records byte-identical across {} shards (mode from env: mmap {})",
-        SHARDS,
-        if std::env::var_os("TAHOMA_STORE_NO_MMAP").is_some() {
-            "disabled"
-        } else {
-            "auto"
-        },
-    );
+    println!("verified {verified} records byte-identical across {SHARDS} shards");
 }
 
 fn main() {

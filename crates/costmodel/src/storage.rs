@@ -5,8 +5,6 @@ use crate::calibration;
 /// A storage tier from which image data is loaded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageProfile {
-    /// Human-readable name.
-    pub name: &'static str,
     /// Fixed per-request latency in seconds (seek / syscall / request).
     pub seek_s: f64,
     /// Streaming throughput in bytes per second.
@@ -17,7 +15,6 @@ impl StorageProfile {
     /// Local SSD (the ARCHIVE and ONGOING scenarios).
     pub fn ssd() -> StorageProfile {
         StorageProfile {
-            name: "local-ssd",
             seek_s: calibration::SSD_SEEK_S,
             bytes_per_sec: calibration::SSD_BYTES_PER_SEC,
         }

@@ -57,8 +57,8 @@ pub mod site {
     pub const SEG_READ_SLOW: u32 = 3;
     /// Segment append: transient I/O error.
     pub const SEG_WRITE: u32 = 4;
-    /// Segment mmap (re)publish fails, forcing the pread fallback.
-    pub const SEG_MMAP: u32 = 5;
+    // 5 is retired (a segment read side that no longer exists). It stays
+    // a hole so every later site keeps its value and its decision stream.
     /// `RepresentationStore::fetch`: transient error above the tier.
     pub const STORE_FETCH: u32 = 6;
     /// `RepresentationStore::ingest`: transient error before the tier.

@@ -26,8 +26,8 @@
 //!   materializes (the serving fixture lists its models' inputs and the
 //!   source representation);
 //! * [`segment`] — the persistent tier's substrate: item-id-sharded
-//!   append-only segment files with CRC-framed records, mmap (or pread)
-//!   read access, and crash recovery to the last complete record;
+//!   append-only segment files with CRC-framed records, positioned-read
+//!   access, and crash recovery to the last complete record;
 //! * [`synth`] — the synthetic planted-object corpus that substitutes for
 //!   ImageNet categories (see DESIGN.md §2), and
 //! * [`dataset`] — labeled datasets with the paper's train/config/eval split
@@ -58,6 +58,6 @@ pub use engine::{TranscodeEngine, TranscodePlan};
 pub use error::ImageryError;
 pub use image::Image;
 pub use repr::Representation;
-pub use segment::{AccessMode, RecoveryReport, SegmentStore};
+pub use segment::{RecoveryReport, SegmentStore};
 pub use store::{Fetched, PreparedFrame, ReliabilityStats, RepresentationStore};
 pub use synth::{ObjectKind, SceneParams, SceneRenderer};

@@ -15,11 +15,14 @@
 //!   CRC32) followed by the raw-codec payload, framed via the vendored
 //!   `bytes` shim. The in-memory index maps `(id, rep)` to a payload
 //!   offset and is rebuilt by a header scan on open.
-//! * **mmap read side with a pread fallback.** Readers clone an
-//!   `Arc`-snapshotted memory map and fetch without any lock held; when
-//!   mapping is unavailable (non-unix, `TAHOMA_STORE_NO_MMAP=1`, or an
-//!   `mmap` failure) fetches fall back to positioned reads into a
-//!   caller-supplied scratch buffer.
+//! * **One read path: positioned reads.** A fetch copies its record's
+//!   offset and length out of the index, then preads the payload into a
+//!   caller-supplied scratch buffer with no lock held. The §IV cost model
+//!   prices a load as one request (seek plus bytes over bandwidth), which
+//!   is what a pread is; page-cache residency is not in the model. Shard
+//!   files are not memory-mapped: on the serving benchmark a map held
+//!   3–9x the server's resident memory to save about 1 µs (one syscall)
+//!   per fetch.
 //! * **Crash consistency.** Appends go through positioned writes into
 //!   preallocated capacity (the zero-filled tail doubles as a scan
 //!   terminator); on open the scan verifies each record's CRC and
@@ -29,9 +32,9 @@
 //! Lock order (audited, lint A6; see `SAFETY.md`): per shard, the writer
 //! lock (`seg_writer`, rank 70) is acquired before the index lock
 //! (`seg_index`, rank 71). Fetches take only `seg_index`, and only long
-//! enough to snapshot an entry + `Arc<Mmap>`; payload bytes are read with
-//! no lock held. Both ranks sit above every `tahoma-serve` rank, so a
-//! serving thread holding service locks may always enter the store.
+//! enough to copy an entry; payload bytes are read with no lock held.
+//! Both ranks sit above every `tahoma-serve` rank, so a serving thread
+//! holding service locks may always enter the store.
 
 use crate::codec::{mode_code, mode_from_code};
 use crate::repr::Representation;
@@ -40,7 +43,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 // Poison-tolerant: an unrelated panic must not wedge the store; critical
 // sections publish fully-formed values.
 use tahoma_mathx::lock;
@@ -57,7 +60,7 @@ pub const RECORD_MAGIC: [u8; 4] = *b"TREC";
 pub const RECORD_HEADER_LEN: usize = 25;
 
 /// Smallest preallocation step for a shard file. Appends extend capacity
-/// by doubling (at least this much) so `set_len`/remap cost amortizes.
+/// by doubling (at least this much) so `set_len` cost amortizes.
 const MIN_CAPACITY_STEP: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
@@ -138,150 +141,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Memory-mapped read view.
-
-#[cfg(unix)]
-mod mm {
-    //! Minimal read-only `mmap` wrapper. The container vendors no `libc`
-    //! crate, but every Rust binary on unix already links the platform
-    //! libc, so the two symbols are declared directly.
-
-    use std::ffi::c_void;
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_SHARED: i32 = 1;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    /// A read-only `MAP_SHARED` mapping of the first `len` bytes of a
-    /// file. `MAP_SHARED` means positioned writes through another handle
-    /// to the same file are page-cache coherent with reads through the
-    /// map, which is what lets the shard writer append while readers hold
-    /// an older map of the same (preallocated) capacity.
-    #[derive(Debug)]
-    pub struct Mmap {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    impl Mmap {
-        /// Map `len` bytes of `file` read-only, or `None` when the kernel
-        /// refuses (callers fall back to pread).
-        pub fn new(file: &File, len: usize) -> Option<Mmap> {
-            if len == 0 {
-                return None;
-            }
-            // SAFETY: ffi call with a null placement hint, a length the
-            // caller bounds by the file's allocated size, read-only
-            // protection, and a file descriptor that outlives the call
-            // (`file` is borrowed across it). The returned region is only
-            // ever exposed as `&[u8]` of exactly `len` bytes.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_SHARED,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 || ptr.is_null() {
-                None
-            } else {
-                Some(Mmap { ptr, len })
-            }
-        }
-
-        /// The mapped bytes.
-        pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: `ptr` came from a successful `mmap` of exactly
-            // `len` readable bytes and stays mapped until `Drop` runs
-            // (`munmap` is the only unmap site, and `&self` borrows
-            // prevent it running concurrently). The mapping is private to
-            // this struct and read-only, so no aliasing `&mut` exists.
-            // Reads within `len` are in-bounds even past the file's
-            // logical end: capacity is preallocated with `set_len`, so
-            // every mapped page is backed.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-
-        /// Mapped length in bytes.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// True when nothing is mapped (never constructed; see `new`).
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-    }
-
-    // SAFETY: the mapping is read-only and the struct owns it exclusively
-    // until Drop; sharing `&Mmap` across threads only performs concurrent
-    // reads of immutable-from-this-side pages, and moving the struct moves
-    // plain pointer + length values.
-    unsafe impl Send for Mmap {}
-    // SAFETY: as above — `&Mmap` exposes only `&[u8]` reads.
-    unsafe impl Sync for Mmap {}
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` are the exact values returned by the
-            // successful `mmap` in `new`; this is the only unmap site and
-            // runs at most once (Drop). Any `&[u8]` handed out borrowed
-            // `self`, so none outlive this point.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod mm {
-    //! Non-unix stub: never constructs, so every fetch takes the
-    //! positioned-read path.
-
-    use std::fs::File;
-
-    #[derive(Debug)]
-    pub struct Mmap;
-
-    impl Mmap {
-        pub fn new(_file: &File, _len: usize) -> Option<Mmap> {
-            None
-        }
-
-        pub fn as_slice(&self) -> &[u8] {
-            &[]
-        }
-
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-    }
-}
-
-pub use mm::Mmap;
-
-// ---------------------------------------------------------------------------
 // Positioned I/O helpers (pread/pwrite equivalents).
 
 #[cfg(unix)]
@@ -326,28 +185,6 @@ fn write_all_at(file: &File, mut buf: &[u8], mut offset: u64) -> io::Result<()> 
 
 // ---------------------------------------------------------------------------
 // Framing.
-
-/// How the read side accesses segment bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessMode {
-    /// Memory-map each shard file (unix); falls back to `Pread` per shard
-    /// when the mapping cannot be established.
-    Mmap,
-    /// Positioned reads into a caller-supplied scratch buffer.
-    Pread,
-}
-
-impl AccessMode {
-    /// Platform default: mmap on unix unless `TAHOMA_STORE_NO_MMAP` is
-    /// set, positioned reads elsewhere.
-    pub fn auto() -> AccessMode {
-        if cfg!(unix) && std::env::var_os("TAHOMA_STORE_NO_MMAP").is_none() {
-            AccessMode::Mmap
-        } else {
-            AccessMode::Pread
-        }
-    }
-}
 
 /// A parsed record header.
 #[derive(Debug, Clone, Copy)]
@@ -406,20 +243,14 @@ struct ShardWriter {
     /// End of the valid record region (everything below is durable frame
     /// data; everything above is preallocated zeros).
     committed: u64,
-    /// Allocated file length (`set_len`), what the mmap covers.
+    /// Allocated file length (`set_len`).
     capacity: u64,
-    /// Capacity changed since the last published map.
-    map_stale: bool,
 }
 
 #[derive(Debug, Default)]
 struct ShardIndex {
     /// `(id, rep)` → (payload offset, payload length).
     entries: BTreeMap<(u64, Representation), (u64, u32)>,
-    /// Current read map (mmap mode only). Readers clone the `Arc` under
-    /// the lock and read bytes after releasing it; superseded maps are
-    /// unmapped when their last reader drops.
-    map: Option<Arc<Mmap>>,
     /// Committed bytes including record headers (stats).
     bytes: u64,
 }
@@ -433,8 +264,7 @@ struct Shard {
     // scratch. Held across the publish into `seg_index` (rank ascends).
     // LOCK-ORDER: 70
     seg_writer: Mutex<ShardWriter>,
-    // Entry map + current mmap snapshot. Fetches hold this only long
-    // enough to copy an entry and clone the map Arc.
+    // Entry map. Fetches hold this only long enough to copy an entry.
     // LOCK-ORDER: 71
     seg_index: Mutex<ShardIndex>,
 }
@@ -464,7 +294,6 @@ struct ScanResult {
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: PathBuf,
-    mode: AccessMode,
     shards: Vec<Shard>,
 }
 
@@ -487,7 +316,7 @@ fn bad_data(msg: String) -> io::Error {
 impl SegmentStore {
     /// Create a fresh store under `dir` (existing shard files are
     /// truncated). `shards` must be at least 1.
-    pub fn create(dir: &Path, shards: usize, mode: AccessMode) -> io::Result<SegmentStore> {
+    pub fn create(dir: &Path, shards: usize) -> io::Result<SegmentStore> {
         assert!(shards >= 1, "segment store needs at least one shard");
         fs::create_dir_all(dir)?;
         let mut out = Vec::with_capacity(shards);
@@ -506,14 +335,12 @@ impl SegmentStore {
                     file,
                     committed: SEGMENT_HEADER_LEN,
                     capacity: SEGMENT_HEADER_LEN,
-                    map_stale: false,
                 }),
                 seg_index: Mutex::new(ShardIndex::default()),
             });
         }
         Ok(SegmentStore {
             dir: dir.to_path_buf(),
-            mode,
             shards: out,
         })
     }
@@ -523,11 +350,7 @@ impl SegmentStore {
     /// first incomplete or corrupt record (a torn tail from a crash, or
     /// the zero-filled preallocation region) and the file is truncated to
     /// the last complete record — later appends resume cleanly.
-    pub fn open(
-        dir: &Path,
-        shards: usize,
-        mode: AccessMode,
-    ) -> io::Result<(SegmentStore, RecoveryReport)> {
+    pub fn open(dir: &Path, shards: usize) -> io::Result<(SegmentStore, RecoveryReport)> {
         assert!(shards >= 1, "segment store needs at least one shard");
         let mut report = RecoveryReport::default();
         let mut out = Vec::with_capacity(shards);
@@ -562,21 +385,15 @@ impl SegmentStore {
             // is again exactly the committed data.
             file.set_len(scan.committed)?;
             let reader = File::open(&path)?;
-            let map = match mode {
-                AccessMode::Mmap => Mmap::new(&file, scan.committed as usize).map(Arc::new),
-                AccessMode::Pread => None,
-            };
             out.push(Shard {
                 reader,
                 seg_writer: Mutex::new(ShardWriter {
                     file,
                     committed: scan.committed,
                     capacity: scan.committed,
-                    map_stale: false,
                 }),
                 seg_index: Mutex::new(ShardIndex {
                     entries: scan.entries,
-                    map,
                     bytes: scan.bytes,
                 }),
             });
@@ -584,7 +401,6 @@ impl SegmentStore {
         Ok((
             SegmentStore {
                 dir: dir.to_path_buf(),
-                mode,
                 shards: out,
             },
             report,
@@ -696,40 +512,25 @@ impl SegmentStore {
         let end = off + rec_len;
         if end > w.capacity {
             // Preallocate in doubling steps: the zero tail terminates the
-            // recovery scan, and a stable capacity keeps one mmap valid
-            // across many appends.
+            // recovery scan, and doubling keeps `set_len` calls rare.
             let cap = end.max(w.capacity * 2).max(MIN_CAPACITY_STEP);
             w.file.set_len(cap)?;
             w.capacity = cap;
-            w.map_stale = true;
         }
         write_all_at(&w.file, record, off)?;
         w.committed = end;
         // Publish under the index lock while still holding the writer
         // lock (ranks 70 → 71, ascending).
         let mut ix = lock(&shard.seg_index);
-        if self.mode == AccessMode::Mmap && (w.map_stale || ix.map.is_none()) {
-            // FAULT: a failed mmap (re)publish drops the shard to the pread
-            // fallback; the next append retries the mapping.
-            ix.map = if tahoma_faults::fire(tahoma_faults::site::SEG_MMAP) {
-                None
-            } else {
-                Mmap::new(&w.file, w.capacity as usize).map(Arc::new)
-            };
-            if ix.map.is_some() {
-                w.map_stale = false;
-            }
-        }
         ix.entries
             .insert((id, rep), (off + RECORD_HEADER_LEN as u64, h.len));
         ix.bytes += rec_len;
         Ok(())
     }
 
-    /// Run `f` over one record's payload bytes. In mmap mode the bytes
-    /// come straight from the page cache with no copy; otherwise they are
-    /// pread into `scratch` (resized as needed). `Ok(None)` when the
-    /// record was never appended.
+    /// Run `f` over one record's payload bytes, pread into `scratch`
+    /// (resized as needed) with no lock held. `Ok(None)` when the record
+    /// was never appended.
     pub fn with_payload<R>(
         &self,
         id: u64,
@@ -738,12 +539,8 @@ impl SegmentStore {
         f: impl FnOnce(&[u8]) -> R,
     ) -> io::Result<Option<R>> {
         let shard = &self.shards[self.shard_of(id)];
-        let (off, len, map) = {
-            let ix = lock(&shard.seg_index);
-            let Some(&(off, len)) = ix.entries.get(&(id, rep)) else {
-                return Ok(None);
-            };
-            (off, len, ix.map.clone())
+        let Some((off, len)) = lock(&shard.seg_index).entries.get(&(id, rep)).copied() else {
+            return Ok(None);
         };
         // FAULT: a slow read stalls without erroring, then a transient
         // read error is retryable by the fetch layer.
@@ -764,12 +561,6 @@ impl SegmentStore {
             return Err(bad_data(format!(
                 "injected CRC mismatch for record ({id}, {rep})"
             )));
-        }
-        let end = off as usize + len as usize;
-        if let Some(m) = map {
-            if end <= m.len() {
-                return Ok(Some(f(&m.as_slice()[off as usize..end])));
-            }
         }
         scratch.resize(len as usize, 0);
         read_exact_at(&shard.reader, scratch, off)?;
@@ -833,10 +624,6 @@ impl SegmentStore {
             if w.capacity != w.committed {
                 w.file.set_len(w.committed)?;
                 w.capacity = w.committed;
-                // Existing maps stay valid for reads below `committed`
-                // (their pages are still backed); new appends regrow and
-                // remap.
-                w.map_stale = true;
             }
             w.file.sync_data()?;
         }
@@ -894,12 +681,6 @@ impl SegmentStore {
     /// Shard count.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Configured access mode (individual shards may still fall back to
-    /// pread when a mapping cannot be established).
-    pub fn mode(&self) -> AccessMode {
-        self.mode
     }
 
     /// Store directory.
@@ -992,30 +773,28 @@ mod tests {
     }
 
     #[test]
-    fn append_fetch_roundtrip_both_modes() {
-        for mode in [AccessMode::Mmap, AccessMode::Pread] {
-            let dir = tmp_dir("roundtrip");
-            let store = SegmentStore::create(&dir, 4, mode).expect("create");
-            let reps = [rep(30, ColorMode::Gray), rep(60, ColorMode::Rgb)];
-            for id in 0..64u64 {
-                for (k, &r) in reps.iter().enumerate() {
-                    store
-                        .append(id, r, &payload(id * 10 + k as u64, 100 + k * 57))
-                        .expect("append");
-                }
+    fn append_fetch_roundtrip() {
+        let dir = tmp_dir("roundtrip");
+        let store = SegmentStore::create(&dir, 4).expect("create");
+        let reps = [rep(30, ColorMode::Gray), rep(60, ColorMode::Rgb)];
+        for id in 0..64u64 {
+            for (k, &r) in reps.iter().enumerate() {
+                store
+                    .append(id, r, &payload(id * 10 + k as u64, 100 + k * 57))
+                    .expect("append");
             }
-            assert_eq!(store.records(), 128);
-            assert_eq!(store.distinct_ids(), 64);
-            for id in 0..64u64 {
-                for (k, &r) in reps.iter().enumerate() {
-                    let got = fetch(&store, id, r).expect("present");
-                    assert_eq!(got, payload(id * 10 + k as u64, 100 + k * 57), "{mode:?}");
-                }
-            }
-            assert!(fetch(&store, 999, reps[0]).is_none());
-            assert!(fetch(&store, 0, rep(224, ColorMode::Blue)).is_none());
-            fs::remove_dir_all(&dir).ok();
         }
+        assert_eq!(store.records(), 128);
+        assert_eq!(store.distinct_ids(), 64);
+        for id in 0..64u64 {
+            for (k, &r) in reps.iter().enumerate() {
+                let got = fetch(&store, id, r).expect("present");
+                assert_eq!(got, payload(id * 10 + k as u64, 100 + k * 57));
+            }
+        }
+        assert!(fetch(&store, 999, reps[0]).is_none());
+        assert!(fetch(&store, 0, rep(224, ColorMode::Blue)).is_none());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1023,13 +802,13 @@ mod tests {
         let dir = tmp_dir("reopen");
         let r = rep(30, ColorMode::Gray);
         {
-            let store = SegmentStore::create(&dir, 3, AccessMode::Pread).expect("create");
+            let store = SegmentStore::create(&dir, 3).expect("create");
             for id in 0..40u64 {
                 store.append(id, r, &payload(id, 64)).expect("append");
             }
             store.sync().expect("sync");
         }
-        let (store, report) = SegmentStore::open(&dir, 3, AccessMode::Mmap).expect("open");
+        let (store, report) = SegmentStore::open(&dir, 3).expect("open");
         assert_eq!(report.records, 40);
         assert_eq!(report.truncated_bytes, 0);
         assert_eq!(report.reinitialized_shards, 0);
@@ -1048,13 +827,13 @@ mod tests {
         let dir = tmp_dir("nosync");
         let r = rep(30, ColorMode::Gray);
         {
-            let store = SegmentStore::create(&dir, 2, AccessMode::Mmap).expect("create");
+            let store = SegmentStore::create(&dir, 2).expect("create");
             for id in 0..10u64 {
                 store.append(id, r, &payload(id, 256)).expect("append");
             }
             // `store` dropped without sync.
         }
-        let (store, report) = SegmentStore::open(&dir, 2, AccessMode::Mmap).expect("open");
+        let (store, report) = SegmentStore::open(&dir, 2).expect("open");
         assert_eq!(report.records, 10);
         assert!(
             report.truncated_bytes > 0,
@@ -1072,7 +851,7 @@ mod tests {
         let r = rep(30, ColorMode::Gray);
         let n = 12u64;
         {
-            let store = SegmentStore::create(&dir, 1, AccessMode::Pread).expect("create");
+            let store = SegmentStore::create(&dir, 1).expect("create");
             for id in 0..n {
                 store.append(id, r, &payload(id, 200)).expect("append");
             }
@@ -1094,7 +873,7 @@ mod tests {
             let f = OpenOptions::new().write(true).open(&path).expect("open");
             f.set_len(cut).expect("tear");
             drop(f);
-            let (store, report) = SegmentStore::open(&dir, 1, AccessMode::Mmap).expect("open");
+            let (store, report) = SegmentStore::open(&dir, 1).expect("open");
             assert_eq!(report.records, survivors, "cut at {cut}");
             for id in 0..survivors {
                 assert_eq!(fetch(&store, id, r).expect("survivor"), payload(id, 200));
@@ -1122,7 +901,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let r = rep(30, ColorMode::Gray);
         {
-            let store = SegmentStore::create(&dir, 1, AccessMode::Pread).expect("create");
+            let store = SegmentStore::create(&dir, 1).expect("create");
             for id in 0..5u64 {
                 store.append(id, r, &payload(id, 128)).expect("append");
             }
@@ -1134,7 +913,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 10] ^= 0xFF;
         fs::write(&path, &bytes).expect("write");
-        let (store, report) = SegmentStore::open(&dir, 1, AccessMode::Pread).expect("open");
+        let (store, report) = SegmentStore::open(&dir, 1).expect("open");
         assert_eq!(report.records, 4, "corrupt record must not be indexed");
         assert!(fetch(&store, 4, r).is_none());
         for id in 0..4u64 {
@@ -1147,7 +926,7 @@ mod tests {
     fn verify_all_detects_bit_rot_under_live_index() {
         let dir = tmp_dir("bitrot");
         let r = rep(30, ColorMode::Gray);
-        let store = SegmentStore::create(&dir, 1, AccessMode::Pread).expect("create");
+        let store = SegmentStore::create(&dir, 1).expect("create");
         for id in 0..6u64 {
             store.append(id, r, &payload(id, 64)).expect("append");
         }
@@ -1171,14 +950,14 @@ mod tests {
     fn last_write_wins_for_duplicate_keys() {
         let dir = tmp_dir("dup");
         let r = rep(30, ColorMode::Gray);
-        let store = SegmentStore::create(&dir, 2, AccessMode::Pread).expect("create");
+        let store = SegmentStore::create(&dir, 2).expect("create");
         store.append(7, r, &payload(1, 50)).expect("append");
         store.append(7, r, &payload(2, 80)).expect("append");
         assert_eq!(fetch(&store, 7, r).expect("present"), payload(2, 80));
         assert_eq!(store.records(), 1);
         store.sync().expect("sync");
         drop(store);
-        let (store, _) = SegmentStore::open(&dir, 2, AccessMode::Pread).expect("open");
+        let (store, _) = SegmentStore::open(&dir, 2).expect("open");
         assert_eq!(fetch(&store, 7, r).expect("present"), payload(2, 80));
         assert_eq!(store.records(), 1);
         fs::remove_dir_all(&dir).ok();
@@ -1187,7 +966,7 @@ mod tests {
     #[test]
     fn concurrent_shard_fanout_appends_and_fetches() {
         let dir = tmp_dir("fanout");
-        let store = SegmentStore::create(&dir, 4, AccessMode::Mmap).expect("create");
+        let store = SegmentStore::create(&dir, 4).expect("create");
         let r = rep(30, ColorMode::Gray);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -1207,6 +986,75 @@ mod tests {
             }
         });
         assert_eq!(store.records(), 200);
+        fs::remove_dir_all(&dir).ok();
+    }
+    #[test]
+    fn readers_see_every_published_record_while_the_shard_grows_and_syncs() {
+        // One shard, so every append and fetch meets the same file while
+        // the writer regrows it through several doublings and a midway
+        // `sync` shrinks it back to the committed length.
+        use std::sync::atomic::AtomicBool;
+        let dir = tmp_dir("grow");
+        let store = SegmentStore::create(&dir, 1).expect("create");
+        let r = rep(30, ColorMode::Gray);
+        let len = |id: u64| 3000 + (id % 7) as usize * 300;
+        let total = 1600u64;
+        let published = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let check = |id: u64, scratch: &mut Vec<u8>| {
+            let ok = store
+                .with_payload(id, r, scratch, |b| b == payload(id, len(id)).as_slice())
+                .expect("io")
+                .expect("published record present");
+            assert!(ok, "record {id} read back wrong bytes");
+        };
+        let mut capacities = vec![];
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (published, done, check) = (&published, &done, &check);
+                s.spawn(move || {
+                    let mut scratch = Vec::new();
+                    let (mut next, mut k) = (0u64, t);
+                    while !done.load(Ordering::Acquire) || next < total {
+                        // The next unread record, else any older one (its
+                        // bytes may sit below a since regrown or synced
+                        // capacity).
+                        let n = published.load(Ordering::Acquire);
+                        if next < n {
+                            check(next, &mut scratch);
+                            next += 1;
+                        } else {
+                            if n > 0 {
+                                k = tahoma_mathx::hash64(k);
+                                check(k % n, &mut scratch);
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            for id in 0..total {
+                store.append(id, r, &payload(id, len(id))).expect("append");
+                published.store(id + 1, Ordering::Release);
+                if id == total / 2 {
+                    store.sync().expect("sync");
+                }
+                let cap = lock(&store.shards[0].seg_writer).capacity;
+                if capacities.last() != Some(&cap) {
+                    capacities.push(cap);
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let grown = capacities.windows(2).filter(|w| w[1] > w[0]).count();
+        assert!(grown >= 3, "capacity steps {capacities:?}");
+        assert!(capacities[0] >= MIN_CAPACITY_STEP);
+        let mut scratch = Vec::new();
+        for id in 0..total {
+            check(id, &mut scratch);
+        }
+        store.sync().expect("sync");
+        assert_eq!(store.verify_all().expect("verify"), total);
         fs::remove_dir_all(&dir).ok();
     }
 }

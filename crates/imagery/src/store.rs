@@ -18,7 +18,7 @@
 //!   is benchmarked against.
 //! * **Persistent** ([`RepresentationStore::persistent`] /
 //!   [`RepresentationStore::open`]) — item-id-sharded append-only segment
-//!   files with mmap (or pread) read access, crash recovery, and CRC
+//!   files with positioned-read access, crash recovery, and CRC
 //!   integrity (see [`crate::segment`]). The corpus no longer has to fit
 //!   in RAM, and a process restart [`RepresentationStore::open`]s the
 //!   ingested corpus back byte-identically.
@@ -56,7 +56,7 @@ use crate::engine::{TranscodeEngine, TranscodePlan, TranscodeStep};
 use crate::error::ImageryError;
 use crate::image::Image;
 use crate::repr::Representation;
-use crate::segment::{frame_record, AccessMode, RecoveryReport, SegmentStore, RECORD_HEADER_LEN};
+use crate::segment::{frame_record, RecoveryReport, SegmentStore, RECORD_HEADER_LEN};
 use bytes::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -215,27 +215,16 @@ impl RepresentationStore {
     }
 
     /// Create a persistent store under `dir` with `shards` segment files
-    /// (existing segment data is truncated) using the platform-default
-    /// access mode. The manifest written alongside lets
-    /// [`RepresentationStore::open`] reconstruct the configuration.
+    /// (existing segment data is truncated). The manifest written
+    /// alongside lets [`RepresentationStore::open`] reconstruct the
+    /// configuration.
     pub fn persistent(
         reps: Vec<Representation>,
         dir: &Path,
         shards: usize,
     ) -> Result<RepresentationStore, ImageryError> {
-        Self::persistent_with_mode(reps, dir, shards, AccessMode::auto())
-    }
-
-    /// [`RepresentationStore::persistent`] with an explicit access mode
-    /// (benches pin `Mmap` vs `Pread` to measure both read paths).
-    pub fn persistent_with_mode(
-        reps: Vec<Representation>,
-        dir: &Path,
-        shards: usize,
-        mode: AccessMode,
-    ) -> Result<RepresentationStore, ImageryError> {
         assert!(!reps.is_empty(), "store needs at least one representation");
-        let seg = SegmentStore::create(dir, shards, mode)?;
+        let seg = SegmentStore::create(dir, shards)?;
         write_manifest(dir, shards, &reps)?;
         Ok(RepresentationStore {
             reps,
@@ -248,16 +237,8 @@ impl RepresentationStore {
     /// to its last complete record (see [`crate::segment`]). Frame and
     /// byte accounting are rebuilt from the recovered indexes.
     pub fn open(dir: &Path) -> Result<(RepresentationStore, RecoveryReport), ImageryError> {
-        Self::open_with_mode(dir, AccessMode::auto())
-    }
-
-    /// [`RepresentationStore::open`] with an explicit access mode.
-    pub fn open_with_mode(
-        dir: &Path,
-        mode: AccessMode,
-    ) -> Result<(RepresentationStore, RecoveryReport), ImageryError> {
         let (shards, reps) = read_manifest(dir)?;
-        let (seg, report) = SegmentStore::open(dir, shards, mode)?;
+        let (seg, report) = SegmentStore::open(dir, shards)?;
         let ingested = seg.distinct_ids();
         let total_bytes =
             (seg.committed_bytes() - seg.records() * RECORD_HEADER_LEN as u64) as usize;
@@ -333,14 +314,17 @@ impl RepresentationStore {
             framed,
         };
         let mut encoded = Vec::new();
-        for ((&rep, image), &step) in self.reps.iter().zip(&materialized).zip(plan.steps()) {
-            // The full-size RGB target is the source itself: its bytes are
-            // already encoded (the u8 grid is a fixed point of the codec).
-            let bytes: &[u8] = if step == TranscodeStep::Identity {
-                &source
-            } else {
-                RawCodec.encode_into(image, &mut encoded);
-                &encoded
+        let mut derived = plan.reps().iter().zip(&materialized).peekable();
+        for &rep in &self.reps {
+            let bytes: &[u8] = match derived.next_if(|&(&r, _)| r == rep) {
+                Some((_, image)) => {
+                    RawCodec.encode_into(image, &mut encoded);
+                    &encoded
+                }
+                // Left out of the plan: the full-size RGB target is the
+                // source itself, whose bytes are already encoded (the u8
+                // grid is a fixed point of the codec).
+                None => &source,
             };
             out.payload += bytes.len();
             if framed {
@@ -472,12 +456,19 @@ impl RepresentationStore {
         Ok(out)
     }
 
-    /// The lattice plan for one source shape, planned on first use.
+    /// The lattice plan for one source shape, planned on first use. It
+    /// leaves out the `Identity` target (the full-size RGB frame), whose
+    /// stored bytes are the encoded source, so ingest never copies it.
     fn plan_for(&self, shape: (usize, usize)) -> Arc<TranscodePlan> {
         let mut plans = lock(&self.ingest_plans);
-        let plan = plans
-            .entry(shape)
-            .or_insert_with(|| Arc::new(TranscodePlan::new(shape.0, shape.1, &self.reps)));
+        let plan = plans.entry(shape).or_insert_with(|| {
+            let all = TranscodePlan::new(shape.0, shape.1, &self.reps);
+            let derived: Vec<Representation> = (self.reps.iter().zip(all.steps()))
+                .filter(|&(_, &step)| step != TranscodeStep::Identity)
+                .map(|(&rep, _)| rep)
+                .collect();
+            Arc::new(TranscodePlan::new(shape.0, shape.1, &derived))
+        });
         Arc::clone(plan)
     }
 
@@ -601,8 +592,7 @@ impl RepresentationStore {
                 Some(RawCodec.decode_into(&blob, buf))
             }
             Tier::Disk(seg) => {
-                // The engine's byte scratch serves the pread path; in mmap
-                // mode the decode reads straight out of the page cache.
+                // The payload is pread into the engine's byte scratch.
                 let mut io_buf = engine.take_io_buf();
                 let fetched = seg.with_payload(id, rep, &mut io_buf, |blob| {
                     let buf = engine.take_buffer(rep.value_count());

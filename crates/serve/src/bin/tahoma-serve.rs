@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `--store-dir` (NN backend only) backs the frame store with the
-//! persistent mmap-backed segment tier under DIR; a compatible existing
+//! persistent segment tier under DIR; a compatible existing
 //! store is reopened without re-ingesting. `--verify-on-open` sweeps every
 //! stored record's CRC at boot and quarantines (rather than boot-fails on)
 //! corrupt ones — they serve through the transcode-from-source degradation

@@ -337,7 +337,9 @@ fn deadlines_timeout_cleanly_and_generous_budgets_change_nothing() {
 /// stalls) on top of the full stack. Connections may die mid-script —
 /// the client reconnects — but every line that does arrive must be a
 /// well-formed response, and successful `QUERY` responses must match the
-/// fault-free wire bytes (modulo the plan-cache hit/miss marker).
+/// fault-free wire bytes (modulo the plan-cache hit/miss marker and the
+/// ` degraded=N` count of quarantine-served slots, whose results the
+/// protocol documents as exact).
 #[test]
 #[ignore = "release-only campaign; CI runs it"]
 fn chaos_tcp_64_schedules() {
@@ -347,8 +349,20 @@ fn chaos_tcp_64_schedules() {
     let addr = handle.addr();
 
     let normalize = |line: &str| {
-        line.replace(" plan=hit", " plan=?")
-            .replace(" plan=miss", " plan=?")
+        let mut line = line
+            .replace(" plan=hit", " plan=?")
+            .replace(" plan=miss", " plan=?");
+        // The encoder appends ` degraded=N` last, and only for N >= 1;
+        // `n=`, `survivors=` and `sum=` stay byte-compared.
+        if let Some(at) = line.find(" degraded=") {
+            let n = &line[at + " degraded=".len()..];
+            assert!(
+                n.parse::<u64>().is_ok_and(|n| n >= 1),
+                "malformed degraded count in {line:?}"
+            );
+            line.truncate(at);
+        }
+        line
     };
     let ask = |line: &str| -> Option<String> {
         let mut conn = TcpStream::connect(addr).ok()?;

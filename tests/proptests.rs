@@ -527,7 +527,7 @@ proptest! {
     /// Segment framing round-trips arbitrary (id, representation,
     /// payload) sets — payloads of any bytes including empty, duplicate
     /// keys resolving last-write-wins — through append → fetch, and again
-    /// through sync → reopen (the recovery scan), in both access modes.
+    /// through sync → reopen (the recovery scan).
     #[test]
     fn segment_framing_roundtrips_arbitrary_records(
         recs in prop::collection::vec(
@@ -535,13 +535,11 @@ proptest! {
              prop::collection::vec(0u8..255, 0..300)),
             1..32),
         shards in 1usize..5,
-        mode_sel in 0usize..2,
     ) {
         use std::collections::BTreeMap;
-        use tahoma::imagery::{AccessMode, SegmentStore};
-        let mode = [AccessMode::Mmap, AccessMode::Pread][mode_sel];
+        use tahoma::imagery::SegmentStore;
         let dir = proptest_dir("segment-framing");
-        let store = SegmentStore::create(&dir, shards, mode).unwrap();
+        let store = SegmentStore::create(&dir, shards).unwrap();
         let mut expect: BTreeMap<(u64, Representation), Vec<u8>> = BTreeMap::new();
         for (id, m, size, payload) in &recs {
             let rep = Representation::new(*size, ColorMode::ALL[*m]);
@@ -559,7 +557,7 @@ proptest! {
         prop_assert_eq!(store.records(), recs.len() as u64);
         drop(store);
 
-        let (reopened, report) = SegmentStore::open(&dir, shards, mode).unwrap();
+        let (reopened, report) = SegmentStore::open(&dir, shards).unwrap();
         prop_assert_eq!(report.truncated_bytes, 0, "clean reopen truncated bytes");
         prop_assert_eq!(report.records, recs.len() as u64);
         for ((id, rep), want) in &expect {
