@@ -2,10 +2,8 @@
 //! shape — the measurement behind DESIGN.md's "Deletion ledger".
 //!
 //! One group, `kernel_class`, with one `kernel_class/<op>/<tier>` id per
-//! op and per tier the op implements (and this CPU runs): the
-//! machine-readable trend signal the CI bench-trend job archives
-//! (`--json`), and the table to re-measure before adding a tier back. The
-//! survival rule: a tier stays only if it beats the next-narrower
+//! op and per tier the op implements (and this CPU runs): the table to
+//! re-measure before adding a tier back. Report-only. The survival rule: a tier stays only if it beats the next-narrower
 //! surviving tier of its op by > 10% here on measured hardware, or moves an
 //! end-to-end metric of `benchmark/run.sh`.
 //!
@@ -25,7 +23,7 @@ use tahoma_nn::kernels;
 type Workload = Box<dyn FnMut()>;
 
 /// Ops with a single (portable) implementation still get an id, so the
-/// baseline a future explicit tier must beat is on record.
+/// number a future explicit tier must beat is printed beside the others.
 const PORTABLE_ONLY: &[SimdTier] = &[SimdTier::Portable];
 
 /// An op: its `kernel_class` name, the tiers it implements, and its

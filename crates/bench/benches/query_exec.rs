@@ -13,8 +13,8 @@
 //!   `infer_rows` → thresholds, each row produced on the lane that scores
 //!   it), both in the ONGOING layout (exact representations stored) and
 //!   through the transcode fallback (only the full frame stored), plus
-//!   isolated per-stage lines so the end-to-end number decomposes in
-//!   `BENCH_baseline.json`. A per-stage table from the scorer's own
+//!   isolated per-stage lines so the end-to-end number decomposes by
+//!   stage. Report-only. A per-stage table from the scorer's own
 //!   accounting prints after the run: data-handling stages in
 //!   lane-seconds (summed over lanes, so they can exceed wall time), and
 //!   the inference calls' wall time, which includes them.
@@ -367,7 +367,7 @@ fn bench_nn_exec(c: &mut Criterion) {
     group.finish();
 }
 
-/// The NN pipeline's stages in isolation, for the baseline gate.
+/// The NN pipeline's stages in isolation.
 fn bench_nn_stages(c: &mut Criterion) {
     let rep0 = Representation::new(30, ColorMode::Gray);
     let store = RepresentationStore::new(vec![rep0]);

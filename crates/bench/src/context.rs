@@ -1,7 +1,6 @@
 //! Shared experiment context: initialized TAHOMA systems for all ten
 //! predicates, built once and reused across figures.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 use tahoma_core::pipeline::TahomaSystem;
 use tahoma_core::Cascade;
@@ -184,9 +183,6 @@ impl StandaloneCost for AnalyticProfiler {
         self.per_image_fixed_s() + self.rep_marginal_s(rep) + infer_s
     }
 }
-
-/// Per-scenario label -> points map used by several experiments.
-pub type ScenarioPoints = BTreeMap<Scenario, Vec<(f64, f64)>>;
 
 /// Quick-scale context shared by this crate's tests (building ten systems
 /// is the dominant test cost; do it once per process).

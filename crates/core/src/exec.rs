@@ -254,6 +254,10 @@ pub struct NnStageStats {
     pub morsel_calls: u64,
     /// Items scored (sum of pack sizes).
     pub items_scored: u64,
+    /// Pack slots produced fresh: fetched from the store (or re-derived
+    /// from the source) and standardized. Every scored item is either this
+    /// or a cache hit.
+    pub fetches: u64,
     /// Pack slots served from the shared-representation cache instead of a
     /// fresh fetch/transcode.
     pub cache_hits: u64,
@@ -269,6 +273,7 @@ impl NnStageStats {
         self.fetch_decode_s += lane.fetch_decode_s;
         self.transcode_s += lane.transcode_s;
         self.standardize_s += lane.standardize_s;
+        self.fetches += lane.fetches;
         self.cache_hits += lane.cache_hits;
         self.degraded_fetches += lane.degraded_fetches;
     }
@@ -521,6 +526,7 @@ impl PackRows<'_> {
     ) -> Result<(), CoreError> {
         let rep = self.rep;
         let failed = |what: String| CoreError::Scoring(format!("item {}: {what}", item.id));
+        tally.fetches += 1;
         let t0 = Instant::now();
         let direct = self.store.fetch_classified(item.id, rep, engine);
         tally.fetch_decode_s += t0.elapsed().as_secs_f64();

@@ -69,15 +69,8 @@ impl Dataset {
     }
 
     /// Append horizontally flipped copies of every item (the paper's data
-    /// augmentation). New ids continue after the current maximum. When the
-    /// dataset belongs to a bundle, use [`Dataset::augment_with_flips_from`]
-    /// with a bundle-global id counter to keep ids unique across splits.
-    pub fn augment_with_flips(&mut self) {
-        let next_id = self.items.iter().map(|i| i.id).max().map_or(0, |m| m + 1);
-        self.augment_with_flips_from(next_id);
-    }
-
-    /// Append flipped copies, assigning ids starting at `next_id`.
+    /// augmentation), assigning ids starting at `next_id` — a bundle-global
+    /// counter keeps ids unique across splits.
     pub fn augment_with_flips_from(&mut self, mut next_id: u64) {
         let flipped: Vec<LabeledImage> = self
             .items
@@ -299,8 +292,9 @@ mod tests {
             difficulty: d,
             image: img.clone(),
         });
-        ds.augment_with_flips();
+        ds.augment_with_flips_from(1);
         assert_eq!(ds.len(), 2);
+        assert_eq!(ds.items[1].id, 1);
         assert!(ds.items[1].label);
         assert_eq!(ds.items[1].difficulty, d);
         assert_eq!(ds.items[1].image, flip_horizontal(&img));

@@ -5,7 +5,7 @@
 //! kernels cache-friendly, and matches the layout the `tahoma-nn` tensors
 //! use, so feeding a representation into a CNN is a reshape, not a shuffle.
 
-use crate::color::{ColorMode, LUMA_WEIGHTS};
+use crate::color::ColorMode;
 use crate::error::ImageryError;
 
 /// A raster image: `mode.channels()` planes of `width * height` f32 samples.
@@ -152,13 +152,6 @@ impl Image {
         self.data[(c * self.height + y) * self.width + x] = v;
     }
 
-    /// Clamp all samples into [0, 1] in place.
-    pub fn clamp_unit(&mut self) {
-        for v in &mut self.data {
-            *v = v.clamp(0.0, 1.0);
-        }
-    }
-
     /// Mean sample value across all channels.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -182,19 +175,6 @@ impl Image {
                 .sum::<f32>()
                 / n,
         )
-    }
-
-    /// Convert this RGB image's pixel at (y, x) to luma.
-    #[inline]
-    pub fn luma_at(&self, y: usize, x: usize) -> f32 {
-        match self.mode {
-            ColorMode::Rgb => {
-                LUMA_WEIGHTS[0] * self.get(0, y, x)
-                    + LUMA_WEIGHTS[1] * self.get(1, y, x)
-                    + LUMA_WEIGHTS[2] * self.get(2, y, x)
-            }
-            _ => self.get(0, y, x),
-        }
     }
 }
 
@@ -267,24 +247,5 @@ mod tests {
         assert!(a.mean_abs_diff(&b).is_none());
         let c = Image::from_fn(2, 2, ColorMode::Gray, |_, _, _| 0.5).unwrap();
         assert!((a.mean_abs_diff(&c).unwrap() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clamp_unit_clamps() {
-        let mut img = Image::from_planar(1, 2, ColorMode::Gray, vec![-0.5, 1.5]).unwrap();
-        img.clamp_unit();
-        assert_eq!(img.data(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn luma_matches_weights() {
-        let img = Image::from_fn(1, 1, ColorMode::Rgb, |c, _, _| match c {
-            0 => 1.0,
-            1 => 0.5,
-            _ => 0.0,
-        })
-        .unwrap();
-        let expected = 0.299 * 1.0 + 0.587 * 0.5;
-        assert!((img.luma_at(0, 0) - expected).abs() < 1e-6);
     }
 }

@@ -678,11 +678,6 @@ impl SegmentStore {
         Ok(bad)
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Store directory.
     pub fn dir(&self) -> &Path {
         &self.dir

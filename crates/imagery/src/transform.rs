@@ -119,30 +119,6 @@ pub fn resize_bilinear_reference(
     Ok(out)
 }
 
-/// Nearest-neighbor resize (used by the fast thumbnailing path of the video
-/// difference detector, where fidelity matters less than speed).
-pub fn resize_nearest(src: &Image, out_w: usize, out_h: usize) -> Result<Image, ImageryError> {
-    if out_w == 0 || out_h == 0 {
-        return Err(ImageryError::InvalidDimensions {
-            width: out_w,
-            height: out_h,
-        });
-    }
-    let (in_w, in_h) = (src.width(), src.height());
-    let mut out = Image::zeros(out_w, out_h, src.mode())?;
-    for c in 0..src.channels() {
-        let plane = src.plane(c);
-        for oy in 0..out_h {
-            let iy = (oy * in_h / out_h).min(in_h - 1);
-            for ox in 0..out_w {
-                let ix = (ox * in_w / out_w).min(in_w - 1);
-                out.set(c, oy, ox, plane[iy * in_w + ix]);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Horizontal flip — the data augmentation the paper applies to double its
 /// training sets (§VII-A).
 pub fn flip_horizontal(src: &Image) -> Image {
@@ -205,15 +181,24 @@ mod tests {
 
     #[test]
     fn convert_gray_uses_luma() {
-        let img = Image::from_fn(
-            1,
-            1,
-            ColorMode::Rgb,
-            |c, _, _| if c == 1 { 1.0 } else { 0.0 },
-        )
-        .unwrap();
-        let g = convert_mode(&img, ColorMode::Gray).unwrap();
-        assert!((g.get(0, 0, 0) - 0.587).abs() < 1e-6);
+        // One unit channel at a time reads back each BT.601 weight.
+        for (channel, weight) in [(0, 0.299), (1, 0.587), (2, 0.114)] {
+            let img = Image::from_fn(
+                1,
+                1,
+                ColorMode::Rgb,
+                |c, _, _| {
+                    if c == channel {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                },
+            )
+            .unwrap();
+            let g = convert_mode(&img, ColorMode::Gray).unwrap();
+            assert!((g.get(0, 0, 0) - weight).abs() < 1e-6, "channel {channel}");
+        }
     }
 
     #[test]
@@ -280,20 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn nearest_picks_existing_samples() {
-        let img = Image::from_planar(2, 1, ColorMode::Gray, vec![0.25, 0.75]).unwrap();
-        let out = resize_nearest(&img, 4, 1).unwrap();
-        for &v in out.data() {
-            assert!(v == 0.25 || v == 0.75);
-        }
-    }
-
-    #[test]
     fn resize_rejects_zero_target() {
         let img = gradient_rgb(4, 4);
         assert!(resize_bilinear(&img, 0, 4).is_err());
         assert!(resize_bilinear_reference(&img, 0, 4).is_err());
-        assert!(resize_nearest(&img, 4, 0).is_err());
     }
 
     #[test]

@@ -170,19 +170,6 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
-
-    /// Sample `k` distinct indices from [0, n) (k <= n), in random order.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        // Partial Fisher-Yates: only the first k positions need to be final.
-        for i in 0..k {
-            let j = i + self.index(n - i);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -284,15 +271,6 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert!(*h > 700, "bucket {i} underrepresented: {h}");
         }
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = DetRng::new(9);
-        let s = r.sample_indices(100, 40);
-        let set: std::collections::HashSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 40);
-        assert!(s.iter().all(|&i| i < 100));
     }
 
     #[test]

@@ -171,6 +171,26 @@ mod tests {
         assert_eq!(SimdTier::for_features(true, true, true), Avx512);
     }
 
+    /// Detection agrees with the kernel's view of the CPU: a detection
+    /// that came back narrower would send every unpinned call to a slower
+    /// tier without failing any bitwise test.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn detected_tier_matches_proc_cpuinfo_flags() {
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
+        let flags: Vec<&str> = cpuinfo
+            .lines()
+            .find_map(|line| line.strip_prefix("flags")?.split_once(':'))
+            .map(|(_, flags)| flags.split_whitespace().collect())
+            .expect("/proc/cpuinfo has a flags line");
+        let has = |flag: &str| flags.contains(&flag);
+        assert_eq!(
+            SimdTier::detected(),
+            SimdTier::for_features(has("avx2"), has("fma"), has("avx512f")),
+            "detection disagrees with /proc/cpuinfo flags"
+        );
+    }
+
     #[test]
     fn env_spec_forms() {
         assert_eq!(SimdTier::parse_ceiling(None), Ok(None));

@@ -1317,6 +1317,14 @@ mod tests {
     use super::*;
     use tahoma_mathx::DetRng;
 
+    /// An unpinned GEMM runs the widest of its three tiers the ceiling
+    /// admits: a tier dropped from `TIERS` (a silent fallback to a
+    /// narrower kernel) fails here on any CPU that has it.
+    #[test]
+    fn unpinned_gemm_runs_the_widest_tier_under_the_ceiling() {
+        assert_eq!(SimdTier::resolve(None, TIERS), SimdTier::ceiling());
+    }
+
     fn reference_gemm(
         m: usize,
         n: usize,

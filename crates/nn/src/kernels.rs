@@ -189,6 +189,17 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// An unpinned max-pool runs AVX2 wherever the ceiling admits it: a
+    /// tier dropped from `POOL_TIERS` (a silent fallback to the portable
+    /// loop) fails here on any CPU that has AVX2.
+    #[test]
+    fn unpinned_pool_runs_the_widest_tier_under_the_ceiling() {
+        assert_eq!(
+            SimdTier::resolve(None, POOL_TIERS),
+            SimdTier::ceiling().min(SimdTier::Avx2)
+        );
+    }
+
     #[test]
     fn relu_tiers_agree_and_handle_specials() {
         // One tier left, so "agree" is agreement with the defining select.

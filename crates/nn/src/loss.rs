@@ -18,19 +18,6 @@ pub fn bce_with_logits_grad(z: f32, y: bool) -> f32 {
     (logistic(z as f64) - if y { 1.0 } else { 0.0 }) as f32
 }
 
-/// Mean squared error between predictions and targets.
-pub fn mse(pred: &[f32], target: &[f32]) -> f32 {
-    assert_eq!(pred.len(), target.len());
-    if pred.is_empty() {
-        return 0.0;
-    }
-    pred.iter()
-        .zip(target)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f32>()
-        / pred.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,11 +62,5 @@ mod tests {
         assert!(bce_with_logits(500.0, false).is_finite());
         assert!(bce_with_logits(-500.0, true).is_finite());
         assert!(bce_with_logits_grad(500.0, true).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mse_basic() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 4.0]), 2.0);
-        assert_eq!(mse(&[], &[]), 0.0);
     }
 }

@@ -1,8 +1,8 @@
 //! The two public NoScope video datasets, reconstructed synthetically
 //! (DESIGN.md §2.5).
 
-use tahoma_imagery::{ObjectKind, SceneParams, SceneRenderer, TranscodeEngine};
-use tahoma_video::{Frame, StreamConfig, VideoStream};
+use tahoma_imagery::ObjectKind;
+use tahoma_video::StreamConfig;
 use tahoma_zoo::PredicateSpec;
 
 /// A video dataset: stream dynamics plus task hardness.
@@ -52,48 +52,13 @@ impl VideoDataset {
             dd_threshold: 6.3e-4,
         }
     }
-
-    /// Materialize `n` frames of this stream as *real* raster imagery:
-    /// presence/difficulty dynamics come from the synthetic stream
-    /// generator, pixels from the planted-object renderer at
-    /// `scene_size`px, and each difference-detector thumbnail is the
-    /// transcode engine's luma downscale of the rendered frame — the same
-    /// per-frame thumbnailing cost a deployment pays at ingest. Pass one
-    /// engine for the whole call chain so its resize tables and scratch
-    /// amortize across frames.
-    pub fn rendered_frames(
-        &self,
-        n: usize,
-        scene_size: usize,
-        engine: &mut TranscodeEngine,
-    ) -> Vec<Frame> {
-        let mut stream = VideoStream::new(self.stream.clone());
-        let renderer = SceneRenderer::new(
-            self.pred.kind,
-            SceneParams::small(scene_size),
-            self.stream.seed ^ 0xF8A3E,
-        );
-        stream
-            .take_frames(n)
-            .into_iter()
-            .map(|f| {
-                let (img, _) = renderer.render(f.idx, f.label);
-                Frame::from_image(
-                    f.idx,
-                    f.label,
-                    f.difficulty,
-                    &img,
-                    self.stream.thumb_side,
-                    engine,
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tahoma_imagery::TranscodeEngine;
+    use tahoma_video::{Frame, StreamIngest, VideoStream};
 
     #[test]
     fn coral_is_easier_than_jackson() {
@@ -107,7 +72,13 @@ mod tests {
     fn rendered_frames_carry_stream_labels_and_real_thumbs() {
         let ds = VideoDataset::coral(11, 40);
         let mut engine = TranscodeEngine::new();
-        let frames = ds.rendered_frames(40, 32, &mut engine);
+        // A stream's live feed renders the dataset's frames: the stream
+        // decides each label, the planted-object renderer the pixels.
+        let frames: Vec<Frame> = StreamIngest::new(ds.stream.clone(), ds.pred.kind, 32, 0)
+            .take_ingest(40, &mut engine)
+            .into_iter()
+            .map(|f| f.frame)
+            .collect();
         assert_eq!(frames.len(), 40);
         // Labels match the underlying stream dynamics.
         let reference = VideoStream::new(ds.stream.clone()).take_frames(40);

@@ -12,7 +12,6 @@ use crate::runner::FrameClassifier;
 use tahoma_core::thresholds::{calibrate, DecisionThresholds};
 use tahoma_costmodel::DeviceProfile;
 use tahoma_imagery::{ColorMode, Representation};
-use tahoma_mathx::DetRng;
 use tahoma_video::{Frame, VideoStream};
 use tahoma_zoo::surrogate::Split;
 use tahoma_zoo::{ArchSpec, ModelId, ModelKind, ModelVariant, SurrogateScorer};
@@ -169,13 +168,6 @@ impl FrameScorer {
     }
 }
 
-/// Deterministic helper used by tests: a seeded shuffle of frame indices.
-pub fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    DetRng::new(seed).shuffle(&mut idx);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,13 +201,5 @@ mod tests {
             fj > fc,
             "jackson fallthrough {fj:.3} should exceed coral {fc:.3}"
         );
-    }
-
-    #[test]
-    fn shuffled_indices_is_permutation() {
-        let s = shuffled_indices(50, 9);
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

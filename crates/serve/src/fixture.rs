@@ -1,6 +1,6 @@
-//! Ready-to-serve service fixtures, shared by the `query_serve` bench,
-//! `tests/concurrency.rs`, the `tahoma-serve` binary, and the CI smoke
-//! job.
+//! Ready-to-serve service fixtures, shared by `tests/concurrency.rs`,
+//! `tests/work_budget.rs`, the `tahoma-serve` binary, the judge
+//! (`benchmark/`) and the CI smoke jobs.
 //!
 //! Two backends:
 //!

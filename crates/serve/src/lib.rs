@@ -43,8 +43,8 @@
 //!   packs coalesce with ad-hoc traffic in the broker.
 //!
 //! [`fixture`] builds ready-to-serve services (surrogate-backed and
-//! real-NN-backed) shared by the `query_serve` bench, the concurrency
-//! tests, the `tahoma-serve` binary, and the CI smoke job.
+//! real-NN-backed) shared by the concurrency and work-budget tests, the
+//! `tahoma-serve` binary, the judge (`benchmark/`), and the CI smoke jobs.
 //!
 //! Concurrency invariants in this crate are machine-checked: every
 //! `Mutex` field carries a `// LOCK-ORDER: n` rank audited by

