@@ -271,7 +271,7 @@ fn bench_nn_exec(c: &mut Criterion) {
     let cost = CostContext::build(&repo, &profiler);
 
     // ONGOING layout: the store holds each level's exact representation.
-    let store = RepresentationStore::new(vec![rep0, rep1]);
+    let store = RepresentationStore::temporary(vec![rep0, rep1]).unwrap();
     for item in &corpus.items {
         store.ingest(item.id, &frame(item.id, 120)).unwrap();
     }
@@ -329,7 +329,7 @@ fn bench_nn_exec(c: &mut Criterion) {
 
     // Transcode fallback: only the full 120px frame is stored; every level
     // input is derived through the engine at query time.
-    let source_store = RepresentationStore::new(vec![source]);
+    let source_store = RepresentationStore::temporary(vec![source]).unwrap();
     for item in &corpus.items {
         source_store.ingest(item.id, &frame(item.id, 120)).unwrap();
     }
@@ -370,7 +370,7 @@ fn bench_nn_exec(c: &mut Criterion) {
 /// The NN pipeline's stages in isolation.
 fn bench_nn_stages(c: &mut Criterion) {
     let rep0 = Representation::new(30, ColorMode::Gray);
-    let store = RepresentationStore::new(vec![rep0]);
+    let store = RepresentationStore::temporary(vec![rep0]).unwrap();
     for id in 0..64u64 {
         store.ingest(id, &frame(id, 120)).unwrap();
     }

@@ -13,7 +13,9 @@
 
 use std::path::Path;
 use std::process::exit;
-use tahoma_imagery::{ColorMode, Image, Representation, RepresentationStore};
+use tahoma_imagery::codec::quantize_roundtrip;
+use tahoma_imagery::repr::apply_reference;
+use tahoma_imagery::{ColorMode, Image, RawCodec, Representation, RepresentationStore};
 
 const SHARDS: usize = 4;
 const DEFAULT_N: u64 = 512;
@@ -86,19 +88,18 @@ fn verify(dir: &Path, n: u64) {
         eprintln!("expected {expected_records} records, CRC-verified {verified}");
         exit(1);
     }
-    // Recompute every blob from the deterministic frames and compare
-    // byte-for-byte with what the store serves.
+    // Recompute every blob from the deterministic frames without a store
+    // (the direct transform of the frame snapped to the storage grid, then
+    // the raw encoding) and compare byte-for-byte with what the store
+    // serves.
     let mut mismatches = 0u64;
-    let reference = RepresentationStore::new(reps());
     for id in 0..n {
-        reference.ingest(id, &frame(id)).expect("reference ingest");
+        let mut full = frame(id);
+        quantize_roundtrip(&mut full);
         for &rep in &reps() {
-            let want = reference
-                .with_blob(id, rep, |b| b.to_vec())
-                .expect("ram blob")
-                .expect("just ingested");
+            let want = RawCodec.encode(&apply_reference(&full, rep).expect("rgb frame"));
             let same = store
-                .with_blob(id, rep, |b| b == want.as_slice())
+                .with_blob(id, rep, |b| b == want.as_ref())
                 .unwrap_or_else(|e| {
                     eprintln!("read id {id} rep {rep}: {e}");
                     exit(1);

@@ -14,7 +14,9 @@
 //! any [`CostContext`] in O(cascades x depth).
 
 use crate::cascade::{Cascade, MAX_LEVELS};
+use crate::exec::run_level_major;
 use crate::thresholds::ThresholdTable;
+use std::convert::Infallible;
 use tahoma_costmodel::CostProfiler;
 use tahoma_zoo::ModelRepository;
 
@@ -282,10 +284,10 @@ impl CostContext {
 
 /// The per-item decision walk behind every predicate statistic: each of
 /// `labels.len()` items climbs `cascade` with `score(model, item)` as its
-/// score, deciding at a level when the level's thresholds decide and at
-/// the terminal level on `score >= 0.5` — the executor's rule
-/// ([`crate::exec::run_level_major`]). Returns the outcome against
-/// `labels` and the fraction of items labeled positive.
+/// score, through the executor's own level-major walk
+/// ([`crate::exec::run_level_major`]: thresholds per level, the terminal
+/// level at `score >= 0.5`). Returns the outcome against `labels` and the
+/// fraction of items labeled positive.
 ///
 /// One walk serves both statistics sources, so they cannot drift apart on
 /// the decision rule: [`crate::exec::VectorizedExecutor::execute`] feeds
@@ -299,35 +301,18 @@ pub fn cascade_stats(
     score: impl Fn(usize, usize) -> f32,
 ) -> (Outcome, f64) {
     let n_images = labels.len();
-    let depth = cascade.depth();
+    let decided = run_level_major(cascade, thresholds, n_images, |_, m, pack, out| {
+        out.extend(pack.iter().map(|&i| score(m.0 as usize, i)));
+        Ok::<(), Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {});
     let mut stop_counts = [0u32; MAX_LEVELS];
     let mut correct = 0usize;
     let mut positive = 0usize;
-    for (i, &truth) in labels.iter().enumerate() {
-        let mut label = false;
-        let mut stop = depth - 1;
-        for l in 0..depth {
-            let m = cascade.model_at(l) as usize;
-            let score = score(m, i);
-            if l + 1 == depth {
-                label = score >= 0.5;
-                stop = l;
-                break;
-            }
-            let thr = thresholds.get(m, cascade.setting_at(l) as usize);
-            if let Some(decided) = thr.decide(score) {
-                label = decided;
-                stop = l;
-                break;
-            }
-        }
-        stop_counts[stop] += 1;
-        if label {
-            positive += 1;
-        }
-        if label == truth {
-            correct += 1;
-        }
+    for (d, &truth) in decided.iter().zip(labels) {
+        stop_counts[usize::from(d.level)] += 1;
+        positive += usize::from(d.value);
+        correct += usize::from(d.value == truth);
     }
     let outcome = Outcome {
         accuracy: correct as f32 / n_images as f32,

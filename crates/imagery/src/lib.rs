@@ -21,11 +21,11 @@
 //!   costs in the ONGOING deployment scenario are grounded in real byte
 //!   counts and real decode work;
 //! * [`store`] — the representation store behind the ONGOING scenario's
-//!   ingest-time materialization, with a RAM tier for fixtures and a
-//!   persistent tier; the caller lists the representations every item
-//!   materializes (the serving fixture lists its models' inputs and the
-//!   source representation);
-//! * [`segment`] — the persistent tier's substrate: item-id-sharded
+//!   ingest-time materialization, always segment files: in a named
+//!   directory a restart reopens, or temporary; the caller lists the
+//!   representations every item materializes (the serving fixture lists
+//!   its models' inputs and the source representation);
+//! * [`segment`] — the store's substrate: item-id-sharded
 //!   append-only segment files with CRC-framed records, positioned-read
 //!   access, and crash recovery to the last complete record;
 //! * [`synth`] — the synthetic planted-object corpus that substitutes for

@@ -1,5 +1,5 @@
 //! Sharded, persistent, append-only segment files — the storage layer
-//! behind [`crate::store::RepresentationStore`]'s persistent tier.
+//! behind every [`crate::store::RepresentationStore`].
 //!
 //! The paper's ONGOING scenario (§III) assumes representations are
 //! *persisted at ingest* ("transformed into appropriate representations
@@ -293,7 +293,6 @@ struct ScanResult {
 /// an index snapshot.
 #[derive(Debug)]
 pub struct SegmentStore {
-    dir: PathBuf,
     shards: Vec<Shard>,
 }
 
@@ -339,10 +338,7 @@ impl SegmentStore {
                 seg_index: Mutex::new(ShardIndex::default()),
             });
         }
-        Ok(SegmentStore {
-            dir: dir.to_path_buf(),
-            shards: out,
-        })
+        Ok(SegmentStore { shards: out })
     }
 
     /// Open an existing store, rebuilding each shard's index by scanning
@@ -398,13 +394,7 @@ impl SegmentStore {
                 }),
             });
         }
-        Ok((
-            SegmentStore {
-                dir: dir.to_path_buf(),
-                shards: out,
-            },
-            report,
-        ))
+        Ok((SegmentStore { shards: out }, report))
     }
 
     /// Sequentially scan one shard file: validate the file header, then
@@ -676,11 +666,6 @@ impl SegmentStore {
             }
         }
         Ok(bad)
-    }
-
-    /// Store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 

@@ -11,17 +11,14 @@
 //! representation set is the caller's list, fixed when the store is
 //! created.
 //!
-//! Two storage tiers, one API:
-//!
-//! * **RAM** ([`RepresentationStore::new`]) — encoded blobs in a hash map,
-//!   the fixture/testing layout, and the latency floor the persistent tier
-//!   is benchmarked against.
-//! * **Persistent** ([`RepresentationStore::persistent`] /
-//!   [`RepresentationStore::open`]) — item-id-sharded append-only segment
-//!   files with positioned-read access, crash recovery, and CRC
-//!   integrity (see [`crate::segment`]). The corpus no longer has to fit
-//!   in RAM, and a process restart [`RepresentationStore::open`]s the
-//!   ingested corpus back byte-identically.
+//! One storage layout: item-id-sharded append-only segment files with
+//! positioned-read access, crash recovery, and CRC integrity (see
+//! [`crate::segment`]). The corpus does not have to fit in RAM, and a
+//! process restart [`RepresentationStore::open`]s a
+//! [`RepresentationStore::persistent`] store's corpus back
+//! byte-identically. A store nobody reopens (tests, examples, a server run
+//! without a store directory) is [`RepresentationStore::temporary`]: the
+//! same segment files, in a directory removed as soon as they are open.
 //!
 //! All reads go through the shared-borrow [`RepresentationStore::fetch`]:
 //! the caller supplies the [`TranscodeEngine`] whose buffer pool receives
@@ -34,11 +31,10 @@
 //! A write is two steps. [`RepresentationStore::prepare`] materializes and
 //! encodes a frame on the caller's engine and takes no lock while it
 //! works, so frames prepare side by side on the process pool's lanes.
-//! [`RepresentationStore::commit`] appends the prepared bytes: persistent-
-//! tier appends fan out across shard locks, and RAM-tier blobs sit behind
-//! one map lock (ranks in `SAFETY.md`). Committing in id order writes
-//! exactly the files a one-frame-at-a-time `ingest` loop writes, however
-//! the preparing was spread.
+//! [`RepresentationStore::commit`] appends the prepared records, fanning
+//! out across shard locks (ranks in `SAFETY.md`). Committing in id order
+//! writes exactly the files a one-frame-at-a-time `ingest` loop writes,
+//! however the preparing was spread.
 //!
 //! Materialization runs a [`TranscodeEngine`] through a
 //! [`TranscodePlan`] built once per source shape (see [`crate::engine`]):
@@ -57,14 +53,14 @@ use crate::error::ImageryError;
 use crate::image::Image;
 use crate::repr::Representation;
 use crate::segment::{frame_record, RecoveryReport, SegmentStore, RECORD_HEADER_LEN};
-use bytes::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-// Poison-tolerant: every blob/plan update is complete before the guard
-// drops, so a panicking peer never leaves a half-written entry behind.
+// Poison-tolerant: every plan/quarantine update is complete before the
+// guard drops, so a panicking peer never leaves a half-written entry behind.
 use tahoma_mathx::{hash64, lock};
 
 /// Store manifest file name (records shard count + representation set so
@@ -72,56 +68,29 @@ use tahoma_mathx::{hash64, lock};
 const MANIFEST: &str = "manifest.tsm";
 const MANIFEST_HEADER: &str = "tahoma-store v1";
 
-/// RAM tier: encoded blobs behind one map lock so live streams can ingest
-/// through a shared handle while query sessions fetch.
-#[derive(Debug, Default)]
-struct RamTier {
-    // Blob map. Fetches clone the `Bytes` handle (an `Arc` bump) and
-    // decode outside the critical section, so the lock is held only for
-    // the map probe. Ranked above every serve-layer lock because query
-    // threads reach a fetch while holding broker state (see SAFETY.md).
-    // LOCK-ORDER: 66
-    blobs: Mutex<HashMap<(u64, Representation), Bytes>>,
-}
-
-/// Where the encoded blobs live.
-#[derive(Debug)]
-enum Tier {
-    /// Per-process hash map (the fixture layout and the latency floor).
-    Ram(RamTier),
-    /// Sharded append-only segment files (see [`crate::segment`]).
-    Disk(SegmentStore),
-}
-
-impl Default for Tier {
-    fn default() -> Tier {
-        Tier::Ram(RamTier::default())
-    }
-}
+/// Shard files of a [`RepresentationStore::temporary`] store (the serving
+/// fixture's count).
+const TEMPORARY_SHARDS: usize = 8;
 
 /// One frame's ingest, built by [`RepresentationStore::prepare`] and
 /// written by [`RepresentationStore::commit`]: every configured
-/// representation encoded, in the store's representation order. For the
-/// persistent tier each one is already a framed segment record (header
-/// and CRC), so a commit only appends bytes.
+/// representation encoded and framed as a segment record (header and
+/// CRC), in the store's representation order, so a commit only appends
+/// bytes.
 #[derive(Debug)]
 pub struct PreparedFrame {
     id: u64,
-    /// The representations' encodings (framed records for the persistent
-    /// tier), back to back.
+    /// The representations' framed records, back to back.
     bytes: Vec<u8>,
-    /// End offset of each representation's encoding in `bytes`.
+    /// End offset of each representation's record in `bytes`.
     ends: Vec<usize>,
     /// Encoded payload bytes, without record framing (the store's byte
     /// accounting).
     payload: usize,
-    /// Whether `bytes` holds framed records (prepared for a persistent
-    /// store).
-    framed: bool,
 }
 
 impl PreparedFrame {
-    /// Each representation's encoding, in the store's representation order.
+    /// Each representation's record, in the store's representation order.
     fn records(&self) -> impl Iterator<Item = &[u8]> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts.zip(&self.ends).map(|(a, &b)| &self.bytes[a..b])
@@ -179,11 +148,11 @@ const LANE_JOB_FRAMES: usize = 4;
 /// this wave's jobs balance against the other lanes.
 const LANE_JOBS: usize = 4;
 
-/// The representation store; see the module docs for the tier layout.
-#[derive(Debug, Default)]
+/// The representation store; see the module docs for the layout.
+#[derive(Debug)]
 pub struct RepresentationStore {
     reps: Vec<Representation>,
-    tier: Tier,
+    segments: SegmentStore,
     total_bytes: AtomicUsize,
     ingested: AtomicU64,
     // Ingest-side plan cache: the lattice plan for each distinct source
@@ -195,8 +164,8 @@ pub struct RepresentationStore {
     // Quarantined (id, rep) keys: records whose stored bytes must never
     // be served again. Guarded by a length fast path so the fault-free
     // fetch path pays one relaxed load, no lock.
-    // LOCK-ORDER: 67 — taken during fetch/verify only, after the blob map
-    // (66) is released and before any shard lock (70/71) is wanted.
+    // LOCK-ORDER: 67 — taken during fetch/verify only, never while a
+    // shard lock (70/71) is held.
     quarantine: Mutex<HashSet<(u64, Representation)>>,
     quarantine_len: AtomicUsize,
     retries: AtomicU64,
@@ -204,33 +173,45 @@ pub struct RepresentationStore {
 }
 
 impl RepresentationStore {
-    /// Create a RAM-tier store that materializes the given representations
-    /// on ingest. Panics on an empty set.
-    pub fn new(reps: Vec<Representation>) -> RepresentationStore {
-        assert!(!reps.is_empty(), "store needs at least one representation");
-        RepresentationStore {
-            reps,
-            ..RepresentationStore::default()
-        }
-    }
-
-    /// Create a persistent store under `dir` with `shards` segment files
-    /// (existing segment data is truncated). The manifest written
-    /// alongside lets [`RepresentationStore::open`] reconstruct the
-    /// configuration.
+    /// Create a store under `dir` with `shards` segment files (existing
+    /// segment data is truncated). The manifest written alongside lets
+    /// [`RepresentationStore::open`] reconstruct the configuration.
     pub fn persistent(
         reps: Vec<Representation>,
         dir: &Path,
         shards: usize,
     ) -> Result<RepresentationStore, ImageryError> {
         assert!(!reps.is_empty(), "store needs at least one representation");
-        let seg = SegmentStore::create(dir, shards)?;
+        let segments = SegmentStore::create(dir, shards)?;
         write_manifest(dir, shards, &reps)?;
-        Ok(RepresentationStore {
-            reps,
-            tier: Tier::Disk(seg),
-            ..RepresentationStore::default()
-        })
+        Ok(RepresentationStore::over(reps, segments, 0, 0))
+    }
+
+    /// Create a store that is never reopened: segment files in a fresh
+    /// directory under [`std::env::temp_dir`], which is removed as soon as
+    /// the files are open. The open handles keep the files alive until the
+    /// store drops, and nothing is left on disk after that. Where an open
+    /// file cannot be unlinked (non-unix targets), the directory stays.
+    pub fn temporary(reps: Vec<Representation>) -> Result<RepresentationStore, ImageryError> {
+        assert!(!reps.is_empty(), "store needs at least one representation");
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = loop {
+            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("tahoma-temp-store-{}-{seq}", std::process::id()));
+            match fs::create_dir(&dir) {
+                Ok(()) => break dir,
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e.into()),
+            }
+        };
+        let segments = SegmentStore::create(&dir, TEMPORARY_SHARDS);
+        let removed = fs::remove_dir_all(&dir);
+        let segments = segments?;
+        if cfg!(unix) {
+            removed?;
+        }
+        Ok(RepresentationStore::over(reps, segments, 0, 0))
     }
 
     /// Reopen a persistent store from its directory, recovering each shard
@@ -238,20 +219,35 @@ impl RepresentationStore {
     /// byte accounting are rebuilt from the recovered indexes.
     pub fn open(dir: &Path) -> Result<(RepresentationStore, RecoveryReport), ImageryError> {
         let (shards, reps) = read_manifest(dir)?;
-        let (seg, report) = SegmentStore::open(dir, shards)?;
-        let ingested = seg.distinct_ids();
+        let (segments, report) = SegmentStore::open(dir, shards)?;
+        let ingested = segments.distinct_ids();
         let total_bytes =
-            (seg.committed_bytes() - seg.records() * RECORD_HEADER_LEN as u64) as usize;
+            (segments.committed_bytes() - segments.records() * RECORD_HEADER_LEN as u64) as usize;
         Ok((
-            RepresentationStore {
-                reps,
-                tier: Tier::Disk(seg),
-                total_bytes: AtomicUsize::new(total_bytes),
-                ingested: AtomicU64::new(ingested),
-                ..RepresentationStore::default()
-            },
+            RepresentationStore::over(reps, segments, total_bytes, ingested),
             report,
         ))
+    }
+
+    /// A store over `segments`, holding `total_bytes` of payload across
+    /// `ingested` frames.
+    fn over(
+        reps: Vec<Representation>,
+        segments: SegmentStore,
+        total_bytes: usize,
+        ingested: u64,
+    ) -> RepresentationStore {
+        RepresentationStore {
+            reps,
+            segments,
+            total_bytes: AtomicUsize::new(total_bytes),
+            ingested: AtomicU64::new(ingested),
+            ingest_plans: Mutex::default(),
+            quarantine: Mutex::default(),
+            quarantine_len: AtomicUsize::new(0),
+            retries: AtomicU64::new(0),
+            degraded_fetches: AtomicU64::new(0),
+        }
     }
 
     /// The representations materialized per frame.
@@ -266,7 +262,7 @@ impl RepresentationStore {
     /// Takes `&self`: the ingest path is internally synchronized so live
     /// streams can feed a store that query sessions are concurrently
     /// fetching from (the serve layer shares one store behind an `Arc`).
-    /// Persistent-tier appends touch only the shards owning this id. Do
+    /// Appends touch only the shard owning this id. Do
     /// not call it from inside [`crate::engine::with_local_engine`].
     pub fn ingest(&self, id: u64, full: &Image) -> Result<(), ImageryError> {
         let prepared = crate::engine::with_local_engine(|e| self.prepare(id, full, e))?;
@@ -276,7 +272,7 @@ impl RepresentationStore {
     /// The write side's compute half: produce and encode every configured
     /// representation through the lattice plan (shared luma, borrowed
     /// planes, cached resize tables) on the caller's `engine`, and frame
-    /// each persistent-tier record with its CRC. Touches no stored state
+    /// each record with its CRC. Touches no stored state
     /// and holds no lock while it works, so frames prepare on any number
     /// of threads at once; the bytes are a function of `(id, full)` and
     /// the store's configuration alone, whichever thread prepares them.
@@ -299,19 +295,16 @@ impl RepresentationStore {
         let materialized = engine.apply_planned(&decoded, &plan);
         engine.recycle([decoded]);
         let materialized = materialized?;
-        let framed = self.is_persistent();
-        let header = if framed { RECORD_HEADER_LEN } else { 0 };
         let mut out = PreparedFrame {
             id,
             bytes: Vec::with_capacity(
                 self.reps
                     .iter()
-                    .map(|r| header + RAW_HEADER_LEN + r.value_count())
+                    .map(|r| RECORD_HEADER_LEN + RAW_HEADER_LEN + r.value_count())
                     .sum(),
             ),
             ends: Vec::with_capacity(self.reps.len()),
             payload: 0,
-            framed,
         };
         let mut encoded = Vec::new();
         let mut derived = plan.reps().iter().zip(&materialized).peekable();
@@ -327,11 +320,7 @@ impl RepresentationStore {
                 None => &source,
             };
             out.payload += bytes.len();
-            if framed {
-                frame_record(&mut out.bytes, id, rep, bytes);
-            } else {
-                out.bytes.extend_from_slice(bytes);
-            }
+            frame_record(&mut out.bytes, id, rep, bytes);
             out.ends.push(out.bytes.len());
         }
         // Only the encoded bytes are kept; the pixel buffers feed the next
@@ -348,8 +337,8 @@ impl RepresentationStore {
     /// re-appending a key is idempotent at the index (last record wins).
     pub fn commit(&self, frame: &PreparedFrame) -> Result<(), ImageryError> {
         assert_eq!(
-            (frame.ends.len(), frame.framed),
-            (self.reps.len(), self.is_persistent()),
+            frame.ends.len(),
+            self.reps.len(),
             "frame {} was prepared for another store",
             frame.id
         );
@@ -358,27 +347,19 @@ impl RepresentationStore {
         if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::STORE_INGEST) {
             return Err(e.into());
         }
-        let id = frame.id;
-        for (&rep, record) in self.reps.iter().zip(frame.records()) {
-            match &self.tier {
-                Tier::Ram(ram) => {
-                    lock(&ram.blobs).insert((id, rep), Bytes::copy_from_slice(record));
+        // Bounded retry on transient append errors; re-appending a key is
+        // idempotent at the index (last record wins), so a retried write
+        // can never serve torn bytes.
+        for record in frame.records() {
+            let mut attempt = 0;
+            while let Err(e) = self.segments.append_record(record) {
+                let e: ImageryError = e.into();
+                attempt += 1;
+                if !e.is_transient() || attempt >= MAX_ATTEMPTS {
+                    return Err(e);
                 }
-                // Bounded retry on transient append errors; re-appending a
-                // key is idempotent at the index (last record wins), so a
-                // retried write can never serve torn bytes.
-                Tier::Disk(seg) => {
-                    let mut attempt = 0;
-                    while let Err(e) = seg.append_record(record) {
-                        let e: ImageryError = e.into();
-                        attempt += 1;
-                        if !e.is_transient() || attempt >= MAX_ATTEMPTS {
-                            return Err(e);
-                        }
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        backoff(id, attempt);
-                    }
-                }
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                backoff(frame.id, attempt);
             }
         }
         self.total_bytes.fetch_add(frame.payload, Ordering::Relaxed);
@@ -473,7 +454,7 @@ impl RepresentationStore {
     }
 
     /// Fetch one stored representation, decoding it into a buffer from the
-    /// caller's engine pool — the single read path for both tiers. The
+    /// caller's engine pool — the single read path. The
     /// store is only borrowed shared, so any number of query sessions
     /// fetch concurrently, each with its own [`TranscodeEngine`] (and thus
     /// its own buffer pool); hand decoded images back to *that* engine's
@@ -509,30 +490,15 @@ impl RepresentationStore {
             self.degraded_fetches.fetch_add(1, Ordering::Relaxed);
             return Fetched::Quarantined;
         }
-        let mut attempt = 0;
-        loop {
-            // FAULT: transient fetch fault above the tier dispatch (both
-            // tiers; the segment layer injects its own below).
-            let fetched = match tahoma_faults::transient_io(tahoma_faults::site::STORE_FETCH) {
-                Some(e) => Some(Err(e.into())),
-                None => self.tier_fetch(id, rep, engine),
-            };
-            match fetched {
-                None => return Fetched::Absent,
-                Some(Ok(img)) => return Fetched::Hit(img),
-                Some(Err(e)) => {
-                    attempt += 1;
-                    if e.is_transient() && attempt < MAX_ATTEMPTS {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        backoff(id, attempt);
-                        continue;
-                    }
-                    // Permanent (corrupt/undecodable) or retries exhausted:
-                    // never serve these bytes again.
-                    self.quarantine_record(id, rep);
-                    self.degraded_fetches.fetch_add(1, Ordering::Relaxed);
-                    return Fetched::Quarantined;
-                }
+        match self.read_retrying(id, rep, engine, MAX_ATTEMPTS, false) {
+            None => Fetched::Absent,
+            Some(Ok(img)) => Fetched::Hit(img),
+            // Permanent (corrupt/undecodable) or retries exhausted: never
+            // serve these bytes again.
+            Some(Err(_)) => {
+                self.quarantine_record(id, rep);
+                self.degraded_fetches.fetch_add(1, Ordering::Relaxed);
+                Fetched::Quarantined
             }
         }
     }
@@ -551,59 +517,62 @@ impl RepresentationStore {
         rep: Representation,
         engine: &mut TranscodeEngine,
     ) -> Option<Result<Image, ImageryError>> {
+        self.read_retrying(id, rep, engine, 2 * MAX_ATTEMPTS, true)
+    }
+
+    /// The store's one read loop: up to `attempts` reads, each preceded by
+    /// one draw of the `STORE_FETCH` fault hook, with jittered backoff
+    /// between them. A failed read is retried while attempts remain and
+    /// the error is transient (or `any_error`); the last error is returned
+    /// for the caller's policy to classify.
+    fn read_retrying(
+        &self,
+        id: u64,
+        rep: Representation,
+        engine: &mut TranscodeEngine,
+        attempts: u32,
+        any_error: bool,
+    ) -> Option<Result<Image, ImageryError>> {
         let mut attempt = 0;
         loop {
-            // FAULT: same above-tier injection as `fetch_classified`, so
-            // pinned reads face the same schedule pressure as normal ones.
-            let fetched = match tahoma_faults::transient_io(tahoma_faults::site::STORE_FETCH) {
-                Some(e) => Some(Err(e.into())),
-                None => self.tier_fetch(id, rep, engine),
+            // FAULT: transient fetch fault above the segment read (the
+            // segment layer injects its own below).
+            let read = match tahoma_faults::transient_io(tahoma_faults::site::STORE_FETCH) {
+                Some(e) => Err(e.into()),
+                None => self.read_once(id, rep, engine)?,
             };
-            match fetched {
-                None => return None,
-                Some(Ok(img)) => return Some(Ok(img)),
-                Some(Err(e)) => {
+            match read {
+                Ok(img) => return Some(Ok(img)),
+                Err(e) => {
                     attempt += 1;
-                    if attempt < 2 * MAX_ATTEMPTS {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        backoff(id, attempt);
-                        continue;
+                    if attempt >= attempts || !(any_error || e.is_transient()) {
+                        return Some(Err(e));
                     }
-                    return Some(Err(e));
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    backoff(id, attempt);
                 }
             }
         }
     }
 
-    /// One read attempt against the backing tier (no retry, no
+    /// One read attempt: the payload is pread into the engine's byte
+    /// scratch and decoded into one of its pooled buffers (no retry, no
     /// quarantine).
-    fn tier_fetch(
+    fn read_once(
         &self,
         id: u64,
         rep: Representation,
         engine: &mut TranscodeEngine,
     ) -> Option<Result<Image, ImageryError>> {
-        match &self.tier {
-            Tier::Ram(ram) => {
-                // Clone the Arc-backed handle so the decode runs outside
-                // the map lock.
-                let blob = lock(&ram.blobs).get(&(id, rep)).cloned()?;
-                let buf = engine.take_buffer(rep.value_count());
-                Some(RawCodec.decode_into(&blob, buf))
-            }
-            Tier::Disk(seg) => {
-                // The payload is pread into the engine's byte scratch.
-                let mut io_buf = engine.take_io_buf();
-                let fetched = seg.with_payload(id, rep, &mut io_buf, |blob| {
-                    let buf = engine.take_buffer(rep.value_count());
-                    RawCodec.decode_into(blob, buf)
-                });
-                engine.put_io_buf(io_buf);
-                match fetched {
-                    Ok(decoded) => decoded,
-                    Err(e) => Some(Err(e.into())),
-                }
-            }
+        let mut io_buf = engine.take_io_buf();
+        let fetched = self.segments.with_payload(id, rep, &mut io_buf, |blob| {
+            let buf = engine.take_buffer(rep.value_count());
+            RawCodec.decode_into(blob, buf)
+        });
+        engine.put_io_buf(io_buf);
+        match fetched {
+            Ok(decoded) => decoded,
+            Err(e) => Some(Err(e.into())),
         }
     }
 
@@ -635,35 +604,26 @@ impl RepresentationStore {
 
     /// Run `f` over one stored representation's encoded bytes without
     /// decoding — the byte-identity surface the persistence tests and the
-    /// smoke verifier compare tiers through. `Ok(None)` when the record
-    /// was never ingested.
+    /// smoke verifier compare through. `Ok(None)` when the record was
+    /// never ingested.
     pub fn with_blob<R>(
         &self,
         id: u64,
         rep: Representation,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, ImageryError> {
-        match &self.tier {
-            Tier::Ram(ram) => Ok(lock(&ram.blobs).get(&(id, rep)).cloned().map(|b| f(&b))),
-            Tier::Disk(seg) => {
-                let mut scratch = Vec::new();
-                Ok(seg.with_payload(id, rep, &mut scratch, f)?)
-            }
-        }
+        let mut scratch = Vec::new();
+        Ok(self.segments.with_payload(id, rep, &mut scratch, f)?)
     }
 
     /// Raw stored bytes for one representation (what the ONGOING load cost
     /// is proportional to).
     pub fn stored_bytes(&self, id: u64, rep: Representation) -> Option<usize> {
-        match &self.tier {
-            Tier::Ram(ram) => lock(&ram.blobs).get(&(id, rep)).map(|b| b.len()),
-            Tier::Disk(seg) => seg.payload_len(id, rep),
-        }
+        self.segments.payload_len(id, rep)
     }
 
     /// Total bytes across all frames and representations (encoded payload
-    /// bytes; the persistent tier's per-record framing overhead is not
-    /// counted, so the figure is tier-independent).
+    /// bytes; the per-record framing overhead is not counted).
     pub fn total_bytes(&self) -> usize {
         self.total_bytes.load(Ordering::Relaxed)
     }
@@ -683,56 +643,35 @@ impl RepresentationStore {
         (self.total_bytes() as f64 / frames as f64) / full_frame_bytes as f64
     }
 
-    /// True when backed by segment files.
-    pub fn is_persistent(&self) -> bool {
-        matches!(self.tier, Tier::Disk(_))
+    /// The segment store behind this store (bench/diagnostic surface).
+    pub fn segments(&self) -> &SegmentStore {
+        &self.segments
     }
 
-    /// The persistent tier's segment store, if any (bench/diagnostic
-    /// surface).
-    pub fn segments(&self) -> Option<&SegmentStore> {
-        match &self.tier {
-            Tier::Ram(_) => None,
-            Tier::Disk(seg) => Some(seg),
-        }
-    }
-
-    /// Persistent tier: truncate preallocation and flush shard files (see
-    /// [`SegmentStore::sync`]). No-op for the RAM tier.
+    /// Truncate preallocation and flush shard files (see
+    /// [`SegmentStore::sync`]).
     pub fn sync(&self) -> Result<(), ImageryError> {
-        match &self.tier {
-            Tier::Ram(_) => Ok(()),
-            Tier::Disk(seg) => Ok(seg.sync()?),
-        }
+        Ok(self.segments.sync()?)
     }
 
-    /// Deep integrity check: re-scan and CRC-verify every persistent
-    /// record against the live index ([`SegmentStore::verify_all`]);
-    /// counts blobs for the RAM tier. Returns the number of verified
-    /// records.
+    /// Deep integrity check: re-scan and CRC-verify every record against
+    /// the live index ([`SegmentStore::verify_all`]). Returns the number
+    /// of verified records.
     pub fn verify(&self) -> Result<u64, ImageryError> {
-        match &self.tier {
-            Tier::Ram(ram) => Ok(lock(&ram.blobs).len() as u64),
-            Tier::Disk(seg) => Ok(seg.verify_all()?),
-        }
+        Ok(self.segments.verify_all()?)
     }
 
     /// Startup integrity sweep (serve's `--verify-on-open`): CRC-verify
-    /// every persistent record and *quarantine* the unverifiable ones
-    /// instead of failing — fetches of a quarantined record degrade to
+    /// every record and *quarantine* the unverifiable ones instead of
+    /// failing — fetches of a quarantined record degrade to
     /// transcode-from-source. Returns `(verified, quarantined)` record
-    /// counts. No-op `(blobs, 0)` for the RAM tier.
+    /// counts.
     pub fn verify_and_quarantine(&self) -> Result<(u64, usize), ImageryError> {
-        match &self.tier {
-            Tier::Ram(ram) => Ok((lock(&ram.blobs).len() as u64, 0)),
-            Tier::Disk(seg) => {
-                let bad = seg.unverifiable_records()?;
-                for &(id, rep) in &bad {
-                    self.quarantine_record(id, rep);
-                }
-                Ok((seg.records() - bad.len() as u64, bad.len()))
-            }
+        let bad = self.segments.unverifiable_records()?;
+        for &(id, rep) in &bad {
+            self.quarantine_record(id, rep);
         }
+        Ok((self.segments.records() - bad.len() as u64, bad.len()))
     }
 }
 
@@ -818,6 +757,17 @@ mod tests {
         dir
     }
 
+    /// The bytes ingest must store for `rep` of `full`, computed without
+    /// the store: the direct per-representation transform of the frame
+    /// snapped to the storage quantizer's grid (the rederive exactness
+    /// guarantee), then the raw encoding.
+    fn direct_apply_bytes(full: &Image, rep: Representation) -> Vec<u8> {
+        let mut full_q = full.clone();
+        crate::codec::quantize_roundtrip(&mut full_q);
+        let direct = crate::repr::apply_reference(&full_q, rep).unwrap();
+        RawCodec.encode(&direct).to_vec()
+    }
+
     fn fetch_one(store: &RepresentationStore, id: u64, rep: Representation) -> Option<Image> {
         let mut engine = TranscodeEngine::new();
         store
@@ -829,7 +779,7 @@ mod tests {
     fn rederive_from_stored_source_is_bitwise_identical() {
         // The degradation contract: a quarantined model input re-derived
         // from the stored source rep must reproduce the stored bytes
-        // exactly, on both tiers. Source rep matches the ingested frame
+        // exactly. Source rep matches the ingested frame
         // shape (the serve fixture's layout), and the set holds every way
         // the plan produces a target: the same-size gray (it owns the
         // shared luma plane), a resized gray, a same-size plane copy, a
@@ -855,35 +805,22 @@ mod tests {
                 TranscodeStep::Identity,
             ]
         );
-        let dir = tmp_dir("rederive-steps");
-        let tiers = [
-            RepresentationStore::new(reps.clone()),
-            RepresentationStore::persistent(reps.clone(), &dir, 2).expect("persistent"),
-        ];
-        for store in &tiers {
-            store.ingest(5, &frame(8)).unwrap();
-            let src = fetch_one(store, 5, src_rep).expect("stored source");
-            let mut engine = TranscodeEngine::new();
-            for &rep in &reps {
-                // Pixels, not re-encoded bytes: encoding would quantize and
-                // hide a stand-in that missed the stored grid.
-                let derived = store.rederive(&src, rep, &mut engine).expect("rederives");
-                let stored = fetch_one(store, 5, rep).expect("stored");
-                assert_eq!(
-                    derived.data(),
-                    stored.data(),
-                    "rederive({rep}) diverged (persistent: {})",
-                    store.is_persistent()
-                );
-            }
+        let store = RepresentationStore::temporary(reps.clone()).unwrap();
+        store.ingest(5, &frame(8)).unwrap();
+        let src = fetch_one(&store, 5, src_rep).expect("stored source");
+        let mut engine = TranscodeEngine::new();
+        for &rep in &reps {
+            // Pixels, not re-encoded bytes: encoding would quantize and
+            // hide a stand-in that missed the stored grid.
+            let derived = store.rederive(&src, rep, &mut engine).expect("rederives");
+            let stored = fetch_one(&store, 5, rep).expect("stored");
+            assert_eq!(derived.data(), stored.data(), "rederive({rep}) diverged");
         }
-        drop(tiers);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn ingest_then_fetch_roundtrips() {
-        let store = RepresentationStore::new(small_reps());
+        let store = RepresentationStore::temporary(small_reps()).unwrap();
         store.ingest(7, &frame(1)).unwrap();
         let rep = Representation::new(30, ColorMode::Gray);
         let img = fetch_one(&store, 7, rep).expect("stored");
@@ -895,7 +832,7 @@ mod tests {
 
     #[test]
     fn missing_entries_are_none() {
-        let store = RepresentationStore::new(small_reps());
+        let store = RepresentationStore::temporary(small_reps()).unwrap();
         store.ingest(1, &frame(2)).unwrap();
         assert!(fetch_one(&store, 2, small_reps()[0]).is_none());
         assert!(fetch_one(&store, 1, Representation::new(120, ColorMode::Red)).is_none());
@@ -903,7 +840,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_accumulates() {
-        let store = RepresentationStore::new(small_reps());
+        let store = RepresentationStore::temporary(small_reps()).unwrap();
         store.ingest(1, &frame(3)).unwrap();
         let per_frame = store.total_bytes();
         store.ingest(2, &frame(4)).unwrap();
@@ -917,12 +854,12 @@ mod tests {
     fn small_rep_store_is_cheaper_than_archive_frames() {
         // The ONGOING bet: a handful of small representations costs less
         // storage than even one compressed full frame.
-        let store = RepresentationStore::new(small_reps());
+        let store = RepresentationStore::temporary(small_reps()).unwrap();
         store.ingest(1, &frame(5)).unwrap();
         let amp = store.amplification_vs(60_000);
         assert!(amp < 0.5, "amplification {amp}");
         // ...but materializing all 20 paper representations is not free.
-        let all = RepresentationStore::new(Representation::paper_set());
+        let all = RepresentationStore::temporary(Representation::paper_set()).unwrap();
         all.ingest(1, &frame(5)).unwrap();
         assert!(all.amplification_vs(60_000) > amp * 5.0);
     }
@@ -931,18 +868,13 @@ mod tests {
     fn ingest_stores_exactly_the_direct_apply_bytes() {
         // The lattice-planned materialization is bitwise identical to the
         // per-representation direct path, so the stored blobs are too.
-        let store = RepresentationStore::new(Representation::paper_set());
+        let store = RepresentationStore::temporary(Representation::paper_set()).unwrap();
         let f = frame(9);
         store.ingest(3, &f).unwrap();
-        // Ingest snaps the frame to the storage quantizer's grid first
-        // (the rederive exactness guarantee); mirror it for the reference.
-        let mut f_q = f.clone();
-        crate::codec::quantize_roundtrip(&mut f_q);
         for rep in Representation::paper_set() {
-            let direct = crate::repr::apply_reference(&f_q, rep).unwrap();
-            let want = RawCodec.encode(&direct);
+            let want = direct_apply_bytes(&f, rep);
             let same = store
-                .with_blob(3, rep, |got| got == want.as_ref())
+                .with_blob(3, rep, |got| got == want.as_slice())
                 .unwrap()
                 .expect("stored");
             assert!(same, "{rep}");
@@ -955,11 +887,11 @@ mod tests {
         // one store walked forwards, the other backwards — account the
         // same bytes and frames: each frame is priced on its own.
         let frames: Vec<Image> = (0..3).map(frame).collect();
-        let a = RepresentationStore::new(small_reps());
+        let a = RepresentationStore::temporary(small_reps()).unwrap();
         for (i, f) in frames.iter().enumerate() {
             a.ingest(i as u64, f).unwrap();
         }
-        let b = RepresentationStore::new(small_reps());
+        let b = RepresentationStore::temporary(small_reps()).unwrap();
         for (i, f) in frames.iter().enumerate().rev() {
             b.ingest(i as u64, f).unwrap();
         }
@@ -970,7 +902,7 @@ mod tests {
 
     #[test]
     fn pooled_fetch_matches_fresh_decode_and_reuses_buffers() {
-        let store = RepresentationStore::new(small_reps());
+        let store = RepresentationStore::temporary(small_reps()).unwrap();
         store.ingest(4, &frame(6)).unwrap();
         store.ingest(5, &frame(7)).unwrap();
         let rep = Representation::new(30, ColorMode::Gray);
@@ -996,29 +928,34 @@ mod tests {
     }
 
     #[test]
-    fn persistent_tier_is_byte_identical_to_ram() {
-        let dir = tmp_dir("identity");
-        let ram = RepresentationStore::new(small_reps());
+    fn persistent_store_serves_the_direct_apply_bytes() {
+        // A store in a named directory (the one a restart reopens) holds
+        // and decodes exactly the direct-apply bytes, frame after frame.
+        let dir = tmp_dir("direct");
         let disk = RepresentationStore::persistent(small_reps(), &dir, 3).expect("persistent");
-        assert!(disk.is_persistent() && !ram.is_persistent());
+        let mut want_total = 0;
         for id in 0..12u64 {
-            let f = frame(id);
-            ram.ingest(id, &f).unwrap();
-            disk.ingest(id, &f).unwrap();
+            disk.ingest(id, &frame(id)).unwrap();
         }
-        assert_eq!(ram.total_bytes(), disk.total_bytes());
         let mut engine = TranscodeEngine::new();
         for id in 0..12u64 {
-            for &rep in ram.representations() {
-                let a = ram.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
-                let b = disk.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
-                assert_eq!(a, b, "blob mismatch id {id} rep {rep}");
-                let ia = ram.fetch(id, rep, &mut engine).unwrap().unwrap();
-                let ib = disk.fetch(id, rep, &mut engine).unwrap().unwrap();
-                assert_eq!(ia.data(), ib.data(), "decode mismatch id {id} rep {rep}");
-                engine.recycle([ia, ib]);
+            for &rep in disk.representations() {
+                let want = direct_apply_bytes(&frame(id), rep);
+                want_total += want.len();
+                let got = disk.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
+                assert_eq!(got, want, "blob mismatch id {id} rep {rep}");
+                let img = disk.fetch(id, rep, &mut engine).unwrap().unwrap();
+                let decoded = RawCodec.decode(&want).unwrap();
+                assert_eq!(
+                    img.data(),
+                    decoded.data(),
+                    "decode mismatch id {id} rep {rep}"
+                );
+                engine.recycle([img]);
             }
         }
+        assert_eq!(disk.total_bytes(), want_total);
+        drop(disk);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1073,8 +1010,8 @@ mod tests {
         // The continuous-query contract: writers ingest through `&self`
         // while readers fetch, and the end state is byte-identical to a
         // serial ingest of the same frames.
-        let store = std::sync::Arc::new(RepresentationStore::new(small_reps()));
-        let serial = RepresentationStore::new(small_reps());
+        let store = std::sync::Arc::new(RepresentationStore::temporary(small_reps()).unwrap());
+        let serial = RepresentationStore::temporary(small_reps()).unwrap();
         for id in 0..24u64 {
             serial.ingest(id, &frame(id)).unwrap();
         }
@@ -1114,6 +1051,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_rep_set_panics() {
-        RepresentationStore::new(vec![]);
+        let _ = RepresentationStore::temporary(vec![]);
     }
 }

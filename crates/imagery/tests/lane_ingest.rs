@@ -8,13 +8,18 @@
 //! the machine's lanes) and a tick-shaped batch (one frame per pool job, as
 //! a standing query's tick prepares its arrivals). With zero pool workers
 //! (a process pinned to one core, one lane) every job runs inline on the
-//! caller, which is the serial order itself.
+//! caller, which is the serial order itself. A frame prepared and
+//! committed by hand is also checked against bytes computed without the
+//! store.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use tahoma_imagery::codec::quantize_roundtrip;
 use tahoma_imagery::engine::with_local_engine;
+use tahoma_imagery::repr::apply_reference;
 use tahoma_imagery::{
-    ColorMode, Image, ObjectKind, Representation, RepresentationStore, SceneParams, SceneRenderer,
+    ColorMode, Image, ObjectKind, RawCodec, Representation, RepresentationStore, SceneParams,
+    SceneRenderer,
 };
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -136,25 +141,24 @@ fn tick_shaped_batch_prepared_per_frame_writes_the_serial_bytes() {
 }
 
 #[test]
-fn a_prepared_frame_commits_to_a_ram_store_as_ingest_does() {
-    let ram = RepresentationStore::new(served_reps());
-    let reference = RepresentationStore::new(served_reps());
+fn a_prepared_frame_commits_the_direct_apply_bytes() {
+    // Oracle: the direct per-representation transform of the frame snapped
+    // to the storage quantizer's grid, then the raw encoding.
+    let store = RepresentationStore::temporary(served_reps()).unwrap();
+    let mut want_total = 0;
     for id in 0..5u64 {
         let f = ramp_frame(id);
-        let p = with_local_engine(|e| ram.prepare(id, &f, e)).unwrap();
-        ram.commit(&p).unwrap();
-        reference.ingest(id, &f).unwrap();
-    }
-    assert_eq!(ram.total_bytes(), reference.total_bytes());
-    assert_eq!(ram.frames(), reference.frames());
-    for id in 0..5u64 {
-        for &rep in reference.representations() {
-            let a = ram.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
-            let b = reference
-                .with_blob(id, rep, |b| b.to_vec())
-                .unwrap()
-                .unwrap();
-            assert_eq!(a, b, "id {id} rep {rep}");
+        let p = with_local_engine(|e| store.prepare(id, &f, e)).unwrap();
+        store.commit(&p).unwrap();
+        let mut f_q = f.clone();
+        quantize_roundtrip(&mut f_q);
+        for &rep in store.representations() {
+            let want = RawCodec.encode(&apply_reference(&f_q, rep).unwrap());
+            want_total += want.len();
+            let got = store.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
+            assert_eq!(got, want.as_ref(), "id {id} rep {rep}");
         }
     }
+    assert_eq!(store.total_bytes(), want_total);
+    assert_eq!(store.frames(), 5);
 }

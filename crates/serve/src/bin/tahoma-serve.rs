@@ -8,12 +8,14 @@
 //!              [--verify-on-open] [--deadline-ms N]
 //! ```
 //!
-//! `--store-dir` (NN backend only) backs the frame store with the
-//! persistent segment tier under DIR; a compatible existing
-//! store is reopened without re-ingesting. `--verify-on-open` sweeps every
-//! stored record's CRC at boot and quarantines (rather than boot-fails on)
-//! corrupt ones — they serve through the transcode-from-source degradation
-//! path and are counted in `STATS`. `--deadline-ms` applies a server-side
+//! `--store-dir` (NN backend only) keeps the frame store's segment files
+//! under DIR; a compatible existing store is reopened without
+//! re-ingesting. Without it the store is temporary: its files live in a
+//! directory removed at boot, are deleted at exit, and are never
+//! reopened. `--verify-on-open` sweeps every stored record's CRC at boot
+//! and quarantines (rather than boot-fails on) corrupt ones — they serve
+//! through the transcode-from-source degradation path and are counted in
+//! `STATS`. `--deadline-ms` applies a server-side
 //! deadline to every plain `QUERY`/`QUERYU` (clients can always set a
 //! per-request one with the `DEADLINE` verb).
 //!

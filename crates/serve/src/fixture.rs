@@ -22,7 +22,6 @@
 use crate::service::QueryService;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 use tahoma_core::exec::{BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer};
 use tahoma_core::pipeline::TahomaSystem;
 use tahoma_core::query::{Corpus, CorpusItem};
@@ -77,14 +76,13 @@ pub struct NnFixtureConfig {
     /// Root seed: frames, surrogate pricing, and network weights all
     /// derive from it.
     pub seed: u64,
-    /// Broker coalescing window.
-    pub window: Duration,
-    /// When set, back the shared frame store with the persistent segment
-    /// tier under this directory instead of RAM. A directory holding a
-    /// compatible store (same representations, same corpus size — the
-    /// frames are deterministic in `seed`) is reopened as-is, so a service
-    /// can restart without re-ingesting; anything else is recreated from
-    /// scratch.
+    /// When set, keep the shared frame store's segment files under this
+    /// directory. A directory holding a compatible store (same
+    /// representations, same corpus size — the frames are deterministic in
+    /// `seed`) is reopened as-is, so a service can restart without
+    /// re-ingesting; anything else is recreated from scratch. Without it
+    /// the store is [`RepresentationStore::temporary`]: the same files,
+    /// deleted with the service and never reopened.
     pub store_dir: Option<PathBuf>,
     /// Sweep every stored record's CRC at build time
     /// ([`RepresentationStore::verify_and_quarantine`]); corrupt records
@@ -101,7 +99,6 @@ impl Default for NnFixtureConfig {
             corpus_n: 384,
             prevalence: 0.35,
             seed: 0x7A40,
-            window: crate::broker::Broker::DEFAULT_WINDOW,
             store_dir: None,
             verify_on_open: false,
         }
@@ -187,7 +184,7 @@ const NN_ARCHS: (ArchSpec, ArchSpec) = (
 
 /// Real-NN service: shared frame store, per-kind zoos with untrained CNNs
 /// at two representation levels, live-calibrated execution thresholds,
-/// coalescing brokers wired to `cfg.window`.
+/// coalescing brokers.
 ///
 /// Needs `cfg.corpus_n >= 1`: the thresholds are quantiles of the corpus's
 /// own scores (the `tahoma-serve` binary rejects `--corpus 0` up front).
@@ -198,13 +195,12 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
     let mut service = QueryService::new(profiler, ACCURACY_LOSS, Arc::clone(&corpus));
 
     // One store serves every kind: frames are per item, not per predicate.
-    // With `store_dir` set the reps live on the persistent segment tier; a
-    // compatible directory is reopened (recovery + CRC verification)
-    // instead of re-ingested, so reopen serves the exact bytes the
-    // previous process wrote.
+    // With `store_dir` set a compatible directory is reopened (recovery +
+    // CRC verification) instead of re-ingested, so reopen serves the exact
+    // bytes the previous process wrote.
     let reps = vec![rep0, rep1, rep_src];
     let store = match &cfg.store_dir {
-        None => RepresentationStore::new(reps),
+        None => RepresentationStore::temporary(reps).unwrap(),
         Some(dir) => match RepresentationStore::open(dir) {
             Ok((existing, _report))
                 if existing.representations() == reps
@@ -348,7 +344,6 @@ fn add_nn_kinds(
             corpus_scores,
             Arc::clone(store),
             zoo,
-            cfg.window,
         );
     }
 }

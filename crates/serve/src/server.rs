@@ -545,7 +545,8 @@ mod tests {
             dense_nodes: 8,
         };
         let corpus = std::sync::Arc::new(Corpus::synthetic(8, 0.5, 1));
-        let store = RepresentationStore::new(vec![Representation::new(32, ColorMode::Rgb)]);
+        let store =
+            RepresentationStore::temporary(vec![Representation::new(32, ColorMode::Rgb)]).unwrap();
         for item in &corpus.items {
             store
                 .ingest(item.id, &crate::fixture::frame(item.id, 64))
@@ -585,7 +586,6 @@ mod tests {
             Vec::new(),
             std::sync::Arc::new(store),
             zoo,
-            crate::Broker::DEFAULT_WINDOW,
         );
         service
     }

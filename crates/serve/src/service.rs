@@ -308,8 +308,8 @@ impl QueryService {
     /// model `m`'s score for every corpus item, in corpus order (empty for
     /// a model with no network); a conjunction naming `kind` is ordered by
     /// its planned cascade's walk over them, and planning one fails if a
-    /// model of that cascade has none.
-    #[allow(clippy::too_many_arguments)]
+    /// model of that cascade has none. The broker coalesces within
+    /// [`Broker::DEFAULT_WINDOW`].
     pub fn add_nn_kind(
         &mut self,
         kind: ObjectKind,
@@ -318,12 +318,11 @@ impl QueryService {
         corpus_scores: Vec<Vec<f32>>,
         store: Arc<RepresentationStore>,
         zoo: SharedModelZoo,
-        window: std::time::Duration,
     ) {
         let cost = CostContext::build(&system.repo, &self.profiler);
         let zoo = Arc::new(zoo);
         let active = Arc::new(AtomicUsize::new(0));
-        let broker = Broker::new(Arc::clone(&zoo), Arc::clone(&active)).with_window(window);
+        let broker = Broker::new(Arc::clone(&zoo), Arc::clone(&active));
         self.kinds.insert(
             kind,
             KindState {

@@ -151,7 +151,7 @@ pub struct StandingQuery {
     // cursor, parked frames); held across a whole tick, strictly below
     // the registry map (25) and above everything the tick reaches through
     // the service: scratch pools (30), broker (40/50), and store
-    // ingest/fetch (65/66/70/71). The render jobs a tick spawns on the
+    // ingest/fetch (65/67/70/71). The render jobs a tick spawns on the
     // process pool while holding it take only the store's plan cache (65)
     // for a lookup; like an inference scope under this lock, the owner
     // thread may help run other scopes' jobs while it waits for its

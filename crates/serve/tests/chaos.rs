@@ -1,6 +1,6 @@
 //! Chaos campaign: ≥1000 seeded fault schedules through the full serve
-//! fixture — ad-hoc and standing queries, both store tiers, plus a TCP
-//! phase with protocol-layer faults.
+//! fixture — ad-hoc and standing queries over its segment-file store, plus
+//! a TCP phase with protocol-layer faults.
 //!
 //! Invariants asserted for every schedule (the tentpole proof,
 //! RELIABILITY.md):
@@ -16,7 +16,7 @@
 //!   report `state=degraded`, never silently wrong windows).
 //!
 //! Faults are armed process-wide, so every test here serializes on one
-//! campaign lock. The four schedule campaigns are `#[ignore]`d: they take
+//! campaign lock. The three schedule campaigns are `#[ignore]`d: they take
 //! minutes in a debug build and seconds in release, where CI runs them
 //! (`cargo test --release --workspace -- --include-ignored`).
 
@@ -49,12 +49,11 @@ const STREAM_SQL: &str = "SELECT * FROM frames WHERE contains_object(fence)";
 const STREAM_SEED: u64 = 0xBEEF;
 const TICKS: usize = 2;
 
-fn small_fixture(store_dir: Option<std::path::PathBuf>) -> QueryService {
+fn small_fixture() -> QueryService {
     nn_service(&NnFixtureConfig {
         kinds: vec![ObjectKind::Fence, ObjectKind::Wallet],
         corpus_n: 32,
         seed: 0x7A40,
-        store_dir,
         ..Default::default()
     })
 }
@@ -225,14 +224,15 @@ fn run_schedule(service: &QueryService, seed: u64, base: &Baseline) -> (u64, u64
     (injected, client_retries, degraded)
 }
 
-fn campaign(service: &QueryService, seeds: std::ops::Range<u64>, tag: &str) {
+fn campaign(service: &QueryService, seeds: impl Iterator<Item = u64>, tag: &str) {
     let base = baseline(service);
-    let n = seeds.end - seeds.start;
+    let mut n = 0u64;
     let mut injected = 0u64;
     let mut retries = 0u64;
     let mut degraded = 0u64;
     for seed in seeds {
         let (i, r, d) = run_schedule(service, seed, &base);
+        n += 1;
         injected += i;
         retries += r;
         degraded += u64::from(d);
@@ -262,24 +262,15 @@ fn campaign(service: &QueryService, seeds: std::ops::Range<u64>, tag: &str) {
     );
 }
 
+/// The store campaign: 1024 schedules on one service, so quarantines
+/// left by earlier schedules stay in force for later ones. The seeds are
+/// the two ranges the campaign ran as when the store had two tiers.
 #[test]
 #[ignore = "release-only campaign; CI runs it"]
-fn chaos_ram_tier_768_schedules() {
+fn chaos_store_1024_schedules() {
     let _campaign = campaign_lock();
-    let service = small_fixture(None);
-    campaign(&service, 0..768, "ram");
-}
-
-#[test]
-#[ignore = "release-only campaign; CI runs it"]
-fn chaos_persistent_tier_256_schedules() {
-    let _campaign = campaign_lock();
-    let dir = std::env::temp_dir().join(format!("tahoma-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let service = small_fixture(Some(dir.clone()));
-    campaign(&service, 1000..1256, "persistent");
-    drop(service);
-    let _ = std::fs::remove_dir_all(&dir);
+    let service = small_fixture();
+    campaign(&service, (0..768).chain(1000..1256), "store");
 }
 
 /// Schedules over a corpus whose full-corpus packs span several morsels
@@ -309,7 +300,7 @@ fn chaos_morsel_packs_128_schedules() {
 #[test]
 fn deadlines_timeout_cleanly_and_generous_budgets_change_nothing() {
     let _campaign = campaign_lock();
-    let service = small_fixture(None);
+    let service = small_fixture();
     let base = service
         .execute_with(QUERIES[0], ExecPolicy::default())
         .expect("fault-free")
@@ -344,7 +335,7 @@ fn deadlines_timeout_cleanly_and_generous_budgets_change_nothing() {
 #[ignore = "release-only campaign; CI runs it"]
 fn chaos_tcp_64_schedules() {
     let _campaign = campaign_lock();
-    let service = Arc::new(small_fixture(None));
+    let service = Arc::new(small_fixture());
     let handle = serve(Arc::clone(&service), ServerConfig::default()).expect("bind");
     let addr = handle.addr();
 

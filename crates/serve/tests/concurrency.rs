@@ -6,7 +6,6 @@
 //! coalescing change cost, never answers.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 use tahoma_core::query::Corpus;
 use tahoma_imagery::ObjectKind;
 use tahoma_nn::MORSEL_ROWS;
@@ -33,8 +32,6 @@ fn nn_fixture() -> Arc<QueryService> {
     Arc::clone(SERVICE.get_or_init(|| {
         Arc::new(nn_service(&NnFixtureConfig {
             corpus_n: 96,
-            // A wide window forces real cross-query merges on slow runners.
-            window: Duration::from_millis(2),
             ..Default::default()
         }))
     }))
@@ -140,7 +137,6 @@ fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
     ];
     let cfg = NnFixtureConfig {
         corpus_n: 2 * MORSEL_ROWS + 40,
-        window: Duration::from_millis(2),
         ..Default::default()
     };
     let service = Arc::new(nn_service(&cfg));
@@ -241,7 +237,6 @@ fn concurrent_standing_ticks_match_sequential() {
     ];
     let service = nn_service(&NnFixtureConfig {
         corpus_n: 32,
-        window: Duration::from_millis(2),
         ..Default::default()
     });
     // Same registry seed and registration order: same qids, same frames.
@@ -302,10 +297,10 @@ fn concurrent_standing_ticks_match_sequential() {
     );
 }
 
-/// The persistent segment tier must be invisible in answers: a service
-/// whose frame store lives on disk returns bitwise-identical results to
-/// the RAM-backed fixture — including after a simulated restart that
-/// reopens the store directory (recovery + CRC verification, no
+/// A store directory must be invisible in answers: a service whose frame
+/// store lives in a named directory returns bitwise-identical results to
+/// the fixture on a temporary store — including after a simulated restart
+/// that reopens the store directory (recovery + CRC verification, no
 /// re-ingest) — and stays identical under concurrent load.
 #[test]
 fn persistent_store_service_matches_ram_and_survives_reopen() {
@@ -314,21 +309,23 @@ fn persistent_store_service_matches_ram_and_survives_reopen() {
     let expected = Arc::new(reference_answers(&nn_fixture()));
     let persist_cfg = NnFixtureConfig {
         corpus_n: 96,
-        window: Duration::from_millis(2),
         store_dir: Some(dir.clone()),
         ..Default::default()
     };
 
-    // First build: fresh ingest onto the segment tier.
+    // First build: fresh ingest into the directory.
     {
         let service = nn_service(&persist_cfg);
         let got = reference_answers(&service);
-        assert_eq!(got, *expected, "persistent tier diverged from RAM");
+        assert_eq!(
+            got, *expected,
+            "store directory diverged from the temporary store"
+        );
     }
 
     // "Restart": a fresh service finds a compatible store in the
     // directory and reopens it instead of re-ingesting; concurrent
-    // clients must still see the RAM-identical answers.
+    // clients must still see the same answers.
     let service = Arc::new(nn_service(&persist_cfg));
     std::thread::scope(|s| {
         for t in 0..4 {

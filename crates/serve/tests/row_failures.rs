@@ -117,7 +117,7 @@ fn unscorable_rows_fail_typed_naming_the_lowest_item_on_every_schedule() {
     let corpus = Corpus::synthetic(ROWS, 0.5, 7);
     let items: Vec<&CorpusItem> = corpus.items.iter().collect();
     let (low, high) = (2 * MORSEL_ROWS + 5, 7 * MORSEL_ROWS + 40);
-    let store = RepresentationStore::new(vec![model_rep()]);
+    let store = RepresentationStore::temporary(vec![model_rep()]).unwrap();
     for (row, item) in items.iter().enumerate() {
         if row != low && row != high {
             store.ingest(item.id, &frame(item.id)).expect("ingests");
@@ -143,7 +143,7 @@ fn quarantined_rows_degrade_on_the_lanes_to_the_healthy_bits() {
     count_panics();
     let corpus = Corpus::synthetic(ROWS, 0.5, 8);
     let items: Vec<&CorpusItem> = corpus.items.iter().collect();
-    let store = RepresentationStore::new(vec![model_rep(), source_rep()]);
+    let store = RepresentationStore::temporary(vec![model_rep(), source_rep()]).unwrap();
     for item in &items {
         store.ingest(item.id, &frame(item.id)).expect("ingests");
     }

@@ -133,7 +133,7 @@ fn standing_ticks_work_is_pinned() {
     assert_pinned("standing", &counts);
 }
 
-/// A depth-2 cascade through [`SharedNnScorer`] over a RAM store. Both
+/// A depth-2 cascade through [`SharedNnScorer`] over a temporary store. Both
 /// levels read 24 px gray, so every level-1 row comes from the cascade's
 /// shared-representation cache, and three records are quarantined, so
 /// their rows are re-derived from the stored 64 px source.
@@ -143,7 +143,7 @@ fn depth2_cascade_work_is_pinned() {
     const SOURCE: Representation = Representation::new(64, ColorMode::Rgb);
     let corpus = Corpus::synthetic(64, 0.3, SEED);
     let items: Vec<&CorpusItem> = corpus.items.iter().collect();
-    let store = RepresentationStore::new(vec![REP, SOURCE]);
+    let store = RepresentationStore::temporary(vec![REP, SOURCE]).unwrap();
     for item in &items {
         store.ingest(item.id, &frame(item.id, 64)).expect("ingest");
     }

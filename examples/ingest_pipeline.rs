@@ -24,7 +24,7 @@ fn main() {
         Representation::new(30, ColorMode::Gray),
         Representation::new(60, ColorMode::Rgb),
     ];
-    let rep_store = RepresentationStore::new(reps);
+    let rep_store = RepresentationStore::temporary(reps).expect("temporary store");
     let renderer = SceneRenderer::new(ObjectKind::Fence, SceneParams::default(), 99);
     for id in 0..24 {
         let (frame, _) = renderer.render(id, id % 3 == 0);

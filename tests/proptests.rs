@@ -571,16 +571,17 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The persistent tier is invisible at the byte level: the same
-    /// frames ingested into a RAM store and a segment-backed store decode
-    /// to bitwise-identical pixels for every representation, both live
-    /// and after sync → reopen.
+    /// The store holds exactly the direct-apply bytes: every frame's
+    /// direct per-representation transform, snapped to the storage grid
+    /// and encoded without the store, equals the stored record and decodes
+    /// to the fetched pixels, both live and after sync → reopen.
     #[test]
-    fn persistent_store_tier_matches_ram_bitwise(
+    fn persistent_store_matches_direct_apply_bitwise(
         n in 1usize..10, src in 8usize..40, seed in 0u64..1000,
         sizes in prop::collection::vec(1usize..32, 1..4),
         mode_sels in prop::collection::vec(0usize..5, 1..4),
     ) {
+        use tahoma::imagery::codec::quantize_roundtrip;
         use tahoma::imagery::{RepresentationStore, TranscodeEngine};
         let mut reps: Vec<Representation> = Vec::new();
         for (&s, &m) in sizes.iter().zip(mode_sels.iter().cycle()) {
@@ -597,33 +598,41 @@ proptest! {
                     .unwrap(),
             );
         }
-        let dir = proptest_dir("store-tier");
-        let ram = RepresentationStore::new(reps.clone());
+        // The oracle, one encoded record per (frame, rep) in that order.
+        let mut want = Vec::with_capacity(n * reps.len());
+        for f in &frames {
+            let mut f_q = f.clone();
+            quantize_roundtrip(&mut f_q);
+            for &rep in &reps {
+                want.push(RawCodec.encode(&apply_reference(&f_q, rep).unwrap()).to_vec());
+            }
+        }
+        let dir = proptest_dir("store-direct");
         let disk = RepresentationStore::persistent(reps.clone(), &dir, 3).unwrap();
         for (i, f) in frames.iter().enumerate() {
-            ram.ingest(i as u64, f).unwrap();
             disk.ingest(i as u64, f).unwrap();
         }
         let mut engine = TranscodeEngine::new();
-        for id in 0..n as u64 {
-            for &rep in &reps {
-                let a = ram.fetch(id, rep, &mut engine).unwrap().unwrap();
-                let b = disk.fetch(id, rep, &mut engine).unwrap().unwrap();
-                prop_assert_eq!(a.data(), b.data(), "live {} {}", id, rep);
-                engine.recycle([a, b]);
+        let mut check = |store: &RepresentationStore, phase: &str| -> Result<(), TestCaseError> {
+            let mut want = want.iter();
+            for id in 0..n as u64 {
+                for &rep in &reps {
+                    let want = want.next().unwrap();
+                    let got = store.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
+                    prop_assert_eq!(&got, want, "{} bytes {} {}", phase, id, rep);
+                    let img = store.fetch(id, rep, &mut engine).unwrap().unwrap();
+                    let decoded = RawCodec.decode(want).unwrap();
+                    prop_assert_eq!(img.data(), decoded.data(), "{} pixels {} {}", phase, id, rep);
+                    engine.recycle([img]);
+                }
             }
-        }
+            Ok(())
+        };
+        check(&disk, "live")?;
         disk.sync().unwrap();
         drop(disk);
         let (reopened, _report) = RepresentationStore::open(&dir).unwrap();
-        for id in 0..n as u64 {
-            for &rep in &reps {
-                let a = ram.fetch(id, rep, &mut engine).unwrap().unwrap();
-                let b = reopened.fetch(id, rep, &mut engine).unwrap().unwrap();
-                prop_assert_eq!(a.data(), b.data(), "reopened {} {}", id, rep);
-                engine.recycle([a, b]);
-            }
-        }
+        check(&reopened, "reopened")?;
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -178,7 +178,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     // level serves via direct fetch and the other via the transcode
     // fallback.
     let source_rep = Representation::new(24, ColorMode::Rgb);
-    let store = RepresentationStore::new(vec![rep_gray, source_rep]);
+    let store = RepresentationStore::temporary(vec![rep_gray, source_rep]).unwrap();
     let corpus = Corpus {
         items: bundle
             .eval
@@ -362,7 +362,8 @@ fn nn_scorer_reports_unscorable_packs_as_typed_errors() {
     let model_rep = Representation::new(8, ColorMode::Gray);
     // The store holds a representation the model does not consume, and the
     // zoo names no source to re-derive the model's input from.
-    let store = RepresentationStore::new(vec![Representation::new(12, ColorMode::Rgb)]);
+    let store =
+        RepresentationStore::temporary(vec![Representation::new(12, ColorMode::Rgb)]).unwrap();
     let frame = Image::from_fn(16, 16, ColorMode::Rgb, |c, y, x| (c + y + x) as f32 / 48.0)
         .expect("valid dims");
     store.ingest(7, &frame).expect("ingests");
