@@ -5,10 +5,10 @@
 //! literal/comment blobs. The invariants the lints lean on:
 //!
 //! * nothing inside a string, char, raw-string, or comment ever becomes a
-//!   code token (so `"unsafe"` in a message never trips A1);
+//!   code token (so `"tahoma_faults"` in a message never trips A7);
 //! * comments are captured separately with their line span and doc-ness
-//!   (`///`/`//!`/`/**` are doc, `//`/`/*` are not — the SAFETY rules
-//!   treat the two differently);
+//!   (`///`/`//!`/`/**` are doc, `//`/`/*` are not — A7's `// FAULT:`
+//!   marker counts only plain comments);
 //! * every token carries its 1-based source line.
 //!
 //! Number lexing deliberately consumes `.` only when a digit follows, so a

@@ -1,45 +1,44 @@
 //! `tahoma-audit`: the workspace invariant linter.
 //!
-//! PRs 1–6 built the hot path on ~75 `unsafe` SIMD sites, NaN-total
-//! orderings, and a Mutex/Condvar coalescing broker — invariants that
-//! were enforced only by convention. This crate machine-checks them on
-//! every CI run (see `SAFETY.md` at the workspace root for the policy the
-//! lints encode, and [`lints`] for the rule catalogue A1–A7).
+//! The hot path rests on `unsafe` SIMD sites, NaN-total orderings, and a
+//! Mutex/Condvar coalescing broker. rustc and clippy hold the invariants
+//! they can express (a SAFETY comment on every `unsafe` block, an
+//! `unsafe` block around every unsafe operation in an `unsafe fn`, no
+//! panics in serve or `core::exec`; see the root `Cargo.toml`). This
+//! crate machine-checks the rest — lints A3 and A5–A7, catalogued in
+//! [`lints`] (`SAFETY.md` at the workspace root has the policy they
+//! encode).
 //!
 //! Run it locally with `scripts/audit.sh`, or directly:
 //!
 //! ```text
-//! cargo run -p tahoma-audit --           # human table, exit 1 on findings
-//! cargo run -p tahoma-audit -- --json    # machine-readable, for CI
+//! cargo run -p tahoma-audit --           # table, exit 1 on findings
 //! ```
 //!
-//! Exceptions live in `audit-allow.toml`; every entry carries a reason
-//! and stale entries fail the audit (lint `A0`).
+//! The audit has no exception list: a finding is fixed, not excused.
 
-pub mod allow;
 pub mod lexer;
 pub mod lints;
 pub mod report;
 pub mod workspace;
 
-pub use allow::Allowlist;
 pub use lints::Violation;
 pub use report::Report;
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Audit every `.rs` file under `root` and apply `allow`.
-pub fn run_audit(root: &Path, allow: &Allowlist) -> std::io::Result<Report> {
+/// Audit every `.rs` file under `root`.
+pub fn run_audit(root: &Path) -> std::io::Result<Report> {
     let sources = workspace::read_sources(root)?;
-    Ok(audit_in_memory(&sources, allow))
+    Ok(audit_in_memory(&sources))
 }
 
 /// Audit pre-read sources (fixture tests feed violations through this
 /// without touching the filesystem).
-pub fn audit_in_memory(sources: &BTreeMap<String, String>, allow: &Allowlist) -> Report {
-    let violations = lints::audit_sources(sources);
-    let files = sources.len();
-    let (remaining, allowed, unused) = allow.apply(violations);
-    Report::new(remaining, allowed, unused, files)
+pub fn audit_in_memory(sources: &BTreeMap<String, String>) -> Report {
+    Report {
+        violations: lints::audit_sources(sources),
+        files: sources.len(),
+    }
 }

@@ -1,36 +1,34 @@
-//! The audit rules (A1–A7), implemented over [`crate::lexer`] token
-//! streams. Deny by default: every rule reports a [`Violation`] unless the
-//! code carries the required annotation; exceptions live in
-//! `audit-allow.toml`, never here.
+//! The audit rules, implemented over [`crate::lexer`] token streams. Deny
+//! by default: every rule reports a [`Violation`] unless the code carries
+//! the required annotation, and there is no exception list.
 //!
 //! | lint | invariant |
 //! |------|-----------|
-//! | A1 | every `unsafe` site is preceded by a `// SAFETY:` comment (or a `# Safety` doc section) |
-//! | A2 | every crate containing `unsafe` declares `#![deny(unsafe_op_in_unsafe_fn)]` in its root |
 //! | A3 | no `partial_cmp(..).unwrap()/.expect(..)` outside `core::order` |
-//! | A4 | no `unwrap()/expect()` and no `panic!`-family macro in `serve/src` or `core::exec` hot paths |
 //! | A5 | raw-pointer ops confined to the audited kernel and pool files |
 //! | A6 | `Mutex` fields in `serve` and the representation/segment stores carry `// LOCK-ORDER: n` ranks, and locks are acquired in ascending rank |
 //! | A7 | fault-injection sites (`tahoma_faults` uses) confined to the allowlisted failure-surface modules, each marked with a `// FAULT:` comment |
 //!
-//! Everything here is heuristic token matching, tuned to this workspace's
-//! idioms (see `SAFETY.md`); the integration tests pin the behavior on
-//! fixture sources with seeded violations.
+//! A1, A2 and A4 were retired in favour of the rustc and clippy lints
+//! declared in the root `Cargo.toml` (see `SAFETY.md`); their ids are not
+//! reused. Everything here is heuristic token matching, tuned to this
+//! workspace's idioms; the integration tests pin the behavior on fixture
+//! sources with seeded violations.
 
 use crate::lexer::{lex, Comment, Lexed, TokKind};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// One lint finding, pointing at a file line.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Lint id (`A1`…`A7`, or `A0` for stale allowlist entries).
+    /// Lint id (`A3`, `A5`, `A6` or `A7`).
     pub lint: &'static str,
     /// Forward-slash path relative to the workspace root.
     pub file: String,
     /// 1-based line.
     pub line: u32,
     pub message: String,
-    /// Trimmed source line text (what allowlist needles match against).
+    /// Trimmed source line text, shown under the finding.
     pub excerpt: String,
 }
 
@@ -225,69 +223,6 @@ impl FileCtx {
     }
 }
 
-/// A doc comment satisfies the SAFETY rule via a rustdoc `# Safety`
-/// section; a plain comment via a literal `SAFETY:` marker.
-fn is_safety_comment(c: &Comment) -> bool {
-    if c.doc {
-        c.text.contains("# Safety")
-    } else {
-        c.text.contains("SAFETY:")
-    }
-}
-
-/// A1: every `unsafe` token must have a SAFETY comment above it. The
-/// upward scan tolerates blank/comment/attribute lines, earlier lines of
-/// the *same statement* (an `unsafe` expression wrapped by rustfmt), and
-/// lines whose own `unsafe` is already covered — so one comment may cover
-/// a tight run of adjacent unsafe statements (paired lane loads, the
-/// `Send`/`Sync` impls of one wrapper type), but never reaches across
-/// unrelated code.
-fn a1_safety_comments(ctx: &FileCtx, out: &mut Vec<Violation>) {
-    let mut covered_lines: HashSet<u32> = HashSet::new();
-    for (ti, t) in ctx.lx.toks.iter().enumerate() {
-        let TokKind::Ident(id) = &t.kind else {
-            continue;
-        };
-        if id != "unsafe" {
-            continue;
-        }
-        let line = t.line;
-        // First line of the statement this `unsafe` belongs to.
-        let mut stmt_start = line;
-        for k in (0..ti).rev() {
-            match ctx.lx.toks[k].kind {
-                TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') => break,
-                _ => stmt_start = stmt_start.min(ctx.lx.toks[k].line),
-            }
-        }
-        let mut covered = ctx.comments_touching(line).any(is_safety_comment);
-        let mut l = line.saturating_sub(1);
-        while !covered && l >= 1 {
-            covered = ctx.comments_touching(l).any(is_safety_comment);
-            if covered {
-                break;
-            }
-            let has_code = ctx.code_lines.contains(&l) && !ctx.attr_lines.contains(&l);
-            if has_code && l < stmt_start && !covered_lines.contains(&l) {
-                break;
-            }
-            l -= 1;
-        }
-        if covered {
-            covered_lines.insert(line);
-        } else {
-            out.push(
-                ctx.violation(
-                    "A1",
-                    line,
-                    "`unsafe` without a preceding `// SAFETY:` comment (or `# Safety` doc section)"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-}
-
 /// A3: `partial_cmp(..)` directly followed by `.unwrap()` / `.expect(..)`
 /// anywhere outside `core::order`.
 fn a3_partial_cmp_unwrap(ctx: &FileCtx, out: &mut Vec<Violation>) {
@@ -315,47 +250,6 @@ fn a3_partial_cmp_unwrap(ctx: &FileCtx, out: &mut Vec<Violation>) {
                     ));
                 }
             }
-        }
-    }
-}
-
-/// True when `rel` is in A4 scope: the serving layer and the vectorized
-/// executor hot path.
-fn a4_in_scope(rel: &str) -> bool {
-    rel.starts_with("crates/serve/src/") || rel == "crates/core/src/exec.rs"
-}
-
-/// A4: no `.unwrap()` / `.expect(..)` and no `panic!` / `unreachable!` /
-/// `todo!` / `unimplemented!` in hot-path modules — which also covers
-/// `unwrap_or_else(|| panic!(..))`. Test code is exempt, `assert!`-family
-/// invariant checks are deliberately outside the lint, and intentional
-/// panics go through the allowlist with a reason.
-fn a4_hot_path_unwraps(ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if !a4_in_scope(&ctx.rel) {
-        return;
-    }
-    let lx = &ctx.lx;
-    for i in 0..lx.toks.len() {
-        if ctx.in_test(i) {
-            continue;
-        }
-        let found = if lx.punct(i, '.') && lx.punct(i + 2, '(') {
-            lx.ident(i + 1)
-                .filter(|m| matches!(*m, "unwrap" | "expect"))
-                .map(|m| (i + 1, format!("`.{m}(..)`")))
-        } else if lx.punct(i + 1, '!') && lx.punct(i + 2, '(') {
-            lx.ident(i)
-                .filter(|m| matches!(*m, "panic" | "unreachable" | "todo" | "unimplemented"))
-                .map(|m| (i, format!("`{m}!(..)`")))
-        } else {
-            None
-        };
-        if let Some((at, what)) = found {
-            out.push(ctx.violation(
-                "A4",
-                lx.toks[at].line,
-                format!("{what} in a hot-path module — return an error or allowlist with a reason"),
-            ));
         }
     }
 }
@@ -396,8 +290,11 @@ fn a5_raw_pointer_ops(ctx: &FileCtx, out: &mut Vec<Violation>) {
 /// Outside the allowlist, any non-test `tahoma_faults` use is flagged —
 /// injection points are part of the audited failure surface, not
 /// something to sprinkle ad hoc. Inside it, every site needs a
-/// `// FAULT:` comment stating what failure it models, with the same
-/// adjacent-run tolerance as A1. The faults crate itself and test code
+/// `// FAULT:` comment stating what failure it models. The upward scan
+/// for it tolerates blank/comment/attribute lines, earlier lines of the
+/// *same statement*, and lines whose own site is already covered — so one
+/// comment may cover a tight run of adjacent sites, but never reaches
+/// across unrelated code. The faults crate itself and test code
 /// (which *arms* plans rather than hosting sites) are exempt.
 fn a7_fault_sites(ctx: &FileCtx, out: &mut Vec<Violation>) {
     if ctx.rel.starts_with("crates/faults/") || ctx.rel.contains("/tests/") {
@@ -428,8 +325,7 @@ fn a7_fault_sites(ctx: &FileCtx, out: &mut Vec<Violation>) {
             }
             continue;
         }
-        // Same upward scan as A1: tolerate blank/comment/attribute lines,
-        // earlier lines of the same statement, and already-covered lines.
+        // First line of the statement this site belongs to.
         let mut stmt_start = line;
         for k in (0..ti).rev() {
             match ctx.lx.toks[k].kind {
@@ -755,9 +651,7 @@ pub fn audit_sources(files: &BTreeMap<String, String>) -> Vec<Violation> {
 
     for (rel, src) in files {
         let ctx = FileCtx::new(rel.clone(), src);
-        a1_safety_comments(&ctx, &mut out);
         a3_partial_cmp_unwrap(&ctx, &mut out);
-        a4_hot_path_unwraps(&ctx, &mut out);
         a5_raw_pointer_ops(&ctx, &mut out);
         a7_fault_sites(&ctx, &mut out);
         if a6_in_scope(&ctx.rel) {
@@ -773,77 +667,6 @@ pub fn audit_sources(files: &BTreeMap<String, String>) -> Vec<Violation> {
         }
     }
 
-    // A2: group files by crate root (nearest ancestor with a Cargo.toml is
-    // resolved by the caller into the path prefix; here we use the
-    // `crates/NAME` / `vendor/NAME` / root convention).
-    let mut crate_has_unsafe: HashMap<String, (String, u32)> = HashMap::new();
-    let mut crate_has_deny: HashSet<String> = HashSet::new();
-    for ctx in &ctxs {
-        let krate = crate_of(&ctx.rel);
-        let first_unsafe = ctx
-            .lx
-            .toks
-            .iter()
-            .find(|t| matches!(&t.kind, TokKind::Ident(s) if s == "unsafe"))
-            .map(|t| t.line);
-        if let Some(line) = first_unsafe {
-            crate_has_unsafe
-                .entry(krate.clone())
-                .or_insert_with(|| (ctx.rel.clone(), line));
-        }
-        let is_root = ctx.rel.ends_with("src/lib.rs") || ctx.rel.ends_with("src/main.rs");
-        if is_root {
-            let mut saw_deny = false;
-            let mut saw_lint = false;
-            for t in &ctx.lx.toks {
-                if let TokKind::Ident(s) = &t.kind {
-                    if s == "deny" {
-                        saw_deny = true;
-                    }
-                    if s == "unsafe_op_in_unsafe_fn" {
-                        saw_lint = true;
-                    }
-                }
-            }
-            if saw_deny && saw_lint {
-                crate_has_deny.insert(krate);
-            }
-        }
-    }
-    for (krate, (witness, line)) in &crate_has_unsafe {
-        if !crate_has_deny.contains(krate) {
-            out.push(Violation {
-                lint: "A2",
-                file: witness.clone(),
-                line: *line,
-                message: format!(
-                    "crate `{krate}` contains `unsafe` but its root does not declare \
-                     `#![deny(unsafe_op_in_unsafe_fn)]`"
-                ),
-                excerpt: String::new(),
-            });
-        }
-    }
-
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
     out
-}
-
-/// Crate key for a root-relative path: `crates/NAME`, `vendor/NAME`, the
-/// first path component for fixture layouts, or `.` for the root package.
-fn crate_of(rel: &str) -> String {
-    let parts: Vec<&str> = rel.split('/').collect();
-    match parts.as_slice() {
-        ["crates" | "vendor", name, ..] => format!("{}/{name}", parts[0]),
-        [] | [_] => ".".to_string(),
-        ["src" | "tests" | "benches" | "examples", ..] => ".".to_string(),
-        [first, ..] => (*first).to_string(),
-    }
-}
-
-/// Convenience: audit a single in-memory file (used by tests).
-pub fn audit_one(rel: &str, src: &str) -> Vec<Violation> {
-    let mut files = BTreeMap::new();
-    files.insert(rel.to_string(), src.to_string());
-    audit_sources(&files)
 }

@@ -3,32 +3,23 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tahoma_audit::{run_audit, Allowlist};
+use tahoma_audit::run_audit;
 
 fn usage() -> &'static str {
-    "usage: tahoma-audit [--root PATH] [--allow PATH] [--json]\n\
+    "usage: tahoma-audit [--root PATH]\n\
      \n\
      Lints every .rs file in the workspace (deny by default; see SAFETY.md).\n\
-     --root   workspace root (default: discovered from the current directory)\n\
-     --allow  allowlist path (default: <root>/audit-allow.toml; absent = empty)\n\
-     --json   machine-readable output for CI\n"
+     --root   workspace root (default: discovered from the current directory)\n"
 }
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut allow_path: Option<PathBuf> = None;
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return fail("--root requires a path"),
-            },
-            "--allow" => match args.next() {
-                Some(p) => allow_path = Some(PathBuf::from(p)),
-                None => return fail("--allow requires a path"),
             },
             "--help" | "-h" => {
                 print!("{}", usage());
@@ -49,22 +40,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let allow_path = allow_path.unwrap_or_else(|| root.join("audit-allow.toml"));
-    let allow = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => match Allowlist::parse(&text) {
-            Ok(a) => a,
-            Err(e) => return fail(&format!("{}: {e}", allow_path.display())),
-        },
-        Err(_) => Allowlist::default(),
-    };
-
-    match run_audit(&root, &allow) {
+    match run_audit(&root) {
         Ok(report) => {
-            if json {
-                print!("{}", report.json());
-            } else {
-                print!("{}", report.human());
-            }
+            print!("{}", report.human());
             if report.clean() {
                 ExitCode::SUCCESS
             } else {

@@ -1,50 +1,17 @@
-//! Audit report: human-readable table and machine-readable JSON (both
-//! hand-rolled; no serde on the offline box).
+//! Audit report: the human-readable table.
 
-use crate::allow::AllowEntry;
 use crate::lints::Violation;
 use std::fmt::Write as _;
 
-/// The outcome of one audit run, after allowlist application. Stale
-/// allowlist entries are folded into `violations` as lint `A0` so that a
-/// single emptiness check decides the exit code.
+/// The outcome of one audit run.
 #[derive(Debug, Default)]
 pub struct Report {
     pub violations: Vec<Violation>,
-    /// Violations excused by the allowlist.
-    pub allowed: usize,
     /// Files scanned.
     pub files: usize,
 }
 
 impl Report {
-    /// Build a report, folding unused allowlist entries in as `A0`.
-    pub fn new(
-        mut violations: Vec<Violation>,
-        allowed: usize,
-        unused: Vec<&AllowEntry>,
-        files: usize,
-    ) -> Report {
-        for e in unused {
-            violations.push(Violation {
-                lint: "A0",
-                file: "audit-allow.toml".to_string(),
-                line: e.line,
-                message: format!(
-                    "stale allowlist entry (file = \"{}\", lint = \"{}\") matched nothing — \
-                     delete it",
-                    e.file, e.lint
-                ),
-                excerpt: String::new(),
-            });
-        }
-        Report {
-            violations,
-            allowed,
-            files,
-        }
-    }
-
     /// True when the workspace passed.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
@@ -54,11 +21,7 @@ impl Report {
     pub fn human(&self) -> String {
         let mut s = String::new();
         if self.clean() {
-            let _ = writeln!(
-                s,
-                "audit OK: {} files scanned, 0 violations ({} allowlisted)",
-                self.files, self.allowed
-            );
+            let _ = writeln!(s, "audit OK: {} files scanned, 0 violations", self.files);
             return s;
         }
         let _ = writeln!(
@@ -74,89 +37,10 @@ impl Report {
         }
         let _ = writeln!(
             s,
-            "audit FAILED: {} violations across {} files ({} allowlisted)",
+            "audit FAILED: {} violations across {} files",
             self.violations.len(),
-            self.files,
-            self.allowed
+            self.files
         );
         s
-    }
-
-    /// Machine-readable JSON for CI.
-    pub fn json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files);
-        let _ = writeln!(s, "  \"allowed\": {},", self.allowed);
-        let _ = writeln!(s, "  \"violation_count\": {},", self.violations.len());
-        s.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {");
-            let _ = write!(
-                s,
-                "\"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"excerpt\": {}",
-                json_str(v.lint),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.message),
-                json_str(&v.excerpt)
-            );
-            s.push('}');
-        }
-        if !self.violations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-}
-
-/// JSON string escaping.
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let r = Report::new(
-            vec![Violation {
-                lint: "A4",
-                file: "a\"b.rs".to_string(),
-                line: 3,
-                message: "x\ny".to_string(),
-                excerpt: String::new(),
-            }],
-            2,
-            Vec::new(),
-            10,
-        );
-        let j = r.json();
-        assert!(j.contains("\"violation_count\": 1"));
-        assert!(j.contains("a\\\"b.rs"));
-        assert!(j.contains("x\\ny"));
-        assert!(!r.clean());
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the audit tokenizer: for randomized source shapes,
 //! literals and comments must hide their contents from the token stream
-//! (an `unsafe` inside a string must never trip lint A1), line numbers
+//! (a `tahoma_faults` inside a string must never trip lint A7), line numbers
 //! must stay exact, and the lexer must never panic on any input it is
 //! handed.
 
@@ -101,7 +101,7 @@ proptest! {
         prop_assert_eq!(fn_line, Some(3));
     }
 
-    /// `//` vs `///` classification: the SAFETY-comment lint (A1) must see
+    /// `//` vs `///` classification: the `FAULT:`-comment lint (A7) must see
     /// plain comments as plain and doc comments as doc, whatever follows.
     #[test]
     fn line_comment_docness(seed in 0u64..1_000_000, style in 0usize..3) {

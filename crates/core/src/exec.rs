@@ -31,6 +31,18 @@
 //!
 //! Scoring is fallible: a backend that cannot produce a pack's scores
 //! returns a [`CoreError`], which every caller above propagates as a value.
+//! clippy denies `unwrap`, `expect` and the `panic!` family here outside
+//! tests (policy in `SAFETY.md`).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 use crate::cascade::Cascade;
 use crate::error::CoreError;
@@ -350,6 +362,12 @@ impl SharedModelZoo {
     /// data-dependent condition: [`SharedNnScorer`] resolves the model's
     /// input representation (and fails with a typed error) before it ever
     /// builds rows to dispatch, and that is the only way rows get here.
+    #[expect(
+        clippy::panic,
+        reason = "documented precondition: InferDispatch stays infallible because \
+                  SharedNnScorer resolves the model's input representation (typed \
+                  CoreError::UnknownModel) before it builds rows to dispatch"
+    )]
     pub fn infer<S: RowSource + ?Sized>(
         &self,
         model: ModelId,

@@ -74,10 +74,8 @@
 //!
 //! This is one of the four files sanctioned to contain raw-pointer
 //! arithmetic; see `SAFETY.md` at the repository root for the unsafe
-//! policy and the `checked-kernels` feature that asserts the span-table
-//! bounds and gather indices here at runtime.
-
-#![deny(unsafe_op_in_unsafe_fn)]
+//! policy; debug builds assert the span-table bounds and gather indices
+//! here at runtime (`tahoma_mathx::checked`).
 
 use crate::color::{ColorMode, LUMA_WEIGHTS};
 use crate::error::ImageryError;
@@ -203,10 +201,11 @@ impl ResizePlan {
 fn hlerp(kernel: Option<SimdTier>, src: &[f32], x: &AxisPlan, dst: &mut [f32]) {
     assert_eq!(dst.len(), x.i0.len());
     assert!(x.max_index < src.len(), "axis plan exceeds source row");
-    // Audit mode verifies what the asserts above only imply: the three
+    // Debug builds verify what the asserts above only imply: the three
     // sibling tables really cover `dst.len()` lanes, and every individual
     // gather index (not just the plan's recorded max) is inside `src`.
-    if checked::active() {
+    // Gated as a whole so release codegen never sees the table reads.
+    if cfg!(debug_assertions) {
         checked::span(x.i1.len(), 0, dst.len(), "hlerp i1 table");
         checked::span(x.w0.len(), 0, dst.len(), "hlerp w0 table");
         checked::span(x.w1.len(), 0, dst.len(), "hlerp w1 table");
@@ -354,6 +353,13 @@ mod x86 {
     use super::RED_LANES;
     use core::arch::x86_64::*;
 
+    /// Gathered horizontal resize pass (`super::hlerp`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher resolves the tier against
+    /// runtime detection), every table holds at least `dst.len()` entries,
+    /// and every index in `i0`/`i1` is in `0..src.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) fn hlerp_avx2(
         src: &[f32],
@@ -388,6 +394,13 @@ mod x86 {
         }
     }
 
+    /// Vertical resize pass (`super::vlerp_rows`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher resolves the tier against
+    /// runtime detection), and `top` and `bot` hold at least `dst.len()`
+    /// floats.
     #[target_feature(enable = "avx2")]
     pub(super) fn vlerp_avx2(top: &[f32], bot: &[f32], w0: f32, w1: f32, dst: &mut [f32]) {
         let n = dst.len();
@@ -410,6 +423,12 @@ mod x86 {
         }
     }
 
+    /// Per-lane f64 sums of `data`, added into `acc`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher resolves the tier against
+    /// runtime detection).
     #[target_feature(enable = "avx2")]
     pub(super) fn sum_lanes_avx2(data: &[f32], acc: &mut [f64; RED_LANES]) {
         let main = data.len() - data.len() % RED_LANES;
@@ -438,6 +457,12 @@ mod x86 {
         }
     }
 
+    /// Per-lane f64 sums of squared deviations from `mean`, added into `acc`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher resolves the tier against
+    /// runtime detection).
     #[target_feature(enable = "avx2")]
     pub(super) fn sq_dev_lanes_avx2(data: &[f32], mean: f64, acc: &mut [f64; RED_LANES]) {
         let main = data.len() - data.len() % RED_LANES;
@@ -467,6 +492,12 @@ mod x86 {
         }
     }
 
+    /// `dst[i] = (src[i] - mean) * inv`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher resolves the tier against
+    /// runtime detection), and `src` holds at least `dst.len()` floats.
     #[target_feature(enable = "avx2")]
     pub(super) fn scale_shift_avx2(src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
         let n = dst.len();

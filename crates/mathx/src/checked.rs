@@ -1,29 +1,18 @@
-//! Audit-mode assertions for the unsafe SIMD kernels (`checked-kernels`).
+//! Debug-build assertions for the unsafe SIMD kernels.
 //!
 //! Every raw-pointer load, store, and gather in the workspace's kernel
 //! files (`tahoma-nn`'s GEMM and layer kernels, `tahoma-imagery`'s pixel
 //! engine, this crate's worker pool) is preceded by a call into this
 //! module stating the invariant the unsafe operation relies on: the span
 //! it touches is in bounds, every gathered index is in range, the pointer
-//! is element-aligned. With the `checked-kernels` feature off (the
-//! default) each helper is an `#[inline(always)]` empty body — the release
-//! kernels cost nothing.
-//! With it on, each invariant becomes a hard `assert!` in every build
-//! profile, so CI can run the full test suite with the kernels' safety
-//! contracts machine-checked (see `SAFETY.md`).
+//! is element-aligned. Under `debug_assertions` each invariant is a hard
+//! `assert!`, so every debug `cargo test` runs the kernels with their
+//! safety contracts machine-checked (see `SAFETY.md`). Release builds
+//! compile each helper to an empty `#[inline(always)]` body.
 //!
-//! The checks never change results — they only observe — so a suite that
-//! passes both with and without the feature demonstrates the kernels are
-//! bitwise-transparent to auditing (asserted by `tahoma-nn`'s
-//! `checked_kernels` test, which CI runs in both configurations).
-
-/// True when the `checked-kernels` feature is compiled in (used by tests
-/// to assert the audit configuration they expect).
-#[inline(always)]
-#[must_use]
-pub fn active() -> bool {
-    cfg!(feature = "checked-kernels")
-}
+//! The checks never change results — they only observe — so a kernel's
+//! debug and release builds produce the same bits; `tahoma-nn`'s
+//! reference-equality tests hold in both.
 
 /// Assert that `off..off + count` is in bounds for a buffer of `len`
 /// elements — the contract of an unaligned vector load/store or a raw
@@ -31,10 +20,10 @@ pub fn active() -> bool {
 #[inline(always)]
 #[track_caller]
 pub fn span(len: usize, off: usize, count: usize, what: &str) {
-    if cfg!(feature = "checked-kernels") {
+    if cfg!(debug_assertions) {
         assert!(
             off.checked_add(count).is_some_and(|end| end <= len),
-            "checked-kernels: {what}: span {off}..{off}+{count} out of bounds for {len}"
+            "kernel invariant: {what}: span {off}..{off}+{count} out of bounds for {len}"
         );
     }
 }
@@ -44,11 +33,11 @@ pub fn span(len: usize, off: usize, count: usize, what: &str) {
 #[inline(always)]
 #[track_caller]
 pub fn gather(indices: &[i32], len: usize, what: &str) {
-    if cfg!(feature = "checked-kernels") {
+    if cfg!(debug_assertions) {
         for (lane, &i) in indices.iter().enumerate() {
             assert!(
                 i >= 0 && (i as usize) < len,
-                "checked-kernels: {what}: gather lane {lane} index {i} out of bounds for {len}"
+                "kernel invariant: {what}: gather lane {lane} index {i} out of bounds for {len}"
             );
         }
     }
@@ -61,10 +50,10 @@ pub fn gather(indices: &[i32], len: usize, what: &str) {
 #[inline(always)]
 #[track_caller]
 pub fn aligned<T>(ptr: *const T, what: &str) {
-    if cfg!(feature = "checked-kernels") {
+    if cfg!(debug_assertions) {
         assert!(
             (ptr as usize).is_multiple_of(std::mem::align_of::<T>()),
-            "checked-kernels: {what}: pointer {ptr:p} not aligned to {}",
+            "kernel invariant: {what}: pointer {ptr:p} not aligned to {}",
             std::mem::align_of::<T>()
         );
     }
@@ -76,8 +65,8 @@ pub fn aligned<T>(ptr: *const T, what: &str) {
 #[inline(always)]
 #[track_caller]
 pub fn invariant(cond: bool, what: &str) {
-    if cfg!(feature = "checked-kernels") {
-        assert!(cond, "checked-kernels: {what}");
+    if cfg!(debug_assertions) {
+        assert!(cond, "kernel invariant: {what}");
     }
 }
 
@@ -85,10 +74,9 @@ pub fn invariant(cond: bool, what: &str) {
 mod tests {
     use super::*;
 
-    // With the feature off every helper must accept anything (they are
-    // empty); with it on, the in-bounds cases here must still pass. The
-    // violating cases are only exercised under the feature, where they
-    // must panic.
+    // In release every helper must accept anything (they are empty); in
+    // debug, the in-bounds cases here must still pass. The violating
+    // cases only run under `debug_assertions`, where they must panic.
 
     #[test]
     fn in_bounds_cases_pass_in_both_modes() {
@@ -98,11 +86,10 @@ mod tests {
         invariant(true, "test");
     }
 
-    #[cfg(feature = "checked-kernels")]
+    #[cfg(debug_assertions)]
     #[test]
     fn violations_panic_when_active() {
         use std::panic::catch_unwind;
-        assert!(active());
         assert!(catch_unwind(|| span(16, 9, 8, "t")).is_err());
         assert!(catch_unwind(|| span(16, usize::MAX, 2, "t")).is_err());
         assert!(catch_unwind(|| gather(&[16], 16, "t")).is_err());

@@ -41,9 +41,8 @@
 //! completion, which bounds every borrow.
 //!
 //! This is one of the four files sanctioned to contain `unsafe`; see
-//! `SAFETY.md` at the repository root for the unsafe policy and the
-//! `checked-kernels` feature, under which [`scope`] asserts its
-//! no-live-jobs invariant before returning.
+//! `SAFETY.md` at the repository root for the unsafe policy. In debug
+//! builds [`scope`] asserts its no-live-jobs invariant before returning.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;

@@ -45,9 +45,8 @@
 //!
 //! This is one of the four files sanctioned to contain raw-pointer
 //! arithmetic; the workspace unsafe policy, the required shape of every
-//! SAFETY comment, and the `checked-kernels` audit feature that promotes
-//! the bounds/alignment claims here into hard assertions are
-//! documented in `SAFETY.md` at the repository root.
+//! SAFETY comment, and the debug-build assertions of the bounds/alignment
+//! claims here are documented in `SAFETY.md` at the repository root.
 
 use tahoma_mathx::checked;
 use tahoma_mathx::SimdTier;
@@ -977,9 +976,8 @@ mod x86 {
 
     /// Validation of the kernel operand contract: `a` holds `kc` packed
     /// `MR`-groups and every B row fits `width` columns from its offset.
-    /// Debug builds check via `debug_assert!`; `checked-kernels` audit
-    /// builds check in every profile; plain release builds rely on the
-    /// (checked) callers.
+    /// Debug builds assert it (`tahoma_mathx::checked`); release builds
+    /// rely on the (checked) callers.
     #[inline(always)]
     fn debug_check_operands(
         kc: usize,
@@ -989,16 +987,11 @@ mod x86 {
         j0: usize,
         width: usize,
     ) {
-        debug_assert!(a.len() >= kc * MR, "A panel too short");
-        debug_assert!(offsets.len() >= kc, "offset table too short");
-        debug_assert!(
-            offsets[..kc].iter().all(|&o| o + j0 + width <= b.len()),
-            "B row out of bounds"
-        );
-        if tahoma_mathx::checked::active() {
-            tahoma_mathx::checked::span(a.len(), 0, kc * MR, "gemm kernel A panel");
-            tahoma_mathx::checked::span(offsets.len(), 0, kc, "gemm kernel offset table");
-            tahoma_mathx::checked::aligned(b.as_ptr(), "gemm kernel B base");
+        tahoma_mathx::checked::span(a.len(), 0, kc * MR, "gemm kernel A panel");
+        tahoma_mathx::checked::span(offsets.len(), 0, kc, "gemm kernel offset table");
+        tahoma_mathx::checked::aligned(b.as_ptr(), "gemm kernel B base");
+        // Gated as a whole: `offsets[..kc]` is itself a checked slice.
+        if cfg!(debug_assertions) {
             for &o in &offsets[..kc] {
                 tahoma_mathx::checked::span(b.len(), o + j0, width, "gemm kernel B row");
             }
@@ -1012,6 +1005,12 @@ mod x86 {
     /// multiply-add chain as the portable kernel, so results are bitwise
     /// identical. Operand addressing is raw-pointer (bounds validated on
     /// entry) — per-step slice checks cost ~25% at small `kc`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher resolves the tier
+    /// against runtime detection), and the operands must meet the contract
+    /// `debug_check_operands` states for `width = NR`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn kernel_avx2<const ROWS: usize>(
         kc: usize,
@@ -1029,6 +1028,7 @@ mod x86 {
             for (v, row) in accv.iter_mut().zip(acc.iter()) {
                 // SAFETY: each row holds NR = 32 floats, h0 + 16 <= 32.
                 v[0] = unsafe { _mm256_loadu_ps(row[h0..].as_ptr()) };
+                // SAFETY: as above; the second 8 floats end at h0 + 16.
                 v[1] = unsafe { _mm256_loadu_ps(row[h0 + 8..].as_ptr()) };
             }
             for p in 0..kc {
@@ -1048,8 +1048,9 @@ mod x86 {
                 }
             }
             for (v, row) in accv.iter().zip(acc.iter_mut()) {
-                // SAFETY: as the load above.
+                // SAFETY: as the loads above.
                 unsafe { _mm256_storeu_ps(row[h0..].as_mut_ptr(), v[0]) };
+                // SAFETY: as the loads above.
                 unsafe { _mm256_storeu_ps(row[h0 + 8..].as_mut_ptr(), v[1]) };
             }
         }
@@ -1058,6 +1059,12 @@ mod x86 {
     /// AVX-512 tile: `ROWS x NR` as `ROWS x 2` zmm accumulators (12 of the
     /// 32 vector registers at `ROWS = 6`). Same fused chain per element as
     /// the portable kernel — bitwise identical results.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (the dispatcher resolves the tier
+    /// against runtime detection), and the operands must meet the contract
+    /// `debug_check_operands` states for `width = NR`.
     #[target_feature(enable = "avx512f")]
     pub(super) fn kernel_avx512<const ROWS: usize>(
         kc: usize,
@@ -1073,6 +1080,7 @@ mod x86 {
         for (v, row) in accv.iter_mut().zip(acc.iter()) {
             // SAFETY: each row holds NR = 32 consecutive floats.
             v[0] = unsafe { _mm512_loadu_ps(row.as_ptr()) };
+            // SAFETY: as above; the second 16 floats end at 32.
             v[1] = unsafe { _mm512_loadu_ps(row[16..].as_ptr()) };
         }
         for p in 0..kc {
@@ -1094,6 +1102,7 @@ mod x86 {
         for (v, row) in accv.iter().zip(acc.iter_mut()) {
             // SAFETY: each row holds NR = 32 consecutive floats.
             unsafe { _mm512_storeu_ps(row.as_mut_ptr(), v[0]) };
+            // SAFETY: as above; the second 16 floats end at 32.
             unsafe { _mm512_storeu_ps(row[16..].as_mut_ptr(), v[1]) };
         }
     }
@@ -1103,6 +1112,12 @@ mod x86 {
     /// Twice the work per loop trip and per epilogue amortizes the fixed
     /// costs that dominate when `kc` is small. Same per-element chain —
     /// bitwise identical to running two standard tiles.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (the dispatcher resolves the tier
+    /// against runtime detection), and the operands must meet the contract
+    /// `debug_check_operands` states for `width = NR_WIDE`.
     #[target_feature(enable = "avx512f")]
     pub(super) fn kernel_avx512_wide<const ROWS: usize>(
         kc: usize,

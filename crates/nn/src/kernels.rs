@@ -25,8 +25,8 @@
 //!
 //! This is one of the four files sanctioned to contain raw-pointer
 //! arithmetic; see `SAFETY.md` at the repository root for the unsafe
-//! policy and the `checked-kernels` feature that asserts every vector
-//! span here at runtime.
+//! policy; debug builds assert every vector span here at runtime
+//! (`tahoma_mathx::checked`).
 
 use tahoma_mathx::checked;
 use tahoma_mathx::SimdTier;
@@ -60,7 +60,7 @@ pub fn maxpool2_plane(
     let (oh, ow) = (h / 2, w / 2);
     assert!(plane.len() >= h * w, "input plane length");
     assert_eq!(out.len(), oh * ow, "output plane length");
-    // Audit mode restates the two-row window reads of the deepest output
+    // Debug builds restate the two-row window reads of the deepest output
     // row — every shallower row reads strictly inside this span.
     if oh > 0 {
         checked::span(plane.len(), (2 * oh - 1) * w, 2 * ow, "maxpool bottom row");
@@ -128,6 +128,13 @@ mod x86 {
         }
     }
 
+    /// One plane's 2x2 max-pool (`super::maxpool2_plane`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher resolves the tier against
+    /// runtime detection), `plane` holds at least `h * w` floats, and `out`
+    /// holds `(h / 2) * (w / 2)`.
     #[target_feature(enable = "avx2")]
     pub(super) fn pool_plane_avx2(plane: &[f32], h: usize, w: usize, out: &mut [f32]) {
         let (oh, ow) = (h / 2, w / 2);

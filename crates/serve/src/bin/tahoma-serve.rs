@@ -22,6 +22,16 @@
 //! Prints `listening on ADDR` once ready (the CI smoke job greps for it),
 //! then runs until a client sends `SHUTDOWN`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::process::exit;
 use std::sync::Arc;
 use tahoma_imagery::ObjectKind;

@@ -235,7 +235,15 @@ impl Broker {
             // call, indistinguishable from a real zoo death; callers
             // recover through the solo-failover rung.
             if inject && tahoma_faults::fire(tahoma_faults::site::BROKER_LEAD) {
-                panic!("injected fault: broker inference death (site BROKER_LEAD)");
+                #[expect(
+                    clippy::panic,
+                    reason = "the BROKER_LEAD fault site models a zoo call dying: a deliberate \
+                              panic inside this catch_unwind, reached only when a test armed a \
+                              fault plan, and recovered by the solo-failover rung"
+                )]
+                {
+                    panic!("injected fault: broker inference death (site BROKER_LEAD)");
+                }
             }
             self.zoo.infer(model, rows, &mut *scratch)
         }));

@@ -19,6 +19,14 @@
 //! deterministic in `seed` — two services built with the same arguments
 //! answer every query identically, which the concurrency tests lean on.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "fixture construction runs once at startup (bench, test and CI service \
+              bootstrap), never on the query path; a panic here is a build bug surfaced \
+              immediately, not a serving failure"
+)]
+
 use crate::service::QueryService;
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -57,6 +57,20 @@
 //! fault-injection chaos campaign that proves them — is documented in
 //! `RELIABILITY.md`. Every hook (fault site or schedule point) is compiled
 //! into every build, armed only by tests, and audited by lint A7.
+//!
+//! No panics on the serving path: clippy denies `unwrap`, `expect` and the
+//! `panic!` family here outside tests (policy in `SAFETY.md`); the one
+//! exception form is `#[expect(lint, reason = "…")]` at the site.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod broker;
 pub mod fixture;
