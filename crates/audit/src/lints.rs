@@ -32,12 +32,11 @@ pub struct Violation {
     pub excerpt: String,
 }
 
-/// The files allowed to contain raw-pointer arithmetic (A5): the three
+/// The files allowed to contain raw-pointer arithmetic (A5): the two
 /// SIMD kernel files plus the worker pool, whose SAFETY contracts are
 /// documented in `SAFETY.md`.
-pub const KERNEL_FILES: [&str; 4] = [
+pub const KERNEL_FILES: [&str; 3] = [
     "crates/nn/src/gemm.rs",
-    "crates/nn/src/kernels.rs",
     "crates/imagery/src/engine.rs",
     "crates/mathx/src/pool.rs",
 ];

@@ -17,7 +17,7 @@ use tahoma_imagery::engine::{self, ResizePlan, TranscodeEngine};
 use tahoma_imagery::{ColorMode, Image};
 use tahoma_mathx::{DetRng, SimdTier};
 use tahoma_nn::gemm::{self, GemmScratch};
-use tahoma_nn::kernels;
+use tahoma_nn::{kernels, InferScratch, Layer, MaxPool2, Shape};
 
 /// One iteration of an op's workload on one tier.
 type Workload = Box<dyn FnMut()>;
@@ -34,7 +34,7 @@ const OPS: &[Op] = &[
     ("gemm", gemm::TIERS, gemm_deep),
     ("gemm-wide-k", gemm::TIERS, gemm_wide_k),
     ("relu", PORTABLE_ONLY, relu),
-    ("pool", kernels::POOL_TIERS, pool),
+    ("pool", PORTABLE_ONLY, pool),
     ("resize-h-gather", engine::TIERS, resize_h),
     ("resize-v", engine::TIERS, resize_v),
     ("luma", PORTABLE_ONLY, luma),
@@ -64,8 +64,8 @@ fn gemm_deep(tier: SimdTier) -> Workload {
     })
 }
 
-/// A first-layer conv: k_total = 27 <= SMALL_K_MAX, the shape where the
-/// AVX-512 wide tile applies.
+/// A first-layer conv (k_total = 27, short enough that per-tile fixed
+/// costs show) through the conv row sweep, bias epilogue.
 fn gemm_wide_k(tier: SimdTier) -> Workload {
     let mut rng = rng_for(tier);
     let (c_in, h, w, kk, out_c) = (3usize, 30usize, 30usize, 3usize, 16usize);
@@ -104,18 +104,17 @@ fn relu(tier: SimdTier) -> Workload {
     })
 }
 
-/// 16 channel planes of the serving shape (30x30 -> 15x15): narrow rows,
-/// so the deinterleave overhead the vector tier pays is measured, not
-/// hidden by a wide-plane workload.
-fn pool(tier: SimdTier) -> Workload {
-    let (h, w) = (30usize, 30usize);
-    let planes = rand_vec(&mut rng_for(tier), 16 * h * w);
-    let mut out = vec![0.0f32; (h / 2) * (w / 2)];
+/// 16 channel planes of 30x30 -> 15x15 through `MaxPool2::infer_shared`,
+/// the portable loop a pool no conv feeds runs (a served pool runs in the
+/// conv epilogue, inside `gemm-wide-k`'s kind of sweep).
+fn pool(_tier: SimdTier) -> Workload {
+    let shape = Shape::new(16, 30, 30);
+    let planes = rand_vec(&mut rng_for(SimdTier::Portable), shape.len());
+    let pool = MaxPool2::new(shape);
+    let (mut out, mut scratch) = (Vec::new(), InferScratch::default());
     Box::new(move || {
-        for plane in planes.chunks_exact(h * w) {
-            kernels::maxpool2_plane(Some(tier), plane, h, w, &mut out);
-            black_box(out[0]);
-        }
+        pool.infer_shared(&planes, 1, &mut out, &mut scratch);
+        black_box(out[0]);
     })
 }
 

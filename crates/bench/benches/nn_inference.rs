@@ -137,8 +137,8 @@ fn bench_gemm_dispatch(c: &mut Criterion) {
 
 fn bench_conv_dispatch(c: &mut Criterion) {
     let mut rng = tahoma_mathx::DetRng::new(0xD2);
-    // 16ch is the deep-layer shape; 1ch/3ch are the small-k first-layer
-    // shapes the AVX-512 wide tile targets.
+    // 16ch is the deep-layer shape; 1ch/3ch are the short-k first-layer
+    // shapes, where a row tile's fixed costs weigh most.
     let cases = [
         ("1ch-30px-16f", Shape::new(1, 30, 30), 16usize),
         ("3ch-30px-16f", Shape::new(3, 30, 30), 16),

@@ -72,7 +72,7 @@
 //! are how [`TranscodeEngine::apply`] materializes a single
 //! representation, so every representation goes through the plan.
 //!
-//! This is one of the four files sanctioned to contain raw-pointer
+//! This is one of the three files sanctioned to contain raw-pointer
 //! arithmetic; see `SAFETY.md` at the repository root for the unsafe
 //! policy; debug builds assert the span-table bounds and gather indices
 //! here at runtime (`tahoma_mathx::checked`).

@@ -40,7 +40,7 @@
 //! return — not even by unwinding — until every job it spawned has run to
 //! completion, which bounds every borrow.
 //!
-//! This is one of the four files sanctioned to contain `unsafe`; see
+//! This is one of the three files sanctioned to contain `unsafe`; see
 //! `SAFETY.md` at the repository root for the unsafe policy. In debug
 //! builds [`scope`] asserts its no-live-jobs invariant before returning.
 
@@ -225,13 +225,17 @@ where
             let _ = sc.sync.done_cv.wait_timeout(st, Duration::from_millis(1));
         }
     }
-    // The soundness of the 'scope -> 'static transmute in `spawn` is
-    // exactly this: no job survives the scope that lent it borrows.
-    crate::checked::invariant(
-        lock(&sc.sync.state).pending == 0,
-        "pool scope returning with live borrowed jobs",
-    );
-    let panic = lock(&sc.sync.state).panic.take();
+    // One lock for both reads. The soundness of the 'scope -> 'static
+    // transmute in `spawn` is exactly the invariant: no job survives the
+    // scope that lent it borrows.
+    let panic = {
+        let mut st = lock(&sc.sync.state);
+        crate::checked::invariant(
+            st.pending == 0,
+            "pool scope returning with live borrowed jobs",
+        );
+        st.panic.take()
+    };
     match result {
         Err(p) => resume_unwind(p),
         Ok(v) => {

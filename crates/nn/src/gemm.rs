@@ -1,49 +1,51 @@
-//! Blocked, cache-tiled f32 matrix multiply with runtime SIMD dispatch and
-//! the im2col convolution lowering.
+//! Blocked, cache-tiled f32 matrix multiply with runtime SIMD dispatch,
+//! and the convolution forward as a row sweep over a padded frame.
 //!
 //! This is the engine room of the batched inference path: `Conv2d`'s
-//! forward runs [`conv2d_forward`] (a virtual-im2col GEMM that addresses the
+//! forward runs [`conv2d_forward_packed`] (a row sweep that addresses the
 //! patch matrix inside a row-padded copy of the image instead of
-//! materializing it), its backward lowers through [`im2col`]/[`col2im_add`],
+//! materializing it, and applies bias, ReLU and the 2x2 max-pool to its
+//! register tiles), its backward lowers through [`im2col`]/[`col2im_add`],
 //! and `Dense` multiplies whole minibatches against its weight matrix.
 //! Explicit products run through one [`gemm`] implementation in the classic
 //! BLIS/GotoBLAS structure:
 //!
 //! * three blocking loops (`NC` columns of B, `KC` of the shared dimension,
 //!   `MC` rows of A) size working sets for the cache hierarchy;
-//! * A-blocks are packed into panel-contiguous, zero-padded buffers (the
-//!   conv filter once per layer, [`PackedA`]), which
+//! * A-blocks are packed into panel-contiguous, zero-padded buffers, which
 //!   also absorbs the `N`/`T` layout variants; B is packed the same way per
 //!   call, read from panels a layer packed once ([`PackedB`], `Dense`'s
 //!   weights), or addressed in place through a per-row offset table (the
-//!   direct and virtual-im2col paths) — every micro-kernel reads row `p` of
-//!   its B operand at `b[offsets[p] + j0..]`, so one kernel family serves
-//!   every addressing mode;
-//! * an `MR x NR` register-tile micro-kernel does the FLOPs, selected at
-//!   runtime from three tiers ([`TIERS`]):
+//!   direct path) — every micro-kernel reads row `p` of its B operand at
+//!   `b[offsets[p] + j0..]`, so one kernel family serves every addressing
+//!   mode;
+//! * an `MR x NR` register-tile micro-kernel does the FLOPs.
 //!
-//!   | tier | requires | shape |
-//!   |------|----------|-------|
-//!   | `Avx512` | `avx512f` (runtime-detected) | 6 rows x 2 zmm, plus a 6 x 4-zmm **wide tile** ([`NR_WIDE`] = 64 columns) that the conv path swaps in when the accumulation depth is short (`k <= 32`, the first-layer convs where per-tile fixed costs dominate) |
-//!   | `Avx2` | `avx2` + `fma` (runtime-detected) | 6 rows x 2 ymm, two 16-column halves per `NR` strip |
-//!   | `Portable` | nothing | plain loops over fixed-size arrays with `f32::mul_add`, auto-vectorized when the build enables wide FMA (e.g. `RUSTFLAGS="-C target-cpu=native"`); on a baseline non-FMA build it stays correct but falls back to library `fmaf`, which is why the runtime-dispatched tiers exist |
+//! The conv row sweep has a tile of its own: `FR` = 8 filters (one
+//! [`PackedA`] panel) x two output rows x `FC` = 16 columns, summed from
+//! zero in registers and finished there ([`ConvEpilogue`]). Both kernel
+//! families are selected at runtime from three tiers ([`TIERS`]):
+//!
+//!   | tier | requires | GEMM tile | conv row tile |
+//!   |------|----------|-----------|---------------|
+//!   | `Avx512` | `avx512f` (runtime-detected) | 6 rows x 2 zmm | 8 filters x 2 rows x 1 zmm; masked stores, the pool's column pairs compressed in a register |
+//!   | `Avx2` | `avx2` + `fma` (runtime-detected) | 6 rows x 2 ymm, two 16-column halves per `NR` strip | 4 filters x 2 rows x 1 ymm: two filter groups and two 8-column halves per tile |
+//!   | `Portable` | nothing | plain loops over fixed-size arrays with `f32::mul_add`, auto-vectorized when the build enables wide FMA (e.g. `RUSTFLAGS="-C target-cpu=native"`); on a baseline non-FMA build it stays correct but falls back to library `fmaf`, which is why the runtime-dispatched tiers exist | the same tile as fixed-size arrays |
 //!
 //!   All tiers run the *same* per-element chain of fused multiply-adds in
 //!   the same `k` order, so their results are **bitwise identical** to each
 //!   other (property-tested in `tests/proptests.rs`); only accumulation
 //!   *across* tiles (vs. the scalar reference path) differs by a few ULPs.
 //!   An unpinned [`GemmScratch`] runs the widest tier under
-//!   [`SimdTier::ceiling`] (`min(detected, TAHOMA_KERNEL_POLICY)`); on the
-//!   AVX-512 tier, short-accumulation conv products (`k <=`
-//!   [`SMALL_K_MAX`] — the first-layer convs) additionally swap in the wide
-//!   tile. GEMM is the one op where all three tiers earn their keep
+//!   [`SimdTier::ceiling`] (`min(detected, TAHOMA_KERNEL_POLICY)`). GEMM
+//!   and the conv sweep are where all three tiers earn their keep
 //!   (DESIGN.md, "Deletion ledger").
 //!
 //! Every call runs on the thread that makes it. Inference gets its
 //! parallelism one level up, from `Sequential`'s morsel lanes, each of
 //! which runs its GEMMs serially on a scratch of its own.
 //!
-//! This is one of the four files sanctioned to contain raw-pointer
+//! This is one of the three files sanctioned to contain raw-pointer
 //! arithmetic; the workspace unsafe policy, the required shape of every
 //! SAFETY comment, and the debug-build assertions of the bounds/alignment
 //! claims here are documented in `SAFETY.md` at the repository root.
@@ -59,15 +61,11 @@ pub const MR: usize = 6;
 /// leaving registers for the operand loads (measured fastest among 2/4/6/8
 /// row variants on an AVX-512 host).
 pub const NR: usize = 32;
-/// Wide-tile columns for the short-`k` conv fast path: 4 zmm vectors, so a
-/// 6-row tile commits 24 of the 32 AVX-512 registers to accumulators and
-/// halves the per-tile loop/epilogue overhead that dominates at small `k`.
-pub const NR_WIDE: usize = 64;
-/// Accumulation depth at or below which the conv path prefers the wide
-/// tile: `k = c_in * kk * kk <= 32` covers 1-3 input channels with 3x3
-/// kernels — exactly the first-layer shapes where the standard tile spends
-/// more time on fixed costs than FLOPs.
-pub const SMALL_K_MAX: usize = 32;
+/// Filters per conv row tile, and rows per [`PackedA`] panel: 8 x 2 zmm
+/// accumulators are 16 of the 32 AVX-512 registers.
+const FR: usize = 8;
+/// Columns per row of a conv row tile: one AVX-512 vector of f32.
+const FC: usize = 16;
 
 /// Cache-blocking size along M (rows of A per packed block; multiple of MR).
 const MC: usize = 60;
@@ -92,27 +90,26 @@ pub enum Trans {
     T,
 }
 
-/// The tiers the GEMM micro-kernel implements — all three: AVX-512 beats
-/// AVX2 by 1.27x on the deep-layer product and 1.37x on the short-`k` conv
-/// (DESIGN.md, "Deletion ledger"), and AVX2 beats portable by two orders of
-/// magnitude in the default build.
+/// The tiers the GEMM micro-kernel and the conv row sweep implement — all
+/// three: AVX-512 beats AVX2 by 1.27x on the deep-layer product and 2.0x
+/// on the short-`k` conv (DESIGN.md, "Deletion ledger"), and AVX2 beats
+/// portable by two orders of magnitude in the default build.
 pub const TIERS: &[SimdTier] = &SimdTier::ALL;
 
 /// Reusable packing buffers plus the per-call-site kernel pin; keep
 /// one per call site to avoid per-call allocation on hot paths. The
-/// `conv_*` fields are used only by [`conv2d_forward`]; plain [`gemm`]
+/// conv frames are used only by [`conv2d_forward_packed`]; plain [`gemm`]
 /// calls leave them empty, and products against a [`PackedB`] never grow
 /// `packed_b`.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     packed_a: Vec<f32>,
     packed_b: Vec<f32>,
-    /// One row-padded frame per conv shape `(c_in, h, w, pad)` this
-    /// scratch has run — a model's few conv layers — so a depth-first pass
-    /// alternating between them lays each zero frame once, not per image.
-    conv_frames: Vec<(ConvShape, Vec<f32>)>,
-    conv_offsets: Vec<usize>,
-    /// Per-row B offsets for in-place (direct / virtual-im2col) addressing.
+    /// One row-padded frame per conv shape this scratch has run — a
+    /// model's few conv layers — so a depth-first pass alternating between
+    /// them lays each zero frame once, not per image.
+    conv_frames: Vec<ConvFrame>,
+    /// Per-row B offsets for in-place (direct) addressing.
     off_main: Vec<usize>,
     /// Per-row B offsets for panel-packed (stride `NR`) addressing.
     off_panel: Vec<usize>,
@@ -136,21 +133,21 @@ impl GemmScratch {
         let own = [
             self.packed_a.capacity(),
             self.packed_b.capacity(),
-            self.conv_offsets.capacity(),
             self.off_main.capacity(),
             self.off_panel.capacity(),
         ];
-        let frames = self.conv_frames.iter().map(|(_, f)| f.capacity());
+        let frames = self
+            .conv_frames
+            .iter()
+            .map(|f| f.pixels.capacity().max(f.offsets.capacity()));
         own.into_iter().chain(frames).max().unwrap_or(0)
     }
 }
 
-/// A conv input shape `(c_in, h, w, pad)`, the key of a zero frame.
-type ConvShape = (usize, usize, usize, usize);
-
-/// A left operand (`m x k`, as stored) packed once into the `MR`-row
-/// panels the micro-kernels read: what `Conv2d` keeps of its filter
-/// matrix, so no image re-packs it.
+/// A conv filter matrix (`m x k`, as stored) packed once into the
+/// `FR`-row panels the conv row sweep reads: what `Conv2d` keeps, so no
+/// image re-packs it. Panel `ip` holds filters `ip * FR..`, interleaved
+/// over all `k` (`FR` values per step, zero past `m`).
 #[derive(Debug, Clone, Default)]
 pub struct PackedA {
     m: usize,
@@ -169,15 +166,20 @@ impl PackedA {
     /// Re-pack `a` into this buffer (e.g. after an optimizer step).
     pub fn repack(&mut self, a: &[f32], m: usize, k: usize) {
         debug_assert_eq!(a.len(), m * k, "A size mismatch");
-        self.panels.resize(m.div_ceil(MR) * MR * k, 0.0);
-        pack_a(&mut self.panels, a, Trans::N, m, k, 0, m, 0, k);
+        self.panels.clear();
+        self.panels.resize(m.div_ceil(FR) * FR * k, 0.0);
+        for row in 0..m {
+            for p in 0..k {
+                self.panels[(row / FR * k + p) * FR + row % FR] = a[row * k + p];
+            }
+        }
         (self.m, self.k) = (m, k);
     }
 
-    /// Panel `ip` (rows `ip * MR..`), `MR`-interleaved over all `k`.
+    /// Panel `ip` (filters `ip * FR..`), `FR`-interleaved over all `k`.
     #[inline]
     fn panel(&self, ip: usize) -> &[f32] {
-        &self.panels[ip * MR * self.k..(ip + 1) * MR * self.k]
+        &self.panels[ip * FR * self.k..(ip + 1) * FR * self.k]
     }
 }
 
@@ -248,24 +250,15 @@ unsafe fn add_row(dst: *mut f32, src: &[f32]) {
 }
 
 /// `dst[i] = base + src[i]` over a raw row segment (write-only bias-fused
-/// epilogue); with `relu`, each sum then goes through the `Relu` layer's
-/// own select, `if v > 0.0 { v } else { 0.0 }`.
+/// epilogue).
 ///
 /// # Safety
 /// `dst..dst + src.len()` must be writable and not concurrently accessed.
 #[inline(always)]
-unsafe fn set_bias_row(dst: *mut f32, base: f32, src: &[f32], relu: bool) {
-    if relu {
-        for (i, &v) in src.iter().enumerate() {
-            let v = base + v;
-            // SAFETY: in-bounds by the caller's contract.
-            unsafe { *dst.add(i) = if v > 0.0 { v } else { 0.0 } };
-        }
-    } else {
-        for (i, &v) in src.iter().enumerate() {
-            // SAFETY: in-bounds by the caller's contract.
-            unsafe { *dst.add(i) = base + v };
-        }
+unsafe fn set_bias_row(dst: *mut f32, base: f32, src: &[f32]) {
+    for (i, &v) in src.iter().enumerate() {
+        // SAFETY: in-bounds by the caller's contract.
+        unsafe { *dst.add(i) = base + v };
     }
 }
 
@@ -461,7 +454,7 @@ fn gemm_direct_nn(
                         match init {
                             // Fused epilogue: C = bias + A·B, write-only (no
                             // read-modify-write pass over C).
-                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..NR], false),
+                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..NR]),
                             None => add_row(dst, &acc_row[..NR]),
                         }
                     }
@@ -490,7 +483,7 @@ fn gemm_direct_nn(
                     unsafe {
                         let dst = c_ptr.add(row * n + j0);
                         match init {
-                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..tail], false),
+                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..tail]),
                             None => add_row(dst, &acc_row[..tail]),
                         }
                     }
@@ -530,6 +523,37 @@ pub fn gemm_nn_bias(
     gemm_direct_nn(scratch, kernel, m, n, k, a, b, c, Some(bias))
 }
 
+/// What the conv row sweep does with a tile's sums before it stores them.
+/// Each variant folds the layers that follow the conv in inference; the
+/// stored bits are those the unfused layers would produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConvEpilogue {
+    /// `bias + acc`: the conv alone (training, and a conv no `Relu`
+    /// follows).
+    Bias,
+    /// The `Relu` that follows, as `max(bias + acc, +0.0)`: the `Relu`
+    /// layer's own `if v > 0.0 { v } else { 0.0 }`, NaN and `-0.0`
+    /// included (`MAXPS` returns its second operand, `+0.0`, when either
+    /// operand is NaN or both are zeros).
+    Relu,
+    /// `Relu`, then a 2x2/stride-2 `MaxPool2` (floor semantics): each
+    /// output plane is `(h / 2) x (w / 2)`. The pooled values are ReLU
+    /// outputs — never NaN, never `-0.0` — so their max is one value
+    /// whatever order it is taken in, and it equals the pool layer's
+    /// strict-`>` running max.
+    ReluPool,
+}
+
+impl ConvEpilogue {
+    /// Length of one output plane for an `h x w` conv.
+    pub fn plane(self, h: usize, w: usize) -> usize {
+        match self {
+            ConvEpilogue::ReluPool => (h / 2) * (w / 2),
+            _ => h * w,
+        }
+    }
+}
+
 /// Convolution forward pass without materializing the patch matrix:
 /// `out[out_c x hw] = bias ⊕ W[out_c x (c_in*kk*kk)] · col(input)`, where
 /// `col` is only ever *addressed*, never built. Packs `weights` into the
@@ -553,36 +577,44 @@ pub fn conv2d_forward(
         ..PackedA::default()
     };
     filter.repack(weights, out_c, c_in * kk * kk);
-    conv2d_forward_packed(scratch, input, c_in, h, w, kk, &filter, bias, false, out);
+    conv2d_forward_packed(
+        scratch,
+        input,
+        c_in,
+        h,
+        w,
+        kk,
+        &filter,
+        bias,
+        ConvEpilogue::Bias,
+        out,
+    );
     scratch.packed_a = filter.panels;
 }
 
-/// [`conv2d_forward`] on a filter matrix packed once, optionally with the
-/// following ReLU folded into the epilogue.
+/// [`conv2d_forward`] on a filter matrix packed once, finished by
+/// `epilogue`.
 ///
 /// For stride-1 "same" convolution the patch matrix is an affine
 /// re-indexing of a padded image: each plane is copied once into a frame
 /// with `pad` zero rows above and below and `pad` zero columns either side,
-/// so its rows are `gw = w + 2*pad` wide. On the `h x gw` output grid, patch
-/// row `(i, ky, kx)` at grid pixel `g = y*gw + x` is then
-/// `frame_i[g + ky*gw + kx]` — every out-of-image tap reads an actual zero,
-/// so the micro-kernel streams B straight out of the ~image-sized frame
-/// (L1/L2-resident, vs. `kk*kk` times that for a materialized patch
-/// matrix). Grid columns `x >= w` read across into the next frame row; they
-/// are the `2*pad` wrapped columns of each grid row, computed and dropped
-/// by the epilogue, which writes only the `w` live columns. Each output
-/// element runs the same fma chain, in the same `k` order, over the same
-/// values as a product against [`im2col`]'s matrix, with zeros exactly
-/// where that matrix has them — so the result is bitwise equal to
-/// [`im2col`] + [`gemm_nn_bias`].
+/// so its rows are `gw = w + 2*pad` wide. Patch row `(i, ky, kx)` at output
+/// pixel `(y, x)` is then `frame_i[(y + ky)*gw + x + kx]` — every
+/// out-of-image tap reads an actual zero.
 ///
-/// With `relu`, the epilogue writes `if v > 0.0 { v } else { 0.0 }` of
-/// each `v = bias + acc` — the `Relu` layer's own select, so conv-then-ReLU
-/// keeps its bits while the activation is written once instead of twice.
-///
-/// On the AVX-512 tier the grid sweep switches to the [`NR_WIDE`]-column
-/// tile when the accumulation depth is short (the first-layer shapes; see
-/// the module docs).
+/// The sweep walks the output one row tile at a time: `FR` filters (one
+/// panel of `filter`) x output rows `y, y + 1` x columns `x0..x0 + FC`.
+/// A tile's sums start from zero in registers and run the same fma chain,
+/// in the same `k` order, over the same values as a product against
+/// [`im2col`]'s matrix, with zeros exactly where that matrix has them; the
+/// epilogue then adds the bias to the registers and stores only the
+/// tile's live pixels (masked on the SIMD tiers). So [`ConvEpilogue::Bias`]
+/// is bitwise equal to [`im2col`] + [`gemm_nn_bias`], and the other two
+/// to that followed by the `Relu` (and `MaxPool2`) layers. No frame
+/// column beyond `w` is an output: lanes past a plane's last column (or
+/// last row, for odd `h`) read padding and are dropped. With the pool, an
+/// odd plane's last row is not computed at all (its last column only as a
+/// dropped lane), and the full-resolution activation is never written.
 ///
 /// The backward pass still materializes [`im2col`]; this path is for the
 /// throughput-critical forward direction.
@@ -596,215 +628,265 @@ pub fn conv2d_forward_packed(
     kk: usize,
     filter: &PackedA,
     bias: &[f32],
-    relu: bool,
+    epilogue: ConvEpilogue,
     out: &mut [f32],
 ) {
-    let pad = kk / 2;
-    let (out_c, k_total) = (filter.m, filter.k);
-    let grid = ConvGrid {
-        hw: h * w,
-        w,
-        gw: w + 2 * pad,
-        len: out.len(),
-        relu,
-    };
-    let n = h * grid.gw;
-    // Hard checks: the kernels read the frame and write `out` through raw
-    // pointers sized by these.
-    assert_eq!(k_total, c_in * kk * kk, "filter depth mismatch");
-    assert_eq!(out.len(), out_c * grid.hw, "output size mismatch");
-    assert_eq!(input.len(), c_in * grid.hw, "input size mismatch");
-    debug_assert_eq!(bias.len(), out_c);
-    if grid.hw == 0 || out_c == 0 {
+    let (out_c, plane) = (filter.m, epilogue.plane(h, w));
+    assert_eq!(filter.k, c_in * kk * kk, "filter depth mismatch");
+    assert_eq!(out.len(), out_c * plane, "output size mismatch");
+    assert_eq!(input.len(), c_in * h * w, "input size mismatch");
+    assert_eq!(bias.len(), out_c, "bias size mismatch");
+    if plane == 0 || out_c == 0 {
         return;
     }
     let kernel = SimdTier::resolve(scratch.kernel, TIERS);
-
-    // 1. Frame every plane: `pad` zero rows above and below, `pad` zero
-    //    columns either side, plus a trailing `2*pad` guard for the last
-    //    plane's wrapped reads. The zeros are laid down once per shape, in
-    //    that shape's own frame; after that only the image rows are copied
-    //    in, and they land exactly where the previous image's did.
-    let cstride = (h + 2 * pad) * grid.gw;
-    let shape = (c_in, h, w, pad);
-    let frames = &mut scratch.conv_frames;
-    let slot = frames
-        .iter()
-        .position(|(s, _)| *s == shape)
-        .unwrap_or_else(|| {
-            frames.push((shape, vec![0.0; c_in * cstride + 2 * pad]));
-            frames.len() - 1
-        });
-    let padded = &mut scratch.conv_frames[slot].1;
-    for (i, plane) in input.chunks_exact(grid.hw).enumerate() {
-        for (y, src) in plane.chunks_exact(w).enumerate() {
-            let dst = i * cstride + (y + pad) * grid.gw + pad;
-            padded[dst..dst + w].copy_from_slice(src);
-        }
-    }
-    let padded = &scratch.conv_frames[slot].1;
-
-    // 2. Per-patch-row base offsets into the frame.
-    scratch.conv_offsets.clear();
-    scratch.conv_offsets.reserve(k_total);
-    for i in 0..c_in {
-        for ky in 0..kk {
-            for kx in 0..kk {
-                scratch.conv_offsets.push(i * cstride + ky * grid.gw + kx);
-            }
-        }
-    }
-
-    // 3. Main sweep over full NR strips of the grid: offset-addressed B,
-    //    bias-fused write-only epilogue.
-    let full_nr = n / NR;
-    let tail = n - full_nr * NR;
-    let out_ptr = out.as_mut_ptr();
-    let offsets = &scratch.conv_offsets;
-    conv_sweep(
-        kernel, filter, padded, offsets, grid, bias, out_ptr, full_nr,
-    );
-    if tail > 0 {
-        // Gather the ragged final grid columns into a packed strip.
-        let j0 = full_nr * NR;
-        scratch.packed_b.resize(k_total * NR, 0.0);
-        for (p, &off) in scratch.conv_offsets.iter().enumerate() {
-            let dst = &mut scratch.packed_b[p * NR..(p + 1) * NR];
-            dst[..tail].copy_from_slice(&padded[off + j0..off + j0 + tail]);
-            dst[tail..].fill(0.0);
-        }
-        fill_offsets(&mut scratch.off_panel, k_total, NR);
-        let at = grid.at(j0);
-        for ip in 0..out_c.div_ceil(MR) {
-            let mr = MR.min(out_c - ip * MR);
-            let mut acc = [[0.0f32; NR]; MR];
-            tile(
-                kernel,
-                k_total,
-                filter.panel(ip),
-                &scratch.packed_b,
-                &scratch.off_panel,
-                0,
-                mr,
-                &mut acc,
-            );
-            for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                let row = ip * MR + i;
-                grid.store(out_ptr, row, at, bias[row], &acc_row[..tail]);
-            }
-        }
+    let frame = ConvFrame::for_shape(&mut scratch.conv_frames, c_in, h, w, kk);
+    frame.load(input);
+    let sweep = RowSweep::new(frame, epilogue);
+    for (ip, (out, bias)) in out.chunks_mut(FR * plane).zip(bias.chunks(FR)).enumerate() {
+        sweep.panel(kernel, filter.panel(ip), bias, out);
     }
 }
 
-/// The conv sweep's output geometry: grid pixel `g = y*gw + x` of channel
-/// `row` lands at `out[row*hw + y*w + x]` when `x < w`, and nowhere when it
-/// is one of the `gw - w` wrapped columns.
-#[derive(Clone, Copy)]
-struct ConvGrid {
-    hw: usize,
-    w: usize,
-    gw: usize,
-    /// `out_c * hw`, the output's length.
-    len: usize,
-    /// Fold the following ReLU into the epilogue.
-    relu: bool,
+/// A conv input shape's zero frame and the per-patch-row offsets into it.
+#[derive(Debug, Clone)]
+struct ConvFrame {
+    /// `(c_in, h, w, kk)`.
+    shape: (usize, usize, usize, usize),
+    /// `c_in` planes of `(h + 2*pad) x gw`, then a guard of `gw + FC`
+    /// zeros, so every tile's rows `y, y + 1` and `FC` columns lie inside
+    /// (checked by [`RowSweep::new`]).
+    pixels: Vec<f32>,
+    /// `offsets[(i * kk + ky) * kk + kx]` is where patch row `(i, ky, kx)`
+    /// of output pixel `(0, 0)` sits in `pixels`.
+    offsets: Vec<usize>,
 }
 
-impl ConvGrid {
-    /// Grid pixel `g` as `(y, x)`: one division per strip, shared by all of
-    /// its channel rows.
-    #[inline(always)]
-    fn at(&self, g: usize) -> (usize, usize) {
-        (g / self.gw, g % self.gw)
-    }
-
-    /// Write `bias + acc` (through the ReLU select when `relu`) for the grid
-    /// pixels from `at` on of channel `row`, one live row segment at a time.
-    #[inline(always)]
-    fn store(&self, out: *mut f32, row: usize, at: (usize, usize), base: f32, acc: &[f32]) {
-        let (mut y, mut x) = at;
-        let mut a = 0;
-        while a < acc.len() {
-            if x < self.w {
-                let seg = (self.w - x).min(acc.len() - a);
-                let dst = row * self.hw + y * self.w + x;
-                checked::span(self.len, dst, seg, "conv out row segment");
-                // SAFETY: x + seg <= w, so dst + seg <= (row + 1) * hw <=
-                // len, in bounds of the output the conv call borrows
-                // exclusively.
-                unsafe { set_bias_row(out.add(dst), base, &acc[a..a + seg], self.relu) };
-            }
-            // On to the start of the next grid row.
-            a += self.gw - x;
-            (y, x) = (y + 1, 0);
-        }
-    }
-}
-
-/// Conv main sweep over the first `strips` full grid strips (strip = `NR`
-/// grid pixels). On the AVX-512 tier with short accumulation depth, pairs
-/// of adjacent strips run through the wide tile. Kept out of line: inlined
-/// into `conv2d_forward_packed`, its one caller, `lookup`'s p50 read ~8%
-/// slower in alternating benchmark runs.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn conv_sweep(
-    kernel: SimdTier,
-    filter: &PackedA,
-    padded: &[f32],
-    offsets: &[usize],
-    grid: ConvGrid,
-    bias: &[f32],
-    out: *mut f32,
-    strips: usize,
-) {
-    let (out_c, k_total) = (filter.m, filter.k);
-    let wide = kernel == SimdTier::Avx512 && k_total <= SMALL_K_MAX;
-    let mut s = 0;
-    while s < strips {
-        let j0 = s * NR;
-        let at = grid.at(j0);
-        if wide && s + 1 < strips {
-            for ip in 0..out_c.div_ceil(MR) {
-                let mr = MR.min(out_c - ip * MR);
-                let mut acc = [[0.0f32; NR_WIDE]; MR];
-                wide_tile(
-                    kernel,
-                    k_total,
-                    filter.panel(ip),
-                    padded,
+impl ConvFrame {
+    /// This shape's frame in `frames`, made (zeros and offsets) on first
+    /// use. Only the image pixels change after that.
+    fn for_shape(
+        frames: &mut Vec<ConvFrame>,
+        c_in: usize,
+        h: usize,
+        w: usize,
+        kk: usize,
+    ) -> &mut ConvFrame {
+        let shape = (c_in, h, w, kk);
+        let slot = frames
+            .iter()
+            .position(|f| f.shape == shape)
+            .unwrap_or_else(|| {
+                let pad = kk / 2;
+                let gw = w + 2 * pad;
+                let cstride = (h + 2 * pad) * gw;
+                let mut offsets = Vec::with_capacity(c_in * kk * kk);
+                for i in 0..c_in {
+                    for ky in 0..kk {
+                        offsets.extend((0..kk).map(|kx| i * cstride + ky * gw + kx));
+                    }
+                }
+                frames.push(ConvFrame {
+                    shape,
+                    pixels: vec![0.0; c_in * cstride + gw + FC],
                     offsets,
-                    j0,
-                    mr,
-                    &mut acc,
-                );
-                for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                    let row = ip * MR + i;
-                    grid.store(out, row, at, bias[row], acc_row);
+                });
+                frames.len() - 1
+            });
+        &mut frames[slot]
+    }
+
+    /// Copy one image's rows in; the zeros around them never change.
+    fn load(&mut self, input: &[f32]) {
+        let (_, h, w, kk) = self.shape;
+        let (pad, gw) = (kk / 2, w + 2 * (kk / 2));
+        let cstride = (h + 2 * pad) * gw;
+        for (i, plane) in input.chunks_exact(h * w).enumerate() {
+            for (y, src) in plane.chunks_exact(w).enumerate() {
+                let dst = i * cstride + (y + pad) * gw + pad;
+                self.pixels[dst..dst + w].copy_from_slice(src);
+            }
+        }
+    }
+}
+
+/// One image's conv row sweep: the frame, its geometry and the epilogue,
+/// walked tile by tile by every tier's kernel.
+struct RowSweep<'a> {
+    frame: &'a [f32],
+    offsets: &'a [usize],
+    /// Frame row width, `w + 2*pad`.
+    gw: usize,
+    h: usize,
+    w: usize,
+    epilogue: ConvEpilogue,
+}
+
+/// One row tile: output rows `y, y + 1` (`y` even) from column `x0` on.
+#[derive(Clone, Copy)]
+struct Tile {
+    /// Frame offset of pixel `(y, x0)`; row `y + 1` is `gw` further on.
+    j: usize,
+    /// Offset of the tile's first stored value in an output plane; its
+    /// second row (unpooled) is `w` further on.
+    dst: usize,
+    /// Values stored per stored row: live columns, or pooled columns.
+    cols: usize,
+    /// Rows stored: 2, or 1 for an odd plane's last row; 1 when pooled.
+    rows: usize,
+}
+
+impl RowSweep<'_> {
+    /// The sweep over `frame`'s current image. Hard check: the kernels
+    /// read `FC` values of both rows of every tile, at every offset,
+    /// through raw pointers — the frame must hold the furthest of them.
+    fn new(frame: &ConvFrame, epilogue: ConvEpilogue) -> RowSweep<'_> {
+        let (_, h, w, kk) = frame.shape;
+        let sweep = RowSweep {
+            frame: &frame.pixels,
+            offsets: &frame.offsets,
+            gw: w + 2 * (kk / 2),
+            h,
+            w,
+            epilogue,
+        };
+        let (rows, cols) = sweep.extent();
+        if rows > 0 && cols > 0 {
+            let last_j = (rows - 1) / 2 * 2 * sweep.gw + (cols - 1) / FC * FC;
+            let deepest = sweep.offsets.iter().max().copied().unwrap_or(0);
+            assert!(
+                deepest + last_j + sweep.gw + FC <= sweep.frame.len(),
+                "conv frame too short for its row tiles"
+            );
+        }
+        sweep
+    }
+
+    fn pooled(&self) -> bool {
+        self.epilogue == ConvEpilogue::ReluPool
+    }
+
+    /// The output rows and columns the tiles cover: all of them, or with
+    /// the pool, the even-sized part its windows read.
+    fn extent(&self) -> (usize, usize) {
+        match self.pooled() {
+            true => (self.h & !1, self.w & !1),
+            false => (self.h, self.w),
+        }
+    }
+
+    /// Length of one output plane.
+    fn plane(&self) -> usize {
+        self.epilogue.plane(self.h, self.w)
+    }
+
+    /// The tiles in output order.
+    fn tiles(&self) -> impl Iterator<Item = Tile> {
+        let (gw, h, w, pooled) = (self.gw, self.h, self.w, self.pooled());
+        let (rows, cols) = self.extent();
+        (0..rows).step_by(2).flat_map(move |y| {
+            (0..cols).step_by(FC).map(move |x0| {
+                let (j, n) = (y * gw + x0, FC.min(cols - x0));
+                match pooled {
+                    true => Tile {
+                        j,
+                        dst: y / 2 * (w / 2) + x0 / 2,
+                        cols: n / 2,
+                        rows: 1,
+                    },
+                    false => Tile {
+                        j,
+                        dst: y * w + x0,
+                        cols: n,
+                        rows: 2.min(h - y),
+                    },
+                }
+            })
+        })
+    }
+
+    /// Sweep one filter panel (`a`, `FR`-interleaved) over every tile,
+    /// writing its `bias.len()` live filters' planes to `out`.
+    fn panel(&self, kernel: SimdTier, a: &[f32], bias: &[f32], out: &mut [f32]) {
+        // Hard checks: the kernels read `a` and write `out` through raw
+        // pointers sized by these.
+        assert_eq!(a.len(), FR * self.offsets.len(), "filter panel length");
+        assert!(bias.len() <= FR, "filters per panel");
+        assert_eq!(out.len(), bias.len() * self.plane(), "panel output length");
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `resolve` never returns a tier wider than runtime
+            // detection found, and `new` and the asserts above establish
+            // the operand contract.
+            SimdTier::Avx512 => unsafe {
+                match bias.len() {
+                    5.. => x86::row_tiles_avx512::<8>(self, a, bias, out),
+                    3 | 4 => x86::row_tiles_avx512::<4>(self, a, bias, out),
+                    _ => x86::row_tiles_avx512::<2>(self, a, bias, out),
+                }
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above — `avx2` and `fma` were detected at runtime.
+            SimdTier::Avx2 => unsafe {
+                match bias.len() {
+                    5.. => x86::row_tiles_avx2::<8>(self, a, bias, out),
+                    3 | 4 => x86::row_tiles_avx2::<4>(self, a, bias, out),
+                    _ => x86::row_tiles_avx2::<2>(self, a, bias, out),
+                }
+            },
+            _ => match bias.len() {
+                5.. => row_tiles_portable::<8>(self, a, bias, out),
+                3 | 4 => row_tiles_portable::<4>(self, a, bias, out),
+                _ => row_tiles_portable::<2>(self, a, bias, out),
+            },
+        }
+    }
+}
+
+/// The portable row-tile kernel: the first `ROWS` filters of the panel,
+/// as fixed-size arrays with `f32::mul_add` — the per-element chain every
+/// tier runs — then the epilogue on the same arrays.
+fn row_tiles_portable<const ROWS: usize>(
+    s: &RowSweep<'_>,
+    a: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let plane = s.plane();
+    for t in s.tiles() {
+        let mut acc = [[[0.0f32; FC]; 2]; ROWS];
+        for (p, &off) in s.offsets.iter().enumerate() {
+            let a_step: &[f32; FR] = a[p * FR..(p + 1) * FR].try_into().expect("filter panel");
+            for (half, base) in [off + t.j, off + t.j + s.gw].into_iter().enumerate() {
+                let b: &[f32; FC] = s.frame[base..base + FC].try_into().expect("frame row");
+                for (row, &av) in acc.iter_mut().zip(a_step) {
+                    for (v, &bv) in row[half].iter_mut().zip(b) {
+                        *v = av.mul_add(bv, *v);
+                    }
                 }
             }
-            s += 2;
-            continue;
         }
-        for ip in 0..out_c.div_ceil(MR) {
-            let mr = MR.min(out_c - ip * MR);
-            let mut acc = [[0.0f32; NR]; MR];
-            tile(
-                kernel,
-                k_total,
-                filter.panel(ip),
-                padded,
-                offsets,
-                j0,
-                mr,
-                &mut acc,
-            );
-            for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                let row = ip * MR + i;
-                grid.store(out, row, at, bias[row], acc_row);
+        let relu = |v: f32| if v > 0.0 { v } else { 0.0 };
+        for (r, (sums, &b)) in acc.iter().zip(bias).enumerate() {
+            let at = r * plane + t.dst;
+            if s.pooled() {
+                let [top, bottom] = sums.map(|row| row.map(|v| relu(b + v)));
+                for (c, dst) in out[at..at + t.cols].iter_mut().enumerate() {
+                    let window = [top[2 * c], top[2 * c + 1], bottom[2 * c], bottom[2 * c + 1]];
+                    *dst = window.into_iter().fold(0.0, f32::max);
+                }
+                continue;
+            }
+            for (y, row) in sums.iter().take(t.rows).enumerate() {
+                let dst = &mut out[at + y * s.w..at + y * s.w + t.cols];
+                for (d, &v) in dst.iter_mut().zip(row) {
+                    *d = match s.epilogue {
+                        ConvEpilogue::Bias => b + v,
+                        _ => relu(b + v),
+                    };
+                }
             }
         }
-        s += 1;
     }
 }
 
@@ -891,45 +973,6 @@ fn tile(
     }
 }
 
-/// [`NR_WIDE`]-column counterpart of [`tile`] for the short-`k` conv path.
-/// Falls back to two standard tiles on non-AVX-512 tiers (callers only use
-/// it when the wide tile is active, but the fallback keeps it total).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn wide_tile(
-    kernel: SimdTier,
-    kc: usize,
-    a: &[f32],
-    b: &[f32],
-    offsets: &[usize],
-    j0: usize,
-    mr: usize,
-    acc: &mut [[f32; NR_WIDE]; MR],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel == SimdTier::Avx512 {
-        // SAFETY: `Avx512` is only produced after runtime detection.
-        unsafe {
-            match mr {
-                5 | 6 => x86::kernel_avx512_wide::<MR>(kc, a, b, offsets, j0, acc),
-                3 | 4 => x86::kernel_avx512_wide::<4>(kc, a, b, offsets, j0, acc),
-                _ => x86::kernel_avx512_wide::<2>(kc, a, b, offsets, j0, acc),
-            }
-        }
-        return;
-    }
-    for half in 0..2 {
-        let mut half_acc = [[0.0f32; NR]; MR];
-        for (dst, src) in half_acc.iter_mut().zip(acc.iter()) {
-            dst.copy_from_slice(&src[half * NR..(half + 1) * NR]);
-        }
-        tile(kernel, kc, a, b, offsets, j0 + half * NR, mr, &mut half_acc);
-        for (src, dst) in half_acc.iter().zip(acc.iter_mut()) {
-            dst[half * NR..(half + 1) * NR].copy_from_slice(src);
-        }
-    }
-}
-
 /// The portable register-tile kernel: `acc[..ROWS] += A_panel · B_rows`
 /// over `kc` steps. Plain loops over fixed-size arrays with `f32::mul_add`,
 /// a shape LLVM turns into FMA register tiles when the build enables a
@@ -971,7 +1014,7 @@ fn kernel_portable<const ROWS: usize>(
 /// a slice index just above it.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MR, NR, NR_WIDE};
+    use super::{checked, ConvEpilogue, RowSweep, FC, FR, MR, NR};
     use core::arch::x86_64::*;
 
     /// Validation of the kernel operand contract: `a` holds `kc` packed
@@ -1107,60 +1150,166 @@ mod x86 {
         }
     }
 
-    /// AVX-512 wide tile for short accumulation depths: `ROWS x NR_WIDE`
-    /// as `ROWS x 4` zmm accumulators (24 of 32 registers at `ROWS = 6`).
-    /// Twice the work per loop trip and per epilogue amortizes the fixed
-    /// costs that dominate when `kc` is small. Same per-element chain —
-    /// bitwise identical to running two standard tiles.
+    /// The AVX-512 row-tile kernel: per tile, the first `ROWS` filters of
+    /// the panel x 2 rows as `ROWS x 2` zmm accumulators (16 of the 32
+    /// vector registers at `ROWS = 8`), summed from zero with the portable
+    /// kernel's fma chain, then finished in registers: bias, the ReLU as
+    /// `max(v, +0.0)`, and for the pool a vertical max, a max against the
+    /// pair-swapped lanes and a compress of the even lanes. Stores are
+    /// masked to the tile's live values.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX-512F (the dispatcher resolves the tier
-    /// against runtime detection), and the operands must meet the contract
-    /// `debug_check_operands` states for `width = NR_WIDE`.
+    /// against runtime detection); `s` must come from `RowSweep::new` (the
+    /// frame covers every tile's reads), `a` must hold `FR` values per
+    /// offset, `bias` at most `FR` filters and `out` exactly `bias.len()`
+    /// planes (`RowSweep::panel` asserts these).
     #[target_feature(enable = "avx512f")]
-    pub(super) fn kernel_avx512_wide<const ROWS: usize>(
-        kc: usize,
+    pub(super) fn row_tiles_avx512<const ROWS: usize>(
+        s: &RowSweep<'_>,
         a: &[f32],
-        b: &[f32],
-        offsets: &[usize],
-        j0: usize,
-        acc: &mut [[f32; NR_WIDE]; MR],
+        bias: &[f32],
+        out: &mut [f32],
     ) {
-        debug_check_operands(kc, a, b, offsets, j0, NR_WIDE);
-        let (a_ptr, b_ptr, off_ptr) = (a.as_ptr(), b.as_ptr(), offsets.as_ptr());
-        let mut accv = [[_mm512_setzero_ps(); 4]; ROWS];
-        for (v, row) in accv.iter_mut().zip(acc.iter()) {
-            for (q, lane) in v.iter_mut().enumerate() {
-                // SAFETY: each row holds NR_WIDE = 64 consecutive floats.
-                *lane = unsafe { _mm512_loadu_ps(row[q * 16..].as_ptr()) };
-            }
-        }
-        for p in 0..kc {
-            // SAFETY: p < kc <= offsets.len(); offsets[p] + j0 + NR_WIDE
-            // <= b.len() and kc * MR <= a.len(), validated on entry
-            // (debug) and guaranteed by the conv caller.
-            unsafe {
-                let base = *off_ptr.add(p) + j0;
-                let bv = [
-                    _mm512_loadu_ps(b_ptr.add(base)),
-                    _mm512_loadu_ps(b_ptr.add(base + 16)),
-                    _mm512_loadu_ps(b_ptr.add(base + 32)),
-                    _mm512_loadu_ps(b_ptr.add(base + 48)),
-                ];
-                let ap = a_ptr.add(p * MR);
-                for (i, v) in accv.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*ap.add(i));
-                    for (lane, &bq) in v.iter_mut().zip(bv.iter()) {
-                        *lane = _mm512_fmadd_ps(av, bq, *lane);
+        let (plane, len) = (s.plane(), out.len());
+        let (a_ptr, b_ptr, out_ptr) = (a.as_ptr(), s.frame.as_ptr(), out.as_mut_ptr());
+        let zero = _mm512_setzero_ps();
+        for t in s.tiles() {
+            let mut acc = [[zero; 2]; ROWS];
+            for (p, &off) in s.offsets.iter().enumerate() {
+                // SAFETY: `RowSweep::new` checked off + t.j + gw + FC <=
+                // frame.len() for the deepest offset and the last tile;
+                // p * FR + ROWS <= a.len() by the panel length assert.
+                unsafe {
+                    let b0 = _mm512_loadu_ps(b_ptr.add(off + t.j));
+                    let b1 = _mm512_loadu_ps(b_ptr.add(off + t.j + s.gw));
+                    let ap = a_ptr.add(p * FR);
+                    for (i, v) in acc.iter_mut().enumerate() {
+                        let av = _mm512_set1_ps(*ap.add(i));
+                        v[0] = _mm512_fmadd_ps(av, b0, v[0]);
+                        v[1] = _mm512_fmadd_ps(av, b1, v[1]);
                     }
                 }
             }
+            let live = ((1u32 << t.cols) - 1) as __mmask16;
+            for (r, (v, &b)) in acc.iter().zip(bias).enumerate() {
+                let b = _mm512_set1_ps(b);
+                let (top, bottom) = (_mm512_add_ps(b, v[0]), _mm512_add_ps(b, v[1]));
+                let at = r * plane + t.dst;
+                if s.pooled() {
+                    let m = _mm512_max_ps(_mm512_max_ps(top, zero), _mm512_max_ps(bottom, zero));
+                    let pairs = _mm512_max_ps(m, _mm512_permute_ps::<0xB1>(m));
+                    let pooled = _mm512_maskz_compress_ps(0x5555, pairs);
+                    checked::span(len, at, t.cols, "conv pooled tile row");
+                    // SAFETY: only the `t.cols` enabled lanes are written,
+                    // and at + t.cols <= (r + 1) * plane <= out.len().
+                    unsafe { _mm512_mask_storeu_ps(out_ptr.add(at), live, pooled) };
+                    continue;
+                }
+                for (y, v) in [top, bottom].into_iter().take(t.rows).enumerate() {
+                    let v = match s.epilogue {
+                        ConvEpilogue::Bias => v,
+                        _ => _mm512_max_ps(v, zero),
+                    };
+                    checked::span(len, at + y * s.w, t.cols, "conv tile row");
+                    // SAFETY: only the `t.cols` enabled lanes are written;
+                    // `tiles` stores rows below h and columns below w, so
+                    // they stay inside filter r's plane of `out`.
+                    unsafe { _mm512_mask_storeu_ps(out_ptr.add(at + y * s.w), live, v) };
+                }
+            }
         }
-        for (v, row) in accv.iter().zip(acc.iter_mut()) {
-            for (q, lane) in v.iter().enumerate() {
-                // SAFETY: each row holds NR_WIDE = 64 consecutive floats.
-                unsafe { _mm512_storeu_ps(row[q * 16..].as_mut_ptr(), *lane) };
+    }
+
+    /// The AVX2+FMA row-tile kernel: the same tiles as the AVX-512 one,
+    /// each run as two 8-column halves x groups of up to 4 filters, so a
+    /// group's `4 x 2` ymm accumulators, two B rows and a broadcast fit
+    /// the 16 vector registers. A half with no live value is skipped.
+    /// Same per-element fma chain and epilogue operations — bitwise
+    /// identical to the other tiers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA; the operands as for
+    /// `row_tiles_avx512`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) fn row_tiles_avx2<const ROWS: usize>(
+        s: &RowSweep<'_>,
+        a: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        let (plane, len) = (s.plane(), out.len());
+        let (a_ptr, b_ptr, out_ptr) = (a.as_ptr(), s.frame.as_ptr(), out.as_mut_ptr());
+        let group = ROWS.min(4);
+        let zero = _mm256_setzero_ps();
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let evens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+        for t in s.tiles() {
+            for h0 in [0, FC / 2] {
+                // Values of this half that are stored.
+                let n = match s.pooled() {
+                    true => t.cols.saturating_sub(h0 / 2).min(4),
+                    false => t.cols.saturating_sub(h0).min(8),
+                };
+                if n == 0 {
+                    continue;
+                }
+                let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane);
+                for g0 in (0..bias.len()).step_by(group) {
+                    let mut acc = [[zero; 2]; 4];
+                    for (p, &off) in s.offsets.iter().enumerate() {
+                        // SAFETY: as in `row_tiles_avx512`; h0 + 8 <= FC
+                        // and g0 + group <= ROWS <= FR.
+                        unsafe {
+                            let b0 = _mm256_loadu_ps(b_ptr.add(off + t.j + h0));
+                            let b1 = _mm256_loadu_ps(b_ptr.add(off + t.j + s.gw + h0));
+                            let ap = a_ptr.add(p * FR + g0);
+                            for (i, v) in acc.iter_mut().enumerate().take(group) {
+                                let av = _mm256_set1_ps(*ap.add(i));
+                                v[0] = _mm256_fmadd_ps(av, b0, v[0]);
+                                v[1] = _mm256_fmadd_ps(av, b1, v[1]);
+                            }
+                        }
+                    }
+                    for (r, (v, &b)) in acc.iter().zip(&bias[g0..]).enumerate() {
+                        let b = _mm256_set1_ps(b);
+                        let (top, bottom) = (_mm256_add_ps(b, v[0]), _mm256_add_ps(b, v[1]));
+                        let at = (g0 + r) * plane + t.dst;
+                        if s.pooled() {
+                            let m = _mm256_max_ps(
+                                _mm256_max_ps(top, zero),
+                                _mm256_max_ps(bottom, zero),
+                            );
+                            let pairs = _mm256_max_ps(m, _mm256_permute_ps::<0xB1>(m));
+                            let pooled = _mm256_permutevar8x32_ps(pairs, evens);
+                            let at = at + h0 / 2;
+                            checked::span(len, at, n, "conv pooled tile row");
+                            // SAFETY: only the `n` enabled lanes are
+                            // written, inside filter g0 + r's plane.
+                            unsafe {
+                                _mm_maskstore_ps(
+                                    out_ptr.add(at),
+                                    _mm256_castsi256_si128(live),
+                                    _mm256_castps256_ps128(pooled),
+                                )
+                            };
+                            continue;
+                        }
+                        for (y, v) in [top, bottom].into_iter().take(t.rows).enumerate() {
+                            let v = match s.epilogue {
+                                ConvEpilogue::Bias => v,
+                                _ => _mm256_max_ps(v, zero),
+                            };
+                            let at = at + y * s.w + h0;
+                            checked::span(len, at, n, "conv tile row");
+                            // SAFETY: only the `n` enabled lanes are
+                            // written, inside filter g0 + r's plane.
+                            unsafe { _mm256_maskstore_ps(out_ptr.add(at), live, v) };
+                        }
+                    }
+                }
             }
         }
     }
@@ -1544,7 +1693,7 @@ mod tests {
             (1, 3, 2, 5, 3, 5), // kernel larger than the image
             (2, 6, 6, 1, 5, 6), // 1x1 kernel, no padding at all
             (16, 30, 30, 3, 16, 7),
-            (1, 30, 30, 3, 16, 8), // small k: wide-tile path on AVX-512
+            (1, 30, 30, 3, 16, 8), // small k, two filter panels
             (3, 20, 40, 3, 11, 9), // small k, ragged rows
             (1, 24, 24, 3, 8, 10), // the serving fixture's first convs
             (3, 32, 32, 3, 8, 11),
@@ -1555,7 +1704,7 @@ mod tests {
             (3, 1, 1, 5, 7, 16),
             (1, 1, 29, 3, 5, 17), // grids of NR - 1 and NR + 1 pixels
             (2, 3, 9, 3, 6, 18),
-            (1, 3, 19, 3, 7, 19), // NR_WIDE - 1 and NR_WIDE + 1
+            (1, 3, 19, 3, 7, 19), // odd rows, a 3-column chunk
             (1, 5, 11, 3, 6, 20),
         ];
         let cases: Vec<_> = shapes
@@ -1703,7 +1852,7 @@ mod tests {
                         3,
                         &filter,
                         &bias,
-                        true,
+                        ConvEpilogue::Relu,
                         &mut got,
                     );
                     assert_eq!(bits(&got), bits(&want), "kernel {} c{c_in}", kernel.name());

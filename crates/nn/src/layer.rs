@@ -10,20 +10,25 @@
 //! Every layer has **one forward body**, [`Layer::infer_shared`]: `&self`,
 //! batch-major, channel-planar (`[image][channel][y][x]`), with all mutable
 //! state in the caller's [`InferScratch`]. `Conv2d` runs
-//! [`crate::gemm::conv2d_forward_packed`] (virtual im2col over a row-padded
+//! [`crate::gemm::conv2d_forward_packed`] (a row sweep over a row-padded
 //! frame — the patch matrix is addressed, not materialized) per image;
 //! `Dense` multiplies the whole minibatch at once, one row or many, on the
-//! same GEMM. Both keep their weights packed once in the layout the GEMM
-//! micro-kernels read (`Conv2d`'s filter panels, `Dense`'s `Wᵀ` panels),
-//! built at construction and rebuilt by [`Layer::visit_params`] — the only
-//! way weights change — so no inference call re-packs them. In inference,
-//! a `Conv2d` followed by a `Relu` runs as one pass with the select folded
-//! into the conv epilogue ([`crate::model::Sequential::infer_batch_shared`];
-//! same bits). Training's [`Layer::forward_batch`] records what
-//! [`Layer::backward_batch`] needs and then runs that same body on
-//! layer-owned, single-threaded scratch, so a trained model scores the same
-//! bits in training and in serving; the per-image `forward` is a batch-of-1
-//! wrapper over it. Backward runs the materialized [`crate::gemm::im2col`].
+//! GEMM. Both keep their weights packed once in the layout their kernels
+//! read (`Conv2d`'s 8-filter panels, `Dense`'s `Wᵀ` panels), built at
+//! construction and rebuilt by [`Layer::visit_params`] — the only way
+//! weights change — so no inference call re-packs them. In inference, a
+//! `Conv2d` followed by a `Relu` runs as one pass with the ReLU applied to
+//! the sweep's registers, and a `Conv2d → Relu → MaxPool2` block as one
+//! pass with the 2x2 max-pool applied there too
+//! ([`crate::gemm::ConvEpilogue`], via
+//! [`crate::model::Sequential::infer_batch_shared`]; same bits, and the
+//! full-resolution activation is never written). Training's
+//! [`Layer::forward_batch`] records what [`Layer::backward_batch`] needs
+//! (the ReLU mask, the pool argmax) and then runs that same body unfused
+//! on layer-owned, single-threaded scratch, so a trained model scores the
+//! same bits in training and in serving; the per-image `forward` is a
+//! batch-of-1 wrapper over it. Backward runs the materialized
+//! [`crate::gemm::im2col`].
 //!
 //! The **scalar reference path** (`Conv2d::forward_scalar`, plus the
 //! per-image `backward` implementations) is kept verbatim from the original
@@ -31,7 +36,7 @@
 //! (property-tested in `tests/proptests.rs`) and serves as the baseline in
 //! the `nn_inference` bench.
 
-use crate::gemm::{self, GemmScratch, PackedA, PackedB, Trans};
+use crate::gemm::{self, ConvEpilogue, GemmScratch, PackedA, PackedB, Trans};
 use crate::init::{he_normal, xavier_uniform};
 use crate::kernels;
 use crate::tensor::Shape;
@@ -345,30 +350,23 @@ impl Conv2d {
         out
     }
 
-    /// The inference forward with the `Relu` that follows this layer folded
-    /// into the conv epilogue: bitwise equal to [`Layer::infer_shared`]
-    /// followed by that `Relu`'s, with the activation written once.
-    pub(crate) fn infer_relu(
+    /// The inference forward with the layers that follow folded into the
+    /// row sweep's epilogue: a `Relu` ([`ConvEpilogue::Relu`]), or a
+    /// `Relu` and then a `MaxPool2` ([`ConvEpilogue::ReluPool`], whose
+    /// output is the pooled planes). Bitwise equal to running those
+    /// layers' [`Layer::infer_shared`] in turn, with one activation
+    /// written instead of two or three.
+    pub(crate) fn infer_fused(
         &self,
         input: &[f32],
         batch: usize,
         out: &mut Vec<f32>,
         scratch: &mut InferScratch,
-    ) {
-        self.infer(input, batch, out, scratch, true);
-    }
-
-    fn infer(
-        &self,
-        input: &[f32],
-        batch: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut InferScratch,
-        relu: bool,
+        epilogue: ConvEpilogue,
     ) {
         let (c_in, h, w) = (self.input.c, self.input.h, self.input.w);
         let in_len = self.input.len();
-        let out_len = self.out_c * h * w;
+        let out_len = self.out_c * epilogue.plane(h, w);
         debug_assert_eq!(input.len(), batch * in_len);
         out.resize(batch * out_len, 0.0);
         // Images run one after another through the given scratch; the
@@ -386,7 +384,7 @@ impl Conv2d {
                 self.k,
                 &self.filter,
                 &self.bias,
-                relu,
+                epilogue,
                 &mut out[b * out_len..(b + 1) * out_len],
             );
         }
@@ -421,7 +419,7 @@ impl Layer for Conv2d {
         out: &mut Vec<f32>,
         scratch: &mut InferScratch,
     ) {
-        self.infer(input, batch, out, scratch, false);
+        self.infer_fused(input, batch, out, scratch, ConvEpilogue::Bias);
     }
 
     fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
@@ -631,21 +629,30 @@ impl Layer for MaxPool2 {
         input: &[f32],
         batch: usize,
         out: &mut Vec<f32>,
-        scratch: &mut InferScratch,
+        _scratch: &mut InferScratch,
     ) {
         let in_len = self.input.len();
         let out_len = self.output_shape().len();
         debug_assert_eq!(input.len(), batch * in_len);
         out.resize(batch * out_len, 0.0);
-        // The runtime-dispatched SIMD max sweep, bitwise identical to
-        // `pool_one`'s strict-`>` running max.
-        let (c, h, w) = (self.input.c, self.input.h, self.input.w);
-        let (oh, ow) = (h / 2, w / 2);
-        for b in 0..batch {
-            for ch in 0..c {
-                let plane = &input[b * in_len + ch * h * w..b * in_len + (ch + 1) * h * w];
-                let dst = &mut out[b * out_len + ch * oh * ow..b * out_len + (ch + 1) * oh * ow];
-                kernels::maxpool2_plane(scratch.gemm.kernel, plane, h, w, dst);
+        // `pool_one`'s strict-`>` running max from `-inf`, without the
+        // argmax. A served pool follows a conv and ReLU and runs in the
+        // conv's epilogue instead (`ConvEpilogue::ReluPool`).
+        let (h, w) = (self.input.h, self.input.w);
+        let ow = w / 2;
+        let planes = input.chunks_exact(h * w);
+        for (plane, dst) in planes.zip(out.chunks_exact_mut((h / 2) * ow)) {
+            for (oy, dst) in dst.chunks_exact_mut(ow).enumerate() {
+                let (r0, r1) = (&plane[2 * oy * w..], &plane[(2 * oy + 1) * w..]);
+                for (ox, d) in dst.iter_mut().enumerate() {
+                    let mut best = f32::NEG_INFINITY;
+                    for v in [r0[2 * ox], r0[2 * ox + 1], r1[2 * ox], r1[2 * ox + 1]] {
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                    *d = best;
+                }
             }
         }
     }

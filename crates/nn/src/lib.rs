@@ -61,9 +61,10 @@
 //! # Modules
 //!
 //! * [`tensor::Shape`] — `(channels, height, width)` bookkeeping;
-//! * [`gemm`] — blocked GEMM, im2col/col2im lowering;
-//! * [`kernels`] — the non-GEMM layer sweeps (ReLU, max-pool), with an
-//!   explicit SIMD tier only where one measurably wins;
+//! * [`gemm`] — blocked GEMM, im2col/col2im lowering, and the conv row
+//!   sweep that applies bias, ReLU and the 2x2 max-pool to its register
+//!   tiles;
+//! * [`kernels`] — the ReLU sweep, portable (no explicit SIMD tier wins);
 //! * [`layer`] — forward/backward implementations of every layer, each with
 //!   exact FLOP accounting (the cost model prices inference from these);
 //! * [`model::Sequential`] and [`model::CnnSpec`] — composition and the

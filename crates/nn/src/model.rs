@@ -6,6 +6,7 @@
 //! varies `L` in {1, 2, 4}, `n_conv` in {16, 32}, and `n_dense` in
 //! {16, 32, 64} (§VII-A).
 
+use crate::gemm::ConvEpilogue;
 use crate::layer::{Conv2d, Dense, InferScratch, Layer, MaxPool2, Relu};
 use crate::tensor::Shape;
 use std::convert::Infallible;
@@ -550,9 +551,10 @@ fn is_per_image(layer: &dyn Layer) -> bool {
 /// Run `batch` rows through `layers`, leaving the result in `a`: the first
 /// layer reads `src` (or `a` when `src` is `None`), and activations
 /// ping-pong between `a` and `b`. A `Conv2d` followed by a `Relu` runs as
-/// one layer, the select folded into the conv's epilogue (same bits;
+/// one layer, the select folded into the conv's epilogue, and so does a
+/// `Conv2d → Relu → MaxPool2` block, the pool included (same bits;
 /// training's `forward_batch` stays unfused, since `Relu` records its mask
-/// there). An empty stack copies `src` through.
+/// and `MaxPool2` its argmax there). An empty stack copies `src` through.
 fn run_layers(
     layers: &[Box<dyn Layer>],
     mut src: Option<&[f32]>,
@@ -566,7 +568,15 @@ fn run_layers(
         let input = src.take().unwrap_or(a);
         match layer.as_any().downcast_ref::<Conv2d>() {
             Some(conv) if layers.next_if(|l| l.as_any().is::<Relu>()).is_some() => {
-                conv.infer_relu(input, batch, b, scratch);
+                let pools = |l: &dyn Layer| {
+                    let pool = l.as_any().downcast_ref::<MaxPool2>();
+                    pool.is_some_and(|p| p.input_shape() == conv.output_shape())
+                };
+                let epilogue = match layers.next_if(|l| pools(l.as_ref())) {
+                    Some(_) => ConvEpilogue::ReluPool,
+                    None => ConvEpilogue::Relu,
+                };
+                conv.infer_fused(input, batch, b, scratch, epilogue);
             }
             _ => layer.infer_shared(input, batch, b, scratch),
         }

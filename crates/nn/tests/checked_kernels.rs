@@ -6,8 +6,9 @@
 //! The proof is by reference equality in both profiles: these tests
 //! compare each instrumented kernel against an independent scalar
 //! reference to the bit, under both `cargo test` and `cargo test
-//! --release`. ReLU and max-pool have the same bitwise scalar comparison
-//! in `tahoma_nn::kernels`' unit tests.
+//! --release`. The conv row sweep's ReLU and max-pool epilogues are
+//! compared with the training layers to the bit in `tests/row_sweep.rs`,
+//! and ReLU with its scalar select in `tahoma_nn::kernels`' unit tests.
 
 use tahoma_mathx::DetRng;
 use tahoma_nn::gemm::{conv2d_forward, gemm, GemmScratch, Trans};

@@ -251,100 +251,66 @@ pub fn nn_service(cfg: &NnFixtureConfig) -> QueryService {
 }
 
 /// Plan, build and calibrate every kind of `cfg` over the shared store.
+///
+/// Every value that outlives the boot — systems, networks, score vectors —
+/// is made before the one scoring scratch, and the cuts and service
+/// entries after it is dropped, so nothing that lives on sits above the
+/// scratch's freed buffers and keeps the heap from shrinking back. One
+/// scratch serves every kind, so its widest buffers are made once.
 fn add_nn_kinds(
     service: &mut QueryService,
     cfg: &NnFixtureConfig,
     store: &Arc<RepresentationStore>,
     corpus: &Corpus,
 ) {
-    let (rep0, rep1, rep_src) = NN_REPS;
-    let (arch0, arch1) = NN_ARCHS;
     let items: Vec<&CorpusItem> = corpus.items.iter().collect();
-    for (ki, &kind) in cfg.kinds.iter().enumerate() {
-        // A surrogate repository supplies the (model id -> variant) table
-        // and pricing; the scores come from the real networks below.
-        let pred = PredicateSpec::for_kind(kind);
-        let repo_cfg = SurrogateBuildConfig {
-            n_config: 50,
-            n_eval: 50,
-            seed: cfg.seed ^ (ki as u64 + 1),
-            variants: Some(
-                cross_variants(&[arch0, arch1], &[rep0, rep1])
-                    .into_iter()
-                    .filter(|v| {
-                        (v.input == rep0 && matches!(v.kind, ModelKind::Cnn(a) if a == arch0))
-                            || (v.input == rep1
-                                && matches!(v.kind, ModelKind::Cnn(a) if a == arch1))
-                    })
-                    .enumerate()
-                    .map(|(i, mut v)| {
-                        v.id = ModelId(i as u32);
-                        v
-                    })
-                    .collect(),
-            ),
-            ..Default::default()
-        };
-        let repo = build_surrogate_repository(pred, &repo_cfg, &DeviceProfile::k80());
-        let builder = BuilderConfig {
-            pool: repo.specialized_ids(),
-            reference: None,
-            n_settings: 3,
-            max_pool_depth: 2,
-            with_reference_terminal: false,
-        };
-        let system = TahomaSystem::initialize(repo, &[0.93, 0.95, 0.99], &builder);
-
-        let mut zoo = SharedModelZoo::new().with_source(rep_src);
-        let net_seed = cfg.seed ^ (0xA11 + 2 * ki as u64);
-        zoo.register(
-            ModelId(0),
-            rep0,
-            arch0.cnn_spec(rep0).build(net_seed).expect("valid spec"),
-        );
-        zoo.register(
-            ModelId(1),
-            rep1,
-            arch1
-                .cnn_spec(rep1)
-                .build(net_seed + 1)
-                .expect("valid spec"),
-        );
-
-        // Execution-time threshold override calibrated from the live score
-        // distributions (cascade selection still uses the system's table).
-        // The scores are kept: a conjunction is ordered by each cascade's
-        // walk over them, at no extra inference. They are allocated before
-        // the scoring scratch, so they never sit above its freed buffers
-        // and keep the heap from shrinking back.
-        let mut per_model = Vec::with_capacity(system.repo.len());
-        let mut corpus_scores: Vec<Vec<f32>> = (0..system.repo.len())
-            .map(|id| match zoo.input_rep(ModelId(id as u32)) {
-                Some(_) => Vec::with_capacity(items.len()),
-                None => Vec::new(),
-            })
-            .collect();
-        {
-            let mut scratch = NnSessionScratch::new();
-            let mut scorer = SharedNnScorer::new(store, &zoo, &mut scratch);
+    let mut kinds: Vec<_> = cfg
+        .kinds
+        .iter()
+        .enumerate()
+        .map(|(ki, &kind)| {
+            let (system, zoo) = nn_kind(cfg, ki, kind);
+            // The scores are kept: a conjunction is ordered by each
+            // cascade's walk over them, at no extra inference.
+            let corpus_scores: Vec<Vec<f32>> = (0..system.repo.len())
+                .map(|id| match zoo.input_rep(ModelId(id as u32)) {
+                    Some(_) => Vec::with_capacity(items.len()),
+                    None => Vec::new(),
+                })
+                .collect();
+            (kind, system, zoo, corpus_scores)
+        })
+        .collect();
+    {
+        let mut scratch = NnSessionScratch::new();
+        for (_, _, zoo, corpus_scores) in &mut kinds {
+            let mut scorer = SharedNnScorer::new(store, zoo, &mut scratch);
             for (id, scores) in corpus_scores.iter_mut().enumerate() {
-                if zoo.input_rep(ModelId(id as u32)).is_none() {
-                    // The appended reference entry has no network; it never
-                    // appears in a planned cascade and must never decide.
-                    per_model.push(vec![DecisionThresholds::never_decide(); 3]);
-                    continue;
+                if zoo.input_rep(ModelId(id as u32)).is_some() {
+                    scorer
+                        .score_batch(ModelId(id as u32), ScorePack::standalone(&items), scores)
+                        .expect("the fixture store holds every model's input representation");
                 }
-                scorer
-                    .score_batch(ModelId(id as u32), ScorePack::standalone(&items), scores)
-                    .expect("the fixture store holds every model's input representation");
-                per_model.push(quantile_cuts(scores));
             }
         }
+    }
+    for (kind, system, zoo, corpus_scores) in kinds {
+        // Execution-time threshold override calibrated from the live score
+        // distributions (cascade selection still uses the system's table).
+        let per_model = corpus_scores
+            .iter()
+            .enumerate()
+            .map(|(id, scores)| match zoo.input_rep(ModelId(id as u32)) {
+                Some(_) => quantile_cuts(scores),
+                // The appended reference entry has no network; it never
+                // appears in a planned cascade and must never decide.
+                None => vec![DecisionThresholds::never_decide(); 3],
+            })
+            .collect();
         let exec_thresholds = ThresholdTable {
             settings: vec![0.93, 0.95, 0.99],
             per_model,
         };
-
         service.add_nn_kind(
             kind,
             system,
@@ -354,6 +320,61 @@ fn add_nn_kinds(
             zoo,
         );
     }
+}
+
+/// The planned system and the two networks of `cfg`'s `ki`-th kind.
+fn nn_kind(cfg: &NnFixtureConfig, ki: usize, kind: ObjectKind) -> (TahomaSystem, SharedModelZoo) {
+    let (rep0, rep1, rep_src) = NN_REPS;
+    let (arch0, arch1) = NN_ARCHS;
+    // A surrogate repository supplies the (model id -> variant) table and
+    // pricing; the scores come from the real networks below.
+    let pred = PredicateSpec::for_kind(kind);
+    let repo_cfg = SurrogateBuildConfig {
+        n_config: 50,
+        n_eval: 50,
+        seed: cfg.seed ^ (ki as u64 + 1),
+        variants: Some(
+            cross_variants(&[arch0, arch1], &[rep0, rep1])
+                .into_iter()
+                .filter(|v| {
+                    (v.input == rep0 && matches!(v.kind, ModelKind::Cnn(a) if a == arch0))
+                        || (v.input == rep1 && matches!(v.kind, ModelKind::Cnn(a) if a == arch1))
+                })
+                .enumerate()
+                .map(|(i, mut v)| {
+                    v.id = ModelId(i as u32);
+                    v
+                })
+                .collect(),
+        ),
+        ..Default::default()
+    };
+    let repo = build_surrogate_repository(pred, &repo_cfg, &DeviceProfile::k80());
+    let builder = BuilderConfig {
+        pool: repo.specialized_ids(),
+        reference: None,
+        n_settings: 3,
+        max_pool_depth: 2,
+        with_reference_terminal: false,
+    };
+    let system = TahomaSystem::initialize(repo, &[0.93, 0.95, 0.99], &builder);
+
+    let mut zoo = SharedModelZoo::new().with_source(rep_src);
+    let net_seed = cfg.seed ^ (0xA11 + 2 * ki as u64);
+    zoo.register(
+        ModelId(0),
+        rep0,
+        arch0.cnn_spec(rep0).build(net_seed).expect("valid spec"),
+    );
+    zoo.register(
+        ModelId(1),
+        rep1,
+        arch1
+            .cnn_spec(rep1)
+            .build(net_seed + 1)
+            .expect("valid spec"),
+    );
+    (system, zoo)
 }
 
 #[cfg(test)]

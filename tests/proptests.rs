@@ -52,8 +52,8 @@ proptest! {
     /// kernel sizes and weights (the GEMM paths sum in a different order
     /// than the scalar loop, so that comparison holds to a k-scaled float
     /// tolerance; the tiers are additionally bitwise identical to *each
-    /// other*). Shapes up to `c_in = 3` with `kk = 3` keep the AVX-512
-    /// wide small-k tile in play.
+    /// other*). Heights and widths from 1 to 13 cover one- and two-row
+    /// tiles and ragged column chunks of the row sweep.
     #[test]
     fn conv_gemm_forward_matches_scalar_loop(
         c_in in 1usize..5, out_c in 1usize..9,
@@ -487,41 +487,28 @@ proptest! {
         prop_assert_eq!(&got, &want);
     }
 
-    /// The inference pool (`infer_shared`) and every max-pool tier are
-    /// bitwise identical to the training path's scalar argmax pool across
-    /// arbitrary shapes (odd dims exercise the floor semantics, small dims
-    /// the all-tail path).
+    /// The inference pool (`infer_shared`) is bitwise identical to the
+    /// training path's scalar argmax pool across arbitrary shapes (odd
+    /// dims exercise the floor semantics). One portable loop is left, so
+    /// "tiers" is that loop; the served pool runs in the conv epilogue,
+    /// pinned by `gemm::tests::row_sweep_matches_training_layers_bitwise`.
     #[test]
     fn maxpool_tiers_agree_bitwise(
         c in 1usize..4, h in 2usize..40, w in 2usize..40, seed in 0u64..10_000
     ) {
         let shape = Shape::new(c, h, w);
         let mut rng = tahoma::mathx::DetRng::new(seed);
-        let input: Vec<f32> = (0..shape.len())
+        let mut input: Vec<f32> = (0..shape.len())
             .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
             .collect();
+        input[seed as usize % shape.len()] = f32::NAN;
         let mut pool = MaxPool2::new(shape);
-        // Training's forward is the scalar argmax sweep; `infer_shared` the
-        // dispatched SIMD sweep — they must agree bitwise.
         let mut want = Vec::new();
         pool.forward_batch(&input, 1, &mut want);
         let mut got = Vec::new();
         pool.infer_shared(&input, 1, &mut got, &mut InferScratch::default());
-        prop_assert_eq!(&want, &got, "inference pool diverges from argmax pool");
-        // And each explicit tier matches too.
-        let (oh, ow) = (h / 2, w / 2);
-        for kernel in SimdTier::runnable(kernels::POOL_TIERS) {
-            let mut plane_out = vec![f32::NAN; oh * ow];
-            for ch in 0..c {
-                kernels::maxpool2_plane(
-                    Some(kernel), &input[ch * h * w..(ch + 1) * h * w], h, w, &mut plane_out,
-                );
-                prop_assert_eq!(
-                    &want[ch * oh * ow..(ch + 1) * oh * ow], &plane_out[..],
-                    "pool tier {} ch {} diverges", kernel.name(), ch
-                );
-            }
-        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&want), bits(&got), "inference pool diverges from argmax pool");
     }
 
     /// Segment framing round-trips arbitrary (id, representation,
