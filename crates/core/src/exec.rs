@@ -40,8 +40,7 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented,
-    clippy::allow_attributes_without_reason
+    clippy::unimplemented
 )]
 
 use crate::cascade::Cascade;

@@ -18,6 +18,7 @@ use std::fmt;
 use tahoma_imagery::Representation;
 
 /// The four deployment scenarios evaluated in the paper.
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scenario {
     /// Only inference cost — the computer-vision-literature convention.

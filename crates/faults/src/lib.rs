@@ -33,9 +33,15 @@
 //! is live; unarmed, it is an inlined relaxed load and a not-taken branch,
 //! and the armed path is `#[cold]` and out of line.
 //!
-//! Hooks in production code are audited: lint A7 in `tahoma-audit`
-//! confines `tahoma_faults` usage to an allowlisted module set and
-//! requires a `// FAULT:` tag at every call site (see `SAFETY.md`).
+//! Hooks in production code are held to the failure surface by clippy:
+//! the root `clippy.toml` lists [`fire`], [`transient_io`], [`stall`] and
+//! [`perturb`] under `disallowed-methods`, so every call site carries an
+//! `#[expect(clippy::disallowed_methods, reason = "FAULT: …")]` whose
+//! reason names the failure or preemption it models (see `SAFETY.md`).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the hooks' own definitions build on `fire`"
+)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

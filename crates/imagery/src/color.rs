@@ -12,6 +12,7 @@ use std::fmt;
 pub const LUMA_WEIGHTS: [f32; 3] = [0.299, 0.587, 0.114];
 
 /// The color depth / channel selection of a physical representation.
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ColorMode {
     /// Full 3-channel color.

@@ -72,10 +72,14 @@
 //! are how [`TranscodeEngine::apply`] materializes a single
 //! representation, so every representation goes through the plan.
 //!
-//! This is one of the three files sanctioned to contain raw-pointer
-//! arithmetic; see `SAFETY.md` at the repository root for the unsafe
-//! policy; debug builds assert the span-table bounds and gather indices
-//! here at runtime (`tahoma_mathx::checked`).
+//! This is one of the three files sanctioned to contain `unsafe`; see
+//! `SAFETY.md` at the repository root for the unsafe policy; debug builds
+//! assert the span-table bounds and gather indices here at runtime
+//! (`tahoma_mathx::checked`).
+#![expect(
+    unsafe_code,
+    reason = "the AVX2 transcode sweeps gather through resize span tables and load planes through raw pointers"
+)]
 
 use crate::color::{ColorMode, LUMA_WEIGHTS};
 use crate::error::ImageryError;
@@ -728,7 +732,7 @@ impl TranscodeEngine {
     }
 
     /// Resize one plane through the cached plan for this shape.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "plane, sizes, caches")]
     fn resize_plane(
         kernel: Option<SimdTier>,
         plans: &mut HashMap<(usize, usize, usize, usize), ResizePlan>,

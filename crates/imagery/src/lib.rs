@@ -33,6 +33,10 @@
 //! * [`dataset`] — labeled datasets with the paper's train/config/eval split
 //!   protocol and left-right flip augmentation.
 
+// The store's locks carry ranks (`tahoma_mathx::Ranked`, ranks in
+// `tahoma_mathx::rank`), so a plain `std::sync::Mutex` fails clippy here.
+#![deny(clippy::disallowed_types)]
+
 pub mod codec;
 pub mod color;
 pub mod dataset;

@@ -28,6 +28,7 @@ pub const FULL_SIZE: usize = 224;
 pub const PAPER_SIZES: [usize; 4] = [30, 60, 120, 224];
 
 /// A physical input representation: square resolution plus color mode.
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Representation {
     /// Side length in pixels (images are square, as in the paper).

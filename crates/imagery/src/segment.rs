@@ -29,9 +29,10 @@
 //!   truncates to the last complete record — a torn tail loses at most
 //!   the records past the tear, never yields corrupt payload bytes.
 //!
-//! Lock order (audited, lint A6; see `SAFETY.md`): per shard, the writer
-//! lock (`seg_writer`, rank 70) is acquired before the index lock
-//! (`seg_index`, rank 71). Fetches take only `seg_index`, and only long
+//! Lock order (checked in debug builds by `tahoma_mathx::Ranked`; see
+//! `SAFETY.md`): per shard, the writer lock (`seg_writer`,
+//! `rank::SHARD_WRITER`) is acquired before the index lock (`seg_index`,
+//! `rank::SHARD_INDEX`). Fetches take only `seg_index`, and only long
 //! enough to copy an entry; payload bytes are read with no lock held.
 //! Both ranks sit above every `tahoma-serve` rank, so a serving thread
 //! holding service locks may always enter the store.
@@ -43,10 +44,9 @@ use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 // Poison-tolerant: an unrelated panic must not wedge the store; critical
 // sections publish fully-formed values.
-use tahoma_mathx::lock;
+use tahoma_mathx::{rank, Ranked};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"TSG1";
@@ -262,11 +262,9 @@ struct Shard {
     reader: File,
     // Append state: file handle, committed/capacity watermarks, frame
     // scratch. Held across the publish into `seg_index` (rank ascends).
-    // LOCK-ORDER: 70
-    seg_writer: Mutex<ShardWriter>,
+    seg_writer: Ranked<ShardWriter, { rank::SHARD_WRITER }>,
     // Entry map. Fetches hold this only long enough to copy an entry.
-    // LOCK-ORDER: 71
-    seg_index: Mutex<ShardIndex>,
+    seg_index: Ranked<ShardIndex, { rank::SHARD_INDEX }>,
 }
 
 /// What the open-time recovery scan found.
@@ -330,12 +328,12 @@ impl SegmentStore {
             let reader = File::open(shard_path(dir, s))?;
             out.push(Shard {
                 reader,
-                seg_writer: Mutex::new(ShardWriter {
+                seg_writer: Ranked::new(ShardWriter {
                     file,
                     committed: SEGMENT_HEADER_LEN,
                     capacity: SEGMENT_HEADER_LEN,
                 }),
-                seg_index: Mutex::new(ShardIndex::default()),
+                seg_index: Ranked::new(ShardIndex::default()),
             });
         }
         Ok(SegmentStore { shards: out })
@@ -378,17 +376,20 @@ impl SegmentStore {
             report.records += scan.records;
             report.truncated_bytes += file_len.saturating_sub(scan.committed.min(file_len));
             // Drop the torn tail / preallocated zeros so the file length
-            // is again exactly the committed data.
-            file.set_len(scan.committed)?;
+            // is again exactly the committed data. A clean shard is left
+            // untouched: a reopen that recovers nothing writes nothing.
+            if file_len != scan.committed {
+                file.set_len(scan.committed)?;
+            }
             let reader = File::open(&path)?;
             out.push(Shard {
                 reader,
-                seg_writer: Mutex::new(ShardWriter {
+                seg_writer: Ranked::new(ShardWriter {
                     file,
                     committed: scan.committed,
                     capacity: scan.committed,
                 }),
-                seg_index: Mutex::new(ShardIndex {
+                seg_index: Ranked::new(ShardIndex {
                     entries: scan.entries,
                     bytes: scan.bytes,
                 }),
@@ -484,9 +485,12 @@ impl SegmentStore {
     /// Append one record already framed by [`frame_record`]: the one write
     /// path. The header names the record's id (hence its shard) and rep.
     pub(crate) fn append_record(&self, record: &[u8]) -> io::Result<()> {
-        // FAULT: transient write error, injected before any shard state
-        // changes so a retried append starts from a clean slate.
-        if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::SEG_WRITE) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: transient write error, injected before any shard state changes so a retried append starts from a clean slate"
+        )]
+        let injected = tahoma_faults::transient_io(tahoma_faults::site::SEG_WRITE);
+        if let Some(e) = injected {
             return Err(e);
         }
         let h = parse_record_header(record)
@@ -497,7 +501,7 @@ impl SegmentStore {
         let (id, rep) = (h.id, h.rep);
         let shard = &self.shards[self.shard_of(id)];
         let rec_len = record.len() as u64;
-        let mut w = lock(&shard.seg_writer);
+        let mut w = shard.seg_writer.lock();
         let off = w.committed;
         let end = off + rec_len;
         if end > w.capacity {
@@ -510,8 +514,8 @@ impl SegmentStore {
         write_all_at(&w.file, record, off)?;
         w.committed = end;
         // Publish under the index lock while still holding the writer
-        // lock (ranks 70 → 71, ascending).
-        let mut ix = lock(&shard.seg_index);
+        // lock (writer, then index: ranks ascend).
+        let mut ix = shard.seg_index.lock();
         ix.entries
             .insert((id, rep), (off + RECORD_HEADER_LEN as u64, h.len));
         ix.bytes += rec_len;
@@ -529,25 +533,39 @@ impl SegmentStore {
         f: impl FnOnce(&[u8]) -> R,
     ) -> io::Result<Option<R>> {
         let shard = &self.shards[self.shard_of(id)];
-        let Some((off, len)) = lock(&shard.seg_index).entries.get(&(id, rep)).copied() else {
+        let Some((off, len)) = shard.seg_index.lock().entries.get(&(id, rep)).copied() else {
             return Ok(None);
         };
-        // FAULT: a slow read stalls without erroring, then a transient
-        // read error is retryable by the fetch layer.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: a slow read stalls without erroring"
+        )]
         tahoma_faults::stall(tahoma_faults::site::SEG_READ_SLOW);
-        if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::SEG_READ) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: a transient read error, retryable by the fetch layer"
+        )]
+        let injected = tahoma_faults::transient_io(tahoma_faults::site::SEG_READ);
+        if let Some(e) = injected {
             return Err(e);
         }
-        // FAULT: a short read surfaces as Interrupted — retryable.
-        if tahoma_faults::fire(tahoma_faults::site::SEG_READ_SHORT) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: a short read surfaces as Interrupted, which is retryable"
+        )]
+        let short = tahoma_faults::fire(tahoma_faults::site::SEG_READ_SHORT);
+        if short {
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 format!("injected short read for record ({id}, {rep})"),
             ));
         }
-        // FAULT: a CRC mismatch is permanent — the fetch layer quarantines
-        // the record and degrades to transcode-from-source.
-        if tahoma_faults::fire(tahoma_faults::site::SEG_READ_CORRUPT) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: a CRC mismatch is permanent; the fetch layer quarantines the record and degrades to transcode-from-source"
+        )]
+        let corrupt = tahoma_faults::fire(tahoma_faults::site::SEG_READ_CORRUPT);
+        if corrupt {
             return Err(bad_data(format!(
                 "injected CRC mismatch for record ({id}, {rep})"
             )));
@@ -560,7 +578,7 @@ impl SegmentStore {
     /// Stored payload length for a record, if present.
     pub fn payload_len(&self, id: u64, rep: Representation) -> Option<usize> {
         let shard = &self.shards[self.shard_of(id)];
-        let ix = lock(&shard.seg_index);
+        let ix = shard.seg_index.lock();
         ix.entries.get(&(id, rep)).map(|&(_, len)| len as usize)
     }
 
@@ -573,14 +591,14 @@ impl SegmentStore {
     pub fn records(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| lock(&s.seg_index).entries.len() as u64)
+            .map(|s| s.seg_index.lock().entries.len() as u64)
             .sum()
     }
 
     /// Committed bytes across shards (record headers + payloads, not
     /// counting file headers or preallocated capacity).
     pub fn committed_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| lock(&s.seg_index).bytes).sum()
+        self.shards.iter().map(|s| s.seg_index.lock().bytes).sum()
     }
 
     /// Distinct item ids across shards.
@@ -588,7 +606,7 @@ impl SegmentStore {
         self.shards
             .iter()
             .map(|s| {
-                let ix = lock(&s.seg_index);
+                let ix = s.seg_index.lock();
                 let ids: HashSet<u64> = ix.entries.keys().map(|&(id, _)| id).collect();
                 ids.len() as u64
             })
@@ -600,7 +618,7 @@ impl SegmentStore {
     pub fn keys(&self) -> Vec<(u64, Representation)> {
         let mut out = Vec::new();
         for s in &self.shards {
-            out.extend(lock(&s.seg_index).entries.keys().copied());
+            out.extend(s.seg_index.lock().entries.keys().copied());
         }
         out
     }
@@ -610,7 +628,7 @@ impl SegmentStore {
     /// data. After `sync`, `open` finds exactly the appended records.
     pub fn sync(&self) -> io::Result<()> {
         for s in &self.shards {
-            let mut w = lock(&s.seg_writer);
+            let mut w = s.seg_writer.lock();
             if w.capacity != w.committed {
                 w.file.set_len(w.committed)?;
                 w.capacity = w.committed;
@@ -627,10 +645,10 @@ impl SegmentStore {
         let mut verified = 0u64;
         for (s, shard) in self.shards.iter().enumerate() {
             // Stabilize the file length for the sequential scan.
-            let w = lock(&shard.seg_writer);
+            let w = shard.seg_writer.lock();
             let scan = Self::scan_shard(&w.file, s as u32)?;
             drop(w);
-            let ix = lock(&shard.seg_index);
+            let ix = shard.seg_index.lock();
             if scan.entries != ix.entries {
                 return Err(bad_data(format!(
                     "shard {s}: on-disk scan found {} records, index holds {}",
@@ -655,10 +673,10 @@ impl SegmentStore {
         let mut bad = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
             // Stabilize the file length for the sequential scan.
-            let w = lock(&shard.seg_writer);
+            let w = shard.seg_writer.lock();
             let scan = Self::scan_shard(&w.file, s as u32)?;
             drop(w);
-            let ix = lock(&shard.seg_index);
+            let ix = shard.seg_index.lock();
             for (key, val) in &ix.entries {
                 if scan.entries.get(key) != Some(val) {
                     bad.push(*key);
@@ -1019,7 +1037,7 @@ mod tests {
                 if id == total / 2 {
                     store.sync().expect("sync");
                 }
-                let cap = lock(&store.shards[0].seg_writer).capacity;
+                let cap = store.shards[0].seg_writer.lock().capacity;
                 if capacities.last() != Some(&cap) {
                     capacities.push(cap);
                 }

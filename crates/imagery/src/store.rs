@@ -58,10 +58,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 // Poison-tolerant: every plan/quarantine update is complete before the
 // guard drops, so a panicking peer never leaves a half-written entry behind.
-use tahoma_mathx::{hash64, lock};
+use tahoma_mathx::{hash64, rank, Ranked};
 
 /// Store manifest file name (records shard count + representation set so
 /// [`RepresentationStore::open`] needs only the directory).
@@ -159,14 +159,12 @@ pub struct RepresentationStore {
     // shape, built once and shared by every preparing thread. Held only
     // to look up or insert a plan, never across a materialization, an
     // append or any other lock.
-    // LOCK-ORDER: 65
-    ingest_plans: Mutex<HashMap<(usize, usize), Arc<TranscodePlan>>>,
+    ingest_plans: Ranked<HashMap<(usize, usize), Arc<TranscodePlan>>, { rank::INGEST_PLANS }>,
     // Quarantined (id, rep) keys: records whose stored bytes must never
     // be served again. Guarded by a length fast path so the fault-free
     // fetch path pays one relaxed load, no lock.
-    // LOCK-ORDER: 67 — taken during fetch/verify only, never while a
-    // shard lock (70/71) is held.
-    quarantine: Mutex<HashSet<(u64, Representation)>>,
+    // Taken during fetch/verify only, never while a shard lock is held.
+    quarantine: Ranked<HashSet<(u64, Representation)>, { rank::QUARANTINE }>,
     quarantine_len: AtomicUsize,
     retries: AtomicU64,
     degraded_fetches: AtomicU64,
@@ -242,8 +240,8 @@ impl RepresentationStore {
             segments,
             total_bytes: AtomicUsize::new(total_bytes),
             ingested: AtomicU64::new(ingested),
-            ingest_plans: Mutex::default(),
-            quarantine: Mutex::default(),
+            ingest_plans: Ranked::default(),
+            quarantine: Ranked::default(),
             quarantine_len: AtomicUsize::new(0),
             retries: AtomicU64::new(0),
             degraded_fetches: AtomicU64::new(0),
@@ -342,9 +340,12 @@ impl RepresentationStore {
             "frame {} was prepared for another store",
             frame.id
         );
-        // FAULT: transient ingest fault upstream of any state change, so
-        // the caller's retry re-runs the whole frame cleanly.
-        if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::STORE_INGEST) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: transient ingest fault upstream of any state change, so the caller's retry re-runs the whole frame cleanly"
+        )]
+        let injected = tahoma_faults::transient_io(tahoma_faults::site::STORE_INGEST);
+        if let Some(e) = injected {
             return Err(e.into());
         }
         // Bounded retry on transient append errors; re-appending a key is
@@ -441,7 +442,7 @@ impl RepresentationStore {
     /// leaves out the `Identity` target (the full-size RGB frame), whose
     /// stored bytes are the encoded source, so ingest never copies it.
     fn plan_for(&self, shape: (usize, usize)) -> Arc<TranscodePlan> {
-        let mut plans = lock(&self.ingest_plans);
+        let mut plans = self.ingest_plans.lock();
         let plan = plans.entry(shape).or_insert_with(|| {
             let all = TranscodePlan::new(shape.0, shape.1, &self.reps);
             let derived: Vec<Representation> = (self.reps.iter().zip(all.steps()))
@@ -535,8 +536,10 @@ impl RepresentationStore {
     ) -> Option<Result<Image, ImageryError>> {
         let mut attempt = 0;
         loop {
-            // FAULT: transient fetch fault above the segment read (the
-            // segment layer injects its own below).
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "FAULT: transient fetch fault above the segment read (the segment layer injects its own below)"
+            )]
             let read = match tahoma_faults::transient_io(tahoma_faults::site::STORE_FETCH) {
                 Some(e) => Err(e.into()),
                 None => self.read_once(id, rep, engine)?,
@@ -580,7 +583,7 @@ impl RepresentationStore {
     /// fetches answer [`Fetched::Quarantined`] and callers fall back to
     /// transcode-from-source.
     pub fn quarantine_record(&self, id: u64, rep: Representation) {
-        let mut q = lock(&self.quarantine);
+        let mut q = self.quarantine.lock();
         if q.insert((id, rep)) {
             self.quarantine_len.store(q.len(), Ordering::Relaxed);
         }
@@ -590,7 +593,7 @@ impl RepresentationStore {
     /// quarantine set is empty (the fault-free hot path).
     pub fn is_quarantined(&self, id: u64, rep: Representation) -> bool {
         self.quarantine_len.load(Ordering::Relaxed) > 0
-            && lock(&self.quarantine).contains(&(id, rep))
+            && self.quarantine.lock().contains(&(id, rep))
     }
 
     /// Reliability counters (retries, degraded fetches, quarantine size).

@@ -17,6 +17,7 @@ use std::fmt;
 use tahoma_mathx::DetRng;
 
 /// The ten object categories (paper Table II).
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ObjectKind {
     Acorn,

@@ -20,14 +20,19 @@
 //! workspace's unsafe SIMD kernels make before every raw pointer
 //! operation, asserted in debug builds and compiled out of release ones.
 //!
-//! [`lock`] is the workspace's one poison-tolerant mutex acquisition.
+//! [`lock`] is the workspace's one poison-tolerant mutex acquisition, and
+//! [`Ranked`] the ranked mutex built on it: every lock of the serving stack
+//! carries a rank from [`rank`], and debug builds check that each thread
+//! takes them in ascending order.
 
 pub mod checked;
 pub mod pool;
+mod ranked;
 pub mod rng;
 pub mod simd_policy;
 pub mod stats;
 
+pub use ranked::{rank, Ranked, RankedGuard};
 pub use rng::{hash64, split_seed, DetRng};
 pub use simd_policy::SimdTier;
 pub use stats::{logistic, mean, normal_cdf, normal_quantile, percentile, std_dev, Summary};

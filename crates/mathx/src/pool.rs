@@ -43,6 +43,10 @@
 //! This is one of the three files sanctioned to contain `unsafe`; see
 //! `SAFETY.md` at the repository root for the unsafe policy. In debug
 //! builds [`scope`] asserts its no-live-jobs invariant before returning.
+#![expect(
+    unsafe_code,
+    reason = "the 'scope -> 'static transmute behind the borrowing worker pool"
+)]
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;

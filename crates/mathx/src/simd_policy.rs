@@ -27,6 +27,7 @@ pub const TIER_ENV: &str = "TAHOMA_KERNEL_POLICY";
 
 /// A SIMD kernel tier, ordered narrowest to widest. A CPU that can run a
 /// tier can run every narrower one.
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdTier {
     /// Plain scalar / auto-vectorized loops (any CPU) — the bitwise

@@ -45,10 +45,14 @@
 //! parallelism one level up, from `Sequential`'s morsel lanes, each of
 //! which runs its GEMMs serially on a scratch of its own.
 //!
-//! This is one of the three files sanctioned to contain raw-pointer
-//! arithmetic; the workspace unsafe policy, the required shape of every
-//! SAFETY comment, and the debug-build assertions of the bounds/alignment
-//! claims here are documented in `SAFETY.md` at the repository root.
+//! This is one of the three files sanctioned to contain `unsafe`; the
+//! workspace unsafe policy, the required shape of every SAFETY comment,
+//! and the debug-build assertions of the bounds/alignment claims here are
+//! documented in `SAFETY.md` at the repository root.
+#![expect(
+    unsafe_code,
+    reason = "the SIMD GEMM and conv row-sweep kernels load packed panels and store tiles through raw pointers"
+)]
 
 use tahoma_mathx::checked;
 use tahoma_mathx::SimdTier;
@@ -275,7 +279,7 @@ fn fill_offsets(dst: &mut Vec<usize>, k: usize, stride: usize) {
 /// when `T`), `B` is `k x n` when `N` (stored `n x k` when `T`). All storage
 /// is compact row-major. The caller initializes `C` (zeros, or a broadcast
 /// bias for a fused bias-add).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 pub fn gemm(
     scratch: &mut GemmScratch,
     m: usize,
@@ -329,7 +333,7 @@ pub fn gemm_prepacked(scratch: &mut GemmScratch, m: usize, a: &[f32], b: &Packed
 
 /// The fully blocked path: pack B strips (unless they come pre-packed)
 /// and A blocks, run packed tiles.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 fn gemm_blocked(
     scratch: &mut GemmScratch,
     kernel: SimdTier,
@@ -405,7 +409,7 @@ fn gemm_blocked(
 /// strips, so they must hit cache). Inner: one `k x NR` strip of B is
 /// pushed through every A panel while it is L1-hot, so B streams out of
 /// L2 exactly once per block regardless of m.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 fn gemm_direct_nn(
     scratch: &mut GemmScratch,
     kernel: SimdTier,
@@ -497,7 +501,7 @@ fn gemm_direct_nn(
 /// initialized to the scalar `bias[i]` and accumulated in one write-only
 /// epilogue pass (the convolution forward's bias-add, fused so `C` is never
 /// pre-filled or re-read). `C`'s prior contents are ignored.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 pub fn gemm_nn_bias(
     scratch: &mut GemmScratch,
     m: usize,
@@ -559,7 +563,7 @@ impl ConvEpilogue {
 /// `col` is only ever *addressed*, never built. Packs `weights` into the
 /// scratch first; `Conv2d` keeps its filter packed and calls
 /// [`conv2d_forward_packed`] instead.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 pub fn conv2d_forward(
     scratch: &mut GemmScratch,
     input: &[f32],
@@ -618,7 +622,7 @@ pub fn conv2d_forward(
 ///
 /// The backward pass still materializes [`im2col`]; this path is for the
 /// throughput-critical forward direction.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 pub fn conv2d_forward_packed(
     scratch: &mut GemmScratch,
     input: &[f32],
@@ -933,7 +937,7 @@ pub fn gemm_tn(
 /// accumulating into the first `mr` rows of `acc`. `a` is an `MR`-strided
 /// packed panel; row `p` of the B operand lives at `b[offsets[p] + j0..]`.
 /// The 4- and 2-row variants skip padded-row work on ragged final panels.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 #[inline]
 fn tile(
     kernel: SimdTier,
@@ -1317,7 +1321,7 @@ mod x86 {
 
 /// Pack `mc x kc` of A (rows `ic..`, k-range `pc..`) into `MR`-row panels,
 /// zero-padding the ragged final panel.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 fn pack_a(
     dst: &mut [f32],
     a: &[f32],
@@ -1352,7 +1356,7 @@ fn pack_a(
 
 /// Pack `kc x nc` of B (k-range `pc..`, cols `jc..`) into `NR`-column
 /// panels, zero-padding the ragged final panel.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 fn pack_b(
     dst: &mut [f32],
     b: &[f32],

@@ -28,8 +28,7 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented,
-    clippy::allow_attributes_without_reason
+    clippy::unimplemented
 )]
 
 use std::process::exit;

@@ -55,13 +55,13 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 use tahoma_core::exec::{InferDispatch, InputRows, SharedModelZoo};
 use tahoma_core::CoreError;
 // Poison-tolerant: broker bookkeeping stays usable after a leader's
 // inference panicked (critical sections do not call user code).
-use tahoma_mathx::lock;
+use tahoma_mathx::{rank, Ranked};
 use tahoma_nn::{InferScratch, RowSource};
 use tahoma_zoo::ModelId;
 
@@ -76,16 +76,16 @@ struct BatchState {
 }
 
 struct Batch {
-    // LOCK-ORDER: 50 — acquired after the broker's open map (the seal and
-    // join paths nest map -> state), never before it.
-    state: Mutex<BatchState>,
+    // Taken after the broker's open map (the seal and join paths nest
+    // map -> state), never before it.
+    state: Ranked<BatchState, { rank::BATCH_STATE }>,
     cv: Condvar,
 }
 
 impl Batch {
     fn new() -> Batch {
         Batch {
-            state: Mutex::new(BatchState {
+            state: Ranked::new(BatchState {
                 slots: Vec::new(),
                 sizes: Vec::new(),
                 sealed: false,
@@ -152,9 +152,9 @@ pub struct BrokerStats {
 /// broker per served predicate.
 pub struct Broker {
     zoo: Arc<SharedModelZoo>,
-    // LOCK-ORDER: 40 — the outer lock of the join/seal protocol; batch
-    // state (rank 50) is taken while this is held, nothing else is.
-    open: Mutex<HashMap<u32, Arc<Batch>>>,
+    // The outer lock of the join/seal protocol; batch state is taken
+    // while this is held, nothing else is.
+    open: Ranked<HashMap<u32, Arc<Batch>>, { rank::BROKER_OPEN }>,
     window: Duration,
     /// Queries in flight that still owe this broker's predicate a cascade
     /// execution (maintained by the service). Leaders skip the coalescing
@@ -186,7 +186,7 @@ impl Broker {
     pub fn new(zoo: Arc<SharedModelZoo>, active: Arc<AtomicUsize>) -> Broker {
         Broker {
             zoo,
-            open: Mutex::new(HashMap::new()),
+            open: Ranked::new(HashMap::new()),
             window: Broker::DEFAULT_WINDOW,
             active,
             submits: AtomicU64::new(0),
@@ -231,10 +231,12 @@ impl Broker {
     ) -> std::thread::Result<Result<Vec<f32>, S::Error>> {
         let morsels_before = scratch.morsel_calls();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            // FAULT: the inference call dies — a panic inside the guarded
-            // call, indistinguishable from a real zoo death; callers
-            // recover through the solo-failover rung.
-            if inject && tahoma_faults::fire(tahoma_faults::site::BROKER_LEAD) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "FAULT: the inference call dies, a panic inside the guarded call indistinguishable from a real zoo death; callers recover through the solo-failover rung"
+            )]
+            let dies = inject && tahoma_faults::fire(tahoma_faults::site::BROKER_LEAD);
+            if dies {
                 #[expect(
                     clippy::panic,
                     reason = "the BROKER_LEAD fault site models a zoo call dying: a deliberate \
@@ -283,7 +285,7 @@ impl Broker {
             // in a dead window.
             const POLL: Duration = Duration::from_micros(50);
             let deadline = Instant::now() + self.window;
-            let mut st = lock(&batch.state);
+            let mut st = batch.state.lock();
             while !st.sealed {
                 let active = self.active.load(Ordering::Relaxed);
                 if active <= 1 || st.sizes.len() >= active {
@@ -293,20 +295,19 @@ impl Broker {
                 if now >= deadline {
                     break;
                 }
-                let (g, _) = batch
-                    .cv
-                    .wait_timeout(st, (deadline - now).min(POLL))
-                    .unwrap_or_else(|p| p.into_inner());
-                st = g;
+                st = st.wait_timeout(&batch.cv, (deadline - now).min(POLL)).0;
             }
         }
-        // FAULT: schedule point: leader preempted between the window and the seal.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: schedule point: leader preempted between the window and the seal"
+        )]
         tahoma_faults::perturb(tahoma_faults::site::SEAL);
         // Seal under the open-map lock (map -> batch lock order, same as
         // the join path) unless a row-cap join already did.
         {
-            let mut open = lock(&self.open);
-            let mut st = lock(&batch.state);
+            let mut open = self.open.lock();
+            let mut st = batch.state.lock();
             if !st.sealed {
                 st.sealed = true;
                 if open.get(&model.0).is_some_and(|b| Arc::ptr_eq(b, batch)) {
@@ -315,7 +316,7 @@ impl Broker {
             }
         }
         let (slots, n) = {
-            let mut st = lock(&batch.state);
+            let mut st = batch.state.lock();
             (std::mem::take(&mut st.slots), st.sizes.iter().sum())
         };
         let rows = Slots {
@@ -327,10 +328,13 @@ impl Broker {
         if slots.len() > 1 {
             self.merged_calls.fetch_add(1, Ordering::Relaxed);
         }
-        // FAULT: schedule point: leader preempted before the merged zoo call.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: schedule point: leader preempted before the merged zoo call"
+        )]
         tahoma_faults::perturb(tahoma_faults::site::RUN);
         let result = self.run_zoo(model, &rows, scratch, true);
-        let mut st = lock(&batch.state);
+        let mut st = batch.state.lock();
         // Back in place for the failover rung: a participant re-runs its
         // own slot.
         st.slots = slots;
@@ -346,7 +350,10 @@ impl Broker {
         st.done = true;
         batch.cv.notify_all();
         drop(st);
-        // FAULT: schedule point: leader preempted after publishing, before it returns.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: schedule point: leader preempted after publishing, before it returns"
+        )]
         tahoma_faults::perturb(tahoma_faults::site::PUBLISH);
     }
 }
@@ -359,7 +366,10 @@ impl InferDispatch for Broker {
         scratch: &mut InferScratch,
     ) -> Result<Vec<f32>, CoreError> {
         self.submits.fetch_add(1, Ordering::Relaxed);
-        // FAULT: schedule point: submitter preempted before the idle fast-path check.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: schedule point: submitter preempted before the idle fast-path check"
+        )]
         tahoma_faults::perturb(tahoma_faults::site::SUBMIT);
         let n = rows.rows();
         // Idle fast path: nobody to coalesce with — score directly, the
@@ -380,14 +390,17 @@ impl InferDispatch for Broker {
         let mut buf = vec![0.0f32; row_len];
         rows.visit_rows(0..n, &mut buf, &mut |row| slot.extend_from_slice(row))?;
         // Join (or open) the model's batch.
-        // FAULT: schedule point: submitter preempted before it joins or opens a batch.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: schedule point: submitter preempted before it joins or opens a batch"
+        )]
         tahoma_faults::perturb(tahoma_faults::site::JOIN);
         let (batch, my_index, leader) = {
-            let mut open = lock(&self.open);
+            let mut open = self.open.lock();
             match open.get(&model.0) {
                 Some(b) => {
                     let b = Arc::clone(b);
-                    let mut st = lock(&b.state);
+                    let mut st = b.state.lock();
                     debug_assert!(!st.sealed, "sealed batches leave the open map");
                     st.slots.push(slot);
                     st.sizes.push(n);
@@ -405,7 +418,7 @@ impl InferDispatch for Broker {
                 None => {
                     let b = Arc::new(Batch::new());
                     {
-                        let mut st = lock(&b.state);
+                        let mut st = b.state.lock();
                         st.slots.push(slot);
                         st.sizes.push(n);
                     }
@@ -417,16 +430,22 @@ impl InferDispatch for Broker {
         if leader {
             self.lead(model, row_len, &batch, scratch);
         } else {
-            // FAULT: schedule point: follower preempted after appending, before it waits.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "FAULT: schedule point: follower preempted after appending, before it waits"
+            )]
             tahoma_faults::perturb(tahoma_faults::site::APPEND);
         }
         // Wait for completion (leaders are already done) and slice out our
         // scores.
-        // FAULT: schedule point: participant preempted before blocking on completion.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: schedule point: participant preempted before blocking on completion"
+        )]
         tahoma_faults::perturb(tahoma_faults::site::WAIT);
-        let mut st = lock(&batch.state);
+        let mut st = batch.state.lock();
         while !st.done {
-            st = batch.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            st = st.wait(&batch.cv);
         }
         if st.failed {
             // Failover: the merged call died; score our own slot solo.

@@ -46,17 +46,18 @@
 //! real-NN-backed) shared by the concurrency and work-budget tests, the
 //! `tahoma-serve` binary, the judge (`benchmark/`), and the CI smoke jobs.
 //!
-//! Concurrency invariants in this crate are machine-checked: every
-//! `Mutex` field carries a `// LOCK-ORDER: n` rank audited by
-//! `tahoma-audit` (lint A6, policy in `SAFETY.md`), and the broker's
-//! decision edges carry the seeded schedule points
+//! Concurrency invariants in this crate are machine-checked: every lock
+//! is a [`tahoma_mathx::Ranked`] whose rank (from [`tahoma_mathx::rank`])
+//! debug builds check on every acquisition (policy in `SAFETY.md`), and
+//! the broker's decision edges carry the seeded schedule points
 //! ([`tahoma_faults::perturb`]) its interleaving tests drive.
 //!
 //! The failure story — per-query deadlines, transient-error retry, the
 //! degradation ladder, bounded protocol input, and the seeded
 //! fault-injection chaos campaign that proves them — is documented in
 //! `RELIABILITY.md`. Every hook (fault site or schedule point) is compiled
-//! into every build, armed only by tests, and audited by lint A7.
+//! into every build, armed only by tests, and names the failure it models
+//! in the reason of its `#[expect(clippy::disallowed_methods)]`.
 //!
 //! No panics on the serving path: clippy denies `unwrap`, `expect` and the
 //! `panic!` family here outside tests (policy in `SAFETY.md`); the one
@@ -68,9 +69,11 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented,
-    clippy::allow_attributes_without_reason
+    clippy::unimplemented
 )]
+// Every lock in this crate carries a rank (`tahoma_mathx::Ranked`, ranks in
+// `tahoma_mathx::rank`), so a plain `std::sync::Mutex` fails clippy here.
+#![deny(clippy::disallowed_types)]
 
 pub mod broker;
 pub mod fixture;

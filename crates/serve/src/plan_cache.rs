@@ -19,12 +19,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tahoma_core::pipeline::SelectedCascade;
 use tahoma_imagery::ObjectKind;
 // Poison-tolerant: the map holds finished `Arc<CachedPlan>`s inserted
 // whole, so a poisoned guard holds no partially-applied state.
-use tahoma_mathx::lock;
+use tahoma_mathx::{rank, Ranked};
 
 /// A fully planned query: one selected cascade per content predicate, in
 /// execution order — ascending expected cost per unit of rejection on the
@@ -48,9 +48,9 @@ fn key(kinds: &[ObjectKind], acc_milli: u32) -> Key {
 /// Concurrent (predicate set, accuracy target) → [`CachedPlan`] map.
 #[derive(Default)]
 pub struct PlanCache {
-    // LOCK-ORDER: 20 — held only for map probes/inserts; never while
-    // planning, executing, or taking any broker lock.
-    map: Mutex<HashMap<Key, Arc<CachedPlan>>>,
+    // Held only for map probes/inserts; never while planning, executing,
+    // or taking any broker lock.
+    map: Ranked<HashMap<Key, Arc<CachedPlan>>, { rank::PLAN_CACHE }>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -63,7 +63,7 @@ impl PlanCache {
 
     /// Look up a plan; counts a hit or a miss.
     pub fn get(&self, kinds: &[ObjectKind], acc_milli: u32) -> Option<Arc<CachedPlan>> {
-        let found = lock(&self.map).get(&key(kinds, acc_milli)).cloned();
+        let found = self.map.lock().get(&key(kinds, acc_milli)).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -81,7 +81,7 @@ impl PlanCache {
         acc_milli: u32,
         plan: CachedPlan,
     ) -> Arc<CachedPlan> {
-        let mut map = lock(&self.map);
+        let mut map = self.map.lock();
         Arc::clone(
             map.entry(key(kinds, acc_milli))
                 .or_insert_with(|| Arc::new(plan)),
@@ -100,7 +100,7 @@ impl PlanCache {
 
     /// Cached plan count.
     pub fn len(&self) -> usize {
-        lock(&self.map).len()
+        self.map.lock().len()
     }
 
     /// True when nothing is cached.

@@ -23,8 +23,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
+use tahoma_mathx::{rank, Ranked};
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -70,9 +71,9 @@ pub const MAX_LINE_BYTES: usize = 8 * 1024;
 struct Shared {
     service: Arc<QueryService>,
     streams: StreamRegistry,
-    // LOCK-ORDER: 10 — held only to push/pop connections; query execution
-    // (and every deeper lock) runs strictly after the guard is dropped.
-    queue: Mutex<VecDeque<TcpStream>>,
+    // Held only to push/pop connections; query execution (and every
+    // deeper lock) runs strictly after the guard is dropped.
+    queue: Ranked<VecDeque<TcpStream>, { rank::CONN_QUEUE }>,
     queue_cv: Condvar,
     queue_cap: usize,
     stop: AtomicBool,
@@ -124,7 +125,7 @@ pub fn serve(service: Arc<QueryService>, config: ServerConfig) -> std::io::Resul
     let shared = Arc::new(Shared {
         service,
         streams: StreamRegistry::new(config.stream_seed),
-        queue: Mutex::new(VecDeque::new()),
+        queue: Ranked::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         queue_cap: config.queue_cap.max(1),
         stop: AtomicBool::new(false),
@@ -170,7 +171,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        let mut q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+        let mut q = shared.queue.lock();
         if q.len() >= shared.queue_cap {
             drop(q);
             shared.shed.fetch_add(1, Ordering::Relaxed);
@@ -189,7 +190,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 fn worker_loop(shared: &Shared) {
     loop {
         let stream = {
-            let mut q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+            let mut q = shared.queue.lock();
             loop {
                 if let Some(s) = q.pop_front() {
                     break Some(s);
@@ -197,18 +198,14 @@ fn worker_loop(shared: &Shared) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break None;
                 }
-                q = shared.queue_cv.wait(q).unwrap_or_else(|p| p.into_inner());
+                q = q.wait(&shared.queue_cv);
             }
         };
         let Some(stream) = stream else { return };
         serve_connection(stream, shared);
         if shared.stop.load(Ordering::SeqCst) {
             // Drain whatever is already queued, then exit.
-            let empty = shared
-                .queue
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .is_empty();
+            let empty = shared.queue.lock().is_empty();
             if empty {
                 shared.queue_cv.notify_all();
                 return;
@@ -238,9 +235,12 @@ fn read_bounded_line<R: BufRead>(reader: &mut R) -> ReadLine {
     let mut buf: Vec<u8> = Vec::new();
     let mut over = false;
     loop {
-        // FAULT: the client connection drops mid-request; the worker must
-        // abandon the line and recycle cleanly, never block or panic.
-        if tahoma_faults::fire(tahoma_faults::site::PROTO_READ) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: the client connection drops mid-request; the worker must abandon the line and recycle cleanly, never block or panic"
+        )]
+        let dropped = tahoma_faults::fire(tahoma_faults::site::PROTO_READ);
+        if dropped {
             return ReadLine::Closed;
         }
         let available = match reader.fill_buf() {
@@ -295,9 +295,12 @@ fn finish_line(buf: Vec<u8>) -> ReadLine {
 /// Write one response line. Injection point for a client that vanished
 /// between request and response.
 fn respond(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
-    // FAULT: the response write fails (peer reset / partial write); the
-    // worker drops the connection and moves on.
-    if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::PROTO_WRITE) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "FAULT: the response write fails (peer reset / partial write); the worker drops the connection and moves on"
+    )]
+    let injected = tahoma_faults::transient_io(tahoma_faults::site::PROTO_WRITE);
+    if let Some(e) = injected {
         return Err(e);
     }
     writer.write_all(format!("{response}\n").as_bytes())
@@ -327,8 +330,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
             ReadLine::Line(line) => line,
         };
-        // FAULT: a stalled peer (or scheduler hiccup) delays the worker
-        // between read and dispatch — surfaces queue/deadline interplay.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "FAULT: a stalled peer (or scheduler hiccup) delays the worker between read and dispatch, which surfaces queue/deadline interplay"
+        )]
         tahoma_faults::stall(tahoma_faults::site::PROTO_STALL);
         let response = match parse_request(&line) {
             Err(e) => format!("ERR {e}"),

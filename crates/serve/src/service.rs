@@ -32,7 +32,7 @@ use crate::broker::{Broker, BrokerStats};
 use crate::plan_cache::{CachedPlan, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tahoma_core::evaluator::{cascade_stats, CostContext, Outcome};
 use tahoma_core::exec::{
     run_conjunction, BatchScorer, NnSessionScratch, ScorePack, SharedModelZoo, SharedNnScorer,
@@ -45,7 +45,7 @@ use tahoma_core::thresholds::ThresholdTable;
 use tahoma_core::{Cascade, Constraints, CoreError, SurrogateBatchScorer};
 use tahoma_costmodel::AnalyticProfiler;
 use tahoma_imagery::{ObjectKind, RepresentationStore};
-use tahoma_mathx::lock;
+use tahoma_mathx::{rank, Ranked};
 use tahoma_zoo::{ModelId, SurrogateScorer};
 
 /// Per-query execution switches (the protocol exposes them for A/B runs;
@@ -201,9 +201,9 @@ struct NnBackend {
     /// interested query has a pack aboard (and skip batching entirely
     /// when a kind has at most one interested query).
     active: Arc<AtomicUsize>,
-    // LOCK-ORDER: 30 — session-scratch pool; held only to pop/push a
-    // buffer, never across scoring (the broker's locks rank above).
-    sessions: Mutex<Vec<NnSessionScratch>>,
+    // Held only to pop/push a buffer, never across scoring (the broker's
+    // locks rank above).
+    sessions: Ranked<Vec<NnSessionScratch>, { rank::SESSIONS }>,
     /// Per model id, the model's score for every corpus item (empty for a
     /// model with no network): the statistics a conjunction is ordered by.
     corpus_scores: Vec<Vec<f32>>,
@@ -334,7 +334,7 @@ impl QueryService {
                     zoo,
                     broker,
                     active,
-                    sessions: Mutex::new(Vec::new()),
+                    sessions: Ranked::new(Vec::new()),
                     corpus_scores,
                     morsel_calls: AtomicU64::new(0),
                 }),
@@ -634,7 +634,9 @@ impl QueryService {
                 )
             }
             KindBackend::Nn(nn) => {
-                let mut scratch = lock(&nn.sessions)
+                let mut scratch = nn
+                    .sessions
+                    .lock()
                     .pop()
                     .unwrap_or_else(NnSessionScratch::new);
                 // Scratch pools are shared across queries: the delta around
@@ -651,7 +653,7 @@ impl QueryService {
                 nn.morsel_calls
                     .fetch_add(after.morsel_calls - before.morsel_calls, Ordering::Relaxed);
                 let degraded = after.degraded_fetches - before.degraded_fetches;
-                lock(&nn.sessions).push(scratch);
+                nn.sessions.lock().push(scratch);
                 (rel, degraded)
             }
         };

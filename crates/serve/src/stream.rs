@@ -39,11 +39,11 @@ use crate::service::{QueryService, ServeError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tahoma_core::continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 use tahoma_core::query::{CorpusItem, Query};
 use tahoma_imagery::{ImageryError, ObjectKind, PreparedFrame, RepresentationStore};
-use tahoma_mathx::lock;
+use tahoma_mathx::{rank, Ranked};
 use tahoma_video::{IngestFrame, StreamConfig, StreamIngest};
 
 /// Square raster side for rendered stream frames — matches the NN
@@ -148,16 +148,14 @@ struct StandingState {
 pub struct StandingQuery {
     stream_name: String,
     // One standing query's entire mutable state (window entries, stream
-    // cursor, parked frames); held across a whole tick, strictly below
-    // the registry map (25) and above everything the tick reaches through
-    // the service: scratch pools (30), broker (40/50), and store
-    // ingest/fetch (65/67/70/71). The render jobs a tick spawns on the
-    // process pool while holding it take only the store's plan cache (65)
-    // for a lookup; like an inference scope under this lock, the owner
-    // thread may help run other scopes' jobs while it waits for its
-    // renders.
-    // LOCK-ORDER: 27
-    window: Mutex<StandingState>,
+    // cursor, parked frames); held across a whole tick, so it ranks above
+    // the registry map and below everything the tick reaches through the
+    // service: the session-scratch pool, the broker, and the store's
+    // ingest/fetch locks. The render jobs a tick spawns on the process
+    // pool while holding it take only the store's ingest plan cache for a
+    // lookup; like an inference scope under this lock, the owner thread
+    // may help run other scopes' jobs while it waits for its renders.
+    window: Ranked<StandingState, { rank::STANDING_WINDOW }>,
 }
 
 /// The server's table of standing queries. `register` binds a parsed SQL
@@ -168,10 +166,9 @@ pub struct StandingQuery {
 pub struct StreamRegistry {
     seed: u64,
     next_qid: AtomicU64,
-    // LOCK-ORDER: 25 — registry map of standing queries; held only to
-    // insert or clone an Arc, never across ingest, planning, or a tick
-    // (the per-query state lock ranks above at 27).
-    standing: Mutex<HashMap<u64, Arc<StandingQuery>>>,
+    // Held only to insert or clone an Arc, never across ingest, planning,
+    // or a tick (the per-query window lock ranks above it).
+    standing: Ranked<HashMap<u64, Arc<StandingQuery>>, { rank::STANDING_REGISTRY }>,
 }
 
 impl StreamRegistry {
@@ -180,13 +177,13 @@ impl StreamRegistry {
         StreamRegistry {
             seed,
             next_qid: AtomicU64::new(1),
-            standing: Mutex::new(HashMap::new()),
+            standing: Ranked::new(HashMap::new()),
         }
     }
 
     /// Standing queries currently registered.
     pub fn len(&self) -> usize {
-        lock(&self.standing).len()
+        self.standing.lock().len()
     }
 
     /// True when no standing query is registered.
@@ -248,7 +245,7 @@ impl StreamRegistry {
         let feed = StreamIngest::new(config, scene_kind, SCENE_SIDE, qid << 32);
         let sq = Arc::new(StandingQuery {
             stream_name: stream.to_string(),
-            window: Mutex::new(StandingState {
+            window: Ranked::new(StandingState {
                 cx,
                 feed,
                 stores,
@@ -258,7 +255,7 @@ impl StreamRegistry {
                 degraded: None,
             }),
         });
-        lock(&self.standing).insert(qid, sq);
+        self.standing.lock().insert(qid, sq);
         Ok(RegisterReport {
             qid,
             stream: stream.to_string(),
@@ -268,7 +265,8 @@ impl StreamRegistry {
     }
 
     fn get(&self, qid: u64) -> Result<Arc<StandingQuery>, ServeError> {
-        lock(&self.standing)
+        self.standing
+            .lock()
             .get(&qid)
             .cloned()
             .ok_or_else(|| ServeError::Query(format!("unknown standing query {qid}")))
@@ -292,7 +290,7 @@ impl StreamRegistry {
     /// reports `state=degraded` (the degradation ladder, RELIABILITY.md).
     pub fn tick(&self, service: &QueryService, qid: u64) -> Result<TickReport, ServeError> {
         let sq = self.get(qid)?;
-        let mut st = lock(&sq.window);
+        let mut st = sq.window.lock();
         let st = &mut *st;
         if let Some(reason) = &st.degraded {
             return Err(ServeError::Exec(format!(
@@ -332,10 +330,12 @@ impl StreamRegistry {
         let deltas = loop {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 st.cx.tick(|kind, cascade, pack| {
-                    // FAULT: one window evaluation dies (transient); the
-                    // failure-atomic tick makes the in-place retry replay
-                    // the identical slide.
-                    if let Some(e) = tahoma_faults::transient_io(tahoma_faults::site::STREAM_TICK) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "FAULT: one window evaluation dies (transient); the failure-atomic tick makes the in-place retry replay the identical slide"
+                    )]
+                    let injected = tahoma_faults::transient_io(tahoma_faults::site::STREAM_TICK);
+                    if let Some(e) = injected {
                         return Err(ServeError::Exec(format!("injected tick fault: {e}")));
                     }
                     let (passes, _) = service.eval_kind_pack(kind, cascade, pack, true)?;
@@ -374,7 +374,7 @@ impl StreamRegistry {
     /// rescan of the current window through the same backend path.
     pub fn status(&self, service: &QueryService, qid: u64) -> Result<StreamStatus, ServeError> {
         let sq = self.get(qid)?;
-        let st = lock(&sq.window);
+        let st = sq.window.lock();
         let _interest = service.register_interest(&st.kinds, true);
         let matched = st.cx.matched();
         // A quarantined query skips the rescan (the backend that failed

@@ -117,6 +117,10 @@ mod faults {
 
     /// A plan seed at `rate`‰ whose first `pattern.len()` decisions at
     /// `site` are exactly `pattern`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "replays the plan's decisions at `site` to pick a seed; arms nothing"
+    )]
     fn seed_with_decisions(site: u32, rate: u16, pattern: &[bool]) -> u64 {
         (0..1 << 20)
             .find(|&seed| {

@@ -57,13 +57,13 @@ fn assert_pinned<N: std::fmt::Display>(script: &str, counts: &[(N, u64, u64)]) {
     );
 }
 
-fn judged_service() -> QueryService {
-    nn_service(&NnFixtureConfig {
+fn judged_config() -> NnFixtureConfig {
+    NnFixtureConfig {
         kinds: vec![ObjectKind::Fence, ObjectKind::Wallet],
         corpus_n: CORPUS,
         seed: SEED,
         ..Default::default()
-    })
+    }
 }
 
 /// `sql` twice, cold and then from the plan cache: the answer's sizes
@@ -90,13 +90,14 @@ fn run_twice(service: &QueryService, sql: &str) -> [(&'static str, u64); 7] {
     ]
 }
 
+/// `run_twice`'s pins for [`SCAN`] and [`LOOKUP`].
+const SCAN_PINS: [u64; 7] = [251, 96, 1, 1, 6, 6, 812];
+const LOOKUP_PINS: [u64; 7] = [7, 3, 1, 1, 4, 4, 18];
+
 #[test]
 fn scan_and_lookup_work_is_pinned() {
-    let service = judged_service();
-    for (script, sql, pins) in [
-        ("scan", SCAN, [251, 96, 1, 1, 6, 6, 812]),
-        ("lookup", LOOKUP, [7, 3, 1, 1, 4, 4, 18]),
-    ] {
+    let service = nn_service(&judged_config());
+    for (script, sql, pins) in [("scan", SCAN, SCAN_PINS), ("lookup", LOOKUP, LOOKUP_PINS)] {
         let counts: Vec<_> = run_twice(&service, sql)
             .into_iter()
             .zip(pins)
@@ -108,7 +109,7 @@ fn scan_and_lookup_work_is_pinned() {
 
 #[test]
 fn standing_ticks_work_is_pinned() {
-    let service = judged_service();
+    let service = nn_service(&judged_config());
     let registry = StreamRegistry::new(SEED);
     let qid = registry
         .register(&service, "coral", RANGE, STEP, STANDING)
@@ -131,6 +132,57 @@ fn standing_ticks_work_is_pinned() {
     counts.push(("store frames".into(), store.frames(), 512));
     counts.push(("store bytes".into(), store.total_bytes() as u64, 8_179_200));
     assert_pinned("standing", &counts);
+}
+
+/// The judged service built over a store directory, dropped and reopened:
+/// the reopen serves the stored records and writes nothing, and a scan on
+/// it does a fresh store's work. (In a debug build the open path's recovery
+/// and CRC verification also take the shard locks in rank order.)
+#[test]
+fn reopened_store_work_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("tahoma-work-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = NnFixtureConfig {
+        store_dir: Some(dir.clone()),
+        ..judged_config()
+    };
+    let store_counts = |service: &QueryService| {
+        let store = service.nn_store(ObjectKind::Fence).expect("nn store");
+        let records = store.segments().records();
+        [store.frames(), store.total_bytes() as u64, records]
+    };
+    // Each file's name, length and mtime: a re-ingest or an append moves one.
+    let files = || {
+        let entries = std::fs::read_dir(&dir).expect("store dir").map(|e| {
+            let (path, meta) = e
+                .and_then(|e| Ok((e.path(), e.metadata()?)))
+                .expect("entry");
+            (path, meta.len(), meta.modified().expect("mtime"))
+        });
+        entries.collect::<std::collections::BTreeSet<_>>()
+    };
+    let built = store_counts(&nn_service(&cfg));
+    let written = files();
+    let service = nn_service(&cfg);
+    let reopened = store_counts(&service);
+    let scan = run_twice(&service, SCAN);
+    let unwritten = written == files();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(unwritten, "the reopen or its scan wrote to the store");
+
+    let names = ["store frames", "store bytes", "store records"];
+    let pins = [256, 4_089_600, 768];
+    let mut counts = Vec::new();
+    for (when, got) in [("built", built), ("reopened", reopened)] {
+        for ((name, got), pin) in names.iter().zip(got).zip(pins) {
+            counts.push((format!("{when}: {name}"), got, pin));
+        }
+    }
+    for ((name, got), pin) in scan.into_iter().zip(SCAN_PINS) {
+        counts.push((format!("scan: {name}"), got, pin));
+    }
+    assert_pinned("reopen", &counts);
 }
 
 /// A depth-2 cascade through [`SharedNnScorer`] over a temporary store. Both

@@ -14,6 +14,7 @@ pub const PAPER_CONV_NODES: [usize; 2] = [16, 32];
 pub const PAPER_DENSE_NODES: [usize; 3] = [16, 32, 64];
 
 /// One point in the architecture hyperparameter space.
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArchSpec {
     /// Number of conv->relu->maxpool blocks.

@@ -8,6 +8,7 @@ use tahoma_imagery::Representation;
 
 /// Index of a model within its repository. Dense and stable: specialized
 /// models first (arch-major over the cross product), then references.
+#[allow(clippy::disallowed_methods, reason = "total: no float fields")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelId(pub u32);
 

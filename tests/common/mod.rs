@@ -5,7 +5,10 @@
 //!
 //! Every test crate compiles this module on its own and uses a subset of
 //! it, hence the crate-local `dead_code` allowance.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "every test crate compiles this module and uses a subset of it"
+)]
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use tahoma::core::exec::VectorizedExecutor;
