@@ -99,7 +99,7 @@ fn verify(dir: &Path, n: u64) {
         for &rep in &reps() {
             let want = RawCodec.encode(&apply_reference(&full, rep).expect("rgb frame"));
             let same = store
-                .with_blob(id, rep, |b| b == want.as_ref())
+                .with_blob(id, rep, |b| *b == want[..])
                 .unwrap_or_else(|e| {
                     eprintln!("read id {id} rep {rep}: {e}");
                     exit(1);

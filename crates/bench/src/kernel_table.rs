@@ -1,17 +1,15 @@
-//! Criterion bench: every surviving (op, tier) kernel pair on its serving
-//! shape — the measurement behind DESIGN.md's "Deletion ledger".
+//! The kernel workloads behind DESIGN.md §6's tier survival rule: one
+//! workload per (op, tier) the op implements, on the op's serving shape.
 //!
-//! One group, `kernel_class`, with one `kernel_class/<op>/<tier>` id per
-//! op and per tier the op implements (and this CPU runs): the table to
-//! re-measure before adding a tier back. Report-only. The survival rule: a tier stays only if it beats the next-narrower
-//! surviving tier of its op by > 10% here on measured hardware, or moves an
-//! end-to-end metric of `benchmark/run.sh`.
+//! The `kernel_table` bin times every runnable (op, tier) pair and prints
+//! each tier's ratio to the next-narrower runnable tier of its op. The rule:
+//! a tier stays only if it beats that tier by > 10% on measured hardware,
+//! or moves an end-to-end metric of `benchmark/run.sh`.
 //!
-//! The workload shapes mirror the serving path (first-layer and deep-layer
-//! convs, 224px transform sweeps). Each iteration runs tens of
+//! The shapes mirror the serving path (first-layer and deep-layer convs,
+//! 224px transform sweeps). One call of a workload runs tens of
 //! microseconds over pre-built state.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tahoma_imagery::engine::{self, ResizePlan, TranscodeEngine};
 use tahoma_imagery::{ColorMode, Image};
@@ -19,26 +17,66 @@ use tahoma_mathx::{DetRng, SimdTier};
 use tahoma_nn::gemm::{self, GemmScratch};
 use tahoma_nn::{kernels, InferScratch, Layer, MaxPool2, Shape};
 
-/// One iteration of an op's workload on one tier.
-type Workload = Box<dyn FnMut()>;
+/// One call of an op's workload on one tier.
+pub type Workload = Box<dyn FnMut()>;
 
-/// Ops with a single (portable) implementation still get an id, so the
+/// An op: its name in the table, the tiers it implements, and its
+/// workload builder.
+pub struct Op {
+    /// Row label.
+    pub name: &'static str,
+    /// Every tier the op's dispatcher lists.
+    pub tiers: &'static [SimdTier],
+    /// Builds the op's workload pinned to one tier.
+    pub build: fn(SimdTier) -> Workload,
+}
+
+/// Ops with a single (portable) implementation still get a row, so the
 /// number a future explicit tier must beat is printed beside the others.
 const PORTABLE_ONLY: &[SimdTier] = &[SimdTier::Portable];
 
-/// An op: its `kernel_class` name, the tiers it implements, and its
-/// workload builder.
-type Op = (&'static str, &'static [SimdTier], fn(SimdTier) -> Workload);
-
-const OPS: &[Op] = &[
-    ("gemm", gemm::TIERS, gemm_deep),
-    ("gemm-wide-k", gemm::TIERS, gemm_wide_k),
-    ("relu", PORTABLE_ONLY, relu),
-    ("pool", PORTABLE_ONLY, pool),
-    ("resize-h-gather", engine::TIERS, resize_h),
-    ("resize-v", engine::TIERS, resize_v),
-    ("luma", PORTABLE_ONLY, luma),
-    ("standardize", engine::TIERS, standardize),
+/// Every op in the table.
+pub const OPS: &[Op] = &[
+    Op {
+        name: "gemm",
+        tiers: gemm::TIERS,
+        build: gemm_deep,
+    },
+    Op {
+        name: "gemm-wide-k",
+        tiers: gemm::TIERS,
+        build: gemm_wide_k,
+    },
+    Op {
+        name: "relu",
+        tiers: PORTABLE_ONLY,
+        build: relu,
+    },
+    Op {
+        name: "pool",
+        tiers: PORTABLE_ONLY,
+        build: pool,
+    },
+    Op {
+        name: "resize-h-gather",
+        tiers: engine::TIERS,
+        build: resize_h,
+    },
+    Op {
+        name: "resize-v",
+        tiers: engine::TIERS,
+        build: resize_v,
+    },
+    Op {
+        name: "luma",
+        tiers: PORTABLE_ONLY,
+        build: luma,
+    },
+    Op {
+        name: "standardize",
+        tiers: engine::TIERS,
+        build: standardize,
+    },
 ];
 
 fn rng_for(tier: SimdTier) -> DetRng {
@@ -175,18 +213,27 @@ fn standardize(tier: SimdTier) -> Workload {
     })
 }
 
-fn bench_kernel_classes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_class");
-    for &(op, tiers, build) in OPS {
-        for tier in SimdTier::runnable(tiers) {
-            let mut work = build(tier);
-            group.bench_with_input(BenchmarkId::new(op, tier.name()), &tier, |b, _| {
-                b.iter(&mut work)
-            });
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_runnable_workload_runs() {
+        for op in OPS {
+            for tier in SimdTier::runnable(op.tiers) {
+                (op.build)(tier)();
+            }
         }
     }
-    group.finish();
-}
 
-criterion_group!(benches, bench_kernel_classes);
-criterion_main!(benches);
+    #[test]
+    fn every_dispatched_tier_has_a_row() {
+        for &tier in gemm::TIERS.iter().chain(engine::TIERS) {
+            assert!(
+                OPS.iter().any(|op| op.tiers.contains(&tier)),
+                "no op lists tier {}",
+                tier.name()
+            );
+        }
+    }
+}

@@ -14,10 +14,14 @@
 //! factor) and renders the same rows/series the paper reports. Absolute
 //! numbers come from the calibrated analytic cost model (DESIGN.md §2.3),
 //! not the authors' testbed, so shapes are the contract, not digits.
+//!
+//! [`kernel_table`] holds the (op, tier) kernel workloads that the
+//! `kernel_table` bin times for DESIGN.md §6's tier survival rule.
 
 pub mod context;
 pub mod experiments;
 pub mod format;
+pub mod kernel_table;
 
 pub use context::{ExperimentContext, Scale};
 pub use format::Table;

@@ -231,9 +231,11 @@ impl BatchScorer for SurrogateBatchScorer<'_> {
 }
 
 /// Per-stage time accounting of the real-NN scoring backend, accumulated
-/// across [`BatchScorer::score_batch`] calls — what the `query_exec` bench
-/// reports so the end-to-end number decomposes into the paper's cost-model
-/// stages (data handling vs inference, §IV).
+/// across [`BatchScorer::score_batch`] calls, so the end-to-end number
+/// decomposes into the paper's cost-model stages (data handling vs
+/// inference, §IV). `benchmark/run.sh --trace 1` times the same stages
+/// from public calls as `imagery.store.fetch_us.*`,
+/// `imagery.engine.standardize_us.*` and `nn.model.infer_us_per_row.*`.
 ///
 /// Data handling runs on the inference lanes: whichever lane scores a row
 /// fetches, decodes and standardizes it first. So the three data-handling

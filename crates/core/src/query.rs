@@ -22,8 +22,7 @@
 //! copy of that walk.
 //! [`VectorizedExecutor::run_cascade_reference`](crate::exec::VectorizedExecutor::run_cascade_reference)
 //! loops it: the oracle the executor is property-tested against in
-//! `tests/exec_proptests.rs`, and the baseline side of the `query_exec`
-//! bench.
+//! `tests/exec_proptests.rs`.
 
 use crate::cascade::{Cascade, MAX_LEVELS};
 use crate::error::CoreError;

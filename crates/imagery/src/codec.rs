@@ -9,7 +9,6 @@
 use crate::color::ColorMode;
 use crate::error::ImageryError;
 use crate::image::Image;
-use bytes::{Buf, BufMut, Bytes};
 
 /// 2²³: adding it to an `f32` in `[0, 2²³)` rounds the value to an integer.
 const TWO_POW_23: f32 = 8_388_608.0;
@@ -59,6 +58,13 @@ pub fn quantize_roundtrip(img: &mut Image) {
     }
 }
 
+/// Split `N` bytes off the front of `buf`; `None` when fewer remain.
+pub(crate) fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
 pub(crate) fn mode_code(mode: ColorMode) -> u8 {
     match mode {
         ColorMode::Rgb => 0,
@@ -94,10 +100,10 @@ pub const RAW_HEADER_LEN: usize = 13;
 
 impl RawCodec {
     /// Encode an image into a fresh byte buffer.
-    pub fn encode(&self, img: &Image) -> Bytes {
+    pub fn encode(&self, img: &Image) -> Vec<u8> {
         let mut buf = Vec::new();
         self.encode_into(img, &mut buf);
-        buf.into()
+        buf
     }
 
     /// Decode bytes produced by [`RawCodec::encode`].
@@ -111,10 +117,10 @@ impl RawCodec {
     pub fn encode_into(&self, img: &Image, buf: &mut Vec<u8>) {
         buf.clear();
         buf.reserve(RAW_HEADER_LEN + img.value_count());
-        buf.put_slice(RAW_MAGIC);
-        buf.put_u32_le(img.width() as u32);
-        buf.put_u32_le(img.height() as u32);
-        buf.put_u8(mode_code(img.mode()));
+        buf.extend_from_slice(RAW_MAGIC);
+        buf.extend_from_slice(&(img.width() as u32).to_le_bytes());
+        buf.extend_from_slice(&(img.height() as u32).to_le_bytes());
+        buf.push(mode_code(img.mode()));
         buf.extend(img.data().iter().map(|&v| quantize(v)));
     }
 
@@ -126,22 +132,30 @@ impl RawCodec {
     /// hand it back to the pool when done to close the loop.
     pub fn decode_into(&self, bytes: &[u8], mut data: Vec<f32>) -> Result<Image, ImageryError> {
         let mut buf = bytes;
-        if buf.len() < RAW_HEADER_LEN || &buf[..4] != RAW_MAGIC {
+        let (Some(_), Some(w), Some(h), Some([mode])) = (
+            take(&mut buf).filter(|magic| magic == RAW_MAGIC),
+            take(&mut buf),
+            take(&mut buf),
+            take(&mut buf),
+        ) else {
             return Err(ImageryError::Decode("bad TAH1 header".into()));
-        }
-        buf.advance(4);
-        let w = buf.get_u32_le() as usize;
-        let h = buf.get_u32_le() as usize;
-        let mode = mode_from_code(buf.get_u8())?;
-        let expected = w * h * mode.channels();
-        if buf.remaining() != expected {
+        };
+        let w = u32::from_le_bytes(w) as usize;
+        let h = u32::from_le_bytes(h) as usize;
+        let mode = mode_from_code(mode)?;
+        // The header is input from outside the program: its sample count
+        // may not fit a usize.
+        let expected = w
+            .checked_mul(h)
+            .and_then(|n| n.checked_mul(mode.channels()));
+        if expected != Some(buf.len()) {
             return Err(ImageryError::Decode(format!(
-                "TAH1 payload length {} != expected {expected}",
-                buf.remaining()
+                "TAH1 payload length {} != {w}x{h} {mode}",
+                buf.len()
             )));
         }
         data.clear();
-        data.extend(buf.chunk()[..expected].iter().map(|&b| dequantize(b)));
+        data.extend(buf.iter().map(|&b| dequantize(b)));
         Image::from_planar(w, h, mode, data)
     }
 }
@@ -286,6 +300,15 @@ mod tests {
     fn raw_rejects_garbage() {
         assert!(RawCodec.decode(b"nope").is_err());
         assert!(RawCodec.decode(b"TAH1aaaaaaaaaaaaaa").is_err());
+    }
+
+    #[test]
+    fn raw_rejects_overflowing_header() {
+        let mut blob = RAW_MAGIC.to_vec();
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.push(mode_code(ColorMode::Rgb));
+        assert!(RawCodec.decode(&blob).is_err());
     }
 
     #[test]

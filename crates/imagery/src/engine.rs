@@ -230,7 +230,7 @@ fn hlerp(kernel: Option<SimdTier>, src: &[f32], x: &AxisPlan, dst: &mut [f32]) {
 }
 
 /// Vertical resize pass: `dst[i] = top[i]*w0 + bot[i]*w1` (contiguous).
-/// Public for `benches/kernel_policy.rs`.
+/// Public for the `kernel_table` bin (`tahoma_bench::kernel_table`).
 pub fn vlerp_rows(
     kernel: Option<SimdTier>,
     top: &[f32],
@@ -257,8 +257,8 @@ pub fn vlerp_rows(
 
 /// RGB→gray luma sweep: `dst[i] = (wr*r[i] + wg*g[i]) + wb*b[i]`, the exact
 /// evaluation order of the scalar `convert_mode`. One portable loop: no
-/// explicit tier beats what the compiler makes of it. Public for
-/// `benches/kernel_policy.rs`.
+/// explicit tier beats what the compiler makes of it. Public for the
+/// `kernel_table` bin.
 pub fn luma_sweep(r: &[f32], g: &[f32], b: &[f32], dst: &mut [f32]) {
     let n = dst.len();
     assert!(r.len() >= n && g.len() >= n && b.len() >= n);
@@ -655,7 +655,7 @@ impl TranscodeEngine {
         TranscodeEngine::pinned(None)
     }
 
-    /// Engine pinned to one kernel tier (benches, property tests).
+    /// Engine pinned to one kernel tier (the kernel table, property tests).
     pub fn with_kernel(tier: SimdTier) -> TranscodeEngine {
         TranscodeEngine::pinned(Some(tier))
     }
@@ -1087,7 +1087,7 @@ pub fn with_local_engine<R>(f: impl FnOnce(&mut TranscodeEngine) -> R) -> R {
     LOCAL_ENGINE.with(|e| f(&mut e.borrow_mut()))
 }
 
-/// One horizontal gather pass, for `benches/kernel_policy.rs` (the axis
+/// One horizontal gather pass, for the `kernel_table` bin (the axis
 /// tables are private): resample `src` (one source row of the plan's input
 /// width) through the plan's x-axis span tables into `dst` (the plan's
 /// output width).

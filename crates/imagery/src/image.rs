@@ -20,12 +20,12 @@ pub struct Image {
 impl Image {
     /// Create a zero-filled image.
     pub fn zeros(width: usize, height: usize, mode: ColorMode) -> Result<Image, ImageryError> {
-        Self::validate_dims(width, height)?;
+        let len = Self::sample_count(width, height, mode)?;
         Ok(Image {
             width,
             height,
             mode,
-            data: vec![0.0; width * height * mode.channels()],
+            data: vec![0.0; len],
         })
     }
 
@@ -36,8 +36,7 @@ impl Image {
         mode: ColorMode,
         data: Vec<f32>,
     ) -> Result<Image, ImageryError> {
-        Self::validate_dims(width, height)?;
-        let expected = width * height * mode.channels();
+        let expected = Self::sample_count(width, height, mode)?;
         if data.len() != expected {
             return Err(ImageryError::BufferSizeMismatch {
                 expected,
@@ -74,11 +73,14 @@ impl Image {
         Ok(img)
     }
 
-    fn validate_dims(width: usize, height: usize) -> Result<(), ImageryError> {
-        if width == 0 || height == 0 || width.checked_mul(height).is_none() {
-            return Err(ImageryError::InvalidDimensions { width, height });
-        }
-        Ok(())
+    /// `width * height * channels`, or `InvalidDimensions` when a side is
+    /// zero or the product does not fit a `usize`.
+    fn sample_count(width: usize, height: usize, mode: ColorMode) -> Result<usize, ImageryError> {
+        width
+            .checked_mul(height)
+            .and_then(|n| n.checked_mul(mode.channels()))
+            .filter(|&n| n > 0)
+            .ok_or(ImageryError::InvalidDimensions { width, height })
     }
 
     /// Width in pixels.
@@ -202,6 +204,13 @@ mod tests {
             Image::zeros(3, 0, ColorMode::Gray),
             Err(ImageryError::InvalidDimensions { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_sample_count_rejected() {
+        // w * h fits a usize; w * h * 3 does not.
+        let err = Image::from_planar(usize::MAX / 2, 1, ColorMode::Rgb, Vec::new()).unwrap_err();
+        assert!(matches!(err, ImageryError::InvalidDimensions { .. }));
     }
 
     #[test]

@@ -112,8 +112,7 @@ impl Representation {
 
 /// Scalar reference for [`Representation::apply`] — the seed pipeline
 /// (allocating color reduction, then the direct per-pixel bilinear loop).
-/// Property tests pin the engine against this bitwise; the
-/// `repr_transform` bench uses it as the baseline.
+/// Property tests pin the engine against this bitwise.
 pub fn apply_reference(full: &Image, rep: Representation) -> Result<Image, ImageryError> {
     if full.mode() != ColorMode::Rgb {
         return Err(ImageryError::NotRgbSource);

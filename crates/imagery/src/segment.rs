@@ -37,9 +37,8 @@
 //! Both ranks sit above every `tahoma-serve` rank, so a serving thread
 //! holding service locks may always enter the store.
 
-use crate::codec::{mode_code, mode_from_code};
+use crate::codec::{mode_code, mode_from_code, take};
 use crate::repr::Representation;
-use bytes::{Buf, BufMut};
 use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
@@ -202,27 +201,28 @@ struct RecHeader {
 /// ([`SegmentStore::append_record`]).
 pub(crate) fn frame_record(buf: &mut Vec<u8>, id: u64, rep: Representation, payload: &[u8]) {
     buf.reserve(RECORD_HEADER_LEN + payload.len());
-    buf.put_slice(&RECORD_MAGIC);
-    buf.put_u64_le(id);
-    buf.put_u32_le(rep.size as u32);
-    buf.put_u8(mode_code(rep.mode));
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u32_le(crc32(payload));
-    buf.put_slice(payload);
+    buf.extend_from_slice(&RECORD_MAGIC);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&(rep.size as u32).to_le_bytes());
+    buf.push(mode_code(rep.mode));
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
 }
 
 /// Parse a record header, `None` on bad magic / unknown mode / absurd
 /// size — all of which terminate the recovery scan.
 fn parse_record_header(bytes: &[u8]) -> Option<RecHeader> {
-    if bytes.len() < RECORD_HEADER_LEN || bytes[..4] != RECORD_MAGIC {
+    let mut b = bytes;
+    if take(&mut b)? != RECORD_MAGIC {
         return None;
     }
-    let mut b = &bytes[4..];
-    let id = b.get_u64_le();
-    let size = b.get_u32_le();
-    let mode = mode_from_code(b.get_u8()).ok()?;
-    let len = b.get_u32_le();
-    let crc = b.get_u32_le();
+    let id = u64::from_le_bytes(take(&mut b)?);
+    let size = u32::from_le_bytes(take(&mut b)?);
+    let [mode] = take(&mut b)?;
+    let mode = mode_from_code(mode).ok()?;
+    let len = u32::from_le_bytes(take(&mut b)?);
+    let crc = u32::from_le_bytes(take(&mut b)?);
     if size == 0 || size > 1 << 16 {
         return None;
     }

@@ -768,7 +768,7 @@ mod tests {
         let mut full_q = full.clone();
         crate::codec::quantize_roundtrip(&mut full_q);
         let direct = crate::repr::apply_reference(&full_q, rep).unwrap();
-        RawCodec.encode(&direct).to_vec()
+        RawCodec.encode(&direct)
     }
 
     fn fetch_one(store: &RepresentationStore, id: u64, rep: Representation) -> Option<Image> {

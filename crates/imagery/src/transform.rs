@@ -12,8 +12,7 @@
 //! functions here route through the thread-local [`TranscodeEngine`]
 //! (runtime-dispatched SIMD kernels, cached resize tables), and each keeps
 //! a `*_reference` scalar twin — the seed implementation — that the
-//! property tests pin the engine against bitwise and the `repr_transform`
-//! bench uses as its baseline.
+//! property tests pin the engine against bitwise.
 //!
 //! [`TranscodeEngine`]: crate::engine::TranscodeEngine
 
@@ -36,8 +35,8 @@ pub fn convert_mode(src: &Image, target: ColorMode) -> Result<Cow<'_, Image>, Im
 }
 
 /// Scalar reference for [`convert_mode`] — the seed implementation,
-/// allocation per call included. Kept for property tests and the bench
-/// baseline.
+/// allocation per call included. Kept as the reference
+/// [`crate::repr::apply_reference`] reduces colour with.
 pub fn convert_mode_reference(src: &Image, target: ColorMode) -> Result<Image, ImageryError> {
     if src.mode() == target {
         return Ok(src.clone());

@@ -156,7 +156,7 @@ fn a_prepared_frame_commits_the_direct_apply_bytes() {
             let want = RawCodec.encode(&apply_reference(&f_q, rep).unwrap());
             want_total += want.len();
             let got = store.with_blob(id, rep, |b| b.to_vec()).unwrap().unwrap();
-            assert_eq!(got, want.as_ref(), "id {id} rep {rep}");
+            assert_eq!(got, want, "id {id} rep {rep}");
         }
     }
     assert_eq!(store.total_bytes(), want_total);

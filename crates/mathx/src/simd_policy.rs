@@ -45,8 +45,8 @@ impl SimdTier {
     /// Every tier, narrowest first.
     pub const ALL: [SimdTier; 3] = [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512];
 
-    /// Stable lowercase name (`portable`, `avx2`, `avx512`) — bench ids and
-    /// the [`TIER_ENV`] values.
+    /// Stable lowercase name (`portable`, `avx2`, `avx512`) — the kernel
+    /// table's tier column and the [`TIER_ENV`] values.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Portable => "portable",
@@ -128,7 +128,8 @@ impl SimdTier {
     }
 
     /// The tiers of `implemented` this CPU can execute — what tests and
-    /// benches iterate to cover an op on exactly the tiers that exist.
+    /// the kernel table iterate to cover an op on exactly the tiers that
+    /// exist.
     pub fn runnable(implemented: &[SimdTier]) -> Vec<SimdTier> {
         implemented
             .iter()

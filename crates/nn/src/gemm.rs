@@ -123,7 +123,8 @@ pub struct GemmScratch {
 }
 
 impl GemmScratch {
-    /// Scratch pinned to one micro-kernel tier (benches, property tests).
+    /// Scratch pinned to one micro-kernel tier (the kernel table, property
+    /// tests).
     pub fn with_kernel(tier: SimdTier) -> GemmScratch {
         GemmScratch {
             kernel: Some(tier),

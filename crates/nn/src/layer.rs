@@ -33,8 +33,7 @@
 //! The **scalar reference path** (`Conv2d::forward_scalar`, plus the
 //! per-image `backward` implementations) is kept verbatim from the original
 //! implementation. It defines the semantics the GEMM path must reproduce
-//! (property-tested in `tests/proptests.rs`) and serves as the baseline in
-//! the `nn_inference` bench.
+//! (property-tested in `tests/proptests.rs`).
 
 use crate::gemm::{self, ConvEpilogue, GemmScratch, PackedA, PackedB, Trans};
 use crate::init::{he_normal, xavier_uniform};
@@ -305,7 +304,7 @@ impl Conv2d {
     }
 
     /// The original six-nested-loop convolution, kept as the semantic
-    /// reference for the GEMM path and as the baseline in benches. Caches
+    /// reference for the GEMM path. Caches
     /// the input exactly like `forward`, so `backward` composes with it.
     pub fn forward_scalar(&mut self, input: &[f32]) -> Vec<f32> {
         let (c_in, h, w) = (self.input.c, self.input.h, self.input.w);

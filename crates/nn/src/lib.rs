@@ -44,8 +44,7 @@
 //!   move activations through reused ping-pong buffers — no per-image
 //!   allocation anywhere on the path. The original scalar convolution
 //!   survives as `Conv2d::forward_scalar`: the semantic reference the
-//!   GEMM path is property-tested against and the baseline the
-//!   `nn_inference` bench measures speedups over.
+//!   GEMM path is property-tested against.
 //!
 //! ## Layout contract
 //!

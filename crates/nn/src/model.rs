@@ -146,9 +146,9 @@ impl Sequential {
         }
     }
 
-    /// Append a layer. Panics if the layer's declared output doesn't chain
-    /// from the current output shape (dense layers accept any flat input of
-    /// the right length).
+    /// Append a layer. The caller keeps the shapes chained: a layer's input
+    /// is the current output shape (a dense layer's is its length). A
+    /// stream's chain is checked by [`crate::serialize::load`].
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
     }

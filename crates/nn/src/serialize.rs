@@ -8,7 +8,6 @@
 use crate::layer::{Conv2d, Dense, Layer, MaxPool2, Relu};
 use crate::model::Sequential;
 use crate::tensor::Shape;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"TAHN";
 const VERSION: u8 = 1;
@@ -21,7 +20,8 @@ const TAG_DENSE: u8 = 4;
 /// Serialization errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SerializeError {
-    /// Stream is not a TAHN model or is truncated.
+    /// Stream is not a TAHN model, is truncated, or describes a layer
+    /// whose geometry no layer can have.
     Malformed(String),
     /// Version newer than this library understands.
     UnsupportedVersion(u8),
@@ -41,73 +41,114 @@ impl std::fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
-fn put_shape(buf: &mut BytesMut, s: Shape) {
-    buf.put_u32_le(s.c as u32);
-    buf.put_u32_le(s.h as u32);
-    buf.put_u32_le(s.w as u32);
+fn malformed(what: &str) -> SerializeError {
+    SerializeError::Malformed(what.into())
+}
+
+fn put_u32(buf: &mut Vec<u8>, v: usize) {
+    buf.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+fn put_shape(buf: &mut Vec<u8>, s: Shape) {
+    put_u32(buf, s.c);
+    put_u32(buf, s.h);
+    put_u32(buf, s.w);
+}
+
+fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
+    put_u32(buf, xs.len());
+    for &x in xs {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Split the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N], SerializeError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| malformed(&format!("truncated {what}")))?;
+    *buf = rest;
+    Ok(*head)
+}
+
+fn get_u32(buf: &mut &[u8], what: &str) -> Result<usize, SerializeError> {
+    Ok(u32::from_le_bytes(take(buf, what)?) as usize)
 }
 
 fn get_shape(buf: &mut &[u8]) -> Result<Shape, SerializeError> {
-    if buf.remaining() < 12 {
-        return Err(SerializeError::Malformed("truncated shape".into()));
-    }
     Ok(Shape::new(
-        buf.get_u32_le() as usize,
-        buf.get_u32_le() as usize,
-        buf.get_u32_le() as usize,
+        get_u32(buf, "shape")?,
+        get_u32(buf, "shape")?,
+        get_u32(buf, "shape")?,
     ))
 }
 
-fn put_f32s(buf: &mut BytesMut, xs: &[f32]) {
-    buf.put_u32_le(xs.len() as u32);
-    for &x in xs {
-        buf.put_f32_le(x);
-    }
+/// `s`, when its element count fits a `usize`. Checked for the model's
+/// input and each conv's output: a pool shrinks its input, a ReLU keeps
+/// it, and a dense output is one `u32` count long.
+fn fits(s: Shape) -> Result<Shape, SerializeError> {
+    s.c.checked_mul(s.h)
+        .and_then(|n| n.checked_mul(s.w))
+        .ok_or_else(|| malformed(&format!("shape {s} overflows")))?;
+    Ok(s)
 }
 
 fn get_f32s(buf: &mut &[u8]) -> Result<Vec<f32>, SerializeError> {
-    if buf.remaining() < 4 {
-        return Err(SerializeError::Malformed("truncated f32 count".into()));
+    let n = get_u32(buf, "f32 count")?;
+    if buf.len() / 4 < n {
+        return Err(malformed("truncated f32 payload"));
     }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(SerializeError::Malformed("truncated f32 payload".into()));
+    let (payload, rest) = buf.split_at(n * 4);
+    *buf = rest;
+    Ok(payload
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&b| f32::from_le_bytes(b))
+        .collect())
+}
+
+/// A layer's input must be the shape the layer before it outputs.
+fn chained(input: Shape, at: Shape) -> Result<(), SerializeError> {
+    if input == at {
+        Ok(())
+    } else {
+        Err(malformed(&format!("layer input {input} after output {at}")))
     }
-    Ok((0..n).map(|_| buf.get_f32_le()).collect())
 }
 
 /// Serialize a model to bytes.
 ///
 /// Only layers produced by `CnnSpec::build` (conv/pool/relu/dense) are
 /// supported; an unknown layer kind yields `UnsupportedLayer`.
-pub fn save(model: &Sequential) -> Result<Bytes, SerializeError> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+pub fn save(model: &Sequential) -> Result<Vec<u8>, SerializeError> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
     put_shape(&mut buf, model.input_shape());
-    buf.put_u32_le(model.layers().len() as u32);
+    put_u32(&mut buf, model.layers().len());
     for layer in model.layers() {
         let any = layer.as_any();
         if let Some(conv) = any.downcast_ref::<Conv2d>() {
-            buf.put_u8(TAG_CONV);
+            buf.push(TAG_CONV);
             let (input, out_c, k) = conv.geometry();
             put_shape(&mut buf, input);
-            buf.put_u32_le(out_c as u32);
-            buf.put_u32_le(k as u32);
+            put_u32(&mut buf, out_c);
+            put_u32(&mut buf, k);
             let (w, b) = conv.weights_bias();
             put_f32s(&mut buf, w);
             put_f32s(&mut buf, b);
         } else if let Some(pool) = any.downcast_ref::<MaxPool2>() {
-            buf.put_u8(TAG_POOL);
+            buf.push(TAG_POOL);
             put_shape(&mut buf, pool.input_shape());
         } else if let Some(relu) = any.downcast_ref::<Relu>() {
-            buf.put_u8(TAG_RELU);
+            buf.push(TAG_RELU);
             put_shape(&mut buf, relu.output_shape());
         } else if let Some(dense) = any.downcast_ref::<Dense>() {
-            buf.put_u8(TAG_DENSE);
+            buf.push(TAG_DENSE);
             let (n_in, n_out) = dense.geometry();
-            buf.put_u32_le(n_in as u32);
-            buf.put_u32_le(n_out as u32);
+            put_u32(&mut buf, n_in);
+            put_u32(&mut buf, n_out);
             let (w, b) = dense.weights_bias();
             put_f32s(&mut buf, w);
             put_f32s(&mut buf, b);
@@ -115,71 +156,74 @@ pub fn save(model: &Sequential) -> Result<Bytes, SerializeError> {
             return Err(SerializeError::UnsupportedLayer(layer.name()));
         }
     }
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
-/// Deserialize a model saved with [`save`].
+/// Deserialize a model saved with [`save`]. Bytes from outside the
+/// program are checked before any layer is built: a truncated stream, a
+/// geometry product that overflows, parameters of the wrong length, a
+/// pool over less than 2x2 or a layer whose input is not the previous
+/// layer's output is `Malformed`, never a panic.
 pub fn load(bytes: &[u8]) -> Result<Sequential, SerializeError> {
     let mut buf = bytes;
-    if buf.remaining() < 5 || &buf[..4] != MAGIC {
-        return Err(SerializeError::Malformed("bad magic".into()));
+    if take::<4>(&mut buf, "magic").ok() != Some(*MAGIC) {
+        return Err(malformed("bad magic"));
     }
-    buf.advance(4);
-    let version = buf.get_u8();
+    let [version] = take(&mut buf, "version")?;
     if version != VERSION {
         return Err(SerializeError::UnsupportedVersion(version));
     }
-    let input = get_shape(&mut buf)?;
-    if buf.remaining() < 4 {
-        return Err(SerializeError::Malformed("truncated layer count".into()));
-    }
-    let n_layers = buf.get_u32_le() as usize;
+    let input = fits(get_shape(&mut buf)?)?;
+    let n_layers = get_u32(&mut buf, "layer count")?;
     let mut model = Sequential::new(input);
     for _ in 0..n_layers {
-        if buf.remaining() < 1 {
-            return Err(SerializeError::Malformed("truncated layer tag".into()));
-        }
-        match buf.get_u8() {
+        let at = model.output_shape();
+        let [tag] = take(&mut buf, "layer tag")?;
+        match tag {
             TAG_CONV => {
                 let input = get_shape(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(SerializeError::Malformed("truncated conv geom".into()));
-                }
-                let out_c = buf.get_u32_le() as usize;
-                let k = buf.get_u32_le() as usize;
+                chained(input, at)?;
+                let out_c = get_u32(&mut buf, "conv geom")?;
+                let k = get_u32(&mut buf, "conv geom")?;
                 let w = get_f32s(&mut buf)?;
                 let b = get_f32s(&mut buf)?;
-                if w.len() != out_c * input.c * k * k || b.len() != out_c {
-                    return Err(SerializeError::Malformed("conv param size".into()));
+                let n_w = [input.c, k, k]
+                    .into_iter()
+                    .try_fold(out_c, usize::checked_mul);
+                if k % 2 == 0 || out_c == 0 {
+                    return Err(malformed(&format!("conv out_c {out_c}, kernel {k}")));
                 }
+                if n_w != Some(w.len()) || b.len() != out_c {
+                    return Err(malformed("conv param size"));
+                }
+                fits(Shape::new(out_c, input.h, input.w))?;
                 model.push(Box::new(Conv2d::from_parts(input, out_c, k, w, b)));
             }
             TAG_POOL => {
                 let input = get_shape(&mut buf)?;
+                chained(input, at)?;
+                if input.h < 2 || input.w < 2 {
+                    return Err(malformed(&format!("pool input {input} under 2x2")));
+                }
                 model.push(Box::new(MaxPool2::new(input)));
             }
             TAG_RELU => {
                 let shape = get_shape(&mut buf)?;
+                chained(shape, at)?;
                 model.push(Box::new(Relu::new(shape)));
             }
             TAG_DENSE => {
-                if buf.remaining() < 8 {
-                    return Err(SerializeError::Malformed("truncated dense geom".into()));
-                }
-                let n_in = buf.get_u32_le() as usize;
-                let n_out = buf.get_u32_le() as usize;
+                let n_in = get_u32(&mut buf, "dense geom")?;
+                let n_out = get_u32(&mut buf, "dense geom")?;
+                chained(Shape::flat(n_in), Shape::flat(at.len()))?;
                 let w = get_f32s(&mut buf)?;
                 let b = get_f32s(&mut buf)?;
-                if w.len() != n_in * n_out || b.len() != n_out {
-                    return Err(SerializeError::Malformed("dense param size".into()));
+                if n_in.checked_mul(n_out) != Some(w.len()) || b.len() != n_out {
+                    return Err(malformed("dense param size"));
                 }
                 model.push(Box::new(Dense::from_parts(n_in, n_out, w, b)));
             }
-            tag => {
-                return Err(SerializeError::Malformed(format!(
-                    "unknown layer tag {tag}"
-                )));
-            }
+            tag => return Err(malformed(&format!("unknown layer tag {tag}"))),
         }
     }
     Ok(model)
@@ -227,7 +271,7 @@ mod tests {
     #[test]
     fn rejects_future_version() {
         let m = model();
-        let mut bytes = save(&m).unwrap().to_vec();
+        let mut bytes = save(&m).unwrap();
         bytes[4] = 99;
         assert!(matches!(
             load(&bytes),
@@ -245,6 +289,34 @@ mod tests {
                 load(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
+        }
+    }
+
+    /// A stream of one layer over an input of `c` x 1 x 1.
+    fn one_layer(c: u32, tag: u8, body: &[u32]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        for v in [c, 1, 1, 1] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.push(tag);
+        for &v in body {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn rejects_impossible_geometry() {
+        // A pool over 1x1 planes; a conv whose weight count overflows
+        // (c = out_c = k = u32::MAX, empty weights and bias).
+        let pool = one_layer(1, TAG_POOL, &[1, 1, 1]);
+        let max = u32::MAX;
+        let conv = one_layer(max, TAG_CONV, &[max, 1, 1, max, max, 0, 0]);
+        // A ReLU over 2 values after a 1-value input.
+        let relu = one_layer(1, TAG_RELU, &[2, 1, 1]);
+        for bytes in [pool, conv, relu] {
+            assert!(matches!(load(&bytes), Err(SerializeError::Malformed(_))));
         }
     }
 }

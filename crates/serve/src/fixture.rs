@@ -113,8 +113,7 @@ impl Default for NnFixtureConfig {
     }
 }
 
-/// Deterministic synthetic raster frame (same construction as the
-/// `query_exec` bench): sample `(c, y, x)` is
+/// Deterministic synthetic raster frame: sample `(c, y, x)` is
 /// `((c·31 + y·7 + x·3 + seed) mod 13) / 13`.
 ///
 /// No sample pays a division: stepping the residue by 3 per pixel reads a

@@ -591,7 +591,7 @@ proptest! {
             let mut f_q = f.clone();
             quantize_roundtrip(&mut f_q);
             for &rep in &reps {
-                want.push(RawCodec.encode(&apply_reference(&f_q, rep).unwrap()).to_vec());
+                want.push(RawCodec.encode(&apply_reference(&f_q, rep).unwrap()));
             }
         }
         let dir = proptest_dir("store-direct");
