@@ -7,7 +7,8 @@
 //! or moves an end-to-end metric of `benchmark/run.sh`.
 //!
 //! The shapes mirror the serving path (first-layer and deep-layer convs,
-//! 224px transform sweeps). One call of a workload runs tens of
+//! m0's dense head, 224px transform sweeps, one stored 32px row read into
+//! an inference row). One call of a workload runs tens of
 //! microseconds over pre-built state.
 
 use std::hint::black_box;
@@ -41,6 +42,11 @@ pub const OPS: &[Op] = &[
         name: "gemm",
         tiers: gemm::TIERS,
         build: gemm_deep,
+    },
+    Op {
+        name: "dense-head",
+        tiers: gemm::TIERS,
+        build: dense_head,
     },
     Op {
         name: "gemm-wide-k",
@@ -77,6 +83,11 @@ pub const OPS: &[Op] = &[
         tiers: engine::TIERS,
         build: standardize,
     },
+    Op {
+        name: "dequantize-standardize",
+        tiers: engine::DEQUANTIZE_TIERS,
+        build: dequantize_standardize,
+    },
 ];
 
 fn rng_for(tier: SimdTier) -> DetRng {
@@ -98,6 +109,23 @@ fn gemm_deep(tier: SimdTier) -> Workload {
     Box::new(move || {
         c.fill(0.0);
         gemm::gemm_nn(&mut scratch, m, n, k, &a, &b, &mut c);
+        black_box(c[0]);
+    })
+}
+
+/// m0's served dense head: a 64-row morsel of 1152-float feature rows
+/// against the 256-unit weight panels `Dense` packs once (the blocked
+/// path every `Dense` takes; `gemm` above takes the direct one).
+fn dense_head(tier: SimdTier) -> Workload {
+    let mut rng = rng_for(tier);
+    let (m, n, k) = (64usize, 256usize, 1152usize);
+    let a = rand_vec(&mut rng, m * k);
+    let packed = gemm::PackedB::new(&rand_vec(&mut rng, n * k), gemm::Trans::T, k, n);
+    let mut c = vec![0.0f32; m * n];
+    let mut scratch = GemmScratch::with_kernel(tier);
+    Box::new(move || {
+        c.fill(0.0);
+        gemm::gemm_prepacked(&mut scratch, m, &a, &packed, &mut c);
         black_box(c[0]);
     })
 }
@@ -213,6 +241,19 @@ fn standardize(tier: SimdTier) -> Workload {
     })
 }
 
+/// One stored 32 px RGB row (m1's input) dequantized and standardized
+/// straight into an inference row, the query path's fused read.
+fn dequantize_standardize(tier: SimdTier) -> Workload {
+    let mut rng = rng_for(tier);
+    let samples: Vec<u8> = (0..32 * 32 * 3).map(|_| rng.index(256) as u8).collect();
+    let mut row = vec![0.0f32; samples.len()];
+    let engine = TranscodeEngine::with_kernel(tier);
+    Box::new(move || {
+        engine.standardize_stored(&samples, &mut row);
+        black_box(row[0]);
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +269,8 @@ mod tests {
 
     #[test]
     fn every_dispatched_tier_has_a_row() {
-        for &tier in gemm::TIERS.iter().chain(engine::TIERS) {
+        let dispatched = [gemm::TIERS, engine::TIERS, engine::DEQUANTIZE_TIERS];
+        for &tier in dispatched.into_iter().flatten() {
             assert!(
                 OPS.iter().any(|op| op.tiers.contains(&tier)),
                 "no op lists tier {}",

@@ -245,8 +245,10 @@ impl BatchScorer for SurrogateBatchScorer<'_> {
 /// rows' times locally and adds them here once per morsel.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NnStageStats {
-    /// Lane-seconds spent fetching encoded representations from the store
-    /// and decoding them into pooled pixel buffers.
+    /// Lane-seconds spent reading stored records: the positioned read and
+    /// the header check of each model input read directly, and the read
+    /// and decode (into a pooled pixel buffer) of each source a
+    /// transcode starts from.
     pub fetch_decode_s: f64,
     /// Lane-seconds spent transcoding a stored source representation into
     /// a level's input representation — only paid when the exact
@@ -254,7 +256,8 @@ pub struct NnStageStats {
     pub transcode_s: f64,
     /// Lane-seconds of per-image standardization (zero mean / unit
     /// variance), the model input discipline shared with the training
-    /// path.
+    /// path. For an input read directly this includes dequantizing its
+    /// stored bytes, which the same sweep does.
     pub standardize_s: f64,
     /// Wall time of the inference calls (`SharedModelZoo::infer`, local or
     /// dispatched), which includes the data handling above.
@@ -448,9 +451,9 @@ impl NnSessionScratch {
     }
 }
 
-/// Real-CNN batch scorer: store fetch → pooled decode → transcode →
-/// standardize → batched GEMM inference, per row on the lane that scores
-/// it.
+/// Real-CNN batch scorer: store fetch → dequantize and standardize (or
+/// source fetch → transcode → standardize) → batched GEMM inference, per
+/// row on the lane that scores it.
 ///
 /// Per pack item the backend obtains the model's input representation
 /// either directly from the [`RepresentationStore`] (the ONGOING layout:
@@ -533,9 +536,11 @@ struct PackRows<'a> {
 }
 
 impl PackRows<'_> {
-    /// Write `item`'s standardized input into `dst`: direct pooled fetch
-    /// when the store holds the representation, otherwise fetch-source +
-    /// transcode. Pixel buffers are drawn from and recycled to `engine`.
+    /// Write `item`'s standardized input into `dst`: when the store holds
+    /// the representation, its samples go from the read straight into
+    /// `dst` ([`TranscodeEngine::standardize_stored`]); otherwise
+    /// fetch-source + transcode + standardize. Pixel buffers are drawn
+    /// from and recycled to `engine`.
     fn produce(
         &self,
         item: &CorpusItem,
@@ -546,44 +551,51 @@ impl PackRows<'_> {
         let rep = self.rep;
         let failed = |what: String| CoreError::Scoring(format!("item {}: {what}", item.id));
         tally.fetches += 1;
+        // Three clock reads on a hit: the read and header check, then the
+        // dequantize and standardize.
         let t0 = Instant::now();
-        let direct = self.store.fetch_classified(item.id, rep, engine);
-        tally.fetch_decode_s += t0.elapsed().as_secs_f64();
-        let img = match direct {
-            Fetched::Hit(img) => img,
-            Fetched::Absent | Fetched::Quarantined => {
-                // Quarantined → same source-transcode fallback as absent
-                // (bitwise-identical input), counted for STATS visibility.
-                if matches!(direct, Fetched::Quarantined) {
-                    tally.degraded_fetches += 1;
-                }
-                let src_rep = self.source_rep.ok_or_else(|| {
-                    failed(format!(
-                        "no stored {rep} and no source representation is configured"
-                    ))
-                })?;
-                let t1 = Instant::now();
-                // Pinned: the source must not be quarantined by a fault
-                // burst, or the degradation would become permanent.
-                let src = self
-                    .store
-                    .fetch_pinned(item.id, src_rep, engine)
-                    .ok_or_else(|| failed(format!("no stored source {src_rep}")))?
-                    .map_err(|e| failed(format!("source {src_rep}: {e}")))?;
-                tally.fetch_decode_s += t1.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                // The store's re-derivation, not a bare transcode: it
-                // lands on the stored u8 grid, so the degraded input is
-                // bitwise what ingest stored.
-                let out = self
-                    .store
-                    .rederive(&src, rep, engine)
-                    .map_err(|e| failed(format!("transcode to {rep}: {e}")))?;
-                tally.transcode_s += t2.elapsed().as_secs_f64();
-                engine.recycle([src]);
-                out
-            }
-        };
+        let mut t1 = None;
+        let direct = self.store.fetch_with(item.id, rep, engine, |samples, e| {
+            t1 = Some(Instant::now());
+            e.standardize_stored(samples, dst);
+            Ok(())
+        });
+        let t2 = Instant::now();
+        let t1 = t1.unwrap_or(t2);
+        tally.fetch_decode_s += (t1 - t0).as_secs_f64();
+        tally.standardize_s += (t2 - t1).as_secs_f64();
+        if matches!(direct, Fetched::Hit(())) {
+            return Ok(());
+        }
+        // Quarantined → same source-transcode fallback as absent
+        // (bitwise-identical input), counted for STATS visibility.
+        if matches!(direct, Fetched::Quarantined) {
+            tally.degraded_fetches += 1;
+        }
+        let src_rep = self.source_rep.ok_or_else(|| {
+            failed(format!(
+                "no stored {rep} and no source representation is configured"
+            ))
+        })?;
+        let t1 = Instant::now();
+        // Pinned: the source must not be quarantined by a fault
+        // burst, or the degradation would become permanent.
+        let src = self
+            .store
+            .fetch_pinned(item.id, src_rep, engine)
+            .ok_or_else(|| failed(format!("no stored source {src_rep}")))?
+            .map_err(|e| failed(format!("source {src_rep}: {e}")))?;
+        tally.fetch_decode_s += t1.elapsed().as_secs_f64();
+        let t2 = Instant::now();
+        // The store's re-derivation, not a bare transcode: it lands on the
+        // stored u8 grid, so the degraded input is bitwise what ingest
+        // stored.
+        let img = self
+            .store
+            .rederive(&src, rep, engine)
+            .map_err(|e| failed(format!("transcode to {rep}: {e}")))?;
+        tally.transcode_s += t2.elapsed().as_secs_f64();
+        engine.recycle([src]);
         let t3 = Instant::now();
         engine.standardize_into(&img, dst);
         tally.standardize_s += t3.elapsed().as_secs_f64();

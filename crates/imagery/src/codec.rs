@@ -9,6 +9,7 @@
 use crate::color::ColorMode;
 use crate::error::ImageryError;
 use crate::image::Image;
+use crate::repr::Representation;
 
 /// 2²³: adding it to an `f32` in `[0, 2²³)` rounds the value to an integer.
 const TWO_POW_23: f32 = 8_388_608.0;
@@ -41,8 +42,11 @@ fn quantize(v: f32) -> u8 {
     (y.to_bits() + u32::from(tie)) as u8
 }
 
+/// The storage dequantizer's definition: the value a stored byte decodes
+/// to. Slices dequantize through `engine::dequantize_sum`, whose every
+/// tier equals this bit for bit.
 #[inline]
-fn dequantize(b: u8) -> f32 {
+pub(crate) fn dequantize(b: u8) -> f32 {
     b as f32 / 255.0
 }
 
@@ -131,33 +135,57 @@ impl RawCodec {
     /// contents are irrelevant. The returned [`Image`] owns the buffer —
     /// hand it back to the pool when done to close the loop.
     pub fn decode_into(&self, bytes: &[u8], mut data: Vec<f32>) -> Result<Image, ImageryError> {
-        let mut buf = bytes;
-        let (Some(_), Some(w), Some(h), Some([mode])) = (
-            take(&mut buf).filter(|magic| magic == RAW_MAGIC),
-            take(&mut buf),
-            take(&mut buf),
-            take(&mut buf),
-        ) else {
-            return Err(ImageryError::Decode("bad TAH1 header".into()));
-        };
-        let w = u32::from_le_bytes(w) as usize;
-        let h = u32::from_le_bytes(h) as usize;
-        let mode = mode_from_code(mode)?;
-        // The header is input from outside the program: its sample count
-        // may not fit a usize.
-        let expected = w
-            .checked_mul(h)
-            .and_then(|n| n.checked_mul(mode.channels()));
-        if expected != Some(buf.len()) {
-            return Err(ImageryError::Decode(format!(
-                "TAH1 payload length {} != {w}x{h} {mode}",
-                buf.len()
-            )));
-        }
-        data.clear();
-        data.extend(buf.iter().map(|&b| dequantize(b)));
+        let (w, h, mode, samples) = parse(bytes)?;
+        data.resize(samples.len(), 0.0);
+        crate::engine::dequantize_sum(None, samples, &mut data);
         Image::from_planar(w, h, mode, data)
     }
+
+    /// The samples of a blob stored for `rep`: the header must name
+    /// exactly `rep`'s shape, so the payload is `rep.value_count()` bytes.
+    /// A blob of any other shape is a `Decode` error, like a bad header.
+    pub(crate) fn samples_for<'a>(
+        &self,
+        bytes: &'a [u8],
+        rep: Representation,
+    ) -> Result<&'a [u8], ImageryError> {
+        let (w, h, mode, samples) = parse(bytes)?;
+        if (w, h, mode) != (rep.size, rep.size, rep.mode) {
+            return Err(ImageryError::Decode(format!(
+                "TAH1 header {w}x{h} {mode} where {rep} is stored"
+            )));
+        }
+        Ok(samples)
+    }
+}
+
+/// Split a `TAH1` blob into its header's width, height and mode and its
+/// samples, checking that the sample count is the header's.
+fn parse(bytes: &[u8]) -> Result<(usize, usize, ColorMode, &[u8]), ImageryError> {
+    let mut buf = bytes;
+    let (Some(_), Some(w), Some(h), Some([mode])) = (
+        take(&mut buf).filter(|magic| magic == RAW_MAGIC),
+        take(&mut buf),
+        take(&mut buf),
+        take(&mut buf),
+    ) else {
+        return Err(ImageryError::Decode("bad TAH1 header".into()));
+    };
+    let w = u32::from_le_bytes(w) as usize;
+    let h = u32::from_le_bytes(h) as usize;
+    let mode = mode_from_code(mode)?;
+    // The header is input from outside the program: its sample count
+    // may not fit a usize.
+    let expected = w
+        .checked_mul(h)
+        .and_then(|n| n.checked_mul(mode.channels()));
+    if expected != Some(buf.len()) {
+        return Err(ImageryError::Decode(format!(
+            "TAH1 payload length {} != {w}x{h} {mode}",
+            buf.len()
+        )));
+    }
+    Ok((w, h, mode, buf))
 }
 
 #[cfg(test)]

@@ -41,6 +41,16 @@
 //! f64 lanes** (element `i` into lane `i % 8`, fixed pairwise tree to
 //! finish) in every tier, so SIMD and portable agree bitwise there too.
 //!
+//! A stored representation is standardized straight from its bytes
+//! ([`TranscodeEngine::standardize_stored`]): the dequantize sweep (the
+//! codec's one, [`RawCodec`](crate::codec::RawCodec)'s decode runs it too)
+//! writes the values and sums them in the same pass. Its sum's order is
+//! free because that sum is exact (see [`EXACT_SUM_LEN`]), so the mean, and
+//! every bit after it, is what decoding and then standardizing gives. It is
+//! the one sweep here with an AVX-512 kernel ([`DEQUANTIZE_TIERS`]), which
+//! clears the survival margin over AVX2 on the stored-row op (DESIGN.md
+//! §6).
+//!
 //! # The representation lattice
 //!
 //! When one frame must be materialized into several representations —
@@ -81,6 +91,7 @@
     reason = "the AVX2 transcode sweeps gather through resize span tables and load planes through raw pointers"
 )]
 
+use crate::codec::dequantize;
 use crate::color::{ColorMode, LUMA_WEIGHTS};
 use crate::error::ImageryError;
 use crate::image::Image;
@@ -91,12 +102,18 @@ use std::collections::HashMap;
 use tahoma_mathx::checked;
 use tahoma_mathx::SimdTier;
 
-/// The tiers every vectorized sweep in this module implements (see the
-/// module docs for why none goes wider). Pinning a wider tier clamps down
+/// The tiers every vectorized sweep in this module implements but the
+/// dequantize sweep (see the module docs for why none goes wider). Pinning a wider tier clamps down
 /// to the widest of these the CPU runs — never to an illegal instruction —
 /// and since every tier is bitwise identical, any resolution is equally
 /// correct.
 pub const TIERS: &[SimdTier] = &[SimdTier::Portable, SimdTier::Avx2];
+
+/// The tiers of the dequantize sweep, the one sweep here with an AVX-512
+/// kernel: converting and scaling sixteen bytes per vector beats AVX2 by
+/// more than the survival margin on the stored-row op (DESIGN.md §6). The
+/// other sweeps of an AVX-512-pinned engine clamp down to [`TIERS`].
+pub const DEQUANTIZE_TIERS: &[SimdTier] = &SimdTier::ALL;
 
 /// One axis of a bilinear resize: per output coordinate, the two source
 /// indices and their lerp weights, computed exactly as the scalar reference
@@ -329,19 +346,90 @@ fn sq_dev_lanes(kernel: Option<SimdTier>, data: &[f32], mean: f64) -> [f64; RED_
     acc
 }
 
-/// Normalize sweep: `dst[i] = (src[i] - mean) * inv` in f32.
-fn scale_shift(kernel: Option<SimdTier>, src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
-    assert!(src.len() >= dst.len());
-    checked::span(src.len(), 0, dst.len(), "scale-shift source");
+/// Normalize sweep: `dst[i] = (src[i] - mean) * inv` in f32, or in place
+/// (`dst[i] = (dst[i] - mean) * inv`) when `src` is `None`.
+fn scale_shift(
+    kernel: Option<SimdTier>,
+    src: Option<&[f32]>,
+    mean: f32,
+    inv: f32,
+    dst: &mut [f32],
+) {
+    if let Some(src) = src {
+        assert!(src.len() >= dst.len());
+        checked::span(src.len(), 0, dst.len(), "scale-shift source");
+    }
     match SimdTier::resolve(kernel, TIERS) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: avx2 runtime-detected (see `hlerp`); length asserted
-        // above.
-        SimdTier::Avx2 => unsafe { x86::scale_shift_avx2(src, mean, inv, dst) },
-        _ => {
-            for i in 0..dst.len() {
-                dst[i] = (src[i] - mean) * inv;
+        SimdTier::Avx2 => {
+            let n = dst.len();
+            let d = dst.as_mut_ptr();
+            let s = src.map_or(d.cast_const(), <[f32]>::as_ptr);
+            // SAFETY: avx2 runtime-detected (see `hlerp`); `s` and `d` each
+            // address at least `n` floats (length asserted above, or `s` is
+            // `d` itself), and each element is read before it is written.
+            unsafe { x86::scale_shift_avx2(s, d, n, mean, inv) }
+        }
+        _ => match src {
+            Some(src) => {
+                for i in 0..dst.len() {
+                    dst[i] = (src[i] - mean) * inv;
+                }
             }
+            None => {
+                for v in dst.iter_mut() {
+                    *v = (*v - mean) * inv;
+                }
+            }
+        },
+    }
+}
+
+/// Mean and inverse standard deviation of `data` in f32, given the exact
+/// f64 `sum` of its values: the eight-lane sq-dev sweep, then the
+/// degenerate-spread guard (`sd <= 1e-6` scales by 0).
+fn moments(kernel: Option<SimdTier>, data: &[f32], sum: f64) -> (f32, f32) {
+    let n = data.len() as f64;
+    let mean = sum / n;
+    let var = fold_lanes(sq_dev_lanes(kernel, data, mean)) / n;
+    let sd = var.sqrt();
+    let inv = if sd > 1e-6 { 1.0 / sd } else { 0.0 };
+    (mean as f32, inv as f32)
+}
+
+/// Sample count below which the dequantize sweep's f64 sum (the mean
+/// [`TranscodeEngine::standardize_stored`] takes) is exact in any
+/// accumulation order. Every dequantized value is `0` or at least `1/255 >
+/// 2⁻⁸`, so it is a multiple of its f32 ulp `2⁻³¹`, and it is at most 1.
+/// Fewer than 2²² of them sum to below 2²², and every partial sum is a
+/// multiple of 2⁻³¹ below 2²²: at most 53 significant bits, which f64
+/// holds. So the sum of the dequantized values has one possible result.
+pub const EXACT_SUM_LEN: usize = 1 << 22;
+
+/// Dequantize stored samples into `dst` (`dst[i] = bytes[i] as f32 /
+/// 255.0`, bit for bit on every tier) and return the f64 sum of the values
+/// written: one sweep on AVX2, two loops on the portable tier. The sum's
+/// order is the tier's own; below [`EXACT_SUM_LEN`] samples it is exact,
+/// so every order agrees with the eight-lane sum the two-step standardize
+/// takes. The codec's decode and the store's reads both run it: the one
+/// slice dequantize.
+pub(crate) fn dequantize_sum(kernel: Option<SimdTier>, bytes: &[u8], dst: &mut [f32]) -> f64 {
+    assert_eq!(bytes.len(), dst.len(), "dequantize destination length");
+    match SimdTier::resolve(kernel, DEQUANTIZE_TIERS) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: avx512f runtime-detected (`resolve` never exceeds the
+        // detected tier); lengths asserted equal above.
+        SimdTier::Avx512 => unsafe { x86::dequantize_sum_avx512(bytes, dst) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: avx2 and fma runtime-detected (see `hlerp`); lengths
+        // asserted equal above.
+        SimdTier::Avx2 => unsafe { x86::dequantize_sum_avx2(bytes, dst) },
+        _ => {
+            // Two loops: the compiler vectorizes each, not the two fused.
+            for (d, &b) in dst.iter_mut().zip(bytes) {
+                *d = dequantize(b);
+            }
+            fold_lanes(sum_lanes(Some(SimdTier::Portable), dst))
         }
     }
 }
@@ -496,30 +584,145 @@ mod x86 {
         }
     }
 
-    /// `dst[i] = (src[i] - mean) * inv`.
+    /// `dst[i] = (src[i] - mean) * inv` over `n` floats; `src` may be
+    /// `dst` itself (the in-place sweep).
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 (the dispatcher resolves the tier against
-    /// runtime detection), and `src` holds at least `dst.len()` floats.
+    /// runtime detection), `src` and `dst` each address `n` floats, and
+    /// they are the same pointer or do not overlap.
     #[target_feature(enable = "avx2")]
-    pub(super) fn scale_shift_avx2(src: &[f32], mean: f32, inv: f32, dst: &mut [f32]) {
-        let n = dst.len();
+    pub(super) unsafe fn scale_shift_avx2(
+        src: *const f32,
+        dst: *mut f32,
+        n: usize,
+        mean: f32,
+        inv: f32,
+    ) {
         let main = n - n % 8;
         let (vm, vi) = (_mm256_set1_ps(mean), _mm256_set1_ps(inv));
         let mut i = 0;
         while i < main {
-            // SAFETY: i + 8 <= n <= src.len() (asserted by the dispatcher).
+            // SAFETY: i + 8 <= n (the caller's contract); the load precedes
+            // the store, so an in-place sweep reads each value first.
             unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(i));
+                let v = _mm256_loadu_ps(src.add(i));
                 let out = _mm256_mul_ps(_mm256_sub_ps(v, vm), vi);
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), out);
+                _mm256_storeu_ps(dst.add(i), out);
             }
             i += 8;
         }
         for j in main..n {
-            dst[j] = (src[j] - mean) * inv;
+            // SAFETY: j < n (the caller's contract).
+            unsafe { *dst.add(j) = (*src.add(j) - mean) * inv };
         }
+    }
+
+    /// `b / 255` for eight integer-valued `x = b` in `0..=255`, correctly
+    /// rounded: the product with the rounded reciprocal is within one ulp,
+    /// its residual `x - q * 255` is exact under FMA, and one FMA step with
+    /// the reciprocal lands on `x / 255` (checked for all 256 bytes in
+    /// tier-1).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (only the AVX2 kernels call it).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn div255(x: __m256, recip: __m256, d: __m256) -> __m256 {
+        let q = _mm256_mul_ps(x, recip);
+        let r = _mm256_fnmadd_ps(q, d, x);
+        _mm256_fmadd_ps(r, recip, q)
+    }
+
+    /// Dequantize `bytes` into `dst` and return the f64 sum of the values
+    /// written (`super::dequantize_sum`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher resolves the tier
+    /// against runtime detection), and `bytes.len() == dst.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn dequantize_sum_avx2(bytes: &[u8], dst: &mut [f32]) -> f64 {
+        let n = dst.len();
+        let main = n - n % 16;
+        let recip = _mm256_set1_ps(1.0 / 255.0);
+        let d = _mm256_set1_ps(255.0);
+        // Four f64 chains (two per 8 values): the sum is exact (see
+        // `super::EXACT_SUM_LEN`), so their order is free.
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: i + 16 <= main <= n == bytes.len() == dst.len().
+            unsafe {
+                let raw = _mm_loadu_si128(bytes.as_ptr().add(i) as *const __m128i);
+                let lo = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
+                let hi = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_unpackhi_epi64(raw, raw)));
+                let (lo, hi) = (div255(lo, recip, d), div255(hi, recip, d));
+                _mm256_storeu_ps(dst.as_mut_ptr().add(i), lo);
+                _mm256_storeu_ps(dst.as_mut_ptr().add(i + 8), hi);
+                acc[0] = _mm256_add_pd(acc[0], _mm256_cvtps_pd(_mm256_castps256_ps128(lo)));
+                acc[1] = _mm256_add_pd(acc[1], _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(lo)));
+                acc[2] = _mm256_add_pd(acc[2], _mm256_cvtps_pd(_mm256_castps256_ps128(hi)));
+                acc[3] = _mm256_add_pd(acc[3], _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(hi)));
+            }
+            i += 16;
+        }
+        let mut lanes = [0.0f64; 16];
+        for (c, a) in lanes.chunks_exact_mut(4).zip(acc) {
+            // SAFETY: each chunk holds 4 f64.
+            unsafe { _mm256_storeu_pd(c.as_mut_ptr(), a) };
+        }
+        let mut sum: f64 = lanes.iter().sum();
+        for j in main..n {
+            dst[j] = super::dequantize(bytes[j]);
+            sum += dst[j] as f64;
+        }
+        sum
+    }
+
+    /// [`dequantize_sum_avx2`] sixteen bytes per vector: the same
+    /// correctly rounded `b / 255` (the FMA steps of `div255` on one zmm)
+    /// and f64 chains of the same free order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (the dispatcher resolves the tier
+    /// against runtime detection), and `bytes.len() == dst.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn dequantize_sum_avx512(bytes: &[u8], dst: &mut [f32]) -> f64 {
+        let n = dst.len();
+        let main = n - n % 16;
+        let recip = _mm512_set1_ps(1.0 / 255.0);
+        let d = _mm512_set1_ps(255.0);
+        let mut acc = [_mm512_setzero_pd(); 2];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: i + 16 <= main <= n == bytes.len() == dst.len().
+            unsafe {
+                let raw = _mm_loadu_si128(bytes.as_ptr().add(i) as *const __m128i);
+                let x = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(raw));
+                let q = _mm512_mul_ps(x, recip);
+                let v = _mm512_fmadd_ps(_mm512_fnmadd_ps(q, d, x), recip, q);
+                _mm512_storeu_ps(dst.as_mut_ptr().add(i), v);
+                let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+                acc[0] = _mm512_add_pd(acc[0], _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
+                acc[1] = _mm512_add_pd(acc[1], _mm512_cvtps_pd(hi));
+            }
+            i += 16;
+        }
+        let mut lanes = [0.0f64; 16];
+        for (c, a) in lanes.chunks_exact_mut(8).zip(acc) {
+            // SAFETY: each chunk holds 8 f64.
+            unsafe { _mm512_storeu_pd(c.as_mut_ptr(), a) };
+        }
+        let mut sum: f64 = lanes.iter().sum();
+        for j in main..n {
+            dst[j] = super::dequantize(bytes[j]);
+            sum += dst[j] as f64;
+        }
+        sum
     }
 }
 
@@ -893,13 +1096,39 @@ impl TranscodeEngine {
         let kernel = self.kernel;
         let data = src.data();
         assert_eq!(dst.len(), data.len(), "standardize destination length");
-        let n = data.len() as f64;
-        let mean = fold_lanes(sum_lanes(kernel, data)) / n;
-        let var = fold_lanes(sq_dev_lanes(kernel, data, mean)) / n;
-        let sd = var.sqrt();
-        let inv = if sd > 1e-6 { 1.0 / sd } else { 0.0 };
-        let (mean, inv) = (mean as f32, inv as f32);
-        scale_shift(kernel, data, mean, inv, dst);
+        let (mean, inv) = moments(kernel, data, fold_lanes(sum_lanes(kernel, data)));
+        scale_shift(kernel, Some(data), mean, inv, dst);
+    }
+
+    /// Standardize a stored representation's samples (its raw codec
+    /// payload, one byte per value) straight into `dst`, with no decoded
+    /// image in between: dequantize and sum in one sweep into `dst`, the
+    /// eight-lane sq-dev sweep over it, then scale it in place. Bit for
+    /// bit [`TranscodeEngine::standardize_into`] of the decoded image: the
+    /// values are the codec's, their sum is exact (see [`EXACT_SUM_LEN`])
+    /// so the mean is too, and the last two sweeps are the same ones.
+    pub fn standardize_stored(&self, samples: &[u8], dst: &mut [f32]) {
+        let kernel = self.kernel;
+        let mut sum = dequantize_sum(kernel, samples, dst);
+        if samples.len() >= EXACT_SUM_LEN {
+            // Past the bound the sum may round: take the two-step path's
+            // own lane order over the same values instead.
+            sum = fold_lanes(sum_lanes(kernel, dst));
+        }
+        let (mean, inv) = moments(kernel, dst, sum);
+        scale_shift(kernel, None, mean, inv, dst);
+    }
+
+    /// A stored representation's samples dequantized into a buffer from
+    /// this engine's pool: the store's pooled decode, on the engine's tier.
+    pub(crate) fn decode_samples(
+        &mut self,
+        samples: &[u8],
+        rep: Representation,
+    ) -> Result<Image, ImageryError> {
+        let mut buf = self.take_buffer(samples.len());
+        dequantize_sum(self.kernel, samples, &mut buf);
+        Image::from_planar(rep.size, rep.size, rep.mode, buf)
     }
 
     /// Grayscale thumbnail of any image as a flat `side x side` buffer —
@@ -1116,8 +1345,8 @@ mod tests {
         assert!(tiers.contains(&SimdTier::resolve(None, TIERS)));
     }
 
-    /// The AVX-512-gather regression, pinned structurally: no sweep here
-    /// has an AVX-512 kernel, so an unpinned resize runs AVX2 wherever the
+    /// The AVX-512-gather regression, pinned structurally: no resize
+    /// sweep has an AVX-512 kernel, so an unpinned resize runs AVX2 wherever the
     /// ceiling admits AVX2 — never the slower 16-lane gather, never a
     /// mixed-license h/v pair — and pinning AVX-512 clamps *down* to it.
     #[test]
@@ -1212,6 +1441,65 @@ mod tests {
                 assert_eq!(img2.data(), w.as_slice());
             }
             e.recycle(next);
+        }
+    }
+
+    #[test]
+    fn dequantize_is_the_codec_reference_for_every_byte_on_every_tier() {
+        // All 256 bytes, at every start offset mod 16: each byte lands in
+        // the vector body and in the scalar tail.
+        let all: Vec<u8> = (0..=255u8).collect();
+        for kernel in SimdTier::runnable(DEQUANTIZE_TIERS) {
+            for skip in 0..16 {
+                let bytes: Vec<u8> = all
+                    .iter()
+                    .cycle()
+                    .skip(skip)
+                    .take(256 + 15)
+                    .copied()
+                    .collect();
+                let mut dst = vec![f32::NAN; bytes.len()];
+                let sum = dequantize_sum(Some(kernel), &bytes, &mut dst);
+                for (&b, &v) in bytes.iter().zip(&dst) {
+                    assert_eq!(
+                        v.to_bits(),
+                        (b as f32 / 255.0).to_bits(),
+                        "byte {b}, tier {}",
+                        kernel.name()
+                    );
+                }
+                let exact: f64 = dst.iter().map(|&v| v as f64).sum();
+                assert_eq!(
+                    sum.to_bits(),
+                    exact.to_bits(),
+                    "sum, tier {}",
+                    kernel.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_sum_bound_holds() {
+        // The premises of `EXACT_SUM_LEN`: every dequantized value is a
+        // multiple of 2^-31 in [0, 1], so a sum of fewer than 2^22 of them
+        // is an integer multiple of 2^-31 below 2^53 * 2^-31.
+        let unit = 2f64.powi(-31);
+        for b in 0..=255u8 {
+            let v = dequantize(b) as f64;
+            assert!((0.0..=1.0).contains(&v), "byte {b}");
+            assert_eq!((v / unit).fract(), 0.0, "byte {b} is off the 2^-31 grid");
+        }
+        assert!(EXACT_SUM_LEN as f64 / unit <= 2f64.powi(53));
+        // The worst case at the bound's edge: all ones, every order gives
+        // the same sum, and it is the exact count.
+        let n = (1 << 16) + 5;
+        let bytes = vec![255u8; n];
+        let mut dst = vec![0.0f32; n];
+        for kernel in SimdTier::runnable(DEQUANTIZE_TIERS) {
+            let sum = dequantize_sum(Some(kernel), &bytes, &mut dst);
+            assert_eq!(sum, n as f64);
+            assert_eq!(fold_lanes(sum_lanes(Some(kernel), &dst)), sum);
         }
     }
 

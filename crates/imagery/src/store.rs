@@ -20,13 +20,16 @@
 //! without a store directory) is [`RepresentationStore::temporary`]: the
 //! same segment files, in a directory removed as soon as they are open.
 //!
-//! All reads go through the shared-borrow [`RepresentationStore::fetch`]:
-//! the caller supplies the [`TranscodeEngine`] whose buffer pool receives
-//! the decode, so many query sessions fetch from one store concurrently,
-//! each with its own pool. Since the continuous-query layer, *writes*
-//! share the same borrow: [`RepresentationStore::ingest`] is `&self` and
-//! internally synchronized, so live streams ingest through the same
-//! `Arc`-shared handle the query sessions fetch from.
+//! All reads go through one shared-borrow read loop
+//! ([`RepresentationStore::fetch_with`]): the caller supplies the
+//! [`TranscodeEngine`] whose scratch receives the read and a consumer of
+//! the record's samples — [`RepresentationStore::fetch`] decodes them into
+//! the engine's buffer pool, the query path standardizes them straight
+//! into an inference row — so many query sessions fetch from one store
+//! concurrently, each with its own engine. Since the continuous-query
+//! layer, *writes* share the same borrow: [`RepresentationStore::ingest`]
+//! is `&self` and internally synchronized, so live streams ingest through
+//! the same `Arc`-shared handle the query sessions fetch from.
 //!
 //! A write is two steps. [`RepresentationStore::prepare`] materializes and
 //! encodes a frame on the caller's engine and takes no lock while it
@@ -97,18 +100,20 @@ impl PreparedFrame {
     }
 }
 
-/// Classified result of [`RepresentationStore::fetch_classified`].
+/// Classified result of [`RepresentationStore::fetch_with`].
 #[derive(Debug)]
-pub enum Fetched {
-    /// Decoded image, in a pooled buffer from the caller's engine.
-    Hit(Image),
+pub enum Fetched<T> {
+    /// The stored record, as the caller's consumer made it from the
+    /// record's samples.
+    Hit(T),
     /// The record was never ingested — the caller's ordinary fallback
     /// (transcode from a stored source representation) applies.
     Absent,
     /// The record exists but is quarantined — CRC-corrupt, undecodable,
-    /// or persistently unreadable after retries. The stored bytes are
-    /// never served; callers must fall back to transcode-from-source and
-    /// surface the result as degraded (see RELIABILITY.md).
+    /// of another shape than its representation, or persistently
+    /// unreadable after retries. The stored bytes are never served;
+    /// callers must fall back to transcode-from-source and surface the
+    /// result as degraded (see RELIABILITY.md).
     Quarantined,
 }
 
@@ -455,45 +460,50 @@ impl RepresentationStore {
     }
 
     /// Fetch one stored representation, decoding it into a buffer from the
-    /// caller's engine pool — the single read path. The
-    /// store is only borrowed shared, so any number of query sessions
-    /// fetch concurrently, each with its own [`TranscodeEngine`] (and thus
-    /// its own buffer pool); hand decoded images back to *that* engine's
-    /// [`TranscodeEngine::recycle`] and steady-state fetching allocates
-    /// nothing. `None` when the frame or representation was never ingested
-    /// *or* the record is quarantined — callers that need to distinguish
-    /// (and count degradation) use [`RepresentationStore::fetch_classified`].
+    /// caller's engine pool. The store is only borrowed shared, so any
+    /// number of query sessions fetch concurrently, each with its own
+    /// [`TranscodeEngine`] (and thus its own buffer pool); hand decoded
+    /// images back to *that* engine's [`TranscodeEngine::recycle`] and
+    /// steady-state fetching allocates nothing. `None` when the frame or
+    /// representation was never ingested *or* the record is quarantined —
+    /// [`RepresentationStore::fetch_with`] tells the two apart.
     pub fn fetch(
         &self,
         id: u64,
         rep: Representation,
         engine: &mut TranscodeEngine,
     ) -> Option<Result<Image, ImageryError>> {
-        match self.fetch_classified(id, rep, engine) {
+        match self.fetch_with(id, rep, engine, |samples, e| e.decode_samples(samples, rep)) {
             Fetched::Hit(img) => Some(Ok(img)),
             Fetched::Absent | Fetched::Quarantined => None,
         }
     }
 
-    /// [`RepresentationStore::fetch`] with the miss classified: transient
-    /// read errors are retried with bounded jittered backoff; a record
-    /// that stays unreadable — or whose bytes are corrupt/undecodable —
-    /// is quarantined and reported [`Fetched::Quarantined`] so the caller
-    /// degrades to transcode-from-source instead of failing (the
-    /// degradation ladder, RELIABILITY.md).
-    pub fn fetch_classified(
+    /// The store's classified read: `consume` receives the record's
+    /// samples — read into the engine's byte scratch, header checked to
+    /// be exactly `rep`'s shape — and what it returns is the
+    /// [`Fetched::Hit`]. Transient read errors are retried with bounded
+    /// jittered backoff; a record that stays unreadable, or whose bytes are
+    /// corrupt, undecodable or of another shape, is quarantined and
+    /// reported [`Fetched::Quarantined`] so the caller degrades to
+    /// transcode-from-source instead of failing (the degradation ladder,
+    /// RELIABILITY.md). An error from `consume` is classified the same way.
+    /// The query path's consumer standardizes the samples straight into
+    /// an inference row ([`TranscodeEngine::standardize_stored`]).
+    pub fn fetch_with<T>(
         &self,
         id: u64,
         rep: Representation,
         engine: &mut TranscodeEngine,
-    ) -> Fetched {
+        mut consume: impl FnMut(&[u8], &mut TranscodeEngine) -> Result<T, ImageryError>,
+    ) -> Fetched<T> {
         if self.is_quarantined(id, rep) {
             self.degraded_fetches.fetch_add(1, Ordering::Relaxed);
             return Fetched::Quarantined;
         }
-        match self.read_retrying(id, rep, engine, MAX_ATTEMPTS, false) {
+        match self.read_retrying(id, rep, engine, MAX_ATTEMPTS, false, &mut consume) {
             None => Fetched::Absent,
-            Some(Ok(img)) => Fetched::Hit(img),
+            Some(Ok(hit)) => Fetched::Hit(hit),
             // Permanent (corrupt/undecodable) or retries exhausted: never
             // serve these bytes again.
             Some(Err(_)) => {
@@ -518,7 +528,14 @@ impl RepresentationStore {
         rep: Representation,
         engine: &mut TranscodeEngine,
     ) -> Option<Result<Image, ImageryError>> {
-        self.read_retrying(id, rep, engine, 2 * MAX_ATTEMPTS, true)
+        self.read_retrying(
+            id,
+            rep,
+            engine,
+            2 * MAX_ATTEMPTS,
+            true,
+            &mut |samples, e| e.decode_samples(samples, rep),
+        )
     }
 
     /// The store's one read loop: up to `attempts` reads, each preceded by
@@ -526,14 +543,15 @@ impl RepresentationStore {
     /// between them. A failed read is retried while attempts remain and
     /// the error is transient (or `any_error`); the last error is returned
     /// for the caller's policy to classify.
-    fn read_retrying(
+    fn read_retrying<T>(
         &self,
         id: u64,
         rep: Representation,
         engine: &mut TranscodeEngine,
         attempts: u32,
         any_error: bool,
-    ) -> Option<Result<Image, ImageryError>> {
+        consume: &mut impl FnMut(&[u8], &mut TranscodeEngine) -> Result<T, ImageryError>,
+    ) -> Option<Result<T, ImageryError>> {
         let mut attempt = 0;
         loop {
             #[expect(
@@ -542,10 +560,10 @@ impl RepresentationStore {
             )]
             let read = match tahoma_faults::transient_io(tahoma_faults::site::STORE_FETCH) {
                 Some(e) => Err(e.into()),
-                None => self.read_once(id, rep, engine)?,
+                None => self.read_once(id, rep, engine, consume)?,
             };
             match read {
-                Ok(img) => return Some(Ok(img)),
+                Ok(hit) => return Some(Ok(hit)),
                 Err(e) => {
                     attempt += 1;
                     if attempt >= attempts || !(any_error || e.is_transient()) {
@@ -559,22 +577,24 @@ impl RepresentationStore {
     }
 
     /// One read attempt: the payload is pread into the engine's byte
-    /// scratch and decoded into one of its pooled buffers (no retry, no
-    /// quarantine).
-    fn read_once(
+    /// scratch, its header checked against `rep`, and its samples handed
+    /// to `consume` (no retry, no quarantine).
+    fn read_once<T>(
         &self,
         id: u64,
         rep: Representation,
         engine: &mut TranscodeEngine,
-    ) -> Option<Result<Image, ImageryError>> {
+        consume: &mut impl FnMut(&[u8], &mut TranscodeEngine) -> Result<T, ImageryError>,
+    ) -> Option<Result<T, ImageryError>> {
         let mut io_buf = engine.take_io_buf();
         let fetched = self.segments.with_payload(id, rep, &mut io_buf, |blob| {
-            let buf = engine.take_buffer(rep.value_count());
-            RawCodec.decode_into(blob, buf)
+            RawCodec
+                .samples_for(blob, rep)
+                .and_then(|samples| consume(samples, engine))
         });
         engine.put_io_buf(io_buf);
         match fetched {
-            Ok(decoded) => decoded,
+            Ok(consumed) => consumed,
             Err(e) => Some(Err(e.into())),
         }
     }
@@ -1049,6 +1069,106 @@ mod tests {
                 assert_eq!(a, b, "blob mismatch id {id} rep {rep}");
             }
         }
+    }
+
+    #[test]
+    fn malformed_records_quarantine_alike_through_either_consumer() {
+        // Records whose CRC holds but whose payload is not the
+        // representation's: another shape's header, a bad magic, a
+        // truncated sample run. The query path's fused consumer
+        // (`standardize_stored`) and the pooled decode behind `fetch`
+        // classify each the same way: a permanent `Decode`, so one read,
+        // no retry, a quarantine and a degraded fetch, and the fused
+        // consumer never runs.
+        let rep = Representation::new(30, ColorMode::Gray);
+        let good = RawCodec.encode(
+            &Image::from_fn(30, 30, ColorMode::Gray, |_, y, x| {
+                ((y * 7 + x) % 11) as f32 / 11.0
+            })
+            .unwrap(),
+        );
+        // As many samples as the representation's, under another shape.
+        let wrong_shape = RawCodec.encode(&Image::zeros(20, 45, ColorMode::Gray).unwrap());
+        let mut bad_magic = good.clone();
+        bad_magic[..4].copy_from_slice(b"TAH0");
+        let truncated = good[..good.len() - 1].to_vec();
+        for (what, payload) in [
+            ("wrong shape", &wrong_shape),
+            ("bad magic", &bad_magic),
+            ("truncated", &truncated),
+        ] {
+            let fused = RepresentationStore::temporary(small_reps()).unwrap();
+            let decoded = RepresentationStore::temporary(small_reps()).unwrap();
+            for store in [&fused, &decoded] {
+                let mut record = Vec::new();
+                frame_record(&mut record, 9, rep, payload);
+                store.segments.append_record(&record).unwrap();
+            }
+            let mut engine = TranscodeEngine::new();
+            let mut row = vec![0.0f32; rep.value_count()];
+            let mut ran = false;
+            let got = fused.fetch_with(9, rep, &mut engine, |samples, e| {
+                ran = true;
+                e.standardize_stored(samples, &mut row);
+                Ok(())
+            });
+            assert!(
+                matches!(got, Fetched::Quarantined),
+                "{what}: fused read served"
+            );
+            assert!(!ran, "{what}: the fused consumer ran on a malformed record");
+            assert!(
+                decoded.fetch(9, rep, &mut engine).is_none(),
+                "{what}: decode served"
+            );
+            let stats = fused.reliability_stats();
+            assert_eq!(stats, decoded.reliability_stats(), "{what}");
+            assert_eq!(
+                stats,
+                ReliabilityStats {
+                    retries: 0,
+                    degraded_fetches: 1,
+                    quarantined: 1
+                },
+                "{what}"
+            );
+            // Quarantined stays quarantined, on either path.
+            assert!(matches!(
+                fused.fetch_with(9, rep, &mut engine, |_, _| Ok(())),
+                Fetched::Quarantined
+            ));
+        }
+    }
+
+    #[test]
+    fn fused_fetch_standardizes_the_stored_record() {
+        // A well-formed record read through the fused consumer gives the
+        // decoded image's two-step standardize, bit for bit.
+        let store = RepresentationStore::temporary(small_reps()).unwrap();
+        store.ingest(3, &frame(4)).unwrap();
+        let mut engine = TranscodeEngine::new();
+        for &rep in store.representations() {
+            let img = fetch_one(&store, 3, rep).expect("stored");
+            let mut want = vec![0.0f32; rep.value_count()];
+            engine.standardize_into(&img, &mut want);
+            let mut got = vec![f32::NAN; rep.value_count()];
+            let hit = store.fetch_with(3, rep, &mut engine, |samples, e| {
+                e.standardize_stored(samples, &mut got);
+                Ok(())
+            });
+            assert!(matches!(hit, Fetched::Hit(())), "{rep}");
+            assert!(
+                got.iter()
+                    .map(|v| v.to_bits())
+                    .eq(want.iter().map(|v| v.to_bits())),
+                "{rep}"
+            );
+            assert!(matches!(
+                store.fetch_with(4, rep, &mut engine, |_, _| Ok(())),
+                Fetched::Absent
+            ));
+        }
+        assert_eq!(store.reliability_stats(), ReliabilityStats::default());
     }
 
     #[test]

@@ -18,7 +18,9 @@ macro_rules! ranks {
         $(#[doc = concat!("The ", $what, " (`", $file, "`).")]
         pub const $name: u16 = $rank;)*
 
-        /// The lock a rank names, for the inversion panic.
+        /// The lock a rank names, for the inversion panic (debug builds
+        /// only: release builds keep no held-rank stack to report).
+        #[cfg(debug_assertions)]
         pub(super) fn name(rank: u16) -> &'static str {
             match rank {
                 $($rank => $what,)*

@@ -374,12 +374,17 @@ fn gemm_blocked(
                 pack_a(packed_a, a, ta, m, k, ic, mc, pc, kc);
                 let mc_panels = mc.div_ceil(MR);
                 let nc_panels = nc.div_ceil(NR);
-                for ip in 0..mc_panels {
-                    let a_panel = &packed_a[ip * MR * kc..(ip * MR + MR) * kc];
-                    let mr = MR.min(mc - ip * MR);
-                    for jp in 0..nc_panels {
-                        let b_panel = &b_block[jp * NR * kc..(jp * NR + NR) * kc];
-                        let nr = NR.min(nc - jp * NR);
+                // B panels outside, A panels inside (the BLIS order): one
+                // `kc x NR` panel of B stays in L1 across every A panel of
+                // the block, where the other order streamed the whole B
+                // block from L2 once per A panel. Each C tile still gets one
+                // add per k-block, so no bit moves.
+                for jp in 0..nc_panels {
+                    let b_panel = &b_block[jp * NR * kc..(jp * NR + NR) * kc];
+                    let nr = NR.min(nc - jp * NR);
+                    for ip in 0..mc_panels {
+                        let a_panel = &packed_a[ip * MR * kc..(ip * MR + MR) * kc];
+                        let mr = MR.min(mc - ip * MR);
                         let mut acc = [[0.0f32; NR]; MR];
                         tile(kernel, kc, a_panel, b_panel, off_panel, 0, mr, &mut acc);
                         let row0 = ic + ip * MR;
@@ -1896,6 +1901,61 @@ mod tests {
                 let mut got = vec![0.5f32; m * n];
                 gemm_prepacked(&mut scratch, m, &a, &packed, &mut got);
                 assert_eq!(got, want, "({m}x{n}x{k}) kernel {}", kernel.name());
+            }
+        }
+    }
+
+    /// The blocked path's per-element arithmetic, written out: for each
+    /// `KC` block of the shared dimension, one FMA chain from zero in `k`
+    /// order, added to `C` block by block. Every tile of every tier runs
+    /// exactly this, whatever order the tiles themselves run in.
+    fn fma_chain_model(m: usize, n: usize, k: usize, a: &[f32], b_nk: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            for j in 0..n {
+                for pc in (0..k).step_by(KC) {
+                    let mut acc = 0.0f32;
+                    for p in pc..k.min(pc + KC) {
+                        acc = a[i * k + p].mul_add(b_nk[j * k + p], acc);
+                    }
+                    c[i * n + j] += acc;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_head_shapes_match_gemm_nt_and_the_fma_chain_bitwise() {
+        // The served `Dense` heads (m0: 1152 -> 256 -> 1, m1: 512 -> 320
+        // -> 1) at morsel-sized and ragged row counts: across an `MC`
+        // block edge (63..65, 130) and single-panel calls.
+        let mut rng = DetRng::new(0x4EAD);
+        for (k, n) in [(1152, 256), (256, 1), (512, 320), (320, 1)] {
+            let b = random_vec(&mut rng, n * k); // stored n x k, as Dense keeps W
+            let packed = PackedB::new(&b, Trans::T, k, n);
+            for m in [1, 7, 63, 64, 65, 130] {
+                let a = random_vec(&mut rng, m * k);
+                let mut model = vec![0.25f32; m * n];
+                fma_chain_model(m, n, k, &a, &b, &mut model);
+                for kernel in SimdTier::runnable(TIERS) {
+                    let mut scratch = GemmScratch::with_kernel(kernel);
+                    let mut want = vec![0.25f32; m * n];
+                    gemm_nt(&mut scratch, m, n, k, &a, &b, &mut want);
+                    let mut got = vec![0.25f32; m * n];
+                    gemm_prepacked(&mut scratch, m, &a, &packed, &mut got);
+                    let tag = format!("{m}x{k} -> {n}, kernel {}", kernel.name());
+                    assert!(
+                        got.iter()
+                            .map(|v| v.to_bits())
+                            .eq(want.iter().map(|v| v.to_bits())),
+                        "prepacked != gemm_nt at {tag}"
+                    );
+                    assert!(
+                        got.iter()
+                            .map(|v| v.to_bits())
+                            .eq(model.iter().map(|v| v.to_bits())),
+                        "prepacked != FMA-chain model at {tag}"
+                    );
+                }
             }
         }
     }

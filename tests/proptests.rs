@@ -459,6 +459,52 @@ proptest! {
         prop_assert!((var - 1.0).abs() < 1e-2 || data.iter().all(|&v| v == 0.0), "var {var}");
     }
 
+    /// The query path's fused read — a stored payload dequantized and
+    /// standardized in one pass straight into the row — is bitwise the
+    /// codec's decode followed by the two-step standardize, on every tier:
+    /// ragged lengths, constant payloads (spread 0, scaled by 0) including
+    /// all-0 and all-255, and the served 24g / 32c / 64c shapes.
+    #[test]
+    fn stored_standardize_matches_decode_then_standardize_bitwise(
+        fill_sel in 0u32..5, seed in 0u64..1000
+    ) {
+        let shapes = (1..=40)
+            .map(|len| (len, 1, ColorMode::Gray))
+            .chain([(24, 24, ColorMode::Gray), (32, 32, ColorMode::Rgb), (64, 64, ColorMode::Rgb)]);
+        let mut rng = tahoma::mathx::DetRng::new(seed);
+        for (w, h, mode) in shapes {
+            let n = w * h * mode.channels();
+            let constant = rng.index(256) as u8;
+            let bytes: Vec<u8> = (0..n)
+                .map(|_| match fill_sel {
+                    0 => 0,
+                    1 => 255,
+                    2 => constant,
+                    _ => rng.index(256) as u8,
+                })
+                .collect();
+            let values = bytes.iter().map(|&b| b as f32 / 255.0).collect();
+            let blob = RawCodec.encode(&Image::from_planar(w, h, mode, values).unwrap());
+            let decoded = RawCodec.decode(&blob).unwrap();
+            let samples = &blob[blob.len() - n..];
+            prop_assert_eq!(samples, &bytes[..]);
+            for kernel in SimdTier::runnable(engine::DEQUANTIZE_TIERS) {
+                let e = TranscodeEngine::with_kernel(kernel);
+                let mut want = vec![0.0f32; n];
+                e.standardize_into(&decoded, &mut want);
+                let mut got = vec![f32::NAN; n];
+                e.standardize_stored(samples, &mut got);
+                prop_assert!(
+                    got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+                    "tier {} diverges on {}x{} {}", kernel.name(), w, h, mode
+                );
+                if fill_sel < 3 || n == 1 {
+                    prop_assert!(got.iter().all(|&v| v == 0.0), "constant payload not mapped to 0");
+                }
+            }
+        }
+    }
+
     /// The ReLU sweep (one portable tier) is bitwise identical to the
     /// strict `> 0` select across arbitrary inputs including NaN, ±0 and
     /// ±∞ — the training path's masked semantics.
