@@ -6,7 +6,7 @@
 //! a tier stays only if it beats that tier by > 10% on measured hardware,
 //! or moves an end-to-end metric of `benchmark/run.sh`.
 //!
-//! The shapes mirror the serving path (first-layer and deep-layer convs,
+//! The shapes mirror the serving path (a first-layer conv row sweep,
 //! m0's dense head, 224px transform sweeps, one stored 32px row read into
 //! an inference row). One call of a workload runs tens of
 //! microseconds over pre-built state.
@@ -38,11 +38,6 @@ const PORTABLE_ONLY: &[SimdTier] = &[SimdTier::Portable];
 
 /// Every op in the table.
 pub const OPS: &[Op] = &[
-    Op {
-        name: "gemm",
-        tiers: gemm::TIERS,
-        build: gemm_deep,
-    },
     Op {
         name: "dense-head",
         tiers: gemm::TIERS,
@@ -98,24 +93,8 @@ fn rand_vec(rng: &mut DetRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.uniform_in(-1.0, 1.0) as f32).collect()
 }
 
-/// The deep-layer conv product: 16x900 against k = 144.
-fn gemm_deep(tier: SimdTier) -> Workload {
-    let mut rng = rng_for(tier);
-    let (m, n, k) = (16usize, 900usize, 144usize);
-    let a = rand_vec(&mut rng, m * k);
-    let b = rand_vec(&mut rng, k * n);
-    let mut c = vec![0.0f32; m * n];
-    let mut scratch = GemmScratch::with_kernel(tier);
-    Box::new(move || {
-        c.fill(0.0);
-        gemm::gemm_nn(&mut scratch, m, n, k, &a, &b, &mut c);
-        black_box(c[0]);
-    })
-}
-
 /// m0's served dense head: a 64-row morsel of 1152-float feature rows
-/// against the 256-unit weight panels `Dense` packs once (the blocked
-/// path every `Dense` takes; `gemm` above takes the direct one).
+/// against the 256-unit weight panels `Dense` packs once.
 fn dense_head(tier: SimdTier) -> Workload {
     let mut rng = rng_for(tier);
     let (m, n, k) = (64usize, 256usize, 1152usize);
@@ -131,26 +110,28 @@ fn dense_head(tier: SimdTier) -> Workload {
 }
 
 /// A first-layer conv (k_total = 27, short enough that per-tile fixed
-/// costs show) through the conv row sweep, bias epilogue.
+/// costs show) through the conv row sweep, bias epilogue, on a filter
+/// packed once as `Conv2d` keeps it.
 fn gemm_wide_k(tier: SimdTier) -> Workload {
     let mut rng = rng_for(tier);
     let (c_in, h, w, kk, out_c) = (3usize, 30usize, 30usize, 3usize, 16usize);
     let input = rand_vec(&mut rng, c_in * h * w);
-    let weights = rand_vec(&mut rng, out_c * c_in * kk * kk);
+    let k_total = c_in * kk * kk;
+    let filter = gemm::PackedA::new(&rand_vec(&mut rng, out_c * k_total), out_c, k_total);
     let bias = rand_vec(&mut rng, out_c);
     let mut out = vec![0.0f32; out_c * h * w];
     let mut scratch = GemmScratch::with_kernel(tier);
     Box::new(move || {
-        gemm::conv2d_forward(
+        gemm::conv2d_forward_packed(
             &mut scratch,
             &input,
             c_in,
             h,
             w,
             kk,
-            &weights,
+            &filter,
             &bias,
-            out_c,
+            gemm::ConvEpilogue::Bias,
             &mut out,
         );
         black_box(out[0]);

@@ -14,11 +14,9 @@
 //!   `MC` rows of A) size working sets for the cache hierarchy;
 //! * A-blocks are packed into panel-contiguous, zero-padded buffers, which
 //!   also absorbs the `N`/`T` layout variants; B is packed the same way per
-//!   call, read from panels a layer packed once ([`PackedB`], `Dense`'s
-//!   weights), or addressed in place through a per-row offset table (the
-//!   direct path) — every micro-kernel reads row `p` of its B operand at
-//!   `b[offsets[p] + j0..]`, so one kernel family serves every addressing
-//!   mode;
+//!   call, or read from panels a layer packed once ([`PackedB`], `Dense`'s
+//!   weights) — either way every micro-kernel takes its A and B panels as
+//!   `[f32; MR]` and `[f32; NR]` rows, one of each per step of `k`;
 //! * an `MR x NR` register-tile micro-kernel does the FLOPs.
 //!
 //! The conv row sweep has a tile of its own: `FR` = 8 filters (one
@@ -54,7 +52,6 @@
     reason = "the SIMD GEMM and conv row-sweep kernels load packed panels and store tiles through raw pointers"
 )]
 
-use tahoma_mathx::checked;
 use tahoma_mathx::SimdTier;
 
 /// Micro-kernel tile rows (register blocking in M).
@@ -77,13 +74,6 @@ const MC: usize = 60;
 const KC: usize = 256;
 /// Cache-blocking size along N (columns of B per packed block).
 const NC: usize = 1024;
-/// Upper bound on `k` for the no-pack direct path: beyond this the packed-A
-/// buffer (`ceil(m/MR)*MR*k` floats) and per-tile B strips stop being
-/// cache-friendly, so fall back to the fully blocked path.
-const DIRECT_K_MAX: usize = 8192;
-/// Combined budget for one column block of B plus its C block in the direct
-/// path — sized to stay comfortably inside a 2 MiB L2.
-const DIRECT_BLOCK_BYTES: usize = 3 * 512 * 1024;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,10 +103,6 @@ pub struct GemmScratch {
     /// model's few conv layers — so a depth-first pass alternating between
     /// them lays each zero frame once, not per image.
     conv_frames: Vec<ConvFrame>,
-    /// Per-row B offsets for in-place (direct) addressing.
-    off_main: Vec<usize>,
-    /// Per-row B offsets for panel-packed (stride `NR`) addressing.
-    off_panel: Vec<usize>,
     /// Micro-kernel tier pin; `None` (the default) runs the widest tier
     /// of [`TIERS`] under [`SimdTier::ceiling`], resolved per call.
     pub kernel: Option<SimdTier>,
@@ -135,12 +121,7 @@ impl GemmScratch {
     /// Largest capacity, in elements, of any buffer held by this scratch.
     #[cfg(test)]
     pub(crate) fn max_buffer_capacity(&self) -> usize {
-        let own = [
-            self.packed_a.capacity(),
-            self.packed_b.capacity(),
-            self.off_main.capacity(),
-            self.off_panel.capacity(),
-        ];
+        let own = [self.packed_a.capacity(), self.packed_b.capacity()];
         let frames = self
             .conv_frames
             .iter()
@@ -242,39 +223,6 @@ enum BOperand<'a> {
     Packed(&'a PackedB),
 }
 
-/// `dst[i] += src[i]` over a raw row segment.
-///
-/// # Safety
-/// `dst..dst + src.len()` must be writable and not concurrently accessed.
-#[inline(always)]
-unsafe fn add_row(dst: *mut f32, src: &[f32]) {
-    for (i, &v) in src.iter().enumerate() {
-        // SAFETY: in-bounds by the caller's contract.
-        unsafe { *dst.add(i) += v };
-    }
-}
-
-/// `dst[i] = base + src[i]` over a raw row segment (write-only bias-fused
-/// epilogue).
-///
-/// # Safety
-/// `dst..dst + src.len()` must be writable and not concurrently accessed.
-#[inline(always)]
-unsafe fn set_bias_row(dst: *mut f32, base: f32, src: &[f32]) {
-    for (i, &v) in src.iter().enumerate() {
-        // SAFETY: in-bounds by the caller's contract.
-        unsafe { *dst.add(i) = base + v };
-    }
-}
-
-/// Fill `dst` with `p * stride` for `p in 0..k` — the offset table that
-/// lets one kernel family address packed panels, in-place rows, and the
-/// virtual patch matrix uniformly.
-fn fill_offsets(dst: &mut Vec<usize>, k: usize, stride: usize) {
-    dst.clear();
-    dst.extend((0..k).map(|p| p * stride));
-}
-
 /// `C += A · B` where `C` is `m x n` row-major and `A`/`B` are interpreted
 /// through their [`Trans`] flags: `A` is `m x k` when `N` (stored `k x m`
 /// when `T`), `B` is `k x n` when `N` (stored `n x k` when `T`). All storage
@@ -294,26 +242,21 @@ pub fn gemm(
 ) {
     debug_assert_eq!(a.len(), m * k, "A size mismatch");
     debug_assert_eq!(b.len(), k * n, "B size mismatch");
-    debug_assert_eq!(c.len(), m * n, "C size mismatch");
+    assert_eq!(c.len(), m * n, "C size mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     let kernel = SimdTier::resolve(scratch.kernel, TIERS);
-    if ta == Trans::N && tb == Trans::N && k <= DIRECT_K_MAX {
-        return gemm_direct_nn(scratch, kernel, m, n, k, a, b, c, None);
-    }
     gemm_blocked(scratch, kernel, m, n, k, a, ta, BOperand::Raw(b, tb), c);
 }
 
 /// `C += A · B` where `A` is `m x k` as stored and `B` was packed once into
-/// `b` (`k x n`). Runs [`gemm`]'s blocked path — the one every transposed
-/// B takes, e.g. [`gemm_nt`] — over the same panels, only without building
-/// them, so it is bitwise equal to that path on the matrix `b` was packed
-/// from.
+/// `b` (`k x n`). Runs [`gemm`]'s blocked path over the same panels, only
+/// without building them, so it is bitwise equal to [`gemm`] on the matrix
+/// `b` was packed from.
 pub fn gemm_prepacked(scratch: &mut GemmScratch, m: usize, a: &[f32], b: &PackedB, c: &mut [f32]) {
     let (n, k) = (b.n, b.k);
     debug_assert_eq!(a.len(), m * k, "A size mismatch");
-    // A hard check: C is written through a raw pointer.
     assert_eq!(c.len(), m * n, "C size mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -332,8 +275,8 @@ pub fn gemm_prepacked(scratch: &mut GemmScratch, m: usize, a: &[f32], b: &Packed
     );
 }
 
-/// The fully blocked path: pack B strips (unless they come pre-packed)
-/// and A blocks, run packed tiles.
+/// The one GEMM path: pack B strips (unless they come pre-packed) and A
+/// blocks, run packed tiles.
 #[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
 fn gemm_blocked(
     scratch: &mut GemmScratch,
@@ -347,16 +290,12 @@ fn gemm_blocked(
     c: &mut [f32],
 ) {
     let GemmScratch {
-        packed_a,
-        packed_b,
-        off_panel,
-        ..
+        packed_a, packed_b, ..
     } = scratch;
     packed_a.resize(MC * KC, 0.0);
     if let BOperand::Raw(..) = b {
         packed_b.resize(KC * NC, 0.0);
     }
-    let c_ptr = c.as_mut_ptr();
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
@@ -368,7 +307,6 @@ fn gemm_blocked(
                 }
                 BOperand::Packed(p) => p.block(pc, kc, jc),
             };
-            fill_offsets(off_panel, kc, NR);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 pack_a(packed_a, a, ta, m, k, ic, mc, pc, kc);
@@ -380,157 +318,25 @@ fn gemm_blocked(
                 // block from L2 once per A panel. Each C tile still gets one
                 // add per k-block, so no bit moves.
                 for jp in 0..nc_panels {
-                    let b_panel = &b_block[jp * NR * kc..(jp * NR + NR) * kc];
+                    let b_panel = b_block[jp * NR * kc..(jp * NR + NR) * kc].as_chunks().0;
                     let nr = NR.min(nc - jp * NR);
                     for ip in 0..mc_panels {
-                        let a_panel = &packed_a[ip * MR * kc..(ip * MR + MR) * kc];
+                        let a_panel = packed_a[ip * MR * kc..(ip * MR + MR) * kc].as_chunks().0;
                         let mr = MR.min(mc - ip * MR);
                         let mut acc = [[0.0f32; NR]; MR];
-                        tile(kernel, kc, a_panel, b_panel, off_panel, 0, mr, &mut acc);
-                        let row0 = ic + ip * MR;
-                        let col0 = jc + jp * NR;
+                        tile(kernel, a_panel, b_panel, mr, &mut acc);
+                        let at = (ic + ip * MR) * n + jc + jp * NR;
                         for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                            checked::span(m * n, (row0 + i) * n + col0, nr, "gemm C tile row");
-                            // SAFETY: row/col in bounds of C (m x n), which
-                            // this call borrows exclusively.
-                            unsafe { add_row(c_ptr.add((row0 + i) * n + col0), &acc_row[..nr]) };
+                            let row = &mut c[at + i * n..at + i * n + nr];
+                            for (dst, &v) in row.iter_mut().zip(acc_row) {
+                                *dst += v;
+                            }
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// The no-pack fast path for `C += A · B` (or `C = bias ⊕ A · B`) with both
-/// operands as stored: only A is packed (whole matrix, zero-padded to
-/// `MR`-row panels); the kernel reads `B` in place through the shared
-/// offset table. Skipping the B-pack halves B-side memory traffic, which
-/// dominates when `m` is small — exactly the shape of the im2col
-/// convolution (`m = out_c`), where this path is ~35% faster end to end
-/// than the packed one.
-///
-/// Two-level column blocking. Outer: balanced `jc` blocks sized so the
-/// C block plus B block stay L2-resident (C tiles are written in strided
-/// strips, so they must hit cache). Inner: one `k x NR` strip of B is
-/// pushed through every A panel while it is L1-hot, so B streams out of
-/// L2 exactly once per block regardless of m.
-#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
-fn gemm_direct_nn(
-    scratch: &mut GemmScratch,
-    kernel: SimdTier,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    init: Option<&[f32]>,
-) {
-    let GemmScratch {
-        packed_a,
-        packed_b: tail_b,
-        off_main,
-        off_panel,
-        ..
-    } = scratch;
-    let m_panels = m.div_ceil(MR);
-    packed_a.resize(m_panels * MR * k, 0.0);
-    pack_a(packed_a, a, Trans::N, m, k, 0, m, 0, k);
-    fill_offsets(off_main, k, n);
-    let c_ptr = c.as_mut_ptr();
-    let max_nc = (DIRECT_BLOCK_BYTES / (4 * (m + k))).max(NR);
-    let blocks = n.div_ceil(max_nc).max(1);
-    let nc_block = n.div_ceil(blocks).div_ceil(NR).max(1) * NR;
-
-    for jc in (0..n).step_by(nc_block) {
-        let nc = nc_block.min(n - jc);
-        let full_nr = nc / NR;
-        let tail = nc - full_nr * NR;
-        for jp in 0..full_nr {
-            let j0 = jc + jp * NR;
-            for ip in 0..m_panels {
-                let a_panel = &packed_a[ip * MR * k..(ip * MR + MR) * k];
-                let mr = MR.min(m - ip * MR);
-                let mut acc = [[0.0f32; NR]; MR];
-                tile(kernel, k, a_panel, b, off_main, j0, mr, &mut acc);
-                for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                    let row = ip * MR + i;
-                    checked::span(m * n, row * n + j0, NR, "direct gemm C strip");
-                    // SAFETY: row < m, j0 + NR <= n, in bounds of C (m x n),
-                    // which this call borrows exclusively.
-                    unsafe {
-                        let dst = c_ptr.add(row * n + j0);
-                        match init {
-                            // Fused epilogue: C = bias + A·B, write-only (no
-                            // read-modify-write pass over C).
-                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..NR]),
-                            None => add_row(dst, &acc_row[..NR]),
-                        }
-                    }
-                }
-            }
-        }
-        if tail > 0 {
-            // Pack the ragged final columns of the block, zero-padded to NR.
-            tail_b.resize(k * NR, 0.0);
-            fill_offsets(off_panel, k, NR);
-            let j0 = jc + full_nr * NR;
-            for p in 0..k {
-                let dst = &mut tail_b[p * NR..(p + 1) * NR];
-                dst[..tail].copy_from_slice(&b[p * n + j0..p * n + j0 + tail]);
-                dst[tail..].fill(0.0);
-            }
-            for ip in 0..m_panels {
-                let a_panel = &packed_a[ip * MR * k..(ip * MR + MR) * k];
-                let mr = MR.min(m - ip * MR);
-                let mut acc = [[0.0f32; NR]; MR];
-                tile(kernel, k, a_panel, tail_b, off_panel, 0, mr, &mut acc);
-                for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                    let row = ip * MR + i;
-                    checked::span(m * n, row * n + j0, tail, "direct gemm C tail");
-                    // SAFETY: as above; only `tail` columns are live.
-                    unsafe {
-                        let dst = c_ptr.add(row * n + j0);
-                        match init {
-                            Some(bias) => set_bias_row(dst, bias[row], &acc_row[..tail]),
-                            None => add_row(dst, &acc_row[..tail]),
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C = bias ⊕ A · B` with both operands as stored: row `i` of `C` is
-/// initialized to the scalar `bias[i]` and accumulated in one write-only
-/// epilogue pass (the convolution forward's bias-add, fused so `C` is never
-/// pre-filled or re-read). `C`'s prior contents are ignored.
-#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
-pub fn gemm_nn_bias(
-    scratch: &mut GemmScratch,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    debug_assert_eq!(bias.len(), m, "bias size mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 || k > DIRECT_K_MAX {
-        // Degenerate or oversized-k shapes: fill then accumulate.
-        for (row, &b0) in c.chunks_exact_mut(n).zip(bias) {
-            row.fill(b0);
-        }
-        return gemm(scratch, m, n, k, a, Trans::N, b, Trans::N, c);
-    }
-    let kernel = SimdTier::resolve(scratch.kernel, TIERS);
-    gemm_direct_nn(scratch, kernel, m, n, k, a, b, c, Some(bias))
 }
 
 /// What the conv row sweep does with a tile's sums before it stores them.
@@ -564,46 +370,10 @@ impl ConvEpilogue {
     }
 }
 
-/// Convolution forward pass without materializing the patch matrix:
-/// `out[out_c x hw] = bias ⊕ W[out_c x (c_in*kk*kk)] · col(input)`, where
-/// `col` is only ever *addressed*, never built. Packs `weights` into the
-/// scratch first; `Conv2d` keeps its filter packed and calls
-/// [`conv2d_forward_packed`] instead.
-#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
-pub fn conv2d_forward(
-    scratch: &mut GemmScratch,
-    input: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    kk: usize,
-    weights: &[f32],
-    bias: &[f32],
-    out_c: usize,
-    out: &mut [f32],
-) {
-    let mut filter = PackedA {
-        panels: std::mem::take(&mut scratch.packed_a),
-        ..PackedA::default()
-    };
-    filter.repack(weights, out_c, c_in * kk * kk);
-    conv2d_forward_packed(
-        scratch,
-        input,
-        c_in,
-        h,
-        w,
-        kk,
-        &filter,
-        bias,
-        ConvEpilogue::Bias,
-        out,
-    );
-    scratch.packed_a = filter.panels;
-}
-
-/// [`conv2d_forward`] on a filter matrix packed once, finished by
-/// `epilogue`.
+/// Convolution forward pass without materializing the patch matrix, on a
+/// filter matrix packed once (`Conv2d` keeps it), finished by `epilogue`:
+/// `out[out_c x plane] = epilogue(bias ⊕ W[out_c x (c_in*kk*kk)] ·
+/// col(input))`, where `col` is only ever *addressed*, never built.
 ///
 /// For stride-1 "same" convolution the patch matrix is an affine
 /// re-indexing of a padded image: each plane is copied once into a frame
@@ -619,8 +389,10 @@ pub fn conv2d_forward(
 /// [`im2col`]'s matrix, with zeros exactly where that matrix has them; the
 /// epilogue then adds the bias to the registers and stores only the
 /// tile's live pixels (masked on the SIMD tiers). So [`ConvEpilogue::Bias`]
-/// is bitwise equal to [`im2col`] + [`gemm_nn_bias`], and the other two
-/// to that followed by the `Relu` (and `MaxPool2`) layers. No frame
+/// is bitwise equal to the scalar chain over [`im2col`]'s matrix —
+/// `bias[o]` plus one `mul_add` chain from zero, in `k` order, over filter
+/// `o` and the pixel's column — and the other two to that followed by the
+/// `Relu` (and `MaxPool2`) layers. No frame
 /// column beyond `w` is an output: lanes past a plane's last column (or
 /// last row, for odd `h`) read padding and are dropped. With the pool, an
 /// odd plane's last row is not computed at all (its last column only as a
@@ -940,71 +712,52 @@ pub fn gemm_tn(
 }
 
 /// Run one `mr x NR` tile (`mr <= MR`) on the selected kernel tier,
-/// accumulating into the first `mr` rows of `acc`. `a` is an `MR`-strided
-/// packed panel; row `p` of the B operand lives at `b[offsets[p] + j0..]`.
-/// The 4- and 2-row variants skip padded-row work on ragged final panels.
-#[allow(clippy::too_many_arguments, reason = "BLAS-style operands")]
+/// accumulating into the first `mr` rows of `acc`. Step `p` of the product
+/// multiplies row `a[p]` of the packed A panel by row `b[p]` of the B
+/// panel; the tile runs `a.len().min(b.len())` steps. The 4- and 2-row
+/// variants skip padded-row work on ragged final panels.
 #[inline]
-fn tile(
-    kernel: SimdTier,
-    kc: usize,
-    a: &[f32],
-    b: &[f32],
-    offsets: &[usize],
-    j0: usize,
-    mr: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
+fn tile(kernel: SimdTier, a: &[[f32; MR]], b: &[[f32; NR]], mr: usize, acc: &mut [[f32; NR]; MR]) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: these variants are only produced by `SimdTier::resolve`,
         // which never exceeds the runtime-detected tier.
         SimdTier::Avx512 => unsafe {
             match mr {
-                5 | 6 => x86::kernel_avx512::<MR>(kc, a, b, offsets, j0, acc),
-                3 | 4 => x86::kernel_avx512::<4>(kc, a, b, offsets, j0, acc),
-                _ => x86::kernel_avx512::<2>(kc, a, b, offsets, j0, acc),
+                5 | 6 => x86::kernel_avx512::<MR>(a, b, acc),
+                3 | 4 => x86::kernel_avx512::<4>(a, b, acc),
+                _ => x86::kernel_avx512::<2>(a, b, acc),
             }
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — `avx2` and `fma` were detected at runtime.
         SimdTier::Avx2 => unsafe {
             match mr {
-                5 | 6 => x86::kernel_avx2::<MR>(kc, a, b, offsets, j0, acc),
-                3 | 4 => x86::kernel_avx2::<4>(kc, a, b, offsets, j0, acc),
-                _ => x86::kernel_avx2::<2>(kc, a, b, offsets, j0, acc),
+                5 | 6 => x86::kernel_avx2::<MR>(a, b, acc),
+                3 | 4 => x86::kernel_avx2::<4>(a, b, acc),
+                _ => x86::kernel_avx2::<2>(a, b, acc),
             }
         },
         _ => match mr {
-            5 | 6 => kernel_portable::<MR>(kc, a, b, offsets, j0, acc),
-            3 | 4 => kernel_portable::<4>(kc, a, b, offsets, j0, acc),
-            _ => kernel_portable::<2>(kc, a, b, offsets, j0, acc),
+            5 | 6 => kernel_portable::<MR>(a, b, acc),
+            3 | 4 => kernel_portable::<4>(a, b, acc),
+            _ => kernel_portable::<2>(a, b, acc),
         },
     }
 }
 
-/// The portable register-tile kernel: `acc[..ROWS] += A_panel · B_rows`
-/// over `kc` steps. Plain loops over fixed-size arrays with `f32::mul_add`,
-/// a shape LLVM turns into FMA register tiles when the build enables a
-/// wide FMA target (and into correct-but-slow `fmaf` calls otherwise — the
-/// explicit SIMD tiers exist so the default build never pays that).
+/// The portable register-tile kernel: `acc[..ROWS] += A_panel · B_panel`.
+/// Plain loops over fixed-size arrays with `f32::mul_add`, a shape LLVM
+/// turns into FMA register tiles when the build enables a wide FMA target
+/// (and into correct-but-slow `fmaf` calls otherwise — the explicit SIMD
+/// tiers exist so the default build never pays that).
 #[inline(always)]
-fn kernel_portable<const ROWS: usize>(
-    kc: usize,
-    a: &[f32],
-    b: &[f32],
-    offsets: &[usize],
-    j0: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
+fn kernel_portable<const ROWS: usize>(a: &[[f32; MR]], b: &[[f32; NR]], acc: &mut [[f32; NR]; MR]) {
     let mut local = [[0.0f32; NR]; ROWS];
     for (dst, src) in local.iter_mut().zip(acc.iter()) {
         *dst = *src;
     }
-    for p in 0..kc {
-        let a_step: &[f32; MR] = a[p * MR..p * MR + MR].try_into().expect("packed panel");
-        let base = offsets[p] + j0;
-        let b_step: &[f32; NR] = b[base..base + NR].try_into().expect("B strip");
+    for (a_step, b_step) in a.iter().zip(b) {
         for j in 0..NR {
             let bv = b_step[j];
             for (i, row) in local.iter_mut().enumerate() {
@@ -1020,63 +773,33 @@ fn kernel_portable<const ROWS: usize>(
 /// Explicit `std::arch` kernels. Each function is gated on a
 /// `#[target_feature]` set that callers must have runtime-detected (that is
 /// the entire unsafety of calling them); inside, the only `unsafe`
-/// operations are the raw-pointer vector loads and stores, each bounded by
-/// a slice index just above it.
+/// operations are the raw-pointer vector loads and stores, each of a
+/// fixed-size row or bounded by a slice index just above it.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{checked, ConvEpilogue, RowSweep, FC, FR, MR, NR};
+    use super::{ConvEpilogue, RowSweep, FC, FR, MR, NR};
     use core::arch::x86_64::*;
-
-    /// Validation of the kernel operand contract: `a` holds `kc` packed
-    /// `MR`-groups and every B row fits `width` columns from its offset.
-    /// Debug builds assert it (`tahoma_mathx::checked`); release builds
-    /// rely on the (checked) callers.
-    #[inline(always)]
-    fn debug_check_operands(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        offsets: &[usize],
-        j0: usize,
-        width: usize,
-    ) {
-        tahoma_mathx::checked::span(a.len(), 0, kc * MR, "gemm kernel A panel");
-        tahoma_mathx::checked::span(offsets.len(), 0, kc, "gemm kernel offset table");
-        tahoma_mathx::checked::aligned(b.as_ptr(), "gemm kernel B base");
-        // Gated as a whole: `offsets[..kc]` is itself a checked slice.
-        if cfg!(debug_assertions) {
-            for &o in &offsets[..kc] {
-                tahoma_mathx::checked::span(b.len(), o + j0, width, "gemm kernel B row");
-            }
-        }
-    }
+    use tahoma_mathx::checked;
 
     /// AVX2+FMA tile: `ROWS x NR` in two 16-column halves, each half
     /// holding `ROWS x 2` ymm accumulators (12 of the 16 vector registers
     /// at `ROWS = 6`, leaving room for the two B loads and the A
     /// broadcast). Per output element the k-loop is the same fused
     /// multiply-add chain as the portable kernel, so results are bitwise
-    /// identical. Operand addressing is raw-pointer (bounds validated on
-    /// entry) — per-step slice checks cost ~25% at small `kc`.
+    /// identical. The panels come as fixed-size rows, so no step of the
+    /// k-loop checks a bound.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 and FMA (the dispatcher resolves the tier
-    /// against runtime detection), and the operands must meet the contract
-    /// `debug_check_operands` states for `width = NR`.
+    /// against runtime detection).
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn kernel_avx2<const ROWS: usize>(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        offsets: &[usize],
-        j0: usize,
+        a: &[[f32; MR]],
+        b: &[[f32; NR]],
         acc: &mut [[f32; NR]; MR],
     ) {
-        debug_check_operands(kc, a, b, offsets, j0, NR);
-        let (a_ptr, b_ptr, off_ptr) = (a.as_ptr(), b.as_ptr(), offsets.as_ptr());
-        for half in 0..2 {
-            let h0 = half * 16;
+        for h0 in [0, 16] {
             let mut accv = [[_mm256_setzero_ps(); 2]; ROWS];
             for (v, row) in accv.iter_mut().zip(acc.iter()) {
                 // SAFETY: each row holds NR = 32 floats, h0 + 16 <= 32.
@@ -1084,20 +807,15 @@ mod x86 {
                 // SAFETY: as above; the second 8 floats end at h0 + 16.
                 v[1] = unsafe { _mm256_loadu_ps(row[h0 + 8..].as_ptr()) };
             }
-            for p in 0..kc {
-                // SAFETY: p < kc <= offsets.len(); offsets[p] + j0 + NR
-                // <= b.len() and kc * MR <= a.len(), both validated on
-                // entry (debug) and guaranteed by the packing callers.
-                unsafe {
-                    let base = *off_ptr.add(p) + j0 + h0;
-                    let b0 = _mm256_loadu_ps(b_ptr.add(base));
-                    let b1 = _mm256_loadu_ps(b_ptr.add(base + 8));
-                    let ap = a_ptr.add(p * MR);
-                    for (i, v) in accv.iter_mut().enumerate() {
-                        let av = _mm256_set1_ps(*ap.add(i));
-                        v[0] = _mm256_fmadd_ps(av, b0, v[0]);
-                        v[1] = _mm256_fmadd_ps(av, b1, v[1]);
-                    }
+            for (a_step, b_step) in a.iter().zip(b) {
+                // SAFETY: a B row holds NR = 32 floats, h0 + 16 <= 32.
+                let b0 = unsafe { _mm256_loadu_ps(b_step[h0..].as_ptr()) };
+                // SAFETY: as above.
+                let b1 = unsafe { _mm256_loadu_ps(b_step[h0 + 8..].as_ptr()) };
+                for (v, &av) in accv.iter_mut().zip(a_step) {
+                    let av = _mm256_set1_ps(av);
+                    v[0] = _mm256_fmadd_ps(av, b0, v[0]);
+                    v[1] = _mm256_fmadd_ps(av, b1, v[1]);
                 }
             }
             for (v, row) in accv.iter().zip(acc.iter_mut()) {
@@ -1116,19 +834,13 @@ mod x86 {
     /// # Safety
     ///
     /// The CPU must support AVX-512F (the dispatcher resolves the tier
-    /// against runtime detection), and the operands must meet the contract
-    /// `debug_check_operands` states for `width = NR`.
+    /// against runtime detection).
     #[target_feature(enable = "avx512f")]
     pub(super) fn kernel_avx512<const ROWS: usize>(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        offsets: &[usize],
-        j0: usize,
+        a: &[[f32; MR]],
+        b: &[[f32; NR]],
         acc: &mut [[f32; NR]; MR],
     ) {
-        debug_check_operands(kc, a, b, offsets, j0, NR);
-        let (a_ptr, b_ptr, off_ptr) = (a.as_ptr(), b.as_ptr(), offsets.as_ptr());
         let mut accv = [[_mm512_setzero_ps(); 2]; ROWS];
         for (v, row) in accv.iter_mut().zip(acc.iter()) {
             // SAFETY: each row holds NR = 32 consecutive floats.
@@ -1136,20 +848,15 @@ mod x86 {
             // SAFETY: as above; the second 16 floats end at 32.
             v[1] = unsafe { _mm512_loadu_ps(row[16..].as_ptr()) };
         }
-        for p in 0..kc {
-            // SAFETY: p < kc <= offsets.len(); offsets[p] + j0 + NR <=
-            // b.len() and kc * MR <= a.len(), validated on entry (debug)
-            // and guaranteed by the packing callers.
-            unsafe {
-                let base = *off_ptr.add(p) + j0;
-                let b0 = _mm512_loadu_ps(b_ptr.add(base));
-                let b1 = _mm512_loadu_ps(b_ptr.add(base + 16));
-                let ap = a_ptr.add(p * MR);
-                for (i, v) in accv.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*ap.add(i));
-                    v[0] = _mm512_fmadd_ps(av, b0, v[0]);
-                    v[1] = _mm512_fmadd_ps(av, b1, v[1]);
-                }
+        for (a_step, b_step) in a.iter().zip(b) {
+            // SAFETY: a B row holds NR = 32 consecutive floats.
+            let b0 = unsafe { _mm512_loadu_ps(b_step.as_ptr()) };
+            // SAFETY: as above; the second 16 floats end at 32.
+            let b1 = unsafe { _mm512_loadu_ps(b_step[16..].as_ptr()) };
+            for (v, &av) in accv.iter_mut().zip(a_step) {
+                let av = _mm512_set1_ps(av);
+                v[0] = _mm512_fmadd_ps(av, b0, v[0]);
+                v[1] = _mm512_fmadd_ps(av, b1, v[1]);
             }
         }
         for (v, row) in accv.iter().zip(acc.iter_mut()) {
@@ -1588,13 +1295,14 @@ mod tests {
     fn kernel_tiers_are_bitwise_identical() {
         // Every runtime-dispatchable tier executes the same per-element
         // fused chain, so outputs must match to the bit — not just to a
-        // tolerance. Shapes cover full tiles, ragged rows, and ragged
-        // columns of both the direct and packed paths.
+        // tolerance. Shapes cover full tiles, ragged rows and columns, and
+        // KC and NC block edges.
         let mut rng = DetRng::new(0x51D);
         for (m, n, k, ta, tb) in [
             (MR, NR, 8, Trans::N, Trans::N),
             (16, 97, 27, Trans::N, Trans::N),
             (7, NR + 5, 300, Trans::N, Trans::N),
+            (5, NC + 3, KC + 9, Trans::N, Trans::N),
             (13, 41, 19, Trans::T, Trans::N),
             (9, 70, 23, Trans::N, Trans::T),
         ] {
@@ -1632,24 +1340,20 @@ mod tests {
     }
 
     #[test]
-    fn bias_fused_matches_fill_then_accumulate() {
-        let mut rng = DetRng::new(31);
-        for (m, n, k) in [(1, 9, 4), (7, 65, 27), (16, 900, 144), (13, 37, 5)] {
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let bias = random_vec(&mut rng, m);
-            let mut scratch = GemmScratch::default();
-            let mut want = vec![0.0f32; m * n];
-            for (row, &b0) in want.chunks_exact_mut(n).zip(&bias) {
-                row.fill(b0);
-            }
-            gemm_nn(&mut scratch, m, n, k, &a, &b, &mut want);
-            let mut got = vec![f32::NAN; m * n];
-            gemm_nn_bias(&mut scratch, m, n, k, &a, &b, &bias, &mut got);
-            for (i, (&g, &w0)) in got.iter().zip(&want).enumerate() {
-                assert!((g - w0).abs() < 1e-5, "({m}x{n}x{k}) idx {i}: {g} vs {w0}");
-            }
-        }
+    #[should_panic(expected = "C size mismatch")]
+    fn short_c_is_rejected() {
+        // C is written through its slice; a short one must fail before any
+        // tile is stored, in release builds too.
+        let mut c = [0.0f32; 3];
+        gemm_nn(
+            &mut GemmScratch::default(),
+            2,
+            2,
+            1,
+            &[1.0; 2],
+            &[1.0; 2],
+            &mut c,
+        );
     }
 
     #[test]
@@ -1690,11 +1394,67 @@ mod tests {
         );
     }
 
+    /// The conv's scalar chain over `im2col`'s matrix: output `(o, j)` is
+    /// `bias[o]` plus one `mul_add` chain from zero, in `k` order, over
+    /// filter `o` and patch column `j`.
+    #[allow(clippy::too_many_arguments, reason = "conv operands")]
+    fn conv_reference(
+        input: &[f32],
+        c_in: usize,
+        h: usize,
+        w: usize,
+        kk: usize,
+        weights: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let mut col = Vec::new();
+        im2col(input, c_in, h, w, kk, &mut col);
+        let (k, hw) = (c_in * kk * kk, h * w);
+        let mut out = Vec::with_capacity(bias.len() * hw);
+        for (filter, &b) in weights.chunks_exact(k).zip(bias) {
+            out.extend((0..hw).map(|j| {
+                let chain = (0..k).fold(0.0f32, |acc, p| filter[p].mul_add(col[p * hw + j], acc));
+                b + chain
+            }));
+        }
+        out
+    }
+
+    /// `conv2d_forward_packed` with the bias epilogue on a filter packed
+    /// for this call.
+    #[allow(clippy::too_many_arguments, reason = "conv operands")]
+    fn conv_bias(
+        scratch: &mut GemmScratch,
+        input: &[f32],
+        c_in: usize,
+        h: usize,
+        w: usize,
+        kk: usize,
+        weights: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let filter = PackedA::new(weights, bias.len(), c_in * kk * kk);
+        let mut out = vec![f32::NAN; bias.len() * h * w];
+        conv2d_forward_packed(
+            scratch,
+            input,
+            c_in,
+            h,
+            w,
+            kk,
+            &filter,
+            bias,
+            ConvEpilogue::Bias,
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn conv2d_forward_matches_materialized_im2col() {
         // Bitwise: every output element is the same fma chain over the same
-        // patch values as a product against the materialized patch matrix,
-        // on every tier.
+        // patch values as the scalar chain over the materialized patch
+        // matrix, on every tier.
         let shapes = [
             (1, 5, 5, 3, 4, 1u64),
             (3, 8, 6, 3, 16, 2),
@@ -1722,22 +1482,9 @@ mod tests {
             .map(|(c_in, h, w, kk, out_c, seed)| {
                 let mut rng = DetRng::new(seed);
                 let input = random_vec(&mut rng, c_in * h * w);
-                let k_total = c_in * kk * kk;
-                let weights = random_vec(&mut rng, out_c * k_total);
+                let weights = random_vec(&mut rng, out_c * c_in * kk * kk);
                 let bias = random_vec(&mut rng, out_c);
-                let mut col = Vec::new();
-                im2col(&input, c_in, h, w, kk, &mut col);
-                let mut want = vec![0.0f32; out_c * h * w];
-                gemm_nn_bias(
-                    &mut GemmScratch::default(),
-                    out_c,
-                    h * w,
-                    k_total,
-                    &weights,
-                    &col,
-                    &bias,
-                    &mut want,
-                );
+                let want = conv_reference(&input, c_in, h, w, kk, &weights, &bias);
                 ((c_in, h, w, kk, out_c), input, weights, bias, want)
             })
             .collect();
@@ -1748,19 +1495,7 @@ mod tests {
             let mut scratch = GemmScratch::with_kernel(kernel);
             for (dims, input, weights, bias, want) in cases.iter().chain(cases.iter().rev()) {
                 let (c_in, h, w, kk, out_c) = *dims;
-                let mut got = vec![f32::NAN; want.len()];
-                conv2d_forward(
-                    &mut scratch,
-                    input,
-                    c_in,
-                    h,
-                    w,
-                    kk,
-                    weights,
-                    bias,
-                    out_c,
-                    &mut got,
-                );
+                let got = conv_bias(&mut scratch, input, c_in, h, w, kk, weights, bias);
                 assert_eq!(
                     &got,
                     want,
@@ -1797,14 +1532,10 @@ mod tests {
         for kernel in SimdTier::runnable(TIERS) {
             let mut shared = GemmScratch::with_kernel(kernel);
             for image in 0..4 {
-                for (&(c_in, h, w, kk, out_c), (weights, bias)) in shapes.iter().zip(&layers) {
+                for (&(c_in, h, w, kk, _), (weights, bias)) in shapes.iter().zip(&layers) {
                     let input = random_vec(&mut rng, c_in * h * w);
                     let run = |scratch: &mut GemmScratch| {
-                        let mut out = vec![f32::NAN; out_c * h * w];
-                        conv2d_forward(
-                            scratch, &input, c_in, h, w, kk, weights, bias, out_c, &mut out,
-                        );
-                        out
+                        conv_bias(scratch, &input, c_in, h, w, kk, weights, bias)
                     };
                     assert_eq!(
                         run(&mut shared),
@@ -1835,8 +1566,7 @@ mod tests {
                 input[h * w + 5 * w + 5] = f32::INFINITY;
                 input[(h - 2) * w + 1] = f32::NEG_INFINITY;
                 let filter = PackedA::new(&weights, out_c, k_total);
-                let mut plain = vec![0.0f32; out_c * h * w];
-                conv2d_forward(
+                let plain = conv_bias(
                     &mut GemmScratch::default(),
                     &input,
                     c_in,
@@ -1845,8 +1575,6 @@ mod tests {
                     3,
                     &weights,
                     &bias,
-                    out_c,
-                    &mut plain,
                 );
                 let mut want = vec![f32::NAN; plain.len()];
                 crate::kernels::relu(&plain, &mut want);

@@ -11,7 +11,7 @@
 //! and ReLU with its scalar select in `tahoma_nn::kernels`' unit tests.
 
 use tahoma_mathx::DetRng;
-use tahoma_nn::gemm::{conv2d_forward, gemm, GemmScratch, Trans};
+use tahoma_nn::gemm::{conv2d_forward_packed, gemm, ConvEpilogue, GemmScratch, PackedA, Trans};
 
 fn fill(rng: &mut DetRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.normal(0.0, 1.0) as f32).collect()
@@ -34,8 +34,8 @@ fn gemm_reference(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f
 #[test]
 fn gemm_matches_reference_under_audit_config() {
     let mut rng = DetRng::new(7);
-    // Shapes spanning the direct path (small k), the blocked path (large
-    // k), and ragged tails.
+    // Shapes with full and ragged tiles, each `k` within one k-block of
+    // the blocked path, so the reference's single chain is the kernel's.
     for &(m, n, k) in &[(3, 5, 4), (6, 33, 12), (13, 130, 40), (7, 64, 200)] {
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, k * n);
@@ -49,7 +49,7 @@ fn gemm_matches_reference_under_audit_config() {
 }
 
 #[test]
-fn conv_matches_direct_gemm_under_audit_config() {
+fn conv_matches_scalar_reference_under_audit_config() {
     let mut rng = DetRng::new(11);
     let (c_in, h, w, kk, out_c) = (2, 9, 9, 3, 4);
     let hw = h * w;
@@ -58,17 +58,17 @@ fn conv_matches_direct_gemm_under_audit_config() {
     let weights = fill(&mut rng, out_c * k_total);
     let bias = fill(&mut rng, out_c);
     let mut out = vec![0.0f32; out_c * hw];
-    let mut scratch = GemmScratch::default();
-    conv2d_forward(
-        &mut scratch,
+    let filter = PackedA::new(&weights, out_c, k_total);
+    conv2d_forward_packed(
+        &mut GemmScratch::default(),
         &input,
         c_in,
         h,
         w,
         kk,
-        &weights,
+        &filter,
         &bias,
-        out_c,
+        ConvEpilogue::Bias,
         &mut out,
     );
     // Reference: materialize the zero-padded patch matrix and multiply.

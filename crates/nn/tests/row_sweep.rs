@@ -1,8 +1,9 @@
 //! The conv row sweep against the training layers, bit for bit.
 //!
 //! Each of the sweep's three epilogues is compared, on every runnable
-//! tier, with what training computes unfused: `im2col` + `gemm_nn_bias`,
-//! then the `Relu` layer, then `MaxPool2::forward_batch`. Shapes cover
+//! tier, with the scalar chain over `im2col`'s matrix (`bias[o]` plus one
+//! `mul_add` chain from zero, in `k` order), then the `Relu` layer, then
+//! `MaxPool2::forward_batch`. Shapes cover
 //! every height and width from 1 to 34 and 47, 60, 64 and 120 (odd sizes
 //! make the pool drop a last row and column), every `c_in` in
 //! {1, 3, 8, 16} with every `out_c` in {1, 5, 8, 9, 16, 32}, and inputs
@@ -64,17 +65,13 @@ fn case(i: usize, sides: &[usize]) -> Case {
 
     let mut col = Vec::new();
     gemm::im2col(&input, c_in, h, w, kk, &mut col);
-    let mut plain = vec![0.0f32; out_c * hw];
-    gemm::gemm_nn_bias(
-        &mut GemmScratch::default(),
-        out_c,
-        hw,
-        k_total,
-        &weights,
-        &col,
-        &bias,
-        &mut plain,
-    );
+    let mut plain = Vec::with_capacity(out_c * hw);
+    for (filter, &b) in weights.chunks_exact(k_total).zip(&bias) {
+        plain.extend((0..hw).map(|j| {
+            let chain = (0..k_total).fold(0.0f32, |acc, p| filter[p].mul_add(col[p * hw + j], acc));
+            b + chain
+        }));
+    }
     let shape = Shape::new(out_c, h, w);
     let mut relu = Vec::new();
     Relu::new(shape).forward_batch(&plain, 1, &mut relu);

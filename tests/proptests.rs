@@ -11,7 +11,7 @@ use tahoma::imagery::engine::{self, TranscodeEngine, TranscodePlan};
 use tahoma::imagery::repr::apply_reference;
 use tahoma::imagery::{transform, ColorMode, Image, ObjectKind, RawCodec, Representation};
 use tahoma::mathx::SimdTier;
-use tahoma::nn::gemm::{self, GemmScratch, Trans};
+use tahoma::nn::gemm::{self, ConvEpilogue, GemmScratch, PackedA, Trans};
 use tahoma::nn::{kernels, Conv2d, InferScratch, Layer, MaxPool2, Shape};
 
 /// Fresh scratch directory for store property tests (unique per case so
@@ -69,14 +69,14 @@ proptest! {
             .collect();
         let scalar = conv.forward_scalar(&input);
         let (weights, bias) = conv.weights_bias();
-        let (weights, bias) = (weights.to_vec(), bias.to_vec());
+        let filter = PackedA::new(weights, out_c, c_in * kk * kk);
         let k_total = (c_in * kk * kk) as f32;
         let mut baseline: Option<Vec<f32>> = None;
         for kernel in SimdTier::runnable(gemm::TIERS) {
             let mut scratch = GemmScratch::with_kernel(kernel);
             let mut got = vec![f32::NAN; out_c * h * w];
-            gemm::conv2d_forward(
-                &mut scratch, &input, c_in, h, w, kk, &weights, &bias, out_c, &mut got,
+            gemm::conv2d_forward_packed(
+                &mut scratch, &input, c_in, h, w, kk, &filter, bias, ConvEpilogue::Bias, &mut got,
             );
             prop_assert_eq!(scalar.len(), got.len());
             for (i, (&a, &b)) in scalar.iter().zip(&got).enumerate() {
