@@ -289,11 +289,12 @@ impl CostContext {
 /// level at `score >= 0.5`). Returns the outcome against `labels` and the
 /// fraction of items labeled positive.
 ///
-/// One walk serves both statistics sources, so they cannot drift apart on
-/// the decision rule: [`crate::exec::VectorizedExecutor::execute`] feeds
-/// it the eval split, and the serving layer feeds it the corpus it
-/// serves, under its execution thresholds. The positive rate is the
-/// selectivity [`crate::planner::PlannedPredicate`] ranks by.
+/// The walk is the executor's own, so the statistics cannot drift from
+/// execution on the decision rule: the serving layer feeds it the corpus
+/// it serves, under its execution thresholds, and the positive rate is
+/// the selectivity [`crate::planner::PlannedPredicate`] ranks by. The
+/// table evaluator's tests use it on the eval split as their naive
+/// reference.
 pub fn cascade_stats(
     cascade: &Cascade,
     thresholds: &ThresholdTable,

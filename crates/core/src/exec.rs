@@ -8,7 +8,7 @@
 //! * **The conjunction walk** ([`run_conjunction`]): metadata filter, then
 //!   each `(kind, cascade)` step in the caller's order over the shrinking
 //!   survivor pack, through a caller-supplied evaluation seam. Its callers
-//!   are every product path: [`VectorizedExecutor::execute`] (planner rank
+//!   are every product path: [`VectorizedExecutor::execute`] (query
 //!   order), [`crate::continuous::ContinuousExecutor`] (query order, over a
 //!   tick's entrants or a whole window) and the serving layer's ad-hoc
 //!   `QUERY` (plan order over the corpus, the seam threading deadline,
@@ -45,8 +45,7 @@
 
 use crate::cascade::Cascade;
 use crate::error::CoreError;
-use crate::evaluator::{cascade_stats, CostContext};
-use crate::planner::{order_indices, PlannedPredicate};
+use crate::evaluator::CostContext;
 use crate::query::{
     walk_cascade_item, Corpus, CorpusItem, ItemScorer, MetaPredicate, PredicateRelation, Query,
     QueryResult, CORPUS_SCORE_SALT,
@@ -55,7 +54,6 @@ use crate::thresholds::ThresholdTable;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 use tahoma_imagery::engine::{self, TranscodeEngine};
 use tahoma_imagery::{Fetched, ObjectKind, Representation, RepresentationStore};
 // Poison-tolerant: a lane that panicked mid-morsel leaves a tally
@@ -230,38 +228,20 @@ impl BatchScorer for SurrogateBatchScorer<'_> {
     }
 }
 
-/// Per-stage time accounting of the real-NN scoring backend, accumulated
-/// across [`BatchScorer::score_batch`] calls, so the end-to-end number
-/// decomposes into the paper's cost-model stages (data handling vs
-/// inference, §IV). `benchmark/run.sh --trace 1` times the same stages
-/// from public calls as `imagery.store.fetch_us.*`,
-/// `imagery.engine.standardize_us.*` and `nn.model.infer_us_per_row.*`.
+/// Work counts of the real-NN scoring backend, accumulated across
+/// [`BatchScorer::score_batch`] calls. Every field is an exact count of
+/// work done: it does not depend on timing, lane count or kernel tier, so
+/// tests pin it (`crates/serve/tests/work_budget.rs`). The session counts
+/// and does not time; `benchmark/run.sh --trace 1` times the paper's
+/// stages (data handling vs inference, §IV) from public calls as
+/// `imagery.store.fetch_us.*`, `imagery.engine.standardize_us.*` and
+/// `nn.model.infer_us_per_row.*`.
 ///
 /// Data handling runs on the inference lanes: whichever lane scores a row
-/// fetches, decodes and standardizes it first. So the three data-handling
-/// fields are **lane-seconds** — summed over every lane, they can exceed
-/// the wall time of the call they ran in — and [`NnStageStats::infer_s`]
-/// is the call's wall time, data handling included. Each lane sums its
-/// rows' times locally and adds them here once per morsel.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// fetches and standardizes it first, counts it locally and adds its
+/// counts here once per morsel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NnStageStats {
-    /// Lane-seconds spent reading stored records: the positioned read and
-    /// the header check of each model input read directly, and the read
-    /// and decode (into a pooled pixel buffer) of each source a
-    /// transcode starts from.
-    pub fetch_decode_s: f64,
-    /// Lane-seconds spent transcoding a stored source representation into
-    /// a level's input representation — only paid when the exact
-    /// representation is not stored (the ONGOING layout pays zero here).
-    pub transcode_s: f64,
-    /// Lane-seconds of per-image standardization (zero mean / unit
-    /// variance), the model input discipline shared with the training
-    /// path. For an input read directly this includes dequantizing its
-    /// stored bytes, which the same sweep does.
-    pub standardize_s: f64,
-    /// Wall time of the inference calls (`SharedModelZoo::infer`, local or
-    /// dispatched), which includes the data handling above.
-    pub infer_s: f64,
     /// `score_batch` calls served.
     pub batches: u64,
     /// Locally scored `score_batch` calls whose pack was big enough to run
@@ -277,6 +257,10 @@ pub struct NnStageStats {
     /// Pack slots served from the shared-representation cache instead of a
     /// fresh fetch/transcode.
     pub cache_hits: u64,
+    /// Fresh pack slots re-derived from the stored source representation
+    /// (source fetch, transcode, standardize) because the model's input
+    /// representation was absent from the store or quarantined.
+    pub transcodes: u64,
     /// Pack slots whose stored representation was quarantined (corrupt or
     /// persistently unreadable) and were served through the
     /// transcode-from-source degradation path instead (RELIABILITY.md).
@@ -286,11 +270,9 @@ pub struct NnStageStats {
 impl NnStageStats {
     /// Add a lane's data-handling tally.
     fn add_handling(&mut self, lane: &NnStageStats) {
-        self.fetch_decode_s += lane.fetch_decode_s;
-        self.transcode_s += lane.transcode_s;
-        self.standardize_s += lane.standardize_s;
         self.fetches += lane.fetches;
         self.cache_hits += lane.cache_hits;
+        self.transcodes += lane.transcodes;
         self.degraded_fetches += lane.degraded_fetches;
     }
 }
@@ -439,8 +421,8 @@ impl NnSessionScratch {
         scratch
     }
 
-    /// Per-stage timings accumulated across queries served with this
-    /// scratch (or since [`NnSessionScratch::reset_stats`]).
+    /// Work counts accumulated across queries served with this scratch
+    /// (or since [`NnSessionScratch::reset_stats`]).
     pub fn stats(&self) -> NnStageStats {
         self.stats
     }
@@ -531,7 +513,7 @@ struct PackRows<'a> {
     /// rows are collected in `fresh` for the scorer to add after the call.
     cache: Option<&'a HashMap<(u64, Representation), Vec<f32>>>,
     fresh: Mutex<Vec<(u64, Vec<f32>)>>,
-    /// Lanes' data-handling tallies, added once per `visit_rows` call.
+    /// Lanes' data-handling counts, added once per `visit_rows` call.
     stats: Mutex<NnStageStats>,
 }
 
@@ -551,19 +533,10 @@ impl PackRows<'_> {
         let rep = self.rep;
         let failed = |what: String| CoreError::Scoring(format!("item {}: {what}", item.id));
         tally.fetches += 1;
-        // Three clock reads on a hit: the read and header check, then the
-        // dequantize and standardize.
-        let t0 = Instant::now();
-        let mut t1 = None;
         let direct = self.store.fetch_with(item.id, rep, engine, |samples, e| {
-            t1 = Some(Instant::now());
             e.standardize_stored(samples, dst);
             Ok(())
         });
-        let t2 = Instant::now();
-        let t1 = t1.unwrap_or(t2);
-        tally.fetch_decode_s += (t1 - t0).as_secs_f64();
-        tally.standardize_s += (t2 - t1).as_secs_f64();
         if matches!(direct, Fetched::Hit(())) {
             return Ok(());
         }
@@ -577,7 +550,6 @@ impl PackRows<'_> {
                 "no stored {rep} and no source representation is configured"
             ))
         })?;
-        let t1 = Instant::now();
         // Pinned: the source must not be quarantined by a fault
         // burst, or the degradation would become permanent.
         let src = self
@@ -585,8 +557,6 @@ impl PackRows<'_> {
             .fetch_pinned(item.id, src_rep, engine)
             .ok_or_else(|| failed(format!("no stored source {src_rep}")))?
             .map_err(|e| failed(format!("source {src_rep}: {e}")))?;
-        tally.fetch_decode_s += t1.elapsed().as_secs_f64();
-        let t2 = Instant::now();
         // The store's re-derivation, not a bare transcode: it lands on the
         // stored u8 grid, so the degraded input is bitwise what ingest
         // stored.
@@ -594,12 +564,10 @@ impl PackRows<'_> {
             .store
             .rederive(&src, rep, engine)
             .map_err(|e| failed(format!("transcode to {rep}: {e}")))?;
-        tally.transcode_s += t2.elapsed().as_secs_f64();
         engine.recycle([src]);
-        let t3 = Instant::now();
         engine.standardize_into(&img, dst);
-        tally.standardize_s += t3.elapsed().as_secs_f64();
         engine.recycle([img]);
+        tally.transcodes += 1;
         Ok(())
     }
 }
@@ -687,7 +655,6 @@ impl BatchScorer for SharedNnScorer<'_> {
             fresh: Mutex::default(),
             stats: Mutex::default(),
         };
-        let t = Instant::now();
         let scored = match self.dispatch {
             Some(broker) => broker.infer(model, &rows, &mut sc.infer),
             None => {
@@ -697,7 +664,6 @@ impl BatchScorer for SharedNnScorer<'_> {
                 scored
             }
         };
-        sc.stats.infer_s += t.elapsed().as_secs_f64();
         let PackRows { fresh, stats, .. } = rows;
         sc.stats
             .add_handling(&stats.into_inner().unwrap_or_else(PoisonError::into_inner));
@@ -898,13 +864,14 @@ impl<'a> VectorizedExecutor<'a> {
     /// Execute a parsed query: metadata filter, then the content
     /// predicates through the level-major cascade driver.
     ///
-    /// This is [`run_conjunction`] with the predicates in planner rank
-    /// order ([`order_predicates`](crate::planner::order_predicates),
-    /// statistics measured on the eval split by
-    /// [`cascade_stats`]), each relation covering only the items
-    /// still undecided when it ran. Relations are returned in query-text
-    /// order. `cascades` maps each content predicate to the cascade
-    /// implementing it; a missing entry is an error.
+    /// This is [`run_conjunction`] over the content predicates in
+    /// query-text order, each relation covering only the items that passed
+    /// every earlier predicate; relations come back in the same order. The
+    /// order is the caller's: the tree's one conjunct ranking is
+    /// [`order_predicates`](crate::planner::order_predicates), which the
+    /// serving layer applies to the corpus it serves. `cascades` maps each
+    /// content predicate to the cascade implementing it; a missing entry
+    /// or an unknown model is an error before any predicate runs.
     pub fn execute(
         &self,
         query: &Query,
@@ -912,64 +879,29 @@ impl<'a> VectorizedExecutor<'a> {
         cascades: &BTreeMap<ObjectKind, Cascade>,
         scorer: &mut dyn BatchScorer,
     ) -> Result<QueryResult, CoreError> {
-        let by_pos: Vec<Cascade> = query
+        let steps: Vec<(ObjectKind, Cascade)> = query
             .content
             .iter()
-            .map(|kind| {
-                cascades
-                    .get(kind)
-                    .copied()
-                    .ok_or(CoreError::EmptySet("cascade for content predicate"))
+            .map(|&kind| {
+                let cascade = *cascades
+                    .get(&kind)
+                    .ok_or(CoreError::EmptySet("cascade for content predicate"))?;
+                validate_cascade(self.repo, &cascade)?;
+                Ok((kind, cascade))
             })
-            .collect::<Result<_, _>>()?;
-        for cascade in &by_pos {
-            validate_cascade(self.repo, cascade)?;
-        }
-        let n_preds = query.content.len();
-
-        let order: Vec<usize> = if n_preds <= 1 {
-            (0..n_preds).collect()
-        } else {
-            let planned: Vec<PlannedPredicate> = query
-                .content
-                .iter()
-                .zip(&by_pos)
-                .map(|(&kind, &cascade)| {
-                    let eval = |m: usize, i: usize| self.repo.entries[m].eval_scores[i];
-                    let (outcome, selectivity) =
-                        cascade_stats(&cascade, self.thresholds, &self.repo.eval.labels, eval);
-                    PlannedPredicate::new(
-                        kind,
-                        cascade,
-                        &outcome,
-                        self.repo.eval.len(),
-                        self.cost,
-                        selectivity,
-                    )
-                })
-                .collect();
-            order_indices(&planned)
-        };
-        let steps: Vec<(ObjectKind, Cascade)> = order
-            .iter()
-            .map(|&pi| (query.content[pi], by_pos[pi]))
-            .collect();
+            .collect::<Result<_, CoreError>>()?;
         let items: Vec<&CorpusItem> = corpus.items.iter().collect();
-        let mut executed: Vec<PredicateRelation> = Vec::with_capacity(n_preds);
+        let mut relations = Vec::with_capacity(steps.len());
         let walk = run_conjunction(&query.metadata, &steps, &items, |kind, cascade, pack| {
             let rel = self.run_cascade_batched(kind, cascade, pack, scorer)?;
             let passes = rel.passes();
-            executed.push(rel);
+            relations.push(rel);
             Ok::<_, CoreError>(passes)
         })?;
-        // The walk ran every step, in `order`; report in query-text order.
-        let mut by_query_pos: Vec<(usize, PredicateRelation)> =
-            order.into_iter().zip(executed).collect();
-        by_query_pos.sort_by_key(|&(pi, _)| pi);
         Ok(QueryResult {
             matched_ids: walk.matched_ids(&items),
             metadata_survivors: walk.metadata_survivors,
-            relations: by_query_pos.into_iter().map(|(_, rel)| rel).collect(),
+            relations,
         })
     }
 }

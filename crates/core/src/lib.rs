@@ -29,7 +29,7 @@
 //!    the executor is tested against.
 //! 7. **Execution** ([`exec`]): one query executor — the conjunction walk
 //!    ([`exec::run_conjunction`] — metadata filter, then each predicate's
-//!    cascade over the shrinking survivor pack, in planner order for
+//!    cascade over the shrinking survivor pack, in query order for
 //!    [`VectorizedExecutor::execute`]) that every query path calls, the
 //!    level-major cascade driver with survivor compaction under it, and the
 //!    fallible batch scoring backends (hoisted surrogate streams; real CNN

@@ -6,17 +6,17 @@
 //! classic System-R-style rule applies: evaluate predicates in increasing
 //! `cost / rejection-rate` order so cheap, selective predicates prune the
 //! item set before expensive ones run. This is the tree's one conjunct
-//! ordering rule: [`crate::exec::VectorizedExecutor::execute`] and the
-//! serving layer's `QueryService::plan_for` both rank with it.
+//! ordering rule: the serving layer's `QueryService::plan_for` ranks with
+//! it, and [`crate::exec::VectorizedExecutor::execute`] runs conjuncts in
+//! the order the query gives them.
 //!
 //! Both statistics come from one per-item decision walk,
 //! [`crate::evaluator::cascade_stats`], over whichever items the caller
 //! holds scores for: selectivity is the cascade's positive rate, and cost
 //! is the scenario-priced expected per-image time of the walk's
-//! stop-level histogram. `core::exec` walks the eval split; the serving
-//! layer walks the corpus it serves, under the thresholds its execution
-//! uses, so a conjunct that rejects nothing there ranks `+∞` and runs
-//! last.
+//! stop-level histogram. The serving layer walks the corpus it serves,
+//! under the thresholds its execution uses, so a conjunct that rejects
+//! nothing there ranks `+∞` and runs last.
 
 use crate::cascade::Cascade;
 use crate::evaluator::{CostContext, Outcome};
@@ -40,8 +40,8 @@ impl PlannedPredicate {
     /// Build from a cascade's simulated outcome over `n_images` items and
     /// its pricing. `selectivity` is the positive rate of the same walk
     /// ([`crate::evaluator::cascade_stats`]), taken as an argument because
-    /// the walk's items are the caller's: the eval split, or the corpus a
-    /// service serves.
+    /// the walk's items are the caller's (the serving layer walks the
+    /// corpus it serves).
     pub fn new(
         kind: ObjectKind,
         cascade: Cascade,
@@ -91,29 +91,13 @@ impl PlannedPredicate {
 /// 4. and finally on [`ObjectKind`], so equal-statistics predicates come
 ///    out in a stable, input-permutation-independent order.
 pub fn order_predicates(mut preds: Vec<PlannedPredicate>) -> Vec<PlannedPredicate> {
-    preds.sort_by(cmp_planned);
+    preds.sort_by(|a, b| {
+        nan_last(a.rank(), b.rank())
+            .then_with(|| nan_last(a.expected_cost_s, b.expected_cost_s))
+            .then_with(|| nan_last(a.selectivity, b.selectivity))
+            .then_with(|| a.kind.cmp(&b.kind))
+    });
     preds
-}
-
-/// The [`order_predicates`] comparator, exposed so index-based orderings
-/// share the exact rule set.
-fn cmp_planned(a: &PlannedPredicate, b: &PlannedPredicate) -> std::cmp::Ordering {
-    nan_last(a.rank(), b.rank())
-        .then_with(|| nan_last(a.expected_cost_s, b.expected_cost_s))
-        .then_with(|| nan_last(a.selectivity, b.selectivity))
-        .then_with(|| a.kind.cmp(&b.kind))
-}
-
-/// The execution-order permutation of `preds` under the exact
-/// [`order_predicates`] rules, without moving the predicates — what the
-/// vectorized executor ([`crate::exec`]) uses to run query positions in
-/// rank order while still reporting relations in query order. Full ties
-/// (identical statistics *and* kind, i.e. a duplicated predicate) keep
-/// their input order, matching the stable sort in [`order_predicates`].
-pub fn order_indices(preds: &[PlannedPredicate]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..preds.len()).collect();
-    idx.sort_by(|&a, &b| cmp_planned(&preds[a], &preds[b]).then(a.cmp(&b)));
-    idx
 }
 
 /// Expected per-item cost of evaluating the predicates in the given order
@@ -204,33 +188,6 @@ mod tests {
     #[test]
     fn empty_plan_is_free() {
         assert_eq!(expected_conjunction_cost_s(&[]), 0.0);
-    }
-
-    #[test]
-    fn order_indices_matches_order_predicates() {
-        let preds = vec![
-            pred(ObjectKind::Acorn, 10e-3, 0.5),
-            pred(ObjectKind::Fence, 1e-3, 0.5),
-            pred(ObjectKind::Wallet, 1e-3, 0.95),
-            pred(ObjectKind::Fence, 1e-3, 0.5), // exact duplicate: stays in input order
-            pred(ObjectKind::Coho, f64::NAN, 1.0),
-        ];
-        let idx = order_indices(&preds);
-        let via_sort = order_predicates(preds.clone());
-        for (rank, &i) in idx.iter().enumerate() {
-            assert_eq!(
-                (preds[i].kind, preds[i].expected_cost_s.to_bits()),
-                (
-                    via_sort[rank].kind,
-                    via_sort[rank].expected_cost_s.to_bits()
-                ),
-                "rank {rank}"
-            );
-        }
-        // The duplicate Fence entries keep input order (1 before 3).
-        let f1 = idx.iter().position(|&i| i == 1).unwrap();
-        let f3 = idx.iter().position(|&i| i == 3).unwrap();
-        assert!(f1 < f3);
     }
 
     #[test]

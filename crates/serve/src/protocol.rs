@@ -12,7 +12,7 @@
 //! REGISTER <stream> RANGE <n> STEP <n> <sql>
 //!                      register a standing continuous query over a live
 //!                      stream (coral | jackson) with a sliding count
-//!                      window; returns its qid
+//!                      window (STEP at most 1024); returns its qid
 //! TICK <qid>           ingest the standing query's next STEP frames and
 //!                      slide its window once; returns the result delta
 //! DELTAS <qid>         cumulative standing-query state + server-side

@@ -363,8 +363,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 shared,
                 &sql,
                 ExecPolicy {
-                    use_plan_cache: false,
-                    coalesce: false,
+                    baseline: true,
                     deadline: shared.default_deadline_ms.map(Deadline::in_ms),
                 },
             ),
@@ -383,8 +382,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                         shared,
                         &sql,
                         ExecPolicy {
-                            use_plan_cache: false,
-                            coalesce: false,
+                            baseline: true,
                             deadline,
                         },
                     ),

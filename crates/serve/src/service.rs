@@ -49,28 +49,19 @@ use tahoma_mathx::{rank, Ranked};
 use tahoma_zoo::{ModelId, SurrogateScorer};
 
 /// Per-query execution switches (the protocol exposes them for A/B runs;
-/// the defaults are what a production front door would run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// the default is what a production front door would run).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Serve repeat plans from the [`PlanCache`].
-    pub use_plan_cache: bool,
-    /// Route NN inference through the coalescing [`Broker`].
-    pub coalesce: bool,
+    /// The protocol's `QUERYU` A/B baseline: plan afresh instead of
+    /// serving a repeat plan from the [`PlanCache`], and score NN kinds
+    /// locally instead of through the coalescing [`Broker`]. `false` (a
+    /// plain `QUERY`) does both.
+    pub baseline: bool,
     /// Server-side execution budget: past this deadline the query stops at
     /// the next predicate boundary with [`ServeError::Timeout`] (the
     /// protocol's `DEADLINE` wrapper and the server's default budget both
     /// land here; policy in RELIABILITY.md). `None` = unbounded.
     pub deadline: Option<Deadline>,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> ExecPolicy {
-        ExecPolicy {
-            use_plan_cache: true,
-            coalesce: true,
-            deadline: None,
-        }
-    }
 }
 
 /// A query's execution budget: the absolute expiry instant plus the
@@ -475,8 +466,8 @@ impl QueryService {
     /// `cascade`'s outcome and positive rate on the served corpus, under the
     /// thresholds [`QueryService::eval_kind_pack`] executes with (the
     /// terminal level at `score >= 0.5`): the statistics a conjunction is
-    /// ordered by. The decision walk is `core`'s
-    /// [`cascade_stats`], the one the eval-split statistics use. NN kinds
+    /// ordered by. The decision walk is `core`'s [`cascade_stats`], which
+    /// runs the executor's own level-major walk. NN kinds
     /// read the corpus scores handed to [`QueryService::add_nn_kind`], so
     /// planning runs no inference; surrogate kinds score the corpus here.
     pub(crate) fn corpus_stats(
@@ -535,7 +526,7 @@ impl QueryService {
             }
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut interest = self.register_interest(&query.content, policy.coalesce);
+        let mut interest = self.register_interest(&query.content, !policy.baseline);
 
         // A metadata-only query plans nothing and scores nothing: no step
         // ever runs, so no deadline is consulted either.
@@ -543,7 +534,7 @@ impl QueryService {
             (Vec::new(), false)
         } else {
             self.check_deadline(&policy)?;
-            let (plan, hit) = self.plan_for(&query.content, policy.use_plan_cache)?;
+            let (plan, hit) = self.plan_for(&query.content, !policy.baseline)?;
             let steps: Vec<(ObjectKind, Cascade)> = plan
                 .entries
                 .iter()
@@ -558,7 +549,7 @@ impl QueryService {
             // budget ran out (each step is one whole cascade execution).
             self.check_deadline(&policy)?;
             let (passes, degraded_slots) =
-                self.eval_kind_pack(kind, cascade, pack, policy.coalesce)?;
+                self.eval_kind_pack(kind, cascade, pack, !policy.baseline)?;
             degraded += degraded_slots;
             interest.release(kind);
             Ok::<_, ServeError>(passes)

@@ -56,6 +56,12 @@ const SCENE_SIDE: usize = 64;
 const STREAM_EPOCH: u64 = 1_700_000_000;
 const FRAME_STRIDE_S: u64 = 30;
 
+/// The largest `STEP` a standing query may register. A tick renders its
+/// `STEP` frames at once and holds every 64×64 RGB raster (48 KiB) and
+/// prepared record until the commits run, so an unbounded `STEP` lets one
+/// `TICK` exhaust memory.
+pub const MAX_STEP: u64 = 1024;
+
 /// What `REGISTER` returns to the client.
 #[derive(Debug, Clone)]
 pub struct RegisterReport {
@@ -194,7 +200,8 @@ impl StreamRegistry {
     /// Register `sql` as a standing query over the named stream with a
     /// `RANGE`/`STEP` count window. Planning happens once, here, through
     /// the service's plan cache; the selected cascades are pinned for the
-    /// query's lifetime (re-registering picks up a new plan).
+    /// query's lifetime (re-registering picks up a new plan). A `STEP`
+    /// above [`MAX_STEP`] is a query error.
     pub fn register(
         &self,
         service: &QueryService,
@@ -205,6 +212,11 @@ impl StreamRegistry {
     ) -> Result<RegisterReport, ServeError> {
         let query = Query::parse(sql).map_err(|e| ServeError::Query(e.to_string()))?;
         let window = WindowSpec::new(range, step).map_err(|e| ServeError::Query(e.to_string()))?;
+        if step > MAX_STEP {
+            return Err(ServeError::Query(format!(
+                "STEP {step} exceeds the cap of {MAX_STEP} frames per tick"
+            )));
+        }
         let mut kinds = query.content.clone();
         kinds.sort_unstable();
         kinds.dedup();
@@ -494,6 +506,13 @@ mod tests {
         let sql = "SELECT * FROM frames WHERE contains_object(fence)";
         assert!(registry.register(&service, "nosuch", 4, 2, sql).is_err());
         assert!(registry.register(&service, "coral", 0, 2, sql).is_err());
+        for step in [MAX_STEP + 1, u64::MAX] {
+            let err = registry.register(&service, "coral", 4, step, sql);
+            assert!(matches!(err, Err(ServeError::Query(_))), "STEP {step}");
+        }
+        assert!(registry
+            .register(&service, "coral", 4, MAX_STEP, sql)
+            .is_ok());
         assert!(registry
             .register(&service, "coral", 4, 2, "not sql at all")
             .is_err());

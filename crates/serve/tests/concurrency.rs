@@ -21,9 +21,9 @@ const QUERIES: &[&str] = &[
     "SELECT * FROM frames WHERE location = 'Flint'",
 ];
 
-const UNCACHED_SERIAL: ExecPolicy = ExecPolicy {
-    use_plan_cache: false,
-    coalesce: false,
+/// `QUERYU`'s policy: no plan cache, no broker.
+const BASELINE: ExecPolicy = ExecPolicy {
+    baseline: true,
     deadline: None,
 };
 
@@ -43,7 +43,7 @@ fn reference_answers(service: &QueryService) -> Vec<Vec<u64>> {
         .iter()
         .map(|sql| {
             service
-                .execute_with(sql, UNCACHED_SERIAL)
+                .execute_with(sql, BASELINE)
                 .expect("reference query")
                 .matched_ids
         })
@@ -93,8 +93,8 @@ fn concurrent_coalesced_results_match_serial() {
     );
 }
 
-/// Same service, coalescing disabled per query: concurrency alone must
-/// not change answers either.
+/// Same service under the baseline policy (no broker) per query:
+/// concurrency alone must not change answers either.
 #[test]
 fn concurrent_uncoalesced_results_match_serial() {
     let service = nn_fixture();
@@ -106,14 +106,7 @@ fn concurrent_uncoalesced_results_match_serial() {
             s.spawn(move || {
                 for (qi, sql) in QUERIES.iter().enumerate() {
                     let out = service
-                        .execute_with(
-                            sql,
-                            ExecPolicy {
-                                use_plan_cache: true,
-                                coalesce: false,
-                                deadline: None,
-                            },
-                        )
+                        .execute_with(sql, BASELINE)
                         .expect("concurrent query");
                     assert_eq!(out.matched_ids, expected[qi], "diverged on {sql:?}");
                 }
@@ -144,7 +137,7 @@ fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
     let matched = |p: &str, meta: &str| {
         let sql = format!("SELECT * FROM frames WHERE {p} AND {meta}");
         service
-            .execute_with(&sql, UNCACHED_SERIAL)
+            .execute_with(&sql, BASELINE)
             .expect("slice")
             .matched_ids
     };
@@ -196,11 +189,7 @@ fn morsel_sized_packs_match_one_pass_slices_coalesced_and_not() {
             }
         })
     };
-    run(ExecPolicy {
-        use_plan_cache: true,
-        coalesce: false,
-        deadline: None,
-    });
+    run(BASELINE);
     let stats = service.stats();
     assert!(
         stats.morsel_calls > fanned,
@@ -525,7 +514,7 @@ fn racing_cold_conjunctions_agree_on_ids_and_order() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let reference = service
-        .execute_with(SQL, UNCACHED_SERIAL)
+        .execute_with(SQL, BASELINE)
         .expect("reference query")
         .matched_ids;
     assert!(!reference.is_empty());

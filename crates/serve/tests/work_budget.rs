@@ -246,6 +246,7 @@ fn depth2_cascade_work_is_pinned() {
         items_scored,
         fetches,
         cache_hits,
+        transcodes,
         degraded_fetches,
         ..
     } = scratch.stats();
@@ -256,6 +257,7 @@ fn depth2_cascade_work_is_pinned() {
             ("items_scored", items_scored, 89),
             ("fetches", fetches, 64),
             ("cache_hits", cache_hits, 25),
+            ("transcodes", transcodes, 3),
             ("degraded_fetches", degraded_fetches, 3),
         ],
     );

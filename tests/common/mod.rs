@@ -87,14 +87,15 @@ pub fn assert_relations_identical(a: &PredicateRelation, b: &PredicateRelation) 
 }
 
 /// Check `got` — `executor.execute(query, corpus, cascades, …)` with a
-/// batch scorer whose scores equal `scorer`'s — against brute force:
+/// batch scorer whose scores equal `scorer`'s — against brute force and
+/// the query-text step order:
 ///
 /// * `matched_ids` and `metadata_survivors` are brute force's;
-/// * the first executed relation covers every metadata survivor, and no
-///   relation covers anything else;
-/// * each relation, in query-text order, is identical to the reference
-///   walk over exactly the rows it covers;
-/// * no more than `n_preds × survivors` rows were scored.
+/// * relation 0 covers exactly the metadata survivors, and relation k
+///   exactly the survivors that passed relations 0..k, in corpus order;
+/// * each relation is identical to the reference walk over exactly the
+///   rows it covers;
+/// * the rows that passed every relation are `matched_ids`.
 ///
 /// Returns the brute force for further checks.
 pub fn assert_execute_matches_brute_force(
@@ -116,35 +117,19 @@ pub fn assert_execute_matches_brute_force(
     assert_eq!(got.metadata_survivors, bf.survivors.len());
     assert_eq!(got.relations.len(), steps.len());
 
-    let row_ids = |rel: &PredicateRelation| -> Vec<u64> { rel.rows.iter().map(|r| r.id).collect() };
-    if !steps.is_empty() {
-        assert!(
-            got.relations.iter().any(|rel| row_ids(rel) == bf.survivors),
-            "no relation covers every metadata survivor"
-        );
-    }
-    let survivor_set: HashSet<u64> = bf.survivors.iter().copied().collect();
     let by_id: HashMap<u64, &CorpusItem> = items.iter().map(|item| (item.id, *item)).collect();
-    for (rel, &(kind, cascade)) in got.relations.iter().zip(&steps) {
-        let covered: Vec<&CorpusItem> = rel
-            .rows
-            .iter()
-            .map(|r| {
-                assert!(survivor_set.contains(&r.id), "row {} failed metadata", r.id);
-                by_id[&r.id]
-            })
-            .collect();
+    let mut passed_so_far = bf.survivors.clone();
+    for (k, (rel, &(kind, cascade))) in got.relations.iter().zip(&steps).enumerate() {
+        let ids: Vec<u64> = rel.rows.iter().map(|r| r.id).collect();
+        assert_eq!(ids, passed_so_far, "relation {k} covers the wrong rows");
+        let covered: Vec<&CorpusItem> = ids.iter().map(|id| by_id[id]).collect();
         let reference = executor
             .run_cascade_reference(kind, cascade, &covered, scorer)
             .expect("reference runs");
         assert_relations_identical(&reference, rel);
+        let passed: HashSet<u64> = rel.rows.iter().filter(|r| r.value).map(|r| r.id).collect();
+        passed_so_far.retain(|id| passed.contains(id));
     }
-    let scored: usize = got.relations.iter().map(|rel| rel.rows.len()).sum();
-    assert!(
-        scored <= steps.len() * bf.survivors.len(),
-        "scored {scored} rows for {} predicates over {} survivors",
-        steps.len(),
-        bf.survivors.len()
-    );
+    assert_eq!(passed_so_far, bf.matched, "rows passing every relation");
     bf
 }

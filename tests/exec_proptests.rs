@@ -5,7 +5,7 @@
 //! tables, NaN scores (which must follow the PR 2 `nan_last` discipline:
 //! never decide at a thresholded level, lose the `>= 0.5` comparison at
 //! the terminal), and arbitrary metadata-survivor subsets — plus the
-//! planner-ordered query executor and the shared conjunction walk, both
+//! query-ordered executor and the shared conjunction walk, both
 //! pinned against brute force (every predicate over every item through the
 //! reference walk, `HashSet` intersection).
 
@@ -186,7 +186,7 @@ proptest! {
         assert_relations_identical(&reference, &batched);
     }
 
-    /// Full-query identity: the planner-ordered executor under a metadata
+    /// Full-query identity: the query-ordered executor under a metadata
     /// filter and 1–3 content predicates reproduces the legacy algorithm —
     /// reference cascade per predicate over all survivors, hash-set
     /// conjunction — and each relation is the reference walk over exactly
@@ -222,10 +222,9 @@ proptest! {
         assert_execute_matches_brute_force(&executor, &query, &fx.corpus, &cascades, &scorer, &got);
     }
 
-    /// Planner-ordered short-circuit execution of a 2–3 predicate
-    /// conjunction never changes `matched_ids` from brute force's, and never
-    /// scores an item outside the metadata survivors or more rows than
-    /// every predicate over every survivor.
+    /// Query-ordered short-circuit execution of a 2–3 predicate
+    /// conjunction never changes `matched_ids` from brute force's, and each
+    /// predicate scores exactly the items that passed every earlier one.
     #[test]
     fn short_circuit_preserves_matched_ids(
         thr_seed in 0u64..1_000_000,

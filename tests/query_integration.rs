@@ -136,7 +136,7 @@ fn query_results_are_deterministic() {
 }
 
 #[test]
-fn planner_short_circuit_strictly_reduces_scored_items() {
+fn conjunction_short_circuit_strictly_reduces_scored_items() {
     // A two-content-predicate query through the vectorized executor: the
     // later predicate evaluates only the earlier one's survivors, so fewer
     // rows are scored than both predicates over every survivor, while

@@ -266,14 +266,13 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         rel.accuracy
     );
     let stats = scratch.stats();
-    assert!(stats.fetch_decode_s > 0.0 && stats.infer_s > 0.0 && stats.standardize_s > 0.0);
     assert!(
         stats.items_scored >= corpus.items.len() as u64,
         "every survivor scored at least once"
     );
     if rel.level_histogram[1] > 0 {
         assert!(
-            stats.transcode_s > 0.0,
+            stats.transcodes > 0,
             "terminal level must have exercised the transcode fallback"
         );
     }
